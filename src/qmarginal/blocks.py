@@ -36,6 +36,7 @@ from .symgroup import (
     enumerate_partitions,
     group_elements,
     invariant_basis_exact,
+    irrep_dimension,
     trivial_multiplicity,
     _rep,
 )
@@ -444,28 +445,60 @@ class WitnessBlock:
 
 
 def witness_blocks(n: int, d: int, copies: int, cap: int = 512) -> list[WitnessBlock]:
-    """All canonical partition-tuple blocks of the level-`copies` witness LMI."""
+    """All canonical partition-tuple blocks of the level-`copies` witness LMI.
+
+    Method: each block's basis comes from `invariant_basis_exact`
+    (Reynolds images of unit vectors, no total x total matrix), and its
+    swap-pattern sums are applied to the basis vectors slot by slot as
+    mode products (see `_witness_block`). A block depends only on its
+    partition tuple (the tuple's weight is `copies`, its length is n); d
+    only decides which tuples appear. So each block is built once per
+    process and shared across d, levels and repeated calls; callers must
+    not mutate it. The cap is checked on every surviving tuple before any
+    block is built.
+    """
     system = ame_system(n, d, copies)
-    g = system.group
-    swap = g.index[Permutation.transposition(copies, 0, 1).images]
-    ident = g.identity
-    out = []
-    for partitions in system.partition_tuples():
-        k = trivial_multiplicity(partitions)
-        if k == 0:
-            continue
-        reps, per_slot, total = _tuple_matrices(system, partitions, cap)
-        vectors, weights = invariant_basis_exact(partitions, cap=cap)
-        gram = [[_weighted_dot(u, weights, v) for v in vectors] for u in vectors]
-        z_per_l = []
-        for l in range(n + 1):
-            acc = exactla.zeros(total, total)
-            for subset in itertools.combinations(range(n), l):
-                mats = [per_slot[s][swap if s in subset else ident] for s in range(n)]
-                acc = exactla.mat_add(acc, exactla.kron_all(mats))
-            z_per_l.append(_compress(acc, vectors, weights))
-        gramf = exactla.to_float(gram)
-        linv = np.linalg.inv(np.linalg.cholesky(gramf))
-        y_per_l = [linv @ exactla.to_float(z) @ linv.T for z in z_per_l]
-        out.append(WitnessBlock(tuple(partitions), k, total, z_per_l, y_per_l, gram))
-    return out
+    tuples = [tpl for tpl in system.partition_tuples() if trivial_multiplicity(tpl)]
+    for tpl in tuples:
+        total = prod(irrep_dimension(p) for p in tpl)
+        if total > cap:
+            raise ResourceCapError(f"block dimension {total} exceeds cap {cap}")
+    return [_witness_block(tuple(p.parts for p in tpl)) for tpl in tuples]
+
+
+@lru_cache(maxsize=None)
+def _witness_block(parts: tuple[tuple[int, ...], ...]) -> WitnessBlock:
+    """Compressed swap-pattern sums z_l = U^T W E_l U of one partition tuple.
+
+    E_l = sum over slot subsets A with |A| = l of the Kronecker product
+    with S((0 1)) on the slots in A and 1 elsewhere. It is applied to
+    each basis vector u by the elementary-symmetric recursion
+    E_j u <- E_j u + S_s (E_{j-1} u), one slot s at a time, as a mode
+    product; no total x total matrix is formed.
+    """
+    partitions = tuple(Partition(p) for p in parts)
+    nslots, copies = len(parts), sum(parts[0])
+    reps = [_rep(p) for p in parts]
+    dims = [rep.dim for rep in reps]
+    vectors, weights = invariant_basis_exact(partitions, cap=prod(dims))  # cap checked by the caller
+    k = len(vectors)
+    gram = [[_weighted_dot(u, weights, v) for v in vectors] for u in vectors]
+    swap = Permutation.transposition(copies, 0, 1)
+    swaps = [rep.seminormal(swap) for rep in reps]
+    z_per_l = [exactla.zeros(k, k) for _ in range(nslots + 1)]
+    weighted = [[w * x for w, x in zip(weights, u)] for u in vectors]
+    for b, u in enumerate(vectors):
+        e = [u] + [None] * nslots
+        for s in range(nslots):
+            for j in range(s + 1, 0, -1):
+                moved = exactla.mode_product(swaps[s], e[j - 1], dims, s)
+                e[j] = moved if e[j] is None else [x + y for x, y in zip(e[j], moved)]
+        for l, el in enumerate(e):
+            for a in range(b + 1):  # W E_l is symmetric: S((0 1)) is a diagonal involution
+                val = sum((x * y for x, y in zip(weighted[a], el) if x and y), start=F0)
+                z_per_l[l][a][b] = z_per_l[l][b][a] = val
+    linv = np.linalg.inv(np.linalg.cholesky(exactla.to_float(gram)))
+    y_per_l = [linv @ exactla.to_float(z) @ linv.T for z in z_per_l]
+    for y in y_per_l:
+        y.flags.writeable = False
+    return WitnessBlock(partitions, k, prod(dims), z_per_l, y_per_l, gram)

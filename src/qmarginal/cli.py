@@ -10,7 +10,8 @@ Verbs:
     code verify      direct marginal check of a code state vector
 
 Exit codes: 0 completed (any verdict), 2 invalid input, 3 resource cap,
-4 solver non-convergence. Results go to stdout, progress to stderr.
+4 solver non-convergence, 5 internal error (an internal consistency
+check failed). Results go to stdout, progress to stderr.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from . import ame, codes, hierarchy
-from .errors import InvalidInputError, ResourceCapError, SolverConvergenceError, UnsupportedFeatureError
+from .errors import InvalidInputError, QmarginalError, ResourceCapError, SolverConvergenceError, UnsupportedFeatureError
 
 
 def _frac_list(values) -> list[str]:
@@ -89,8 +90,7 @@ def _cmd_ame_witness(args) -> int:
 
 
 def _cmd_hierarchy_export(args) -> int:
-    hierarchy.export_dual_sdpa(args.n, args.d, args.copies, args.out, cap=args.cap)
-    dual = hierarchy.assemble_dual_witness(args.n, args.d, args.copies, cap=args.cap)
+    dual = hierarchy.export_dual_sdpa(args.n, args.d, args.copies, args.out, cap=args.cap)
     _emit(
         {
             "out": args.out,
@@ -167,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--rank1-only", action="store_true")
     pw.add_argument("--exact", action="store_true")
     pw.add_argument("--cap", type=int, default=512)
-    pw.add_argument("--seed", type=int, default=0, help="seed for randomized subroutines")
     pw.set_defaults(func=_cmd_ame_witness)
 
     p_hier = sub.add_parser("hierarchy", help="N-copy hierarchy tools")
@@ -178,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--copies", type=int, required=True)
     pe.add_argument("--out", required=True)
     pe.add_argument("--cap", type=int, default=512)
-    pe.add_argument("--seed", type=int, default=0)
     pe.set_defaults(func=_cmd_hierarchy_export)
 
     p_code = sub.add_parser("code", help="quantum code feasibility")
@@ -220,6 +218,9 @@ def main(argv=None) -> int:
     except SolverConvergenceError as exc:
         print(f"solver did not converge: {exc}", file=sys.stderr)
         return 4
+    except QmarginalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -75,6 +75,34 @@ def kron_all(mats):
     return out
 
 
+def mode_product(m, vec, dims, axis):
+    """(1 x ... x m x ... x 1) @ vec with m acting on tensor factor `axis`.
+
+    `vec` is a flat vector over the factors of sizes `dims`, first factor
+    most significant (the index order of `kron_all`). The Kronecker
+    product is never formed: each output entry is one row of m against
+    a stride-`inner` slice of vec, skipping zeros of m.
+    """
+    d = dims[axis]
+    inner = 1
+    for size in dims[axis + 1 :]:
+        inner *= size
+    rows = [[(b * inner, x) for b, x in enumerate(row) if x] for row in m]
+    out = [F0] * len(vec)
+    for base in range(0, len(vec), d * inner):
+        for a, row in enumerate(rows):
+            dst = base + a * inner
+            for t in range(inner):
+                src = base + t
+                acc = F0
+                for off, x in row:
+                    y = vec[src + off]
+                    if y:
+                        acc += x * y
+                out[dst + t] = acc
+    return out
+
+
 def rref(matrix, ncols=None):
     """Reduced row echelon form in place; returns pivot column list.
 

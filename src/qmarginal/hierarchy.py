@@ -444,13 +444,13 @@ class Certificate:
 def certify(optimum, n: int, d: int, copies: int, w=None, method: str = "sdp-float", tol: float = 1e-8) -> Certificate:
     """Interpret a dual optimum: strictly negative means no AME(n, d).
 
-    Values inside (-tol, 0) stay inconclusive and are flagged; the exact
-    method uses the strict sign.
+    Values inside (-tol, 0) stay inconclusive and are flagged; an exact
+    (Fraction) optimum is decided on its own strict sign, never through
+    float().
     """
     exact = isinstance(optimum, Fraction)
     opt_f = float(optimum)
-    threshold = 0 if exact else -tol
-    if opt_f < threshold and (not exact or optimum < 0):
+    if (optimum < 0) if exact else (opt_f < -tol):
         return Certificate(n, d, copies, method, opt_f, "no-ame", optimum if exact else None, w)
     note = "within tolerance" if (not exact and -tol <= opt_f < 0) else ""
     return Certificate(n, d, copies, method, opt_f, "inconclusive", optimum if exact else None, w, note)
@@ -558,9 +558,14 @@ def _interior_w(dual: DualWitnessSdp) -> np.ndarray:
     return y0
 
 
-def export_dual_sdpa(n: int, d: int, copies: int, path, cap: int = 512) -> None:
-    """Write the level-`copies` dual witness SDP in sparse SDPA form."""
+def export_dual_sdpa(n: int, d: int, copies: int, path, cap: int = 512) -> DualWitnessSdp:
+    """Write the level-`copies` dual witness SDP in sparse SDPA form.
+
+    Returns the exported problem, so callers can report on it without
+    assembling it again.
+    """
     dual = assemble_dual_witness(n, d, copies, cap=cap)
     from .solve import export_sdpa
 
     export_sdpa(dual.to_sdp_problem(), path)
+    return dual

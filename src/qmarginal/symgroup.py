@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial, gcd, lcm, prod
 
 import numpy as np
 
@@ -450,11 +450,16 @@ class _Rep:
         if cached is not None:
             return cached
         d = self.dim
-        out = [[F1 if i == j else F0 for j in range(d)] for i in range(d)]
-        for k in perm.adjacent_factorization():
-            gen = self.generators[k]
-            out = [[sum(gen[i][l] * out[l][j] for l in range(d) if out[l][j]) for j in range(d)] for i in range(d)]
-        out = tuple(tuple(row) for row in out)
+        ks = perm.adjacent_factorization()
+        if not ks:
+            out = tuple(tuple(F1 if i == j else F0 for j in range(d)) for i in range(d))
+        else:
+            # perm = s_k o rest with rest one generator shorter; S(s_k) has at
+            # most two nonzeros per row, so one product costs O(d^2)
+            k = ks[-1]
+            inner = self.seminormal(Permutation.transposition(self.n, k, k + 1).compose(perm))
+            rows = [[(l, x) for l, x in enumerate(row) if x] for row in self.generators[k]]
+            out = tuple(tuple(sum(x * inner[l][j] for l, x in row) for j in range(d)) for row in rows)
         if len(self._semi_cache) < 50000:
             self._semi_cache[key] = out
         return out
@@ -627,9 +632,24 @@ def invariant_basis_exact(lams, cap: int = 512):
     """Exact rational basis of the diagonal-trivial subspace, seminormal picture.
 
     Returns (vectors, weights): vectors are Fraction lists spanning the
-    kernel of S(sigma_s) x ... + S(sigma_c) x ... - 2, and weights is the
-    diagonal of the tensor-product orthogonalization metric. A vector v
-    in this picture corresponds to W^{1/2} v in the orthogonal picture.
+    subspace fixed by S(sigma) x ... x S(sigma) for every sigma, and
+    weights is the diagonal of the tensor-product orthogonalization
+    metric. A vector v in this picture corresponds to W^{1/2} v in the
+    orthogonal picture.
+
+    Method: the Reynolds operator P = sum_sigma S(sigma) x ... x S(sigma)
+    projects onto the subspace. S((0 1)) is diagonal +-1 in seminormal
+    form and P S((0 1)) = P, so P e_i vanishes unless the slot signs at i
+    multiply to +1; every other image is a sum over S_N of Kronecker
+    products of one column per slot, built without a total x total
+    matrix. The images are reduced to echelon form with pivots taken
+    from right to left, then normalized and back-substituted. The pivots
+    are then the free columns of the kernel of the two-generator
+    expression, so the vectors are the ones `exactla.nullspace` returns
+    for it: the unique basis that is the identity on those columns,
+    sorted by that column. Every image is scanned, the rank must equal
+    the character-formula multiplicity, and every vector is checked
+    exactly against both generators of S_N.
     """
     from . import exactla
 
@@ -640,19 +660,61 @@ def invariant_basis_exact(lams, cap: int = 512):
     if total > cap:
         raise ResourceCapError(f"block dimension {total} exceeds cap {cap}")
     reps = [_rep(p.parts) for p in parts]
-    gen_s = Permutation.transposition(n, 0, 1)
-    gen_c = Permutation.full_cycle(n)
-    a = exactla.zeros(total, total)
-    for g in (gen_s, gen_c):
-        m = exactla.kron_all([[list(row) for row in rep.seminormal(g)] for rep in reps])
-        a = exactla.mat_add(a, m)
-    for i in range(total):
-        a[i][i] -= 2
-    vectors = exactla.nullspace(a, ncols=total)
+    k = trivial_multiplicity(parts)
     weights = [F1]
     for rep in reps:
         weights = [w * rw for w in weights for rw in rep.weights]
-    k = trivial_multiplicity(parts)
-    if len(vectors) != k:
-        raise InternalConsistencyError("exact kernel dimension disagrees with character formula")
+
+    # per slot, indexed (column, group element, row): Python integers, each
+    # slot scaled by one common denominator so the Reynolds sums stay exact
+    elements = group_elements(n)
+    cols = []
+    for rep in reps:
+        mats = [rep.seminormal(sigma) for sigma in elements]
+        scale = lcm(*(x.denominator for m in mats for row in m for x in row))
+        cols.append(np.array([[[int(row[c] * scale) for row in m] for m in mats] for c in range(rep.dim)], dtype=object))
+    signs = [[int(rep.generators[0][i][i]) for i in range(rep.dim)] if n > 1 else [1] * rep.dim for rep in reps]
+
+    rows: dict[int, list[int]] = {}  # pivot -> integer row, zero right of the pivot
+    for idx in itertools.product(*(range(dim) for dim in dims)):
+        if prod(signs[s][i] for s, i in enumerate(idx)) < 0:
+            continue
+        acc = cols[0][idx[0]]
+        for s in range(1, len(parts)):
+            acc = (acc[:, :, None] * cols[s][idx[s]][:, None, :]).reshape(len(elements), -1)
+        v = acc.sum(axis=0).tolist()
+        for p in sorted(rows, reverse=True):
+            if v[p]:
+                row, f, piv = rows[p], v[p], rows[p][p]
+                v = [piv * a - f * b for a, b in zip(v, row)]
+        pivot = next((j for j in range(total - 1, -1, -1) if v[j]), None)
+        if pivot is None:
+            continue
+        if len(rows) == k:
+            raise InternalConsistencyError(f"invariant subspace of {parts} exceeds the character formula {k}")
+        div = gcd(*v)
+        rows[pivot] = [a // div for a in v]
+    if len(rows) != k:
+        raise InternalConsistencyError(f"invariant subspace rank {len(rows)} disagrees with character formula {k} for {parts}")
+
+    pivots = sorted(rows)
+    vectors = []
+    for p in pivots:
+        row = rows[p]
+        vectors.append([Fraction(a, row[p]) for a in row])
+    for j, p in enumerate(pivots):
+        for i in range(j + 1, len(vectors)):
+            f = vectors[i][p]
+            if f:
+                vectors[i] = [a - f * b for a, b in zip(vectors[i], vectors[j])]
+
+    gens = (Permutation.transposition(n, 0, 1), Permutation.full_cycle(n)) if n > 1 else ()
+    for g in gens:
+        mats = [rep.seminormal(g) for rep in reps]
+        for v in vectors:
+            w = v
+            for s, m in enumerate(mats):
+                w = exactla.mode_product(m, w, dims, s)
+            if w != v:
+                raise InternalConsistencyError(f"invariant vector of {parts} is not fixed by {g.images}")
     return vectors, weights

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qmarginal import cli, codes
+from qmarginal.errors import InternalConsistencyError, QmarginalError
 
 SCHEMA = json.loads((Path(__file__).resolve().parent.parent / "docs" / "report.schema.json").read_text())
 
@@ -131,6 +132,17 @@ def test_exit_code_resource_cap(tmp_path):
     np.save(path, state)
     code, _, err = run_cli(["code", "verify", "--state", str(path), "--n", "8", "--K", "2", "--m", "2", "--d", "3"])
     assert code == 3 and "resource cap" in err
+
+
+@pytest.mark.parametrize("error", [InternalConsistencyError, QmarginalError])
+def test_exit_code_internal_error(monkeypatch, error):
+    def broken(args):
+        raise error("check failed")
+
+    monkeypatch.setattr(cli, "_cmd_ame_check", broken)
+    code, out, err = run_cli(["ame", "check", "--n", "4", "--d", "2"])
+    assert code == 5 and out == ""
+    assert err == "internal error: check failed\n"
 
 
 def test_unknown_verb_exits_2():

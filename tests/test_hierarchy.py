@@ -114,6 +114,15 @@ def test_certify_tolerance_edge():
     assert cert.verdict == "inconclusive" and cert.optimum == 0
 
 
+def test_certify_exact_sign_below_float_range():
+    # float() of this optimum underflows to -0.0; the exact sign still decides
+    tiny = F(-1, 10**400)
+    cert = hi.certify(tiny, 4, 2, 3, method="lp-exact")
+    assert cert.verdict == "no-ame" and cert.optimum == tiny
+    cert = hi.certify(-tiny, 4, 2, 3, method="lp-exact")
+    assert cert.verdict == "inconclusive"
+
+
 # ---------------------------------------------------------------------------
 # primal assembly
 
