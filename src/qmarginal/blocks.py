@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import lcm, prod
 
 import numpy as np
 
@@ -188,6 +188,7 @@ class SymbolicOperator:
     system: SlotSystem
     terms: dict  # ordered index tuple -> {var: Fraction}
     traced: frozenset = frozenset()
+    _ints: tuple | None = field(default=None, init=False, repr=False, compare=False)  # see _integer_terms
 
     @staticmethod
     def variable_expansion(system: SlotSystem, keys=None) -> "SymbolicOperator":
@@ -199,6 +200,7 @@ class SymbolicOperator:
         return SymbolicOperator(system, terms)
 
     def _merge(self, key, lin, scale=F1):
+        self._ints = None
         dst = self.terms.setdefault(key, {})
         for v, c in lin.items():
             c2 = dst.get(v, F0) + scale * c
@@ -285,33 +287,50 @@ class SymbolicOperator:
         row = self.pairing_row(ident)
         return {v: c * scale for v, c in row.items()}
 
+    def _integer_terms(self) -> tuple:
+        """(denominator, [(key, [(var, int numerator), ...]), ...]) of the terms.
+
+        One common denominator for every coefficient; computed once per
+        operator and dropped by `_merge`, the only method that changes
+        `terms` after construction.
+        """
+        if self._ints is None:
+            den = lcm(*(c.denominator for lin in self.terms.values() for c in lin.values()))
+            ints = [(key, [(v, c.numerator * (den // c.denominator)) for v, c in lin.items()]) for key, lin in self.terms.items()]
+            self._ints = (den, ints)
+        return self._ints
+
     def pairing_row(self, test: tuple[int, ...]) -> dict:
         """Linear form of Tr(V_test @ self); zero forms are dropped upstream.
 
-        The permutation-tensor weight is a plain integer (a power of the
-        slot dimensions), so the inner loop stays in integer arithmetic.
+        Method: the permutation-tensor weight of each term is an integer
+        (a power of the slot dimensions), and the coefficients are held as
+        integers over one common denominator (`_integer_terms`), so the sum
+        of weight x numerator runs in Python ints; each output entry is one
+        Fraction(sum, denominator).
         """
         g = self.system.group
         mul, cyc = g.mul, g.cycles
         dims = self.system.dims
-        row: dict = {}
+        den, ints = self._integer_terms()
+        acc: dict = {}
         if len(set(dims)) == 1:
             pows = _int_powers(dims[0], self.system.slots * self.system.copies + 1)
-            for key, lin in self.terms.items():
+            for key, lin in ints:
                 e = 0
                 for s, k in enumerate(key):
                     e += cyc[mul[test[s]][k]]
                 w = pows[e]
-                for v, c in lin.items():
-                    row[v] = row.get(v, F0) + w * c
+                for v, c in lin:
+                    acc[v] = acc.get(v, 0) + w * c
         else:
-            for key, lin in self.terms.items():
+            for key, lin in ints:
                 w = 1
                 for s, k in enumerate(key):
                     w *= dims[s] ** cyc[mul[test[s]][k]]
-                for v, c in lin.items():
-                    row[v] = row.get(v, F0) + w * c
-        return row
+                for v, c in lin:
+                    acc[v] = acc.get(v, 0) + w * c
+        return {v: Fraction(a, den) for v, a in acc.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +382,22 @@ def _weighted_basis(reps):
     for rep in reps:
         weights = [w * rw for w in weights for rw in rep.weights]
     return weights
+
+
+def block_tuples(system: SlotSystem, cap: int) -> list[tuple[Partition, ...]]:
+    """The partition tuples that carry a block: nonzero trivial multiplicity.
+
+    Their dimensions are checked against `cap` (from characters and hook
+    lengths) before any block is built, so an oversized system raises
+    ResourceCapError without doing work; tuples without a block are
+    never checked.
+    """
+    tuples = [tpl for tpl in system.partition_tuples() if trivial_multiplicity(tpl)]
+    for tpl in tuples:
+        total = prod(irrep_dimension(p) for p in tpl)
+        if total > cap:
+            raise ResourceCapError(f"block dimension {total} exceeds cap {cap}")
+    return tuples
 
 
 def irrep_block(system: SlotSystem, partitions, keys, cap: int = 512, want_float: bool = True) -> IrrepBlock | None:
@@ -457,12 +492,7 @@ def witness_blocks(n: int, d: int, copies: int, cap: int = 512) -> list[WitnessB
     not mutate it. The cap is checked on every surviving tuple before any
     block is built.
     """
-    system = ame_system(n, d, copies)
-    tuples = [tpl for tpl in system.partition_tuples() if trivial_multiplicity(tpl)]
-    for tpl in tuples:
-        total = prod(irrep_dimension(p) for p in tpl)
-        if total > cap:
-            raise ResourceCapError(f"block dimension {total} exceeds cap {cap}")
+    tuples = block_tuples(ame_system(n, d, copies), cap)
     return [_witness_block(tuple(p.parts for p in tpl)) for tpl in tuples]
 
 

@@ -23,10 +23,10 @@ from math import comb
 
 import numpy as np
 
-from .blocks import SlotSystem, SymbolicOperator, irrep_block
+from .blocks import SlotSystem, SymbolicOperator, block_tuples, irrep_block
 from .errors import InvalidInputError, ResourceCapError
-from .hierarchy import CONST, BlockSdp, MarginalSpec, assemble_primal, solve_primal
-from .symgroup import Partition
+from .hierarchy import CONST, BlockSdp, MarginalSpec, _dedupe_rows, _rows_from_operator, assemble_primal, solve_primal
+from .symgroup import Partition, Permutation
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -400,7 +400,8 @@ def code_extension_blocksdp(params: CodeParams, copies: int, cap: int = 512) -> 
     K = 1 reduces to the m-uniform problem on the qudits alone. For
     K >= 2 the auxiliary slot is its own symmetry class; pure codes pin
     the kept marginal, general codes only remove the auxiliary
-    correlations (marginals otherwise free).
+    correlations (marginals otherwise free). Rows and blocks are
+    assembled as in `assemble_primal`, the cap checked first.
     """
     n, K, m, d = params.n, params.K, params.m, params.d
     if K == 1:
@@ -408,6 +409,7 @@ def code_extension_blocksdp(params: CodeParams, copies: int, cap: int = 512) -> 
     if params.pure and singleton_check(params) == "fail":
         raise InvalidInputError(f"{params.label()} fails the Singleton bound; not assembling")
     system = SlotSystem(copies, (K,) + (d,) * n, (0,) + (1,) * n)
+    tuples = block_tuples(system, cap)
     g = system.group
     keys = system.keys()
     phi = SymbolicOperator.variable_expansion(system, keys)
@@ -416,13 +418,11 @@ def code_extension_blocksdp(params: CodeParams, copies: int, cap: int = 512) -> 
     trace_row = phi.trace_row()
     trace_row[CONST] = trace_row.get(CONST, F0) - 1
     rows.append(trace_row)
-    rows += [phi.sub(phi.adjoint()).pairing_row(t) for t in keys]
-    from .symgroup import Permutation
-
+    rows += _rows_from_operator(phi.sub(phi.adjoint()), keys)
     for gen in (Permutation.transposition(copies, 0, 1), Permutation.full_cycle(copies)):
         gi = g.index[gen.images]
         moved = phi.slotwise_multiply((gi,) * (n + 1), side="left")
-        rows += [moved.sub(phi).pairing_row(t) for t in keys]
+        rows += _rows_from_operator(moved.sub(phi), keys)
 
     kept_qudits = tuple(range(n + 1 - m, n + 1))
     traced_qudits = tuple(range(1, n + 1 - m))
@@ -439,29 +439,11 @@ def code_extension_blocksdp(params: CodeParams, copies: int, cap: int = 512) -> 
         reduced = phi.ptrace(traced_qudits, 0)
         projected = reduced.ptrace((0,), 0).untrace({(0, 0)}).scale(Fraction(1, K))
         diff = reduced.sub(projected)
-    rows += [diff.pairing_row(t) for t in tests]
+    rows += _rows_from_operator(diff, tests)
 
-    seen = {}
-    for row in rows:
-        norm = _norm_row(row)
-        if norm is not None and norm not in seen:
-            seen[norm] = dict(norm)
-    rows = list(seen.values())
-
-    blocks = []
-    for tpl in system.partition_tuples():
-        blk = irrep_block(system, tpl, keys, cap=cap)
-        if blk is not None:
-            blocks.append(blk)
+    rows = _dedupe_rows(rows)
+    blocks = [irrep_block(system, tpl, keys, cap=cap) for tpl in tuples]
     return BlockSdp(system, keys, rows, blocks, meta={"params": params, "copies": copies})
-
-
-def _norm_row(row: dict):
-    items = sorted((v, c) for v, c in row.items() if c)
-    if not items or all(v == CONST for v, _ in items):
-        return None
-    lead = next(c for v, c in items if v != CONST)
-    return tuple((v, c / lead) for v, c in items)
 
 
 def _code_marginal_tests(system: SlotSystem, traced_qudits):

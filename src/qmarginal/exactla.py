@@ -6,6 +6,7 @@ would blur a sign decision.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -103,92 +104,67 @@ def mode_product(m, vec, dims, axis):
     return out
 
 
-def rref(matrix, ncols=None):
-    """Reduced row echelon form in place; returns pivot column list.
-
-    Row updates only touch entries from the pivot column rightward and
-    skip zeros in the pivot row, which matters for the large sparse
-    constraint systems fed in here.
-    """
-    m = matrix
-    rows = len(m)
-    if rows == 0:
-        return []
-    width = len(m[0])
-    cols = ncols if ncols is not None else width
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        mr = m[r]
-        inv = F1 / mr[c]
-        if inv != 1:
-            for j in range(c, width):
-                if mr[j]:
-                    mr[j] *= inv
-        support = [j for j in range(c, width) if mr[j]]
-        for i in range(rows):
-            mi = m[i]
-            if i != r and mi[c]:
-                f = mi[c]
-                for j in support:
-                    mi[j] -= f * mr[j]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return pivots
-
-
 def solve_affine(a, b, ncols=None):
     """Solve a x = b exactly.
 
     Returns (particular, nullspace_basis) or None when inconsistent.
     The nullspace basis spans all homogeneous solutions.
+
+    Method: fraction-free Gauss-Jordan elimination over Python ints
+    (Bareiss, Math. Comp. 22, 1968). Each augmented row (a_i | b_i) is
+    scaled to a primitive integer row (times the lcm of its denominators,
+    divided by the gcd of its entries). The pivot is the first row with a
+    nonzero entry in the column, columns left to right; every update
+    r_i <- p r_i - r_i[c] r_p is followed by dividing r_i by the gcd of its
+    entries. Rows are divided by their pivots only at the end, so the
+    result is read from the reduced row echelon form, which is unique.
     """
-    if ncols is None:
-        n = len(a[0]) if a else 0
-    else:
-        n = ncols
-    aug = [list(row) + [b[i]] for i, row in enumerate(a)]
-    pivots = rref(aug, ncols=n)
-    rank = len(pivots)
-    for i in range(rank, len(aug)):
-        if aug[i][n]:
-            return None
+    n = (len(a[0]) if a else 0) if ncols is None else ncols
+    rows = [_primitive([*row, b[i]]) for i, row in enumerate(a)]
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r == len(rows):
+            break
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pr = rows[r]
+        p = pr[c]
+        for i, ri in enumerate(rows):
+            f = ri[c]
+            if i != r and f:
+                rows[i] = _primitive_ints([p * x - f * y for x, y in zip(ri, pr)])
+        pivots.append(c)
+        r += 1
+    if any(row[n] for row in rows[r:]):
+        return None
     particular = [F0] * n
-    for r, c in enumerate(pivots):
-        particular[c] = aug[r][n]
-    free = [c for c in range(n) if c not in set(pivots)]
+    for row, c in zip(rows, pivots):
+        particular[c] = Fraction(row[n], row[c])
+    pivot_set = set(pivots)
     basis = []
-    for fc in free:
+    for fc in range(n):
+        if fc in pivot_set:
+            continue
         v = [F0] * n
         v[fc] = F1
-        for r, c in enumerate(pivots):
-            v[c] = -aug[r][fc]
+        for row, c in zip(rows, pivots):
+            v[c] = Fraction(-row[fc], row[c])
         basis.append(v)
     return particular, basis
 
 
-def nullspace(a, ncols=None):
-    """Exact right nullspace basis of a (list of row vectors)."""
-    if not a:
-        return []
-    n = ncols if ncols is not None else len(a[0])
-    work = [list(row) for row in a]
-    pivots = rref(work, ncols=n)
-    free = [c for c in range(n) if c not in set(pivots)]
-    basis = []
-    for fc in free:
-        v = [F0] * n
-        v[fc] = F1
-        for r, c in enumerate(pivots):
-            v[c] = -work[r][fc]
-        basis.append(v)
-    return basis
+def _primitive(row):
+    """The integer row proportional to a rational row, with gcd 1."""
+    den = lcm(*(x.denominator for x in row))
+    return _primitive_ints([x.numerator * (den // x.denominator) for x in row])
+
+
+def _primitive_ints(row):
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def solve_unique(a, b):

@@ -24,7 +24,7 @@ from math import comb
 import numpy as np
 
 from . import exactla
-from .blocks import IrrepBlock, SlotSystem, SymbolicOperator, ame_system, irrep_block, witness_blocks
+from .blocks import IrrepBlock, SlotSystem, SymbolicOperator, ame_system, block_tuples, irrep_block, witness_blocks
 from .errors import InvalidInputError, UnsupportedFeatureError
 from .solve import LinearProgram, SdpBlock, SdpProblem, lp_solve_exact, psd_check_exact, sdp_solve
 
@@ -100,6 +100,22 @@ def _normalize_row(row: dict) -> tuple | None:
     return tuple((v, c / lead) for v, c in items)
 
 
+def _dedupe_rows(rows) -> list[dict]:
+    """Normalized, deduplicated equality rows, in first-seen order.
+
+    Zero rows are dropped; a row holding only a nonzero constant makes
+    the system inconsistent and raises InvalidInputError.
+    """
+    seen = {}
+    for row in rows:
+        norm = _normalize_row(row)
+        if norm == ("inconsistent",):
+            raise InvalidInputError("inconsistent constant row in assembly")
+        if norm is not None and norm not in seen:
+            seen[norm] = dict(norm)
+    return list(seen.values())
+
+
 def _rows_from_operator(op: SymbolicOperator, tests) -> list[dict]:
     out = []
     for g in tests:
@@ -115,7 +131,8 @@ def assemble_primal(spec: MarginalSpec, copies: int, strong: bool = True, cap: i
     Equality rows: unit trace, hermiticity, symmetric-subspace support
     (via the two copy-permutation generators), and the marginal
     conditions for one representative subset (slot symmetry supplies the
-    rest). Positivity lives in the per-partition-tuple blocks.
+    rest). Positivity lives in the per-partition-tuple blocks; their
+    dimensions are checked against `cap` before any work starts.
     """
     if not spec.uniform:
         raise UnsupportedFeatureError("only collective-unitary-invariant (uniform) specs are supported")
@@ -124,6 +141,7 @@ def assemble_primal(spec: MarginalSpec, copies: int, strong: bool = True, cap: i
     n, d = spec.n, spec.d
     r = spec.subset_size()
     system = ame_system(n, d, copies)
+    tuples = block_tuples(system, cap)
     g = system.group
     keys = system.keys()
     phi = SymbolicOperator.variable_expansion(system, keys)
@@ -166,21 +184,8 @@ def assemble_primal(spec: MarginalSpec, copies: int, strong: bool = True, cap: i
             row[CONST] = row.get(CONST, F0) - target * w
             rows.append(row)
 
-    # dedupe
-    seen = {}
-    for row in rows:
-        norm = _normalize_row(row)
-        if norm == ("inconsistent",):
-            raise InvalidInputError("inconsistent constant row in assembly")
-        if norm is not None and norm not in seen:
-            seen[norm] = dict(norm)
-    rows = list(seen.values())
-
-    blocks = []
-    for tpl in system.partition_tuples():
-        blk = irrep_block(system, tpl, keys, cap=cap)
-        if blk is not None:
-            blocks.append(blk)
+    rows = _dedupe_rows(rows)
+    blocks = [irrep_block(system, tpl, keys, cap=cap) for tpl in tuples]
     return BlockSdp(system, keys, rows, blocks, meta={"n": n, "d": d, "copies": copies, "r": r, "strong": strong})
 
 

@@ -645,8 +645,8 @@ def invariant_basis_exact(lams, cap: int = 512):
     matrix. The images are reduced to echelon form with pivots taken
     from right to left, then normalized and back-substituted. The pivots
     are then the free columns of the kernel of the two-generator
-    expression, so the vectors are the ones `exactla.nullspace` returns
-    for it: the unique basis that is the identity on those columns,
+    expression, so the vectors are the reduced-row-echelon nullspace basis
+    of it: the unique basis that is the identity on those columns,
     sorted by that column. Every image is scanned, the rank must equal
     the character-formula multiplicity, and every vector is checked
     exactly against both generators of S_N.

@@ -1,21 +1,97 @@
-"""Witness blocks and exact invariant bases against a dense reference.
+"""Witness blocks, exact kernels and assembled systems against references.
 
-The reference forms the total x total matrices the library avoids: the
-kernel of S(s) x ... + S(c) x ... - 2 through `exactla.nullspace`, and
-the swap-pattern sums as explicit Kronecker products. The library's
-results must be identical to it, entry for entry and byte for byte.
+The dense reference forms the total x total matrices the library avoids:
+the kernel of S(s) x ... + S(c) x ... - 2 through a Fraction RREF
+(`rref`, `nullspace` below, which the library no longer needs), and the
+swap-pattern sums as explicit Kronecker products. The library's results
+must be identical to it, entry for entry and byte for byte. The integer
+kernels (`exactla.solve_affine`, `SymbolicOperator.pairing_row`) are
+checked against the Fraction loops they replace.
 """
 
+import hashlib
 import itertools
+import random
+from fractions import Fraction
 from functools import lru_cache
 from math import prod
 
 import numpy as np
 import pytest
 
-from qmarginal import blocks, cli, exactla, hierarchy as hi, symgroup as sg
+from qmarginal import blocks, cli, codes, exactla, hierarchy as hi, symgroup as sg
 from qmarginal.errors import InternalConsistencyError, ResourceCapError
 from qmarginal.symgroup import Permutation
+
+F0 = Fraction(0)
+F1 = Fraction(1)
+
+
+def rref(matrix, ncols=None):
+    """Reduced row echelon form over Fractions, in place; returns the pivot columns."""
+    m = matrix
+    rows = len(m)
+    if rows == 0:
+        return []
+    width = len(m[0])
+    cols = ncols if ncols is not None else width
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        mr = m[r]
+        inv = F1 / mr[c]
+        if inv != 1:
+            for j in range(c, width):
+                if mr[j]:
+                    mr[j] *= inv
+        support = [j for j in range(c, width) if mr[j]]
+        for i in range(rows):
+            mi = m[i]
+            if i != r and mi[c]:
+                f = mi[c]
+                for j in support:
+                    mi[j] -= f * mr[j]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return pivots
+
+
+def _free_basis(reduced, pivots, n):
+    free = [c for c in range(n) if c not in set(pivots)]
+    basis = []
+    for fc in free:
+        v = [F0] * n
+        v[fc] = F1
+        for r, c in enumerate(pivots):
+            v[c] = -reduced[r][fc]
+        basis.append(v)
+    return basis
+
+
+def nullspace(a, ncols=None):
+    """Right nullspace basis of a, read from its RREF."""
+    if not a:
+        return []
+    n = ncols if ncols is not None else len(a[0])
+    work = [list(row) for row in a]
+    return _free_basis(work, rref(work, ncols=n), n)
+
+
+def _reference_solve_affine(a, b, n):
+    aug = [list(row) + [b[i]] for i, row in enumerate(a)]
+    pivots = rref(aug, ncols=n)
+    if any(row[n] for row in aug[len(pivots) :]):
+        return None
+    particular = [F0] * n
+    for r, c in enumerate(pivots):
+        particular[c] = aug[r][n]
+    return particular, _free_basis(aug, pivots, n)
 
 
 @lru_cache(maxsize=None)
@@ -31,7 +107,7 @@ def _dense_basis(parts):
     weights = [sg.F1]
     for rep in reps:
         weights = [w * rw for w in weights for rw in rep.weights]
-    return exactla.nullspace(a, ncols=total), weights
+    return nullspace(a, ncols=total), weights
 
 
 def _dense_witness_blocks(n, d, copies):
@@ -134,3 +210,130 @@ def test_witness_cap_checked_before_any_block(monkeypatch):
     with pytest.raises(ResourceCapError):
         blocks.witness_blocks(4, 2, 3, cap=4)
     assert cli.main(["ame", "witness", "--n", "4", "--d", "2", "--copies", "3", "--cap", "4"]) == 3
+
+
+def _random_system(rng, nrows, ncols, rank, kind):
+    """Rows spanned by `rank` random rows, consistent with a random point; `kind` adds a defect."""
+
+    def entry():
+        return Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 6))) if rng.random() < 0.7 else F0
+
+    span = [[entry() for _ in range(ncols)] for _ in range(rank)]
+    point = [entry() for _ in range(ncols)]
+    a = []
+    for _ in range(nrows):
+        mix = [rng.randint(-3, 3) for _ in range(rank)]
+        a.append([sum((x * r[j] for x, r in zip(mix, span)), start=F0) for j in range(ncols)])
+    b = [sum((x * y for x, y in zip(row, point)), start=F0) for row in a]
+    if kind == "inconsistent":  # the sum of two rows with the constant shifted
+        a.append([x + y for x, y in zip(a[0], a[1])])
+        b.append(b[0] + b[1] + 1)
+    if kind == "zero-rows":
+        for pos in (0, len(a) // 2, len(a)):
+            a.insert(pos, [F0] * ncols)
+            b.insert(pos, F0)
+    order = list(range(len(a)))
+    rng.shuffle(order)
+    return [a[i] for i in order], [b[i] for i in order]
+
+
+@pytest.mark.parametrize("kind", ["full-rank", "rank-deficient", "inconsistent", "zero-rows"])
+def test_solve_affine_matches_fraction_rref(kind):
+    rng = random.Random(kind)
+    for trial in range(25):
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+        rank = min(nrows, ncols) if kind == "full-rank" else rng.randint(0, min(nrows, ncols) - 1)
+        if kind == "inconsistent":
+            rank, nrows = max(rank, 1), max(nrows, 2)
+        a, b = _random_system(rng, nrows, ncols, rank, kind)
+        ref = _reference_solve_affine(a, b, ncols)
+        assert (ref is None) == (kind == "inconsistent")
+        assert exactla.solve_affine(a, b, ncols=ncols) == ref
+    assert exactla.solve_affine([[F0, F0]], [F1], ncols=2) is None
+    assert exactla.solve_affine([], [], ncols=2) == ([F0, F0], [[F1, F0], [F0, F1]])
+
+
+def _fraction_pairing_row(op, test):
+    g = op.system.group
+    row = {}
+    for key, lin in op.terms.items():
+        w = 1
+        for s, k in enumerate(key):
+            w *= op.system.dims[s] ** g.cycles[g.mul[test[s]][k]]
+        for v, c in lin.items():
+            row[v] = row.get(v, F0) + w * c
+    return row
+
+
+def _assembly_operators(system):
+    """The operator shapes the assemblers pair: hermiticity, support, a scaled marginal difference."""
+    phi = blocks.SymbolicOperator.variable_expansion(system)
+    cycle = system.group.index[Permutation.full_cycle(system.copies).images]
+    moved = phi.slotwise_multiply((cycle,) * system.slots)
+    marginal = phi.ptrace((0,), 0)
+    rest = {(s, 0) for s in range(1, system.slots)}
+    full = phi.ptrace(range(system.slots), 0).untrace(rest).scale(Fraction(1, 6))
+    return [phi, phi.sub(phi.adjoint()), moved.sub(phi), marginal.sub(full)]
+
+
+@pytest.mark.parametrize("system", [blocks.ame_system(4, 2, 3), blocks.SlotSystem(3, (3, 2, 2), (0, 1, 1))], ids=["uniform-dims", "mixed-dims"])
+def test_pairing_row_matches_fraction_reference(system):
+    tests = system.keys()[::5]
+    for op in _assembly_operators(system):
+        for t in tests:
+            row = op.pairing_row(t)
+            assert row == _fraction_pairing_row(op, t)
+            assert all(type(c) is Fraction for c in row.values())
+
+
+def test_pairing_row_follows_merge():
+    system = blocks.ame_system(3, 2, 2)
+    op = blocks.SymbolicOperator.variable_expansion(system).scale(Fraction(1, 3))
+    key = system.keys()[1]
+    before = op.pairing_row(key)
+    op._merge(key, {0: Fraction(5, 7)})
+    after = op.pairing_row(key)
+    assert after != before
+    assert after == _fraction_pairing_row(op, key)
+
+
+# sha256 of repr([list(row.items()) for row in BlockSdp.rows]), recorded from
+# the Fraction-arithmetic assembly (Fraction pairing sums and RREF)
+ROW_DIGESTS = {
+    "primal-ame(3,2)-N3": "99b406edca0b481cbc2d6cf72a94a1bd2f8d6be60ecdf96298920755d795653c",
+    "extension-((4,1,2))_2": "0167051cdf909d81a4e182eac6e37ca38b515a7903d1111cd72f7f92c303ab46",
+    "extension-((2,2,2))_2": "d609bdce98dfb92a317acb0f71d4aa1418c0eb5ee2ef0d65d4aace79b3256d30",
+}
+ASSEMBLIES = {
+    "primal-ame(3,2)-N3": lambda: hi.assemble_primal(hi.ame_marginal_spec(3, 2), 3),
+    "extension-((4,1,2))_2": lambda: codes.code_extension_blocksdp(codes.CodeParams(4, 1, 1, 2, pure=True), 3),
+    "extension-((2,2,2))_2": lambda: codes.code_extension_blocksdp(codes.CodeParams(2, 2, 1, 2), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_DIGESTS))
+def test_assembled_rows_match_recorded_digests(name):
+    rows = ASSEMBLIES[name]().rows
+    assert hashlib.sha256(repr([list(row.items()) for row in rows]).encode()).hexdigest() == ROW_DIGESTS[name]
+
+
+def test_primal_and_code_caps_checked_before_any_block(monkeypatch):
+    def refuse(lams, cap):
+        raise AssertionError("a block was built before the cap check")
+
+    monkeypatch.setattr(blocks, "invariant_basis_exact", refuse)
+    with pytest.raises(ResourceCapError):
+        hi.assemble_primal(hi.ame_marginal_spec(3, 2), 3, cap=4)
+    with pytest.raises(ResourceCapError):
+        codes.code_extension_blocksdp(codes.CodeParams(2, 2, 1, 2), 3, cap=4)
+    args = ["code", "check", "--n", "2", "--K", "2", "--m", "1", "--d", "2", "--level", "extension", "--copies", "3", "--cap", "4"]
+    assert cli.main(args) == 3
+
+
+def test_cap_skips_tuples_without_a_block():
+    system = blocks.SlotSystem(5, (2, 3), (0, 1))
+    # ((3,2),(3,1,1)) has dimension 30 but no trivial component; the largest block is 25
+    tuples = blocks.block_tuples(system, cap=25)
+    assert [tuple(p.parts for p in tpl) for tpl in tuples] == [((5,), (5,)), ((4, 1), (4, 1)), ((3, 2), (3, 2))]
+    with pytest.raises(ResourceCapError):
+        blocks.block_tuples(system, cap=24)

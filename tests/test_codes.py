@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qmarginal import ame, codes as cd, hierarchy as hi
+from qmarginal import ame, blocks, codes as cd, hierarchy as hi
 from qmarginal.errors import InvalidInputError
 
 F = Fraction
@@ -138,6 +138,13 @@ def test_extension_level_k1():
 def test_extension_level_k2_small():
     rep = cd.code_check(cd.CodeParams(2, 2, 0, 2, pure=True), "extension", copies=3)
     assert rep.verdict == "feasible"
+
+
+def test_extension_rejects_inconsistent_constant_row(monkeypatch):
+    # an operator whose trace vanished identically would turn unit trace into the row 0 = 1
+    monkeypatch.setattr(blocks.SymbolicOperator, "trace_row", lambda self: {})
+    with pytest.raises(InvalidInputError, match="inconsistent"):
+        cd.code_extension_blocksdp(cd.CodeParams(2, 2, 1, 2), 2)
 
 
 def test_extension_singleton_still_rejected():

@@ -129,6 +129,30 @@ def test_sdp_matrix_block():
     assert res.status == "optimal" and abs(res.value - 1) < 1e-5
 
 
+def test_newton_system_matches_pairwise_loop():
+    rng = np.random.default_rng(3)
+    m, mu = 7, 0.37
+    blocks = []
+    for k in (1, 2, 5):
+        fs = [(lambda a: a + a.T)(rng.standard_normal((k, k))) for _ in range(m)]
+        blocks.append(sv.SdpBlock(k, -6.0 * np.eye(k), fs))
+    c, y = rng.standard_normal(m), 0.1 * rng.standard_normal(m)
+    stacks = [np.array(b.fs).reshape(m, b.size, b.size) for b in blocks]
+    grad, hess = sv._newton_system(blocks, stacks, c, y, mu)
+
+    ref_grad, ref_hess = c.copy(), np.zeros((m, m))
+    for b in blocks:
+        sinv = np.linalg.inv(sv._block_s(b, y))
+        sinv = 0.5 * (sinv + sinv.T)
+        ts = [sinv @ f for f in b.fs]
+        for i in range(m):
+            ref_grad[i] -= mu * np.trace(ts[i])
+            for j in range(m):
+                ref_hess[i, j] += mu * np.sum(ts[i] * ts[j].T)
+    assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+    assert np.max(np.abs(hess - ref_hess)) <= 1e-12 * np.max(np.abs(ref_hess))
+
+
 def test_sdp_feasibility_modes():
     # margin of {y : y >= 1, y <= 3} around interior
     blocks = [
