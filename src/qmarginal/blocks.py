@@ -13,9 +13,14 @@ This module provides
 * a symbolic operator layer (linear in the coefficient vector) with
   slotwise products, per-copy partial traces, and exact trace pairings,
   used to emit equality constraint rows;
-* per-partition-tuple block data: exact bases of the subspace fixed by
-  the diagonal copy-permutation action, quadratic-form matrices for the
-  positivity blocks, and their orthonormalized float versions.
+* the positivity blocks of the primal, code-extension and dual-witness
+  problems, from one builder (`_block`): per partition tuple, an exact
+  basis U of the subspace fixed by the diagonal copy-permutation action,
+  and the compressed operator sums U^T W E_K U for every coefficient key
+  K, applied to U slot by slot as mode products (no total x total
+  matrix) and memoized per tuple, with their orthonormalized float
+  versions. `irrep_block` takes its keys over the whole copy group,
+  `witness_blocks` over {id, (0 1)}.
 """
 
 from __future__ import annotations
@@ -341,20 +346,21 @@ class SymbolicOperator:
 class IrrepBlock:
     """Positivity data of one partition tuple.
 
-    `basis` spans the diagonal-trivial subspace in the seminormal
-    picture; `gram` is its metric. For the compressed quadratic form
-    Z(x) = sum_x x_v Z_v, positivity of the underlying operator block is
-    exactly Z(x) >= 0 as a k x k rational matrix.
+    U spans the diagonal-trivial subspace in the seminormal picture, W is
+    its diagonal metric and `gram` = U^T W U. Variable v carries the
+    compressed operator z_v = U^T W E_v U (k x k rational) and its float
+    version y_v in a gram-orthonormal basis. Positivity of the underlying
+    operator block is exactly Z(x) = sum_v x_v z_v >= 0. The matrices and
+    the read-only arrays are shared between blocks of one tuple; callers
+    must not mutate them.
     """
 
     partitions: tuple[Partition, ...]
     k: int
     dim: int
-    basis: list  # k rational vectors of length dim
-    weights: list  # diagonal metric entries
     gram: list  # k x k rational
-    z_per_var: dict  # var index -> k x k rational matrix
-    y_per_var: dict = field(default_factory=dict)  # float, orthonormalized basis
+    z_per_var: dict  # var -> k x k rational matrix
+    y_per_var: dict  # var -> read-only float k x k array
 
     def z_at(self, x) -> list:
         out = exactla.zeros(self.k, self.k)
@@ -363,25 +369,17 @@ class IrrepBlock:
                 out = exactla.mat_add(out, m, scale=Fraction(x[v]))
         return out
 
+    def relabel(self, var_keys: dict) -> "IrrepBlock":
+        """The block whose variable v is this block's variable var_keys[v]."""
+        z = {v: self.z_per_var[key] for v, key in var_keys.items()}
+        y = {v: self.y_per_var[key] for v, key in var_keys.items()}
+        return IrrepBlock(self.partitions, self.k, self.dim, self.gram, z, y)
 
-def _tuple_matrices(system: SlotSystem, partitions, cap: int):
-    """Exact seminormal matrices of every group element, per slot irrep."""
-    reps = [_rep(p.parts) for p in partitions]
-    total = prod(r.dim for r in reps)
+
+def _check_cap(partitions, cap: int) -> None:
+    total = prod(irrep_dimension(p) for p in partitions)
     if total > cap:
         raise ResourceCapError(f"block dimension {total} exceeds cap {cap}")
-    g = system.group
-    per_slot = []
-    for rep in reps:
-        per_slot.append([[list(row) for row in rep.seminormal(p)] for p in g.elements])
-    return reps, per_slot, total
-
-
-def _weighted_basis(reps):
-    weights = [F1]
-    for rep in reps:
-        weights = [w * rw for w in weights for rw in rep.weights]
-    return weights
 
 
 def block_tuples(system: SlotSystem, cap: int) -> list[tuple[Partition, ...]]:
@@ -394,141 +392,114 @@ def block_tuples(system: SlotSystem, cap: int) -> list[tuple[Partition, ...]]:
     """
     tuples = [tpl for tpl in system.partition_tuples() if trivial_multiplicity(tpl)]
     for tpl in tuples:
-        total = prod(irrep_dimension(p) for p in tpl)
-        if total > cap:
-            raise ResourceCapError(f"block dimension {total} exceeds cap {cap}")
+        _check_cap(tpl, cap)
     return tuples
 
 
-def irrep_block(system: SlotSystem, partitions, keys, cap: int = 512, want_float: bool = True) -> IrrepBlock | None:
-    """Build the positivity block of one canonical partition tuple.
+def irrep_block(system: SlotSystem, partitions, keys, cap: int = 512) -> IrrepBlock | None:
+    """Positivity block of one canonical partition tuple for a primal system.
 
-    Returns None when the diagonal-trivial subspace is empty (the
-    equality system forces the block to vanish there).
+    Variable v is the coefficient of keys[v]; variables whose z vanishes
+    are left out. Returns None when the diagonal-trivial subspace is
+    empty (the equality system forces the block to vanish there). The
+    cap is checked before any work; the block data is `_block` over the
+    whole copy group, built once per tuple and slot classes.
     """
-    k = trivial_multiplicity(partitions)
-    if k == 0:
+    if trivial_multiplicity(partitions) == 0:
         return None
-    reps, per_slot, total = _tuple_matrices(system, partitions, cap)
-    vectors, weights = invariant_basis_exact(partitions, cap=cap)
-    gram = [[_weighted_dot(u, weights, v) for v in vectors] for u in vectors]
+    _check_cap(partitions, cap)
+    alphabet = tuple(range(len(system.group.elements)))
+    memo = _block(tuple(p.parts for p in partitions), system.classes, alphabet)
+    canonical = (system.canonical(key) for key in keys)
+    return memo.relabel({v: key for v, key in enumerate(canonical) if any(any(row) for row in memo.z_per_var[key])})
 
-    z_per_var: dict = {}
-    for vi, key in enumerate(keys):
-        acc = None
-        for arr in system.arrangements(key):
-            m = exactla.kron_all([per_slot[s][arr[s]] for s in range(system.slots)])
-            if acc is None:
-                acc = m
-            else:
-                for i in range(total):
-                    ai, mi = acc[i], m[i]
-                    for j in range(total):
-                        if mi[j]:
-                            ai[j] += mi[j]
-        z = _compress(acc, vectors, weights)
-        if any(any(row) for row in z):
-            z_per_var[vi] = z
 
-    block = IrrepBlock(tuple(partitions), k, total, vectors, weights, gram, z_per_var)
-    if want_float:
-        gramf = exactla.to_float(gram)
-        lchol = np.linalg.cholesky(gramf)
-        linv = np.linalg.inv(lchol)
-        for vi, z in z_per_var.items():
-            block.y_per_var[vi] = linv @ exactla.to_float(z) @ linv.T
-    return block
+def witness_blocks(n: int, d: int, copies: int, cap: int = 512) -> list[IrrepBlock]:
+    """All canonical partition-tuple blocks of the level-`copies` witness LMI.
+
+    Variable l = 0..n is the coefficient of P{V^l 1^(n-l)}: the sum over
+    slot subsets of size l of S((0 1)) on the subset and 1 elsewhere,
+    which is `_block` over the alphabet {id, (0 1)} at the key with l
+    swaps. A block depends only on its partition tuple (the tuple's
+    weight is `copies`, its length is n); d only decides which tuples
+    appear, so blocks are shared across d, levels and repeated calls.
+    The cap is checked on every surviving tuple before any block is built.
+    """
+    system = ame_system(n, d, copies)
+    tuples = block_tuples(system, cap)
+    g = system.group
+    ident, swap = g.identity, g.index[Permutation.transposition(copies, 0, 1).images]
+    var_keys = {l: system.canonical((swap,) * l + (ident,) * (n - l)) for l in range(n + 1)}
+    return [_block(tuple(p.parts for p in tpl), system.classes, (ident, swap)).relabel(var_keys) for tpl in tuples]
 
 
 def _weighted_dot(u, weights, v) -> Fraction:
     return sum((u[i] * weights[i] * v[i] for i in range(len(u)) if u[i] and v[i]), start=F0)
 
 
-def _compress(matrix, vectors, weights) -> list:
-    """U^T W M U for the weighted seminormal metric."""
-    k = len(vectors)
-    dim = len(weights)
-    mu = [[sum((matrix[i][j] * v[j] for j in range(dim) if matrix[i][j] and v[j]), start=F0) for v in vectors] for i in range(dim)]
-    out = exactla.zeros(k, k)
-    for a, u in enumerate(vectors):
-        for b in range(k):
-            out[a][b] = sum((u[i] * weights[i] * mu[i][b] for i in range(dim) if u[i] and mu[i][b]), start=F0)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# swap-pattern blocks for the two-party witness at level N
-
-
-@dataclass
-class WitnessBlock:
-    """Compressed blocks of P (W x 1) P for W = sum_l w_l P{V^l 1^(n-l)}."""
-
-    partitions: tuple[Partition, ...]
-    k: int
-    dim: int
-    z_per_l: list  # exact k x k rational matrices, index l = 0..n
-    y_per_l: list  # float versions in an orthonormal basis
-    gram: list
-
-    def z_at(self, w) -> list:
-        out = exactla.zeros(self.k, self.k)
-        for l, m in enumerate(self.z_per_l):
-            if w[l]:
-                out = exactla.mat_add(out, m, scale=Fraction(w[l]))
-        return out
-
-
-def witness_blocks(n: int, d: int, copies: int, cap: int = 512) -> list[WitnessBlock]:
-    """All canonical partition-tuple blocks of the level-`copies` witness LMI.
-
-    Method: each block's basis comes from `invariant_basis_exact`
-    (Reynolds images of unit vectors, no total x total matrix), and its
-    swap-pattern sums are applied to the basis vectors slot by slot as
-    mode products (see `_witness_block`). A block depends only on its
-    partition tuple (the tuple's weight is `copies`, its length is n); d
-    only decides which tuples appear. So each block is built once per
-    process and shared across d, levels and repeated calls; callers must
-    not mutate it. The cap is checked on every surviving tuple before any
-    block is built.
-    """
-    tuples = block_tuples(ame_system(n, d, copies), cap)
-    return [_witness_block(tuple(p.parts for p in tpl)) for tpl in tuples]
-
-
 @lru_cache(maxsize=None)
-def _witness_block(parts: tuple[tuple[int, ...], ...]) -> WitnessBlock:
-    """Compressed swap-pattern sums z_l = U^T W E_l U of one partition tuple.
+def _block(parts: tuple[tuple[int, ...], ...], classes: tuple[int, ...], alphabet: tuple[int, ...]) -> IrrepBlock:
+    """Compressed operator sums z_K = U^T W E_K U of one partition tuple.
 
-    E_l = sum over slot subsets A with |A| = l of the Kronecker product
-    with S((0 1)) on the slots in A and 1 elsewhere. It is applied to
-    each basis vector u by the elementary-symmetric recursion
-    E_j u <- E_j u + S_s (E_{j-1} u), one slot s at a time, as a mode
-    product; no total x total matrix is formed.
+    K runs over the canonical keys over `alphabet` (copy-group element
+    indices closed under inversion): one multiset of elements per slot
+    class. E_K is the sum, over the arrangements of K, of the Kronecker
+    product of the slot irreps rho_s(g_s). It is applied to each basis
+    vector u slot by slot: one partial sum per multiset placed so far,
+    and at slot s every partial sum moves by rho_s(e), as a mode product,
+    into the partial sum with e added, for every e in the alphabet (the
+    identity needs no product). After the last slot the partial sums are
+    the E_K u. No total x total matrix is formed. The block's variables
+    are the keys K; the cap is checked by the callers.
     """
     partitions = tuple(Partition(p) for p in parts)
-    nslots, copies = len(parts), sum(parts[0])
+    group = _copy_group(sum(parts[0]))
     reps = [_rep(p) for p in parts]
     dims = [rep.dim for rep in reps]
-    vectors, weights = invariant_basis_exact(partitions, cap=prod(dims))  # cap checked by the caller
+    vectors, weights = invariant_basis_exact(partitions, cap=prod(dims))
     k = len(vectors)
     gram = [[_weighted_dot(u, weights, v) for v in vectors] for u in vectors]
-    swap = Permutation.transposition(copies, 0, 1)
-    swaps = [rep.seminormal(swap) for rep in reps]
-    z_per_l = [exactla.zeros(k, k) for _ in range(nslots + 1)]
+    mats = [{e: rep.seminormal(group.elements[e]) for e in alphabet if e != group.identity} for rep in reps]
+    order = sorted(set(classes))
+    slot_class = [order.index(c) for c in classes]
+    members = [[s for s, c in enumerate(classes) if c == cls] for cls in order]
+
+    def key_of(placed):
+        key = [0] * len(classes)
+        for slots, vals in zip(members, placed):
+            for s, v in zip(slots, sorted(vals)):
+                key[s] = v
+        return tuple(key)
+
     weighted = [[w * x for w, x in zip(weights, u)] for u in vectors]
+    support = [[i for i, x in enumerate(row) if x] for row in weighted]
+    z: dict = {}
     for b, u in enumerate(vectors):
-        e = [u] + [None] * nslots
-        for s in range(nslots):
-            for j in range(s + 1, 0, -1):
-                moved = exactla.mode_product(swaps[s], e[j - 1], dims, s)
-                e[j] = moved if e[j] is None else [x + y for x, y in zip(e[j], moved)]
-        for l, el in enumerate(e):
-            for a in range(b + 1):  # W E_l is symmetric: S((0 1)) is a diagonal involution
-                val = sum((x * y for x, y in zip(weighted[a], el) if x and y), start=F0)
-                z_per_l[l][a][b] = z_per_l[l][b][a] = val
+        sums = {((),) * len(order): u}
+        for s, c in enumerate(slot_class):
+            moved_sums: dict = {}
+            for placed, vec in sums.items():
+                for e in alphabet:
+                    moved = vec if e == group.identity else exactla.mode_product(mats[s][e], vec, dims, s)
+                    to = placed[:c] + (tuple(sorted(placed[c] + (e,))),) + placed[c + 1 :]
+                    acc = moved_sums.get(to)
+                    moved_sums[to] = moved if acc is None else [x + y if y else x for x, y in zip(acc, moved)]
+            sums = moved_sums
+        for placed, vec in sums.items():
+            key = key_of(placed)
+            inverse = key_of([[group.inv[e] for e in vals] for vals in placed])
+            zk = z.setdefault(key, exactla.zeros(k, k))
+            zi = z.setdefault(inverse, exactla.zeros(k, k))
+            # rho(g)^T W = W rho(g^-1) in seminormal form (the orthogonal form
+            # W^1/2 rho W^-1/2 is orthogonal), so z_K^T = z_{K^-1}: one dot
+            # product fills z_K[a][b] and z_{K^-1}[b][a]
+            for a in range(b + 1):
+                wa = weighted[a]
+                val = sum((wa[i] * vec[i] for i in support[a] if vec[i]), start=F0)
+                zk[a][b] = zi[b][a] = val
     linv = np.linalg.inv(np.linalg.cholesky(exactla.to_float(gram)))
-    y_per_l = [linv @ exactla.to_float(z) @ linv.T for z in z_per_l]
-    for y in y_per_l:
-        y.flags.writeable = False
-    return WitnessBlock(partitions, k, prod(dims), z_per_l, y_per_l, gram)
+    y = {}
+    for key, zk in z.items():
+        y[key] = linv @ exactla.to_float(zk) @ linv.T
+        y[key].flags.writeable = False
+    return IrrepBlock(partitions, k, prod(dims), gram, z, y)

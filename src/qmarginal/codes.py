@@ -25,7 +25,7 @@ import numpy as np
 
 from .blocks import SlotSystem, SymbolicOperator, block_tuples, irrep_block
 from .errors import InvalidInputError, ResourceCapError
-from .hierarchy import CONST, BlockSdp, MarginalSpec, _dedupe_rows, _rows_from_operator, assemble_primal, solve_primal
+from .hierarchy import CONST, BlockSdp, MarginalSpec, _dedupe_rows, _marginal_tests, _rows_from_operator, assemble_primal, solve_primal
 from .symgroup import Partition, Permutation
 
 F0 = Fraction(0)
@@ -426,7 +426,7 @@ def code_extension_blocksdp(params: CodeParams, copies: int, cap: int = 512) -> 
 
     kept_qudits = tuple(range(n + 1 - m, n + 1))
     traced_qudits = tuple(range(1, n + 1 - m))
-    tests = _code_marginal_tests(system, traced_qudits)
+    tests = _marginal_tests(system, traced_qudits)
     if params.pure:
         lhs = phi.ptrace(traced_qudits, 0)
         rhs = (
@@ -444,14 +444,6 @@ def code_extension_blocksdp(params: CodeParams, copies: int, cap: int = 512) -> 
     rows = _dedupe_rows(rows)
     blocks = [irrep_block(system, tpl, keys, cap=cap) for tpl in tuples]
     return BlockSdp(system, keys, rows, blocks, meta={"params": params, "copies": copies})
-
-
-def _code_marginal_tests(system: SlotSystem, traced_qudits):
-    g = system.group
-    opts = []
-    for s in range(system.slots):
-        opts.append(g.fixing[0] if s in traced_qudits else range(len(g.elements)))
-    return list(itertools.product(*opts))
 
 
 # ---------------------------------------------------------------------------

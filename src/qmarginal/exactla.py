@@ -39,16 +39,8 @@ def mat_mul(a, b):
     return out
 
 
-def mat_vec(a, v):
-    return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), start=F0) for row in a]
-
-
 def mat_add(a, b, scale=F1):
     return [[a[i][j] + scale * b[i][j] for j in range(len(a[0]))] for i in range(len(a))]
-
-
-def mat_scale(a, s):
-    return [[s * x for x in row] for row in a]
 
 
 def transpose(a):

@@ -167,7 +167,7 @@ def assemble_primal(spec: MarginalSpec, copies: int, strong: bool = True, cap: i
         lhs = phi.ptrace(traced_slots, 0)
         rhs = phi.ptrace(range(n), 0).untrace({(i, 0) for i in kept}).scale(Fraction(1, d**r))
         diff = lhs.sub(rhs)
-        tests = _marginal_tests(system, traced_slots, kept)
+        tests = _marginal_tests(system, traced_slots)
         rows += _rows_from_operator(diff, tests)
     else:
         lhs = phi
@@ -175,7 +175,7 @@ def assemble_primal(spec: MarginalSpec, copies: int, strong: bool = True, cap: i
             lhs = lhs.ptrace(traced_slots, c)
         ident_key = (g.identity,) * n
         target = Fraction(1, d ** (r * copies))
-        tests = _marginal_tests(system, traced_slots, kept, traced_all_copies=True)
+        tests = _marginal_tests(system, traced_slots, traced_all_copies=True)
         for t in tests:
             row = lhs.pairing_row(t)
             w = F1
@@ -189,7 +189,7 @@ def assemble_primal(spec: MarginalSpec, copies: int, strong: bool = True, cap: i
     return BlockSdp(system, keys, rows, blocks, meta={"n": n, "d": d, "copies": copies, "r": r, "strong": strong})
 
 
-def _marginal_tests(system: SlotSystem, traced_slots, kept, traced_all_copies: bool = False):
+def _marginal_tests(system: SlotSystem, traced_slots, traced_all_copies: bool = False):
     g = system.group
     opts = []
     for s in range(system.slots):
@@ -354,15 +354,14 @@ class DualWitnessSdp:
     d: int
     copies: int
     objective: list
-    blocks: list  # WitnessBlock
+    blocks: list  # IrrepBlock, variables l = 0..n
 
     def to_sdp_problem(self) -> SdpProblem:
         r = self.n // 2
         m = r + 1
         sdp_blocks = []
         for blk in self.blocks:
-            folded = [_fold_mats_float(blk.y_per_l, self.n)[l] for l in range(m)]
-            sdp_blocks.append(SdpBlock(blk.k, np.zeros((blk.k, blk.k)), folded))
+            sdp_blocks.append(SdpBlock(blk.k, np.zeros((blk.k, blk.k)), _fold_mats_float(blk.y_per_var, self.n)))
         # box block: 1 - w_l >= 0 and w_l + 1 >= 0
         size = 2 * m
         f0 = -np.eye(size)
@@ -406,16 +405,19 @@ def assemble_dual_witness(n: int, d: int, copies: int, rank1_only: bool = False,
     with exact rational data). Otherwise all blocks are returned.
     """
     blocks = witness_blocks(n, d, copies, cap=cap)
-    objective = fold(swap_overlaps(n, d), n)
-    if not rank1_only:
-        return DualWitnessSdp(n, d, copies, objective, blocks)
-    rows = []
-    for blk in blocks:
-        if blk.k != 1:
-            continue
-        coeffs = fold([z[0][0] for z in blk.z_per_l], n)
-        rows.append((tuple(p.parts for p in blk.partitions), coeffs))
-    return WitnessLp(n, d, copies, objective, rows)
+    if rank1_only:
+        return _witness_lp(n, d, copies, blocks)
+    return DualWitnessSdp(n, d, copies, fold(swap_overlaps(n, d), n), blocks)
+
+
+def _witness_lp(n: int, d: int, copies: int, blocks) -> WitnessLp:
+    """The rank-one LP: one row per block with k = 1, labelled by its tuple."""
+    rows = [
+        (tuple(p.parts for p in blk.partitions), fold([z[0][0] for z in blk.z_per_var.values()], n))
+        for blk in blocks
+        if blk.k == 1
+    ]
+    return WitnessLp(n, d, copies, fold(swap_overlaps(n, d), n), rows)
 
 
 @dataclass
@@ -493,23 +495,17 @@ def witness_optimize_exact(n: int, d: int, copies: int, cap: int = 512, max_roun
     Returns (status, optimum, folded w, rounds): status "passed" when the
     optimum is certified nonnegative (level feasible), "witness" when a
     fully verified negative witness exists, "undecided" when the round
-    limit was hit.
+    limit was hit. The LP is the rank-one relaxation of
+    `assemble_dual_witness(rank1_only=True)`; every cut is appended to it
+    as one more row.
     """
     blocks = witness_blocks(n, d, copies, cap=cap)
-    objective = fold(swap_overlaps(n, d), n)
-    m = len(objective)
-    rows: list[list] = []
-    for blk in blocks:
-        if blk.k == 1:
-            rows.append(fold([z[0][0] for z in blk.z_per_l], n))
-    big = [blk for blk in blocks if blk.k > 1]
-    folded_big = [(_fold_mats_exact(blk.z_per_l, n), blk) for blk in big]
+    relaxation = _witness_lp(n, d, copies, blocks)
+    m = len(relaxation.objective)
+    folded_big = [(_fold_mats_exact(blk.z_per_var, n), blk) for blk in blocks if blk.k > 1]
 
     for round_no in range(max_rounds):
-        lp = LinearProgram(c=list(objective), bounds=[(-F1, F1)] * m)
-        for coeffs in rows:
-            lp.add_row(coeffs, ">=", F0)
-        res = lp_solve_exact(lp)
+        res = lp_solve_exact(relaxation.to_linear_program())
         if res.status != "optimal":
             raise InvalidInputError("witness LP must be bounded and feasible")  # pragma: no cover
         if res.value >= 0:
@@ -524,7 +520,7 @@ def witness_optimize_exact(n: int, d: int, copies: int, cap: int = 512, max_roun
             if not check.psd:
                 v = check.witness
                 cut = [exactla.quadratic_form(folded_mats[l], v) for l in range(m)]
-                rows.append(cut)
+                relaxation.rows.append(("cut", cut))
                 violated = True
         if not violated:
             return "witness", res.value, res.x, round_no

@@ -1,12 +1,14 @@
-"""Witness blocks, exact kernels and assembled systems against references.
+"""Positivity blocks, exact kernels and assembled systems against references.
 
 The dense reference forms the total x total matrices the library avoids:
 the kernel of S(s) x ... + S(c) x ... - 2 through a Fraction RREF
-(`rref`, `nullspace` below, which the library no longer needs), and the
-swap-pattern sums as explicit Kronecker products. The library's results
-must be identical to it, entry for entry and byte for byte. The integer
-kernels (`exactla.solve_affine`, `SymbolicOperator.pairing_row`) are
-checked against the Fraction loops they replace.
+(`rref`, `nullspace` below, which the library no longer needs), the
+swap-pattern sums of the witness blocks and the per-key arrangement sums
+of the primal blocks as explicit Kronecker products, compressed by
+`_compress`. The library's results must be identical to it, entry for
+entry and byte for byte. The integer kernels (`exactla.solve_affine`,
+`SymbolicOperator.pairing_row`) are checked against the Fraction loops
+they replace.
 """
 
 import hashlib
@@ -137,12 +139,48 @@ def _dense_witness_blocks(n, d, copies):
     return out
 
 
+def _compress(matrix, vectors, weights) -> list:
+    """U^T W M U for the weighted seminormal metric."""
+    k = len(vectors)
+    dim = len(weights)
+    mu = [[sum((matrix[i][j] * v[j] for j in range(dim) if matrix[i][j] and v[j]), start=F0) for v in vectors] for i in range(dim)]
+    out = exactla.zeros(k, k)
+    for a, u in enumerate(vectors):
+        for b in range(k):
+            out[a][b] = sum((u[i] * weights[i] * mu[i][b] for i in range(dim) if u[i] and mu[i][b]), start=F0)
+    return out
+
+
+def _dense_irrep_blocks(system, keys):
+    """Primal blocks from dense kron sums over every arrangement of every key."""
+    out = []
+    for tpl in blocks.block_tuples(system, cap=512):
+        parts = tuple(p.parts for p in tpl)
+        reps = [sg._rep(p) for p in parts]
+        per_slot = [[[list(row) for row in rep.seminormal(g)] for g in system.group.elements] for rep in reps]
+        vectors, weights = _dense_basis(parts)
+        wut = [[w * x for w, x in zip(weights, v)] for v in vectors]
+        gram = exactla.mat_mul(wut, exactla.transpose(vectors))
+        z_per_var = {}
+        for vi, key in enumerate(keys):
+            acc = exactla.zeros(len(weights), len(weights))
+            for arr in system.arrangements(key):
+                acc = exactla.mat_add(acc, exactla.kron_all([per_slot[s][g] for s, g in enumerate(arr)]))
+            z = _compress(acc, vectors, weights)
+            if any(any(row) for row in z):
+                z_per_var[vi] = z
+        linv = np.linalg.inv(np.linalg.cholesky(exactla.to_float(gram)))
+        y_per_var = {vi: (linv @ exactla.to_float(z) @ linv.T).tobytes() for vi, z in z_per_var.items()}
+        out.append((parts, len(vectors), len(weights), gram, z_per_var, y_per_var))
+    return out
+
+
 def _fields(blk):
-    return (tuple(p.parts for p in blk.partitions), blk.k, blk.dim, blk.z_per_l, [y.tobytes() for y in blk.y_per_l], blk.gram)
+    return (tuple(p.parts for p in blk.partitions), blk.k, blk.dim, list(blk.z_per_var.values()), [y.tobytes() for y in blk.y_per_var.values()], blk.gram)
 
 
 def _cold_blocks(n, d, copies):
-    blocks._witness_block.cache_clear()
+    blocks._block.cache_clear()
     return blocks.witness_blocks(n, d, copies)
 
 
@@ -183,7 +221,7 @@ def test_witness_blocks_do_not_depend_on_d():
 
 def test_level_check_then_export_reuses_blocks(monkeypatch):
     cold = [_fields(blk) for blk in _cold_blocks(4, 6, 4)]
-    blocks._witness_block.cache_clear()
+    blocks._block.cache_clear()
     built = []
     original = blocks.invariant_basis_exact
     monkeypatch.setattr(blocks, "invariant_basis_exact", lambda lams, cap: built.append(lams) or original(lams, cap))
@@ -196,16 +234,68 @@ def test_level_check_then_export_reuses_blocks(monkeypatch):
 
 
 def test_witness_blocks_are_read_only():
-    blk = blocks.witness_blocks(3, 2, 3)[0]
-    with pytest.raises(ValueError):
-        blk.y_per_l[0][0, 0] = 1.0
+    primal = hi.assemble_primal(hi.ame_marginal_spec(3, 2), 3).blocks[-1]
+    for blk in (blocks.witness_blocks(3, 2, 3)[0], primal):
+        for y in blk.y_per_var.values():
+            with pytest.raises(ValueError):
+                y[0, 0] = 1.0
+
+
+PRIMAL_SYSTEMS = {  # system, key stride
+    "ame(3,2)-N3": (blocks.ame_system(3, 2, 3), 1),
+    "ame(4,2)-N3": (blocks.ame_system(4, 2, 3), 1),
+    "code-(2,2,2)": (blocks.SlotSystem(3, (2, 2, 2), (0, 1, 1)), 1),
+    "code-(3,2,2)": (blocks.SlotSystem(3, (3, 2, 2), (0, 1, 1)), 1),
+    # some z_K of the k = 3 block are not symmetric (K^-1 is not a simultaneous
+    # conjugate of K), so the fill of z_{K^-1} from z_K^T is exercised
+    "classes-(0,0,1,2)": (blocks.SlotSystem(3, (2, 2, 2, 2), (0, 0, 1, 2)), 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRIMAL_SYSTEMS))
+def test_irrep_blocks_match_dense_reference(name):
+    system, stride = PRIMAL_SYSTEMS[name]
+    blocks._block.cache_clear()
+    keys = system.keys()[::stride]
+    got = []
+    for tpl in blocks.block_tuples(system, cap=512):
+        blk = blocks.irrep_block(system, tpl, keys)
+        y = {v: arr.tobytes() for v, arr in blk.y_per_var.items()}
+        got.append((tuple(p.parts for p in blk.partitions), blk.k, blk.dim, blk.gram, blk.z_per_var, y))
+    assert got == _dense_irrep_blocks(system, keys)
+
+
+def test_irrep_block_cap_checked_before_any_build(monkeypatch):
+    def refuse(lams, cap):
+        raise AssertionError("a block was built before the cap check")
+
+    blocks._block.cache_clear()
+    monkeypatch.setattr(blocks, "invariant_basis_exact", refuse)
+    system = blocks.ame_system(3, 2, 3)
+    tpl = tuple(sg.Partition(p) for p in ((2, 1),) * 3)
+    with pytest.raises(ResourceCapError):
+        blocks.irrep_block(system, tpl, system.keys(), cap=7)
+
+
+def test_primal_assembly_builds_each_tuple_once(monkeypatch):
+    blocks._block.cache_clear()
+    built = []
+    original = blocks.invariant_basis_exact
+    monkeypatch.setattr(blocks, "invariant_basis_exact", lambda lams, cap: built.append(lams) or original(lams, cap))
+    first = hi.assemble_primal(hi.ame_marginal_spec(3, 2), 3).blocks
+    second = hi.assemble_primal(hi.ame_marginal_spec(3, 2), 3).blocks
+    assert len(built) == len(first) == 3
+    def fields(blk):
+        return blk.partitions, blk.z_per_var, {v: y.tobytes() for v, y in blk.y_per_var.items()}
+
+    assert [fields(b) for b in second] == [fields(b) for b in first]
 
 
 def test_witness_cap_checked_before_any_block(monkeypatch):
     def refuse(lams, cap):
         raise AssertionError("a block was built before the cap check")
 
-    blocks._witness_block.cache_clear()
+    blocks._block.cache_clear()
     monkeypatch.setattr(blocks, "invariant_basis_exact", refuse)
     with pytest.raises(ResourceCapError):
         blocks.witness_blocks(4, 2, 3, cap=4)

@@ -43,7 +43,7 @@ def test_negative_eigenprojector_is_a_witness_for_42():
     # feasibility: every level-2 block value is >= 0
     dual = hi.assemble_dual_witness(4, 2, 2)
     for blk in dual.blocks:
-        z = sum(float(w_full[l]) * blk.y_per_l[l][0, 0] for l in range(5))
+        z = sum(float(w_full[l]) * blk.y_per_var[l][0, 0] for l in range(5))
         assert z > -1e-12
 
 
@@ -220,7 +220,7 @@ def test_block_assembly_dense_oracle_n2():
 
     # blockwise values of P (W x 1) P agree with the dense spectrum on the support
     dual = hi.assemble_dual_witness(n, d, copies)
-    vals = sorted(float(sum(float(hi.unfold(w, n)[l]) * blk.y_per_l[l][0, 0] for l in range(n + 1))) for blk in dual.blocks)
+    vals = sorted(float(sum(float(hi.unfold(w, n)[l]) * blk.y_per_var[l][0, 0] for l in range(n + 1))) for blk in dual.blocks)
     dense_evs = np.linalg.eigvalsh(exactla.to_float(pwp))
     support = np.linalg.matrix_rank(exactla.to_float(dp))
     top = sorted(dense_evs, key=abs, reverse=True)[:support]
