@@ -97,6 +97,8 @@ class SlotSystem:
     classes: tuple[int, ...]
 
     def __post_init__(self):
+        if self.copies < 2:
+            raise InvalidInputError("need at least two copies")
         if len(self.dims) != len(self.classes):
             raise InvalidInputError("dims and classes must align")
         by_class = {}

@@ -10,8 +10,10 @@ symmetrization the candidate operator has the two-block form
     Phi = 1_{K^2} (x) sum_i x_i P{V^i 1^(n-i)} + V_aux (x) sum_i y_i P{...}.
 
 At two copies every positivity and PPT sector of this ansatz is scalar,
-so relaxation-level feasibility is an exact rational LP. The N-copy
-extension reuses the generic slot-class machinery.
+so relaxation-level feasibility is an exact rational LP. Code existence
+is itself a pure-state marginal problem on the auxiliary slot plus the
+n qudits, so the N-copy extension is `hierarchy.assemble_primal` on the
+code's marginal spec (`code_marginal_spec`).
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from math import comb
 
 import numpy as np
 
-from .blocks import SlotSystem, SymbolicOperator, block_tuples, irrep_block
+from .blocks import SlotSystem
 from .errors import InvalidInputError, ResourceCapError
-from .hierarchy import CONST, BlockSdp, MarginalSpec, _dedupe_rows, _marginal_tests, _rows_from_operator, assemble_primal, solve_primal
-from .symgroup import Partition, Permutation
+from .hierarchy import CONST, BlockSdp, MarginalSpec, assemble_primal, solve_primal
+from .symgroup import Partition
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -63,26 +65,34 @@ def singleton_check(params: CodeParams) -> str:
     return "fail" if params.K * params.d ** (2 * params.m) > params.d**params.n else "pass"
 
 
-def purecode_marginal_spec(params: CodeParams) -> MarginalSpec:
-    """Marginal spec on the auxiliary+qudits system for a pure code.
-
-    Every subset {aux} u I with |I| = m carries the maximally mixed
-    marginal of dimension K d^m. Rejected when the Singleton bound
-    already rules the code out.
-    """
-    if not params.pure:
-        raise InvalidInputError("marginal spec of this form needs the pure flag")
-    if singleton_check(params) == "fail":
+def _singleton_guard(params: CodeParams) -> None:
+    if params.pure and singleton_check(params) == "fail":
         raise InvalidInputError(
             f"{params.label()} violates the Singleton bound K <= d^(n-2m); "
             "the rank of any kept marginal would exceed the dimension of the traced side"
         )
-    marginals = {
-        frozenset({0}) | {i + 1 for i in c}: "maximally_mixed"
-        for c in itertools.combinations(range(params.n), params.m)
-    }
-    dims = (params.K,) + (params.d,) * params.n
-    return MarginalSpec(params.n + 1, params.d, marginals, uniform=True, dims=dims)
+
+
+def code_marginal_spec(params: CodeParams) -> MarginalSpec:
+    """Marginal spec of a code's N-copy problem.
+
+    K = 1: the auxiliary slot is trivial. A pure code is an m-uniform
+    state on the qudits; a general code has no marginal condition, since
+    the Knill-Laflamme conditions are empty for one state (the 0-uniform
+    spec). K >= 2: slot 0 is the K-dimensional auxiliary system, and
+    every subset {aux} u I with |I| = m carries a maximally mixed
+    marginal (pure codes) or one whose auxiliary part is maximally mixed
+    and uncorrelated (general codes). Pure codes that the Singleton bound
+    already rules out are rejected.
+    """
+    _singleton_guard(params)
+    n, K, m, d = params.n, params.K, params.m, params.d
+    if K == 1:
+        return uniform_marginal_spec(n, d, m if params.pure else 0)
+    aux = frozenset({0})
+    mixed = "maximally_mixed" if params.pure else aux
+    marginals = {aux | {i + 1 for i in c}: mixed for c in itertools.combinations(range(n), m)}
+    return MarginalSpec(n + 1, d, marginals, uniform=True, dims=(K,) + (d,) * n)
 
 
 def uniform_marginal_spec(n: int, d: int, size: int) -> MarginalSpec:
@@ -178,41 +188,6 @@ def verify_code_state(state, params: CodeParams, tol: float = 1e-10) -> CodeStat
     return CodeStateReport(params, worst, worst <= tol, tol)
 
 
-@dataclass
-class TracelessBasis:
-    """Hermitian traceless basis of the auxiliary operator space."""
-
-    K: int
-    elements: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.elements:
-            self.elements = _gell_mann(self.K)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
-def _gell_mann(k: int) -> list:
-    out = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            sym = np.zeros((k, k), dtype=complex)
-            sym[i, j] = sym[j, i] = 1.0
-            out.append(sym)
-            asym = np.zeros((k, k), dtype=complex)
-            asym[i, j] = -1.0j
-            asym[j, i] = 1.0j
-            out.append(asym)
-    for l in range(1, k):
-        diag = np.zeros((k, k), dtype=complex)
-        for i in range(l):
-            diag[i, i] = 1.0
-        diag[l, l] = -float(l)
-        out.append(diag)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # two-party (two-copy) constraint systems in closed form
 
@@ -258,6 +233,7 @@ def code_two_party_constraints(params: CodeParams, level: str = "ppt") -> BlockS
     """
     if level not in ("pos", "ppt"):
         raise InvalidInputError(f"unknown relaxation level {level!r}")
+    _singleton_guard(params)
     n, K, m, d = params.n, params.K, params.m, params.d
     aux_free = params.K == 1
     nx = n + 1
@@ -373,77 +349,13 @@ def code_two_party_constraints(params: CodeParams, level: str = "ppt") -> BlockS
     return BlockSdp(system, keys, cleaned, blocks, meta={"params": params, "level": level})
 
 
-def generalcode_constraints(params: CodeParams, level: str = "ppt") -> BlockSdp:
-    """Constraint system when the code marginals are free (general codes)."""
-    general = CodeParams(params.n, params.K, params.m, params.d, pure=False)
-    bs = code_two_party_constraints(general, level)
-    bs.meta["traceless_families_per_subset"] = params.K**2 - 1
-    return bs
-
-
-def purecode_two_party_constraints(params: CodeParams, level: str = "ppt") -> BlockSdp:
-    """Constraint system with the kept marginal pinned to maximally mixed."""
-    if not params.pure:
-        raise InvalidInputError("pure-code assembly needs the pure flag")
-    if singleton_check(params) == "fail":
-        raise InvalidInputError(f"{params.label()} fails the Singleton bound; not assembling")
-    return code_two_party_constraints(params, level)
-
-
 # ---------------------------------------------------------------------------
 # N-copy extension
 
 
 def code_extension_blocksdp(params: CodeParams, copies: int, cap: int = 512) -> BlockSdp:
-    """Level-`copies` system for a code problem via the slot-class machinery.
-
-    K = 1 reduces to the m-uniform problem on the qudits alone. For
-    K >= 2 the auxiliary slot is its own symmetry class; pure codes pin
-    the kept marginal, general codes only remove the auxiliary
-    correlations (marginals otherwise free). Rows and blocks are
-    assembled as in `assemble_primal`, the cap checked first.
-    """
-    n, K, m, d = params.n, params.K, params.m, params.d
-    if K == 1:
-        return assemble_primal(uniform_marginal_spec(n, d, m), copies, cap=cap)
-    if params.pure and singleton_check(params) == "fail":
-        raise InvalidInputError(f"{params.label()} fails the Singleton bound; not assembling")
-    system = SlotSystem(copies, (K,) + (d,) * n, (0,) + (1,) * n)
-    tuples = block_tuples(system, cap)
-    g = system.group
-    keys = system.keys()
-    phi = SymbolicOperator.variable_expansion(system, keys)
-
-    rows: list[dict] = []
-    trace_row = phi.trace_row()
-    trace_row[CONST] = trace_row.get(CONST, F0) - 1
-    rows.append(trace_row)
-    rows += _rows_from_operator(phi.sub(phi.adjoint()), keys)
-    for gen in (Permutation.transposition(copies, 0, 1), Permutation.full_cycle(copies)):
-        gi = g.index[gen.images]
-        moved = phi.slotwise_multiply((gi,) * (n + 1), side="left")
-        rows += _rows_from_operator(moved.sub(phi), keys)
-
-    kept_qudits = tuple(range(n + 1 - m, n + 1))
-    traced_qudits = tuple(range(1, n + 1 - m))
-    tests = _marginal_tests(system, traced_qudits)
-    if params.pure:
-        lhs = phi.ptrace(traced_qudits, 0)
-        rhs = (
-            phi.ptrace(range(n + 1), 0)
-            .untrace({(s, 0) for s in (0,) + kept_qudits})
-            .scale(Fraction(1, K * d**m))
-        )
-        diff = lhs.sub(rhs)
-    else:
-        reduced = phi.ptrace(traced_qudits, 0)
-        projected = reduced.ptrace((0,), 0).untrace({(0, 0)}).scale(Fraction(1, K))
-        diff = reduced.sub(projected)
-    rows += _rows_from_operator(diff, tests)
-
-    rows = _dedupe_rows(rows)
-    blocks = [irrep_block(system, tpl, keys, cap=cap) for tpl in tuples]
-    return BlockSdp(system, keys, rows, blocks, meta={"params": params, "copies": copies})
+    """Level-`copies` system of a code problem: `assemble_primal` on its spec."""
+    return assemble_primal(code_marginal_spec(params), copies, cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -482,11 +394,7 @@ def code_check(params: CodeParams, level: str = "ppt", copies: int = 3, cap: int
     if params.pure and singleton_check(params) == "fail":
         return CodeFeasibilityReport(params, "singleton", "infeasible", "Singleton bound K <= d^(n-2m) violated")
     if level in ("pos", "ppt"):
-        bs = (
-            purecode_two_party_constraints(params, level)
-            if params.pure
-            else generalcode_constraints(params, level)
-        )
+        bs = code_two_party_constraints(params, level)
     elif level == "extension":
         bs = code_extension_blocksdp(params, copies, cap=cap)
     else:

@@ -17,9 +17,10 @@ as cutting planes until the answer is certified either way.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -42,10 +43,15 @@ CONST = -1  # pseudo-variable index for constant terms in constraint rows
 class MarginalSpec:
     """Which subsets carry prescribed marginals, and what they are.
 
-    Only the uniform case (every marginal maximally mixed, all subsets of
-    one size) is accepted by the symmetry-reduced assembly; it covers the
-    AME problem and m-uniform states. `dims` overrides the per-slot local
-    dimension for systems with an auxiliary slot (quantum codes).
+    `marginals` maps a subset S of the slots to "maximally_mixed"
+    (rho_S = 1 / dim S) or to a subset M of S whose part alone is
+    maximally mixed and uncorrelated, rho_S = 1_M / dim M (x) Tr_M rho_S
+    (general codes, M the auxiliary slot). Only uniform specs (every
+    subset of this form, with as many slots of each class) are accepted
+    by the symmetry-reduced assembly; they cover AME, m-uniform states
+    and quantum codes. `dims`, when given, lists the per-slot local
+    dimensions of a system whose slot 0 is auxiliary (quantum codes);
+    that slot is its own symmetry class.
     """
 
     n: int
@@ -54,11 +60,31 @@ class MarginalSpec:
     uniform: bool = False
     dims: tuple | None = None
 
-    def subset_size(self) -> int:
-        sizes = {len(s) for s in self.marginals}
-        if len(sizes) != 1:
+    def slot_system(self, copies: int) -> SlotSystem:
+        if self.dims is None:
+            return ame_system(self.n, self.d, copies)
+        return SlotSystem(copies, self.dims, (0,) + (1,) * (self.n - 1))
+
+    def representative(self, classes) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """One subset S standing for every prescribed subset, and its maximally mixed part M.
+
+        Slots of one class are interchangeable, so S takes in each class
+        the last slots of that class, as many as every prescribed subset
+        has there, and M likewise: the last r qudits for AME, the
+        auxiliary slot and the last m qudits for codes.
+        """
+
+        def last(subset):
+            out = []
+            for cls in sorted(set(classes)):
+                members = [s for s, c in enumerate(classes) if c == cls]
+                out += members[len(members) - sum(classes[s] == cls for s in subset) :]
+            return tuple(sorted(out))
+
+        shapes = {(last(s), last(m if isinstance(m, frozenset) else s)) for s, m in self.marginals.items()}
+        if len(shapes) != 1:
             raise UnsupportedFeatureError("mixed marginal subset sizes are not supported")
-        return sizes.pop()
+        return shapes.pop()
 
 
 def ame_marginal_spec(n: int, d: int) -> MarginalSpec:
@@ -125,22 +151,23 @@ def _rows_from_operator(op: SymbolicOperator, tests) -> list[dict]:
     return out
 
 
-def assemble_primal(spec: MarginalSpec, copies: int, strong: bool = True, cap: int = 512) -> BlockSdp:
+def assemble_primal(spec: MarginalSpec, copies: int, cap: int = 512) -> BlockSdp:
     """Level-`copies` feasibility system for a uniform marginal spec.
 
-    Equality rows: unit trace, hermiticity, symmetric-subspace support
-    (via the two copy-permutation generators), and the marginal
-    conditions for one representative subset (slot symmetry supplies the
-    rest). Positivity lives in the per-partition-tuple blocks; their
-    dimensions are checked against `cap` before any work starts.
+    The one N-copy assembler for AME, m-uniform and code specs; the slot
+    system comes from the spec. Equality rows: unit trace, hermiticity,
+    symmetric-subspace support (via the two copy-permutation
+    generators), and the marginal conditions
+    rho_S = 1_M / dim M (x) Tr_M rho_S on copy 0 for the representative
+    subset S and its maximally mixed part M (slot symmetry supplies the
+    other subsets, copy symmetry the other copies). Positivity lives in
+    the per-partition-tuple blocks; their dimensions are checked against
+    `cap` before any work starts.
     """
     if not spec.uniform:
         raise UnsupportedFeatureError("only collective-unitary-invariant (uniform) specs are supported")
-    if copies < 2:
-        raise InvalidInputError("need at least two copies")
-    n, d = spec.n, spec.d
-    r = spec.subset_size()
-    system = ame_system(n, d, copies)
+    system = spec.slot_system(copies)
+    kept, mixed = spec.representative(system.classes)
     tuples = block_tuples(system, cap)
     g = system.group
     keys = system.keys()
@@ -158,47 +185,25 @@ def assemble_primal(spec: MarginalSpec, copies: int, strong: bool = True, cap: i
 
     for gen in (Permutation.transposition(copies, 0, 1), Permutation.full_cycle(copies)):
         gi = g.index[gen.images]
-        moved = phi.slotwise_multiply((gi,) * n, side="left")
+        moved = phi.slotwise_multiply((gi,) * system.slots, side="left")
         rows += _rows_from_operator(moved.sub(phi), canon_tests)
 
-    kept = tuple(range(n - r, n))
-    traced_slots = tuple(range(n - r))
-    if strong:
-        lhs = phi.ptrace(traced_slots, 0)
-        rhs = phi.ptrace(range(n), 0).untrace({(i, 0) for i in kept}).scale(Fraction(1, d**r))
-        diff = lhs.sub(rhs)
-        tests = _marginal_tests(system, traced_slots)
-        rows += _rows_from_operator(diff, tests)
-    else:
-        lhs = phi
-        for c in range(copies):
-            lhs = lhs.ptrace(traced_slots, c)
-        ident_key = (g.identity,) * n
-        target = Fraction(1, d ** (r * copies))
-        tests = _marginal_tests(system, traced_slots, traced_all_copies=True)
-        for t in tests:
-            row = lhs.pairing_row(t)
-            w = F1
-            for s in kept:
-                w *= Fraction(d) ** g.cycles[t[s]]
-            row[CONST] = row.get(CONST, F0) - target * w
-            rows.append(row)
+    traced = tuple(s for s in range(system.slots) if s not in kept)
+    marginal = phi.ptrace(traced, 0)
+    dim_mixed = prod(system.dims[s] for s in mixed)
+    target = marginal.ptrace(mixed, 0).untrace({(s, 0) for s in mixed}).scale(Fraction(1, dim_mixed))
+    rows += _rows_from_operator(marginal.sub(target), _marginal_tests(system, traced))
 
     rows = _dedupe_rows(rows)
     blocks = [irrep_block(system, tpl, keys, cap=cap) for tpl in tuples]
-    return BlockSdp(system, keys, rows, blocks, meta={"n": n, "d": d, "copies": copies, "r": r, "strong": strong})
+    return BlockSdp(system, keys, rows, blocks, meta={"n": spec.n, "d": spec.d, "copies": copies})
 
 
-def _marginal_tests(system: SlotSystem, traced_slots, traced_all_copies: bool = False):
+def _marginal_tests(system: SlotSystem, traced_slots):
+    """Test elements of the copy-0 marginal rows: any element on a kept
+    slot, one fixing copy 0 on a traced slot."""
     g = system.group
-    opts = []
-    for s in range(system.slots):
-        if s in traced_slots:
-            opts.append([g.identity] if traced_all_copies else g.fixing[0])
-        else:
-            opts.append(range(len(g.elements)))
-    import itertools
-
+    opts = [g.fixing[0] if s in traced_slots else range(len(g.elements)) for s in range(system.slots)]
     return list(itertools.product(*opts))
 
 

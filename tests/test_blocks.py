@@ -393,11 +393,15 @@ ROW_DIGESTS = {
     "primal-ame(3,2)-N3": "99b406edca0b481cbc2d6cf72a94a1bd2f8d6be60ecdf96298920755d795653c",
     "extension-((4,1,2))_2": "0167051cdf909d81a4e182eac6e37ca38b515a7903d1111cd72f7f92c303ab46",
     "extension-((2,2,2))_2": "d609bdce98dfb92a317acb0f71d4aa1418c0eb5ee2ef0d65d4aace79b3256d30",
+    "extension-pure-((3,2,2))_2-N2": "be469a3710ac3be2d03bbb901d198acbffb87bedcc3194604082524072485527",
+    "extension-general-((3,3,2))_2-N2": "ac1f6e7bd7060e7645613f3768fbd8ccbb3e116513f6fff8e5c2c444e1b4b0ca",
 }
 ASSEMBLIES = {
     "primal-ame(3,2)-N3": lambda: hi.assemble_primal(hi.ame_marginal_spec(3, 2), 3),
     "extension-((4,1,2))_2": lambda: codes.code_extension_blocksdp(codes.CodeParams(4, 1, 1, 2, pure=True), 3),
     "extension-((2,2,2))_2": lambda: codes.code_extension_blocksdp(codes.CodeParams(2, 2, 1, 2), 3),
+    "extension-pure-((3,2,2))_2-N2": lambda: codes.code_extension_blocksdp(codes.CodeParams(3, 2, 1, 2, pure=True), 2),
+    "extension-general-((3,3,2))_2-N2": lambda: codes.code_extension_blocksdp(codes.CodeParams(3, 3, 1, 2), 2),
 }
 
 

@@ -122,6 +122,15 @@ def test_exit_code_invalid_input(tmp_path):
     assert code == 2 and "error" in err
     code, _, _ = run_cli(["code", "verify", "--state", str(tmp_path / "missing.json"), "--n", "2", "--K", "1", "--m", "1", "--d", "2"])
     assert code == 2
+    for copies in ("1", "0"):
+        for args in (
+            ["ame", "witness", "--n", "4", "--d", "2"],
+            ["hierarchy", "export", "--n", "4", "--d", "2", "--out", str(tmp_path / "dual.dat-s")],
+            ["code", "check", "--n", "2", "--K", "2", "--m", "1", "--d", "2", "--level", "extension"],
+            ["code", "check", "--n", "3", "--K", "1", "--m", "1", "--d", "2", "--level", "extension"],
+        ):
+            code, out, err = run_cli(args + ["--copies", copies])
+            assert code == 2 and out == "" and err.endswith("error: need at least two copies\n"), args
 
 
 def test_exit_code_resource_cap(tmp_path):

@@ -31,20 +31,31 @@ def test_singleton_examples():
 
 
 def test_purecode_marginal_spec():
-    spec = cd.purecode_marginal_spec(P523)
+    spec = cd.code_marginal_spec(P523)
     assert spec.uniform and spec.n == 6
     assert spec.dims == (2, 2, 2, 2, 2, 2)
     assert len(spec.marginals) == 10
     for subset in spec.marginals:
         assert 0 in subset and len(subset) == 3
     with pytest.raises(InvalidInputError):
-        cd.purecode_marginal_spec(P423)
+        cd.code_marginal_spec(P423)
     # m = 0: only the auxiliary marginal remains
-    spec0 = cd.purecode_marginal_spec(cd.CodeParams(2, 2, 0, 2, pure=True))
+    spec0 = cd.code_marginal_spec(cd.CodeParams(2, 2, 0, 2, pure=True))
     assert list(spec0.marginals) == [frozenset({0})]
     # K = 1 reduces to the m-uniform spec on the qudits
     spec1 = cd.uniform_marginal_spec(4, 2, 2)
     assert len(spec1.marginals) == 6 and all(len(s) == 2 for s in spec1.marginals)
+    assert cd.code_marginal_spec(cd.CodeParams(4, 1, 2, 2, pure=True)) == spec1
+
+
+def test_general_code_marginal_spec():
+    # only the auxiliary part of each {aux} u I is maximally mixed
+    spec = cd.code_marginal_spec(cd.CodeParams(5, 2, 2, 2))
+    assert spec.n == 6 and spec.dims == (2,) * 6 and len(spec.marginals) == 10
+    assert all(mixed == frozenset({0}) for mixed in spec.marginals.values())
+    assert spec.representative(spec.slot_system(2).classes) == ((0, 4, 5), (0,))
+    # K = 1: no marginal condition, the 0-uniform spec on the qudits
+    assert cd.code_marginal_spec(cd.CodeParams(4, 1, 2, 2)) == cd.uniform_marginal_spec(4, 2, 0)
 
 
 def test_five_qubit_code_state_verifies():
@@ -73,33 +84,16 @@ def test_verify_rejects_unnormalized():
         cd.verify_code_state(np.ones(4), cd.CodeParams(2, 1, 1, 2, pure=True))
 
 
-def test_traceless_basis():
-    for k in (2, 3, 4):
-        tb = cd.TracelessBasis(k)
-        assert len(tb) == k * k - 1
-        flat = []
-        for e in tb.elements:
-            assert abs(np.trace(e)) < 1e-14
-            assert np.allclose(e, e.conj().T)
-            flat.append(e.reshape(-1))
-        assert np.linalg.matrix_rank(np.array(flat)) == k * k - 1
-
-
-def test_traceless_family_count_in_meta():
-    bs = cd.generalcode_constraints(cd.CodeParams(5, 3, 2, 2), "ppt")
-    assert bs.meta["traceless_families_per_subset"] == 8
-
-
 def test_k1_purecode_equals_ame_system():
     params = cd.CodeParams(4, 1, 2, 2, pure=True)
-    bs = cd.purecode_two_party_constraints(params, "pos")
+    bs = cd.code_two_party_constraints(params, "pos")
     verdict = hi.solve_primal(bs)
     assert verdict.exact and verdict.nullity == 0
     assert verdict.x == list(ame.candidate_x(4, 2))
     assert verdict.status == "infeasible"
 
     params = cd.CodeParams(5, 1, 2, 2, pure=True)
-    verdict = hi.solve_primal(cd.purecode_two_party_constraints(params, "ppt"))
+    verdict = hi.solve_primal(cd.code_two_party_constraints(params, "ppt"))
     assert verdict.exact and verdict.nullity == 0
     assert verdict.x == list(ame.candidate_x(5, 2))
     assert verdict.status == "feasible"
@@ -109,7 +103,7 @@ def test_code_check_singleton_rejection():
     rep = cd.code_check(P423, "ppt")
     assert rep.verdict == "infeasible" and rep.level == "singleton"
     with pytest.raises(InvalidInputError):
-        cd.purecode_two_party_constraints(P423)
+        cd.code_two_party_constraints(P423)
 
 
 def test_523_feasible_at_pos_and_ppt():
@@ -119,7 +113,7 @@ def test_523_feasible_at_pos_and_ppt():
 
 
 def test_general_code_underdetermined():
-    bs = cd.generalcode_constraints(cd.CodeParams(5, 2, 2, 2), "ppt")
+    bs = cd.code_two_party_constraints(cd.CodeParams(5, 2, 2, 2), "ppt")
     verdict = hi.solve_primal(bs)
     assert verdict.nullity > 0
     assert verdict.status == "feasible"
@@ -128,6 +122,27 @@ def test_general_code_underdetermined():
 def test_impure_k1_codes_always_pass():
     rep = cd.code_check(cd.CodeParams(3, 1, 1, 2), "ppt")
     assert rep.verdict == "feasible"
+    # the Knill-Laflamme conditions are empty for one state, at every level;
+    # ((4,1,3))_2 pure would be AME(4,2), which does not exist
+    for level in ("pos", "ppt", "extension"):
+        rep = cd.code_check(cd.CodeParams(4, 1, 2, 2), level, copies=2)
+        assert rep.verdict == "feasible" and rep.exact, level
+
+
+CROSS_LEVEL = [
+    cd.CodeParams(n, K, m, d, pure=pure)
+    for n in range(2, 5)
+    for K in range(1, 4)
+    for m in range(n // 2 + 1)
+    for d in (2, 3)
+    for pure in (True, False)
+]
+
+
+@pytest.mark.parametrize("params", CROSS_LEVEL, ids=lambda p: f"{p.label()}-{'pure' if p.pure else 'general'}")
+def test_two_copy_extension_agrees_with_positivity(params):
+    # a code the positivity relaxation admits passes the two-copy extension, and conversely
+    assert cd.code_check(params, "extension", copies=2).verdict == cd.code_check(params, "pos").verdict
 
 
 def test_extension_level_k1():
@@ -261,7 +276,7 @@ def test_five_qubit_pair_satisfies_assembled_system():
         ys.append((K * K * b - K * a) / det)
     assert ys == xs[::-1]  # swap-invariance of the support
 
-    bs = cd.purecode_two_party_constraints(P523, "ppt")
+    bs = cd.code_two_party_constraints(P523, "ppt")
     values = {("x", i): xs[i] for i in range(n + 1)}
     values.update({("y", i): ys[i] for i in range(n + 1)})
     vec = [values[k] for k in bs.keys]

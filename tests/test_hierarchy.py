@@ -1,9 +1,10 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qmarginal import ame, exactla, hierarchy as hi, permalg as pa
+from qmarginal import ame, blocks, exactla, hierarchy as hi, permalg as pa
 from qmarginal.errors import InvalidInputError, UnsupportedFeatureError
 from qmarginal.solve import lp_solve_exact, sdp_solve
 from qmarginal.symgroup import Permutation
@@ -148,9 +149,24 @@ def test_primal_level2_unique_solution_is_candidate(n, d):
 
 
 def test_primal_level2_weak_marginals_agree():
-    bs = hi.assemble_primal(hi.ame_marginal_spec(4, 2), 2, strong=False)
-    verdict = hi.solve_primal(bs)
-    assert verdict.exact and verdict.nullity == 0 and verdict.status == "infeasible"
+    # the weak marginal conditions hold at the solution the copy-0 marginal
+    # rows pin: the kept slots of all copies together are maximally mixed,
+    # Tr(V_t rho_kept) = d^cycles(t) / d^(r copies) for every t
+    copies = 2
+    for n, d, status in ((4, 2, "infeasible"), (3, 2, "feasible")):
+        r = n // 2
+        bs = hi.assemble_primal(hi.ame_marginal_spec(n, d), copies)
+        verdict = hi.solve_primal(bs)
+        assert verdict.exact and verdict.nullity == 0 and verdict.status == status
+        reduced = blocks.SymbolicOperator.variable_expansion(bs.system, bs.keys)
+        for c in range(copies):
+            reduced = reduced.ptrace(range(n - r), c)
+        g = bs.system.group
+        for kept in itertools.product(range(len(g.elements)), repeat=r):
+            row = reduced.pairing_row((g.identity,) * (n - r) + kept)
+            value = sum((coeff * verdict.x[v] for v, coeff in row.items()), start=F(0))
+            # a traced cell pairs as a d-dimensional identity factor
+            assert value / d ** ((n - r) * copies) == F(d ** sum(g.cycles[t] for t in kept), d ** (r * copies))
 
 
 def test_primal_level2_blocks_reproduce_eigenvalues():
