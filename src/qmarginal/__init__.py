@@ -1,12 +1,14 @@
 """Pure-state quantum marginal problems via two-party separability.
 
-Subpackages: symgroup (symmetric-group representations), permalg (exact
-permutation-operator algebra), ame (closed-form existence tests),
-hierarchy (N-copy feasibility and dual witnesses), codes (quantum code
-feasibility), solve (exact LP / dense SDP / SDPA interchange).
+Modules: symgroup (symmetric-group representations and exact invariant
+bases), blocks (the permutation-tensor operator algebra and the
+positivity blocks), exactla (exact linear algebra), ame (closed-form
+existence tests), hierarchy (N-copy feasibility and dual witnesses),
+codes (quantum code feasibility), solve (exact LP / dense SDP / SDPA
+interchange).
 """
 
-from . import ame, blocks, codes, exactla, hierarchy, permalg, solve, symgroup
+from . import ame, blocks, codes, exactla, hierarchy, solve, symgroup
 from .ame import AmeCandidate, FeasibilityReport, candidate, check_existence, scan
 from .codes import CodeParams, code_check, singleton_check, verify_code_state
 from .errors import (

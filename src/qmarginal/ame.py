@@ -17,14 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from . import exactla
-from .errors import InvalidInputError, ResourceCapError
-from .permalg import SymmetrizedOperator, dense_operator
+from .errors import InvalidInputError
 
 F0 = Fraction(0)
 F1 = Fraction(1)
-
-DENSE_CAP = 4096
 
 TSV_COLUMNS = ("n", "d", "verdict", "violated_condition", "witness_value")
 
@@ -63,38 +59,6 @@ def candidate_x(n: int, d: int) -> list[Fraction]:
     return out
 
 
-def candidate_x_oracle(n: int, d: int) -> list[Fraction]:
-    """Same coefficients, from the defining linear system.
-
-    Rows: unit trace, palindrome symmetry from the swap-invariance of the
-    support, and vanishing swap content of every half-body marginal. The
-    system is square and uniquely solvable.
-    """
-    _validate(n, d)
-    r = n // 2
-    rows, rhs = [], []
-    rows.append([Fraction(binom(n, i) * d ** (2 * n - i)) for i in range(n + 1)])
-    rhs.append(F1)
-    for i in range(n - r):
-        row = [F0] * (n + 1)
-        row[i] += 1
-        row[n - i] -= 1
-        rows.append(row)
-        rhs.append(F0)
-    for s in range(1, r + 1):
-        row = [F0] * (n + 1)
-        for t in range(n - r + 1):
-            row[s + t] += binom(n - r, t) * d ** (n - r - t)
-        rows.append(row)
-        rhs.append(F0)
-    sol = exactla.solve_unique(rows, rhs)
-    if sol is None:
-        from .errors import InternalConsistencyError
-
-        raise InternalConsistencyError(f"defining system for n={n}, d={d} is not uniquely solvable")
-    return sol
-
-
 def eigenvalues_p(n: int, d: int) -> list[Fraction]:
     """Eigenvalues p_0..p_n of the candidate, indexed by the number of
     antisymmetric tensor factors in the eigenspace."""
@@ -126,25 +90,6 @@ def eigenvalues_q(n: int, d: int) -> list[Fraction]:
     return out
 
 
-def eigenvalues_from_x(x, n: int, d: int) -> list[Fraction]:
-    """Spectrum reconstruction: value of sum_i x_i P{V..1} on an eigenvector
-    with j antisymmetric slots is sum_l x_l sum_k (-1)^k binom(j,k) binom(n-j,l-k)."""
-    out = []
-    for j in range(n + 1):
-        acc = F0
-        for l in range(n + 1):
-            c = sum((-1) ** k * binom(j, k) * binom(n - j, l - k) for k in range(l + 1))
-            acc += x[l] * c
-        out.append(acc)
-    return out
-
-
-def ppt_eigenvalues_from_x(x, n: int, d: int) -> list[Fraction]:
-    """Partial-transpose spectrum from the x coefficients; the transposed
-    swap is d times the maximally entangled projector."""
-    return [sum((x[i] * binom(n - j, i) * d**i for i in range(n + 1)), start=F0) for j in range(n + 1)]
-
-
 @dataclass(frozen=True)
 class AmeCandidate:
     """Exact data of the unique symmetrized two-party extension."""
@@ -154,13 +99,6 @@ class AmeCandidate:
     x: tuple[Fraction, ...]
     p: tuple[Fraction, ...]
     q: tuple[Fraction, ...]
-
-    @property
-    def r(self) -> int:
-        return self.n // 2
-
-    def operator(self) -> SymmetrizedOperator:
-        return SymmetrizedOperator.from_x(list(self.x), self.n, self.d)
 
 
 def candidate(n: int, d: int) -> AmeCandidate:
@@ -218,33 +156,6 @@ def check_existence(n: int, d: int) -> FeasibilityReport:
         return FeasibilityReport(n, d, "inconclusive")
     value, kind, i = worst
     return FeasibilityReport(n, d, "infeasible", f"{kind}({i})", value)
-
-
-def dense_candidate(n: int, d: int):
-    """Dense exact matrix of the candidate via Kronecker products.
-
-    Rows/columns are ordered slot-major; the matrix side is (d^2)^n and
-    capped at 4096.
-    """
-    _validate(n, d)
-    if (d * d) ** n > DENSE_CAP:
-        raise ResourceCapError(f"dense candidate side {(d*d)**n} exceeds {DENSE_CAP}")
-    return dense_operator(candidate(n, d).operator())
-
-
-def expected_dense_spectrum(n: int, d: int) -> list[tuple[Fraction, int]]:
-    """(eigenvalue, multiplicity) pairs of the dense candidate, from the
-    closed form: the eigenspace with i antisymmetric slots has dimension
-    binom(n,i) (d(d+1)/2)^{n-i} (d(d-1)/2)^i."""
-    sym = d * (d + 1) // 2
-    anti = d * (d - 1) // 2
-    p = eigenvalues_p(n, d)
-    out: dict[Fraction, int] = {}
-    for i in range(n + 1):
-        mult = binom(n, i) * sym ** (n - i) * anti**i
-        if mult:
-            out[p[i]] = out.get(p[i], 0) + mult
-    return sorted(out.items())
 
 
 def _scan_worker(args: tuple[int, int]) -> FeasibilityReport:

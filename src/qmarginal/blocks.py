@@ -57,7 +57,6 @@ class _CopyGroup:
         self.n = n
         self.elements = group_elements(n)
         self.index = {p.images: i for i, p in enumerate(self.elements)}
-        size = len(self.elements)
         self.mul = [[self.index[a.compose(b).images] for b in self.elements] for a in self.elements]
         self.cycles = [p.n_cycles() for p in self.elements]
         self.inv = [self.index[p.inverse().images] for p in self.elements]
@@ -242,7 +241,7 @@ class SymbolicOperator:
             if side == "left":
                 nk = tuple(g.mul[t][k] for t, k in zip(taus, key))
             else:
-                nk = tuple(g.mul[k][t] for k, t in zip(taus, key))
+                nk = tuple(g.mul[k][t] for t, k in zip(taus, key))
             out._merge(nk, lin)
         return out
 
@@ -277,7 +276,6 @@ class SymbolicOperator:
         cells = set(cells)
         if not cells <= self.traced:
             raise InvalidInputError("cannot reinstate a cell that was not traced")
-        g = self.system.group
         for key in self.terms:
             for s, c in cells:
                 if not self.system.group.elements[key[s]].fixes(c):

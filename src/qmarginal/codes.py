@@ -92,13 +92,13 @@ def code_marginal_spec(params: CodeParams) -> MarginalSpec:
     aux = frozenset({0})
     mixed = "maximally_mixed" if params.pure else aux
     marginals = {aux | {i + 1 for i in c}: mixed for c in itertools.combinations(range(n), m)}
-    return MarginalSpec(n + 1, d, marginals, uniform=True, dims=(K,) + (d,) * n)
+    return MarginalSpec(n + 1, d, marginals, dims=(K,) + (d,) * n)
 
 
 def uniform_marginal_spec(n: int, d: int, size: int) -> MarginalSpec:
     """All size-body marginals maximally mixed (m-uniform states)."""
     marginals = {frozenset(c): "maximally_mixed" for c in itertools.combinations(range(n), size)}
-    return MarginalSpec(n, d, marginals, uniform=True)
+    return MarginalSpec(n, d, marginals)
 
 
 # ---------------------------------------------------------------------------

@@ -16,64 +16,16 @@ def zeros(rows, cols):
     return [[F0] * cols for _ in range(rows)]
 
 
-def identity(n):
-    out = zeros(n, n)
-    for i in range(n):
-        out[i][i] = F1
-    return out
-
-
-def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = zeros(rows, cols)
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            aik = ai[k]
-            if aik:
-                bk = b[k]
-                for j in range(cols):
-                    if bk[j]:
-                        oi[j] += aik * bk[j]
-    return out
-
-
 def mat_add(a, b, scale=F1):
     return [[a[i][j] + scale * b[i][j] for j in range(len(a[0]))] for i in range(len(a))]
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
-def kron(a, b):
-    ra, ca, rb, cb = len(a), len(a[0]), len(b), len(b[0])
-    out = zeros(ra * rb, ca * cb)
-    for i in range(ra):
-        for j in range(ca):
-            aij = a[i][j]
-            if aij:
-                for k in range(rb):
-                    for l in range(cb):
-                        if b[k][l]:
-                            out[i * rb + k][j * cb + l] = aij * b[k][l]
-    return out
-
-
-def kron_all(mats):
-    out = [[F1]]
-    for m in mats:
-        out = kron(out, m)
-    return out
 
 
 def mode_product(m, vec, dims, axis):
     """(1 x ... x m x ... x 1) @ vec with m acting on tensor factor `axis`.
 
     `vec` is a flat vector over the factors of sizes `dims`, first factor
-    most significant (the index order of `kron_all`). The Kronecker
-    product is never formed: each output entry is one row of m against
+    most significant, as in a Kronecker product. That product is never
+    formed: each output entry is one row of m against
     a stride-`inner` slice of vec, skipping zeros of m.
     """
     d = dims[axis]
@@ -157,14 +109,6 @@ def _primitive(row):
 def _primitive_ints(row):
     g = gcd(*row)
     return [x // g for x in row] if g > 1 else row
-
-
-def solve_unique(a, b):
-    """Solve a square nonsingular system exactly; None if singular/inconsistent."""
-    res = solve_affine(a, b)
-    if res is None or res[1]:
-        return None
-    return res[0]
 
 
 def ldlt_psd_witness(m):

@@ -46,18 +46,17 @@ class MarginalSpec:
     `marginals` maps a subset S of the slots to "maximally_mixed"
     (rho_S = 1 / dim S) or to a subset M of S whose part alone is
     maximally mixed and uncorrelated, rho_S = 1_M / dim M (x) Tr_M rho_S
-    (general codes, M the auxiliary slot). Only uniform specs (every
-    subset of this form, with as many slots of each class) are accepted
-    by the symmetry-reduced assembly; they cover AME, m-uniform states
-    and quantum codes. `dims`, when given, lists the per-slot local
-    dimensions of a system whose slot 0 is auxiliary (quantum codes);
-    that slot is its own symmetry class.
+    (general codes, M the auxiliary slot). The symmetry-reduced assembly
+    accepts only specs that every permutation of the slots within their
+    classes maps to themselves (`representative` checks this); they
+    cover AME, m-uniform states and quantum codes. `dims`, when given,
+    lists the per-slot local dimensions of a system whose slot 0 is
+    auxiliary (quantum codes); that slot is its own symmetry class.
     """
 
     n: int
     d: int
     marginals: dict
-    uniform: bool = False
     dims: tuple | None = None
 
     def slot_system(self, copies: int) -> SlotSystem:
@@ -71,20 +70,37 @@ class MarginalSpec:
         Slots of one class are interchangeable, so S takes in each class
         the last slots of that class, as many as every prescribed subset
         has there, and M likewise: the last r qudits for AME, the
-        auxiliary slot and the last m qudits for codes.
+        auxiliary slot and the last m qudits for codes. That stands for
+        the whole spec only when the spec is closed under permuting the
+        slots of each class: every M holds, in each class, all of its
+        S's slots or none, every S has the same number of slots in each
+        class, and every such subset is prescribed. Anything else raises
+        UnsupportedFeatureError.
         """
+        order = sorted(set(classes))
+        members = [[s for s, c in enumerate(classes) if c == cls] for cls in order]
 
-        def last(subset):
-            out = []
-            for cls in sorted(set(classes)):
-                members = [s for s, c in enumerate(classes) if c == cls]
-                out += members[len(members) - sum(classes[s] == cls for s in subset) :]
-            return tuple(sorted(out))
+        def counts(subset):
+            return tuple(sum(s in subset for s in slots) for slots in members)
 
-        shapes = {(last(s), last(m if isinstance(m, frozenset) else s)) for s, m in self.marginals.items()}
+        shapes = set()
+        for subset, value in self.marginals.items():
+            part = subset if isinstance(value, str) and value == "maximally_mixed" else value
+            if not (isinstance(part, frozenset) and part <= subset) or any(
+                count not in (0, whole) for count, whole in zip(counts(part), counts(subset))
+            ):
+                raise UnsupportedFeatureError(f"the marginal of {sorted(subset)} is not maximally mixed on whole slot classes of it")
+            shapes.add((counts(subset), counts(part)))
         if len(shapes) != 1:
             raise UnsupportedFeatureError("mixed marginal subset sizes are not supported")
-        return shapes.pop()
+        kept, mixed = shapes.pop()
+        if len(self.marginals) != prod(comb(len(slots), k) for slots, k in zip(members, kept)):
+            raise UnsupportedFeatureError("the prescribed subsets are not closed under permuting the slots of a class")
+
+        def last(per_class):
+            return tuple(sorted(s for slots, k in zip(members, per_class) for s in slots[len(slots) - k :]))
+
+        return last(kept), last(mixed)
 
 
 def ame_marginal_spec(n: int, d: int) -> MarginalSpec:
@@ -93,7 +109,7 @@ def ame_marginal_spec(n: int, d: int) -> MarginalSpec:
 
     r = n // 2
     marginals = {frozenset(c): "maximally_mixed" for c in combinations(range(n), r)}
-    return MarginalSpec(n, d, marginals, uniform=True)
+    return MarginalSpec(n, d, marginals)
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +170,9 @@ def _rows_from_operator(op: SymbolicOperator, tests) -> list[dict]:
 def assemble_primal(spec: MarginalSpec, copies: int, cap: int = 512) -> BlockSdp:
     """Level-`copies` feasibility system for a uniform marginal spec.
 
+    A spec that its slot symmetry does not map to itself raises
+    UnsupportedFeatureError (`MarginalSpec.representative`).
+
     The one N-copy assembler for AME, m-uniform and code specs; the slot
     system comes from the spec. Equality rows: unit trace, hermiticity,
     symmetric-subspace support (via the two copy-permutation
@@ -164,8 +183,6 @@ def assemble_primal(spec: MarginalSpec, copies: int, cap: int = 512) -> BlockSdp
     the per-partition-tuple blocks; their dimensions are checked against
     `cap` before any work starts.
     """
-    if not spec.uniform:
-        raise UnsupportedFeatureError("only collective-unitary-invariant (uniform) specs are supported")
     system = spec.slot_system(copies)
     kept, mixed = spec.representative(system.classes)
     tuples = block_tuples(system, cap)

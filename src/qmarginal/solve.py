@@ -494,29 +494,3 @@ def parse_sdpa(path) -> SdpProblem:
         mat[i, j] = val
         mat[j, i] = val
     return SdpProblem(m, blocks, c if len(c) else None)
-
-
-def parse_sdpa_solution(path) -> dict:
-    """Parse the solution vectors of an SDPA-style output file.
-
-    Understands lines of the form `xVec = {v1, v2, ...}` (and `yVec`,
-    `objValPrimal = v`, `objValDual = v`), the common layout of
-    SDPA-family result files. Returns whatever of those was found.
-    """
-    out: dict = {}
-    with open(path) as fh:
-        text = fh.read()
-    for key in ("objValPrimal", "objValDual"):
-        idx = text.find(key)
-        if idx >= 0:
-            tail = text[idx:].split("=", 1)[1].strip().split()[0].rstrip(",;")
-            out[key] = float(tail)
-    for key, name in (("xVec", "x"), ("yVec", "y")):
-        idx = text.find(key)
-        if idx < 0:
-            continue
-        start = text.index("{", idx)
-        end = text.index("}", start)
-        body = text[start + 1 : end].replace(",", " ").split()
-        out[name] = [float(tok) for tok in body]
-    return out

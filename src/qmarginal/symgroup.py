@@ -3,7 +3,7 @@
 Provides partitions, characters (Murnaghan-Nakayama), irreducible
 representation matrices in Young's seminormal form (exact rationals) and
 Young's orthogonal form (floats), multiplicities of irreps inside the
-natural action on (C^d)^{otimes N}, and projectors onto the subspace of
+natural action on (C^d)^{otimes N}, and exact bases of the subspace of
 an irrep tensor product that transforms trivially under the diagonal
 action.
 
@@ -32,14 +32,12 @@ __all__ = [
     "Partition",
     "Permutation",
     "IrrepMatrix",
-    "BlockProjector",
     "enumerate_partitions",
     "irrep_dimension",
     "character",
     "irrep_matrix",
     "gl_multiplicity",
     "trivial_multiplicity",
-    "block_projector",
     "invariant_basis_exact",
     "conjugacy_classes",
     "class_size",
@@ -511,121 +509,8 @@ def irrep_matrix(lam, perm: Permutation, form: str = "seminormal") -> IrrepMatri
     return IrrepMatrix(Partition(parts), perm, entries, form)
 
 
-def orthogonalization_weights(lam) -> list[Fraction]:
-    """Diagonal W with W^{1/2} S(sigma) W^{-1/2} orthogonal for all sigma."""
-    return list(_rep(_as_parts(lam)).weights)
-
-
 # ---------------------------------------------------------------------------
-# projectors onto the diagonal-trivial component
-
-
-@dataclass
-class BlockProjector:
-    """Projector onto the trivially-transforming subspace of an irrep tensor product."""
-
-    partitions: tuple[Partition, ...]
-    basis: np.ndarray
-    rank: int
-    matrix: np.ndarray | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-
-def _twirl(mats_per_slot: list[list[np.ndarray]], vectors: np.ndarray, dims: list[int]) -> np.ndarray:
-    """Average of (M_1(sigma) x ... x M_n(sigma)) @ vectors over the group."""
-    nslots = len(dims)
-    shape = tuple(dims) + (vectors.shape[1],)
-    acc = np.zeros(shape)
-    for si in range(len(mats_per_slot[0])):
-        t = vectors.reshape(shape)
-        for ax in range(nslots):
-            t = np.moveaxis(np.tensordot(mats_per_slot[ax][si], t, axes=(1, ax)), 0, ax)
-        acc += t
-    acc /= len(mats_per_slot[0])
-    return acc.reshape(vectors.shape)
-
-
-def block_projector(
-    lams,
-    *,
-    method: str = "twirl",
-    materialize: bool = False,
-    cap: int = 512,
-    seed: int = 0,
-    tol: float = 1e-8,
-) -> BlockProjector:
-    """Orthonormal basis (and optionally the dense matrix) of the subspace fixed
-    by the diagonal group action on an irrep tensor product.
-
-    Twirling seeded random vectors is tried first (up to 5 draws); the
-    kernel of the two-generator expression is the deterministic fallback.
-    """
-    parts = tuple(Partition(_as_parts(l)) for l in lams)
-    n = parts[0].n
-    if any(p.n != n for p in parts):
-        raise InvalidInputError("all partitions must have the same weight")
-    dims = [irrep_dimension(p) for p in parts]
-    total = prod(dims)
-    k = trivial_multiplicity(parts)
-    if materialize and total > cap:
-        raise ResourceCapError(f"block dimension {total} exceeds cap {cap}")
-
-    reps = [_rep(p.parts) for p in parts]
-    basis = None
-    if k == 0:
-        basis = np.zeros((total, 0))
-    elif method == "twirl":
-        elements = group_elements(n)
-        mats = [[rep.orthogonal(sigma) for sigma in elements] for rep in reps]
-        rng = np.random.default_rng(seed)
-        for _ in range(5):
-            vecs = rng.standard_normal((total, k + 4))
-            tw = _twirl(mats, vecs, dims)
-            u, s, _ = np.linalg.svd(tw, full_matrices=False)
-            rank = int(np.sum(s > tol * max(1.0, s[0])))
-            if rank == k:
-                basis = u[:, :k]
-                break
-        if basis is None:
-            method = "kernel"
-    if basis is None and method == "kernel":
-        if total > 4096:
-            raise ResourceCapError(f"kernel method needs {total}x{total} dense matrices")
-        gen_s = Permutation.transposition(n, 0, 1)
-        gen_c = Permutation.full_cycle(n)
-        rows = []
-        for g in (gen_s, gen_c):
-            m = np.array([[1.0]])
-            for rep in reps:
-                m = np.kron(m, rep.orthogonal(g))
-            rows.append(m - np.eye(total))
-        stacked = np.vstack(rows)
-        _, s, vt = np.linalg.svd(stacked)
-        s = np.concatenate([s, np.zeros(total - len(s))])
-        rank = int(np.sum(s <= tol))
-        basis = vt[total - rank :].T if rank else np.zeros((total, 0))
-    if basis is None:
-        raise InvalidInputError(f"unknown method {method!r}")
-
-    if basis.shape[1] != k:
-        raise InternalConsistencyError(
-            f"projector rank {basis.shape[1]} disagrees with character formula {k} for {parts}"
-        )
-
-    matrix = None
-    if materialize:
-        elements = group_elements(n)
-        matrix = np.zeros((total, total))
-        for sigma in elements:
-            m = np.array([[1.0]])
-            for rep in reps:
-                m = np.kron(m, rep.orthogonal(sigma))
-            matrix += m
-        matrix /= len(elements)
-    return BlockProjector(parts, basis, k, matrix)
+# the diagonal-trivial component
 
 
 def invariant_basis_exact(lams, cap: int = 512):

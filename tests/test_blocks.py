@@ -4,11 +4,12 @@ The dense reference forms the total x total matrices the library avoids:
 the kernel of S(s) x ... + S(c) x ... - 2 through a Fraction RREF
 (`rref`, `nullspace` below, which the library no longer needs), the
 swap-pattern sums of the witness blocks and the per-key arrangement sums
-of the primal blocks as explicit Kronecker products, compressed by
-`_compress`. The library's results must be identical to it, entry for
-entry and byte for byte. The integer kernels (`exactla.solve_affine`,
-`SymbolicOperator.pairing_row`) are checked against the Fraction loops
-they replace.
+of the primal blocks as explicit Kronecker products (`kron_all` below),
+compressed by `_compress`. The library's results must be identical to
+it, entry for entry and byte for byte. The integer kernels
+(`exactla.solve_affine`, `SymbolicOperator.pairing_row`) are checked
+against the Fraction loops they replace, and every operation of
+`SymbolicOperator` against the dense integer model in `reference.py`.
 """
 
 import hashlib
@@ -20,6 +21,7 @@ from math import prod
 
 import numpy as np
 import pytest
+import reference
 
 from qmarginal import blocks, cli, codes, exactla, hierarchy as hi, symgroup as sg
 from qmarginal.errors import InternalConsistencyError, ResourceCapError
@@ -27,6 +29,35 @@ from qmarginal.symgroup import Permutation
 
 F0 = Fraction(0)
 F1 = Fraction(1)
+
+
+def mat_mul(a, b):
+    rows, inner, cols = len(a), len(b), len(b[0])
+    out = exactla.zeros(rows, cols)
+    for i in range(rows):
+        ai, oi = a[i], out[i]
+        for k in range(inner):
+            if ai[k]:
+                bk = b[k]
+                for j in range(cols):
+                    if bk[j]:
+                        oi[j] += ai[k] * bk[j]
+    return out
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def kron(a, b):
+    return [[x * y if x and y else F0 for x in row_a for y in row_b] for row_a in a for row_b in b]
+
+
+def kron_all(mats):
+    out = [[F1]]
+    for m in mats:
+        out = kron(out, m)
+    return out
 
 
 def rref(matrix, ncols=None):
@@ -103,7 +134,7 @@ def _dense_basis(parts):
     total = prod(rep.dim for rep in reps)
     a = exactla.zeros(total, total)
     for g in (Permutation.transposition(n, 0, 1), Permutation.full_cycle(n)):
-        a = exactla.mat_add(a, exactla.kron_all([[list(row) for row in rep.seminormal(g)] for rep in reps]))
+        a = exactla.mat_add(a, kron_all([[list(row) for row in rep.seminormal(g)] for rep in reps]))
     for i in range(total):
         a[i][i] -= 2
     weights = [sg.F1]
@@ -123,16 +154,16 @@ def _dense_witness_blocks(n, d, copies):
         parts = tuple(p.parts for p in tpl)
         reps = [sg._rep(p) for p in parts]
         vectors, weights = _dense_basis(parts)
-        u = exactla.transpose(vectors)
+        u = transpose(vectors)
         wut = [[w * x for w, x in zip(weights, v)] for v in vectors]
-        gram = exactla.mat_mul(wut, u)
+        gram = mat_mul(wut, u)
         z_per_l = []
         for l in range(n + 1):
             acc = exactla.zeros(len(weights), len(weights))
             for subset in itertools.combinations(range(n), l):
                 mats = [[list(row) for row in rep.seminormal(swap if s in subset else ident)] for s, rep in enumerate(reps)]
-                acc = exactla.mat_add(acc, exactla.kron_all(mats))
-            z_per_l.append(exactla.mat_mul(wut, exactla.mat_mul(acc, u)))
+                acc = exactla.mat_add(acc, kron_all(mats))
+            z_per_l.append(mat_mul(wut, mat_mul(acc, u)))
         linv = np.linalg.inv(np.linalg.cholesky(exactla.to_float(gram)))
         y_per_l = [linv @ exactla.to_float(z) @ linv.T for z in z_per_l]
         out.append((parts, len(vectors), len(weights), z_per_l, y_per_l, gram))
@@ -160,12 +191,12 @@ def _dense_irrep_blocks(system, keys):
         per_slot = [[[list(row) for row in rep.seminormal(g)] for g in system.group.elements] for rep in reps]
         vectors, weights = _dense_basis(parts)
         wut = [[w * x for w, x in zip(weights, v)] for v in vectors]
-        gram = exactla.mat_mul(wut, exactla.transpose(vectors))
+        gram = mat_mul(wut, transpose(vectors))
         z_per_var = {}
         for vi, key in enumerate(keys):
             acc = exactla.zeros(len(weights), len(weights))
             for arr in system.arrangements(key):
-                acc = exactla.mat_add(acc, exactla.kron_all([per_slot[s][g] for s, g in enumerate(arr)]))
+                acc = exactla.mat_add(acc, kron_all([per_slot[s][g] for s, g in enumerate(arr)]))
             z = _compress(acc, vectors, weights)
             if any(any(row) for row in z):
                 z_per_var[vi] = z
@@ -431,3 +462,62 @@ def test_cap_skips_tuples_without_a_block():
     assert [tuple(p.parts for p in tpl) for tpl in tuples] == [((5,), (5,)), ((4, 1), (4, 1)), ((3, 2), (3, 2))]
     with pytest.raises(ResourceCapError):
         blocks.block_tuples(system, cap=24)
+
+
+DENSE_SYSTEMS = [blocks.ame_system(n, d, 2) for n in (1, 2, 3) for d in (2, 3)]
+DENSE_SYSTEMS += [blocks.ame_system(n, d, 3) for n in (1, 2) for d in (2, 3)] + [blocks.SlotSystem(2, (3, 2), (0, 1))]
+
+
+def _dense_cases(system, rng):
+    """(operator, coefficient point) pairs: each variable of a random operator
+    with ordered keys alone, and the variable expansion at a random point."""
+    size = len(system.group.elements)
+    terms = {}
+    for _ in range(5):
+        key = tuple(rng.randrange(size) for _ in range(system.slots))
+        terms.setdefault(key, {})[rng.randrange(3)] = Fraction(rng.choice((-5, -2, 1, 3, 4)), rng.randint(1, 4))
+    op = blocks.SymbolicOperator(system, terms)
+    phi = blocks.SymbolicOperator.variable_expansion(system)
+    point = {v: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for v in range(len(system.keys()))}
+    return [(op, {v: 1}) for v in range(3)] + [(phi, point)]
+
+
+def _value(row, x):
+    return sum((c * x.get(v, 0) for v, c in row.items()), start=F0)
+
+
+def _assert_dense(op, x, want):
+    got, den = reference.matrix(op, x)
+    assert np.array_equal(got * want[1], want[0] * den)
+
+
+def test_symbolic_operator_matches_dense_reference():
+    """trace_row, pairing_row, adjoint, slotwise products, ptrace and untrace
+    against explicit int64 Kronecker matrices."""
+    rng = random.Random(11)
+    for system in DENSE_SYSTEMS:
+        tests = list(itertools.product(range(len(system.group.elements)), repeat=system.slots))
+        for op, x in _dense_cases(system, rng):
+            m, den = reference.matrix(op, x)
+            assert _value(op.trace_row(), x) == Fraction(int(np.trace(m)), den)
+            for t in tests:
+                pair = np.einsum("ij,ji->", reference.key_matrix(system, t), m)
+                assert _value(op.pairing_row(t), x) == Fraction(int(pair), den)
+            _assert_dense(op.adjoint(), x, (m.T, den))
+            taus = tests[rng.randrange(len(tests))]
+            v = reference.key_matrix(system, taus)
+            _assert_dense(op.slotwise_multiply(taus, "left"), x, (reference.mul(v, m), den))
+            _assert_dense(op.slotwise_multiply(taus, "right"), x, (reference.mul(m, v), den))
+            slots = tuple(sorted(rng.sample(range(system.slots), rng.randint(1, system.slots))))
+            copy = rng.randrange(system.copies)
+            cells = {(s, copy) for s in slots}
+            traced = op.ptrace(slots, copy)
+            reduced = reference.ptrace(m, system, cells)
+            _assert_dense(traced, x, (reduced, den))
+            assert _value(traced.trace_row(), x) == Fraction(int(np.trace(m)), den)
+            for t in tests[:: max(1, len(tests) // 8)]:
+                pair = np.einsum("ij,ji->", reference.key_matrix(system, t), reduced)
+                assert _value(traced.pairing_row(t), x) == Fraction(int(pair), den)
+            embedded = traced.untrace(cells)
+            _assert_dense(embedded, x, (reduced, den))
+            assert _value(embedded.trace_row(), x) == Fraction(int(np.trace(reduced)), den)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from reference import xi_coordinates
 
 from qmarginal import ame, blocks, codes as cd, hierarchy as hi
 from qmarginal.errors import InvalidInputError
@@ -32,7 +33,8 @@ def test_singleton_examples():
 
 def test_purecode_marginal_spec():
     spec = cd.code_marginal_spec(P523)
-    assert spec.uniform and spec.n == 6
+    assert spec.n == 6
+    assert spec.representative((0,) + (1,) * 5) == ((0, 4, 5), (0, 4, 5))
     assert spec.dims == (2, 2, 2, 2, 2, 2)
     assert len(spec.marginals) == 10
     for subset in spec.marginals:
@@ -259,21 +261,12 @@ def test_five_qubit_pair_satisfies_assembled_system():
             for subset in it.combinations(range(n), size):
                 acc += _swap_overlap(q_unnorm, aux, subset)
             sums[(aux, size)] = acc
-    # x_i, y_i from the dual pairing: a = K^2 x + K y, b = K x + K^2 y
-    from qmarginal import permalg as pa
-
-    xs, ys = [], []
-    for i in range(n + 1):
-        dual = pa.dual_basis_element(i, n, d)
-        a = F(0)
-        b = F(0)
-        for key, beta in dual.coeffs.items():
-            l = sum(1 for p in key if not p.is_identity())
-            a += beta * sums[(0, l)]
-            b += beta * sums[(1, l)]
-        det = F(K**4 - K**2)
-        xs.append((K * K * a - K * b) / det)
-        ys.append((K * K * b - K * a) / det)
+    # X_i coordinates per aux sector from the Gram system: a = K^2 x + K y, b = K x + K^2 y
+    a = xi_coordinates(n, d, [sums[(0, l)] for l in range(n + 1)])
+    b = xi_coordinates(n, d, [sums[(1, l)] for l in range(n + 1)])
+    det = F(K**4 - K**2)
+    xs = [(K * K * ai - K * bi) / det for ai, bi in zip(a, b)]
+    ys = [(K * K * bi - K * ai) / det for ai, bi in zip(a, b)]
     assert ys == xs[::-1]  # swap-invariance of the support
 
     bs = cd.code_two_party_constraints(P523, "ppt")

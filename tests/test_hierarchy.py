@@ -1,10 +1,12 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import reference
 
-from qmarginal import ame, blocks, exactla, hierarchy as hi, permalg as pa
+from qmarginal import ame, blocks, hierarchy as hi
 from qmarginal.errors import InvalidInputError, UnsupportedFeatureError
 from qmarginal.solve import lp_solve_exact, sdp_solve
 from qmarginal.symgroup import Permutation
@@ -28,11 +30,11 @@ def test_witness_value_matches_permalg_pairing():
         r = n // 2
         w = [F(int(rng.integers(-5, 6)), int(rng.integers(1, 4))) for _ in range(r + 1)]
         full = hi.unfold(w, n)
-        wop = pa.SymmetrizedOperator(2, n, d, {})
-        for l, wl in enumerate(full):
-            wop = wop + pa.xi_element(l, n, d).scale(wl)
-        phi = ame.candidate(n, d).operator()
-        assert wop.pairing(phi) == hi.witness_value(w, n, d)
+        gram = reference.xi_gram(n, d)
+        x = ame.candidate_x(n, d)
+        # Tr(W Phi) for W = sum_l w_l X_l and Phi = sum_j x_j X_j
+        pairing = sum(full[l] * gram[l][j] * x[j] for l in range(n + 1) for j in range(n + 1))
+        assert pairing == hi.witness_value(w, n, d)
 
 
 def test_negative_eigenprojector_is_a_witness_for_42():
@@ -129,7 +131,26 @@ def test_certify_exact_sign_below_float_range():
 
 
 def test_assemble_primal_rejects_nonuniform():
-    spec = hi.MarginalSpec(2, 2, {frozenset({0}): np.eye(2) / 2}, uniform=False)
+    spec = hi.MarginalSpec(2, 2, {frozenset({0}): np.eye(2) / 2})
+    with pytest.raises(UnsupportedFeatureError):
+        hi.assemble_primal(spec, 2)
+
+
+@pytest.mark.parametrize(
+    "n,marginals",
+    [
+        # satisfied by Bell pairs on slots (0,2) and (1,3), so no exact
+        # infeasible verdict may come from the symmetric representative
+        (4, {frozenset({0, 1}): "maximally_mixed"}),
+        # closed under the cyclic slot shift but not under swapping two slots
+        (3, {frozenset({0, 1}): frozenset({0}), frozenset({0, 2}): frozenset({2}), frozenset({1, 2}): frozenset({1})}),
+        (4, {frozenset({0, 1}): "maximally_mixed", frozenset({0, 2, 3}): "maximally_mixed"}),
+    ],
+    ids=["missing-subsets", "split-class", "mixed-sizes"],
+)
+def test_assemble_primal_rejects_specs_without_slot_symmetry(n, marginals):
+    # derived from a library spec, so every other field is one the assembler accepts
+    spec = dataclasses.replace(hi.ame_marginal_spec(n, 2), marginals=marginals)
     with pytest.raises(UnsupportedFeatureError):
         hi.assemble_primal(spec, 2)
 
@@ -206,40 +227,30 @@ def test_primal_tuple_enumeration_unique():
 # dense oracle for the block assembly (n=2, d=2, N=2)
 
 
-def _dense_sym(op):
-    return pa.dense_operator(op)
-
-
 def test_block_assembly_dense_oracle_n2():
     n, d, copies = 2, 2, 2
-    phi = ame.candidate(n, d).operator()
+    system = blocks.ame_system(n, d, copies)
+    xi = blocks.SymbolicOperator.variable_expansion(system)
+    dphi, den_phi = reference.matrix(xi, dict(enumerate(ame.candidate_x(n, d))))
     # P_2^+ = (1 + V x V)/2 in the coefficient algebra
     half = F(1, 2)
-    ident = Permutation.identity(2)
-    proj = pa.SymmetrizedOperator(2, n, d, {(ident, ident): half, (SWAP, SWAP): half})
+    ident, swap = system.group.identity, system.group.index[SWAP.images]
+    proj = blocks.SymbolicOperator(system, {(ident, ident): {0: half}, (swap, swap): {0: half}})
+    dp, den_p = reference.matrix(proj, {0: 1})
     rng = np.random.default_rng(2)
     w = [F(int(rng.integers(-3, 4)), 2) for _ in range(n // 2 + 1)]
-    wop = pa.SymmetrizedOperator(2, n, d, {})
-    for l, wl in enumerate(hi.unfold(w, n)):
-        wop = wop + pa.xi_element(l, n, d).scale(wl)
-
-    dp = _dense_sym(proj)
-    dw = _dense_sym(wop)
-    dphi = _dense_sym(phi)
-    pwp = exactla.mat_mul(dp, exactla.mat_mul(dw, dp))
+    dw, den_w = reference.matrix(xi, dict(enumerate(hi.unfold(w, n))))
+    pwp = reference.mul(dp, reference.mul(dw, dp))
 
     # exact objective identity: Tr(W Phi) in dense and in folded coordinates
-    tr = sum(exactla.mat_mul(dw, dphi)[i][i] for i in range(len(dw)))
-    assert tr == hi.witness_value(w, n, d)
+    assert F(int(np.trace(reference.mul(dw, dphi))), den_w * den_phi) == hi.witness_value(w, n, d)
     # Phi is supported on the symmetric subspace: P Phi P = Phi
-    assert exactla.mat_mul(dp, exactla.mat_mul(dphi, dp)) == dphi
+    assert np.array_equal(reference.mul(dp, reference.mul(dphi, dp)), dphi * den_p**2)
 
     # blockwise values of P (W x 1) P agree with the dense spectrum on the support
     dual = hi.assemble_dual_witness(n, d, copies)
     vals = sorted(float(sum(float(hi.unfold(w, n)[l]) * blk.y_per_var[l][0, 0] for l in range(n + 1))) for blk in dual.blocks)
-    dense_evs = np.linalg.eigvalsh(exactla.to_float(pwp))
-    support = np.linalg.matrix_rank(exactla.to_float(dp))
-    top = sorted(dense_evs, key=abs, reverse=True)[:support]
+    dense_evs = np.linalg.eigvalsh(pwp / (den_p**2 * den_w))
     for v in vals:
         assert any(abs(v - t) < 1e-9 for t in dense_evs), (v, dense_evs)
 

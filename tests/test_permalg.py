@@ -1,214 +1,157 @@
-import itertools
+"""The permutation-tensor algebra (`blocks.SymbolicOperator`) on small examples.
+
+The dense check of every operation is
+`test_blocks.test_symbolic_operator_matches_dense_reference`.
+"""
+
+import random
 from fractions import Fraction
+from math import comb
 
-import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
+from reference import dual_coefficients, xi_gram
 
-from qmarginal import exactla, permalg as pa
-from qmarginal.errors import InvalidInputError
+from qmarginal import blocks
 from qmarginal.symgroup import Permutation
 
-SWAP = Permutation.transposition(2, 0, 1)
-IDENT = Permutation.identity(2)
+F1 = Fraction(1)
+
+
+def _single(system, key, coeff=F1):
+    """coeff V_{key_0} x ... x V_{key_{n-1}} as variable 0."""
+    return blocks.SymbolicOperator(system, {tuple(key): {0: coeff}})
+
+
+def _index(system, perm):
+    return system.group.index[perm.images]
 
 
 def test_perm_trace():
-    assert pa.perm_trace(Permutation.identity(2), 5) == 25
-    assert pa.perm_trace(SWAP, 7) == 7
-    assert pa.perm_trace(Permutation.full_cycle(3), 6) == 6
+    # Tr V_sigma on (C^d)^N is d^#cycles
+    for copies, d in ((2, 5), (2, 7), (3, 6)):
+        system = blocks.ame_system(1, d, copies)
+        for sigma in system.group.elements:
+            assert _single(system, (_index(system, sigma),)).trace_row() == {0: d ** sigma.n_cycles()}
 
 
 def test_partial_trace_copy_table():
-    # trace the third copy (index 2) out of three
-    e3 = Permutation.identity(3)
-    v_ab = Permutation.transposition(3, 0, 1)
-    v_ac = Permutation.transposition(3, 0, 2)
-    v_bc = Permutation.transposition(3, 1, 2)
-    v_abc = Permutation.from_cycles(3, [(0, 1, 2)])
-    v_cba = Permutation.from_cycles(3, [(2, 1, 0)])
+    # trace the third copy (index 2) out of three: a fixed point gives d,
+    # otherwise the copy leaves its cycle
     d = 9
-    assert pa.partial_trace_copy(e3, 2, d) == (d, e3)
-    assert pa.partial_trace_copy(v_ab, 2, d) == (d, v_ab)
-    assert pa.partial_trace_copy(v_ac, 2, d) == (1, e3)
-    assert pa.partial_trace_copy(v_bc, 2, d) == (1, e3)
-    assert pa.partial_trace_copy(v_abc, 2, d) == (1, v_ab)
-    assert pa.partial_trace_copy(v_cba, 2, d) == (1, v_ab)
-    with pytest.raises(InvalidInputError):
-        pa.partial_trace_copy(e3, 3, d)
+    system = blocks.ame_system(1, d, 3)
+    table = [
+        (Permutation.identity(3), d, Permutation.identity(3)),
+        (Permutation.transposition(3, 0, 1), d, Permutation.transposition(3, 0, 1)),
+        (Permutation.transposition(3, 0, 2), 1, Permutation.identity(3)),
+        (Permutation.transposition(3, 1, 2), 1, Permutation.identity(3)),
+        (Permutation.from_cycles(3, [(0, 1, 2)]), 1, Permutation.transposition(3, 0, 1)),
+        (Permutation.from_cycles(3, [(2, 1, 0)]), 1, Permutation.transposition(3, 0, 1)),
+    ]
+    for sigma, factor, reduced in table:
+        traced = _single(system, (_index(system, sigma),)).ptrace((0,), 2)
+        assert traced.terms == {(_index(system, reduced),): {0: Fraction(factor)}}
+        assert traced.traced == {(0, 2)}
 
 
 def test_op_trace_examples():
-    assert pa.xi_element(0, 3, 2).op_trace() == 64
     for n in range(2, 6):
-        for i in range(n + 1):
-            for d in (2, 3, 6):
-                from math import comb
-
-                assert pa.xi_element(i, n, d).op_trace() == comb(n, i) * d ** (2 * n - i)
+        for d in (2, 3, 6):
+            row = blocks.SymbolicOperator.variable_expansion(blocks.ame_system(n, d, 2)).trace_row()
+            assert row == {i: comb(n, i) * d ** (2 * n - i) for i in range(n + 1)}
 
 
 def test_left_multiply_swap():
-    op = pa.xi_element(1, 3, 4)
-    assert op.left_multiply_swap(IDENT) == op
     for n in (2, 3, 4):
-        for i in range(n + 1):
-            assert pa.xi_element(i, n, 5).left_multiply_swap(SWAP) == pa.xi_element(n - i, n, 5)
+        system = blocks.ame_system(n, 5, 2)
+        phi = blocks.SymbolicOperator.variable_expansion(system)
+        ident, swap = system.group.identity, _index(system, Permutation.transposition(2, 0, 1))
+        assert phi.slotwise_multiply((ident,) * n).terms == phi.terms
+        swapped = phi.slotwise_multiply((swap,) * n)
+        # X_i V^(x n) = X_{n-i}
+        assert swapped.terms == {key: {n - v: c for v, c in lin.items()} for key, lin in phi.terms.items()}
 
 
 @given(st.integers(min_value=2, max_value=4), st.data())
 @settings(max_examples=25, deadline=None)
 def test_left_multiply_group_action(n, data):
-    imgs = data.draw(st.permutations(range(3)))
-    sigma = Permutation(tuple(imgs))
-    coeffs = {}
-    els = [Permutation(p) for p in itertools.permutations(range(3))]
-    for _ in range(3):
-        key = tuple(els[data.draw(st.integers(0, 5))] for _ in range(n))
-        coeffs[key] = Fraction(data.draw(st.integers(-5, 5)), 3)
-    op = pa.SymmetrizedOperator(3, n, 2, coeffs)
-    back = op.left_multiply_swap(sigma).left_multiply_swap(sigma.inverse())
-    assert back == op
+    system = blocks.ame_system(n, 2, 3)
+    sigma = data.draw(st.integers(0, 5))
+    terms = {}
+    for v in range(3):
+        key = tuple(data.draw(st.integers(0, 5)) for _ in range(n))
+        terms.setdefault(key, {})[v] = Fraction(data.draw(st.integers(-5, 5)) or 1, 3)
+    op = blocks.SymbolicOperator(system, terms)
+    for side in ("left", "right"):
+        back = op.slotwise_multiply((sigma,) * n, side).slotwise_multiply((system.group.inv[sigma],) * n, side)
+        assert back.terms == op.terms
 
 
 def test_canonicalization_idempotent():
-    key = (SWAP, IDENT, SWAP)
-    canon = pa.canonical_key(key)
-    assert pa.canonical_key(canon) == canon
-    assert pa.arrangement_count(canon) == 3
+    system = blocks.ame_system(3, 2, 2)
+    canon = system.canonical((1, 0, 1))
+    assert canon == (0, 1, 1) and system.canonical(canon) == canon
+    assert sorted(system.arrangements(canon)) == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
 
 
 def test_dual_basis_pairing_small():
     for n in (1, 2, 3, 4):
         for d in (2, 3):
-            duals = [pa.dual_basis_element(i, n, d) for i in range(n + 1)]
+            gram = xi_gram(n, d)
             for i in range(n + 1):
-                for j in range(n + 1):
-                    assert duals[i].pairing(pa.xi_element(j, n, d)) == (1 if i == j else 0)
+                dual = dual_coefficients(i, n, d)
+                assert [sum(dual[k] * gram[k][j] for k in range(n + 1)) for j in range(n + 1)] == [int(i == j) for j in range(n + 1)]
 
 
 def test_pairing_examples():
-    assert pa.xi_element(0, 3, 2).pairing(pa.xi_element(0, 3, 2)) == 2**6
-    with pytest.raises(InvalidInputError):
-        pa.xi_element(0, 2, 2).pairing(pa.xi_element(0, 2, 3))
+    # Tr(X_0 X_0) = Tr(1) on two copies of three qubits
+    assert xi_gram(3, 2)[0][0] == 2**6
+    # Tr(X_1 X_1) for one slot: Tr(V V) = d^2
+    assert xi_gram(1, 4)[1][1] == 16
 
 
-def _dense_trace(m):
-    return sum(m[i][i] for i in range(len(m)))
-
-
-def _dense_mul(a, b):
-    return exactla.mat_mul(a, b)
-
-
-def _random_symmetrized(rng, n, d, nterms=3):
-    els = [Permutation(p) for p in itertools.permutations(range(2))]
-    coeffs = {}
-    for _ in range(nterms):
-        key = tuple(els[rng.integers(2)] for _ in range(n))
-        coeffs[key] = coeffs.get(pa.canonical_key(key), Fraction(0)) + Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5)))
-    return pa.SymmetrizedOperator(2, n, d, coeffs)
-
-
-def test_dense_oracle_equivalence():
-    """Every operation matches explicit Kronecker matrices for N=2, n<=3, d<=3."""
-    rng = np.random.default_rng(3)
-    for n in (1, 2, 3):
-        for d in (2, 3):
-            a = _random_symmetrized(rng, n, d)
-            b = _random_symmetrized(rng, n, d)
-            da, db = pa.dense_operator(a), pa.dense_operator(b)
-            # trace
-            assert _dense_trace(da) == a.op_trace()
-            # pairing
-            assert _dense_trace(_dense_mul(da, db)) == a.pairing(b)
-            # left multiplication by the slotwise swap
-            swapped = pa.dense_operator(a.left_multiply_swap(SWAP))
-            vmat = exactla.kron_all([pa.dense_perm_matrix(SWAP, d)] * n)
-            assert swapped == _dense_mul(vmat, da)
-            # adjoint
-            assert pa.dense_operator(a.adjoint()) == exactla.transpose(da)
-            # marginal over copy 0 of slot 0
-            marg = a.marginal_of([0], 0)
-            got = pa.dense_ptrace_copy(da, 2, n, d, [0], 0)
-            want = _dense_ordered(marg, n, d)
-            assert got == want
-
-
-def _dense_ordered(op, n, d):
-    """Dense matrix of an ordered operator on the reduced (traced cells removed) space."""
-    dims = []
-    cell_of = {}
-    for s in range(n):
-        for c in range(2):
-            if (s, c) not in op.traced:
-                cell_of[(s, c)] = len(dims)
-                dims.append(d)
-    size = 1
-    for v in dims:
-        size *= v
-    total = exactla.zeros(size, size)
-    for key, coeff in op.coeffs.items():
-        mats = []
-        for s in range(n):
-            kept = [c for c in range(2) if (s, c) not in op.traced]
-            if len(kept) == 2:
-                mats.append(pa.dense_perm_matrix(key[s], d))
-            elif len(kept) == 1:
-                # permutation fixes the traced copy; restriction is the identity
-                mats.append(exactla.identity(d))
-            else:
-                mats.append([[Fraction(1)]])
-        total = exactla.mat_add(total, exactla.kron_all(mats), scale=coeff)
-    return total
+def _random_operator(system, seed):
+    rng = random.Random(seed)
+    size = len(system.group.elements)
+    terms = {}
+    for v in range(3):
+        terms.setdefault(tuple(rng.randrange(size) for _ in range(system.slots)), {})[v] = Fraction(rng.randint(1, 6), rng.randint(1, 4))
+    return blocks.SymbolicOperator(system, terms)
 
 
 def test_marginal_trace_compatibility():
-    rng = np.random.default_rng(5)
     for n in (2, 3):
-        op = _random_symmetrized(rng, n, 3)
-        t = op.op_trace()
+        op = _random_operator(blocks.ame_system(n, 3, 2), n)
+        total = op.trace_row()
         for slots in ([0], [0, 1], list(range(n))):
             for copy in (0, 1):
-                assert op.marginal_of(slots, copy).trace() == t
+                assert op.ptrace(slots, copy).trace_row() == total
 
 
 def test_marginal_nothing_is_identity_embedding():
-    rng = np.random.default_rng(7)
-    op = _random_symmetrized(rng, 2, 2)
-    assert op.marginal_of([], 0) == op.to_ordered()
+    op = _random_operator(blocks.ame_system(2, 2, 2), 7)
+    traced = op.ptrace((), 0)
+    assert traced.terms == op.terms and not traced.traced
 
 
 def test_dual_basis_mirrored_example():
     # single-slot duals: index 1 pairs with the swap
     d = 5
-    d1 = pa.dual_basis_element(1, 1, d)
     s = Fraction(1, d * d - 1)
-    assert d1.coeffs[(IDENT,)] == -s / d
-    assert d1.coeffs[(SWAP,)] == s
-    d0 = pa.dual_basis_element(0, 1, d)
-    assert d0.coeffs[(IDENT,)] == s
-    assert d0.coeffs[(SWAP,)] == -s / d
+    assert dual_coefficients(1, 1, d) == [-s / d, s]
+    assert dual_coefficients(0, 1, d) == [s, -s / d]
 
 
 def test_xi_basis_card():
-    card = pa.XiBasis(3, 2, 1)
-    assert card.element() == pa.xi_element(1, 3, 2)
-    dual = pa.XiBasis(3, 2, 1, dual=True)
-    assert dual.element() == pa.dual_basis_element(1, 3, 2)
-    with pytest.raises(InvalidInputError):
-        pa.XiBasis(3, 2, 5)
-
-
-def test_dense_operator_cap():
-    from qmarginal.errors import ResourceCapError
-
-    with pytest.raises(ResourceCapError):
-        pa.dense_operator(pa.xi_element(0, 8, 6))
+    # variable i of the two-copy system is X_i: the key with i swaps
+    system = blocks.ame_system(3, 2, 2)
+    ident, swap = system.group.identity, _index(system, Permutation.transposition(2, 0, 1))
+    assert system.keys() == [(ident,) * (3 - i) + (swap,) * i for i in range(4)]
+    assert [len(system.arrangements(key)) for key in system.keys()] == [comb(3, i) for i in range(4)]
 
 
 def test_perm_tensor_basis_element():
-    el = pa.PermTensorBasisElement((SWAP, IDENT, SWAP), d=3)
-    assert el.n == 3 and el.copies == 2
-    assert el.canonical().slots == pa.canonical_key((SWAP, IDENT, SWAP))
-    assert el.trace() == 3 * 9 * 3
+    system = blocks.ame_system(3, 3, 2)
+    ident, swap = system.group.identity, _index(system, Permutation.transposition(2, 0, 1))
+    key = (swap, ident, swap)
+    assert system.canonical(key) == (ident, swap, swap)
+    assert _single(system, key).trace_row() == {0: 3 * 9 * 3}

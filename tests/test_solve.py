@@ -229,19 +229,3 @@ def test_sdpa_17_digit_round_trip(tmp_path):
     p2 = sv.parse_sdpa(f)
     assert p2.blocks[0].f0[0, 0] == val
     assert p2.blocks[0].fs[0][0, 0] == np.pi
-
-
-def test_parse_sdpa_solution(tmp_path):
-    out = tmp_path / "result.out"
-    out.write_text(
-        "phase.value = pdOPT\n"
-        "objValPrimal = -5.0000000e-01\n"
-        "objValDual   = -4.9999999e-01\n"
-        "xVec = \n"
-        "{ 1.0, -0.5, +2.5e-1 }\n"
-        "xMat = {...}\n"
-    )
-    sol = sv.parse_sdpa_solution(out)
-    assert sol["objValPrimal"] == -0.5
-    assert abs(sol["objValDual"] + 0.5) < 1e-7
-    assert sol["x"] == [1.0, -0.5, 0.25]

@@ -189,67 +189,74 @@ def test_trivial_multiplicity_examples():
         sg.trivial_multiplicity([(2, 1), (2, 2)])
 
 
+def _reynolds(tpl):
+    """Dense float Reynolds projector: the group average of the tensored orthogonal-form matrices."""
+    n = sg.Partition(tpl[0]).n
+    acc = None
+    for sigma in sg.group_elements(n):
+        m = np.array([[1.0]])
+        for lam in tpl:
+            m = np.kron(m, sg.irrep_matrix(lam, sigma, "orthogonal").entries)
+        acc = m if acc is None else acc + m
+    return acc / factorial(n)
+
+
+def _exact_projector(tpl):
+    """Orthogonal projector onto the span of the exact basis, moved to the orthogonal picture."""
+    vectors, weights = sg.invariant_basis_exact(tpl)
+    u = np.array([[float(x) for x in v] for v in vectors]).T * np.sqrt([float(w) for w in weights])[:, None]
+    q, _ = np.linalg.qr(u)
+    return q @ q.T
+
+
 def test_trivial_multiplicity_bruteforce_s3():
     # direct average of the tensored representation matrices
     for tpl in itertools.combinations_with_replacement(sg.enumerate_partitions(3, 3), 2):
-        acc = None
-        for sigma in sg.group_elements(3):
-            m = np.array([[1.0]])
-            for lam in tpl:
-                m = np.kron(m, sg.irrep_matrix(lam, sigma, "orthogonal").entries)
-            acc = m if acc is None else acc + m
-        acc /= 6
-        rank = int(round(np.trace(acc)))
-        assert rank == sg.trivial_multiplicity(tpl)
+        assert round(np.trace(_reynolds(tpl))) == sg.trivial_multiplicity(tpl)
 
 
 def test_block_projector_trivial_tuple():
-    bp = sg.block_projector([(4,), (4,), (4,)], materialize=True)
-    assert bp.rank == 1 and bp.matrix.shape == (1, 1) and abs(bp.matrix[0, 0] - 1) < 1e-14
+    assert sg.invariant_basis_exact([(4,), (4,), (4,)]) == ([[Fraction(1)]], [Fraction(1)])
+    assert np.allclose(_reynolds([(4,), (4,), (4,)]), [[1.0]], atol=1e-14)
 
 
 def test_block_projector_twirl_vs_kernel():
     tpl = [(2, 1), (2, 1)]
-    bt = sg.block_projector(tpl, method="twirl", materialize=True)
-    bk = sg.block_projector(tpl, method="kernel", materialize=True)
-    assert bt.rank == bk.rank == 1
-    assert bt.matrix.shape == (4, 4)
-    pt = bt.basis @ bt.basis.T
-    pk = bk.basis @ bk.basis.T
-    assert np.max(np.abs(pt - pk)) < 1e-10
-    assert np.max(np.abs(bt.matrix - pt)) < 1e-10
+    twirl = _reynolds(tpl)
+    # the kernel of the two-generator expression, by SVD
+    gens = (sg.Permutation.transposition(3, 0, 1), sg.Permutation.full_cycle(3))
+    stacked = np.vstack([np.kron(*(sg.irrep_matrix(lam, g, "orthogonal").entries for lam in tpl)) - np.eye(4) for g in gens])
+    _, s, vt = np.linalg.svd(stacked)
+    kernel = vt[np.concatenate([s, np.zeros(4 - len(s))]) <= 1e-8]
+    assert len(kernel) == 1 and np.max(np.abs(kernel.T @ kernel - twirl)) < 1e-10
 
 
 def test_block_projector_idempotent_s4():
     for tpl in itertools.combinations_with_replacement(sg.enumerate_partitions(4, 4), 3):
         if sg.irrep_dimension(tpl[0]) * sg.irrep_dimension(tpl[1]) * sg.irrep_dimension(tpl[2]) > 64:
             continue
-        bp = sg.block_projector(tpl, materialize=True)
-        assert np.max(np.abs(bp.matrix @ bp.matrix - bp.matrix)) < 1e-12
-        assert np.max(np.abs(bp.matrix - bp.matrix.T)) < 1e-12
-        assert bp.rank == sg.trivial_multiplicity(tpl)
+        p = _reynolds(tpl)
+        assert np.max(np.abs(p @ p - p)) < 1e-12
+        assert np.max(np.abs(p - p.T)) < 1e-12
+        assert round(np.trace(p)) == sg.trivial_multiplicity(tpl)
+        assert np.max(np.abs(_exact_projector(tpl) - p)) < 1e-10
 
 
 def test_block_projector_rank_grid():
     for n in range(2, 5):
         for r in range(1, 4):
             for tpl in itertools.combinations_with_replacement(sg.enumerate_partitions(n, n), r):
-                bp = sg.block_projector(tpl)
-                assert bp.rank == sg.trivial_multiplicity(tpl), tpl
+                assert len(sg.invariant_basis_exact(tpl)[0]) == sg.trivial_multiplicity(tpl), tpl
 
 
 def test_invariant_basis_exact_matches_float():
-    vecs, weights = sg.invariant_basis_exact([(2, 1), (2, 1)])
-    assert len(vecs) == 1
-    v = np.array([float(x) for x in vecs[0]]) * np.sqrt(np.array([float(w) for w in weights]))
-    v /= np.linalg.norm(v)
-    bp = sg.block_projector([(2, 1), (2, 1)])
-    overlap = abs(float(bp.basis[:, 0] @ v))
-    assert abs(overlap - 1) < 1e-10
+    tpl = [(2, 1), (2, 1)]
+    assert len(sg.invariant_basis_exact(tpl)[0]) == 1
+    assert np.max(np.abs(_exact_projector(tpl) - _reynolds(tpl))) < 1e-10
 
 
 def test_resource_cap():
     from qmarginal.errors import ResourceCapError
 
     with pytest.raises(ResourceCapError):
-        sg.block_projector([(3, 1, 1)] * 4, materialize=True, cap=10)
+        sg.invariant_basis_exact([(3, 1, 1)] * 4, cap=10)
