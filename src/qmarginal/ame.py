@@ -1,12 +1,16 @@
 """Closed-form existence analysis for absolutely maximally entangled states.
 
 For n parties of local dimension d, the symmetrized two-party extension
-compatible with maximally mixed half-body marginals is unique. Its
-coefficients over the swap-tensor basis, its eigenvalues, and the
-eigenvalues of its partial transpose all have closed forms in exact
-rational arithmetic. A negative eigenvalue on either side rules the AME
-state out; otherwise the test is inconclusive (positivity and PPT are
-necessary conditions only, so there is no "exists" verdict here).
+compatible with maximally mixed half-body marginals is unique:
+Phi = sum_l x_l P{V^l 1^(n-l)}. Its eigenvalues are p = K x, with K the
+d-independent binary Krawtchouk matrix (K K = 2^n I), and the
+eigenvalues of its partial transpose are q = T x, with
+T[j][l] = binom(n-j, l) d^l. One kernel computes p from a closed form,
+then x = K p / 2^n and q = T x, all as integer numerators over one
+shared denominator, and forms one `Fraction` per entry. A negative
+eigenvalue on either side rules the AME state out; otherwise the test
+is inconclusive (positivity and PPT are necessary conditions only, so
+there is no "exists" verdict here).
 """
 
 from __future__ import annotations
@@ -15,12 +19,11 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
+from operator import mul
 
 from .errors import InvalidInputError
-
-F0 = Fraction(0)
-F1 = Fraction(1)
 
 TSV_COLUMNS = ("n", "d", "verdict", "violated_condition", "witness_value")
 
@@ -37,57 +40,72 @@ def _validate(n: int, d: int):
         raise InvalidInputError(f"need n >= 2 and d >= 2, got n={n}, d={d}")
 
 
-def candidate_x(n: int, d: int) -> list[Fraction]:
-    """Coefficients x_0..x_n of the unique symmetrized two-party extension.
-
-    x_i = (-1)^i / (d^2-1)^n * sum_{l,k} (-1)^l binom(i,k) binom(n-i,l-k)
-          / min(d^{i+2l-2k}, d^{n+i-2k}).
-    """
-    _validate(n, d)
-    scale = F1 / Fraction(d * d - 1) ** n
-    out = []
-    for i in range(n + 1):
-        acc = F0
+@lru_cache(maxsize=None)
+def krawtchouk(n: int) -> tuple[tuple[int, ...], ...]:
+    """Binary Krawtchouk matrix: K[j][l] = sum_k (-1)^k binom(j,k) binom(n-j,l-k),
+    the coefficient of z^l in (1-z)^j (1+z)^(n-j). It is the value of
+    P{V^l 1^(n-l)} on an eigenvector with j antisymmetric slots, and
+    K K = 2^n I. Row j+1 follows from (1+z) row_{j+1} = (1-z) row_j."""
+    rows = [tuple(comb(n, l) for l in range(n + 1))]
+    for _ in range(n):
+        prev, row = rows[-1], []
         for l in range(n + 1):
-            for k in range(l + 1):
-                c = binom(i, k) * binom(n - i, l - k)
-                if not c:
-                    continue
-                denom = min(d ** (i + 2 * l - 2 * k), d ** (n + i - 2 * k))
-                acc += Fraction((-1) ** l * c, denom)
-        out.append((-1) ** i * scale * acc)
-    return out
+            row.append(prev[l] - (prev[l - 1] + row[l - 1] if l else 0))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def ppt_table(n: int, d: int) -> list[list[int]]:
+    """T[j][l] = binom(n-j, l) d^l: the value of the partially transposed
+    P{V^l 1^(n-l)} on an eigenvector with j factors orthogonal to the
+    maximally entangled state (the transposed swap is d times its projector)."""
+    powers = [d**l for l in range(n + 1)]
+    return [[comb(n - j, l) * powers[l] for l in range(n + 1)] for j in range(n + 1)]
+
+
+def _dot(row, v) -> int:
+    return sum(map(mul, row, v))
+
+
+def _denominator(n: int, d: int) -> int:
+    return d ** (n // 2 + n) * (d * d - 1) ** n
+
+
+def _p_numerators(n: int, d: int) -> list[int]:
+    """p over `_denominator`: p_j = sum_l K[j][l] / (d^n (d+1)^(n-j) (d-1)^j min(d^l, d^(n-l))).
+    Every min(d^l, d^(n-l)) divides d^(n//2)."""
+    _validate(n, d)
+    h = n // 2
+    a = [d ** (h - min(l, n - l)) for l in range(n + 1)]
+    return [_dot(row, a) * (d + 1) ** j * (d - 1) ** (n - j) for j, row in enumerate(krawtchouk(n))]
+
+
+def _x_numerators(n: int, d: int) -> list[int]:
+    """x over 2^n `_denominator`: p = K x, so x = K p / 2^n."""
+    p = _p_numerators(n, d)
+    return [_dot(row, p) for row in krawtchouk(n)]
+
+
+def candidate_x(n: int, d: int) -> list[Fraction]:
+    """Coefficients x_0..x_n of the unique symmetrized two-party extension."""
+    den = _denominator(n, d) << n
+    return [Fraction(v, den) for v in _x_numerators(n, d)]
 
 
 def eigenvalues_p(n: int, d: int) -> list[Fraction]:
     """Eigenvalues p_0..p_n of the candidate, indexed by the number of
     antisymmetric tensor factors in the eigenspace."""
-    _validate(n, d)
-    out = []
-    for i in range(n + 1):
-        acc = F0
-        for l in range(n + 1):
-            for k in range(l + 1):
-                c = binom(i, k) * binom(n - i, l - k)
-                if not c:
-                    continue
-                acc += Fraction((-1) ** k * c, min(d**l, d ** (n - l)))
-        out.append(acc / (d**n * (d + 1) ** (n - i) * (d - 1) ** i))
-    return out
+    den = _denominator(n, d)
+    return [Fraction(v, den) for v in _p_numerators(n, d)]
 
 
 def eigenvalues_q(n: int, d: int) -> list[Fraction]:
     """Eigenvalues q_0..q_n of the partial transpose of the candidate,
     indexed by the number of factors orthogonal to the maximally
-    entangled state."""
-    _validate(n, d)
-    out = []
-    for i in range(n + 1):
-        acc = F0
-        for k in range(i + 1):
-            acc += Fraction((-1) ** k * binom(i, k), min(d ** (2 * (n + k - i)), d**n))
-        out.append(acc / Fraction(d * d - 1) ** i)
-    return out
+    entangled state: q = T x."""
+    x = _x_numerators(n, d)
+    den = _denominator(n, d) << n
+    return [Fraction(_dot(row, x), den) for row in ppt_table(n, d)]
 
 
 @dataclass(frozen=True)

@@ -234,15 +234,12 @@ class SymbolicOperator:
             self.system, {k: {v: s * c for v, c in lin.items()} for k, lin in self.terms.items()}, self.traced
         )
 
-    def slotwise_multiply(self, taus: tuple[int, ...], side: str = "left") -> "SymbolicOperator":
+    def slotwise_multiply(self, taus: tuple[int, ...]) -> "SymbolicOperator":
+        """The left product (V_{taus_0} x ... x V_{taus_{n-1}}) self."""
         g = self.system.group
         out = SymbolicOperator(self.system, {}, self.traced)
         for key, lin in self.terms.items():
-            if side == "left":
-                nk = tuple(g.mul[t][k] for t, k in zip(taus, key))
-            else:
-                nk = tuple(g.mul[k][t] for t, k in zip(taus, key))
-            out._merge(nk, lin)
+            out._merge(tuple(g.mul[t][k] for t, k in zip(taus, key)), lin)
         return out
 
     def adjoint(self) -> "SymbolicOperator":
@@ -425,6 +422,8 @@ def witness_blocks(n: int, d: int, copies: int, cap: int = 512) -> list[IrrepBlo
     appear, so blocks are shared across d, levels and repeated calls.
     The cap is checked on every surviving tuple before any block is built.
     """
+    if n < 2 or d < 2:
+        raise InvalidInputError(f"need n >= 2 and d >= 2, got n={n}, d={d}")
     system = ame_system(n, d, copies)
     tuples = block_tuples(system, cap)
     g = system.group

@@ -25,6 +25,7 @@ from math import comb
 
 import numpy as np
 
+from .ame import krawtchouk, ppt_table
 from .blocks import SlotSystem
 from .errors import InvalidInputError, ResourceCapError
 from .hierarchy import CONST, BlockSdp, MarginalSpec, assemble_primal, solve_primal
@@ -211,16 +212,6 @@ class ScalarBlock:
         return [[total]]
 
 
-def _pattern_eigencoeff(n: int, j: int, l: int) -> int:
-    """Value contribution of P{V^l 1^(n-l)} on a j-antisymmetric-slot eigenvector."""
-    return sum((-1) ** k * comb(j, k) * comb(n - j, l - k) for k in range(max(0, l - (n - j)), min(j, l) + 1))
-
-
-def _ppt_coeff(n: int, j: int, i: int, d: int) -> int:
-    """Value of the partially transposed P{V^i 1^(n-i)} on a j-orthogonal-slot eigenvector."""
-    return comb(n - j, i) * d**i if i <= n - j else 0
-
-
 def code_two_party_constraints(params: CodeParams, level: str = "ppt") -> BlockSdp:
     """Equalities and scalar positivity/PPT sectors of the symmetrized
     two-party code operator.
@@ -304,45 +295,35 @@ def code_two_party_constraints(params: CodeParams, level: str = "ppt") -> BlockS
             seen.add(keyed)
             cleaned.append(r)
 
+    # pos sectors are rows j of the Krawtchouk matrix; ppt sectors rows of T_d
     blocks = []
     sym2 = Partition((2,))
     anti2 = Partition((1, 1))
-    for j in range(n + 1):
-        coeffs = {xv(l): _pattern_eigencoeff(n, j, l) for l in range(nx)}
-        if aux_free:
-            if j % 2 == 0:
-                z = {v: [[Fraction(c)]] for v, c in coeffs.items() if c}
-                blocks.append(ScalarBlock((sym2, ("pattern", j)), "pos", 1, z))
-        else:
-            # aux symmetric sector needs total sign parity even: j even
-            if j % 2 == 0:
-                z = {}
-                for l in range(nx):
-                    c = coeffs[xv(l)]
-                    if c:
-                        z[xv(l)] = [[Fraction(c)]]
-                        z[yv(l)] = [[Fraction(c)]]
-                blocks.append(ScalarBlock((sym2, ("pattern", j)), "pos", 1, z))
-            elif params.K >= 2:
-                z = {}
-                for l in range(nx):
-                    c = coeffs[xv(l)]
-                    if c:
-                        z[xv(l)] = [[Fraction(c)]]
-                        z[yv(l)] = [[Fraction(-c)]]
-                blocks.append(ScalarBlock((anti2, ("pattern", j)), "pos", 1, z))
+    for j, row in enumerate(krawtchouk(n)):
+        # total sign parity is even: even j sit in the aux-symmetric sector
+        # (y enters with +), odd j in the aux-antisymmetric one (y with -),
+        # which K = 1 does not have
+        if aux_free and j % 2:
+            continue
+        sign = -1 if j % 2 else 1
+        z = {}
+        for l, c in enumerate(row):
+            if c:
+                z[xv(l)] = [[Fraction(c)]]
+                if not aux_free:
+                    z[yv(l)] = [[Fraction(sign * c)]]
+        blocks.append(ScalarBlock((anti2 if j % 2 else sym2, ("pattern", j)), "pos", 1, z))
     if level == "ppt":
-        for j in range(n + 1):
-            base = {i: _ppt_coeff(n, j, i, d) for i in range(nx)}
+        for j, row in enumerate(ppt_table(n, d)):
             z = {}
-            for i, c in base.items():
+            for i, c in enumerate(row):
                 if c:
                     z[xv(i)] = [[Fraction(c)]]
                     if not aux_free:
                         z[yv(i)] = [[Fraction(K * c)]]
             blocks.append(ScalarBlock((("phi-sector",), ("pattern", j)), "ppt", 1, z))
             if not aux_free:
-                z2 = {xv(i): [[Fraction(c)]] for i, c in base.items() if c}
+                z2 = {xv(i): [[Fraction(c)]] for i, c in enumerate(row) if c}
                 blocks.append(ScalarBlock((("perp-sector",), ("pattern", j)), "ppt", 1, z2))
 
     system = SlotSystem(2, (params.K,) + (d,) * n, (0,) + (1,) * n)

@@ -202,7 +202,7 @@ def assemble_primal(spec: MarginalSpec, copies: int, cap: int = 512) -> BlockSdp
 
     for gen in (Permutation.transposition(copies, 0, 1), Permutation.full_cycle(copies)):
         gi = g.index[gen.images]
-        moved = phi.slotwise_multiply((gi,) * system.slots, side="left")
+        moved = phi.slotwise_multiply((gi,) * system.slots)
         rows += _rows_from_operator(moved.sub(phi), canon_tests)
 
     traced = tuple(s for s in range(system.slots) if s not in kept)

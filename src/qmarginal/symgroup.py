@@ -1,11 +1,10 @@
 """Representation theory of the symmetric group S_N.
 
 Provides partitions, characters (Murnaghan-Nakayama), irreducible
-representation matrices in Young's seminormal form (exact rationals) and
-Young's orthogonal form (floats), multiplicities of irreps inside the
-natural action on (C^d)^{otimes N}, and exact bases of the subspace of
-an irrep tensor product that transforms trivially under the diagonal
-action.
+representation matrices in Young's seminormal form (exact rationals)
+with the weights of the orthogonalization metric, and exact bases of the
+subspace of an irrep tensor product that transforms trivially under the
+diagonal action.
 
 Conventions, fixed here and asserted by the test suite:
 
@@ -31,12 +30,9 @@ from .errors import InternalConsistencyError, InvalidInputError, ResourceCapErro
 __all__ = [
     "Partition",
     "Permutation",
-    "IrrepMatrix",
     "enumerate_partitions",
     "irrep_dimension",
     "character",
-    "irrep_matrix",
-    "gl_multiplicity",
     "trivial_multiplicity",
     "invariant_basis_exact",
     "conjugacy_classes",
@@ -166,25 +162,6 @@ def class_size(cycle_type) -> int:
         m = parts.count(j)
         z *= j**m * factorial(m)
     return factorial(n) // z
-
-
-def gl_multiplicity(lam, d: int) -> int:
-    """Multiplicity of the irrep lam inside the permutation action on (C^d)^{otimes N}.
-
-    Hook content formula; zero exactly when the partition is longer than d.
-    """
-    parts = _as_parts(lam)
-    p = Partition(parts)
-    hooks = p.hooks()
-    out = F1
-    for i in range(len(parts)):
-        for j in range(parts[i]):
-            out *= Fraction(d + j - i, hooks[i][j])
-            if out == 0:
-                return 0
-    if out.denominator != 1:
-        raise InternalConsistencyError(f"hook content gave non-integer for {parts}, d={d}")
-    return int(out)
 
 
 def trivial_multiplicity(lams) -> int:
@@ -317,7 +294,7 @@ def group_elements(n: int) -> tuple[Permutation, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Young's seminormal / orthogonal representations
+# Young's seminormal representations
 
 
 def _standard_tableaux(parts: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
@@ -374,7 +351,6 @@ class _Rep:
         self.generators = [self._generator(k) for k in range(self.n - 1)]
         self.weights = self._orth_weights()
         self._semi_cache: dict[tuple[int, ...], tuple] = {}
-        self._orth_cache: dict[tuple[int, ...], np.ndarray] = {}
 
     def _swap_letters(self, ti: int, k: int) -> int:
         tab = self.tableaux[ti]
@@ -462,51 +438,10 @@ class _Rep:
             self._semi_cache[key] = out
         return out
 
-    def orthogonal(self, perm: Permutation) -> np.ndarray:
-        key = perm.images
-        cached = self._orth_cache.get(key)
-        if cached is not None:
-            return cached
-        semi = self.seminormal(perm)
-        sq = np.sqrt(np.array([float(w) for w in self.weights]))
-        out = sq[:, None] * np.array([[float(x) for x in row] for row in semi]) / sq[None, :]
-        if len(self._orth_cache) < 50000:
-            self._orth_cache[key] = out
-        return out
-
 
 @lru_cache(maxsize=None)
 def _rep(parts: tuple[int, ...]) -> _Rep:
     return _Rep(parts)
-
-
-@dataclass(frozen=True)
-class IrrepMatrix:
-    """Representation matrix of one group element in a fixed irrep."""
-
-    partition: Partition
-    element: Permutation
-    entries: object  # tuple-of-tuples of Fractions, or float ndarray
-    form: str
-
-
-def irrep_matrix(lam, perm: Permutation, form: str = "seminormal") -> IrrepMatrix:
-    """Matrix of perm in the irrep lam.
-
-    form="seminormal" gives exact rational entries; form="orthogonal"
-    gives the real orthogonal version (floats).
-    """
-    parts = _as_parts(lam)
-    if sum(parts) != perm.n:
-        raise InvalidInputError("partition weight and permutation degree differ")
-    rep = _rep(parts)
-    if form == "seminormal":
-        entries = rep.seminormal(perm)
-    elif form == "orthogonal":
-        entries = rep.orthogonal(perm)
-    else:
-        raise InvalidInputError(f"unknown form {form!r}")
-    return IrrepMatrix(Partition(parts), perm, entries, form)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,10 @@ one common denominator, so every comparison made with it is exact.
 
 The X_i basis (X_i = P{V^i x 1^(n-i)}, variable i of the two-copy
 system) is handled through its Gram matrix and its closed-form dual.
+
+Young's orthogonal form (floats) is built here from the library's
+seminormal matrices and weights, and the hook-content multiplicity from
+the partition's hook lengths.
 """
 
 import itertools
@@ -18,7 +22,7 @@ from math import comb, lcm, prod
 
 import numpy as np
 
-from qmarginal import ame, blocks, exactla
+from qmarginal import ame, blocks, exactla, symgroup as sg
 
 
 @lru_cache(maxsize=None)
@@ -139,3 +143,26 @@ def dual_coefficients(i: int, n: int, d: int) -> list[Fraction]:
         beta = sum((comb(j, m) * comb(n - j, a - m) * Fraction(-1, d) ** (n - a - j + 2 * m) for m in terms), start=Fraction(0))
         out.append(beta / denom)
     return out
+
+
+def seminormal(lam, perm) -> tuple:
+    """Young's seminormal matrix of perm in the irrep lam, exact."""
+    return sg._rep(sg._as_parts(lam)).seminormal(perm)
+
+
+def orthogonal_form(lam, perm) -> np.ndarray:
+    """Young's orthogonal form W^1/2 S(perm) W^-1/2, with W the orthogonalization weights."""
+    rep = sg._rep(sg._as_parts(lam))
+    sq = np.sqrt([float(w) for w in rep.weights])
+    return sq[:, None] * np.array(rep.seminormal(perm), dtype=float) / sq[None, :]
+
+
+def gl_multiplicity(lam, d: int) -> int:
+    """Multiplicity of lam in the permutation action on (C^d)^N: prod over cells of (d + content) / hook."""
+    num = den = 1
+    for i, row in enumerate(sg.Partition(sg._as_parts(lam)).hooks()):
+        for j, hook in enumerate(row):
+            num *= d + j - i
+            den *= hook
+    assert num % den == 0
+    return num // den

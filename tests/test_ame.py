@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 from fractions import Fraction
@@ -132,6 +133,33 @@ def test_eigenvalue_transforms_match_closed_forms():
         x = ame.candidate_x(n, d)
         assert eigenvalues_from_x(x, n, d) == ame.eigenvalues_p(n, d)
         assert ppt_eigenvalues_from_x(x, n, d) == ame.eigenvalues_q(n, d)
+
+
+def test_krawtchouk_table():
+    for n in range(31):
+        k = ame.krawtchouk(n)
+        if n <= 10:
+            assert k == tuple(tuple(sum((-1) ** m * binom(j, m) * binom(n - j, l - m) for m in range(l + 1)) for l in range(n + 1)) for j in range(n + 1))
+        assert [[sum(k[i][m] * k[m][j] for m in range(n + 1)) for j in range(n + 1)] for i in range(n + 1)] == [
+            [2**n * (i == j) for j in range(n + 1)] for i in range(n + 1)
+        ]
+
+
+# sha256 of the repr of every (n, d, candidate_x, eigenvalues_p, eigenvalues_q)
+# and of every check_existence report over n 2..30 x d 2..20, recorded from the
+# per-term Fraction sums the closed forms were first written as
+CLOSED_FORM_DIGEST = "1d31fc9332f72d27c179f94de3e77630c09725aac00dd3e0bf0d4cfe11cc2fb6"
+REPORT_DIGEST = "d18edc9a8b2bdb77f69aad0f2c8474a4c339917c58710d3675864f50c9824b1f"
+
+
+def test_closed_forms_match_recorded_digests():
+    forms, reports = hashlib.sha256(), hashlib.sha256()
+    for n in range(2, 31):
+        for d in range(2, 21):
+            forms.update(repr((n, d, ame.candidate_x(n, d), ame.eigenvalues_p(n, d), ame.eigenvalues_q(n, d))).encode())
+            reports.update(repr(ame.check_existence(n, d)).encode())
+    assert forms.hexdigest() == CLOSED_FORM_DIGEST
+    assert reports.hexdigest() == REPORT_DIGEST
 
 
 def test_marginal_pairing_identity():

@@ -131,6 +131,16 @@ def test_exit_code_invalid_input(tmp_path):
         ):
             code, out, err = run_cli(args + ["--copies", copies])
             assert code == 2 and out == "" and err.endswith("error: need at least two copies\n"), args
+    # the witness verbs need n >= 2 and d >= 2, as `ame check` does
+    for args in (
+        ["ame", "witness", "--n", "4", "--d", "0"],
+        ["ame", "witness", "--n", "4", "--d", "1"],
+        ["ame", "witness", "--n", "1", "--d", "2"],
+        ["hierarchy", "export", "--n", "4", "--d", "1", "--out", str(tmp_path / "bad.dat-s")],
+    ):
+        code, out, err = run_cli(args + ["--copies", "2"])
+        assert code == 2 and out == "" and "Traceback" not in err, args
+        assert err.splitlines()[-1].startswith("error: need n >= 2 and d >= 2"), args
 
 
 def test_exit_code_resource_cap(tmp_path):

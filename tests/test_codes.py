@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -145,6 +146,27 @@ CROSS_LEVEL = [
 def test_two_copy_extension_agrees_with_positivity(params):
     # a code the positivity relaxation admits passes the two-copy extension, and conversely
     assert cd.code_check(params, "extension", copies=2).verdict == cd.code_check(params, "pos").verdict
+
+
+# sha256 of the repr of (params, keys, rows, blocks) of code_two_party_constraints
+# over CROSS_LEVEL, recorded from the per-entry binomial sums the sectors were
+# first written as; pure codes the Singleton bound rejects are skipped
+SECTOR_DIGESTS = {
+    "pos": "50ed6be303be24e501363cb955b16fd4bc479525ae97c04588b898ce309237cd",
+    "ppt": "4c7972c1d2878c78dfe6d7606583b79a9246f84a2eb4b0667d35359fecc81c95",
+}
+
+
+@pytest.mark.parametrize("level", sorted(SECTOR_DIGESTS))
+def test_two_party_sectors_match_recorded_digests(level):
+    digest = hashlib.sha256()
+    for p in CROSS_LEVEL:
+        if p.pure and cd.singleton_check(p) == "fail":
+            continue
+        bs = cd.code_two_party_constraints(p, level)
+        blocks_data = [(b.partitions, b.kind, b.k, list(b.z_per_var.items())) for b in bs.blocks]
+        digest.update(repr((p, bs.keys, [list(r.items()) for r in bs.rows], blocks_data)).encode())
+    assert digest.hexdigest() == SECTOR_DIGESTS[level]
 
 
 def test_extension_level_k1():

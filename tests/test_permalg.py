@@ -81,9 +81,8 @@ def test_left_multiply_group_action(n, data):
         key = tuple(data.draw(st.integers(0, 5)) for _ in range(n))
         terms.setdefault(key, {})[v] = Fraction(data.draw(st.integers(-5, 5)) or 1, 3)
     op = blocks.SymbolicOperator(system, terms)
-    for side in ("left", "right"):
-        back = op.slotwise_multiply((sigma,) * n, side).slotwise_multiply((system.group.inv[sigma],) * n, side)
-        assert back.terms == op.terms
+    back = op.slotwise_multiply((sigma,) * n).slotwise_multiply((system.group.inv[sigma],) * n)
+    assert back.terms == op.terms
 
 
 def test_canonicalization_idempotent():
