@@ -432,10 +432,6 @@ def witness_blocks(n: int, d: int, copies: int, cap: int = 512) -> list[IrrepBlo
     return [_block(tuple(p.parts for p in tpl), system.classes, (ident, swap)).relabel(var_keys) for tpl in tuples]
 
 
-def _weighted_dot(u, weights, v) -> Fraction:
-    return sum((u[i] * weights[i] * v[i] for i in range(len(u)) if u[i] and v[i]), start=F0)
-
-
 @lru_cache(maxsize=None)
 def _block(parts: tuple[tuple[int, ...], ...], classes: tuple[int, ...], alphabet: tuple[int, ...]) -> IrrepBlock:
     """Compressed operator sums z_K = U^T W E_K U of one partition tuple.
@@ -450,6 +446,13 @@ def _block(parts: tuple[tuple[int, ...], ...], classes: tuple[int, ...], alphabe
     identity needs no product). After the last slot the partial sums are
     the E_K u. No total x total matrix is formed. The block's variables
     are the keys K; the cap is checked by the callers.
+
+    All of it runs in Python integers. Each basis vector is a primitive
+    integer vector over one denominator, each slot's seminormal matrices
+    over the alphabet share one scale (identity moves are scaled by it
+    too, so every partial sum after slot s has the same denominator), and
+    the weights are one integer diagonal over their lcm. Each entry of
+    gram and z is then one integer dot product and one Fraction.
     """
     partitions = tuple(Partition(p) for p in parts)
     group = _copy_group(sum(parts[0]))
@@ -457,8 +460,17 @@ def _block(parts: tuple[tuple[int, ...], ...], classes: tuple[int, ...], alphabe
     dims = [rep.dim for rep in reps]
     vectors, weights = invariant_basis_exact(partitions, cap=prod(dims))
     k = len(vectors)
-    gram = [[_weighted_dot(u, weights, v) for v in vectors] for u in vectors]
-    mats = [{e: rep.seminormal(group.elements[e]) for e in alphabet if e != group.identity} for rep in reps]
+    wden = lcm(*(w.denominator for w in weights))
+    weighted = [[w.numerator * (wden // w.denominator) * x for w, x in zip(weights, u)] for u, _ in vectors]
+    support = [[i for i, x in enumerate(row) if x] for row in weighted]
+    dens = [den for _, den in vectors]
+    gram = [[Fraction(sum(wa[i] * v[i] for i in sa), da * db * wden) for v, db in vectors] for wa, sa, da in zip(weighted, support, dens)]
+    moving = [e for e in alphabet if e != group.identity]
+    scales, mats = [], []
+    for rep in reps:
+        scale, ints = exactla.integer_matrices([rep.seminormal(group.elements[e]) for e in moving])
+        scales.append(scale)
+        mats.append(dict(zip(moving, ints)))
     order = sorted(set(classes))
     slot_class = [order.index(c) for c in classes]
     members = [[s for s, c in enumerate(classes) if c == cls] for cls in order]
@@ -470,20 +482,23 @@ def _block(parts: tuple[tuple[int, ...], ...], classes: tuple[int, ...], alphabe
                 key[s] = v
         return tuple(key)
 
-    weighted = [[w * x for w, x in zip(weights, u)] for u in vectors]
-    support = [[i for i, x in enumerate(row) if x] for row in weighted]
     z: dict = {}
-    for b, u in enumerate(vectors):
+    for b, (u, db) in enumerate(vectors):
         sums = {((),) * len(order): u}
         for s, c in enumerate(slot_class):
             moved_sums: dict = {}
             for placed, vec in sums.items():
                 for e in alphabet:
-                    moved = vec if e == group.identity else exactla.mode_product(mats[s][e], vec, dims, s)
+                    if e != group.identity:
+                        moved = exactla.mode_product(mats[s][e], vec, dims, s)
+                    else:
+                        moved = vec if scales[s] == 1 else [scales[s] * x for x in vec]
                     to = placed[:c] + (tuple(sorted(placed[c] + (e,))),) + placed[c + 1 :]
                     acc = moved_sums.get(to)
-                    moved_sums[to] = moved if acc is None else [x + y if y else x for x, y in zip(acc, moved)]
+                    moved_sums[to] = moved if acc is None else [x + y for x, y in zip(acc, moved)]
             sums = moved_sums
+        # the sums are prod(scales) E_K u_b, over the denominator db
+        den_b = db * wden * prod(scales)
         for placed, vec in sums.items():
             key = key_of(placed)
             inverse = key_of([[group.inv[e] for e in vals] for vals in placed])
@@ -494,8 +509,7 @@ def _block(parts: tuple[tuple[int, ...], ...], classes: tuple[int, ...], alphabe
             # product fills z_K[a][b] and z_{K^-1}[b][a]
             for a in range(b + 1):
                 wa = weighted[a]
-                val = sum((wa[i] * vec[i] for i in support[a] if vec[i]), start=F0)
-                zk[a][b] = zi[b][a] = val
+                zk[a][b] = zi[b][a] = Fraction(sum(wa[i] * vec[i] for i in support[a]), dens[a] * den_b)
     linv = np.linalg.inv(np.linalg.cholesky(exactla.to_float(gram)))
     y = {}
     for key, zk in z.items():

@@ -71,7 +71,6 @@ def _cmd_ame_candidate(args) -> int:
 
 
 def _cmd_ame_witness(args) -> int:
-    print(f"level {args.copies} witness for n={args.n}, d={args.d}", file=sys.stderr)
     if args.rank1_only and not args.exact:
         lp = hierarchy.assemble_dual_witness(args.n, args.d, args.copies, rank1_only=True, cap=args.cap)
         from .solve import lp_solve_exact
@@ -81,11 +80,12 @@ def _cmd_ame_witness(args) -> int:
         note = "rank-1 relaxation only: a negative optimum here is not yet a certificate"
         payload = cert.to_dict()
         payload["note"] = (payload["note"] + "; " + note).strip("; ")
-        _emit(payload)
-        return 0
-    method = "exact" if args.exact else "auto"
-    rep = hierarchy.level_check(args.n, args.d, args.copies, method=method, cap=args.cap)
-    _emit(rep.to_dict())
+    else:
+        method = "exact" if args.exact else "auto"
+        payload = hierarchy.level_check(args.n, args.d, args.copies, method=method, cap=args.cap).to_dict()
+    # the header follows the input checks, so a rejected call writes only its error line
+    print(f"level {args.copies} witness for n={args.n}, d={args.d}", file=sys.stderr)
+    _emit(payload)
     return 0
 
 

@@ -1,8 +1,12 @@
-"""Dense exact linear algebra over `fractions.Fraction`.
+"""Dense exact linear algebra over the rationals.
 
-Matrices are lists of lists of Fractions. Everything here is small and
-dense; these routines back the exact solver paths where floating point
-would blur a sign decision.
+Matrices are lists of lists, small and dense; these routines back the
+exact solver paths where floating point would blur a sign decision. The
+hot kernels (`mode_product`, `solve_affine`) run in Python integers:
+rational data is scaled to integer rows (`integer_matrices`,
+`primitive`), eliminated fraction-free, and read back with one Fraction
+per output entry. `ldlt_psd_witness` and the small helpers work on
+Fractions.
 """
 
 from fractions import Fraction
@@ -21,31 +25,36 @@ def mat_add(a, b, scale=F1):
 
 
 def mode_product(m, vec, dims, axis):
-    """(1 x ... x m x ... x 1) @ vec with m acting on tensor factor `axis`.
+    """(1 x ... x m x ... x 1) @ vec with m acting on tensor factor `axis`, in integers.
 
-    `vec` is a flat vector over the factors of sizes `dims`, first factor
-    most significant, as in a Kronecker product. That product is never
-    formed: each output entry is one row of m against
-    a stride-`inner` slice of vec, skipping zeros of m.
+    `m` is an integer matrix and `vec` a flat integer vector over the
+    factors of sizes `dims`, first factor most significant, as in a
+    Kronecker product. That product is never formed: each output entry is
+    one row of m against a stride-`inner` slice of vec, skipping zeros of
+    m. Rational matrices enter through `integer_matrices`.
     """
     d = dims[axis]
     inner = 1
     for size in dims[axis + 1 :]:
         inner *= size
     rows = [[(b * inner, x) for b, x in enumerate(row) if x] for row in m]
-    out = [F0] * len(vec)
+    out = [0] * len(vec)
     for base in range(0, len(vec), d * inner):
         for a, row in enumerate(rows):
             dst = base + a * inner
             for t in range(inner):
                 src = base + t
-                acc = F0
+                acc = 0
                 for off, x in row:
-                    y = vec[src + off]
-                    if y:
-                        acc += x * y
+                    acc += x * vec[src + off]
                 out[dst + t] = acc
     return out
+
+
+def integer_matrices(mats):
+    """(scale, integer matrices): rational matrices times the lcm of all their denominators."""
+    scale = lcm(*(x.denominator for m in mats for row in m for x in row))
+    return scale, [[[x.numerator * (scale // x.denominator) for x in row] for row in m] for m in mats]
 
 
 def solve_affine(a, b, ncols=None):
@@ -64,7 +73,7 @@ def solve_affine(a, b, ncols=None):
     result is read from the reduced row echelon form, which is unique.
     """
     n = (len(a[0]) if a else 0) if ncols is None else ncols
-    rows = [_primitive([*row, b[i]]) for i, row in enumerate(a)]
+    rows = [primitive([*row, b[i]]) for i, row in enumerate(a)]
     pivots = []
     r = 0
     for c in range(n):
@@ -79,7 +88,7 @@ def solve_affine(a, b, ncols=None):
         for i, ri in enumerate(rows):
             f = ri[c]
             if i != r and f:
-                rows[i] = _primitive_ints([p * x - f * y for x, y in zip(ri, pr)])
+                rows[i] = primitive_ints([p * x - f * y for x, y in zip(ri, pr)])
         pivots.append(c)
         r += 1
     if any(row[n] for row in rows[r:]):
@@ -100,13 +109,13 @@ def solve_affine(a, b, ncols=None):
     return particular, basis
 
 
-def _primitive(row):
+def primitive(row):
     """The integer row proportional to a rational row, with gcd 1."""
     den = lcm(*(x.denominator for x in row))
-    return _primitive_ints([x.numerator * (den // x.denominator) for x in row])
+    return primitive_ints([x.numerator * (den // x.denominator) for x in row])
 
 
-def _primitive_ints(row):
+def primitive_ints(row):
     g = gcd(*row)
     return [x // g for x in row] if g > 1 else row
 

@@ -2,8 +2,9 @@
 
 Three solvers, deliberately self-contained:
 
-* an exact two-phase simplex over rationals with Bland's rule, for
-  linear programs whose sign decisions must not depend on tolerances;
+* an exact two-phase simplex with Bland's rule on a fraction-free
+  integer tableau (Edmonds, J. Res. NBS 71B, 1967), for linear programs
+  whose sign decisions must not depend on tolerances;
 * an exact PSD test via symmetric elimination, returning a rational
   witness vector when the matrix is not PSD;
 * a small dense log-barrier solver for linear matrix inequalities in
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
@@ -58,50 +60,74 @@ class LpResult:
     x: list | None = None
 
 
-def _pivot(tableau, basis, row, col):
-    piv = tableau[row][col]
-    tableau[row] = [v / piv for v in tableau[row]]
-    prow = tableau[row]
-    for i in range(len(tableau)):
-        if i != row and tableau[i][col]:
-            f = tableau[i][col]
-            tableau[i] = [a - f * b for a, b in zip(tableau[i], prow)]
-    if basis is not None:
-        basis[row] = col
+def _pivot(rows, basis, r, c):
+    """Pivot the integer tableau on row r, column c.
 
-
-def _run_simplex(tableau, basis, costs):
-    """Minimize costs.x on a canonical tableau (rhs >= 0, identity basis).
-
-    Bland's rule throughout, so termination is guaranteed. The objective
-    row is carried as the last tableau row.
+    Row i stands for rows[i] / rows[i][basis[i]], with that entry positive:
+    the pivot row is negated if needed, and every other row with a nonzero
+    in column c becomes p rows[i] - rows[i][c] rows[r] (p = rows[r][c] > 0),
+    divided by the gcd of its entries.
     """
-    m = len(tableau)
-    n = len(tableau[0]) - 1 if m else len(costs)
-    obj = list(costs) + [F0]
+    pr = rows[r]
+    if pr[c] < 0:
+        pr = rows[r] = [-v for v in pr]
+    p = pr[c]
+    for i, ri in enumerate(rows):
+        f = ri[c]
+        if i != r and f:
+            rows[i] = exactla.primitive_ints([p * a - f * b for a, b in zip(ri, pr)])
+    basis[r] = c
+
+
+def _reduce_objective(obj, den, row, col):
+    """obj / den minus obj[col] / den times the row it pivots on, over a new denominator."""
+    p, f = row[col], obj[col]
+    out = [p * a - f * b for a, b in zip(obj, row)]
+    g = gcd(den * p, *out)
+    return [a // g for a in out], den * p // g
+
+
+def _run_simplex(rows, basis, costs):
+    """Minimize costs.x on a canonical integer tableau (rhs >= 0, unit basis columns).
+
+    Bland's rule throughout, so termination is guaranteed: the first
+    negative reduced cost enters, the minimum ratio leaves, ties go to the
+    smallest basis index. Ratios rhs_i / a_i are compared by cross
+    multiplication and the objective row is carried as integers over one
+    positive denominator, so every decision is an exact sign test and the
+    pivots are those of the same simplex over rationals. Returns (status,
+    x, value) with one Fraction per entry.
+    """
+    m = len(rows)
+    n = len(rows[0]) - 1 if m else len(costs)
+    den = lcm(*(c.denominator for c in costs))
+    obj = [c.numerator * (den // c.denominator) for c in costs] + [0]
     for i, b in enumerate(basis):
         if obj[b]:
-            f = obj[b]
-            obj = [a - f * t for a, t in zip(obj, tableau[i])]
+            obj, den = _reduce_objective(obj, den, rows[i], b)
     while True:
         col = next((j for j in range(n) if obj[j] < 0), None)
         if col is None:
             x = [F0] * n
             for i, b in enumerate(basis):
-                x[b] = tableau[i][n]
-            return "optimal", x, -obj[n], obj
+                x[b] = Fraction(rows[i][n], rows[i][b])
+            return "optimal", x, Fraction(-obj[n], den)
         best = None
-        for i in range(m):
-            if tableau[i][col] > 0:
-                ratio = tableau[i][n] / tableau[i][col]
-                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
-                    best = (ratio, i)
+        for i, ri in enumerate(rows):
+            a = ri[col]
+            if a <= 0:
+                continue
+            if best is None:
+                best = i
+                continue
+            rb = rows[best]
+            lhs, rhs = ri[n] * rb[col], rb[n] * a
+            if lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
+                best = i
         if best is None:
-            return "unbounded", None, None, obj
-        _pivot(tableau, basis, best[1], col)
-        f = obj[col]
-        if f:
-            obj = [a - f * b for a, b in zip(obj, tableau[best[1]])]
+            return "unbounded", None, None
+        _pivot(rows, basis, best, col)
+        obj, den = _reduce_objective(obj, den, rows[best], col)
 
 
 def lp_solve_exact(lp: LinearProgram) -> LpResult:
@@ -183,13 +209,13 @@ def lp_solve_exact(lp: LinearProgram) -> LpResult:
         line[ai] = F1
         basis.append(ai)
         ai += 1
-        tableau.append(line)
+        tableau.append(exactla.primitive(line))
 
     # phase 1: minimize the artificial total
     phase1 = [F0] * total
     for j in art_cols:
         phase1[j] = F1
-    status, _, value, _ = _run_simplex(tableau, basis, phase1)
+    status, _, value = _run_simplex(tableau, basis, phase1)
     if status != "optimal" or value > 0:
         return LpResult("infeasible")
     # drive leftover artificials out of the basis
@@ -199,9 +225,7 @@ def lp_solve_exact(lp: LinearProgram) -> LpResult:
             if col is not None:
                 _pivot(tableau, basis, i, col)
     keep = [i for i in range(len(basis)) if basis[i] not in art_cols]
-    tableau = [
-        [tableau[i][j] for j in range(ncols + nslack)] + [tableau[i][-1]] for i in keep
-    ]
+    tableau = [exactla.primitive_ints(tableau[i][: ncols + nslack] + tableau[i][-1:]) for i in keep]
     basis = [basis[i] for i in keep]
 
     phase2 = [F0] * (ncols + nslack)
@@ -216,7 +240,7 @@ def lp_solve_exact(lp: LinearProgram) -> LpResult:
         else:
             phase2[kind[1]] += Fraction(cj)
             phase2[kind[2]] -= Fraction(cj)
-    status, u, value, _ = _run_simplex(tableau, basis, phase2)
+    status, u, value = _run_simplex(tableau, basis, phase2)
     if status == "unbounded":
         return LpResult("unbounded")
 

@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm, prod
+from math import factorial, prod
 
 import numpy as np
 
@@ -451,11 +451,13 @@ def _rep(parts: tuple[int, ...]) -> _Rep:
 def invariant_basis_exact(lams, cap: int = 512):
     """Exact rational basis of the diagonal-trivial subspace, seminormal picture.
 
-    Returns (vectors, weights): vectors are Fraction lists spanning the
-    subspace fixed by S(sigma) x ... x S(sigma) for every sigma, and
-    weights is the diagonal of the tensor-product orthogonalization
-    metric. A vector v in this picture corresponds to W^{1/2} v in the
-    orthogonal picture.
+    Returns (vectors, weights). Each vector is a pair (numerators,
+    denominator): a primitive integer list and its positive entry at the
+    vector's pivot, so numerators / denominator is 1 there. The vectors
+    span the subspace fixed by S(sigma) x ... x S(sigma) for every sigma,
+    and weights (Fractions) is the diagonal of the tensor-product
+    orthogonalization metric. A vector v in this picture corresponds to
+    W^{1/2} v in the orthogonal picture.
 
     Method: the Reynolds operator P = sum_sigma S(sigma) x ... x S(sigma)
     projects onto the subspace. S((0 1)) is diagonal +-1 in seminormal
@@ -469,7 +471,9 @@ def invariant_basis_exact(lams, cap: int = 512):
     of it: the unique basis that is the identity on those columns,
     sorted by that column. Every image is scanned, the rank must equal
     the character-formula multiplicity, and every vector is checked
-    exactly against both generators of S_N.
+    exactly against both generators of S_N. Everything runs in Python
+    integers: each slot's seminormal matrices share one scale, rows are
+    kept primitive, and the back-substitution is fraction-free.
     """
     from . import exactla
 
@@ -490,9 +494,8 @@ def invariant_basis_exact(lams, cap: int = 512):
     elements = group_elements(n)
     cols = []
     for rep in reps:
-        mats = [rep.seminormal(sigma) for sigma in elements]
-        scale = lcm(*(x.denominator for m in mats for row in m for x in row))
-        cols.append(np.array([[[int(row[c] * scale) for row in m] for m in mats] for c in range(rep.dim)], dtype=object))
+        _, mats = exactla.integer_matrices([rep.seminormal(sigma) for sigma in elements])
+        cols.append(np.array([[[row[c] for row in m] for m in mats] for c in range(rep.dim)], dtype=object))
     signs = [[int(rep.generators[0][i][i]) for i in range(rep.dim)] if n > 1 else [1] * rep.dim for rep in reps]
 
     rows: dict[int, list[int]] = {}  # pivot -> integer row, zero right of the pivot
@@ -512,29 +515,28 @@ def invariant_basis_exact(lams, cap: int = 512):
             continue
         if len(rows) == k:
             raise InternalConsistencyError(f"invariant subspace of {parts} exceeds the character formula {k}")
-        div = gcd(*v)
-        rows[pivot] = [a // div for a in v]
+        rows[pivot] = exactla.primitive_ints(v)
     if len(rows) != k:
         raise InternalConsistencyError(f"invariant subspace rank {len(rows)} disagrees with character formula {k} for {parts}")
 
+    # back-substitution in integers: row p stands for the vector row / row[p]
     pivots = sorted(rows)
-    vectors = []
-    for p in pivots:
-        row = rows[p]
-        vectors.append([Fraction(a, row[p]) for a in row])
+    vectors = [rows[p] if rows[p][p] > 0 else [-a for a in rows[p]] for p in pivots]
     for j, p in enumerate(pivots):
+        vj = vectors[j]
         for i in range(j + 1, len(vectors)):
             f = vectors[i][p]
             if f:
-                vectors[i] = [a - f * b for a, b in zip(vectors[i], vectors[j])]
+                vectors[i] = exactla.primitive_ints([vj[p] * a - f * b for a, b in zip(vectors[i], vj)])
 
     gens = (Permutation.transposition(n, 0, 1), Permutation.full_cycle(n)) if n > 1 else ()
     for g in gens:
-        mats = [rep.seminormal(g) for rep in reps]
+        scaled = [exactla.integer_matrices([rep.seminormal(g)]) for rep in reps]
+        scale = prod(c for c, _ in scaled)
         for v in vectors:
             w = v
-            for s, m in enumerate(mats):
+            for s, (_, (m,)) in enumerate(scaled):
                 w = exactla.mode_product(m, w, dims, s)
-            if w != v:
+            if w != [scale * a for a in v]:
                 raise InternalConsistencyError(f"invariant vector of {parts} is not fixed by {g.images}")
-    return vectors, weights
+    return [(v, v[p]) for v, p in zip(vectors, pivots)], weights

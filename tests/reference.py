@@ -13,6 +13,10 @@ system) is handled through its Gram matrix and its closed-form dual.
 Young's orthogonal form (floats) is built here from the library's
 seminormal matrices and weights, and the hook-content multiplicity from
 the partition's hook lengths.
+
+`lp_solve_fraction` is the two-phase Bland simplex over Fractions that
+`solve.lp_solve_exact` runs in integers: the same formulation, pivot rule
+and pivot count, so the two must agree on every result.
 """
 
 import itertools
@@ -22,7 +26,7 @@ from math import comb, lcm, prod
 
 import numpy as np
 
-from qmarginal import ame, blocks, exactla, symgroup as sg
+from qmarginal import ame, blocks, errors, exactla, solve as sv, symgroup as sg
 
 
 @lru_cache(maxsize=None)
@@ -166,3 +170,189 @@ def gl_multiplicity(lam, d: int) -> int:
             den *= hook
     assert num % den == 0
     return num // den
+
+
+F0 = Fraction(0)
+F1 = Fraction(1)
+
+
+def _fraction_pivot(tableau, basis, row, col, counter):
+    counter.append(1)
+    piv = tableau[row][col]
+    tableau[row] = [v / piv for v in tableau[row]]
+    prow = tableau[row]
+    for i in range(len(tableau)):
+        if i != row and tableau[i][col]:
+            f = tableau[i][col]
+            tableau[i] = [a - f * b for a, b in zip(tableau[i], prow)]
+    if basis is not None:
+        basis[row] = col
+
+
+def _fraction_simplex(tableau, basis, costs, counter):
+    """Minimize costs.x on a canonical tableau (rhs >= 0, identity basis).
+
+    Bland's rule throughout, so termination is guaranteed. The objective
+    row is carried as the last tableau row.
+    """
+    m = len(tableau)
+    n = len(tableau[0]) - 1 if m else len(costs)
+    obj = list(costs) + [F0]
+    for i, b in enumerate(basis):
+        if obj[b]:
+            f = obj[b]
+            obj = [a - f * t for a, t in zip(obj, tableau[i])]
+    while True:
+        col = next((j for j in range(n) if obj[j] < 0), None)
+        if col is None:
+            x = [F0] * n
+            for i, b in enumerate(basis):
+                x[b] = tableau[i][n]
+            return "optimal", x, -obj[n], obj
+        best = None
+        for i in range(m):
+            if tableau[i][col] > 0:
+                ratio = tableau[i][n] / tableau[i][col]
+                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
+                    best = (ratio, i)
+        if best is None:
+            return "unbounded", None, None, obj
+        _fraction_pivot(tableau, basis, best[1], col, counter)
+        f = obj[col]
+        if f:
+            obj = [a - f * b for a, b in zip(obj, tableau[best[1]])]
+
+
+def lp_solve_fraction(lp, counter):
+    """Two-phase Bland simplex over Fractions, the reference for `solve.lp_solve_exact`.
+
+    Appends one entry to `counter` per pivot.
+    """
+    nv = lp.nvars
+    bounds = lp.bounds if lp.bounds is not None else [(None, None)] * nv
+    if len(bounds) != nv:
+        raise errors.InvalidInputError("bounds length mismatch")
+    for coeffs, _, _ in lp.rows:
+        if len(coeffs) != nv:
+            raise errors.InvalidInputError("row length mismatch")
+
+    # substitute every variable by nonnegative ones:
+    #   lo <= x       -> x = lo + u
+    #   x <= hi (only)-> x = hi - u
+    #   free          -> x = u - v
+    # upper bounds with a lower bound become extra rows.
+    subs = []  # per variable: ("lo", lo, col) | ("hi", hi, col) | ("free", col_pos, col_neg)
+    extra_rows = []
+    ncols = 0
+    for j, (lo, hi) in enumerate(bounds):
+        if lo is not None:
+            subs.append(("lo", Fraction(lo), ncols))
+            ncols += 1
+            if hi is not None:
+                row = [F0] * nv
+                row[j] = F1
+                extra_rows.append((row, "<=", Fraction(hi)))
+        elif hi is not None:
+            subs.append(("hi", Fraction(hi), ncols))
+            ncols += 1
+        else:
+            subs.append(("free", ncols, ncols + 1))
+            ncols += 2
+
+    def translate(coeffs, rhs):
+        out = [F0] * ncols
+        r = Fraction(rhs)
+        for j, cj in enumerate(coeffs):
+            if not cj:
+                continue
+            kind = subs[j]
+            if kind[0] == "lo":
+                out[kind[2]] += cj
+                r -= cj * kind[1]
+            elif kind[0] == "hi":
+                out[kind[2]] -= cj
+                r -= cj * kind[1]
+            else:
+                out[kind[1]] += cj
+                out[kind[2]] -= cj
+        return out, r
+
+    rows = []
+    for coeffs, rel, rhs in list(lp.rows) + extra_rows:
+        row, r = translate(coeffs, rhs)
+        if r < 0:
+            row = [-v for v in row]
+            r = -r
+            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
+        rows.append((row, rel, r))
+
+    nslack = sum(1 for _, rel, _ in rows if rel != "=")
+    nart = len(rows)
+    total = ncols + nslack + nart
+    tableau = []
+    basis = []
+    si = ncols
+    ai = ncols + nslack
+    art_cols = set(range(ai, ai + nart))
+    for row, rel, r in rows:
+        line = list(row) + [F0] * (nslack + nart) + [r]
+        if rel == "<=":
+            line[si] = F1
+            si += 1
+        elif rel == ">=":
+            line[si] = -F1
+            si += 1
+        line[ai] = F1
+        basis.append(ai)
+        ai += 1
+        tableau.append(line)
+
+    # phase 1: minimize the artificial total
+    phase1 = [F0] * total
+    for j in art_cols:
+        phase1[j] = F1
+    status, _, value, _ = _fraction_simplex(tableau, basis, phase1, counter)
+    if status != "optimal" or value > 0:
+        return sv.LpResult("infeasible")
+    # drive leftover artificials out of the basis
+    for i in range(len(basis)):
+        if basis[i] in art_cols:
+            col = next((j for j in range(ncols + nslack) if tableau[i][j]), None)
+            if col is not None:
+                _fraction_pivot(tableau, basis, i, col, counter)
+    keep = [i for i in range(len(basis)) if basis[i] not in art_cols]
+    tableau = [
+        [tableau[i][j] for j in range(ncols + nslack)] + [tableau[i][-1]] for i in keep
+    ]
+    basis = [basis[i] for i in keep]
+
+    phase2 = [F0] * (ncols + nslack)
+    for j, cj in enumerate(lp.c):
+        if not cj:
+            continue
+        kind = subs[j]
+        if kind[0] == "lo":
+            phase2[kind[2]] += Fraction(cj)
+        elif kind[0] == "hi":
+            phase2[kind[2]] -= Fraction(cj)
+        else:
+            phase2[kind[1]] += Fraction(cj)
+            phase2[kind[2]] -= Fraction(cj)
+    status, u, value, _ = _fraction_simplex(tableau, basis, phase2, counter)
+    if status == "unbounded":
+        return sv.LpResult("unbounded")
+
+    x = [F0] * nv
+    offset = F0
+    for j, (lo, hi) in enumerate(bounds):
+        kind = subs[j]
+        cj = Fraction(lp.c[j])
+        if kind[0] == "lo":
+            x[j] = kind[1] + u[kind[2]]
+            offset += cj * kind[1]
+        elif kind[0] == "hi":
+            x[j] = kind[1] - u[kind[2]]
+            offset += cj * kind[1]
+        else:
+            x[j] = u[kind[1]] - u[kind[2]]
+    return sv.LpResult("optimal", value + offset, x)

@@ -14,6 +14,7 @@ against the Fraction loops they replace, and every operation of
 
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -218,7 +219,8 @@ def _cold_blocks(n, d, copies):
 @pytest.mark.parametrize("lams", [((2, 1), (2, 1)), ((3, 1),) * 4, ((2, 1, 1), (3, 1), (2, 2), (3, 1))])
 def test_invariant_basis_matches_dense_nullspace(lams):
     vectors, weights = sg.invariant_basis_exact(lams)
-    assert (vectors, weights) == _dense_basis(lams)
+    assert ([[Fraction(x, den) for x in v] for v, den in vectors], weights) == _dense_basis(lams)
+    assert all(den == [x for x in v if x][-1] > 0 and math.gcd(*v) == 1 for v, den in vectors)  # 1 at the pivot, primitive
     assert len(vectors) == sg.trivial_multiplicity(lams)
 
 

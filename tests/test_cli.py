@@ -131,6 +131,7 @@ def test_exit_code_invalid_input(tmp_path):
         ):
             code, out, err = run_cli(args + ["--copies", copies])
             assert code == 2 and out == "" and err.endswith("error: need at least two copies\n"), args
+            assert len(err.splitlines()) == 1, args
     # the witness verbs need n >= 2 and d >= 2, as `ame check` does
     for args in (
         ["ame", "witness", "--n", "4", "--d", "0"],
@@ -141,6 +142,7 @@ def test_exit_code_invalid_input(tmp_path):
         code, out, err = run_cli(args + ["--copies", "2"])
         assert code == 2 and out == "" and "Traceback" not in err, args
         assert err.splitlines()[-1].startswith("error: need n >= 2 and d >= 2"), args
+        assert len(err.splitlines()) == 1, args
 
 
 def test_exit_code_resource_cap(tmp_path):

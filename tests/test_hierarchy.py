@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -281,3 +282,27 @@ def test_float_dual_46_level3_nonnegative():
     res = sdp_solve(dual.to_sdp_problem(), y0=hi._interior_w(dual))
     assert res.status == "optimal"
     assert res.value >= -1e-8
+
+
+# sha256 of repr(witness_optimize_exact(n, d, copies)) over the benchmark's
+# level ladder, recorded from the Fraction simplex. The rank-one LPs of
+# (4,3,3) and (5,2,3) round 0 and of (6,2,3) round 4 have more than one
+# optimal vertex: the w reported (and, for (6,2,3), every later cut) is the
+# one Bland's rule reaches, so any change of pivot path shows here.
+CUT_LOOP_DIGESTS = {
+    (3, 2, 3): "023bd0a3baca79a845deb1ffef876d39f27667fda2d2741e474148ff6b07306c",
+    (4, 2, 3): "f57d7080d9920a78e8b92bca785462965e60dfedf0e385c4a483c0097c9d7ccd",
+    (4, 3, 3): "b6864f64fc2154b1361aad365ce933b17a14755b3178faed946e0b030d3fcbaf",
+    (4, 6, 3): "d0696b8aa96a2bf8ae4a5bc38863edc5f9224898db6b69abd2a8f8223325d269",
+    (5, 2, 3): "5460b62a0fb6c32faac109f20f1382dde87e2bc68c9694e3307e90e622be7cbc",
+    (5, 3, 3): "d0696b8aa96a2bf8ae4a5bc38863edc5f9224898db6b69abd2a8f8223325d269",
+    (6, 2, 3): "4deffb16a3938863206eb0f343db1cc77fe23ae6013ae54a2a18a9c4c4247fae",
+    (4, 2, 4): "f57d7080d9920a78e8b92bca785462965e60dfedf0e385c4a483c0097c9d7ccd",
+    (4, 6, 4): "d0696b8aa96a2bf8ae4a5bc38863edc5f9224898db6b69abd2a8f8223325d269",
+}
+
+
+@pytest.mark.parametrize("level", sorted(CUT_LOOP_DIGESTS), ids=str)
+def test_cut_loop_matches_recorded_digests(level):
+    result = hi.witness_optimize_exact(*level)
+    assert hashlib.sha256(repr(result).encode()).hexdigest() == CUT_LOOP_DIGESTS[level]

@@ -1,10 +1,13 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import reference
 from scipy.optimize import linprog
 
-from qmarginal import exactla, solve as sv
+from qmarginal import exactla, hierarchy as hi, solve as sv
 from qmarginal.errors import InvalidInputError
 
 F = Fraction
@@ -31,7 +34,7 @@ def test_lp_mixed_rows():
     assert res.status == "optimal" and res.value == 5 and res.x == [3, 1]
 
 
-def test_lp_beale_cycling_fixture_terminates():
+def _beale():
     lp = sv.LinearProgram(
         c=[F(-3, 4), F(150), F(-1, 50), F(6)],
         bounds=[(F(0), None)] * 4,
@@ -39,8 +42,65 @@ def test_lp_beale_cycling_fixture_terminates():
     lp.add_row([F(1, 4), F(-60), F(-1, 25), F(9)], "<=", 0)
     lp.add_row([F(1, 2), F(-90), F(-1, 50), F(3)], "<=", 0)
     lp.add_row([F(0), F(0), F(1), F(0)], "<=", 1)
-    res = sv.lp_solve_exact(lp)
+    return lp
+
+
+def test_lp_beale_cycling_fixture_terminates():
+    res = sv.lp_solve_exact(_beale())
     assert res.status == "optimal" and res.value == F(-1, 20)
+
+
+def _random_lp(rng):
+    """Small LP with every relation and bound kind; small entries make ties and degenerate faces common."""
+
+    def q():
+        return F(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+
+    nv = rng.randint(1, 4)
+    bounds = []
+    for _ in range(nv):
+        lo = q()
+        bounds.append(rng.choice([(lo, None), (None, lo), (lo, lo + abs(q())), (None, None)]))
+    lp = sv.LinearProgram(c=[q() if rng.random() < 0.8 else F(0) for _ in range(nv)], bounds=bounds)
+    for _ in range(rng.randint(0, 5)):
+        lp.add_row([q() if rng.random() < 0.7 else F(0) for _ in range(nv)], rng.choice(("<=", "=", ">=")), q())
+    return lp
+
+
+def _fixed_lps():
+    """An optimal face with more than one vertex, a vertex on more rows than it needs, free variables, Beale."""
+    face = sv.LinearProgram(c=[F(1), F(1)], bounds=[(F(0), F(1))] * 2)
+    face.add_row([F(1), F(1)], ">=", 1)
+    crowded = sv.LinearProgram(c=[F(-1), F(-1), F(0)], bounds=[(F(0), None)] * 3)
+    for row, rhs in (([1, 1, 0], 1), ([1, 1, 1], 1), ([2, 2, -1], 2), ([1, 0, 0], 1)):
+        crowded.add_row([F(v) for v in row], "<=", rhs)
+    free = sv.LinearProgram(c=[F(0), F(1, 2), F(-1)])
+    free.add_row([F(1), F(1), F(-1)], "=", 0)
+    free.add_row([F(0), F(1), F(0)], ">=", F(-2, 3))
+    free.add_row([F(1), F(0), F(0)], "<=", 5)
+    return [face, crowded, free, _beale()]
+
+
+def _witness_lps():
+    """Round 0 of (4,3,3) and (5,2,3) has more than one optimal vertex; the w reported must be the reference's."""
+    return [hi.assemble_dual_witness(*level, rank1_only=True).to_linear_program() for level in [(4, 3, 3), (5, 2, 3), (4, 2, 4)]]
+
+
+def test_lp_matches_fraction_reference(monkeypatch):
+    calls = []
+    pivot = sv._pivot
+    monkeypatch.setattr(sv, "_pivot", lambda *args: calls.append(1) or pivot(*args))
+    rng = random.Random(8)
+    statuses = Counter()
+    for trial, lp in enumerate(_fixed_lps() + _witness_lps() + [_random_lp(rng) for _ in range(400)]):
+        ref_calls = []
+        ref = reference.lp_solve_fraction(lp, ref_calls)
+        calls.clear()
+        got = sv.lp_solve_exact(lp)
+        assert (got.status, got.value, got.x) == (ref.status, ref.value, ref.x), trial
+        assert len(calls) == len(ref_calls), trial
+        statuses[got.status] += 1
+    assert min(statuses[s] for s in ("optimal", "infeasible", "unbounded")) >= 20, statuses
 
 
 def test_lp_against_scipy_random():

@@ -205,7 +205,7 @@ def _reynolds(tpl):
 def _exact_projector(tpl):
     """Orthogonal projector onto the span of the exact basis, moved to the orthogonal picture."""
     vectors, weights = sg.invariant_basis_exact(tpl)
-    u = np.array([[float(x) for x in v] for v in vectors]).T * np.sqrt([float(w) for w in weights])[:, None]
+    u = np.array([[x / den for x in v] for v, den in vectors]).T * np.sqrt([float(w) for w in weights])[:, None]
     q, _ = np.linalg.qr(u)
     return q @ q.T
 
@@ -217,7 +217,7 @@ def test_trivial_multiplicity_bruteforce_s3():
 
 
 def test_block_projector_trivial_tuple():
-    assert sg.invariant_basis_exact([(4,), (4,), (4,)]) == ([[Fraction(1)]], [Fraction(1)])
+    assert sg.invariant_basis_exact([(4,), (4,), (4,)]) == ([([1], 1)], [Fraction(1)])
     assert np.allclose(_reynolds([(4,), (4,), (4,)]), [[1.0]], atol=1e-14)
 
 
