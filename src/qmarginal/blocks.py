@@ -11,8 +11,9 @@ This module provides
 
 * coefficient key enumeration and canonicalization over slot classes;
 * a symbolic operator layer (linear in the coefficient vector) with
-  slotwise products, per-copy partial traces, and exact trace pairings,
-  used to emit equality constraint rows;
+  slotwise products, per-copy partial traces, and exact trace pairings
+  against all tests at once as one integer matrix, used to emit
+  equality constraint rows;
 * the positivity blocks of the primal, code-extension and dual-witness
   problems, from one builder (`_block`): per partition tuple, an exact
   basis U of the subspace fixed by the diagonal copy-permutation action,
@@ -59,6 +60,7 @@ class _CopyGroup:
         self.index = {p.images: i for i, p in enumerate(self.elements)}
         self.mul = [[self.index[a.compose(b).images] for b in self.elements] for a in self.elements]
         self.cycles = [p.n_cycles() for p in self.elements]
+        self.product_cycles = np.array(self.cycles, dtype=np.intp)[np.array(self.mul, dtype=np.intp)]  # #cycles(a b)
         self.inv = [self.index[p.inverse().images] for p in self.elements]
         # partial trace of one copy: (d-exponent, reduced element index)
         self.ptrace = [
@@ -80,11 +82,6 @@ def _delete_from_cycle(p: Permutation, c: int) -> Permutation:
 @lru_cache(maxsize=None)
 def _copy_group(n: int) -> _CopyGroup:
     return _CopyGroup(n)
-
-
-@lru_cache(maxsize=None)
-def _int_powers(base: int, count: int) -> tuple[int, ...]:
-    return tuple(base**e for e in range(count))
 
 
 @dataclass(frozen=True)
@@ -290,49 +287,74 @@ class SymbolicOperator:
         return {v: c * scale for v, c in row.items()}
 
     def _integer_terms(self) -> tuple:
-        """(denominator, [(key, [(var, int numerator), ...]), ...]) of the terms.
+        """The terms as integer arrays, over one common denominator.
 
-        One common denominator for every coefficient; computed once per
-        operator and dropped by `_merge`, the only method that changes
-        `terms` after construction.
+        (den, keys, variables, terms, numerators, starts): keys is the
+        (terms x slots) index array; the nonzero coefficients are entries
+        (term, numerator), grouped by variable in ascending order,
+        variable variables[j] owning the entries from starts[j]. The
+        numerators' dtype is `exactla.int_dtype` of the largest pairing
+        value: the largest weight (every slot dimension to the power
+        `copies`) times the largest column sum of |numerator|. Computed
+        once per operator and dropped by `_merge`, the only method that
+        changes `terms` after construction.
         """
         if self._ints is None:
             den = lcm(*(c.denominator for lin in self.terms.values() for c in lin.values()))
-            ints = [(key, [(v, c.numerator * (den // c.denominator)) for v, c in lin.items()]) for key, lin in self.terms.items()]
-            self._ints = (den, ints)
+            keys = np.array(list(self.terms), dtype=np.intp).reshape(len(self.terms), self.system.slots)
+            by_var: dict = {}
+            for t, lin in enumerate(self.terms.values()):
+                for v, c in lin.items():
+                    by_var.setdefault(v, []).append((t, c.numerator * (den // c.denominator)))
+            variables = sorted(by_var)
+            entries = [e for v in variables for e in by_var[v]]
+            starts = np.cumsum([0] + [len(by_var[v]) for v in variables[:-1]], dtype=np.intp)
+            column = max((sum(abs(c) for _, c in by_var[v]) for v in variables), default=0)
+            dtype = exactla.int_dtype(prod(self.system.dims) ** self.system.copies * column)
+            terms = np.array([t for t, _ in entries], dtype=np.intp)
+            numerators = np.array([c for _, c in entries], dtype=dtype)
+            self._ints = (den, keys, variables, terms, numerators, starts)
         return self._ints
 
-    def pairing_row(self, test: tuple[int, ...]) -> dict:
-        """Linear form of Tr(V_test @ self); zero forms are dropped upstream.
+    def pairing_matrix(self, tests) -> tuple[int, list, np.ndarray]:
+        """(den, variables, m): m[i][j] / den is the coefficient of variables[j] in Tr(V_tests[i] @ self).
 
-        Method: the permutation-tensor weight of each term is an integer
-        (a power of the slot dimensions), and the coefficients are held as
-        integers over one common denominator (`_integer_terms`), so the sum
-        of weight x numerator runs in Python ints; each output entry is one
-        Fraction(sum, denominator).
+        Every test at once, in integers. The weight of term K against test
+        g is prod_s dims[s]^#cycles(g_s K_s): the cycle counts come from
+        one gathered table of the copy group, `cycles[mul[g_s][K_s]]`,
+        slot by slot, are summed over the slots of each dimension and
+        looked up in that dimension's power table. The (tests x terms)
+        weights then multiply the sparse term x variable coefficient
+        matrix. The dtype is that of `_integer_terms`: int64 when the
+        largest value is checked to fit, else Python ints, through the
+        same code. Tests are taken in chunks to bound the weight arrays.
         """
-        g = self.system.group
-        mul, cyc = g.mul, g.cycles
-        dims = self.system.dims
-        den, ints = self._integer_terms()
-        acc: dict = {}
-        if len(set(dims)) == 1:
-            pows = _int_powers(dims[0], self.system.slots * self.system.copies + 1)
-            for key, lin in ints:
-                e = 0
-                for s, k in enumerate(key):
-                    e += cyc[mul[test[s]][k]]
-                w = pows[e]
-                for v, c in lin:
-                    acc[v] = acc.get(v, 0) + w * c
-        else:
-            for key, lin in ints:
-                w = 1
-                for s, k in enumerate(key):
-                    w *= dims[s] ** cyc[mul[test[s]][k]]
-                for v, c in lin:
-                    acc[v] = acc.get(v, 0) + w * c
-        return {v: Fraction(a, den) for v, a in acc.items()}
+        den, keys, variables, terms, numerators, starts = self._integer_terms()
+        dtype = numerators.dtype
+        g, dims, copies = self.system.group, self.system.dims, self.system.copies
+        tests = np.array(tests, dtype=np.intp).reshape(-1, self.system.slots)
+        out = np.zeros((len(tests), len(variables)), dtype=dtype)
+        if not variables:
+            return den, variables, out
+        slots_of = {d: [s for s, ds in enumerate(dims) if ds == d] for d in sorted(set(dims))}
+        powers = {d: np.array([d**e for e in range(len(slots) * copies + 1)], dtype=dtype) for d, slots in slots_of.items()}
+        step = max(1, 2**16 // len(keys))
+        for lo in range(0, len(tests), step):
+            chunk = tests[lo : lo + step]
+            weights = 1
+            for d, slots in slots_of.items():
+                exponents = sum(g.product_cycles[chunk[:, s, None], keys[None, :, s]] for s in slots)
+                weights = weights * powers[d][exponents]
+            out[lo : lo + step] = np.add.reduceat(weights[:, terms] * numerators, starts, axis=1)
+        return den, variables, out
+
+    def pairing_row(self, test: tuple[int, ...]) -> dict:
+        """Linear form of Tr(V_test @ self): one row of `pairing_matrix`, as Fractions.
+
+        Every variable of the operator has an entry, zero or not.
+        """
+        den, variables, m = self.pairing_matrix([test])
+        return {v: Fraction(a, den) for v, a in zip(variables, m[0].tolist())}
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +474,8 @@ def _block(parts: tuple[tuple[int, ...], ...], classes: tuple[int, ...], alphabe
     over the alphabet share one scale (identity moves are scaled by it
     too, so every partial sum after slot s has the same denominator), and
     the weights are one integer diagonal over their lcm. Each entry of
-    gram and z is then one integer dot product and one Fraction.
+    gram and z is then one integer dot product and one Fraction; gram is
+    symmetric, so one triangle is computed and mirrored.
     """
     partitions = tuple(Partition(p) for p in parts)
     group = _copy_group(sum(parts[0]))
@@ -464,7 +487,10 @@ def _block(parts: tuple[tuple[int, ...], ...], classes: tuple[int, ...], alphabe
     weighted = [[w.numerator * (wden // w.denominator) * x for w, x in zip(weights, u)] for u, _ in vectors]
     support = [[i for i, x in enumerate(row) if x] for row in weighted]
     dens = [den for _, den in vectors]
-    gram = [[Fraction(sum(wa[i] * v[i] for i in sa), da * db * wden) for v, db in vectors] for wa, sa, da in zip(weighted, support, dens)]
+    gram = exactla.zeros(k, k)
+    for a, (wa, sa, da) in enumerate(zip(weighted, support, dens)):
+        for b, (v, db) in enumerate(vectors[: a + 1]):
+            gram[a][b] = gram[b][a] = Fraction(sum(wa[i] * v[i] for i in sa), da * db * wden)
     moving = [e for e in alphabet if e != group.identity]
     scales, mats = [], []
     for rep in reps:

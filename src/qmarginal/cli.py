@@ -11,7 +11,8 @@ Verbs:
 
 Exit codes: 0 completed (any verdict), 2 invalid input, 3 resource cap,
 4 solver non-convergence, 5 internal error (an internal consistency
-check failed). Results go to stdout, progress to stderr.
+check failed, or any other exception: one stderr line, no traceback).
+Results go to stdout, progress to stderr.
 """
 
 from __future__ import annotations
@@ -220,6 +221,9 @@ def main(argv=None) -> int:
         return 4
     except QmarginalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 5
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 5
 
 

@@ -25,6 +25,7 @@ from math import comb
 
 import numpy as np
 
+from . import exactla
 from .ame import krawtchouk, ppt_table
 from .blocks import SlotSystem
 from .errors import InvalidInputError, ResourceCapError
@@ -327,7 +328,8 @@ def code_two_party_constraints(params: CodeParams, level: str = "ppt") -> BlockS
                 blocks.append(ScalarBlock((("perp-sector",), ("pattern", j)), "ppt", 1, z2))
 
     system = SlotSystem(2, (params.K,) + (d,) * n, (0,) + (1,) * n)
-    return BlockSdp(system, keys, cleaned, blocks, meta={"params": params, "level": level})
+    int_rows = [exactla.primitive([r.get(v, F0) for v in range(len(keys))] + [-r.get(CONST, F0)]) for r in cleaned]
+    return BlockSdp(system, keys, cleaned, int_rows, blocks, meta={"params": params, "level": level})
 
 
 # ---------------------------------------------------------------------------

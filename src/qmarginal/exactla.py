@@ -2,18 +2,24 @@
 
 Matrices are lists of lists, small and dense; these routines back the
 exact solver paths where floating point would blur a sign decision. The
-hot kernels (`mode_product`, `solve_affine`) run in Python integers:
+hot kernels (`mode_product`, `solve_integer_rows`) run in integers:
 rational data is scaled to integer rows (`integer_matrices`,
-`primitive`), eliminated fraction-free, and read back with one Fraction
-per output entry. `ldlt_psd_witness` and the small helpers work on
+`primitive`), worked on in Python ints or in numpy arrays whose dtype
+`int_dtype` picks from a checked bound, and read back with one Fraction
+per output entry. An equality system is eliminated fraction-free only
+on the rows a pass mod the prime P selects; every other row is checked
+exactly against them. `ldlt_psd_witness` and the small helpers work on
 Fractions.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
+import numpy as np
+
 F0 = Fraction(0)
 F1 = Fraction(1)
+P = 2**31 - 1  # the prime of the row selection: a product of two residues fits in int64
 
 
 def zeros(rows, cols):
@@ -57,56 +63,157 @@ def integer_matrices(mats):
     return scale, [[[x.numerator * (scale // x.denominator) for x in row] for row in m] for m in mats]
 
 
+def int_dtype(bound):
+    """numpy dtype for exact integer work whose every value is at most `bound` in size.
+
+    int64 below 2^63, else object (Python ints): the same numpy code then
+    runs exactly either way.
+    """
+    return np.int64 if bound < 2**63 else object
+
+
 def solve_affine(a, b, ncols=None):
-    """Solve a x = b exactly.
+    """Solve a x = b exactly over the rationals.
 
     Returns (particular, nullspace_basis) or None when inconsistent.
-    The nullspace basis spans all homogeneous solutions.
-
-    Method: fraction-free Gauss-Jordan elimination over Python ints
-    (Bareiss, Math. Comp. 22, 1968). Each augmented row (a_i | b_i) is
-    scaled to a primitive integer row (times the lcm of its denominators,
-    divided by the gcd of its entries). The pivot is the first row with a
-    nonzero entry in the column, columns left to right; every update
-    r_i <- p r_i - r_i[c] r_p is followed by dividing r_i by the gcd of its
-    entries. Rows are divided by their pivots only at the end, so the
-    result is read from the reduced row echelon form, which is unique.
+    The nullspace basis spans all homogeneous solutions. A thin wrapper:
+    each augmented row (a_i | b_i) becomes a primitive integer row
+    (`primitive`) and `solve_integer_rows` does the work.
     """
     n = (len(a[0]) if a else 0) if ncols is None else ncols
-    rows = [primitive([*row, b[i]]) for i, row in enumerate(a)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        if r == len(rows):
+    return solve_integer_rows([primitive([*row, b[i]]) for i, row in enumerate(a)], n)
+
+
+def solve_integer_rows(rows, ncols):
+    """Solve the augmented integer system rows = (a | b), a x = b, exactly.
+
+    Each row holds `ncols` integer coefficients and then its right-hand
+    side. Returns (particular, nullspace_basis) as Fractions, read from
+    the reduced row echelon form (RREF), or None when the system is
+    inconsistent (the RREF has a pivot in the rhs column).
+
+    Method: row selection mod a prime, then exact elimination of the
+    selected rows only (Dixon, Numer. Math. 40, 1982, for the modular
+    idea). Gaussian elimination mod P picks rows independent mod P; a
+    nonzero minor mod P is nonzero over the integers, so they are
+    independent over Q. Fraction-free Gauss-Jordan (`_gauss_jordan`)
+    reduces them, and every other row is then checked exactly to lie in
+    their span (`_outside_span`); rows that do not join the selection and
+    the step repeats. The RREF of a row space is unique, so the result
+    equals that of eliminating every row, and no decision rests on
+    arithmetic mod P.
+    """
+    chosen = _independent_rows_mod_p(rows, ncols + 1)
+    while True:
+        reduced, pivots = _gauss_jordan([rows[i] for i in chosen], ncols + 1)
+        if pivots and pivots[-1] == ncols:
+            return None
+        taken = set(chosen)
+        others = [i for i in range(len(rows)) if i not in taken]
+        failing = _outside_span(reduced, pivots, [rows[i] for i in others], ncols + 1)
+        if not failing:
             break
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pr = rows[r]
-        p = pr[c]
-        for i, ri in enumerate(rows):
-            f = ri[c]
-            if i != r and f:
-                rows[i] = primitive_ints([p * x - f * y for x, y in zip(ri, pr)])
-        pivots.append(c)
-        r += 1
-    if any(row[n] for row in rows[r:]):
-        return None
-    particular = [F0] * n
-    for row, c in zip(rows, pivots):
-        particular[c] = Fraction(row[n], row[c])
+        chosen += [others[j] for j in failing]
+    particular = [F0] * ncols
+    for row, c in zip(reduced, pivots):
+        particular[c] = Fraction(row[ncols], row[c])
     pivot_set = set(pivots)
     basis = []
-    for fc in range(n):
+    for fc in range(ncols):
         if fc in pivot_set:
             continue
-        v = [F0] * n
+        v = [F0] * ncols
         v[fc] = F1
-        for row, c in zip(rows, pivots):
+        for row, c in zip(reduced, pivots):
             v[c] = Fraction(-row[fc], row[c])
         basis.append(v)
     return particular, basis
+
+
+def _independent_rows_mod_p(rows, width) -> list[int]:
+    """Indices of rows that are linearly independent mod P, one per pivot column.
+
+    Gaussian elimination mod P in int64 numpy, columns left to right; the
+    pivot of a column is the first unchosen row with a nonzero residue
+    there, and only the unchosen rows with a nonzero residue are updated.
+    """
+    if not rows:
+        return []
+    a = np.array([[x % P for x in row] for row in rows], dtype=np.int64)
+    unchosen = np.ones(len(rows), dtype=bool)
+    chosen = []
+    for c in range(width):
+        hit = np.flatnonzero(unchosen & (a[:, c] != 0))
+        if not len(hit):
+            continue
+        i, others = hit[0], hit[1:]
+        unchosen[i] = False
+        chosen.append(int(i))
+        pivot = a[i] * pow(int(a[i, c]), -1, P) % P
+        a[others] = (a[others] - a[others, c, None] * pivot) % P
+    return chosen
+
+
+def _gauss_jordan(rows, width) -> tuple[list, list]:
+    """(nonzero RREF rows up to scale, pivot columns) of integer rows, fraction-free.
+
+    The pivot is the first row with a nonzero entry in the column,
+    columns left to right; every update r_i <- p r_i - r_i[c] r_p (after
+    Bareiss, Math. Comp. 22, 1968) is followed by dividing r_i by the gcd
+    of its entries. Row i of the result is the i-th RREF row times its
+    entry in its pivot column. All rows are updated at once in numpy, in
+    int64 while twice the square of the largest entry (the bound of an
+    update) fits, in Python ints from the first pivot where it does not.
+    """
+    a = np.array(rows, dtype=int_dtype(_max_abs(rows))).reshape(len(rows), width)
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        hit = np.flatnonzero(a[r:, c])
+        if not len(hit):
+            continue
+        a[[r, r + hit[0]]] = a[[r + hit[0], r]]
+        if a.dtype != object and int_dtype(2 * int(np.abs(a).max()) ** 2) is object:
+            a = a.astype(object)
+        update = np.flatnonzero(a[:, c])
+        update = update[update != r]
+        a[update] = a[r, c] * a[update] - a[update, c, None] * a[r]
+        g = np.gcd.reduce(a[update], axis=1)
+        g[g == 0] = 1
+        a[update] //= g[:, None]
+        pivots.append(c)
+        if r + 1 == len(a):
+            break
+    return a[: len(pivots)].tolist(), pivots
+
+
+def _outside_span(reduced, pivots, others, width) -> list[int]:
+    """Positions in `others` of the rows outside the span of the reduced rows.
+
+    Row q is in the span exactly when q = sum_i q[c_i] / d_i R_i, with
+    R_i the reduced rows, c_i their pivot columns and d_i their pivot
+    entries. The pivot columns agree by construction, so the test runs
+    over the other columns, in integers over L = lcm(d_i): L q_N equals
+    q_P N', with N'_i = (L / d_i) times the non-pivot part of R_i. One
+    matrix product, in int64 when a bound on its entries allows it.
+    """
+    if not others:
+        return []
+    pivot_set = set(pivots)
+    free = [c for c in range(width) if c not in pivot_set]
+    scale = lcm(*(row[c] for row, c in zip(reduced, pivots)))
+    lifted = [[scale // row[c] * row[j] for j in free] for row, c in zip(reduced, pivots)]
+    q_piv = [[q[c] for c in pivots] for q in others]
+    q_free = [[q[j] for j in free] for q in others]
+    big_piv, big_lifted, big_free = _max_abs(q_piv), _max_abs(lifted), _max_abs(q_free)
+    dtype = int_dtype(max(big_piv, big_lifted, scale * max(big_free, 1), big_piv * big_lifted * len(pivots)))
+    lhs = np.array(q_free, dtype=dtype).reshape(len(others), len(free)) * scale
+    rhs = np.array(q_piv, dtype=dtype).reshape(len(others), len(pivots)) @ np.array(lifted, dtype=dtype).reshape(len(pivots), len(free))
+    return np.flatnonzero((lhs != rhs).any(axis=1)).tolist()
+
+
+def _max_abs(rows) -> int:
+    return max((abs(x) for row in rows for x in row), default=0)
 
 
 def primitive(row):
@@ -179,6 +286,4 @@ def quadratic_form(m, v):
 
 
 def to_float(a):
-    import numpy as np
-
     return np.array([[float(x) for x in row] for row in a], dtype=float)

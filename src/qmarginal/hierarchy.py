@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, prod
+from math import comb, gcd, prod
 
 import numpy as np
 
@@ -118,11 +118,18 @@ def ame_marginal_spec(n: int, d: int) -> MarginalSpec:
 
 @dataclass
 class BlockSdp:
-    """Equality system plus PSD blocks over the coefficient variables."""
+    """Equality system plus PSD blocks over the coefficient variables.
+
+    `rows` and `int_rows` hold the same equalities: as dicts var -> Fraction
+    with CONST carrying the constant (sum_v c_v x_v + c_CONST = 0), and as
+    primitive integer rows (a_0, ..., a_{nvars-1}, b) with a x = b, which
+    `solve_primal` eliminates.
+    """
 
     system: SlotSystem
     keys: list
-    rows: list  # dicts var->Fraction, CONST carrying constants
+    rows: list
+    int_rows: list
     blocks: list  # IrrepBlock
     objective: dict | None = None
     meta: dict = field(default_factory=dict)
@@ -132,39 +139,45 @@ class BlockSdp:
         return len(self.keys)
 
 
-def _normalize_row(row: dict) -> tuple | None:
-    items = sorted((v, c) for v, c in row.items() if c)
-    if not items or all(v == CONST for v, _ in items):
-        if any(c for v, c in items):
-            return ("inconsistent",)
-        return None
-    lead = next(c for v, c in items if v != CONST)
-    return tuple((v, c / lead) for v, c in items)
-
-
-def _dedupe_rows(rows) -> list[dict]:
+def _dedupe_rows(rows, nvars: int) -> tuple[list[dict], list[list[int]]]:
     """Normalized, deduplicated equality rows, in first-seen order.
 
-    Zero rows are dropped; a row holding only a nonzero constant makes
-    the system inconsistent and raises InvalidInputError.
+    Each row is an integer row (a_0, ..., a_{nvars-1}, b) standing for
+    a x = b. It is divided by the gcd of its entries and its sign is set
+    so that its lead (first nonzero) variable coefficient is positive;
+    rows equal after that are proportional, and the first one seen is
+    kept. Zero rows are dropped; a row holding only a nonzero constant
+    makes the system inconsistent and raises InvalidInputError.
+
+    Returns (rows as dicts, integer rows): dict row p maps CONST to
+    -p_b / p_lead and each variable v with p_v != 0 to p_v / p_lead,
+    CONST first, then variables in ascending order.
     """
     seen = {}
     for row in rows:
-        norm = _normalize_row(row)
-        if norm == ("inconsistent",):
-            raise InvalidInputError("inconsistent constant row in assembly")
-        if norm is not None and norm not in seen:
-            seen[norm] = dict(norm)
-    return list(seen.values())
+        lead = next((x for x in row[:nvars] if x), 0)
+        if not lead:
+            if row[nvars]:
+                raise InvalidInputError("inconsistent constant row in assembly")
+            continue
+        g = gcd(*row) if lead > 0 else -gcd(*row)
+        seen.setdefault(tuple(x // g for x in row), None)
+    int_rows = [list(p) for p in seen]
+    dict_rows = []
+    for p in int_rows:
+        lead = next(x for x in p if x)
+        row = {CONST: Fraction(-p[nvars], lead)} if p[nvars] else {}
+        row.update((v, Fraction(x, lead)) for v, x in enumerate(p[:nvars]) if x)
+        dict_rows.append(row)
+    return dict_rows, int_rows
 
 
-def _rows_from_operator(op: SymbolicOperator, tests) -> list[dict]:
-    out = []
-    for g in tests:
-        row = op.pairing_row(g)
-        if row:
-            out.append(row)
-    return out
+def _rows_from_operator(op: SymbolicOperator, tests, nvars: int) -> list[list[int]]:
+    """Integer rows (pairing with each test | 0), over the operator's denominator."""
+    _, variables, m = op.pairing_matrix(tests)
+    full = np.zeros((len(m), nvars + 1), dtype=m.dtype)
+    full[:, variables] = m
+    return full.tolist()
 
 
 def assemble_primal(spec: MarginalSpec, copies: int, cap: int = 512) -> BlockSdp:
@@ -190,30 +203,29 @@ def assemble_primal(spec: MarginalSpec, copies: int, cap: int = 512) -> BlockSdp
     keys = system.keys()
     phi = SymbolicOperator.variable_expansion(system, keys)
 
-    rows: list[dict] = []
+    nvars = len(keys)
     trace_row = phi.trace_row()
-    trace_row[CONST] = trace_row.get(CONST, F0) - 1
-    rows.append(trace_row)
+    rows = [exactla.primitive([trace_row.get(v, F0) for v in range(nvars)] + [F1])]
 
     canon_tests = keys  # canonical tuples as test elements
-    rows += _rows_from_operator(phi.sub(phi.adjoint()), canon_tests)
+    rows += _rows_from_operator(phi.sub(phi.adjoint()), canon_tests, nvars)
 
     from .symgroup import Permutation
 
     for gen in (Permutation.transposition(copies, 0, 1), Permutation.full_cycle(copies)):
         gi = g.index[gen.images]
         moved = phi.slotwise_multiply((gi,) * system.slots)
-        rows += _rows_from_operator(moved.sub(phi), canon_tests)
+        rows += _rows_from_operator(moved.sub(phi), canon_tests, nvars)
 
     traced = tuple(s for s in range(system.slots) if s not in kept)
     marginal = phi.ptrace(traced, 0)
     dim_mixed = prod(system.dims[s] for s in mixed)
     target = marginal.ptrace(mixed, 0).untrace({(s, 0) for s in mixed}).scale(Fraction(1, dim_mixed))
-    rows += _rows_from_operator(marginal.sub(target), _marginal_tests(system, traced))
+    rows += _rows_from_operator(marginal.sub(target), _marginal_tests(system, traced), nvars)
 
-    rows = _dedupe_rows(rows)
+    rows, int_rows = _dedupe_rows(rows, nvars)
     blocks = [irrep_block(system, tpl, keys, cap=cap) for tpl in tuples]
-    return BlockSdp(system, keys, rows, blocks, meta={"n": spec.n, "d": spec.d, "copies": copies})
+    return BlockSdp(system, keys, rows, int_rows, blocks, meta={"n": spec.n, "d": spec.d, "copies": copies})
 
 
 def _marginal_tests(system: SlotSystem, traced_slots):
@@ -242,11 +254,7 @@ def solve_primal(problem: BlockSdp, tol: float = 1e-8) -> PrimalVerdict:
     through the float margin-maximization SDP.
     """
     nv = problem.nvars
-    dense_rows, rhs = [], []
-    for row in problem.rows:
-        dense_rows.append([row.get(v, F0) for v in range(nv)])
-        rhs.append(-row.get(CONST, F0))
-    sol = exactla.solve_affine(dense_rows, rhs, ncols=nv)
+    sol = exactla.solve_integer_rows(problem.int_rows, nv)
     if sol is None:
         return PrimalVerdict("infeasible", exact=True, nullity=0)
     x0, basis = sol

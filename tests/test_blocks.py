@@ -7,7 +7,8 @@ swap-pattern sums of the witness blocks and the per-key arrangement sums
 of the primal blocks as explicit Kronecker products (`kron_all` below),
 compressed by `_compress`. The library's results must be identical to
 it, entry for entry and byte for byte. The integer kernels
-(`exactla.solve_affine`, `SymbolicOperator.pairing_row`) are checked
+(`exactla.solve_affine` with its mod-P row selection,
+`SymbolicOperator.pairing_matrix` and `pairing_row`) are checked
 against the Fraction loops they replace, and every operation of
 `SymbolicOperator` against the dense integer model in `reference.py`.
 """
@@ -376,6 +377,50 @@ def test_solve_affine_matches_fraction_rref(kind):
     assert exactla.solve_affine([], [], ncols=2) == ([F0, F0], [[F1, F0], [F0, F1]])
 
 
+def _wide_system(rng, bits, kind):
+    """Rows mixed from rank 3 rows of `bits`-bit integers, consistent with a rational point."""
+    ncols = rng.randint(4, 8)
+    span = [[rng.randint(-(2**bits), 2**bits) for _ in range(ncols)] for _ in range(3)]
+    point = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(ncols)]
+    a = [[Fraction(sum(m * r[j] for m, r in zip(mix, span))) for j in range(ncols)] for mix in ([1, 0, 0], [0, 1, 0], [0, 0, 1], [2, -1, 3], [1, 1, -5])]
+    b = [sum((x * y for x, y in zip(row, point)), start=F0) for row in a]
+    if kind == "inconsistent":
+        b[3] += 1
+    return a, b
+
+
+@pytest.mark.parametrize("kind", ["rank-deficient", "inconsistent"])
+@pytest.mark.parametrize("bits", [15, 40, 70], ids=["python-ints-midway", "python-ints-at-first-pivot", "past-int64"])
+def test_solve_affine_wide_entries_match_fraction_rref(bits, kind):
+    """Entries whose elimination leaves int64 take the Python-int branch of the same code."""
+    rng = random.Random(f"{bits}-{kind}")
+    for trial in range(10):
+        a, b = _wide_system(rng, bits, kind)
+        ref = _reference_solve_affine(a, b, len(a[0]))
+        assert (ref is None) == (kind == "inconsistent")
+        assert exactla.solve_affine(a, b, ncols=len(a[0])) == ref
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([[1, 0], [1, exactla.P]], [1, 1]),  # independent over Q, dependent mod P
+        ([[1, 0], [1 + exactla.P, 0]], [1, 1]),  # inconsistent over Q, consistent mod P
+        ([[1, 2, 0], [1, 2 + exactla.P, 0], [3, 6, 0], [0, 0, 1]], [3, 3, 9, 1]),
+    ],
+    ids=["hidden-rank", "hidden-inconsistency", "with-dependent-rows"],
+)
+def test_solve_affine_rechecks_rows_left_out_mod_p(a, b):
+    """Rows dependent mod P are left out by the selection and found by the exact span check."""
+    a = [[Fraction(x) for x in row] for row in a]
+    b = [Fraction(x) for x in b]
+    ncols = len(a[0])
+    rows = [exactla.primitive([*row, rhs]) for row, rhs in zip(a, b)]
+    chosen = exactla._independent_rows_mod_p(rows, ncols + 1)
+    assert exactla._outside_span(*exactla._gauss_jordan([rows[i] for i in chosen], ncols + 1), [rows[1]], ncols + 1) == [0]
+    assert exactla.solve_affine(a, b, ncols=ncols) == _reference_solve_affine(a, b, ncols)
+
+
 def _fraction_pairing_row(op, test):
     g = op.system.group
     row = {}
@@ -407,6 +452,25 @@ def test_pairing_row_matches_fraction_reference(system):
             row = op.pairing_row(t)
             assert row == _fraction_pairing_row(op, t)
             assert all(type(c) is Fraction for c in row.values())
+
+
+@pytest.mark.parametrize(
+    "system, dtype",
+    [
+        (blocks.ame_system(4, 2, 3), np.int64),
+        (blocks.SlotSystem(3, (3, 2, 2), (0, 1, 1)), np.int64),
+        (blocks.ame_system(5, 20, 3), object),  # 20^15 exceeds int64
+    ],
+    ids=["uniform-dims", "mixed-dims", "past-int64"],
+)
+def test_pairing_matrix_matches_fraction_reference(system, dtype):
+    """All tests at once: m[i][j] / den is the Fraction pairing of variables[j] with tests[i]."""
+    tests = system.keys()[::5] if system.copies * system.slots < 15 else system.keys()[::60]
+    for op in _assembly_operators(system):
+        den, variables, m = op.pairing_matrix(tests)
+        assert m.dtype == dtype and m.shape == (len(tests), len(variables))
+        for t, row in zip(tests, m.tolist()):
+            assert dict(zip(variables, (Fraction(x, den) for x in row))) == _fraction_pairing_row(op, t)
 
 
 def test_pairing_row_follows_merge():

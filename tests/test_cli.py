@@ -166,6 +166,16 @@ def test_exit_code_internal_error(monkeypatch, error):
     assert err == "internal error: check failed\n"
 
 
+def test_unexpected_exception_exits_5_without_traceback(monkeypatch):
+    def broken(args):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(cli, "_cmd_ame_check", broken)
+    code, out, err = run_cli(["ame", "check", "--n", "4", "--d", "2"])
+    assert code == 5 and out == ""
+    assert err == "internal error: ZeroDivisionError: division by zero\n"
+
+
 def test_unknown_verb_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["bogus"])

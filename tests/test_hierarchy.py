@@ -306,3 +306,29 @@ CUT_LOOP_DIGESTS = {
 def test_cut_loop_matches_recorded_digests(level):
     result = hi.witness_optimize_exact(*level)
     assert hashlib.sha256(repr(result).encode()).hexdigest() == CUT_LOOP_DIGESTS[level]
+
+
+def test_dedupe_rows_normalizes_sign_and_gcd():
+    """Rows (a_0, a_1, a_2 | b): gcd 1, lead variable positive, first-seen order, zero rows dropped."""
+    rows = [
+        [0, 0, 0, 0],
+        [0, -4, 6, -2],
+        [2, 0, 0, 6],
+        [0, 2, -3, 1],  # the second row scaled by -1/2
+        [0, 0, 0, 0],
+        [-1, 0, 0, -3],  # the third row scaled by -1/2
+        [0, 0, 5, 0],
+    ]
+    dict_rows, int_rows = hi._dedupe_rows(rows, 3)
+    assert int_rows == [[0, 2, -3, 1], [1, 0, 0, 3], [0, 0, 1, 0]]
+    assert [list(r.items()) for r in dict_rows] == [
+        [(hi.CONST, F(-1, 2)), (1, F(1)), (2, F(-3, 2))],
+        [(hi.CONST, F(-3)), (0, F(1))],
+        [(2, F(1))],
+    ]
+    assert hi._dedupe_rows([[0, 0, 0]], 2) == ([], [])
+
+
+def test_dedupe_rows_rejects_a_constant_only_row():
+    with pytest.raises(InvalidInputError, match="inconsistent constant row"):
+        hi._dedupe_rows([[1, 0, 2], [0, 0, -3]], 2)
