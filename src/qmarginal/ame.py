@@ -16,7 +16,6 @@ there is no "exists" verdict here).
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -181,9 +180,17 @@ def _scan_worker(args: tuple[int, int]) -> FeasibilityReport:
 
 
 def scan(n_values, d_values, jobs: int = 1) -> list[FeasibilityReport]:
-    """check_existence over a grid, in deterministic (n, d) order."""
+    """check_existence over a grid, in deterministic (n, d) order.
+
+    `jobs` > 1 runs the grid in that many worker processes; the pool is
+    imported only then, so `import qmarginal` does not load it.
+    """
+    if jobs < 1:
+        raise InvalidInputError(f"need at least one job, got {jobs}")
     grid = [(n, d) for n in n_values for d in d_values]
     if jobs > 1 and len(grid) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_scan_worker, grid))
     return [check_existence(n, d) for n, d in grid]

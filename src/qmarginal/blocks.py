@@ -10,10 +10,11 @@ of permutations per class.
 This module provides
 
 * coefficient key enumeration and canonicalization over slot classes;
-* a symbolic operator layer (linear in the coefficient vector) with
-  slotwise products, per-copy partial traces, and exact trace pairings
-  against all tests at once as one integer matrix, used to emit
-  equality constraint rows;
+* a symbolic operator layer (linear in the coefficient vector), held as
+  integer entry arrays, with slotwise products, adjoints and per-copy
+  partial traces as gathers through the copy-group tables, and exact
+  trace pairings against all tests at once as one integer matrix, used
+  to emit equality constraint rows;
 * the positivity blocks of the primal, code-extension and dual-witness
   problems, from one builder (`_block`): per partition tuple, an exact
   basis U of the subspace fixed by the diagonal copy-permutation action,
@@ -27,10 +28,10 @@ This module provides
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -47,27 +48,26 @@ from .symgroup import (
     _rep,
 )
 
-F0 = Fraction(0)
 F1 = Fraction(1)
 
 
 class _CopyGroup:
-    """Lookup tables for S_N acting on the copies."""
+    """Lookup tables for S_N acting on the copies, as arrays over element indices."""
 
     def __init__(self, n: int):
         self.n = n
         self.elements = group_elements(n)
         self.index = {p.images: i for i, p in enumerate(self.elements)}
-        self.mul = [[self.index[a.compose(b).images] for b in self.elements] for a in self.elements]
+        self.mul = np.array([[self.index[a.compose(b).images] for b in self.elements] for a in self.elements], dtype=np.intp)
         self.cycles = [p.n_cycles() for p in self.elements]
-        self.product_cycles = np.array(self.cycles, dtype=np.intp)[np.array(self.mul, dtype=np.intp)]  # #cycles(a b)
-        self.inv = [self.index[p.inverse().images] for p in self.elements]
-        # partial trace of one copy: (d-exponent, reduced element index)
-        self.ptrace = [
-            [(1, i) if p.fixes(c) else (0, self.index[_delete_from_cycle(p, c).images]) for i, p in enumerate(self.elements)]
-            for c in range(n)
-        ]
-        self.fixing = [[i for i, p in enumerate(self.elements) if p.fixes(c)] for c in range(n)]
+        self.product_cycles = np.array(self.cycles, dtype=np.intp)[self.mul]  # #cycles(a b)
+        self.inv = np.array([self.index[p.inverse().images] for p in self.elements], dtype=np.intp)
+        # partial trace of one copy: whether the element fixes it (a factor d), and the reduced element
+        self.fixes = np.array([[p.fixes(c) for p in self.elements] for c in range(n)], dtype=bool)
+        self.ptrace = np.array(
+            [[i if p.fixes(c) else self.index[_delete_from_cycle(p, c).images] for i, p in enumerate(self.elements)] for c in range(n)],
+            dtype=np.intp,
+        )
         self.identity = self.index[tuple(range(n))]
 
 
@@ -184,97 +184,123 @@ def ame_system(n: int, d: int, copies: int) -> SlotSystem:
 # symbolic operators, linear in the coefficient vector
 
 
-@dataclass
 class SymbolicOperator:
-    """Operator whose basis coefficients are linear forms in the variables."""
+    """Operator whose basis coefficients are linear forms in the variables.
 
-    system: SlotSystem
-    terms: dict  # ordered index tuple -> {var: Fraction}
-    traced: frozenset = frozenset()
-    _ints: tuple | None = field(default=None, init=False, repr=False, compare=False)  # see _integer_terms
+    Held as three arrays over one integer denominator `den`: entry e is
+    the coefficient numerators[e] / den of variable variables[e] on the
+    basis operator V_{keys[e, 0]} x ... x V_{keys[e, slots - 1]}, the key
+    entries indexing the copy group. The entries are compact: sorted by
+    (key, variable), one per pair, none zero, and den the smallest
+    (`_compact`). The numerators are int64 while their largest size is
+    checked to fit (`exactla.int_dtype`), else Python ints. Every
+    operation is a gather through a copy-group table, a scaling or a
+    concatenation, then one compaction; no method changes an operator.
+    The dict constructor and the `terms` view are for inspection.
+    """
+
+    def __init__(self, system: SlotSystem, terms: dict, traced=frozenset()):
+        """From {ordered key: {var: rational}}; zero coefficients are dropped."""
+        items = [(key, v, Fraction(c)) for key, lin in terms.items() for v, c in lin.items()]
+        den = lcm(*(c.denominator for _, _, c in items))
+        nums = [c.numerator * (den // c.denominator) for _, _, c in items]
+        self.system, self.traced = system, frozenset(traced)
+        self.keys, self.variables, self.numerators, self.den = _compact(
+            np.array([key for key, _, _ in items], dtype=np.intp).reshape(len(items), system.slots),
+            np.array([v for _, v, _ in items], dtype=np.intp),
+            np.array(nums, dtype=exactla.int_dtype(max(map(abs, nums), default=0))),
+            den,
+        )
+
+    def _with(self, keys, variables=None, numerators=None, den=None, traced=None) -> "SymbolicOperator":
+        """An operator on the same system from new entry arrays (defaults: this one's), compacted."""
+        out = SymbolicOperator.__new__(SymbolicOperator)
+        out.system, out.traced = self.system, self.traced if traced is None else traced
+        out.keys, out.variables, out.numerators, out.den = _compact(
+            keys,
+            self.variables if variables is None else variables,
+            self.numerators if numerators is None else numerators,
+            self.den if den is None else den,
+        )
+        return out
+
+    @property
+    def terms(self) -> dict:
+        """{ordered key: {var: Fraction}}, built on each read."""
+        out: dict = {}
+        for key, v, c in zip(map(tuple, self.keys.tolist()), self.variables.tolist(), self.numerators.tolist()):
+            out.setdefault(key, {})[v] = Fraction(c, self.den)
+        return out
 
     @staticmethod
     def variable_expansion(system: SlotSystem, keys=None) -> "SymbolicOperator":
+        """sum_v x_v E_{keys[v]}: every ordered key whose canonical form is keys[v] carries x_v.
+
+        The ordered keys are enumerated as one array, canonicalized by
+        sorting the columns of each slot class, and looked up in a table
+        indexed by the keys' mixed-radix codes.
+        """
         keys = system.keys() if keys is None else keys
-        terms: dict = {}
-        for vi, key in enumerate(keys):
-            for arr in system.arrangements(key):
-                terms.setdefault(arr, {})[vi] = F1
-        return SymbolicOperator(system, terms)
-
-    def _merge(self, key, lin, scale=F1):
-        self._ints = None
-        dst = self.terms.setdefault(key, {})
-        for v, c in lin.items():
-            c2 = dst.get(v, F0) + scale * c
-            if c2:
-                dst[v] = c2
-            else:
-                dst.pop(v, None)
-        if not dst:
-            self.terms.pop(key, None)
-
-    def copy(self) -> "SymbolicOperator":
-        return SymbolicOperator(self.system, {k: dict(v) for k, v in self.terms.items()}, self.traced)
+        radix = (len(system.group.elements),) * system.slots
+        ordered = np.indices(radix).reshape(system.slots, -1).T
+        canonical = ordered.copy()
+        for cls in set(system.classes):
+            cols = [s for s, c in enumerate(system.classes) if c == cls]
+            canonical[:, cols] = np.sort(ordered[:, cols], axis=1)
+        lookup = np.full(prod(radix), -1, dtype=np.intp)
+        lookup[np.ravel_multi_index(np.array(keys, dtype=np.intp).reshape(-1, system.slots).T, radix)] = np.arange(len(keys))
+        variables = lookup[np.ravel_multi_index(canonical.T, radix)]
+        hit = variables >= 0
+        return SymbolicOperator(system, {})._with(ordered[hit], variables[hit], np.ones(int(hit.sum()), dtype=np.int64), 1)
 
     def sub(self, other: "SymbolicOperator") -> "SymbolicOperator":
         if self.traced != other.traced:
             raise InvalidInputError("operands have different traced cells")
-        out = self.copy()
-        for k, lin in other.terms.items():
-            out._merge(k, lin, scale=-F1)
-        return out
+        den = lcm(self.den, other.den)
+        return self._with(
+            np.concatenate([self.keys, other.keys]),
+            np.concatenate([self.variables, other.variables]),
+            np.concatenate([_scaled(self.numerators, den // self.den), _scaled(other.numerators, -(den // other.den))]),
+            den,
+        )
 
     def scale(self, s) -> "SymbolicOperator":
         s = Fraction(s)
-        return SymbolicOperator(
-            self.system, {k: {v: s * c for v, c in lin.items()} for k, lin in self.terms.items()}, self.traced
-        )
+        return self._with(self.keys, numerators=_scaled(self.numerators, s.numerator), den=self.den * s.denominator)
 
     def slotwise_multiply(self, taus: tuple[int, ...]) -> "SymbolicOperator":
         """The left product (V_{taus_0} x ... x V_{taus_{n-1}}) self."""
-        g = self.system.group
-        out = SymbolicOperator(self.system, {}, self.traced)
-        for key, lin in self.terms.items():
-            out._merge(tuple(g.mul[t][k] for t, k in zip(taus, key)), lin)
-        return out
+        return self._with(self.system.group.mul[np.array(taus, dtype=np.intp), self.keys])
 
     def adjoint(self) -> "SymbolicOperator":
-        g = self.system.group
-        out = SymbolicOperator(self.system, {}, self.traced)
-        for key, lin in self.terms.items():
-            out._merge(tuple(g.inv[k] for k in key), lin)
-        return out
+        return self._with(self.system.group.inv[self.keys])
 
     def ptrace(self, slots, copy: int) -> "SymbolicOperator":
-        slots = tuple(slots)
-        g = self.system.group
-        cells = {(s, copy) for s in slots}
+        """Partial trace of copy `copy` of `slots`: a gather through the copy's ptrace table.
+
+        A basis element fixing the copy leaves a factor of the slot
+        dimension; otherwise the copy leaves its cycle.
+        """
+        slots = np.array(tuple(slots), dtype=np.intp)
+        cells = {(s, copy) for s in slots.tolist()}
         if cells & self.traced:
             raise InvalidInputError("cell traced twice")
-        out = SymbolicOperator(self.system, {}, self.traced | cells)
-        table = g.ptrace[copy]
-        for key, lin in self.terms.items():
-            nk = list(key)
-            factor = F1
-            for s in slots:
-                e, red = table[key[s]]
-                nk[s] = red
-                if e:
-                    factor *= self.system.dims[s]
-            out._merge(tuple(nk), lin, scale=factor)
-        return out
+        g = self.system.group
+        dims = [self.system.dims[s] for s in slots.tolist()]
+        keys = self.keys.copy()
+        keys[:, slots] = g.ptrace[copy][self.keys[:, slots]]
+        factor = np.where(g.fixes[copy][self.keys[:, slots]], np.array(dims, dtype=np.int64), 1).prod(axis=1)
+        return self._with(keys, numerators=_widen(self.numerators, prod(dims) * _max_abs(self.numerators)) * factor, traced=self.traced | cells)
 
     def untrace(self, cells) -> "SymbolicOperator":
         """Reinstate traced cells as explicit identity factors."""
         cells = set(cells)
         if not cells <= self.traced:
             raise InvalidInputError("cannot reinstate a cell that was not traced")
-        for key in self.terms:
-            for s, c in cells:
-                if not self.system.group.elements[key[s]].fixes(c):
-                    raise InvalidInputError("reinstated cell is not acted on trivially")
-        return SymbolicOperator(self.system, {k: dict(v) for k, v in self.terms.items()}, self.traced - cells)
+        for s, c in cells:
+            if not self.system.group.fixes[c][self.keys[:, s]].all():
+                raise InvalidInputError("reinstated cell is not acted on trivially")
+        return self._with(self.keys, traced=self.traced - cells)
 
     def trace_row(self) -> dict:
         """Linear form of the full trace."""
@@ -286,56 +312,36 @@ class SymbolicOperator:
         row = self.pairing_row(ident)
         return {v: c * scale for v, c in row.items()}
 
-    def _integer_terms(self) -> tuple:
-        """The terms as integer arrays, over one common denominator.
-
-        (den, keys, variables, terms, numerators, starts): keys is the
-        (terms x slots) index array; the nonzero coefficients are entries
-        (term, numerator), grouped by variable in ascending order,
-        variable variables[j] owning the entries from starts[j]. The
-        numerators' dtype is `exactla.int_dtype` of the largest pairing
-        value: the largest weight (every slot dimension to the power
-        `copies`) times the largest column sum of |numerator|. Computed
-        once per operator and dropped by `_merge`, the only method that
-        changes `terms` after construction.
-        """
-        if self._ints is None:
-            den = lcm(*(c.denominator for lin in self.terms.values() for c in lin.values()))
-            keys = np.array(list(self.terms), dtype=np.intp).reshape(len(self.terms), self.system.slots)
-            by_var: dict = {}
-            for t, lin in enumerate(self.terms.values()):
-                for v, c in lin.items():
-                    by_var.setdefault(v, []).append((t, c.numerator * (den // c.denominator)))
-            variables = sorted(by_var)
-            entries = [e for v in variables for e in by_var[v]]
-            starts = np.cumsum([0] + [len(by_var[v]) for v in variables[:-1]], dtype=np.intp)
-            column = max((sum(abs(c) for _, c in by_var[v]) for v in variables), default=0)
-            dtype = exactla.int_dtype(prod(self.system.dims) ** self.system.copies * column)
-            terms = np.array([t for t, _ in entries], dtype=np.intp)
-            numerators = np.array([c for _, c in entries], dtype=dtype)
-            self._ints = (den, keys, variables, terms, numerators, starts)
-        return self._ints
-
     def pairing_matrix(self, tests) -> tuple[int, list, np.ndarray]:
         """(den, variables, m): m[i][j] / den is the coefficient of variables[j] in Tr(V_tests[i] @ self).
 
-        Every test at once, in integers. The weight of term K against test
-        g is prod_s dims[s]^#cycles(g_s K_s): the cycle counts come from
-        one gathered table of the copy group, `cycles[mul[g_s][K_s]]`,
-        slot by slot, are summed over the slots of each dimension and
-        looked up in that dimension's power table. The (tests x terms)
-        weights then multiply the sparse term x variable coefficient
-        matrix. The dtype is that of `_integer_terms`: int64 when the
-        largest value is checked to fit, else Python ints, through the
-        same code. Tests are taken in chunks to bound the weight arrays.
+        Every test at once, in integers, read from the entry arrays. The
+        weight of key K against test g is prod_s dims[s]^#cycles(g_s K_s):
+        the cycle counts come from one gathered table of the copy group,
+        `cycles[mul[g_s][K_s]]`, slot by slot, are summed over the slots of
+        each dimension and looked up in that dimension's power table. The
+        (tests x distinct keys) weights, gathered per entry and times the
+        numerators, are summed per variable. The dtype is int64 when the
+        largest value (the largest weight, every slot dimension to the
+        power `copies`, times the largest column sum of |numerator|) is
+        checked to fit, else Python ints, through the same code. Tests
+        are taken in chunks to bound the weight arrays.
         """
-        den, keys, variables, terms, numerators, starts = self._integer_terms()
-        dtype = numerators.dtype
         g, dims, copies = self.system.group, self.system.dims, self.system.copies
         tests = np.array(tests, dtype=np.intp).reshape(-1, self.system.slots)
-        out = np.zeros((len(tests), len(variables)), dtype=dtype)
-        if not variables:
-            return den, variables, out
+        if not len(self.variables):
+            return self.den, [], np.zeros((len(tests), 0), dtype=np.int64)
+        first = np.ones(len(self.keys), dtype=bool)
+        first[1:] = (self.keys[1:] != self.keys[:-1]).any(axis=1)
+        keys, term = self.keys[first], np.cumsum(first) - 1
+        by_var = np.argsort(self.variables, kind="stable")
+        variables, term = self.variables[by_var], term[by_var]
+        starts = np.flatnonzero(np.concatenate([[True], variables[1:] != variables[:-1]]))
+        numerators = _widen(self.numerators[by_var], len(by_var) * _max_abs(self.numerators))
+        column = int(np.add.reduceat(np.abs(numerators), starts).max())
+        dtype = exactla.int_dtype(prod(dims) ** copies * column)
+        numerators = numerators.astype(dtype)
+        out = np.zeros((len(tests), len(starts)), dtype=dtype)
         slots_of = {d: [s for s, ds in enumerate(dims) if ds == d] for d in sorted(set(dims))}
         powers = {d: np.array([d**e for e in range(len(slots) * copies + 1)], dtype=dtype) for d, slots in slots_of.items()}
         step = max(1, 2**16 // len(keys))
@@ -345,8 +351,8 @@ class SymbolicOperator:
             for d, slots in slots_of.items():
                 exponents = sum(g.product_cycles[chunk[:, s, None], keys[None, :, s]] for s in slots)
                 weights = weights * powers[d][exponents]
-            out[lo : lo + step] = np.add.reduceat(weights[:, terms] * numerators, starts, axis=1)
-        return den, variables, out
+            out[lo : lo + step] = np.add.reduceat(weights[:, term] * numerators, starts, axis=1)
+        return self.den, variables[starts].tolist(), out
 
     def pairing_row(self, test: tuple[int, ...]) -> dict:
         """Linear form of Tr(V_test @ self): one row of `pairing_matrix`, as Fractions.
@@ -355,6 +361,43 @@ class SymbolicOperator:
         """
         den, variables, m = self.pairing_matrix([test])
         return {v: Fraction(a, den) for v, a in zip(variables, m[0].tolist())}
+
+
+def _compact(keys, variables, numerators, den) -> tuple:
+    """Entries sorted by (key, variable), equal pairs summed, zeros dropped, den reduced.
+
+    One lexicographic sort; the sums are widened to Python ints first
+    when their bound (entries times the largest numerator) does not fit
+    int64, and the result is narrowed back when its largest numerator does.
+    """
+    if len(variables):
+        order = np.lexsort((variables, *keys.T[::-1]))
+        keys, variables = keys[order], variables[order]
+        numerators = _widen(numerators[order], len(order) * _max_abs(numerators))
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (keys[1:] != keys[:-1]).any(axis=1) | (variables[1:] != variables[:-1])
+        starts = np.flatnonzero(new)
+        numerators = np.add.reduceat(numerators, starts)
+        keep = numerators != 0
+        keys, variables, numerators = keys[starts[keep]], variables[starts[keep]], numerators[keep]
+    if not len(variables):
+        return keys, variables, numerators.astype(np.int64), 1
+    common = gcd(den, int(np.gcd.reduce(numerators)))
+    numerators = numerators // common
+    return keys, variables, numerators.astype(exactla.int_dtype(_max_abs(numerators))), den // common
+
+
+def _max_abs(numerators) -> int:
+    return int(np.abs(numerators).max()) if len(numerators) else 0
+
+
+def _widen(numerators, bound: int):
+    """The numerators as Python ints when values up to `bound` would not fit int64."""
+    return numerators.astype(object) if exactla.int_dtype(bound) is object else numerators
+
+
+def _scaled(numerators, factor: int):
+    return _widen(numerators, abs(factor) * max(_max_abs(numerators), 1)) * factor
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +570,7 @@ def _block(parts: tuple[tuple[int, ...], ...], classes: tuple[int, ...], alphabe
         den_b = db * wden * prod(scales)
         for placed, vec in sums.items():
             key = key_of(placed)
-            inverse = key_of([[group.inv[e] for e in vals] for vals in placed])
+            inverse = key_of([[int(group.inv[e]) for e in vals] for vals in placed])
             zk = z.setdefault(key, exactla.zeros(k, k))
             zi = z.setdefault(inverse, exactla.zeros(k, k))
             # rho(g)^T W = W rho(g^-1) in seminormal form (the orthogonal form

@@ -35,12 +35,16 @@ def _emit(payload) -> None:
 
 
 def _parse_range(text: str) -> range:
-    """"a:b" inclusive, or a single integer."""
+    """"a:b" inclusive, or a single integer; an empty range (b < a) is rejected."""
     if ":" in text:
         lo, hi = text.split(":", 1)
-        return range(int(lo), int(hi) + 1)
-    v = int(text)
-    return range(v, v + 1)
+        out = range(int(lo), int(hi) + 1)
+    else:
+        v = int(text)
+        out = range(v, v + 1)
+    if not out:
+        raise InvalidInputError(f"empty range {text!r}")
+    return out
 
 
 def _cmd_ame_check(args) -> int:
@@ -52,8 +56,8 @@ def _cmd_ame_check(args) -> int:
 def _cmd_ame_scan(args) -> int:
     n_vals = _parse_range(args.n_range)
     d_vals = _parse_range(args.d_range)
-    print(f"scanning {len(n_vals) * len(d_vals)} cases with {args.jobs} worker(s)", file=sys.stderr)
     reports = ame.scan(n_vals, d_vals, jobs=args.jobs)
+    print(f"scanned {len(reports)} cases with {args.jobs} worker(s)", file=sys.stderr)
     if args.format == "json":
         print(ame.reports_to_json(reports))
     else:

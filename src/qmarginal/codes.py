@@ -329,7 +329,7 @@ def code_two_party_constraints(params: CodeParams, level: str = "ppt") -> BlockS
 
     system = SlotSystem(2, (params.K,) + (d,) * n, (0,) + (1,) * n)
     int_rows = [exactla.primitive([r.get(v, F0) for v in range(len(keys))] + [-r.get(CONST, F0)]) for r in cleaned]
-    return BlockSdp(system, keys, cleaned, int_rows, blocks, meta={"params": params, "level": level})
+    return BlockSdp(system, keys, int_rows, blocks, meta={"params": params, "level": level}, dict_rows=cleaned)
 
 
 # ---------------------------------------------------------------------------

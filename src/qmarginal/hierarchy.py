@@ -120,27 +120,44 @@ def ame_marginal_spec(n: int, d: int) -> MarginalSpec:
 class BlockSdp:
     """Equality system plus PSD blocks over the coefficient variables.
 
-    `rows` and `int_rows` hold the same equalities: as dicts var -> Fraction
-    with CONST carrying the constant (sum_v c_v x_v + c_CONST = 0), and as
-    primitive integer rows (a_0, ..., a_{nvars-1}, b) with a x = b, which
-    `solve_primal` eliminates.
+    `int_rows` holds the equalities as primitive integer rows
+    (a_0, ..., a_{nvars-1}, b) with a x = b, which `solve_primal`
+    eliminates. `rows` holds the same equalities as dicts var -> Fraction,
+    with CONST carrying the constant (sum_v c_v x_v + c_CONST = 0): passed
+    in as `dict_rows`, or derived from `int_rows` on first read
+    (`_dict_row`).
     """
 
     system: SlotSystem
     keys: list
-    rows: list
     int_rows: list
     blocks: list  # IrrepBlock
     objective: dict | None = None
     meta: dict = field(default_factory=dict)
+    dict_rows: list | None = field(default=None, repr=False)
 
     @property
     def nvars(self) -> int:
         return len(self.keys)
 
+    @property
+    def rows(self) -> list[dict]:
+        if self.dict_rows is None:
+            self.dict_rows = [_dict_row(p, self.nvars) for p in self.int_rows]
+        return self.dict_rows
 
-def _dedupe_rows(rows, nvars: int) -> tuple[list[dict], list[list[int]]]:
-    """Normalized, deduplicated equality rows, in first-seen order.
+
+def _dict_row(p, nvars: int) -> dict:
+    """Integer row p as a dict: CONST -> -p_b / p_lead (when nonzero) first, then
+    each variable v with p_v != 0, ascending, -> p_v / p_lead."""
+    lead = next(x for x in p if x)
+    row = {CONST: Fraction(-p[nvars], lead)} if p[nvars] else {}
+    row.update((v, Fraction(x, lead)) for v, x in enumerate(p[:nvars]) if x)
+    return row
+
+
+def _dedupe_rows(rows, nvars: int) -> list[list[int]]:
+    """Normalized, deduplicated integer equality rows, in first-seen order.
 
     Each row is an integer row (a_0, ..., a_{nvars-1}, b) standing for
     a x = b. It is divided by the gcd of its entries and its sign is set
@@ -148,10 +165,6 @@ def _dedupe_rows(rows, nvars: int) -> tuple[list[dict], list[list[int]]]:
     rows equal after that are proportional, and the first one seen is
     kept. Zero rows are dropped; a row holding only a nonzero constant
     makes the system inconsistent and raises InvalidInputError.
-
-    Returns (rows as dicts, integer rows): dict row p maps CONST to
-    -p_b / p_lead and each variable v with p_v != 0 to p_v / p_lead,
-    CONST first, then variables in ascending order.
     """
     seen = {}
     for row in rows:
@@ -162,14 +175,7 @@ def _dedupe_rows(rows, nvars: int) -> tuple[list[dict], list[list[int]]]:
             continue
         g = gcd(*row) if lead > 0 else -gcd(*row)
         seen.setdefault(tuple(x // g for x in row), None)
-    int_rows = [list(p) for p in seen]
-    dict_rows = []
-    for p in int_rows:
-        lead = next(x for x in p if x)
-        row = {CONST: Fraction(-p[nvars], lead)} if p[nvars] else {}
-        row.update((v, Fraction(x, lead)) for v, x in enumerate(p[:nvars]) if x)
-        dict_rows.append(row)
-    return dict_rows, int_rows
+    return [list(p) for p in seen]
 
 
 def _rows_from_operator(op: SymbolicOperator, tests, nvars: int) -> list[list[int]]:
@@ -223,16 +229,15 @@ def assemble_primal(spec: MarginalSpec, copies: int, cap: int = 512) -> BlockSdp
     target = marginal.ptrace(mixed, 0).untrace({(s, 0) for s in mixed}).scale(Fraction(1, dim_mixed))
     rows += _rows_from_operator(marginal.sub(target), _marginal_tests(system, traced), nvars)
 
-    rows, int_rows = _dedupe_rows(rows, nvars)
     blocks = [irrep_block(system, tpl, keys, cap=cap) for tpl in tuples]
-    return BlockSdp(system, keys, rows, int_rows, blocks, meta={"n": spec.n, "d": spec.d, "copies": copies})
+    return BlockSdp(system, keys, _dedupe_rows(rows, nvars), blocks, meta={"n": spec.n, "d": spec.d, "copies": copies})
 
 
 def _marginal_tests(system: SlotSystem, traced_slots):
     """Test elements of the copy-0 marginal rows: any element on a kept
     slot, one fixing copy 0 on a traced slot."""
     g = system.group
-    opts = [g.fixing[0] if s in traced_slots else range(len(g.elements)) for s in range(system.slots)]
+    opts = [np.flatnonzero(g.fixes[0]).tolist() if s in traced_slots else range(len(g.elements)) for s in range(system.slots)]
     return list(itertools.product(*opts))
 
 

@@ -323,11 +323,15 @@ class SdpResult:
     margin: float | None = None
 
 
-def _block_s(block: SdpBlock, y: np.ndarray) -> np.ndarray:
-    s = -block.f0.copy()
-    for i, f in enumerate(block.fs):
-        if y[i]:
-            s = s + y[i] * f
+def _stack(block: SdpBlock, m: int) -> np.ndarray:
+    """The block's coefficient matrices as one (m, k, k) float array."""
+    return np.array(block.fs, dtype=float).reshape(m, block.size, block.size)
+
+
+def _block_s(f0: np.ndarray, stack: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """S(y) = sum_i y_i F_i - F_0, symmetrized: one product with the (m, k, k) stack."""
+    k = len(f0)
+    s = (y @ stack.reshape(len(y), k * k)).reshape(k, k) - f0
     return 0.5 * (s + s.T)
 
 
@@ -349,7 +353,7 @@ def _newton_system(blocks, stacks, c, y, mu):
     grad = c.astype(float).copy()
     hess = np.zeros((len(c), len(c)))
     for b, stack in zip(blocks, stacks):
-        sinv = np.linalg.inv(_block_s(b, y))
+        sinv = np.linalg.inv(_block_s(b.f0, stack, y))
         sinv = 0.5 * (sinv + sinv.T)
         ts = sinv @ stack
         grad -= mu * np.trace(ts, axis1=1, axis2=2)
@@ -361,7 +365,8 @@ def _barrier(blocks, c, y, tol, max_iter):
     """Damped Newton on c.y - mu sum logdet S_b(y), mu -> 0.
 
     Method: each block's coefficient matrices are stacked once per call
-    into an (m, k, k) array, so the Newton system of every iteration is
+    into an (m, k, k) array. Every S_b(y) is then one product of y with
+    its stack (`_block_s`), and the Newton system of every iteration is
     one batched matrix product and one einsum per block
     (`_newton_system`). The step is halved until every block stays
     positive definite, and mu shrinks by a factor 5 after each
@@ -369,7 +374,7 @@ def _barrier(blocks, c, y, tol, max_iter):
     """
     mval = len(c)
     nu = sum(b.size for b in blocks)
-    stacks = [np.array(b.fs, dtype=float).reshape(mval, b.size, b.size) for b in blocks]
+    stacks = [_stack(b, mval) for b in blocks]
     mu = max(1.0, float(np.linalg.norm(c))) if nu else 1.0
     iters = 0
     while mu * nu > tol:
@@ -390,7 +395,7 @@ def _barrier(blocks, c, y, tol, max_iter):
             alpha = 1.0
             for _ in range(60):
                 cand = y + alpha * dy
-                if all(_is_pd(_block_s(b, cand)) for b in blocks):
+                if all(_is_pd(_block_s(b.f0, stack, cand)) for b, stack in zip(blocks, stacks)):
                     break
                 alpha *= 0.5
             else:
@@ -416,7 +421,7 @@ def _margin_problem(problem: SdpProblem, cap: float) -> SdpProblem:
 
 def _feasible_start(problem: SdpProblem, y: np.ndarray) -> np.ndarray:
     """Strictly feasible start for the margin-augmented problem."""
-    margins = [float(np.linalg.eigvalsh(_block_s(b, y)).min()) for b in problem.blocks]
+    margins = [float(np.linalg.eigvalsh(_block_s(b.f0, _stack(b, problem.m), y)).min()) for b in problem.blocks]
     s0 = min(margins) - 1.0
     return np.concatenate([y, [s0]])
 
@@ -444,7 +449,8 @@ def sdp_solve(problem: SdpProblem, y0=None, tol: float = 1e-8, max_iter: int = 4
         return SdpResult(status, res.y[:-1], margin, res.gap, margin)
 
     y = y_init
-    if not all(_is_pd(_block_s(b, y)) for b in problem.blocks):
+    stacks = [_stack(b, problem.m) for b in problem.blocks]
+    if not all(_is_pd(_block_s(b.f0, stack, y)) for b, stack in zip(problem.blocks, stacks)):
         aug = _margin_problem(problem, cap=10.0)
         start = _feasible_start(problem, y)
 
@@ -453,7 +459,7 @@ def sdp_solve(problem: SdpProblem, y0=None, tol: float = 1e-8, max_iter: int = 4
             return SdpResult("infeasible", None, None, res.gap, float(res.y[-1]) if res.y is not None else None)
         # re-center strictly inside before optimizing the real objective
         y = res.y[:-1]
-        if not all(_is_pd(_block_s(b, y)) for b in problem.blocks):
+        if not all(_is_pd(_block_s(b.f0, stack, y)) for b, stack in zip(problem.blocks, stacks)):
             raise SolverConvergenceError("phase-1 produced a non-interior point")
     res = _barrier(problem.blocks, np.asarray(problem.c, dtype=float), y, tol, max_iter)
     return res

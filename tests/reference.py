@@ -14,6 +14,10 @@ Young's orthogonal form (floats) is built here from the library's
 seminormal matrices and weights, and the hook-content multiplicity from
 the partition's hook lengths.
 
+The `terms_*` functions are the operator arithmetic over
+{ordered key: {var: Fraction}} dicts, merged term by term (`_merge`),
+that `blocks.SymbolicOperator` runs on its entry arrays.
+
 `lp_solve_fraction` is the two-phase Bland simplex over Fractions that
 `solve.lp_solve_exact` runs in integers: the same formulation, pivot rule
 and pivot count, so the two must agree on every result.
@@ -146,6 +150,71 @@ def dual_coefficients(i: int, n: int, d: int) -> list[Fraction]:
         terms = range(max(0, a + j - n), min(a, j) + 1)
         beta = sum((comb(j, m) * comb(n - j, a - m) * Fraction(-1, d) ** (n - a - j + 2 * m) for m in terms), start=Fraction(0))
         out.append(beta / denom)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# dict operator arithmetic
+
+
+def _merge(terms: dict, key, lin: dict, scale=Fraction(1)) -> None:
+    """Add scale * lin to terms[key], dropping zero coefficients and empty keys."""
+    dst = terms.setdefault(tuple(int(k) for k in key), {})
+    for v, c in lin.items():
+        c2 = dst.get(v, Fraction(0)) + scale * c
+        if c2:
+            dst[v] = c2
+        else:
+            dst.pop(v, None)
+    if not dst:
+        terms.pop(tuple(int(k) for k in key), None)
+
+
+def terms_sub(a: dict, b: dict) -> dict:
+    out = {k: dict(v) for k, v in a.items()}
+    for k, lin in b.items():
+        _merge(out, k, lin, scale=Fraction(-1))
+    return out
+
+
+def terms_scale(a: dict, s) -> dict:
+    out: dict = {}
+    for k, lin in a.items():
+        _merge(out, k, lin, scale=Fraction(s))
+    return out
+
+
+def terms_slotwise_multiply(system: blocks.SlotSystem, a: dict, taus) -> dict:
+    g = system.group
+    out: dict = {}
+    for key, lin in a.items():
+        _merge(out, tuple(g.mul[t][k] for t, k in zip(taus, key)), lin)
+    return out
+
+
+def terms_adjoint(system: blocks.SlotSystem, a: dict) -> dict:
+    out: dict = {}
+    for key, lin in a.items():
+        _merge(out, tuple(system.group.inv[k] for k in key), lin)
+    return out
+
+
+def terms_ptrace(system: blocks.SlotSystem, a: dict, slots, copy: int) -> dict:
+    """Per term: a slot whose element fixes the copy gives a factor dims[s], else the copy leaves its cycle."""
+    g = system.group
+    out: dict = {}
+    for key, lin in a.items():
+        nk, factor = list(key), Fraction(1)
+        for s in slots:
+            element = g.elements[key[s]]
+            if element.fixes(copy):
+                factor *= system.dims[s]
+            else:
+                images = list(element.images)
+                pre = images.index(copy)
+                images[pre], images[copy] = images[copy], copy
+                nk[s] = g.index[tuple(images)]
+        _merge(out, tuple(nk), lin, scale=factor)
     return out
 
 

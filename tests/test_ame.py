@@ -1,7 +1,11 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -340,3 +344,11 @@ def test_golden_state_marginal_overlaps():
     for i in range(4):
         total = sum(overlaps[i].values(), start=Fraction(0))
         assert total / 4 == Fraction(ame.binom(3, i), min(2**i, 2 ** (3 - i)))
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    """`scan` imports concurrent.futures only for jobs > 1, so the package import skips it."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import sys, qmarginal; sys.exit(int('concurrent.futures' in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

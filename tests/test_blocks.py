@@ -9,8 +9,9 @@ compressed by `_compress`. The library's results must be identical to
 it, entry for entry and byte for byte. The integer kernels
 (`exactla.solve_affine` with its mod-P row selection,
 `SymbolicOperator.pairing_matrix` and `pairing_row`) are checked
-against the Fraction loops they replace, and every operation of
-`SymbolicOperator` against the dense integer model in `reference.py`.
+against the Fraction loops they replace, every operation of
+`SymbolicOperator` against the dense integer model in `reference.py`,
+and its entry arrays against the dict arithmetic there.
 """
 
 import hashlib
@@ -24,9 +25,10 @@ from math import prod
 import numpy as np
 import pytest
 import reference
+from hypothesis import given, settings, strategies as st
 
 from qmarginal import blocks, cli, codes, exactla, hierarchy as hi, symgroup as sg
-from qmarginal.errors import InternalConsistencyError, ResourceCapError
+from qmarginal.errors import InternalConsistencyError, InvalidInputError, ResourceCapError
 from qmarginal.symgroup import Permutation
 
 F0 = Fraction(0)
@@ -474,14 +476,82 @@ def test_pairing_matrix_matches_fraction_reference(system, dtype):
 
 
 def test_pairing_row_follows_merge():
+    """Subtracting a single-term operator merges it into the entries the pairing reads."""
     system = blocks.ame_system(3, 2, 2)
     op = blocks.SymbolicOperator.variable_expansion(system).scale(Fraction(1, 3))
     key = system.keys()[1]
     before = op.pairing_row(key)
-    op._merge(key, {0: Fraction(5, 7)})
+    op = op.sub(blocks.SymbolicOperator(system, {key: {0: Fraction(-5, 7)}}))
     after = op.pairing_row(key)
     assert after != before
     assert after == _fraction_pairing_row(op, key)
+
+
+ARRAY_SYSTEMS = [blocks.ame_system(3, 2, 3), blocks.SlotSystem(3, (3, 2, 2), (0, 1, 1))]
+# small values, and values whose sums and products leave int64
+COEFFICIENTS = st.one_of(st.integers(-4, 4), st.sampled_from([2**62, -(2**62), 3**40]))
+
+
+@st.composite
+def _operator_terms(draw, system):
+    size = len(system.group.elements)
+    key = st.tuples(*[st.integers(0, size - 1)] * system.slots)
+    entries = draw(st.lists(st.tuples(key, st.integers(0, 4), COEFFICIENTS), max_size=12))
+    terms: dict = {}
+    for k, v, c in entries:
+        terms.setdefault(k, {})[v] = Fraction(c)
+    return terms
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_operator_arrays_match_dict_reference(data):
+    """sub, adjoint, slotwise_multiply, ptrace and scale on the entry arrays equal the dict arithmetic."""
+    system = data.draw(st.sampled_from(ARRAY_SYSTEMS))
+    size = len(system.group.elements)
+    a = blocks.SymbolicOperator(system, data.draw(_operator_terms(system)))
+    b = blocks.SymbolicOperator(system, data.draw(_operator_terms(system)))
+    assert a.terms == reference.terms_scale(a.terms, 1)  # the view is compact: no zero coefficient
+    assert a.sub(b).terms == reference.terms_sub(a.terms, b.terms)
+    assert a.sub(a).terms == {} and not len(a.sub(a).variables)
+    assert a.adjoint().terms == reference.terms_adjoint(system, a.terms)
+    taus = data.draw(st.tuples(*[st.integers(0, size - 1)] * system.slots))
+    assert a.slotwise_multiply(taus).terms == reference.terms_slotwise_multiply(system, a.terms, taus)
+    slots = data.draw(st.lists(st.integers(0, system.slots - 1), unique=True))
+    copy = data.draw(st.integers(0, system.copies - 1))
+    traced = a.ptrace(slots, copy)
+    assert traced.terms == reference.terms_ptrace(system, a.terms, slots, copy)
+    assert traced.sub(b.ptrace(slots, copy)).terms == reference.terms_sub(traced.terms, b.ptrace(slots, copy).terms)
+    s = Fraction(data.draw(COEFFICIENTS), data.draw(st.sampled_from([1, 3, 2**40])))
+    assert a.scale(s).terms == reference.terms_scale(a.terms, s)
+    for op in (a.sub(b), traced, a.scale(s)):
+        assert op.numerators.dtype == exactla.int_dtype(max(map(abs, op.numerators.tolist()), default=0))
+
+
+def test_operator_sums_leave_int64():
+    """Entries that fit int64 whose sum does not: the merge moves to Python ints."""
+    system = ARRAY_SYSTEMS[0]
+    key = (1, 2, 3)
+    a = blocks.SymbolicOperator(system, {key: {0: Fraction(2**62)}, (0, 0, 0): {1: F1}})
+    b = blocks.SymbolicOperator(system, {key: {0: Fraction(-(2**62))}})
+    assert a.numerators.dtype == np.int64
+    diff = a.sub(b)
+    assert diff.terms == {key: {0: Fraction(2**63)}, (0, 0, 0): {1: F1}} and diff.numerators.dtype == object
+    back = diff.sub(a)
+    assert back.terms == {key: {0: Fraction(2**62)}} and back.numerators.dtype == np.int64
+
+
+def test_untrace_checks_only_the_surviving_terms():
+    """A term acting on a reinstated cell blocks untrace until it cancels."""
+    system = blocks.ame_system(2, 2, 2)
+    ident, swap = system.group.identity, system.group.index[Permutation.transposition(2, 0, 1).images]
+    cells = frozenset({(0, 1)})
+    op = blocks.SymbolicOperator(system, {(ident, swap): {0: F1}, (swap, ident): {1: F1}}, cells)
+    with pytest.raises(InvalidInputError, match="not acted on trivially"):
+        op.untrace(cells)
+    cancelled = op.sub(blocks.SymbolicOperator(system, {(swap, ident): {1: F1}}, cells))
+    embedded = cancelled.untrace(cells)
+    assert embedded.terms == {(ident, swap): {0: F1}} and not embedded.traced
 
 
 # sha256 of repr([list(row.items()) for row in BlockSdp.rows]), recorded from

@@ -47,7 +47,7 @@ def test_ame_scan_tsv_and_json():
     lines = out.strip().split("\n")
     assert lines[0] == "n\td\tverdict\tviolated_condition\twitness_value"
     assert len(lines) == 4
-    assert "scanning" in err
+    assert err == "scanned 3 cases with 1 worker(s)\n"
 
     code, out, _ = run_cli(["ame", "scan", "--n-range", "4:6", "--d-range", "2:2", "--format", "json"])
     rep = json.loads(out)
@@ -143,6 +143,16 @@ def test_exit_code_invalid_input(tmp_path):
         assert code == 2 and out == "" and "Traceback" not in err, args
         assert err.splitlines()[-1].startswith("error: need n >= 2 and d >= 2"), args
         assert len(err.splitlines()) == 1, args
+    # a scan needs at least one job and nonempty ranges
+    for args, message in (
+        (["--n-range", "2:3", "--d-range", "2:3", "--jobs", "0"], "error: need at least one job, got 0"),
+        (["--n-range", "2:3", "--d-range", "2:3", "--jobs", "-2"], "error: need at least one job, got -2"),
+        (["--n-range", "5:2", "--d-range", "2:3"], "error: empty range '5:2'"),
+        (["--n-range", "2:3", "--d-range", "3:2"], "error: empty range '3:2'"),
+    ):
+        code, out, err = run_cli(["ame", "scan", *args])
+        assert code == 2 and out == "", args
+        assert err.splitlines() == [message], args
 
 
 def test_exit_code_resource_cap(tmp_path):

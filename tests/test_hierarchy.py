@@ -319,14 +319,14 @@ def test_dedupe_rows_normalizes_sign_and_gcd():
         [-1, 0, 0, -3],  # the third row scaled by -1/2
         [0, 0, 5, 0],
     ]
-    dict_rows, int_rows = hi._dedupe_rows(rows, 3)
+    int_rows = hi._dedupe_rows(rows, 3)
     assert int_rows == [[0, 2, -3, 1], [1, 0, 0, 3], [0, 0, 1, 0]]
-    assert [list(r.items()) for r in dict_rows] == [
+    assert [list(hi._dict_row(p, 3).items()) for p in int_rows] == [
         [(hi.CONST, F(-1, 2)), (1, F(1)), (2, F(-3, 2))],
         [(hi.CONST, F(-3)), (0, F(1))],
         [(2, F(1))],
     ]
-    assert hi._dedupe_rows([[0, 0, 0]], 2) == ([], [])
+    assert hi._dedupe_rows([[0, 0, 0]], 2) == []
 
 
 def test_dedupe_rows_rejects_a_constant_only_row():

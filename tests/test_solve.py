@@ -7,7 +7,7 @@ import pytest
 import reference
 from scipy.optimize import linprog
 
-from qmarginal import exactla, hierarchy as hi, solve as sv
+from qmarginal import codes, exactla, hierarchy as hi, solve as sv
 from qmarginal.errors import InvalidInputError
 
 F = Fraction
@@ -189,20 +189,43 @@ def test_sdp_matrix_block():
     assert res.status == "optimal" and abs(res.value - 1) < 1e-5
 
 
-def test_newton_system_matches_pairwise_loop():
+def _random_lmi_blocks(m):
     rng = np.random.default_rng(3)
-    m, mu = 7, 0.37
     blocks = []
     for k in (1, 2, 5):
         fs = [(lambda a: a + a.T)(rng.standard_normal((k, k))) for _ in range(m)]
         blocks.append(sv.SdpBlock(k, -6.0 * np.eye(k), fs))
-    c, y = rng.standard_normal(m), 0.1 * rng.standard_normal(m)
+    return blocks, rng.standard_normal(m), 0.1 * rng.standard_normal(m)
+
+
+def _loop_block_s(block, y):
+    """S(y) = sum_i y_i F_i - F_0, one variable at a time, symmetrized."""
+    s = -block.f0.copy()
+    for i, f in enumerate(block.fs):
+        if y[i]:
+            s = s + y[i] * f
+    return 0.5 * (s + s.T)
+
+
+def test_block_s_matches_per_variable_loop():
+    m = 7
+    blocks, _, y = _random_lmi_blocks(m)
+    for b in blocks:
+        ref = _loop_block_s(b, y)
+        got = sv._block_s(b.f0, sv._stack(b, m), y)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(got, got.T)
+
+
+def test_newton_system_matches_pairwise_loop():
+    m, mu = 7, 0.37
+    blocks, c, y = _random_lmi_blocks(m)
     stacks = [np.array(b.fs).reshape(m, b.size, b.size) for b in blocks]
     grad, hess = sv._newton_system(blocks, stacks, c, y, mu)
 
     ref_grad, ref_hess = c.copy(), np.zeros((m, m))
     for b in blocks:
-        sinv = np.linalg.inv(sv._block_s(b, y))
+        sinv = np.linalg.inv(_loop_block_s(b, y))
         sinv = 0.5 * (sinv + sinv.T)
         ts = [sinv @ f for f in b.fs]
         for i in range(m):
@@ -211,6 +234,16 @@ def test_newton_system_matches_pairwise_loop():
                 ref_hess[i, j] += mu * np.sum(ts[i] * ts[j].T)
     assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
     assert np.max(np.abs(hess - ref_hess)) <= 1e-12 * np.max(np.abs(ref_hess))
+
+
+def test_barrier_float_verdicts_are_pinned():
+    """The two float results of the benchmark: the ((4,1,2))_2 extension margin and the (6,2,3) fallback."""
+    rep = codes.code_check(codes.CodeParams(4, 1, 1, 2, pure=True), "extension", copies=3)
+    assert (rep.verdict, rep.exact, rep.nullity) == ("feasible", False, 58)
+    assert abs(rep.margin - 0.0010416625706760640) < 1e-9
+    level = hi.level_check(6, 2, 3)
+    assert level.feasible and not level.exact
+    assert (level.certificate.method, level.certificate.verdict) == ("sdp-float", "inconclusive")
 
 
 def test_sdp_feasibility_modes():
