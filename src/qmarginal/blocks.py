@@ -16,13 +16,14 @@ This module provides
   trace pairings against all tests at once as one integer matrix, used
   to emit equality constraint rows;
 * the positivity blocks of the primal, code-extension and dual-witness
-  problems, from one builder (`_block`): per partition tuple, an exact
-  basis U of the subspace fixed by the diagonal copy-permutation action,
-  and the compressed operator sums U^T W E_K U for every coefficient key
-  K, applied to U slot by slot as mode products (no total x total
-  matrix) and memoized per tuple, with their orthonormalized float
-  versions. `irrep_block` takes its keys over the whole copy group,
-  `witness_blocks` over {id, (0 1)}.
+  problems: per partition tuple, an exact basis U of the subspace fixed
+  by the diagonal copy-permutation action (`_basis`), and compressed
+  operator sums U^T W E U with their orthonormalized float versions,
+  memoized per tuple. `irrep_block` (`_block`) takes E = E_K for every
+  coefficient key K over the whole copy group, applied to U slot by slot
+  as mode products (no total x total matrix). `witness_blocks`
+  (`_witness_block`) takes the swap-pattern sums E_l, which are diagonal
+  in seminormal form, as Krawtchouk-weighted sums of Gram matrices.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from math import gcd, lcm, prod
 import numpy as np
 
 from . import exactla
+from .ame import krawtchouk
 from .errors import InvalidInputError, ResourceCapError
 from .symgroup import (
     Partition,
@@ -45,6 +47,7 @@ from .symgroup import (
     invariant_basis_exact,
     irrep_dimension,
     trivial_multiplicity,
+    _integer_tables,
     _rep,
 )
 
@@ -464,82 +467,134 @@ def irrep_block(system: SlotSystem, partitions, keys, cap: int = 512) -> IrrepBl
     Variable v is the coefficient of keys[v]; variables whose z vanishes
     are left out. Returns None when the diagonal-trivial subspace is
     empty (the equality system forces the block to vanish there). The
-    cap is checked before any work; the block data is `_block` over the
-    whole copy group, built once per tuple and slot classes.
+    cap is checked before any work; the block data is `_block`, built
+    once per tuple and slot classes, which holds the nonzero keys only.
     """
     if trivial_multiplicity(partitions) == 0:
         return None
     _check_cap(partitions, cap)
-    alphabet = tuple(range(len(system.group.elements)))
-    memo = _block(tuple(p.parts for p in partitions), system.classes, alphabet)
+    memo = _block(tuple(p.parts for p in partitions), system.classes)
     canonical = (system.canonical(key) for key in keys)
-    return memo.relabel({v: key for v, key in enumerate(canonical) if any(any(row) for row in memo.z_per_var[key])})
+    return memo.relabel({v: key for v, key in enumerate(canonical) if key in memo.z_per_var})
 
 
 def witness_blocks(n: int, d: int, copies: int, cap: int = 512) -> list[IrrepBlock]:
     """All canonical partition-tuple blocks of the level-`copies` witness LMI.
 
     Variable l = 0..n is the coefficient of P{V^l 1^(n-l)}: the sum over
-    slot subsets of size l of S((0 1)) on the subset and 1 elsewhere,
-    which is `_block` over the alphabet {id, (0 1)} at the key with l
-    swaps. A block depends only on its partition tuple (the tuple's
-    weight is `copies`, its length is n); d only decides which tuples
-    appear, so blocks are shared across d, levels and repeated calls.
-    The cap is checked on every surviving tuple before any block is built.
+    slot subsets of size l of S((0 1)) on the subset and 1 elsewhere
+    (`_witness_block`). A block depends only on its partition tuple (the
+    tuple's weight is `copies`, its length is n); d only decides which
+    tuples appear, so blocks are shared across d, levels and repeated
+    calls. The cap is checked on every surviving tuple before any block
+    is built.
     """
     if n < 2 or d < 2:
         raise InvalidInputError(f"need n >= 2 and d >= 2, got n={n}, d={d}")
-    system = ame_system(n, d, copies)
-    tuples = block_tuples(system, cap)
-    g = system.group
-    ident, swap = g.identity, g.index[Permutation.transposition(copies, 0, 1).images]
-    var_keys = {l: system.canonical((swap,) * l + (ident,) * (n - l)) for l in range(n + 1)}
-    return [_block(tuple(p.parts for p in tpl), system.classes, (ident, swap)).relabel(var_keys) for tpl in tuples]
+    return [_witness_block(tuple(p.parts for p in tpl)) for tpl in block_tuples(ame_system(n, d, copies), cap)]
+
+
+def _basis(parts: tuple[tuple[int, ...], ...]) -> tuple:
+    """(vectors, dens, weighted, wden): a tuple's invariant basis U and W U in integers.
+
+    vectors[b] / dens[b] is basis vector u_b (`invariant_basis_exact`),
+    and weighted[a] / (dens[a] wden) is W u_a, the weights an integer
+    diagonal over their lcm wden; so every entry of U^T W M U, M an
+    integer matrix, is one integer dot product over dens[a] dens[b] wden.
+    """
+    vectors, weights = invariant_basis_exact(tuple(Partition(p) for p in parts), cap=prod(_rep(p).dim for p in parts))
+    wden = lcm(*(w.denominator for w in weights))
+    scaled = [w.numerator * (wden // w.denominator) for w in weights]
+    weighted = [[a * x for a, x in zip(scaled, u)] for u, _ in vectors]
+    return [u for u, _ in vectors], [den for _, den in vectors], weighted, wden
+
+
+def _compressed(parts, gram, z: dict) -> IrrepBlock:
+    """The block of a tuple from its exact gram and z, with the gram-orthonormal float y."""
+    linv = np.linalg.inv(np.linalg.cholesky(exactla.to_float(gram)))
+    y = {}
+    for key, zk in z.items():
+        y[key] = linv @ exactla.to_float(zk) @ linv.T
+        y[key].flags.writeable = False
+    return IrrepBlock(tuple(Partition(p) for p in parts), len(gram), prod(_rep(p).dim for p in parts), gram, z, y)
 
 
 @lru_cache(maxsize=None)
-def _block(parts: tuple[tuple[int, ...], ...], classes: tuple[int, ...], alphabet: tuple[int, ...]) -> IrrepBlock:
-    """Compressed operator sums z_K = U^T W E_K U of one partition tuple.
+def _witness_block(parts: tuple[tuple[int, ...], ...]) -> IrrepBlock:
+    """The witness block z_l = U^T W E_l U, l = 0..n, of one partition tuple, from one table.
 
-    K runs over the canonical keys over `alphabet` (copy-group element
-    indices closed under inversion): one multiset of elements per slot
-    class. E_K is the sum, over the arrangements of K, of the Kronecker
-    product of the slot irreps rho_s(g_s). It is applied to each basis
-    vector u slot by slot: one partial sum per multiset placed so far,
-    and at slot s every partial sum moves by rho_s(e), as a mode product,
-    into the partial sum with e added, for every e in the alphabet (the
-    identity needs no product). After the last slot the partial sums are
-    the E_K u. No total x total matrix is formed. The block's variables
-    are the keys K; the cap is checked by the callers.
-
-    All of it runs in Python integers. Each basis vector is a primitive
-    integer vector over one denominator, each slot's seminormal matrices
-    over the alphabet share one scale (identity moves are scaled by it
-    too, so every partial sum after slot s has the same denominator), and
-    the weights are one integer diagonal over their lcm. Each entry of
-    gram and z is then one integer dot product and one Fraction; gram is
-    symmetric, so one triangle is computed and mirrored.
+    In seminormal form S((0 1)) is diagonal +-1 in every slot, so
+    E_l = P{V^l 1^(n-l)} is diagonal on the tuple's tensor basis: at an
+    index i whose slot signs hold m(i) entries -1 it is the coefficient
+    of z^l in (1 - z)^m(i) (1 + z)^(n - m(i)), K[m(i)][l] of the binary
+    Krawtchouk table (`ame.krawtchouk`). With G_m the weighted Gram
+    matrix U^T W U restricted to the indices with m(i) = m, gram is
+    sum_m G_m and z_l = sum_m K[m][l] G_m. The G_m are integer matrix
+    products over `_basis`, int64 when a bound on every sum (2^n, the
+    table's largest entry, times the length times the largest entries of
+    U and W U) fits and Python ints otherwise; each entry of gram and z
+    is then one Fraction.
     """
-    partitions = tuple(Partition(p) for p in parts)
-    group = _copy_group(sum(parts[0]))
-    reps = [_rep(p) for p in parts]
-    dims = [rep.dim for rep in reps]
-    vectors, weights = invariant_basis_exact(partitions, cap=prod(dims))
+    vectors, dens, weighted, wden = _basis(parts)
+    k, n = len(vectors), len(parts)
+    m = np.zeros(1, dtype=np.intp)
+    for p in parts:
+        rep = _rep(p)
+        m = (m[:, None] + np.array([rep.generators[0][i][i] < 0 for i in range(rep.dim)], dtype=np.intp)).ravel()
+    dtype = exactla.int_dtype(2**n * len(m) * exactla._max_abs(vectors) * exactla._max_abs(weighted))
+    u = np.array(vectors, dtype=dtype).reshape(k, len(m))
+    wu = np.array(weighted, dtype=dtype).reshape(k, len(m))
+    g = np.zeros((n + 1, k, k), dtype=dtype)
+    for j in np.unique(m).tolist():
+        cols = np.flatnonzero(m == j)
+        g[j] = wu[:, cols] @ u[:, cols].T
+    z = np.tensordot(np.array(krawtchouk(n), dtype=dtype).T, g, axes=1)
+    dens_ab = [[da * db * wden for db in dens] for da in dens]
+
+    def exact(mat) -> list:
+        out = exactla.zeros(k, k)
+        for a, row in enumerate(mat.tolist()):
+            for b in range(a + 1):
+                out[a][b] = out[b][a] = Fraction(row[b], dens_ab[a][b])
+        return out
+
+    return _compressed(parts, exact(g.sum(axis=0)), {l: exact(z[l]) for l in range(n + 1)})
+
+
+@lru_cache(maxsize=None)
+def _block(parts: tuple[tuple[int, ...], ...], classes: tuple[int, ...]) -> IrrepBlock:
+    """Compressed operator sums z_K = U^T W E_K U of one partition tuple, for the primal path.
+
+    K runs over the canonical keys over the whole copy group: one
+    multiset of elements per slot class. E_K is the sum, over the
+    arrangements of K, of the Kronecker product of the slot irreps
+    rho_s(g_s). It is applied to each basis vector u slot by slot: one
+    partial sum per multiset placed so far, and at slot s every partial
+    sum moves by rho_s(e), as a mode product, into the partial sum with e
+    added, for every element e (the identity needs no product). After the
+    last slot the partial sums are the E_K u. No total x total matrix is
+    formed. The block's variables are the keys K whose z_K is not zero;
+    the cap is checked by the callers.
+
+    All of it runs in Python integers (`_basis`): each slot's seminormal
+    matrices share one scale (the partition's `_integer_tables`; identity
+    moves are scaled by it too, so every partial sum after slot s has the
+    same denominator). Each entry of gram and z is then one integer dot
+    product and one Fraction; gram is symmetric, so one triangle is
+    computed and mirrored.
+    """
+    vectors, dens, weighted, wden = _basis(parts)
     k = len(vectors)
-    wden = lcm(*(w.denominator for w in weights))
-    weighted = [[w.numerator * (wden // w.denominator) * x for w, x in zip(weights, u)] for u, _ in vectors]
+    group = _copy_group(sum(parts[0]))
+    dims = [_rep(p).dim for p in parts]
     support = [[i for i, x in enumerate(row) if x] for row in weighted]
-    dens = [den for _, den in vectors]
     gram = exactla.zeros(k, k)
     for a, (wa, sa, da) in enumerate(zip(weighted, support, dens)):
-        for b, (v, db) in enumerate(vectors[: a + 1]):
+        for b, (v, db) in enumerate(zip(vectors[: a + 1], dens)):
             gram[a][b] = gram[b][a] = Fraction(sum(wa[i] * v[i] for i in sa), da * db * wden)
-    moving = [e for e in alphabet if e != group.identity]
-    scales, mats = [], []
-    for rep in reps:
-        scale, ints = exactla.integer_matrices([rep.seminormal(group.elements[e]) for e in moving])
-        scales.append(scale)
-        mats.append(dict(zip(moving, ints)))
+    elements = range(len(group.elements))
+    tables = [_integer_tables(p) for p in parts]
+    scales = [t.scale for t in tables]
     order = sorted(set(classes))
     slot_class = [order.index(c) for c in classes]
     members = [[s for s, c in enumerate(classes) if c == cls] for cls in order]
@@ -552,14 +607,14 @@ def _block(parts: tuple[tuple[int, ...], ...], classes: tuple[int, ...], alphabe
         return tuple(key)
 
     z: dict = {}
-    for b, (u, db) in enumerate(vectors):
+    for b, (u, db) in enumerate(zip(vectors, dens)):
         sums = {((),) * len(order): u}
         for s, c in enumerate(slot_class):
             moved_sums: dict = {}
             for placed, vec in sums.items():
-                for e in alphabet:
+                for e in elements:
                     if e != group.identity:
-                        moved = exactla.mode_product(mats[s][e], vec, dims, s)
+                        moved = exactla.mode_product(tables[s].matrices[e], vec, dims, s)
                     else:
                         moved = vec if scales[s] == 1 else [scales[s] * x for x in vec]
                     to = placed[:c] + (tuple(sorted(placed[c] + (e,))),) + placed[c + 1 :]
@@ -579,9 +634,4 @@ def _block(parts: tuple[tuple[int, ...], ...], classes: tuple[int, ...], alphabe
             for a in range(b + 1):
                 wa = weighted[a]
                 zk[a][b] = zi[b][a] = Fraction(sum(wa[i] * vec[i] for i in support[a]), dens[a] * den_b)
-    linv = np.linalg.inv(np.linalg.cholesky(exactla.to_float(gram)))
-    y = {}
-    for key, zk in z.items():
-        y[key] = linv @ exactla.to_float(zk) @ linv.T
-        y[key].flags.writeable = False
-    return IrrepBlock(partitions, k, prod(dims), gram, z, y)
+    return _compressed(parts, gram, {key: zk for key, zk in z.items() if any(any(row) for row in zk)})

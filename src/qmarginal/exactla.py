@@ -13,7 +13,7 @@ Fractions.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -33,28 +33,18 @@ def mat_add(a, b, scale=F1):
 def mode_product(m, vec, dims, axis):
     """(1 x ... x m x ... x 1) @ vec with m acting on tensor factor `axis`, in integers.
 
-    `m` is an integer matrix and `vec` a flat integer vector over the
+    `m` is an integer matrix and `vec` a flat integer list over the
     factors of sizes `dims`, first factor most significant, as in a
-    Kronecker product. That product is never formed: each output entry is
-    one row of m against a stride-`inner` slice of vec, skipping zeros of
-    m. Rational matrices enter through `integer_matrices`.
+    Kronecker product. That product is never formed: vec is viewed as an
+    (outer, d, inner) array and m multiplies its middle axis, one numpy
+    product, in int64 when a bound on every output entry (d times the
+    largest entries of m and vec) fits, else in Python ints. Rational
+    matrices enter through `integer_matrices`.
     """
-    d = dims[axis]
-    inner = 1
-    for size in dims[axis + 1 :]:
-        inner *= size
-    rows = [[(b * inner, x) for b, x in enumerate(row) if x] for row in m]
-    out = [0] * len(vec)
-    for base in range(0, len(vec), d * inner):
-        for a, row in enumerate(rows):
-            dst = base + a * inner
-            for t in range(inner):
-                src = base + t
-                acc = 0
-                for off, x in row:
-                    acc += x * vec[src + off]
-                out[dst + t] = acc
-    return out
+    d, inner = dims[axis], prod(dims[axis + 1 :])
+    dtype = int_dtype(d * _max_abs(m) * max(map(abs, vec), default=0))
+    out = np.matmul(np.array(m, dtype=dtype), np.array(vec, dtype=dtype).reshape(-1, d, inner))
+    return out.reshape(-1).tolist()
 
 
 def integer_matrices(mats):

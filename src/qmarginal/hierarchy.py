@@ -301,11 +301,11 @@ def solve_primal(problem: BlockSdp, tol: float = 1e-8) -> PrimalVerdict:
             return PrimalVerdict("feasible", exact=True, x=x, nullity=len(basis))
         return PrimalVerdict("infeasible", exact=True, nullity=len(basis))
 
+    coeffs = np.array([[float(c) for c in vec] for vec in (x0, *active)])
     sdp_blocks = []
     for blk in problem.blocks:
-        f0 = -_float_block(blk, x0)
-        fs = [_float_block(blk, vec) for vec in active]
-        sdp_blocks.append(SdpBlock(blk.k, f0, fs))
+        stack = _float_stack(blk, coeffs)
+        sdp_blocks.append(SdpBlock(blk.k, -stack[0], list(stack[1:])))
     res = sdp_solve(SdpProblem(len(active), sdp_blocks, None), tol=tol)
     if res.status == "max-iter" or res.margin is None:
         from .errors import SolverConvergenceError
@@ -320,13 +320,11 @@ def solve_primal(problem: BlockSdp, tol: float = 1e-8) -> PrimalVerdict:
     )
 
 
-def _float_block(blk: IrrepBlock, coeffs) -> np.ndarray:
-    out = np.zeros((blk.k, blk.k))
-    for v, y in blk.y_per_var.items():
-        c = coeffs[v]
-        if c:
-            out += float(c) * y
-    return out
+def _float_stack(blk: IrrepBlock, coeffs: np.ndarray) -> np.ndarray:
+    """sum_v coeffs[i, v] y_v for every row i of the float coefficient array: one product."""
+    variables = list(blk.y_per_var)
+    ys = np.array([blk.y_per_var[v] for v in variables]).reshape(len(variables), blk.k * blk.k)
+    return (coeffs[:, variables] @ ys).reshape(len(coeffs), blk.k, blk.k)
 
 
 # ---------------------------------------------------------------------------

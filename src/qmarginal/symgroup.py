@@ -22,9 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
+from typing import NamedTuple
 
 import numpy as np
 
+from . import exactla
 from .errors import InternalConsistencyError, InvalidInputError, ResourceCapError
 
 __all__ = [
@@ -168,7 +170,7 @@ def trivial_multiplicity(lams) -> int:
     """Multiplicity of the trivial irrep in M_{lam_1} x ... x M_{lam_n}.
 
     Character inner product with the trivial character, summed over
-    conjugacy classes weighted by class size.
+    conjugacy classes weighted by class size; memoized per tuple.
     """
     parts = [_as_parts(l) for l in lams]
     if not parts:
@@ -176,6 +178,12 @@ def trivial_multiplicity(lams) -> int:
     n = sum(parts[0])
     if any(sum(p) != n for p in parts):
         raise InvalidInputError("all partitions must have the same weight")
+    return _trivial_multiplicity(tuple(parts))
+
+
+@lru_cache(maxsize=None)
+def _trivial_multiplicity(parts: tuple[tuple[int, ...], ...]) -> int:
+    n = sum(parts[0])
     total = 0
     for cls in conjugacy_classes(n):
         total += class_size(cls) * prod(character(p, cls) for p in parts)
@@ -448,6 +456,30 @@ def _rep(parts: tuple[int, ...]) -> _Rep:
 # the diagonal-trivial component
 
 
+class _IntegerTables(NamedTuple):
+    """One partition's seminormal matrices over S_N, in integers.
+
+    `scale` is the lcm of every denominator, so matrices[g] = scale
+    S(sigma_g) is an integer matrix for every element sigma_g of
+    `group_elements`; columns[c, g] is column c of matrices[g] (an object
+    array, indexed column, element, row) and traces[g] its trace.
+    """
+
+    scale: int
+    matrices: list
+    columns: np.ndarray
+    traces: list
+
+
+@lru_cache(maxsize=None)
+def _integer_tables(parts: tuple[int, ...]) -> _IntegerTables:
+    """Built once per partition and shared by every tuple that has it in a slot."""
+    rep = _rep(parts)
+    scale, mats = exactla.integer_matrices([rep.seminormal(sigma) for sigma in group_elements(rep.n)])
+    cols = np.array([[[row[c] for row in m] for m in mats] for c in range(rep.dim)], dtype=object)
+    return _IntegerTables(scale, mats, cols, [sum(m[i][i] for i in range(rep.dim)) for m in mats])
+
+
 def invariant_basis_exact(lams, cap: int = 512):
     """Exact rational basis of the diagonal-trivial subspace, seminormal picture.
 
@@ -469,14 +501,21 @@ def invariant_basis_exact(lams, cap: int = 512):
     are then the free columns of the kernel of the two-generator
     expression, so the vectors are the reduced-row-echelon nullspace basis
     of it: the unique basis that is the identity on those columns,
-    sorted by that column. Every image is scanned, the rank must equal
-    the character-formula multiplicity, and every vector is checked
-    exactly against both generators of S_N. Everything runs in Python
-    integers: each slot's seminormal matrices share one scale, rows are
-    kept primitive, and the back-substitution is fraction-free.
-    """
-    from . import exactla
+    sorted by that column.
 
+    The scan stops as soon as the rank reaches k, the character-formula
+    multiplicity. That k is first checked against the trace of the
+    Reynolds projector, (1/N!) sum_sigma prod_s tr S_s(sigma), read from
+    the integer seminormal tables and not from the characters; the rank
+    must reach k, and every vector is checked exactly against both
+    generators of S_N. So the result is k independent invariant vectors
+    in a space of dimension k: a basis of it, and by uniqueness of the
+    reduced row echelon form the same basis a full scan gives.
+    Everything runs in Python integers on per-partition tables built
+    once (`_integer_tables`): each slot's seminormal matrices share one
+    scale, rows are kept primitive, and the back-substitution is
+    fraction-free.
+    """
     parts = tuple(Partition(_as_parts(l)) for l in lams)
     n = parts[0].n
     dims = [irrep_dimension(p) for p in parts]
@@ -489,33 +528,34 @@ def invariant_basis_exact(lams, cap: int = 512):
     for rep in reps:
         weights = [w * rw for w in weights for rw in rep.weights]
 
-    # per slot, indexed (column, group element, row): Python integers, each
-    # slot scaled by one common denominator so the Reynolds sums stay exact
-    elements = group_elements(n)
-    cols = []
-    for rep in reps:
-        _, mats = exactla.integer_matrices([rep.seminormal(sigma) for sigma in elements])
-        cols.append(np.array([[[row[c] for row in m] for m in mats] for c in range(rep.dim)], dtype=object))
+    # the Reynolds trace (1/N!) sum_sigma prod_s tr S_s(sigma), from the integer
+    # tables alone, is the dimension of the subspace: the scan below may then
+    # stop at rank k
+    tables = [_integer_tables(p.parts) for p in parts]
+    scale = prod(t.scale for t in tables)
+    reynolds = sum(prod(traces) for traces in zip(*(t.traces for t in tables)))
+    if reynolds != k * factorial(n) * scale:
+        raise InternalConsistencyError(f"character formula {k} disagrees with the Reynolds trace of {parts}")
+    cols = [t.columns for t in tables]
     signs = [[int(rep.generators[0][i][i]) for i in range(rep.dim)] if n > 1 else [1] * rep.dim for rep in reps]
 
     rows: dict[int, list[int]] = {}  # pivot -> integer row, zero right of the pivot
     for idx in itertools.product(*(range(dim) for dim in dims)):
+        if len(rows) == k:
+            break
         if prod(signs[s][i] for s, i in enumerate(idx)) < 0:
             continue
         acc = cols[0][idx[0]]
         for s in range(1, len(parts)):
-            acc = (acc[:, :, None] * cols[s][idx[s]][:, None, :]).reshape(len(elements), -1)
+            acc = (acc[:, :, None] * cols[s][idx[s]][:, None, :]).reshape(len(acc), -1)
         v = acc.sum(axis=0).tolist()
         for p in sorted(rows, reverse=True):
             if v[p]:
                 row, f, piv = rows[p], v[p], rows[p][p]
                 v = [piv * a - f * b for a, b in zip(v, row)]
         pivot = next((j for j in range(total - 1, -1, -1) if v[j]), None)
-        if pivot is None:
-            continue
-        if len(rows) == k:
-            raise InternalConsistencyError(f"invariant subspace of {parts} exceeds the character formula {k}")
-        rows[pivot] = exactla.primitive_ints(v)
+        if pivot is not None:
+            rows[pivot] = exactla.primitive_ints(v)
     if len(rows) != k:
         raise InternalConsistencyError(f"invariant subspace rank {len(rows)} disagrees with character formula {k} for {parts}")
 
@@ -531,12 +571,11 @@ def invariant_basis_exact(lams, cap: int = 512):
 
     gens = (Permutation.transposition(n, 0, 1), Permutation.full_cycle(n)) if n > 1 else ()
     for g in gens:
-        scaled = [exactla.integer_matrices([rep.seminormal(g)]) for rep in reps]
-        scale = prod(c for c, _ in scaled)
+        e = group_elements(n).index(g)
         for v in vectors:
             w = v
-            for s, (_, (m,)) in enumerate(scaled):
-                w = exactla.mode_product(m, w, dims, s)
+            for s, t in enumerate(tables):
+                w = exactla.mode_product(t.matrices[e], w, dims, s)
             if w != [scale * a for a in v]:
                 raise InternalConsistencyError(f"invariant vector of {parts} is not fixed by {g.images}")
     return [(v, v[p]) for v, p in zip(vectors, pivots)], weights

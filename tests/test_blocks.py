@@ -215,7 +215,7 @@ def _fields(blk):
 
 
 def _cold_blocks(n, d, copies):
-    blocks._block.cache_clear()
+    blocks._witness_block.cache_clear()
     return blocks.witness_blocks(n, d, copies)
 
 
@@ -235,11 +235,34 @@ def test_invariant_basis_rank_check_can_fail(monkeypatch, shift):
         sg.invariant_basis_exact(((2, 1),) * 3)
 
 
+@pytest.mark.parametrize("shift", [1, -1])
+def test_invariant_basis_rank_check_fails_past_an_early_stop(monkeypatch, shift):
+    """k = 4 here, so k - 1 = 3 independent images would stop the scan early: the Reynolds trace must catch it."""
+    lams = ((3, 1),) * 4
+    assert sg.trivial_multiplicity(lams) == 4
+    true_k = sg.trivial_multiplicity
+    monkeypatch.setattr(sg, "trivial_multiplicity", lambda lams: true_k(lams) + shift)
+    with pytest.raises(InternalConsistencyError, match="Reynolds trace"):
+        sg.invariant_basis_exact(lams)
+
+
 def test_invariant_basis_generator_check_can_fail(monkeypatch):
     mode_product = exactla.mode_product
     monkeypatch.setattr(exactla, "mode_product", lambda m, vec, dims, axis: [2 * x for x in mode_product(m, vec, dims, axis)])
     with pytest.raises(InternalConsistencyError):
         sg.invariant_basis_exact(((2, 1),) * 3)
+
+
+@pytest.mark.parametrize("big", [1, 2**40], ids=["int64", "python-ints"])
+def test_mode_product_matches_kronecker_product(big):
+    rng = random.Random(3)
+    dims = [2, 3, 2]
+    vec = [rng.randint(-5, 5) * big for _ in range(prod(dims))]
+    for axis, d in enumerate(dims):
+        m = [[rng.randint(-3, 3) * big for _ in range(d)] for _ in range(d)]
+        factors = [m if s == axis else [[int(i == j) for j in range(e)] for i in range(e)] for s, e in enumerate(dims)]
+        expected = [sum(a * x for a, x in zip(row, vec)) for row in kron_all(factors)]
+        assert exactla.mode_product(m, vec, dims, axis) == expected
 
 
 @pytest.mark.parametrize("n,d,copies", [(4, 2, 3), (5, 2, 3), (4, 2, 4)])
@@ -255,9 +278,50 @@ def test_witness_blocks_do_not_depend_on_d():
     assert small == [f for f in large if all(len(p) <= 2 for p in f[0])]
 
 
+# sha256 over every field of every witness block (parts, k, dim, gram, z, y
+# bytes) of the dual-ladder levels and (5,2,4), recorded from the slot-by-slot
+# mode-product builder
+WITNESS_BLOCK_DIGESTS = {
+    (3, 2, 3): "5e2a24a4ecea8f1362550b7a49e40e4f84b212101d53ed429e4bb0fc9e702eb2",
+    (4, 2, 3): "7fe3c9408b8047144016a4e3015d17e28c566abcdf0755d81904ca14379d7c89",
+    (4, 3, 3): "d3c1bfffc8e758092a1f3b98f2ee8f1b850cb7b0d3ab70a6823771b4ecb80ce1",
+    (4, 6, 3): "d3c1bfffc8e758092a1f3b98f2ee8f1b850cb7b0d3ab70a6823771b4ecb80ce1",
+    (5, 2, 3): "bc7ede30a5e5a24e500c7484119b9df97002799e479bacf1dbfe3569173a5ef1",
+    (5, 3, 3): "7115cebe363abe2fb7e65f8f81b8edb6362a4af5e68cb3590b423c3c5ea93f9e",
+    (6, 2, 3): "768ad801b07c7076ef1256251678a6265dbca235e8a73dfea691531a39e97f61",
+    (4, 2, 4): "2e15133b280f393dd063528e6532aa73b2b5cc9c74184ef8aca240672115f383",
+    (4, 6, 4): "987e1c77c227800f2a27313baf382e7c0a71fbccf14de7c3826c865b42e095e7",
+    (5, 2, 4): "02a276a0cd7ab87064476b6beda02fd21c52c7845c404cb06743232791ee2c32",
+}
+
+
+@pytest.mark.parametrize("level", sorted(WITNESS_BLOCK_DIGESTS), ids=str)
+def test_witness_blocks_match_recorded_digests(level):
+    digest = hashlib.sha256()
+    for blk in blocks.witness_blocks(*level):
+        digest.update(repr((tuple(p.parts for p in blk.partitions), blk.k, blk.dim, blk.gram, sorted(blk.z_per_var.items()))).encode())
+        for _, y in sorted(blk.y_per_var.items()):
+            digest.update(y.tobytes())
+    assert digest.hexdigest() == WITNESS_BLOCK_DIGESTS[level]
+
+
+def test_witness_blocks_past_int64_match(monkeypatch):
+    """Basis vectors and denominators scaled by 2^40 push the Gram sums into Python ints; the blocks are unchanged."""
+    fast = [_fields(blk) for blk in _cold_blocks(5, 2, 4)]
+    original = blocks.invariant_basis_exact
+
+    def scaled(lams, cap):
+        vectors, weights = original(lams, cap)
+        return [([2**40 * x for x in v], 2**40 * den) for v, den in vectors], weights
+
+    monkeypatch.setattr(blocks, "invariant_basis_exact", scaled)
+    assert [_fields(blk) for blk in _cold_blocks(5, 2, 4)] == fast
+    blocks._witness_block.cache_clear()
+
+
 def test_level_check_then_export_reuses_blocks(monkeypatch):
     cold = [_fields(blk) for blk in _cold_blocks(4, 6, 4)]
-    blocks._block.cache_clear()
+    blocks._witness_block.cache_clear()
     built = []
     original = blocks.invariant_basis_exact
     monkeypatch.setattr(blocks, "invariant_basis_exact", lambda lams, cap: built.append(lams) or original(lams, cap))
@@ -301,6 +365,18 @@ def test_irrep_blocks_match_dense_reference(name):
     assert got == _dense_irrep_blocks(system, keys)
 
 
+def test_primal_block_memo_holds_only_nonzero_keys():
+    """((4,1,2))_2 at N = 3: 144 of the 504 (tuple, key) pairs have a zero block and are not stored."""
+    system = codes.code_extension_blocksdp(codes.CodeParams(4, 1, 1, 2, pure=True), 3).system
+    stored = 0
+    for tpl in blocks.block_tuples(system, cap=512):
+        memo = blocks._block(tuple(p.parts for p in tpl), system.classes)
+        assert all(any(any(row) for row in z) for z in memo.z_per_var.values())
+        assert list(memo.y_per_var) == list(memo.z_per_var)
+        stored += len(memo.z_per_var)
+    assert stored == 504 - 144
+
+
 def test_irrep_block_cap_checked_before_any_build(monkeypatch):
     def refuse(lams, cap):
         raise AssertionError("a block was built before the cap check")
@@ -331,7 +407,7 @@ def test_witness_cap_checked_before_any_block(monkeypatch):
     def refuse(lams, cap):
         raise AssertionError("a block was built before the cap check")
 
-    blocks._block.cache_clear()
+    blocks._witness_block.cache_clear()
     monkeypatch.setattr(blocks, "invariant_basis_exact", refuse)
     with pytest.raises(ResourceCapError):
         blocks.witness_blocks(4, 2, 3, cap=4)

@@ -308,6 +308,36 @@ def test_cut_loop_matches_recorded_digests(level):
     assert hashlib.sha256(repr(result).encode()).hexdigest() == CUT_LOOP_DIGESTS[level]
 
 
+# Known existence results as a soundness oracle: an exact level may say
+# `no-ame` only where no AME state exists.
+# - AME(5,2): the five-qubit code state (Laflamme, Miquel, Paz & Zurek,
+#   PRL 77, 198, 1996).
+# - AME(4,3): Helwig, Cui, Latorre, Riera & Lo, PRA 86, 052335 (2012);
+#   Goyeneche & Zyczkowski, PRA 90, 022316 (2014).
+# - AME(5,3): the five-qutrit ring graph state. Every pair of slots has a
+#   rank-2 adjacency block to the other three over GF(3), the graph-state
+#   criterion of Helwig et al. (2012).
+# - AME(4,6): Rather et al., PRL 128, 080507 (2022).
+# - No AME(4,2): Higuchi & Sudbery, Phys. Lett. A 273, 213 (2000).
+# - No AME(8,2): Scott, PRA 69, 052330 (2004).
+EXISTS = [(5, 2, 3), (5, 2, 4), (4, 3, 3), (5, 3, 3), (5, 3, 4), (4, 6, 4)]
+DOES_NOT_EXIST = {(4, 2, 3): F(-1, 2), (8, 2, 3): F(-13, 8)}
+
+
+@pytest.mark.parametrize("level", EXISTS, ids=str)
+def test_soundness_ladder_passes_where_a_state_exists(level):
+    rep = hi.level_check(*level)
+    assert rep.exact and rep.feasible and rep.optimum == 0
+    assert rep.certificate.verdict != "no-ame"
+
+
+@pytest.mark.parametrize("level", sorted(DOES_NOT_EXIST), ids=str)
+def test_soundness_ladder_refutes_where_no_state_exists(level):
+    rep = hi.level_check(*level)
+    assert rep.exact and not rep.feasible and rep.certificate.verdict == "no-ame"
+    assert rep.optimum == DOES_NOT_EXIST[level]
+
+
 def test_dedupe_rows_normalizes_sign_and_gcd():
     """Rows (a_0, a_1, a_2 | b): gcd 1, lead variable positive, first-seen order, zero rows dropped."""
     rows = [
