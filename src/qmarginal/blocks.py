@@ -495,18 +495,34 @@ def witness_blocks(n: int, d: int, copies: int, cap: int = 512) -> list[IrrepBlo
 
 
 def _basis(parts: tuple[tuple[int, ...], ...]) -> tuple:
-    """(vectors, dens, weighted, wden): a tuple's invariant basis U and W U in integers.
+    """(u, wu, dens, wden, gram): a tuple's invariant basis U, W U and U^T W U.
 
-    vectors[b] / dens[b] is basis vector u_b (`invariant_basis_exact`),
-    and weighted[a] / (dens[a] wden) is W u_a, the weights an integer
-    diagonal over their lcm wden; so every entry of U^T W M U, M an
-    integer matrix, is one integer dot product over dens[a] dens[b] wden.
+    Row b of the integer array u over dens[b] is basis vector u_b
+    (`invariant_basis_exact`), and row a of wu over dens[a] wden is W u_a,
+    the weights an integer diagonal over their lcm wden; so every entry
+    of U^T W M U, M an integer matrix, is one integer sum over
+    dens[a] dens[b] wden. gram is the one product wu u^T read back as
+    Fractions. The arrays are int64 when a bound on every sum of the
+    witness blocks (2^n, the largest Krawtchouk entry, times the length
+    times the largest entries of U and W U) fits, Python ints otherwise.
     """
     vectors, weights = invariant_basis_exact(tuple(Partition(p) for p in parts), cap=prod(_rep(p).dim for p in parts))
     wden = lcm(*(w.denominator for w in weights))
     scaled = [w.numerator * (wden // w.denominator) for w in weights]
     weighted = [[a * x for a, x in zip(scaled, u)] for u, _ in vectors]
-    return [u for u, _ in vectors], [den for _, den in vectors], weighted, wden
+    vectors, dens = [u for u, _ in vectors], [den for _, den in vectors]
+    dtype = exactla.int_dtype(2 ** len(parts) * len(scaled) * exactla._max_abs(vectors) * exactla._max_abs(weighted))
+    u, wu = np.array(vectors, dtype=dtype), np.array(weighted, dtype=dtype)
+    return u, wu, dens, wden, _exact_symmetric(wu @ u.T, dens, wden)
+
+
+def _exact_symmetric(mat, dens, wden) -> list:
+    """The symmetric integer k x k array `mat` over dens[a] dens[b] wden, as Fractions."""
+    out = exactla.zeros(len(dens), len(dens))
+    for a, row in enumerate(mat.tolist()):
+        for b in range(a + 1):
+            out[a][b] = out[b][a] = Fraction(row[b], dens[a] * dens[b] * wden)
+    return out
 
 
 def _compressed(parts, gram, z: dict) -> IrrepBlock:
@@ -528,37 +544,23 @@ def _witness_block(parts: tuple[tuple[int, ...], ...]) -> IrrepBlock:
     index i whose slot signs hold m(i) entries -1 it is the coefficient
     of z^l in (1 - z)^m(i) (1 + z)^(n - m(i)), K[m(i)][l] of the binary
     Krawtchouk table (`ame.krawtchouk`). With G_m the weighted Gram
-    matrix U^T W U restricted to the indices with m(i) = m, gram is
-    sum_m G_m and z_l = sum_m K[m][l] G_m. The G_m are integer matrix
-    products over `_basis`, int64 when a bound on every sum (2^n, the
-    table's largest entry, times the length times the largest entries of
-    U and W U) fits and Python ints otherwise; each entry of gram and z
-    is then one Fraction.
+    matrix U^T W U restricted to the indices with m(i) = m, the gram of
+    `_basis` is sum_m G_m and z_l = sum_m K[m][l] G_m. The G_m are
+    integer matrix products in the dtype of `_basis`'s arrays, whose
+    bound covers these sums; each entry of z is then one Fraction.
     """
-    vectors, dens, weighted, wden = _basis(parts)
-    k, n = len(vectors), len(parts)
+    u, wu, dens, wden, gram = _basis(parts)
+    n = len(parts)
     m = np.zeros(1, dtype=np.intp)
     for p in parts:
         rep = _rep(p)
         m = (m[:, None] + np.array([rep.generators[0][i][i] < 0 for i in range(rep.dim)], dtype=np.intp)).ravel()
-    dtype = exactla.int_dtype(2**n * len(m) * exactla._max_abs(vectors) * exactla._max_abs(weighted))
-    u = np.array(vectors, dtype=dtype).reshape(k, len(m))
-    wu = np.array(weighted, dtype=dtype).reshape(k, len(m))
-    g = np.zeros((n + 1, k, k), dtype=dtype)
+    g = np.zeros((n + 1, len(dens), len(dens)), dtype=u.dtype)
     for j in np.unique(m).tolist():
         cols = np.flatnonzero(m == j)
         g[j] = wu[:, cols] @ u[:, cols].T
-    z = np.tensordot(np.array(krawtchouk(n), dtype=dtype).T, g, axes=1)
-    dens_ab = [[da * db * wden for db in dens] for da in dens]
-
-    def exact(mat) -> list:
-        out = exactla.zeros(k, k)
-        for a, row in enumerate(mat.tolist()):
-            for b in range(a + 1):
-                out[a][b] = out[b][a] = Fraction(row[b], dens_ab[a][b])
-        return out
-
-    return _compressed(parts, exact(g.sum(axis=0)), {l: exact(z[l]) for l in range(n + 1)})
+    z = np.tensordot(np.array(krawtchouk(n), dtype=u.dtype).T, g, axes=1)
+    return _compressed(parts, gram, {l: _exact_symmetric(z[l], dens, wden) for l in range(n + 1)})
 
 
 @lru_cache(maxsize=None)
@@ -579,19 +581,14 @@ def _block(parts: tuple[tuple[int, ...], ...], classes: tuple[int, ...]) -> Irre
     All of it runs in Python integers (`_basis`): each slot's seminormal
     matrices share one scale (the partition's `_integer_tables`; identity
     moves are scaled by it too, so every partial sum after slot s has the
-    same denominator). Each entry of gram and z is then one integer dot
-    product and one Fraction; gram is symmetric, so one triangle is
-    computed and mirrored.
+    same denominator). Each entry of z is then one integer dot product
+    and one Fraction; gram comes from `_basis`.
     """
-    vectors, dens, weighted, wden = _basis(parts)
-    k = len(vectors)
+    u, wu, dens, wden, gram = _basis(parts)
+    vectors, weighted, k = u.tolist(), wu.tolist(), len(dens)
     group = _copy_group(sum(parts[0]))
     dims = [_rep(p).dim for p in parts]
     support = [[i for i, x in enumerate(row) if x] for row in weighted]
-    gram = exactla.zeros(k, k)
-    for a, (wa, sa, da) in enumerate(zip(weighted, support, dens)):
-        for b, (v, db) in enumerate(zip(vectors[: a + 1], dens)):
-            gram[a][b] = gram[b][a] = Fraction(sum(wa[i] * v[i] for i in sa), da * db * wden)
     elements = range(len(group.elements))
     tables = [_integer_tables(p) for p in parts]
     scales = [t.scale for t in tables]

@@ -41,9 +41,9 @@ def mode_product(m, vec, dims, axis):
     largest entries of m and vec) fits, else in Python ints. Rational
     matrices enter through `integer_matrices`.
     """
-    d, inner = dims[axis], prod(dims[axis + 1 :])
-    dtype = int_dtype(d * _max_abs(m) * max(map(abs, vec), default=0))
-    out = np.matmul(np.array(m, dtype=dtype), np.array(vec, dtype=dtype).reshape(-1, d, inner))
+    d, inner, m = dims[axis], prod(dims[axis + 1 :]), np.asarray(m, dtype=object)
+    dtype = int_dtype(d * max(map(abs, m.flat)) * max(map(abs, vec), default=0))
+    out = np.matmul(m.astype(dtype), np.array(vec, dtype=dtype).reshape(-1, d, inner))
     return out.reshape(-1).tolist()
 
 

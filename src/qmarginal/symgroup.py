@@ -170,7 +170,7 @@ def trivial_multiplicity(lams) -> int:
     """Multiplicity of the trivial irrep in M_{lam_1} x ... x M_{lam_n}.
 
     Character inner product with the trivial character, summed over
-    conjugacy classes weighted by class size; memoized per tuple.
+    conjugacy classes weighted by class size.
     """
     parts = [_as_parts(l) for l in lams]
     if not parts:
@@ -178,12 +178,6 @@ def trivial_multiplicity(lams) -> int:
     n = sum(parts[0])
     if any(sum(p) != n for p in parts):
         raise InvalidInputError("all partitions must have the same weight")
-    return _trivial_multiplicity(tuple(parts))
-
-
-@lru_cache(maxsize=None)
-def _trivial_multiplicity(parts: tuple[tuple[int, ...], ...]) -> int:
-    n = sum(parts[0])
     total = 0
     for cls in conjugacy_classes(n):
         total += class_size(cls) * prod(character(p, cls) for p in parts)
@@ -461,13 +455,12 @@ class _IntegerTables(NamedTuple):
 
     `scale` is the lcm of every denominator, so matrices[g] = scale
     S(sigma_g) is an integer matrix for every element sigma_g of
-    `group_elements`; columns[c, g] is column c of matrices[g] (an object
-    array, indexed column, element, row) and traces[g] its trace.
+    `group_elements` (an object array, indexed element, row, column) and
+    traces[g] its trace.
     """
 
     scale: int
-    matrices: list
-    columns: np.ndarray
+    matrices: np.ndarray
     traces: list
 
 
@@ -476,8 +469,8 @@ def _integer_tables(parts: tuple[int, ...]) -> _IntegerTables:
     """Built once per partition and shared by every tuple that has it in a slot."""
     rep = _rep(parts)
     scale, mats = exactla.integer_matrices([rep.seminormal(sigma) for sigma in group_elements(rep.n)])
-    cols = np.array([[[row[c] for row in m] for m in mats] for c in range(rep.dim)], dtype=object)
-    return _IntegerTables(scale, mats, cols, [sum(m[i][i] for i in range(rep.dim)) for m in mats])
+    mats = np.array(mats, dtype=object)
+    return _IntegerTables(scale, mats, mats.diagonal(axis1=1, axis2=2).sum(axis=1).tolist())
 
 
 def invariant_basis_exact(lams, cap: int = 512):
@@ -536,7 +529,7 @@ def invariant_basis_exact(lams, cap: int = 512):
     reynolds = sum(prod(traces) for traces in zip(*(t.traces for t in tables)))
     if reynolds != k * factorial(n) * scale:
         raise InternalConsistencyError(f"character formula {k} disagrees with the Reynolds trace of {parts}")
-    cols = [t.columns for t in tables]
+    cols = [t.matrices.transpose(2, 0, 1) for t in tables]  # column, element, row
     signs = [[int(rep.generators[0][i][i]) for i in range(rep.dim)] if n > 1 else [1] * rep.dim for rep in reps]
 
     rows: dict[int, list[int]] = {}  # pivot -> integer row, zero right of the pivot

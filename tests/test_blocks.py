@@ -246,6 +246,16 @@ def test_invariant_basis_rank_check_fails_past_an_early_stop(monkeypatch, shift)
         sg.invariant_basis_exact(lams)
 
 
+def test_invariant_basis_rank_check_fails_when_the_images_fall_short(monkeypatch):
+    """Traces doubled in all n slots and k scaled by 2^n agree, but the images still span only k: the scan ends short."""
+    lams = ((3, 1),) * 4
+    true_k, tables = sg.trivial_multiplicity, sg._integer_tables
+    monkeypatch.setattr(sg, "trivial_multiplicity", lambda lams: 2 ** len(lams) * true_k(lams))
+    monkeypatch.setattr(sg, "_integer_tables", lambda parts: tables(parts)._replace(traces=[2 * t for t in tables(parts).traces]))
+    with pytest.raises(InternalConsistencyError, match="invariant subspace rank 4 disagrees with character formula 64"):
+        sg.invariant_basis_exact(lams)
+
+
 def test_invariant_basis_generator_check_can_fail(monkeypatch):
     mode_product = exactla.mode_product
     monkeypatch.setattr(exactla, "mode_product", lambda m, vec, dims, axis: [2 * x for x in mode_product(m, vec, dims, axis)])
