@@ -51,9 +51,6 @@ from .symgroup import (
     _rep,
 )
 
-F1 = Fraction(1)
-
-
 class _CopyGroup:
     """Lookup tables for S_N acting on the copies, as arrays over element indices."""
 
@@ -199,41 +196,23 @@ class SymbolicOperator:
     checked to fit (`exactla.int_dtype`), else Python ints. Every
     operation is a gather through a copy-group table, a scaling or a
     concatenation, then one compaction; no method changes an operator.
-    The dict constructor and the `terms` view are for inspection.
     """
 
-    def __init__(self, system: SlotSystem, terms: dict, traced=frozenset()):
-        """From {ordered key: {var: rational}}; zero coefficients are dropped."""
-        items = [(key, v, Fraction(c)) for key, lin in terms.items() for v, c in lin.items()]
-        den = lcm(*(c.denominator for _, _, c in items))
-        nums = [c.numerator * (den // c.denominator) for _, _, c in items]
+    def __init__(self, system: SlotSystem, keys, variables, numerators, den: int, traced=frozenset()):
+        """From entry arrays (keys one row per entry), compacted; zero coefficients are dropped."""
         self.system, self.traced = system, frozenset(traced)
-        self.keys, self.variables, self.numerators, self.den = _compact(
-            np.array([key for key, _, _ in items], dtype=np.intp).reshape(len(items), system.slots),
-            np.array([v for _, v, _ in items], dtype=np.intp),
-            np.array(nums, dtype=exactla.int_dtype(max(map(abs, nums), default=0))),
-            den,
-        )
+        self.keys, self.variables, self.numerators, self.den = _compact(keys, variables, numerators, den)
 
     def _with(self, keys, variables=None, numerators=None, den=None, traced=None) -> "SymbolicOperator":
-        """An operator on the same system from new entry arrays (defaults: this one's), compacted."""
-        out = SymbolicOperator.__new__(SymbolicOperator)
-        out.system, out.traced = self.system, self.traced if traced is None else traced
-        out.keys, out.variables, out.numerators, out.den = _compact(
+        """An operator on the same system from new entry arrays (defaults: this one's)."""
+        return SymbolicOperator(
+            self.system,
             keys,
             self.variables if variables is None else variables,
             self.numerators if numerators is None else numerators,
             self.den if den is None else den,
+            self.traced if traced is None else traced,
         )
-        return out
-
-    @property
-    def terms(self) -> dict:
-        """{ordered key: {var: Fraction}}, built on each read."""
-        out: dict = {}
-        for key, v, c in zip(map(tuple, self.keys.tolist()), self.variables.tolist(), self.numerators.tolist()):
-            out.setdefault(key, {})[v] = Fraction(c, self.den)
-        return out
 
     @staticmethod
     def variable_expansion(system: SlotSystem, keys=None) -> "SymbolicOperator":
@@ -254,7 +233,7 @@ class SymbolicOperator:
         lookup[np.ravel_multi_index(np.array(keys, dtype=np.intp).reshape(-1, system.slots).T, radix)] = np.arange(len(keys))
         variables = lookup[np.ravel_multi_index(canonical.T, radix)]
         hit = variables >= 0
-        return SymbolicOperator(system, {})._with(ordered[hit], variables[hit], np.ones(int(hit.sum()), dtype=np.int64), 1)
+        return SymbolicOperator(system, ordered[hit], variables[hit], np.ones(int(hit.sum()), dtype=np.int64), 1)
 
     def sub(self, other: "SymbolicOperator") -> "SymbolicOperator":
         if self.traced != other.traced:
@@ -306,14 +285,11 @@ class SymbolicOperator:
         return self._with(self.keys, traced=self.traced - cells)
 
     def trace_row(self) -> dict:
-        """Linear form of the full trace."""
-        scale = F1
-        for s, _ in self.traced:
-            scale /= self.system.dims[s]
-        g = self.system.group
-        ident = (g.identity,) * self.system.slots
-        row = self.pairing_row(ident)
-        return {v: c * scale for v, c in row.items()}
+        """Linear form of the full trace: row 0 of `pairing_matrix` at the identity, each
+        traced cell dividing by its dimension. Every variable has an entry, zero or not."""
+        den, variables, m = self.pairing_matrix([(self.system.group.identity,) * self.system.slots])
+        den *= prod(self.system.dims[s] for s, _ in self.traced)
+        return {v: Fraction(a, den) for v, a in zip(variables, m[0].tolist())}
 
     def pairing_matrix(self, tests) -> tuple[int, list, np.ndarray]:
         """(den, variables, m): m[i][j] / den is the coefficient of variables[j] in Tr(V_tests[i] @ self).
@@ -356,14 +332,6 @@ class SymbolicOperator:
                 weights = weights * powers[d][exponents]
             out[lo : lo + step] = np.add.reduceat(weights[:, term] * numerators, starts, axis=1)
         return self.den, variables[starts].tolist(), out
-
-    def pairing_row(self, test: tuple[int, ...]) -> dict:
-        """Linear form of Tr(V_test @ self): one row of `pairing_matrix`, as Fractions.
-
-        Every variable of the operator has an entry, zero or not.
-        """
-        den, variables, m = self.pairing_matrix([test])
-        return {v: Fraction(a, den) for v, a in zip(variables, m[0].tolist())}
 
 
 def _compact(keys, variables, numerators, den) -> tuple:

@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from . import ame, codes, hierarchy
 from .errors import InvalidInputError, QmarginalError, ResourceCapError, SolverConvergenceError, UnsupportedFeatureError
+from .solve import lp_solve_exact
 
 
 def _frac_list(values) -> list[str]:
@@ -77,14 +78,13 @@ def _cmd_ame_candidate(args) -> int:
 
 def _cmd_ame_witness(args) -> int:
     if args.rank1_only and not args.exact:
+        # the rank-1 LP drops the k > 1 blocks, so its optimum only bounds the level's from
+        # below: it is reported, never as a certificate
         lp = hierarchy.assemble_dual_witness(args.n, args.d, args.copies, rank1_only=True, cap=args.cap)
-        from .solve import lp_solve_exact
-
         res = lp_solve_exact(lp.to_linear_program())
-        cert = hierarchy.certify(res.value, args.n, args.d, args.copies, res.x, method="lp-exact")
         note = "rank-1 relaxation only: a negative optimum here is not yet a certificate"
+        cert = hierarchy.Certificate(args.n, args.d, args.copies, "lp-exact", float(res.value), "inconclusive", res.value, res.x, note)
         payload = cert.to_dict()
-        payload["note"] = (payload["note"] + "; " + note).strip("; ")
     else:
         method = "exact" if args.exact else "auto"
         payload = hierarchy.level_check(args.n, args.d, args.copies, method=method, cap=args.cap).to_dict()

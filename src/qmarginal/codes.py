@@ -29,13 +29,14 @@ from . import exactla
 from .ame import krawtchouk, ppt_table
 from .blocks import SlotSystem
 from .errors import InvalidInputError, ResourceCapError
-from .hierarchy import CONST, BlockSdp, MarginalSpec, assemble_primal, solve_primal
+from .hierarchy import BlockSdp, MarginalSpec, assemble_primal, solve_primal
 from .symgroup import Partition
 
 F0 = Fraction(0)
 F1 = Fraction(1)
 
 DENSE_STATE_CAP = 4096
+CONST = -1  # pseudo-variable index of the constant term in a two-party dict row
 
 
 @dataclass(frozen=True)
@@ -217,19 +218,66 @@ def code_two_party_constraints(params: CodeParams, level: str = "ppt") -> BlockS
     """Equalities and scalar positivity/PPT sectors of the symmetrized
     two-party code operator.
 
+    The variables are x_0..x_n, then y_0..y_n for K >= 2. The equalities
+    are `_two_party_rows` as primitive integer rows.
+    """
+    if level not in ("pos", "ppt"):
+        raise InvalidInputError(f"unknown relaxation level {level!r}")
+    _singleton_guard(params)
+    n, K, d = params.n, params.K, params.d
+    aux_free = K == 1
+    nx = n + 1
+    keys = [("x", i) for i in range(nx)] + ([] if aux_free else [("y", i) for i in range(nx)])
+
+    # pos sectors are rows j of the Krawtchouk matrix; ppt sectors rows of T_d
+    blocks = []
+    sym2 = Partition((2,))
+    anti2 = Partition((1, 1))
+    for j, row in enumerate(krawtchouk(n)):
+        # total sign parity is even: even j sit in the aux-symmetric sector
+        # (y enters with +), odd j in the aux-antisymmetric one (y with -),
+        # which K = 1 does not have
+        if aux_free and j % 2:
+            continue
+        sign = -1 if j % 2 else 1
+        z = {}
+        for l, c in enumerate(row):
+            if c:
+                z[l] = [[Fraction(c)]]
+                if not aux_free:
+                    z[nx + l] = [[Fraction(sign * c)]]
+        blocks.append(ScalarBlock((anti2 if j % 2 else sym2, ("pattern", j)), "pos", 1, z))
+    if level == "ppt":
+        for j, row in enumerate(ppt_table(n, d)):
+            z = {}
+            for i, c in enumerate(row):
+                if c:
+                    z[i] = [[Fraction(c)]]
+                    if not aux_free:
+                        z[nx + i] = [[Fraction(K * c)]]
+            blocks.append(ScalarBlock((("phi-sector",), ("pattern", j)), "ppt", 1, z))
+            if not aux_free:
+                z2 = {i: [[Fraction(c)]] for i, c in enumerate(row) if c}
+                blocks.append(ScalarBlock((("perp-sector",), ("pattern", j)), "ppt", 1, z2))
+
+    system = SlotSystem(2, (params.K,) + (d,) * n, (0,) + (1,) * n)
+    int_rows = [exactla.primitive([r.get(v, F0) for v in range(len(keys))] + [-r.get(CONST, F0)]) for r in _two_party_rows(params)]
+    return BlockSdp(system, keys, int_rows, blocks)
+
+
+def _two_party_rows(params: CodeParams) -> list[dict]:
+    """The two-party equalities as dicts var -> Fraction, CONST carrying the
+    constant (sum_v c_v x_v + c_CONST = 0), deduplicated, zero rows dropped.
+
     For K = 1 the auxiliary factor is trivial and the system collapses to
     the single coefficient family of an m-uniform state problem. For
     K >= 2 the swap-invariance of the support couples the two families as
     y_i = x_{n-i}; pure codes additionally fix the kept marginal, while
     general codes only constrain the auxiliary (traceless) directions.
     """
-    if level not in ("pos", "ppt"):
-        raise InvalidInputError(f"unknown relaxation level {level!r}")
-    _singleton_guard(params)
     n, K, m, d = params.n, params.K, params.m, params.d
-    aux_free = params.K == 1
+    aux_free = K == 1
     nx = n + 1
-    keys = [("x", i) for i in range(nx)] + ([] if aux_free else [("y", i) for i in range(nx)])
 
     def xv(i):
         return i
@@ -296,40 +344,7 @@ def code_two_party_constraints(params: CodeParams, level: str = "ppt") -> BlockS
             seen.add(keyed)
             cleaned.append(r)
 
-    # pos sectors are rows j of the Krawtchouk matrix; ppt sectors rows of T_d
-    blocks = []
-    sym2 = Partition((2,))
-    anti2 = Partition((1, 1))
-    for j, row in enumerate(krawtchouk(n)):
-        # total sign parity is even: even j sit in the aux-symmetric sector
-        # (y enters with +), odd j in the aux-antisymmetric one (y with -),
-        # which K = 1 does not have
-        if aux_free and j % 2:
-            continue
-        sign = -1 if j % 2 else 1
-        z = {}
-        for l, c in enumerate(row):
-            if c:
-                z[xv(l)] = [[Fraction(c)]]
-                if not aux_free:
-                    z[yv(l)] = [[Fraction(sign * c)]]
-        blocks.append(ScalarBlock((anti2 if j % 2 else sym2, ("pattern", j)), "pos", 1, z))
-    if level == "ppt":
-        for j, row in enumerate(ppt_table(n, d)):
-            z = {}
-            for i, c in enumerate(row):
-                if c:
-                    z[xv(i)] = [[Fraction(c)]]
-                    if not aux_free:
-                        z[yv(i)] = [[Fraction(K * c)]]
-            blocks.append(ScalarBlock((("phi-sector",), ("pattern", j)), "ppt", 1, z))
-            if not aux_free:
-                z2 = {xv(i): [[Fraction(c)]] for i, c in enumerate(row) if c}
-                blocks.append(ScalarBlock((("perp-sector",), ("pattern", j)), "ppt", 1, z2))
-
-    system = SlotSystem(2, (params.K,) + (d,) * n, (0,) + (1,) * n)
-    int_rows = [exactla.primitive([r.get(v, F0) for v in range(len(keys))] + [-r.get(CONST, F0)]) for r in cleaned]
-    return BlockSdp(system, keys, int_rows, blocks, meta={"params": params, "level": level}, dict_rows=cleaned)
+    return cleaned
 
 
 # ---------------------------------------------------------------------------

@@ -62,18 +62,6 @@ def int_dtype(bound):
     return np.int64 if bound < 2**63 else object
 
 
-def solve_affine(a, b, ncols=None):
-    """Solve a x = b exactly over the rationals.
-
-    Returns (particular, nullspace_basis) or None when inconsistent.
-    The nullspace basis spans all homogeneous solutions. A thin wrapper:
-    each augmented row (a_i | b_i) becomes a primitive integer row
-    (`primitive`) and `solve_integer_rows` does the work.
-    """
-    n = (len(a[0]) if a else 0) if ncols is None else ncols
-    return solve_integer_rows([primitive([*row, b[i]]) for i, row in enumerate(a)], n)
-
-
 def solve_integer_rows(rows, ncols):
     """Solve the augmented integer system rows = (a | b), a x = b, exactly.
 

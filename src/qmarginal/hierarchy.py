@@ -18,7 +18,7 @@ as cutting planes until the answer is certified either way.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, prod
 
@@ -26,13 +26,15 @@ import numpy as np
 
 from . import exactla
 from .blocks import IrrepBlock, SlotSystem, SymbolicOperator, ame_system, block_tuples, irrep_block, witness_blocks
-from .errors import InvalidInputError, UnsupportedFeatureError
-from .solve import LinearProgram, SdpBlock, SdpProblem, lp_solve_exact, psd_check_exact, sdp_solve
+from .errors import InvalidInputError, SolverConvergenceError, UnsupportedFeatureError
+from .solve import LinearProgram, SdpBlock, SdpProblem, export_sdpa, lp_solve_exact, psd_check_exact, sdp_solve
+from .symgroup import Permutation
 
 F0 = Fraction(0)
 F1 = Fraction(1)
 
-CONST = -1  # pseudo-variable index for constant terms in constraint rows
+FLOAT_TOL = 1e-7  # a float optimum or margin below -FLOAT_TOL is a float verdict of infeasibility
+MAX_CUT_ROUNDS = 12  # LP solves of the cutting-plane loop before it gives up
 
 
 # ---------------------------------------------------------------------------
@@ -122,38 +124,17 @@ class BlockSdp:
 
     `int_rows` holds the equalities as primitive integer rows
     (a_0, ..., a_{nvars-1}, b) with a x = b, which `solve_primal`
-    eliminates. `rows` holds the same equalities as dicts var -> Fraction,
-    with CONST carrying the constant (sum_v c_v x_v + c_CONST = 0): passed
-    in as `dict_rows`, or derived from `int_rows` on first read
-    (`_dict_row`).
+    eliminates.
     """
 
     system: SlotSystem
     keys: list
     int_rows: list
     blocks: list  # IrrepBlock
-    objective: dict | None = None
-    meta: dict = field(default_factory=dict)
-    dict_rows: list | None = field(default=None, repr=False)
 
     @property
     def nvars(self) -> int:
         return len(self.keys)
-
-    @property
-    def rows(self) -> list[dict]:
-        if self.dict_rows is None:
-            self.dict_rows = [_dict_row(p, self.nvars) for p in self.int_rows]
-        return self.dict_rows
-
-
-def _dict_row(p, nvars: int) -> dict:
-    """Integer row p as a dict: CONST -> -p_b / p_lead (when nonzero) first, then
-    each variable v with p_v != 0, ascending, -> p_v / p_lead."""
-    lead = next(x for x in p if x)
-    row = {CONST: Fraction(-p[nvars], lead)} if p[nvars] else {}
-    row.update((v, Fraction(x, lead)) for v, x in enumerate(p[:nvars]) if x)
-    return row
 
 
 def _dedupe_rows(rows, nvars: int) -> list[list[int]]:
@@ -216,8 +197,6 @@ def assemble_primal(spec: MarginalSpec, copies: int, cap: int = 512) -> BlockSdp
     canon_tests = keys  # canonical tuples as test elements
     rows += _rows_from_operator(phi.sub(phi.adjoint()), canon_tests, nvars)
 
-    from .symgroup import Permutation
-
     for gen in (Permutation.transposition(copies, 0, 1), Permutation.full_cycle(copies)):
         gi = g.index[gen.images]
         moved = phi.slotwise_multiply((gi,) * system.slots)
@@ -230,7 +209,7 @@ def assemble_primal(spec: MarginalSpec, copies: int, cap: int = 512) -> BlockSdp
     rows += _rows_from_operator(marginal.sub(target), _marginal_tests(system, traced), nvars)
 
     blocks = [irrep_block(system, tpl, keys, cap=cap) for tpl in tuples]
-    return BlockSdp(system, keys, _dedupe_rows(rows, nvars), blocks, meta={"n": spec.n, "d": spec.d, "copies": copies})
+    return BlockSdp(system, keys, _dedupe_rows(rows, nvars), blocks)
 
 
 def _marginal_tests(system: SlotSystem, traced_slots):
@@ -251,12 +230,16 @@ class PrimalVerdict:
     witness_block: tuple | None = None
 
 
-def solve_primal(problem: BlockSdp, tol: float = 1e-8) -> PrimalVerdict:
+def solve_primal(problem: BlockSdp) -> PrimalVerdict:
     """Decide feasibility of an assembled primal system.
 
-    When the equalities pin the coefficients uniquely the answer is an
-    exact PSD test of every block. Otherwise the remaining freedom goes
-    through the float margin-maximization SDP.
+    When no free direction of the equalities moves a block (no free
+    direction at all is one case), the answer is an exact PSD test of
+    every block at the particular solution x0; an infeasible verdict
+    keeps x0 and names the first failing tuple. When every block is
+    scalar it is an exact LP. Otherwise the remaining freedom goes
+    through the float margin-maximization SDP, and a margin below
+    -FLOAT_TOL is a float `infeasible`.
     """
     nv = problem.nvars
     sol = exactla.solve_integer_rows(problem.int_rows, nv)
@@ -264,28 +247,13 @@ def solve_primal(problem: BlockSdp, tol: float = 1e-8) -> PrimalVerdict:
         return PrimalVerdict("infeasible", exact=True, nullity=0)
     x0, basis = sol
 
-    if not basis:
-        for blk in problem.blocks:
-            z = blk.z_at(x0)
-            res = psd_check_exact(z)
-            if not res.psd:
-                return PrimalVerdict(
-                    "infeasible",
-                    exact=True,
-                    x=x0,
-                    witness_block=tuple(getattr(p, "parts", p) for p in blk.partitions),
-                )
-        return PrimalVerdict("feasible", exact=True, x=x0)
-
     # keep only directions that move some block
-    active = []
-    for vec in basis:
-        if any(any(vec[v] for v in blk.z_per_var) for blk in problem.blocks):
-            active.append(vec)
+    active = [vec for vec in basis if any(any(vec[v] for v in blk.z_per_var) for blk in problem.blocks)]
     if not active:
         for blk in problem.blocks:
             if not psd_check_exact(blk.z_at(x0)).psd:
-                return PrimalVerdict("infeasible", exact=True, nullity=len(basis))
+                parts = tuple(getattr(p, "parts", p) for p in blk.partitions)
+                return PrimalVerdict("infeasible", exact=True, x=x0, nullity=len(basis), witness_block=parts)
         return PrimalVerdict("feasible", exact=True, x=x0, nullity=len(basis))
 
     if all(blk.k == 1 for blk in problem.blocks):
@@ -306,12 +274,10 @@ def solve_primal(problem: BlockSdp, tol: float = 1e-8) -> PrimalVerdict:
     for blk in problem.blocks:
         stack = _float_stack(blk, coeffs)
         sdp_blocks.append(SdpBlock(blk.k, -stack[0], list(stack[1:])))
-    res = sdp_solve(SdpProblem(len(active), sdp_blocks, None), tol=tol)
+    res = sdp_solve(SdpProblem(len(active), sdp_blocks, None))
     if res.status == "max-iter" or res.margin is None:
-        from .errors import SolverConvergenceError
-
         raise SolverConvergenceError("margin maximization did not converge")
-    feasible = res.margin >= -max(tol, 1e-7)
+    feasible = res.margin >= -FLOAT_TOL
     return PrimalVerdict(
         "feasible" if feasible else "infeasible",
         exact=False,
@@ -348,10 +314,6 @@ def fold(values, n: int):
     return out
 
 
-def unfold(w, n: int):
-    return [w[l] if l <= n // 2 else w[n - l] for l in range(n + 1)]
-
-
 def witness_value(w, n: int, d: int) -> Fraction:
     """Objective sum_l a_l w_l on folded coefficients."""
     r = n // 2
@@ -363,17 +325,16 @@ def witness_value(w, n: int, d: int) -> Fraction:
 
 @dataclass
 class WitnessLp:
-    """Rank-one-block LP relaxation of the dual witness problem."""
+    """Rank-one-block LP relaxation of the dual witness problem; every w_l lies in [-1, 1]."""
 
     n: int
     d: int
     copies: int
     objective: list  # folded objective coefficients
     rows: list  # (label, folded coefficient list); constraint is coeffs.w >= 0
-    box: Fraction = F1
 
     def to_linear_program(self) -> LinearProgram:
-        lp = LinearProgram(c=list(self.objective), bounds=[(-self.box, self.box)] * len(self.objective))
+        lp = LinearProgram(c=list(self.objective), bounds=[(-F1, F1)] * len(self.objective))
         for _, coeffs in self.rows:
             lp.add_row(coeffs, ">=", F0)
         return lp
@@ -392,9 +353,7 @@ class DualWitnessSdp:
     def to_sdp_problem(self) -> SdpProblem:
         r = self.n // 2
         m = r + 1
-        sdp_blocks = []
-        for blk in self.blocks:
-            sdp_blocks.append(SdpBlock(blk.k, np.zeros((blk.k, blk.k)), _fold_mats_float(blk.y_per_var, self.n)))
+        sdp_blocks = [SdpBlock(blk.k, np.zeros((blk.k, blk.k)), fold(blk.y_per_var, self.n)) for blk in self.blocks]
         # box block: 1 - w_l >= 0 and w_l + 1 >= 0
         size = 2 * m
         f0 = -np.eye(size)
@@ -406,17 +365,6 @@ class DualWitnessSdp:
             fs.append(f)
         sdp_blocks.append(SdpBlock(size, f0, fs, diagonal=True))
         return SdpProblem(m, sdp_blocks, np.array([float(v) for v in self.objective]))
-
-
-def _fold_mats_float(mats, n: int):
-    r = n // 2
-    out = []
-    for l in range(r + 1):
-        m = mats[l].copy()
-        if n - l != l:
-            m = m + mats[n - l]
-        out.append(m)
-    return out
 
 
 def _fold_mats_exact(mats, n: int):
@@ -481,18 +429,18 @@ class Certificate:
         }
 
 
-def certify(optimum, n: int, d: int, copies: int, w=None, method: str = "sdp-float", tol: float = 1e-8) -> Certificate:
+def certify(optimum, n: int, d: int, copies: int, w=None, method: str = "sdp-float") -> Certificate:
     """Interpret a dual optimum: strictly negative means no AME(n, d).
 
-    Values inside (-tol, 0) stay inconclusive and are flagged; an exact
-    (Fraction) optimum is decided on its own strict sign, never through
-    float().
+    Float values inside [-FLOAT_TOL, 0) stay inconclusive and are
+    flagged; an exact (Fraction) optimum is decided on its own strict
+    sign, never through float().
     """
     exact = isinstance(optimum, Fraction)
     opt_f = float(optimum)
-    if (optimum < 0) if exact else (opt_f < -tol):
+    if (optimum < 0) if exact else (opt_f < -FLOAT_TOL):
         return Certificate(n, d, copies, method, opt_f, "no-ame", optimum if exact else None, w)
-    note = "within tolerance" if (not exact and -tol <= opt_f < 0) else ""
+    note = "within tolerance" if (not exact and -FLOAT_TOL <= opt_f < 0) else ""
     return Certificate(n, d, copies, method, opt_f, "inconclusive", optimum if exact else None, w, note)
 
 
@@ -522,22 +470,21 @@ class LevelReport:
         }
 
 
-def witness_optimize_exact(n: int, d: int, copies: int, cap: int = 512, max_rounds: int = 12):
+def witness_optimize_exact(n: int, d: int, copies: int, cap: int = 512):
     """Exact dual optimum via the rank-one LP plus cutting planes.
 
     Returns (status, optimum, folded w, rounds): status "passed" when the
     optimum is certified nonnegative (level feasible), "witness" when a
-    fully verified negative witness exists, "undecided" when the round
-    limit was hit. The LP is the rank-one relaxation of
-    `assemble_dual_witness(rank1_only=True)`; every cut is appended to it
-    as one more row.
+    fully verified negative witness exists, "undecided" after
+    MAX_CUT_ROUNDS LP solves. The LP is the rank-one relaxation
+    (`_witness_lp`); every cut is appended to it as one more row.
     """
     blocks = witness_blocks(n, d, copies, cap=cap)
     relaxation = _witness_lp(n, d, copies, blocks)
     m = len(relaxation.objective)
     folded_big = [(_fold_mats_exact(blk.z_per_var, n), blk) for blk in blocks if blk.k > 1]
 
-    for round_no in range(max_rounds):
+    for round_no in range(MAX_CUT_ROUNDS):
         res = lp_solve_exact(relaxation.to_linear_program())
         if res.status != "optimal":
             raise InvalidInputError("witness LP must be bounded and feasible")  # pragma: no cover
@@ -557,31 +504,30 @@ def witness_optimize_exact(n: int, d: int, copies: int, cap: int = 512, max_roun
                 violated = True
         if not violated:
             return "witness", res.value, res.x, round_no
-    return "undecided", res.value, res.x, max_rounds
+    return "undecided", res.value, res.x, MAX_CUT_ROUNDS
 
 
-def level_check(n: int, d: int, copies: int, method: str = "auto", tol: float = 1e-8, cap: int = 512) -> LevelReport:
-    """Decide one hierarchy level through the dual witness problem."""
-    if method in ("auto", "exact"):
-        status, opt, w, rounds = witness_optimize_exact(n, d, copies, cap=cap)
-        label = "lp-exact+cuts" if rounds else "lp-exact"
-        if status == "passed":
-            cert = certify(opt, n, d, copies, w, method=label)
-            return LevelReport(n, d, copies, True, True, float(opt), opt, cert)
-        if status == "witness":
-            cert = certify(opt, n, d, copies, w, method=label)
-            return LevelReport(n, d, copies, False, True, float(opt), opt, cert)
-        if method == "exact":
-            from .errors import SolverConvergenceError
+def level_check(n: int, d: int, copies: int, method: str = "auto", cap: int = 512) -> LevelReport:
+    """Decide one hierarchy level through the dual witness problem.
 
-            raise SolverConvergenceError("cutting-plane rounds exhausted without a certificate")
+    Both methods run the exact cut loop (`witness_optimize_exact`). When
+    it is undecided, "exact" raises SolverConvergenceError and "auto"
+    solves the float SDP, whose optimum `certify` reads against
+    FLOAT_TOL. Any other method raises InvalidInputError before any work.
+    """
+    if method not in ("auto", "exact"):
+        raise InvalidInputError(f"unknown method {method!r}: use 'auto' or 'exact'")
+    status, opt, w, rounds = witness_optimize_exact(n, d, copies, cap=cap)
+    if status != "undecided":
+        cert = certify(opt, n, d, copies, w, method="lp-exact+cuts" if rounds else "lp-exact")
+        return LevelReport(n, d, copies, status == "passed", True, float(opt), opt, cert)
+    if method == "exact":
+        raise SolverConvergenceError("cutting-plane rounds exhausted without a certificate")
     dual = assemble_dual_witness(n, d, copies, cap=cap)
-    res = sdp_solve(dual.to_sdp_problem(), y0=_interior_w(dual), tol=tol)
+    res = sdp_solve(dual.to_sdp_problem(), y0=_interior_w(dual))
     if res.status != "optimal":
-        from .errors import SolverConvergenceError
-
         raise SolverConvergenceError(f"dual witness solve ended with status {res.status}")
-    cert = certify(res.value, n, d, copies, list(res.y), method="sdp-float", tol=max(tol, 1e-7))
+    cert = certify(res.value, n, d, copies, list(res.y), method="sdp-float")
     feasible = cert.verdict != "no-ame"
     return LevelReport(n, d, copies, feasible, False, res.value, None, cert)
 
@@ -599,7 +545,5 @@ def export_dual_sdpa(n: int, d: int, copies: int, path, cap: int = 512) -> DualW
     assembling it again.
     """
     dual = assemble_dual_witness(n, d, copies, cap=cap)
-    from .solve import export_sdpa
-
     export_sdpa(dual.to_sdp_problem(), path)
     return dual

@@ -28,6 +28,9 @@ from .errors import InvalidInputError, SolverConvergenceError
 F0 = Fraction(0)
 F1 = Fraction(1)
 
+SDP_TOL = 1e-8  # barrier duality-gap target of `sdp_solve`
+SDP_MAX_ITER = 4000  # Newton steps of one barrier run before it reports "max-iter"
+
 
 # ---------------------------------------------------------------------------
 # exact linear programming
@@ -228,36 +231,21 @@ def lp_solve_exact(lp: LinearProgram) -> LpResult:
     tableau = [exactla.primitive_ints(tableau[i][: ncols + nslack] + tableau[i][-1:]) for i in keep]
     basis = [basis[i] for i in keep]
 
-    phase2 = [F0] * (ncols + nslack)
-    for j, cj in enumerate(lp.c):
-        if not cj:
-            continue
-        kind = subs[j]
-        if kind[0] == "lo":
-            phase2[kind[2]] += Fraction(cj)
-        elif kind[0] == "hi":
-            phase2[kind[2]] -= Fraction(cj)
-        else:
-            phase2[kind[1]] += Fraction(cj)
-            phase2[kind[2]] -= Fraction(cj)
-    status, u, value = _run_simplex(tableau, basis, phase2)
+    # the cost in the substituted columns; the constant it leaves is -offset
+    phase2, neg_offset = translate(lp.c, 0)
+    status, u, value = _run_simplex(tableau, basis, phase2 + [F0] * nslack)
     if status == "unbounded":
         return LpResult("unbounded")
 
     x = [F0] * nv
-    offset = F0
-    for j, (lo, hi) in enumerate(bounds):
-        kind = subs[j]
-        cj = Fraction(lp.c[j])
+    for j, kind in enumerate(subs):
         if kind[0] == "lo":
             x[j] = kind[1] + u[kind[2]]
-            offset += cj * kind[1]
         elif kind[0] == "hi":
             x[j] = kind[1] - u[kind[2]]
-            offset += cj * kind[1]
         else:
             x[j] = u[kind[1]] - u[kind[2]]
-    return LpResult("optimal", value + offset, x)
+    return LpResult("optimal", value - neg_offset, x)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +349,7 @@ def _newton_system(blocks, stacks, c, y, mu):
     return grad, hess
 
 
-def _barrier(blocks, c, y, tol, max_iter):
+def _barrier(blocks, c, y, tol):
     """Damped Newton on c.y - mu sum logdet S_b(y), mu -> 0.
 
     Method: each block's coefficient matrices are stacked once per call
@@ -381,7 +369,7 @@ def _barrier(blocks, c, y, tol, max_iter):
         mu *= 0.2
         for _ in range(80):
             iters += 1
-            if iters > max_iter:
+            if iters > SDP_MAX_ITER:
                 return SdpResult("max-iter", y, float(c @ y), mu * nu)
             grad, hess = _newton_system(blocks, stacks, c, y, mu)
             ridge = 1e-12 * max(1.0, np.trace(hess) / mval)
@@ -426,7 +414,7 @@ def _feasible_start(problem: SdpProblem, y: np.ndarray) -> np.ndarray:
     return np.concatenate([y, [s0]])
 
 
-def sdp_solve(problem: SdpProblem, y0=None, tol: float = 1e-8, max_iter: int = 4000) -> SdpResult:
+def sdp_solve(problem: SdpProblem, y0=None) -> SdpResult:
     """Solve the LMI problem; feasibility questions get a margin certificate.
 
     For objective problems, a strictly feasible start is found by margin
@@ -441,11 +429,11 @@ def sdp_solve(problem: SdpProblem, y0=None, tol: float = 1e-8, max_iter: int = 4
     if problem.c is None:
         aug = _margin_problem(problem, cap=10.0)
         start = _feasible_start(problem, y_init)
-        res = _barrier(aug.blocks, aug.c, start, tol, max_iter)
+        res = _barrier(aug.blocks, aug.c, start, SDP_TOL)
         margin = float(res.y[-1])
         status = res.status
         if status == "optimal":
-            status = "infeasible" if margin < -max(tol, res.gap or 0.0) else "optimal"
+            status = "infeasible" if margin < -max(SDP_TOL, res.gap or 0.0) else "optimal"
         return SdpResult(status, res.y[:-1], margin, res.gap, margin)
 
     y = y_init
@@ -454,14 +442,14 @@ def sdp_solve(problem: SdpProblem, y0=None, tol: float = 1e-8, max_iter: int = 4
         aug = _margin_problem(problem, cap=10.0)
         start = _feasible_start(problem, y)
 
-        res = _barrier(aug.blocks, aug.c, start, max(tol, 1e-6), max_iter)
+        res = _barrier(aug.blocks, aug.c, start, 1e-6)  # phase 1 needs a positive margin, not an optimum
         if res.y is None or float(res.y[-1]) <= 0:
             return SdpResult("infeasible", None, None, res.gap, float(res.y[-1]) if res.y is not None else None)
         # re-center strictly inside before optimizing the real objective
         y = res.y[:-1]
         if not all(_is_pd(_block_s(b.f0, stack, y)) for b, stack in zip(problem.blocks, stacks)):
             raise SolverConvergenceError("phase-1 produced a non-interior point")
-    res = _barrier(problem.blocks, np.asarray(problem.c, dtype=float), y, tol, max_iter)
+    res = _barrier(problem.blocks, np.asarray(problem.c, dtype=float), y, SDP_TOL)
     return res
 
 

@@ -278,14 +278,6 @@ class Permutation:
         """The cycle 0 -> 1 -> ... -> n-1 -> 0."""
         return Permutation(tuple((i + 1) % n for i in range(n)))
 
-    @staticmethod
-    def from_cycles(n: int, cycles) -> "Permutation":
-        images = list(range(n))
-        for cyc in cycles:
-            for i, x in enumerate(cyc):
-                images[x] = cyc[(i + 1) % len(cyc)]
-        return Permutation(tuple(images))
-
 
 @lru_cache(maxsize=None)
 def group_elements(n: int) -> tuple[Permutation, ...]:

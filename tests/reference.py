@@ -16,7 +16,11 @@ the partition's hook lengths.
 
 The `terms_*` functions are the operator arithmetic over
 {ordered key: {var: Fraction}} dicts, merged term by term (`_merge`),
-that `blocks.SymbolicOperator` runs on its entry arrays.
+that `blocks.SymbolicOperator` runs on its entry arrays; `operator` and
+`op_terms` convert between the two forms.
+
+`dict_row` reads a primitive integer equality row as a dict, the form
+the recorded row digests were taken in.
 
 `lp_solve_fraction` is the two-phase Bland simplex over Fractions that
 `solve.lp_solve_exact` runs in integers: the same formulation, pivot rule
@@ -30,7 +34,7 @@ from math import comb, lcm, prod
 
 import numpy as np
 
-from qmarginal import ame, blocks, errors, exactla, solve as sv, symgroup as sg
+from qmarginal import ame, blocks, codes, errors, exactla, solve as sv, symgroup as sg
 
 
 @lru_cache(maxsize=None)
@@ -69,7 +73,7 @@ def matrix(op: blocks.SymbolicOperator, x) -> tuple[np.ndarray, int]:
 
     A traced cell carries the identity, as it does in the operator's terms.
     """
-    coeffs = {key: sum((c * Fraction(x.get(v, 0)) for v, c in lin.items()), start=Fraction(0)) for key, lin in op.terms.items()}
+    coeffs = {key: sum((c * Fraction(x.get(v, 0)) for v, c in lin.items()), start=Fraction(0)) for key, lin in op_terms(op).items()}
     den = lcm(*(c.denominator for c in coeffs.values()))
     side = prod(d**op.system.copies for d in op.system.dims)
     out = np.zeros((side, side), dtype=np.int64)
@@ -119,19 +123,21 @@ def candidate_spectrum(n: int, d: int) -> list[tuple[Fraction, int]]:
 
 
 def xi_gram(n: int, d: int) -> list[list[Fraction]]:
-    """G[i][j] = Tr(X_i X_j), from `pairing_row` over the arrangements of X_i's key."""
+    """G[i][j] = Tr(X_i X_j), from `pairing_matrix` summed over the arrangements of X_i's key."""
     system = blocks.ame_system(n, d, 2)
     phi = blocks.SymbolicOperator.variable_expansion(system)
     gram = []
     for key in system.keys():
-        rows = [phi.pairing_row(arr) for arr in system.arrangements(key)]
-        gram.append([sum((row.get(j, 0) for row in rows), start=Fraction(0)) for j in range(n + 1)])
+        den, variables, m = phi.pairing_matrix(system.arrangements(key))
+        sums = dict(zip(variables, m.sum(axis=0).tolist()))
+        gram.append([Fraction(sums.get(j, 0), den) for j in range(n + 1)])
     return gram
 
 
 def xi_coordinates(n: int, d: int, overlaps) -> list[Fraction]:
     """The x with Tr(X_i sum_j x_j X_j) = overlaps[i], solved exactly."""
-    particular, free = exactla.solve_affine(xi_gram(n, d), [Fraction(v) for v in overlaps])
+    rows = [exactla.primitive([*row, Fraction(v)]) for row, v in zip(xi_gram(n, d), overlaps)]
+    particular, free = exactla.solve_integer_rows(rows, n + 1)
     assert not free
     return particular
 
@@ -168,6 +174,38 @@ def _merge(terms: dict, key, lin: dict, scale=Fraction(1)) -> None:
             dst.pop(v, None)
     if not dst:
         terms.pop(tuple(int(k) for k in key), None)
+
+
+def operator(system: blocks.SlotSystem, terms: dict, traced=frozenset()) -> blocks.SymbolicOperator:
+    """The operator with terms {ordered key: {var: rational}}, from its entry arrays."""
+    items = [(key, v, Fraction(c)) for key, lin in terms.items() for v, c in lin.items()]
+    den = lcm(*(c.denominator for _, _, c in items))
+    nums = [c.numerator * (den // c.denominator) for _, _, c in items]
+    return blocks.SymbolicOperator(
+        system,
+        np.array([key for key, _, _ in items], dtype=np.intp).reshape(len(items), system.slots),
+        np.array([v for _, v, _ in items], dtype=np.intp),
+        np.array(nums, dtype=exactla.int_dtype(max(map(abs, nums), default=0))),
+        den,
+        traced,
+    )
+
+
+def op_terms(op: blocks.SymbolicOperator) -> dict:
+    """{ordered key: {var: Fraction}}: an operator's entry arrays as terms."""
+    out: dict = {}
+    for key, v, c in zip(map(tuple, op.keys.tolist()), op.variables.tolist(), op.numerators.tolist()):
+        out.setdefault(key, {})[v] = Fraction(c, op.den)
+    return out
+
+
+def dict_row(p, nvars: int) -> dict:
+    """Integer row p as a dict: codes.CONST -> -p_b / p_lead (when nonzero) first,
+    then each variable v with p_v != 0, ascending, -> p_v / p_lead."""
+    lead = next(x for x in p if x)
+    row = {codes.CONST: Fraction(-p[nvars], lead)} if p[nvars] else {}
+    row.update((v, Fraction(x, lead)) for v, x in enumerate(p[:nvars]) if x)
+    return row
 
 
 def terms_sub(a: dict, b: dict) -> dict:

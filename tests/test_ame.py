@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from reference import candidate_matrix, candidate_spectrum, xi_coordinates, xi_gram
+from reference import candidate_matrix, candidate_spectrum, op_terms, xi_coordinates, xi_gram
 
 from qmarginal import ame, blocks, exactla, hierarchy
 from qmarginal.errors import InvalidInputError
@@ -43,7 +43,7 @@ def candidate_x_oracle(n: int, d: int) -> list[Fraction]:
             row[s + t] += binom(n - r, t) * d ** (n - r - t)
         rows.append(row)
         rhs.append(F0)
-    particular, free = exactla.solve_affine(rows, rhs)
+    particular, free = exactla.solve_integer_rows([exactla.primitive([*row, b]) for row, b in zip(rows, rhs)], n + 1)
     assert not free, (n, d)
     return particular
 
@@ -180,7 +180,7 @@ def test_candidate_marginal_is_maximally_mixed():
     system = blocks.ame_system(4, 2, 2)
     x = ame.candidate_x(4, 2)
     marg = blocks.SymbolicOperator.variable_expansion(system).ptrace((0, 1), 0)
-    values = {key: sum(c * x[v] for v, c in lin.items()) for key, lin in marg.terms.items()}
+    values = {key: sum(c * x[v] for v, c in lin.items()) for key, lin in op_terms(marg).items()}
     assert {key for key, value in values.items() if value} == {(system.group.identity,) * 4}
     assert sum(c * x[v] for v, c in marg.trace_row().items()) == 1
 

@@ -7,11 +7,12 @@ swap-pattern sums of the witness blocks and the per-key arrangement sums
 of the primal blocks as explicit Kronecker products (`kron_all` below),
 compressed by `_compress`. The library's results must be identical to
 it, entry for entry and byte for byte. The integer kernels
-(`exactla.solve_affine` with its mod-P row selection,
-`SymbolicOperator.pairing_matrix` and `pairing_row`) are checked
-against the Fraction loops they replace, every operation of
-`SymbolicOperator` against the dense integer model in `reference.py`,
-and its entry arrays against the dict arithmetic there.
+(`exactla.solve_integer_rows` with its mod-P row selection, on rational
+systems made primitive rows (`_solve`), and
+`SymbolicOperator.pairing_matrix`, also one test at a time
+(`_pairing_row`)) are checked against the Fraction loops they replace,
+every operation of `SymbolicOperator` against the dense integer model in
+`reference.py`, and its entry arrays against the dict arithmetic there.
 """
 
 import hashlib
@@ -118,6 +119,11 @@ def nullspace(a, ncols=None):
     n = ncols if ncols is not None else len(a[0])
     work = [list(row) for row in a]
     return _free_basis(work, rref(work, ncols=n), n)
+
+
+def _solve(a, b, ncols):
+    """exactla.solve_integer_rows on the rational system a x = b, each row (a_i | b_i) made primitive."""
+    return exactla.solve_integer_rows([exactla.primitive([*row, rhs]) for row, rhs in zip(a, b)], ncols)
 
 
 def _reference_solve_affine(a, b, n):
@@ -460,9 +466,9 @@ def test_solve_affine_matches_fraction_rref(kind):
         a, b = _random_system(rng, nrows, ncols, rank, kind)
         ref = _reference_solve_affine(a, b, ncols)
         assert (ref is None) == (kind == "inconsistent")
-        assert exactla.solve_affine(a, b, ncols=ncols) == ref
-    assert exactla.solve_affine([[F0, F0]], [F1], ncols=2) is None
-    assert exactla.solve_affine([], [], ncols=2) == ([F0, F0], [[F1, F0], [F0, F1]])
+        assert _solve(a, b, ncols) == ref
+    assert _solve([[F0, F0]], [F1], 2) is None
+    assert _solve([], [], 2) == ([F0, F0], [[F1, F0], [F0, F1]])
 
 
 def _wide_system(rng, bits, kind):
@@ -486,7 +492,7 @@ def test_solve_affine_wide_entries_match_fraction_rref(bits, kind):
         a, b = _wide_system(rng, bits, kind)
         ref = _reference_solve_affine(a, b, len(a[0]))
         assert (ref is None) == (kind == "inconsistent")
-        assert exactla.solve_affine(a, b, ncols=len(a[0])) == ref
+        assert _solve(a, b, len(a[0])) == ref
 
 
 @pytest.mark.parametrize(
@@ -506,13 +512,19 @@ def test_solve_affine_rechecks_rows_left_out_mod_p(a, b):
     rows = [exactla.primitive([*row, rhs]) for row, rhs in zip(a, b)]
     chosen = exactla._independent_rows_mod_p(rows, ncols + 1)
     assert exactla._outside_span(*exactla._gauss_jordan([rows[i] for i in chosen], ncols + 1), [rows[1]], ncols + 1) == [0]
-    assert exactla.solve_affine(a, b, ncols=ncols) == _reference_solve_affine(a, b, ncols)
+    assert _solve(a, b, ncols) == _reference_solve_affine(a, b, ncols)
+
+
+def _pairing_row(op, test):
+    """Tr(V_test @ op) as Fractions: the one row of `pairing_matrix` for that test."""
+    den, variables, m = op.pairing_matrix([test])
+    return {v: Fraction(a, den) for v, a in zip(variables, m[0].tolist())}
 
 
 def _fraction_pairing_row(op, test):
     g = op.system.group
     row = {}
-    for key, lin in op.terms.items():
+    for key, lin in reference.op_terms(op).items():
         w = 1
         for s, k in enumerate(key):
             w *= op.system.dims[s] ** g.cycles[g.mul[test[s]][k]]
@@ -537,7 +549,7 @@ def test_pairing_row_matches_fraction_reference(system):
     tests = system.keys()[::5]
     for op in _assembly_operators(system):
         for t in tests:
-            row = op.pairing_row(t)
+            row = _pairing_row(op, t)
             assert row == _fraction_pairing_row(op, t)
             assert all(type(c) is Fraction for c in row.values())
 
@@ -566,9 +578,9 @@ def test_pairing_row_follows_merge():
     system = blocks.ame_system(3, 2, 2)
     op = blocks.SymbolicOperator.variable_expansion(system).scale(Fraction(1, 3))
     key = system.keys()[1]
-    before = op.pairing_row(key)
-    op = op.sub(blocks.SymbolicOperator(system, {key: {0: Fraction(-5, 7)}}))
-    after = op.pairing_row(key)
+    before = _pairing_row(op, key)
+    op = op.sub(reference.operator(system, {key: {0: Fraction(-5, 7)}}))
+    after = _pairing_row(op, key)
     assert after != before
     assert after == _fraction_pairing_row(op, key)
 
@@ -595,21 +607,22 @@ def test_operator_arrays_match_dict_reference(data):
     """sub, adjoint, slotwise_multiply, ptrace and scale on the entry arrays equal the dict arithmetic."""
     system = data.draw(st.sampled_from(ARRAY_SYSTEMS))
     size = len(system.group.elements)
-    a = blocks.SymbolicOperator(system, data.draw(_operator_terms(system)))
-    b = blocks.SymbolicOperator(system, data.draw(_operator_terms(system)))
-    assert a.terms == reference.terms_scale(a.terms, 1)  # the view is compact: no zero coefficient
-    assert a.sub(b).terms == reference.terms_sub(a.terms, b.terms)
-    assert a.sub(a).terms == {} and not len(a.sub(a).variables)
-    assert a.adjoint().terms == reference.terms_adjoint(system, a.terms)
+    terms = reference.op_terms
+    a = reference.operator(system, data.draw(_operator_terms(system)))
+    b = reference.operator(system, data.draw(_operator_terms(system)))
+    assert terms(a) == reference.terms_scale(terms(a), 1)  # the entries are compact: no zero coefficient
+    assert terms(a.sub(b)) == reference.terms_sub(terms(a), terms(b))
+    assert terms(a.sub(a)) == {} and not len(a.sub(a).variables)
+    assert terms(a.adjoint()) == reference.terms_adjoint(system, terms(a))
     taus = data.draw(st.tuples(*[st.integers(0, size - 1)] * system.slots))
-    assert a.slotwise_multiply(taus).terms == reference.terms_slotwise_multiply(system, a.terms, taus)
+    assert terms(a.slotwise_multiply(taus)) == reference.terms_slotwise_multiply(system, terms(a), taus)
     slots = data.draw(st.lists(st.integers(0, system.slots - 1), unique=True))
     copy = data.draw(st.integers(0, system.copies - 1))
     traced = a.ptrace(slots, copy)
-    assert traced.terms == reference.terms_ptrace(system, a.terms, slots, copy)
-    assert traced.sub(b.ptrace(slots, copy)).terms == reference.terms_sub(traced.terms, b.ptrace(slots, copy).terms)
+    assert terms(traced) == reference.terms_ptrace(system, terms(a), slots, copy)
+    assert terms(traced.sub(b.ptrace(slots, copy))) == reference.terms_sub(terms(traced), terms(b.ptrace(slots, copy)))
     s = Fraction(data.draw(COEFFICIENTS), data.draw(st.sampled_from([1, 3, 2**40])))
-    assert a.scale(s).terms == reference.terms_scale(a.terms, s)
+    assert terms(a.scale(s)) == reference.terms_scale(terms(a), s)
     for op in (a.sub(b), traced, a.scale(s)):
         assert op.numerators.dtype == exactla.int_dtype(max(map(abs, op.numerators.tolist()), default=0))
 
@@ -618,13 +631,13 @@ def test_operator_sums_leave_int64():
     """Entries that fit int64 whose sum does not: the merge moves to Python ints."""
     system = ARRAY_SYSTEMS[0]
     key = (1, 2, 3)
-    a = blocks.SymbolicOperator(system, {key: {0: Fraction(2**62)}, (0, 0, 0): {1: F1}})
-    b = blocks.SymbolicOperator(system, {key: {0: Fraction(-(2**62))}})
+    a = reference.operator(system, {key: {0: Fraction(2**62)}, (0, 0, 0): {1: F1}})
+    b = reference.operator(system, {key: {0: Fraction(-(2**62))}})
     assert a.numerators.dtype == np.int64
     diff = a.sub(b)
-    assert diff.terms == {key: {0: Fraction(2**63)}, (0, 0, 0): {1: F1}} and diff.numerators.dtype == object
+    assert reference.op_terms(diff) == {key: {0: Fraction(2**63)}, (0, 0, 0): {1: F1}} and diff.numerators.dtype == object
     back = diff.sub(a)
-    assert back.terms == {key: {0: Fraction(2**62)}} and back.numerators.dtype == np.int64
+    assert reference.op_terms(back) == {key: {0: Fraction(2**62)}} and back.numerators.dtype == np.int64
 
 
 def test_untrace_checks_only_the_surviving_terms():
@@ -632,16 +645,17 @@ def test_untrace_checks_only_the_surviving_terms():
     system = blocks.ame_system(2, 2, 2)
     ident, swap = system.group.identity, system.group.index[Permutation.transposition(2, 0, 1).images]
     cells = frozenset({(0, 1)})
-    op = blocks.SymbolicOperator(system, {(ident, swap): {0: F1}, (swap, ident): {1: F1}}, cells)
+    op = reference.operator(system, {(ident, swap): {0: F1}, (swap, ident): {1: F1}}, cells)
     with pytest.raises(InvalidInputError, match="not acted on trivially"):
         op.untrace(cells)
-    cancelled = op.sub(blocks.SymbolicOperator(system, {(swap, ident): {1: F1}}, cells))
+    cancelled = op.sub(reference.operator(system, {(swap, ident): {1: F1}}, cells))
     embedded = cancelled.untrace(cells)
-    assert embedded.terms == {(ident, swap): {0: F1}} and not embedded.traced
+    assert reference.op_terms(embedded) == {(ident, swap): {0: F1}} and not embedded.traced
 
 
-# sha256 of repr([list(row.items()) for row in BlockSdp.rows]), recorded from
-# the Fraction-arithmetic assembly (Fraction pairing sums and RREF)
+# sha256 of repr([list(row.items()) for row in rows]), the rows the dict form of
+# BlockSdp.int_rows (`reference.dict_row`), recorded from the Fraction-arithmetic
+# assembly (Fraction pairing sums and RREF)
 ROW_DIGESTS = {
     "primal-ame(3,2)-N3": "99b406edca0b481cbc2d6cf72a94a1bd2f8d6be60ecdf96298920755d795653c",
     "extension-((4,1,2))_2": "0167051cdf909d81a4e182eac6e37ca38b515a7903d1111cd72f7f92c303ab46",
@@ -660,7 +674,8 @@ ASSEMBLIES = {
 
 @pytest.mark.parametrize("name", sorted(ROW_DIGESTS))
 def test_assembled_rows_match_recorded_digests(name):
-    rows = ASSEMBLIES[name]().rows
+    bs = ASSEMBLIES[name]()
+    rows = [reference.dict_row(p, bs.nvars) for p in bs.int_rows]
     assert hashlib.sha256(repr([list(row.items()) for row in rows]).encode()).hexdigest() == ROW_DIGESTS[name]
 
 
@@ -698,7 +713,7 @@ def _dense_cases(system, rng):
     for _ in range(5):
         key = tuple(rng.randrange(size) for _ in range(system.slots))
         terms.setdefault(key, {})[rng.randrange(3)] = Fraction(rng.choice((-5, -2, 1, 3, 4)), rng.randint(1, 4))
-    op = blocks.SymbolicOperator(system, terms)
+    op = reference.operator(system, terms)
     phi = blocks.SymbolicOperator.variable_expansion(system)
     point = {v: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for v in range(len(system.keys()))}
     return [(op, {v: 1}) for v in range(3)] + [(phi, point)]
@@ -714,7 +729,7 @@ def _assert_dense(op, x, want):
 
 
 def test_symbolic_operator_matches_dense_reference():
-    """trace_row, pairing_row, adjoint, the left slotwise product, ptrace and untrace
+    """trace_row, one-test pairings, adjoint, the left slotwise product, ptrace and untrace
     against explicit int64 Kronecker matrices."""
     rng = random.Random(11)
     for system in DENSE_SYSTEMS:
@@ -724,7 +739,7 @@ def test_symbolic_operator_matches_dense_reference():
             assert _value(op.trace_row(), x) == Fraction(int(np.trace(m)), den)
             for t in tests:
                 pair = np.einsum("ij,ji->", reference.key_matrix(system, t), m)
-                assert _value(op.pairing_row(t), x) == Fraction(int(pair), den)
+                assert _value(_pairing_row(op, t), x) == Fraction(int(pair), den)
             _assert_dense(op.adjoint(), x, (m.T, den))
             taus = tests[rng.randrange(len(tests))]
             v = reference.key_matrix(system, taus)
@@ -738,7 +753,7 @@ def test_symbolic_operator_matches_dense_reference():
             assert _value(traced.trace_row(), x) == Fraction(int(np.trace(m)), den)
             for t in tests[:: max(1, len(tests) // 8)]:
                 pair = np.einsum("ij,ji->", reference.key_matrix(system, t), reduced)
-                assert _value(traced.pairing_row(t), x) == Fraction(int(pair), den)
+                assert _value(_pairing_row(traced, t), x) == Fraction(int(pair), den)
             embedded = traced.untrace(cells)
             _assert_dense(embedded, x, (reduced, den))
             assert _value(embedded.trace_row(), x) == Fraction(int(np.trace(reduced)), den)

@@ -7,7 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from qmarginal import cli, codes
+from qmarginal import cli, codes, hierarchy
 from qmarginal.errors import InternalConsistencyError, QmarginalError
 
 SCHEMA = json.loads((Path(__file__).resolve().parent.parent / "docs" / "report.schema.json").read_text())
@@ -74,6 +74,14 @@ def test_ame_witness():
     validate(rep, "certificate")
     assert rep["verdict"] == "inconclusive" and rep["optimum"] == "0"
 
+    # AME(6,2) exists: the rank-1 optimum -1 was never checked against the k > 1 blocks, so it refutes nothing
+    code, out, _ = run_cli(["ame", "witness", "--n", "6", "--d", "2", "--copies", "3", "--rank1-only"])
+    assert code == 0
+    rep = json.loads(out)
+    validate(rep, "certificate")
+    assert (rep["verdict"], rep["method"], rep["optimum"]) == ("inconclusive", "lp-exact", "-1")
+    assert rep["w"] and rep["note"] == "rank-1 relaxation only: a negative optimum here is not yet a certificate"
+
 
 def test_hierarchy_export_deterministic(tmp_path):
     out_path = str(tmp_path / "dual.dat-s")
@@ -117,7 +125,7 @@ def test_code_verify_cli(tmp_path):
     assert code == 0 and json.loads(out)["ok"]
 
 
-def test_exit_code_invalid_input(tmp_path):
+def test_exit_code_invalid_input(tmp_path, monkeypatch):
     code, _, err = run_cli(["ame", "check", "--n", "1", "--d", "2"])
     assert code == 2 and "error" in err
     code, _, _ = run_cli(["code", "verify", "--state", str(tmp_path / "missing.json"), "--n", "2", "--K", "1", "--m", "1", "--d", "2"])
@@ -153,6 +161,12 @@ def test_exit_code_invalid_input(tmp_path):
         code, out, err = run_cli(["ame", "scan", *args])
         assert code == 2 and out == "", args
         assert err.splitlines() == [message], args
+    # level_check takes only the methods "auto" and "exact"
+    level_check = hierarchy.level_check
+    monkeypatch.setattr(hierarchy, "level_check", lambda n, d, copies, method, cap: level_check(n, d, copies, method="bogus", cap=cap))
+    code, out, err = run_cli(["ame", "witness", "--n", "4", "--d", "2", "--copies", "2"])
+    assert code == 2 and out == ""
+    assert err == "error: unknown method 'bogus': use 'auto' or 'exact'\n"
 
 
 def test_exit_code_resource_cap(tmp_path):

@@ -7,13 +7,18 @@ import numpy as np
 import pytest
 import reference
 
-from qmarginal import ame, blocks, hierarchy as hi
+from qmarginal import ame, blocks, codes, hierarchy as hi
 from qmarginal.errors import InvalidInputError, UnsupportedFeatureError
 from qmarginal.solve import lp_solve_exact, sdp_solve
 from qmarginal.symgroup import Permutation
 
 F = Fraction
 SWAP = Permutation.transposition(2, 0, 1)
+
+
+def unfold(w, n):
+    """Folded witness coefficients w_0..w_(n//2) as the palindromic w_0..w_n."""
+    return [w[min(l, n - l)] for l in range(n + 1)]
 
 
 def test_witness_value_examples():
@@ -30,7 +35,7 @@ def test_witness_value_matches_permalg_pairing():
     for n, d in [(2, 2), (3, 2), (4, 3), (4, 6)]:
         r = n // 2
         w = [F(int(rng.integers(-5, 6)), int(rng.integers(1, 4))) for _ in range(r + 1)]
-        full = hi.unfold(w, n)
+        full = unfold(w, n)
         gram = reference.xi_gram(n, d)
         x = ame.candidate_x(n, d)
         # Tr(W Phi) for W = sum_l w_l X_l and Phi = sum_j x_j X_j
@@ -86,6 +91,11 @@ def test_level_checks_signs():
     assert rep.feasible and rep.exact and rep.optimum == 0
 
 
+def test_level_check_rejects_an_unknown_method():
+    with pytest.raises(InvalidInputError, match="unknown method 'bogus'"):
+        hi.level_check(4, 2, 2, method="bogus")
+
+
 def test_level_monotonicity_42():
     low = hi.level_check(4, 2, 2)
     high = hi.level_check(4, 2, 3)
@@ -110,9 +120,9 @@ def test_float_sdp_matches_exact_optimum_42():
 
 
 def test_certify_tolerance_edge():
-    cert = hi.certify(-1e-9, 4, 6, 3, None, method="sdp-float", tol=1e-8)
+    cert = hi.certify(-1e-9, 4, 6, 3, None, method="sdp-float")
     assert cert.verdict == "inconclusive" and cert.note == "within tolerance"
-    cert = hi.certify(-1e-3, 4, 2, 2, [1.0], method="sdp-float", tol=1e-8)
+    cert = hi.certify(-1e-3, 4, 2, 2, [1.0], method="sdp-float")
     assert cert.verdict == "no-ame"
     cert = hi.certify(F(0), 4, 6, 2, None, method="lp-exact")
     assert cert.verdict == "inconclusive" and cert.optimum == 0
@@ -185,8 +195,8 @@ def test_primal_level2_weak_marginals_agree():
             reduced = reduced.ptrace(range(n - r), c)
         g = bs.system.group
         for kept in itertools.product(range(len(g.elements)), repeat=r):
-            row = reduced.pairing_row((g.identity,) * (n - r) + kept)
-            value = sum((coeff * verdict.x[v] for v, coeff in row.items()), start=F(0))
+            den, variables, m = reduced.pairing_matrix([(g.identity,) * (n - r) + kept])
+            value = sum((F(a, den) * verdict.x[v] for v, a in zip(variables, m[0].tolist())), start=F(0))
             # a traced cell pairs as a d-dimensional identity factor
             assert value / d ** ((n - r) * copies) == F(d ** sum(g.cycles[t] for t in kept), d ** (r * copies))
 
@@ -236,11 +246,11 @@ def test_block_assembly_dense_oracle_n2():
     # P_2^+ = (1 + V x V)/2 in the coefficient algebra
     half = F(1, 2)
     ident, swap = system.group.identity, system.group.index[SWAP.images]
-    proj = blocks.SymbolicOperator(system, {(ident, ident): {0: half}, (swap, swap): {0: half}})
+    proj = reference.operator(system, {(ident, ident): {0: half}, (swap, swap): {0: half}})
     dp, den_p = reference.matrix(proj, {0: 1})
     rng = np.random.default_rng(2)
     w = [F(int(rng.integers(-3, 4)), 2) for _ in range(n // 2 + 1)]
-    dw, den_w = reference.matrix(xi, dict(enumerate(hi.unfold(w, n))))
+    dw, den_w = reference.matrix(xi, dict(enumerate(unfold(w, n))))
     pwp = reference.mul(dp, reference.mul(dw, dp))
 
     # exact objective identity: Tr(W Phi) in dense and in folded coordinates
@@ -250,7 +260,7 @@ def test_block_assembly_dense_oracle_n2():
 
     # blockwise values of P (W x 1) P agree with the dense spectrum on the support
     dual = hi.assemble_dual_witness(n, d, copies)
-    vals = sorted(float(sum(float(hi.unfold(w, n)[l]) * blk.y_per_var[l][0, 0] for l in range(n + 1))) for blk in dual.blocks)
+    vals = sorted(float(sum(float(unfold(w, n)[l]) * blk.y_per_var[l][0, 0] for l in range(n + 1))) for blk in dual.blocks)
     dense_evs = np.linalg.eigvalsh(pwp / (den_p**2 * den_w))
     for v in vals:
         assert any(abs(v - t) < 1e-9 for t in dense_evs), (v, dense_evs)
@@ -351,9 +361,9 @@ def test_dedupe_rows_normalizes_sign_and_gcd():
     ]
     int_rows = hi._dedupe_rows(rows, 3)
     assert int_rows == [[0, 2, -3, 1], [1, 0, 0, 3], [0, 0, 1, 0]]
-    assert [list(hi._dict_row(p, 3).items()) for p in int_rows] == [
-        [(hi.CONST, F(-1, 2)), (1, F(1)), (2, F(-3, 2))],
-        [(hi.CONST, F(-3)), (0, F(1))],
+    assert [list(reference.dict_row(p, 3).items()) for p in int_rows] == [
+        [(codes.CONST, F(-1, 2)), (1, F(1)), (2, F(-3, 2))],
+        [(codes.CONST, F(-3)), (0, F(1))],
         [(2, F(1))],
     ]
     assert hi._dedupe_rows([[0, 0, 0]], 2) == []
