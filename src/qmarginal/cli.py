@@ -77,7 +77,9 @@ def _cmd_ame_candidate(args) -> int:
 
 
 def _cmd_ame_witness(args) -> int:
-    if args.rank1_only and not args.exact:
+    if args.rank1_only and args.exact:
+        raise InvalidInputError("--rank1-only and --exact exclude each other: the rank-1 relaxation is never a certificate")
+    if args.rank1_only:
         # the rank-1 LP drops the k > 1 blocks, so its optimum only bounds the level's from
         # below: it is reported, never as a certificate
         lp = hierarchy.assemble_dual_witness(args.n, args.d, args.copies, rank1_only=True, cap=args.cap)

@@ -2,20 +2,23 @@
 
 Matrices are lists of lists, small and dense; these routines back the
 exact solver paths where floating point would blur a sign decision. The
-hot kernels (`mode_product`, `solve_integer_rows`) run in integers:
-rational data is scaled to integer rows (`integer_matrices`,
-`primitive`), worked on in Python ints or in numpy arrays whose dtype
-`int_dtype` picks from a checked bound, and read back with one Fraction
-per output entry. An equality system is eliminated fraction-free only
-on the rows a pass mod the prime P selects; every other row is checked
-exactly against them. `ldlt_psd_witness` and the small helpers work on
-Fractions.
+hot kernels (`mode_product`, `solve_integer_rows`, `ldlt_psd_witness`)
+run in integers: rational data is scaled to integer rows
+(`integer_matrices`, `primitive`), worked on in Python ints or in numpy
+arrays whose dtype `int_dtype` picks from a checked bound, and read back
+with one Fraction per output entry. An equality system is eliminated
+fraction-free only on the rows a pass mod the prime P selects; every
+other row is checked exactly against them. The PSD test eliminates
+fraction-free too; its only Fractions are its multipliers and witness.
+`zeros` and `mat_add` work on Fractions.
 """
 
 from fractions import Fraction
 from math import gcd, lcm, prod
 
 import numpy as np
+
+from .errors import InternalConsistencyError
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -206,47 +209,50 @@ def primitive_ints(row):
 
 
 def ldlt_psd_witness(m):
-    """Decide positive semidefiniteness of a symmetric rational matrix.
+    """None when the symmetric integer matrix m is PSD, else a rational v with v^T m v < 0.
 
-    Returns (True, None) when PSD, else (False, v) with a rational vector
-    v such that v^T m v < 0. Uses symmetric elimination with diagonal
-    pivoting; on a zero diagonal with nonzero off-diagonal row, a 2x2
-    indefinite witness is built instead.
+    Method: symmetric elimination on diagonal pivots, fraction-free in
+    Python ints (Bareiss, Math. Comp. 22, 1968). After pivots p_1..p_t the
+    active entries are d_t > 0, the last pivot, times the Schur
+    complement, so every sign test is the Schur complement's; the update
+    a_ij <- (p a_ij - a_ip a_pj) / prev must divide exactly, else
+    InternalConsistencyError. The witness is e_i for the first negative
+    diagonal; else the first positive diagonal is the pivot; else a
+    nonzero a_ij between zero diagonals gives e_i -+ e_j; else m is PSD.
+    v maps back through the multipliers a_ip / a_pp, the only other
+    Fractions.
     """
     n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    # track the congruence: after eliminating pivot p, rows are combined;
-    # we keep the elimination multipliers to map witnesses back.
-    steps = []  # (pivot_index, {row: multiplier})
+    a = [list(row) for row in m]
     active = list(range(n))
+    prev = 1
+    steps = []  # (pivot, {row: multiplier})
     while active:
+        v = [F0] * n
         neg = next((i for i in active if a[i][i] < 0), None)
         if neg is not None:
-            v = [F0] * n
             v[neg] = F1
-            return False, _undo_elimination(v, steps)
-        piv = next((i for i in active if a[i][i] > 0), None)
-        if piv is None:
-            # all remaining diagonal entries are zero
+            return _undo_elimination(v, steps)
+        p = next((i for i in active if a[i][i] > 0), None)
+        if p is None:
             for i in active:
-                for j in active:
-                    if i != j and a[i][j]:
-                        v = [F0] * n
-                        v[i] = F1
-                        v[j] = -F1 if a[i][j] > 0 else F1
-                        return False, _undo_elimination(v, steps)
-            return True, None
-        mults = {}
+                j = next((j for j in active if a[i][j]), None)
+                if j is not None:
+                    v[i], v[j] = F1, -F1 if a[i][j] > 0 else F1
+                    return _undo_elimination(v, steps)
+            return None
+        active.remove(p)
+        pivot, row_p = a[p][p], a[p]
+        steps.append((p, {i: Fraction(row_p[i], pivot) for i in active if row_p[i]}))
         for i in active:
-            if i != piv and a[i][piv]:
-                f = a[i][piv] / a[piv][piv]
-                mults[i] = f
-                for j in active:
-                    if a[piv][j]:
-                        a[i][j] -= f * a[piv][j]
-        steps.append((piv, mults))
-        active.remove(piv)
-    return True, None
+            row, f = a[i], row_p[i]
+            for j in active:
+                q, r = divmod(pivot * row[j] - f * row_p[j], prev)
+                if r:
+                    raise InternalConsistencyError("inexact division in the fraction-free elimination")
+                row[j] = q
+        prev = pivot
+    return None
 
 
 def _undo_elimination(v, steps):
@@ -257,10 +263,6 @@ def _undo_elimination(v, steps):
         for i, f in mults.items():
             out[piv] -= f * out[i]
     return out
-
-
-def quadratic_form(m, v):
-    return sum(v[i] * sum(m[i][j] * v[j] for j in range(len(v)) if v[j]) for i in range(len(v)) if v[i])
 
 
 def to_float(a):

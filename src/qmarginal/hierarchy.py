@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, prod
+from math import comb, prod
 
 import numpy as np
 
@@ -145,26 +145,28 @@ def _dedupe_rows(rows, nvars: int) -> list[list[int]]:
     so that its lead (first nonzero) variable coefficient is positive;
     rows equal after that are proportional, and the first one seen is
     kept. Zero rows are dropped; a row holding only a nonzero constant
-    makes the system inconsistent and raises InvalidInputError.
+    makes the system inconsistent and raises InvalidInputError. The rows
+    are normalized at once on one integer array, int64 or Python ints
+    alike: `np.gcd.reduce`, the lead signs, one floor division.
     """
-    seen = {}
-    for row in rows:
-        lead = next((x for x in row[:nvars] if x), 0)
-        if not lead:
-            if row[nvars]:
-                raise InvalidInputError("inconsistent constant row in assembly")
-            continue
-        g = gcd(*row) if lead > 0 else -gcd(*row)
-        seen.setdefault(tuple(x // g for x in row), None)
-    return [list(p) for p in seen]
+    a = np.asarray(rows)
+    nonzero = a[:, :nvars] != 0
+    has_var = nonzero.any(axis=1)
+    if (a[~has_var, nvars] != 0).any():
+        raise InvalidInputError("inconsistent constant row in assembly")
+    a = a[has_var]
+    lead = a[np.arange(len(a)), nonzero[has_var].argmax(axis=1)]
+    g = np.gcd.reduce(a, axis=1)
+    a = a // np.where(lead < 0, -g, g)[:, None]
+    return [list(row) for row in dict.fromkeys(map(tuple, a.tolist()))]
 
 
-def _rows_from_operator(op: SymbolicOperator, tests, nvars: int) -> list[list[int]]:
+def _rows_from_operator(op: SymbolicOperator, tests, nvars: int) -> np.ndarray:
     """Integer rows (pairing with each test | 0), over the operator's denominator."""
     _, variables, m = op.pairing_matrix(tests)
     full = np.zeros((len(m), nvars + 1), dtype=m.dtype)
     full[:, variables] = m
-    return full.tolist()
+    return full
 
 
 def assemble_primal(spec: MarginalSpec, copies: int, cap: int = 512) -> BlockSdp:
@@ -192,24 +194,24 @@ def assemble_primal(spec: MarginalSpec, copies: int, cap: int = 512) -> BlockSdp
 
     nvars = len(keys)
     trace_row = phi.trace_row()
-    rows = [exactla.primitive([trace_row.get(v, F0) for v in range(nvars)] + [F1])]
+    rows = [np.array([exactla.primitive([trace_row.get(v, F0) for v in range(nvars)] + [F1])])]
 
     canon_tests = keys  # canonical tuples as test elements
-    rows += _rows_from_operator(phi.sub(phi.adjoint()), canon_tests, nvars)
+    rows.append(_rows_from_operator(phi.sub(phi.adjoint()), canon_tests, nvars))
 
     for gen in (Permutation.transposition(copies, 0, 1), Permutation.full_cycle(copies)):
         gi = g.index[gen.images]
         moved = phi.slotwise_multiply((gi,) * system.slots)
-        rows += _rows_from_operator(moved.sub(phi), canon_tests, nvars)
+        rows.append(_rows_from_operator(moved.sub(phi), canon_tests, nvars))
 
     traced = tuple(s for s in range(system.slots) if s not in kept)
     marginal = phi.ptrace(traced, 0)
     dim_mixed = prod(system.dims[s] for s in mixed)
     target = marginal.ptrace(mixed, 0).untrace({(s, 0) for s in mixed}).scale(Fraction(1, dim_mixed))
-    rows += _rows_from_operator(marginal.sub(target), _marginal_tests(system, traced), nvars)
+    rows.append(_rows_from_operator(marginal.sub(target), _marginal_tests(system, traced), nvars))
 
     blocks = [irrep_block(system, tpl, keys, cap=cap) for tpl in tuples]
-    return BlockSdp(system, keys, _dedupe_rows(rows, nvars), blocks)
+    return BlockSdp(system, keys, _dedupe_rows(np.concatenate(rows), nvars), blocks)
 
 
 def _marginal_tests(system: SlotSystem, traced_slots):
@@ -367,17 +369,6 @@ class DualWitnessSdp:
         return SdpProblem(m, sdp_blocks, np.array([float(v) for v in self.objective]))
 
 
-def _fold_mats_exact(mats, n: int):
-    r = n // 2
-    out = []
-    for l in range(r + 1):
-        m = mats[l]
-        if n - l != l:
-            m = exactla.mat_add(m, mats[n - l])
-        out.append(m)
-    return out
-
-
 def assemble_dual_witness(n: int, d: int, copies: int, rank1_only: bool = False, cap: int = 512):
     """Dual witness problem at level `copies`.
 
@@ -478,11 +469,17 @@ def witness_optimize_exact(n: int, d: int, copies: int, cap: int = 512):
     fully verified negative witness exists, "undecided" after
     MAX_CUT_ROUNDS LP solves. The LP is the rank-one relaxation
     (`_witness_lp`); every cut is appended to it as one more row.
+
+    Method: in integers. A block with k > 1 holds its folded z_l as one
+    integer (r+1, k, k) array F over a denominator D (`_integer_stack`).
+    With w as integers W over their lcm L, Z = sum_l W_l F_l = L D Z(w),
+    one tensordot, has the verdict and witness v of Z(w); with v as
+    integers c v, the cut is q_l = (c v)^T F_l (c v) / (D c^2), one einsum.
+    Both run in int64 when a bound on their entries allows it.
     """
     blocks = witness_blocks(n, d, copies, cap=cap)
     relaxation = _witness_lp(n, d, copies, blocks)
-    m = len(relaxation.objective)
-    folded_big = [(_fold_mats_exact(blk.z_per_var, n), blk) for blk in blocks if blk.k > 1]
+    stacks = [_integer_stack(blk, n) for blk in blocks if blk.k > 1]
 
     for round_no in range(MAX_CUT_ROUNDS):
         res = lp_solve_exact(relaxation.to_linear_program())
@@ -490,21 +487,28 @@ def witness_optimize_exact(n: int, d: int, copies: int, cap: int = 512):
             raise InvalidInputError("witness LP must be bounded and feasible")  # pragma: no cover
         if res.value >= 0:
             return "passed", res.value, res.x, round_no
+        _, ((w,),) = exactla.integer_matrices([[res.x]])
         violated = False
-        for folded_mats, blk in folded_big:
-            z = exactla.zeros(blk.k, blk.k)
-            for l in range(m):
-                if res.x[l]:
-                    z = exactla.mat_add(z, folded_mats[l], scale=res.x[l])
-            check = psd_check_exact(z)
+        for den, f, big in stacks:
+            ws = np.array(w, dtype=exactla.int_dtype(sum(map(abs, w)) * big))
+            check = psd_check_exact(np.tensordot(ws, f.astype(ws.dtype), axes=1).tolist())
             if not check.psd:
-                v = check.witness
-                cut = [exactla.quadratic_form(folded_mats[l], v) for l in range(m)]
-                relaxation.rows.append(("cut", cut))
+                c, ((v,),) = exactla.integer_matrices([[check.witness]])
+                vs = np.array(v, dtype=exactla.int_dtype(sum(map(abs, v)) ** 2 * big))
+                q = np.einsum("i,lij,j->l", vs, f.astype(vs.dtype), vs).tolist()
+                relaxation.rows.append(("cut", [Fraction(x, den * c * c) for x in q]))
                 violated = True
         if not violated:
             return "witness", res.value, res.x, round_no
     return "undecided", res.value, res.x, MAX_CUT_ROUNDS
+
+
+def _integer_stack(blk: IrrepBlock, n: int) -> tuple:
+    """(D, F, max |F|): a block's folded z_l as one integer (r+1, k, k) array F over the denominator D."""
+    den, mats = exactla.integer_matrices([blk.z_per_var[l] for l in range(n + 1)])
+    f = np.array(fold(np.array(mats, dtype=object), n))
+    big = int(np.abs(f).max())
+    return den, f.astype(exactla.int_dtype(big)), big
 
 
 def level_check(n: int, d: int, copies: int, method: str = "auto", cap: int = 512) -> LevelReport:

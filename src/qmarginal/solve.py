@@ -5,8 +5,8 @@ Three solvers, deliberately self-contained:
 * an exact two-phase simplex with Bland's rule on a fraction-free
   integer tableau (Edmonds, J. Res. NBS 71B, 1967), for linear programs
   whose sign decisions must not depend on tolerances;
-* an exact PSD test via symmetric elimination, returning a rational
-  witness vector when the matrix is not PSD;
+* an exact PSD test via fraction-free symmetric elimination, returning
+  a rational witness vector when the matrix is not PSD;
 * a small dense log-barrier solver for linear matrix inequalities in
   SDPA form: minimize c.y subject to sum_i y_i F_i - F_0 >= 0 per block.
 
@@ -259,18 +259,22 @@ class PsdResult:
 
 
 def psd_check_exact(matrix) -> PsdResult:
-    """Exact positive-semidefiniteness of a symmetric rational matrix."""
-    n = len(matrix)
-    m = [[Fraction(x) for x in row] for row in matrix]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if m[i][j] != m[j][i]:
-                raise InvalidInputError("matrix is not symmetric")
-    ok, witness = exactla.ldlt_psd_witness(m)
-    if ok:
+    """Exact positive-semidefiniteness of a symmetric matrix of ints or Fractions.
+
+    Method: the matrix times the lcm of its denominators, an integer
+    matrix M with the same verdict and witnesses, is eliminated
+    fraction-free (`exactla.ldlt_psd_witness`). A witness v is checked in
+    integers: (c v)^T M (c v) < 0, c the lcm of its denominators.
+    """
+    _, (m,) = exactla.integer_matrices([matrix])
+    n = len(m)
+    if any(m[i][j] != m[j][i] for i in range(n) for j in range(i)):
+        raise InvalidInputError("matrix is not symmetric")
+    witness = exactla.ldlt_psd_witness(m)
+    if witness is None:
         return PsdResult(True)
-    value = exactla.quadratic_form(m, witness)
-    if value >= 0:
+    _, ((v,),) = exactla.integer_matrices([[witness]])
+    if sum(v[i] * m[i][j] * v[j] for i in range(n) if v[i] for j in range(n)) >= 0:
         raise InvalidInputError("internal witness failure")  # pragma: no cover
     return PsdResult(False, witness)
 
@@ -311,19 +315,29 @@ class SdpResult:
     margin: float | None = None
 
 
-def _stack(block: SdpBlock, m: int) -> np.ndarray:
-    """The block's coefficient matrices as one (m, k, k) float array."""
-    return np.array(block.fs, dtype=float).reshape(m, block.size, block.size)
+def _stack(blocks, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(F_0, F): the blocks padded to the largest size k, as (b, k, k) and (m, b, k, k) float arrays.
+
+    F_0 is padded with -I and each F_i with 0, so the padding of every
+    S_b(y) is I: it adds nothing to log det S_b nor to S_b^{-1} F_i.
+    """
+    size = max((b.size for b in blocks), default=0)
+    f0 = np.tile(-np.eye(size), (len(blocks), 1, 1))
+    fs = np.zeros((m, len(blocks), size, size))
+    for j, b in enumerate(blocks):
+        f0[j, : b.size, : b.size] = b.f0
+        fs[:, j, : b.size, : b.size] = np.array(b.fs, dtype=float).reshape(m, b.size, b.size)
+    return f0, fs
 
 
-def _block_s(f0: np.ndarray, stack: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """S(y) = sum_i y_i F_i - F_0, symmetrized: one product with the (m, k, k) stack."""
-    k = len(f0)
-    s = (y @ stack.reshape(len(y), k * k)).reshape(k, k) - f0
-    return 0.5 * (s + s.T)
+def _block_s(f0: np.ndarray, fs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """S_b(y) = sum_i y_i F_i - F_0 for every block of the stack, symmetrized: one product."""
+    s = (y @ fs.reshape(len(y), f0.size)).reshape(f0.shape) - f0
+    return 0.5 * (s + s.transpose(0, 2, 1))
 
 
 def _is_pd(s: np.ndarray) -> bool:
+    """Whether every matrix of the stack (or the one matrix) is positive definite: one Cholesky."""
     try:
         np.linalg.cholesky(s + 0.0)
         return True
@@ -331,38 +345,36 @@ def _is_pd(s: np.ndarray) -> bool:
         return False
 
 
-def _newton_system(blocks, stacks, c, y, mu):
-    """Gradient and Hessian of c.y - mu sum logdet S_b(y) at y.
+def _newton_system(f0, fs, c, y, mu):
+    """Gradient and Hessian of c.y - mu sum_b logdet S_b(y) at y.
 
-    With T_i = S_b^{-1} F_i for the (m, k, k) stack F of a block, the
-    block adds -mu tr T_i to the gradient and mu tr(T_i T_j) to the
-    Hessian; both come from one batched product per block.
+    With T_bi = S_b^{-1} F_bi for the padded (m, b, k, k) stack F, block b
+    adds -mu tr T_bi to the gradient and mu tr(T_bi T_bj) to the Hessian:
+    one batched inverse, one batched product and one matrix product for
+    all blocks.
     """
-    grad = c.astype(float).copy()
-    hess = np.zeros((len(c), len(c)))
-    for b, stack in zip(blocks, stacks):
-        sinv = np.linalg.inv(_block_s(b.f0, stack, y))
-        sinv = 0.5 * (sinv + sinv.T)
-        ts = sinv @ stack
-        grad -= mu * np.trace(ts, axis1=1, axis2=2)
-        hess += mu * np.einsum("iab,jba->ij", ts, ts)
+    sinv = np.linalg.inv(_block_s(f0, fs, y))
+    sinv = 0.5 * (sinv + sinv.transpose(0, 2, 1))
+    ts = sinv @ fs
+    grad = c - mu * np.trace(ts, axis1=2, axis2=3).sum(axis=1)
+    hess = mu * ts.reshape(len(c), f0.size) @ ts.transpose(0, 1, 3, 2).reshape(len(c), f0.size).T
     return grad, hess
 
 
 def _barrier(blocks, c, y, tol):
     """Damped Newton on c.y - mu sum logdet S_b(y), mu -> 0.
 
-    Method: each block's coefficient matrices are stacked once per call
-    into an (m, k, k) array. Every S_b(y) is then one product of y with
-    its stack (`_block_s`), and the Newton system of every iteration is
-    one batched matrix product and one einsum per block
-    (`_newton_system`). The step is halved until every block stays
-    positive definite, and mu shrinks by a factor 5 after each
-    centering round.
+    Method: the blocks are stacked once per call, padded to one size
+    (`_stack`). Every Newton step then forms all S_b(y) with one product
+    (`_block_s`), the gradient and Hessian with one batched inverse and
+    product (`_newton_system`), and tests a trial step with one batched
+    Cholesky (`_is_pd`). The step is halved until every block stays
+    positive definite, and mu shrinks by a factor 5 after each centering
+    round.
     """
     mval = len(c)
     nu = sum(b.size for b in blocks)
-    stacks = [_stack(b, mval) for b in blocks]
+    f0, fs = _stack(blocks, mval)
     mu = max(1.0, float(np.linalg.norm(c))) if nu else 1.0
     iters = 0
     while mu * nu > tol:
@@ -371,7 +383,7 @@ def _barrier(blocks, c, y, tol):
             iters += 1
             if iters > SDP_MAX_ITER:
                 return SdpResult("max-iter", y, float(c @ y), mu * nu)
-            grad, hess = _newton_system(blocks, stacks, c, y, mu)
+            grad, hess = _newton_system(f0, fs, c, y, mu)
             ridge = 1e-12 * max(1.0, np.trace(hess) / mval)
             try:
                 dy = np.linalg.solve(hess + ridge * np.eye(mval), -grad)
@@ -382,8 +394,7 @@ def _barrier(blocks, c, y, tol):
                 break
             alpha = 1.0
             for _ in range(60):
-                cand = y + alpha * dy
-                if all(_is_pd(_block_s(b.f0, stack, cand)) for b, stack in zip(blocks, stacks)):
+                if _is_pd(_block_s(f0, fs, y + alpha * dy)):
                     break
                 alpha *= 0.5
             else:
@@ -407,11 +418,10 @@ def _margin_problem(problem: SdpProblem, cap: float) -> SdpProblem:
     return SdpProblem(problem.m + 1, blocks, c)
 
 
-def _feasible_start(problem: SdpProblem, y: np.ndarray) -> np.ndarray:
-    """Strictly feasible start for the margin-augmented problem."""
-    margins = [float(np.linalg.eigvalsh(_block_s(b.f0, _stack(b, problem.m), y)).min()) for b in problem.blocks]
-    s0 = min(margins) - 1.0
-    return np.concatenate([y, [s0]])
+def _feasible_start(blocks, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Strictly feasible start for the margin-augmented problem, from the padded stack s of the S_b(y)."""
+    low = min(float(np.linalg.eigvalsh(sb[: b.size, : b.size]).min()) for sb, b in zip(s, blocks))
+    return np.concatenate([y, [low - 1.0]])
 
 
 def sdp_solve(problem: SdpProblem, y0=None) -> SdpResult:
@@ -424,33 +434,30 @@ def sdp_solve(problem: SdpProblem, y0=None) -> SdpResult:
     for b in problem.blocks:
         if len(b.fs) != problem.m:
             raise InvalidInputError("block coefficient count mismatch")
-    y_init = np.zeros(problem.m) if y0 is None else np.asarray(y0, dtype=float)
+    y = np.zeros(problem.m) if y0 is None else np.asarray(y0, dtype=float)
+    f0, fs = _stack(problem.blocks, problem.m)
 
     if problem.c is None:
         aug = _margin_problem(problem, cap=10.0)
-        start = _feasible_start(problem, y_init)
-        res = _barrier(aug.blocks, aug.c, start, SDP_TOL)
+        res = _barrier(aug.blocks, aug.c, _feasible_start(problem.blocks, _block_s(f0, fs, y), y), SDP_TOL)
         margin = float(res.y[-1])
         status = res.status
         if status == "optimal":
             status = "infeasible" if margin < -max(SDP_TOL, res.gap or 0.0) else "optimal"
         return SdpResult(status, res.y[:-1], margin, res.gap, margin)
 
-    y = y_init
-    stacks = [_stack(b, problem.m) for b in problem.blocks]
-    if not all(_is_pd(_block_s(b.f0, stack, y)) for b, stack in zip(problem.blocks, stacks)):
+    s = _block_s(f0, fs, y)
+    if not _is_pd(s):
         aug = _margin_problem(problem, cap=10.0)
-        start = _feasible_start(problem, y)
-
-        res = _barrier(aug.blocks, aug.c, start, 1e-6)  # phase 1 needs a positive margin, not an optimum
+        # phase 1 needs a positive margin, not an optimum
+        res = _barrier(aug.blocks, aug.c, _feasible_start(problem.blocks, s, y), 1e-6)
         if res.y is None or float(res.y[-1]) <= 0:
             return SdpResult("infeasible", None, None, res.gap, float(res.y[-1]) if res.y is not None else None)
         # re-center strictly inside before optimizing the real objective
         y = res.y[:-1]
-        if not all(_is_pd(_block_s(b.f0, stack, y)) for b, stack in zip(problem.blocks, stacks)):
+        if not _is_pd(_block_s(f0, fs, y)):
             raise SolverConvergenceError("phase-1 produced a non-interior point")
-    res = _barrier(problem.blocks, np.asarray(problem.c, dtype=float), y, SDP_TOL)
-    return res
+    return _barrier(problem.blocks, np.asarray(problem.c, dtype=float), y, SDP_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,11 @@ the recorded row digests were taken in.
 `lp_solve_fraction` is the two-phase Bland simplex over Fractions that
 `solve.lp_solve_exact` runs in integers: the same formulation, pivot rule
 and pivot count, so the two must agree on every result.
+
+`ldlt_psd_witness_fraction` is the symmetric elimination over Fractions
+that `exactla.ldlt_psd_witness` runs fraction-free: the same pivots, so
+the two must give the same verdict and the same witness;
+`quadratic_form` is v^T m v over Fractions.
 """
 
 import itertools
@@ -463,3 +468,58 @@ def lp_solve_fraction(lp, counter):
         else:
             x[j] = u[kind[1]] - u[kind[2]]
     return sv.LpResult("optimal", value + offset, x)
+
+
+def ldlt_psd_witness_fraction(m):
+    """(True, None) when the symmetric rational matrix m is PSD, else (False, v) with v^T m v < 0.
+
+    Symmetric elimination with diagonal pivots: the first negative
+    diagonal is the witness, else the first positive one is the pivot;
+    on an all-zero diagonal a nonzero off-diagonal entry gives a 2x2
+    indefinite witness. Witnesses map back through the eliminations.
+    """
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    steps = []  # (pivot_index, {row: multiplier})
+    active = list(range(n))
+    while active:
+        neg = next((i for i in active if a[i][i] < 0), None)
+        if neg is not None:
+            v = [Fraction(0)] * n
+            v[neg] = Fraction(1)
+            return False, _undo_fraction_elimination(v, steps)
+        piv = next((i for i in active if a[i][i] > 0), None)
+        if piv is None:
+            for i in active:
+                for j in active:
+                    if i != j and a[i][j]:
+                        v = [Fraction(0)] * n
+                        v[i] = Fraction(1)
+                        v[j] = Fraction(-1) if a[i][j] > 0 else Fraction(1)
+                        return False, _undo_fraction_elimination(v, steps)
+            return True, None
+        mults = {}
+        for i in active:
+            if i != piv and a[i][piv]:
+                f = a[i][piv] / a[piv][piv]
+                mults[i] = f
+                for j in active:
+                    if a[piv][j]:
+                        a[i][j] -= f * a[piv][j]
+        steps.append((piv, mults))
+        active.remove(piv)
+    return True, None
+
+
+def _undo_fraction_elimination(v, steps):
+    # row_i -= f row_piv on both sides is the congruence a -> L a L^T with
+    # L = I - f E_{i,piv}, so a witness maps back through L^T
+    out = list(v)
+    for piv, mults in reversed(steps):
+        for i, f in mults.items():
+            out[piv] -= f * out[i]
+    return out
+
+
+def quadratic_form(m, v):
+    return sum(v[i] * sum(m[i][j] * v[j] for j in range(len(v)) if v[j]) for i in range(len(v)) if v[i])

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from reference import candidate_matrix, candidate_spectrum, op_terms, xi_coordinates, xi_gram
+from reference import candidate_matrix, candidate_spectrum, op_terms, quadratic_form, xi_coordinates, xi_gram
 
 from qmarginal import ame, blocks, exactla, hierarchy
 from qmarginal.errors import InvalidInputError
@@ -250,7 +250,7 @@ def test_dense_candidate_negative_eigenvalue_42():
     sub = _fractions(m[np.ix_(support, support)], den)
     res = psd_check_exact(sub)
     assert not res.psd
-    assert exactla.quadratic_form(sub, res.witness) < 0
+    assert quadratic_form(sub, res.witness) < 0
 
 
 def test_scan_grid_and_serialization():

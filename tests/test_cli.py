@@ -83,6 +83,13 @@ def test_ame_witness():
     assert rep["w"] and rep["note"] == "rank-1 relaxation only: a negative optimum here is not yet a certificate"
 
 
+def test_ame_witness_rejects_rank1_only_with_exact():
+    # the rank-1 relaxation is never a certificate, so neither flag may silently win
+    code, out, err = run_cli(["ame", "witness", "--n", "4", "--d", "2", "--copies", "2", "--rank1-only", "--exact"])
+    assert code == 2 and out == ""
+    assert err == "error: --rank1-only and --exact exclude each other: the rank-1 relaxation is never a certificate\n"
+
+
 def test_hierarchy_export_deterministic(tmp_path):
     out_path = str(tmp_path / "dual.dat-s")
     code, out, _ = run_cli(["hierarchy", "export", "--n", "4", "--d", "6", "--copies", "3", "--out", out_path])

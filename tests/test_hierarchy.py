@@ -369,6 +369,14 @@ def test_dedupe_rows_normalizes_sign_and_gcd():
     assert hi._dedupe_rows([[0, 0, 0]], 2) == []
 
 
+def test_dedupe_rows_normalizes_rows_past_int64():
+    """Rows with entries past 2^63 (Python ints) normalize as int64 rows do."""
+    rows = [[0, -4, 6, -2], [2, 0, 0, 6], [0, 2, -3, 1]]
+    assert hi._dedupe_rows([[x * 2**70 for x in row] for row in rows], 3) == hi._dedupe_rows(rows, 3)
+    wide = [3**41, 0, 2**64 + 1, 5]
+    assert hi._dedupe_rows([[-x for x in wide], [0, 0, 0, 0], wide], 3) == [wide]
+
+
 def test_dedupe_rows_rejects_a_constant_only_row():
     with pytest.raises(InvalidInputError, match="inconsistent constant row"):
         hi._dedupe_rows([[1, 0, 2], [0, 0, -3]], 2)

@@ -134,7 +134,7 @@ def test_lp_row_validation():
 def test_psd_check_examples():
     assert sv.psd_check_exact([[F(1), F(0)], [F(0), F(1)]]).psd
     res = sv.psd_check_exact([[F(1), F(0)], [F(0), F(-1, 32)]])
-    assert not res.psd and exactla.quadratic_form([[F(1), F(0)], [F(0), F(-1, 32)]], res.witness) < 0
+    assert not res.psd and reference.quadratic_form([[F(1), F(0)], [F(0), F(-1, 32)]], res.witness) < 0
     with pytest.raises(InvalidInputError):
         sv.psd_check_exact([[F(1), F(2)], [F(1), F(1)]])
 
@@ -143,7 +143,7 @@ def test_psd_zero_diagonal_indefinite():
     m = [[F(0), F(1)], [F(1), F(0)]]
     res = sv.psd_check_exact(m)
     assert not res.psd
-    assert exactla.quadratic_form(m, res.witness) < 0
+    assert reference.quadratic_form(m, res.witness) < 0
 
 
 def test_psd_against_float_eigenvalues():
@@ -158,7 +158,46 @@ def test_psd_against_float_eigenvalues():
             assert got.psd, trial
         elif low < -1e-6:
             assert not got.psd, trial
-            assert exactla.quadratic_form([[F(int(v)) for v in row] for row in s], got.witness) < 0
+            assert reference.quadratic_form([[F(int(v)) for v in row] for row in s], got.witness) < 0
+
+
+def _random_symmetric(rng, kind, n, bound):
+    """A seeded symmetric integer matrix: a Gram matrix (PSD, singular when its rank is short), indefinite, or zero-diagonal."""
+    if kind == "gram":
+        b = rng.integers(-bound, bound + 1, (n, int(rng.integers(1, n + 1))))
+        return (b @ b.T).tolist()
+    a = rng.integers(-bound, bound + 1, (n, n))
+    s = a + a.T
+    if kind == "zero-diagonal":
+        np.fill_diagonal(s, 0)
+        s[int(rng.integers(n))] = 0
+        s[:, int(rng.integers(n))] = 0
+        s = np.minimum(s, s.T)
+    return s.tolist()
+
+
+@pytest.mark.parametrize("kind", ["gram", "indefinite", "zero-diagonal"])
+def test_fraction_free_ldlt_matches_fraction_elimination(kind):
+    """Same verdict and the identical witness v as the Fraction elimination, also with entries past 2^63."""
+    rng = np.random.default_rng(11)
+    for trial in range(300):
+        n = int(rng.integers(1, 8))
+        m = _random_symmetric(rng, kind, n, 5)
+        if trial % 3 == 1:  # wide entries, whose elimination products pass 2^63
+            m = [[x * (2**20 + 7) for x in row] for row in m]
+        elif trial % 3 == 2:  # entries past 2^63: Python ints from the start
+            m = [[x * (2**64 + 13) for x in row] for row in m]
+        ok, v = reference.ldlt_psd_witness_fraction(m)
+        got = exactla.ldlt_psd_witness(m)
+        assert (got is None) == ok and got == v, (kind, trial)
+        if kind == "gram":
+            assert ok, trial
+        den = int(rng.integers(1, 30))
+        rational = [[F(x, den) for x in row] for row in m]
+        res = sv.psd_check_exact(rational)
+        assert res.psd == ok and res.witness == v, (kind, trial)
+        if not ok:
+            assert reference.quadratic_form(rational, v) < 0
 
 
 def test_sdp_scalar_bound():
@@ -189,10 +228,13 @@ def test_sdp_matrix_block():
     assert res.status == "optimal" and abs(res.value - 1) < 1e-5
 
 
-def _random_lmi_blocks(m):
+SIZE_MIXES = [(1, 2, 5), (5, 1, 1, 3), (4,)]
+
+
+def _random_lmi_blocks(m, sizes=(1, 2, 5)):
     rng = np.random.default_rng(3)
     blocks = []
-    for k in (1, 2, 5):
+    for k in sizes:
         fs = [(lambda a: a + a.T)(rng.standard_normal((k, k))) for _ in range(m)]
         blocks.append(sv.SdpBlock(k, -6.0 * np.eye(k), fs))
     return blocks, rng.standard_normal(m), 0.1 * rng.standard_normal(m)
@@ -209,31 +251,52 @@ def _loop_block_s(block, y):
 
 def test_block_s_matches_per_variable_loop():
     m = 7
-    blocks, _, y = _random_lmi_blocks(m)
-    for b in blocks:
-        ref = _loop_block_s(b, y)
-        got = sv._block_s(b.f0, sv._stack(b, m), y)
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-        assert np.array_equal(got, got.T)
+    for sizes in SIZE_MIXES:
+        blocks, _, y = _random_lmi_blocks(m, sizes)
+        stack = sv._block_s(*sv._stack(blocks, m), y)
+        top = max(sizes)
+        assert stack.shape == (len(blocks), top, top)
+        for b, got in zip(blocks, stack):
+            ref = _loop_block_s(b, y)
+            k = b.size
+            assert np.max(np.abs(got[:k, :k] - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert np.array_equal(got, got.T)
+            # the padding is the identity, uncoupled from the block
+            assert np.array_equal(got[k:, k:], np.eye(top - k)) and not got[:k, k:].any()
 
 
 def test_newton_system_matches_pairwise_loop():
     m, mu = 7, 0.37
-    blocks, c, y = _random_lmi_blocks(m)
-    stacks = [np.array(b.fs).reshape(m, b.size, b.size) for b in blocks]
-    grad, hess = sv._newton_system(blocks, stacks, c, y, mu)
+    for sizes in SIZE_MIXES:
+        blocks, c, y = _random_lmi_blocks(m, sizes)
+        grad, hess = sv._newton_system(*sv._stack(blocks, m), c, y, mu)
 
-    ref_grad, ref_hess = c.copy(), np.zeros((m, m))
-    for b in blocks:
-        sinv = np.linalg.inv(_loop_block_s(b, y))
-        sinv = 0.5 * (sinv + sinv.T)
-        ts = [sinv @ f for f in b.fs]
-        for i in range(m):
-            ref_grad[i] -= mu * np.trace(ts[i])
-            for j in range(m):
-                ref_hess[i, j] += mu * np.sum(ts[i] * ts[j].T)
-    assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
-    assert np.max(np.abs(hess - ref_hess)) <= 1e-12 * np.max(np.abs(ref_hess))
+        ref_grad, ref_hess = c.copy(), np.zeros((m, m))
+        for b in blocks:
+            sinv = np.linalg.inv(_loop_block_s(b, y))
+            sinv = 0.5 * (sinv + sinv.T)
+            ts = [sinv @ f for f in b.fs]
+            for i in range(m):
+                ref_grad[i] -= mu * np.trace(ts[i])
+                for j in range(m):
+                    ref_hess[i, j] += mu * np.sum(ts[i] * ts[j].T)
+        assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad)), sizes
+        assert np.max(np.abs(hess - ref_hess)) <= 1e-12 * np.max(np.abs(ref_hess)), sizes
+
+
+def test_batched_pd_test_matches_every_block():
+    """Along a ray that leaves the cone, one Cholesky of the stack agrees with testing block by block."""
+    m = 7
+    for sizes in SIZE_MIXES:
+        blocks, direction, _ = _random_lmi_blocks(m, sizes)
+        f0, fs = sv._stack(blocks, m)
+        seen = set()
+        for alpha in np.linspace(0.0, 8.0, 33):
+            y = alpha * direction
+            every = all(sv._is_pd(_loop_block_s(b, y)) for b in blocks)
+            assert sv._is_pd(sv._block_s(f0, fs, y)) == every, (sizes, alpha)
+            seen.add(every)
+        assert seen == {True, False}, sizes
 
 
 def test_barrier_float_verdicts_are_pinned():
