@@ -30,6 +30,7 @@ from .hierarchy import (
     certify,
     level_check,
     solve_primal,
+    witness_lp,
     witness_value,
 )
 

@@ -5,12 +5,14 @@ compatible with maximally mixed half-body marginals is unique:
 Phi = sum_l x_l P{V^l 1^(n-l)}. Its eigenvalues are p = K x, with K the
 d-independent binary Krawtchouk matrix (K K = 2^n I), and the
 eigenvalues of its partial transpose are q = T x, with
-T[j][l] = binom(n-j, l) d^l. One kernel computes p from a closed form,
-then x = K p / 2^n and q = T x, all as integer numerators over one
-shared denominator, and forms one `Fraction` per entry. A negative
-eigenvalue on either side rules the AME state out; otherwise the test
-is inconclusive (positivity and PPT are necessary conditions only, so
-there is no "exists" verdict here).
+T[j][l] = binom(n-j, l) d^l. One integer kernel (`_spectrum`) computes
+p from a closed form, then x = K p / 2^n and q = T x, in one pass, as
+numerators over two shared denominators; K and the binomial part of T
+are cached once per n. The existence test decides every sign and the
+minimum on those integers and forms one `Fraction`, for the reported
+witness. A negative eigenvalue on either side rules the AME state out;
+otherwise the test is inconclusive (positivity and PPT are necessary
+conditions only, so there is no "exists" verdict here).
 """
 
 from __future__ import annotations
@@ -54,12 +56,17 @@ def krawtchouk(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+@lru_cache(maxsize=None)
+def _binomials(n: int) -> tuple[tuple[int, ...], ...]:
+    """Rows binom(n-j, l), l = 0..n-j, of T_d without its powers of d."""
+    return tuple(tuple(comb(n - j, l) for l in range(n - j + 1)) for j in range(n + 1))
+
+
 def ppt_table(n: int, d: int) -> list[list[int]]:
     """T[j][l] = binom(n-j, l) d^l: the value of the partially transposed
     P{V^l 1^(n-l)} on an eigenvector with j factors orthogonal to the
     maximally entangled state (the transposed swap is d times its projector)."""
-    powers = [d**l for l in range(n + 1)]
-    return [[comb(n - j, l) * powers[l] for l in range(n + 1)] for j in range(n + 1)]
+    return [[c * d**l for l, c in enumerate(row)] + [0] * j for j, row in enumerate(_binomials(n))]
 
 
 def _dot(row, v) -> int:
@@ -70,41 +77,46 @@ def _denominator(n: int, d: int) -> int:
     return d ** (n // 2 + n) * (d * d - 1) ** n
 
 
-def _p_numerators(n: int, d: int) -> list[int]:
-    """p over `_denominator`: p_j = sum_l K[j][l] / (d^n (d+1)^(n-j) (d-1)^j min(d^l, d^(n-l))).
-    Every min(d^l, d^(n-l)) divides d^(n//2)."""
+def _spectrum(n: int, d: int) -> tuple[list[int], list[int], list[int]]:
+    """Numerators of p (over `_denominator`) and of x and q (over 2^n `_denominator`).
+
+    p_j = sum_l K[j][l] / (d^n (d+1)^(n-j) (d-1)^j min(d^l, d^(n-l))), and
+    every min(d^l, d^(n-l)) divides d^(n//2). K[j][n-l] = (-1)^j K[j][l]
+    and the weights are a palindrome, so p_j = 0 for odd j. x = K p / 2^n
+    then reads the even columns of K only, and K[n-l][j] = (-1)^j K[l][j]
+    makes x a palindrome, so half of it is summed. q = T x is read as
+    binom(n-j, l) (d^l x_l).
+    """
     _validate(n, d)
     h = n // 2
+    kraw = krawtchouk(n)
     a = [d ** (h - min(l, n - l)) for l in range(n + 1)]
-    return [_dot(row, a) * (d + 1) ** j * (d - 1) ** (n - j) for j, row in enumerate(krawtchouk(n))]
-
-
-def _x_numerators(n: int, d: int) -> list[int]:
-    """x over 2^n `_denominator`: p = K x, so x = K p / 2^n."""
-    p = _p_numerators(n, d)
-    return [_dot(row, p) for row in krawtchouk(n)]
+    p = [_dot(row, a) * (d + 1) ** j * (d - 1) ** (n - j) if j % 2 == 0 else 0 for j, row in enumerate(kraw)]
+    x = [_dot(row[::2], p[::2]) for row in kraw[: h + 1]]
+    x += x[(n - 1) // 2 :: -1]
+    dx = [v * d**l for l, v in enumerate(x)]
+    return p, x, [_dot(row, dx) for row in _binomials(n)]
 
 
 def candidate_x(n: int, d: int) -> list[Fraction]:
     """Coefficients x_0..x_n of the unique symmetrized two-party extension."""
     den = _denominator(n, d) << n
-    return [Fraction(v, den) for v in _x_numerators(n, d)]
+    return [Fraction(v, den) for v in _spectrum(n, d)[1]]
 
 
 def eigenvalues_p(n: int, d: int) -> list[Fraction]:
     """Eigenvalues p_0..p_n of the candidate, indexed by the number of
     antisymmetric tensor factors in the eigenspace."""
     den = _denominator(n, d)
-    return [Fraction(v, den) for v in _p_numerators(n, d)]
+    return [Fraction(v, den) for v in _spectrum(n, d)[0]]
 
 
 def eigenvalues_q(n: int, d: int) -> list[Fraction]:
     """Eigenvalues q_0..q_n of the partial transpose of the candidate,
     indexed by the number of factors orthogonal to the maximally
     entangled state: q = T x."""
-    x = _x_numerators(n, d)
     den = _denominator(n, d) << n
-    return [Fraction(_dot(row, x), den) for row in ppt_table(n, d)]
+    return [Fraction(v, den) for v in _spectrum(n, d)[2]]
 
 
 @dataclass(frozen=True)
@@ -161,18 +173,17 @@ def check_existence(n: int, d: int) -> FeasibilityReport:
 
     infeasible when some p_i or q_i is negative; inconclusive otherwise
     (the candidate is then positive and PPT, but separability is not
-    decided here).
+    decided here). Signs and the minimum are decided on the integer
+    numerators, p shifted onto q's denominator; the first minimum in
+    the order p_0..p_n, q_0..q_n is reported, as the one `Fraction`.
     """
-    _validate(n, d)
-    worst = None  # (value, kind, index)
-    for kind, values in (("positivity", eigenvalues_p(n, d)), ("ppt", eigenvalues_q(n, d))):
-        for i, v in enumerate(values):
-            if v < 0 and (worst is None or v < worst[0]):
-                worst = (v, kind, i)
-    if worst is None:
+    p, _, q = _spectrum(n, d)
+    values = [v << n for v in p] + q
+    i = min(range(len(values)), key=values.__getitem__)
+    if values[i] >= 0:
         return FeasibilityReport(n, d, "inconclusive")
-    value, kind, i = worst
-    return FeasibilityReport(n, d, "infeasible", f"{kind}({i})", value)
+    condition = f"positivity({i})" if i <= n else f"ppt({i - n - 1})"
+    return FeasibilityReport(n, d, "infeasible", condition, Fraction(values[i], _denominator(n, d) << n))
 
 
 def _scan_worker(args: tuple[int, int]) -> FeasibilityReport:
@@ -182,8 +193,9 @@ def _scan_worker(args: tuple[int, int]) -> FeasibilityReport:
 def scan(n_values, d_values, jobs: int = 1) -> list[FeasibilityReport]:
     """check_existence over a grid, in deterministic (n, d) order.
 
-    `jobs` > 1 runs the grid in that many worker processes; the pool is
-    imported only then, so `import qmarginal` does not load it.
+    `jobs` > 1 runs the grid in that many worker processes, 32 cases per
+    task (one case costs far less than sending it to a worker); the pool
+    is imported only then, so `import qmarginal` does not load it.
     """
     if jobs < 1:
         raise InvalidInputError(f"need at least one job, got {jobs}")
@@ -192,7 +204,7 @@ def scan(n_values, d_values, jobs: int = 1) -> list[FeasibilityReport]:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_scan_worker, grid))
+            return list(pool.map(_scan_worker, grid, chunksize=32))
     return [check_existence(n, d) for n, d in grid]
 
 

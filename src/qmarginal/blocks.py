@@ -524,7 +524,7 @@ def _witness_block(parts: tuple[tuple[int, ...], ...]) -> IrrepBlock:
         rep = _rep(p)
         m = (m[:, None] + np.array([rep.generators[0][i][i] < 0 for i in range(rep.dim)], dtype=np.intp)).ravel()
     g = np.zeros((n + 1, len(dens), len(dens)), dtype=u.dtype)
-    for j in np.unique(m).tolist():
+    for j in np.flatnonzero(np.bincount(m)).tolist():
         cols = np.flatnonzero(m == j)
         g[j] = wu[:, cols] @ u[:, cols].T
     z = np.tensordot(np.array(krawtchouk(n), dtype=u.dtype).T, g, axes=1)

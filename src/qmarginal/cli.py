@@ -82,7 +82,7 @@ def _cmd_ame_witness(args) -> int:
     if args.rank1_only:
         # the rank-1 LP drops the k > 1 blocks, so its optimum only bounds the level's from
         # below: it is reported, never as a certificate
-        lp = hierarchy.assemble_dual_witness(args.n, args.d, args.copies, rank1_only=True, cap=args.cap)
+        lp = hierarchy.witness_lp(args.n, args.d, args.copies, cap=args.cap)
         res = lp_solve_exact(lp.to_linear_program())
         note = "rank-1 relaxation only: a negative optimum here is not yet a certificate"
         cert = hierarchy.Certificate(args.n, args.d, args.copies, "lp-exact", float(res.value), "inconclusive", res.value, res.x, note)

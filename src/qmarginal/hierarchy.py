@@ -334,6 +334,7 @@ class WitnessLp:
     copies: int
     objective: list  # folded objective coefficients
     rows: list  # (label, folded coefficient list); constraint is coeffs.w >= 0
+    dropped: list  # IrrepBlock with k > 1, which the relaxation leaves out
 
     def to_linear_program(self) -> LinearProgram:
         lp = LinearProgram(c=list(self.objective), bounds=[(-F1, F1)] * len(self.objective))
@@ -369,27 +370,25 @@ class DualWitnessSdp:
         return SdpProblem(m, sdp_blocks, np.array([float(v) for v in self.objective]))
 
 
-def assemble_dual_witness(n: int, d: int, copies: int, rank1_only: bool = False, cap: int = 512):
-    """Dual witness problem at level `copies`.
+def assemble_dual_witness(n: int, d: int, copies: int, cap: int = 512) -> DualWitnessSdp:
+    """Dual witness problem at level `copies`, with all its blocks."""
+    return DualWitnessSdp(n, d, copies, fold(swap_overlaps(n, d), n), witness_blocks(n, d, copies, cap=cap))
 
-    rank1_only keeps the partition tuples whose symmetric component is
-    one-dimensional, turning every block into a scalar inequality (an LP
-    with exact rational data). Otherwise all blocks are returned.
+
+def witness_lp(n: int, d: int, copies: int, cap: int = 512) -> WitnessLp:
+    """The rank-one LP relaxation at level `copies`.
+
+    Every block with k = 1 is a scalar inequality with exact rational
+    data, one row labelled by its partition tuple; the k > 1 blocks are
+    kept as `dropped`, for the cut loop to check the optimum against.
     """
     blocks = witness_blocks(n, d, copies, cap=cap)
-    if rank1_only:
-        return _witness_lp(n, d, copies, blocks)
-    return DualWitnessSdp(n, d, copies, fold(swap_overlaps(n, d), n), blocks)
-
-
-def _witness_lp(n: int, d: int, copies: int, blocks) -> WitnessLp:
-    """The rank-one LP: one row per block with k = 1, labelled by its tuple."""
     rows = [
         (tuple(p.parts for p in blk.partitions), fold([z[0][0] for z in blk.z_per_var.values()], n))
         for blk in blocks
         if blk.k == 1
     ]
-    return WitnessLp(n, d, copies, fold(swap_overlaps(n, d), n), rows)
+    return WitnessLp(n, d, copies, fold(swap_overlaps(n, d), n), rows, [blk for blk in blocks if blk.k > 1])
 
 
 @dataclass
@@ -468,7 +467,7 @@ def witness_optimize_exact(n: int, d: int, copies: int, cap: int = 512):
     optimum is certified nonnegative (level feasible), "witness" when a
     fully verified negative witness exists, "undecided" after
     MAX_CUT_ROUNDS LP solves. The LP is the rank-one relaxation
-    (`_witness_lp`); every cut is appended to it as one more row.
+    (`witness_lp`); every cut is appended to it as one more row.
 
     Method: in integers. A block with k > 1 holds its folded z_l as one
     integer (r+1, k, k) array F over a denominator D (`_integer_stack`).
@@ -477,9 +476,8 @@ def witness_optimize_exact(n: int, d: int, copies: int, cap: int = 512):
     integers c v, the cut is q_l = (c v)^T F_l (c v) / (D c^2), one einsum.
     Both run in int64 when a bound on their entries allows it.
     """
-    blocks = witness_blocks(n, d, copies, cap=cap)
-    relaxation = _witness_lp(n, d, copies, blocks)
-    stacks = [_integer_stack(blk, n) for blk in blocks if blk.k > 1]
+    relaxation = witness_lp(n, d, copies, cap=cap)
+    stacks = [_integer_stack(blk, n) for blk in relaxation.dropped]
 
     for round_no in range(MAX_CUT_ROUNDS):
         res = lp_solve_exact(relaxation.to_linear_program())

@@ -30,6 +30,10 @@ and pivot count, so the two must agree on every result.
 that `exactla.ldlt_psd_witness` runs fraction-free: the same pivots, so
 the two must give the same verdict and the same witness;
 `quadratic_form` is v^T m v over Fractions.
+
+`check_existence_fraction` is the closed-form existence test over
+Fractions, from full products with K and T (`spectrum_fraction`), that
+`ame.check_existence` decides on integer numerators.
 """
 
 import itertools
@@ -125,6 +129,34 @@ def candidate_spectrum(n: int, d: int) -> list[tuple[Fraction, int]]:
         if mult:
             out[p] = out.get(p, 0) + mult
     return sorted(out.items())
+
+
+def spectrum_fraction(n: int, d: int) -> tuple[list[Fraction], list[Fraction]]:
+    """(p, q) as Fractions, from the full products with K and T: no row or
+    column is skipped by parity, and T is formed from `comb` directly."""
+    h = n // 2
+    den = d ** (h + n) * (d * d - 1) ** n
+    kraw = ame.krawtchouk(n)
+    a = [d ** (h - min(l, n - l)) for l in range(n + 1)]
+    p = [sum(k * v for k, v in zip(row, a)) * (d + 1) ** j * (d - 1) ** (n - j) for j, row in enumerate(kraw)]
+    x = [sum(k * v for k, v in zip(row, p)) for row in kraw]
+    q = [sum(comb(n - j, l) * d**l * x[l] for l in range(n + 1)) for j in range(n + 1)]
+    return [Fraction(v, den) for v in p], [Fraction(v, den << n) for v in q]
+
+
+def check_existence_fraction(n: int, d: int) -> ame.FeasibilityReport:
+    """The existence test over Fractions: every p_i and q_i compared as a
+    Fraction, the first strict minimum among the negatives reported."""
+    p, q = spectrum_fraction(n, d)
+    worst = None  # (value, kind, index)
+    for kind, values in (("positivity", p), ("ppt", q)):
+        for i, v in enumerate(values):
+            if v < 0 and (worst is None or v < worst[0]):
+                worst = (v, kind, i)
+    if worst is None:
+        return ame.FeasibilityReport(n, d, "inconclusive")
+    value, kind, i = worst
+    return ame.FeasibilityReport(n, d, "infeasible", f"{kind}({i})", value)
 
 
 def xi_gram(n: int, d: int) -> list[list[Fraction]]:

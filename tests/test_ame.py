@@ -9,7 +9,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from reference import candidate_matrix, candidate_spectrum, op_terms, quadratic_form, xi_coordinates, xi_gram
+from reference import (
+    candidate_matrix,
+    candidate_spectrum,
+    check_existence_fraction,
+    op_terms,
+    quadratic_form,
+    spectrum_fraction,
+    xi_coordinates,
+    xi_gram,
+)
 
 from qmarginal import ame, blocks, exactla, hierarchy
 from qmarginal.errors import InvalidInputError
@@ -204,6 +213,37 @@ def test_check_existence_examples():
         assert ame.check_existence(3, d).verdict == "inconclusive"
 
 
+def test_check_existence_matches_fraction_reference_beyond_digest_grid():
+    # (50, 5) is the smallest case in n <= 60, d <= 30 whose worst eigenvalue is a q
+    cases = [(n, d) for n in range(31, 41) for d in range(2, 31)] + [(60, 2), (60, 3), (41, 97), (50, 5)]
+    conditions = set()
+    for n, d in cases:
+        p, q = spectrum_fraction(n, d)
+        assert (ame.eigenvalues_p(n, d), ame.eigenvalues_q(n, d)) == (p, q), (n, d)
+        rep = ame.check_existence(n, d)
+        assert rep == check_existence_fraction(n, d), (n, d)
+        conditions.add((rep.violated_condition or "-").split("(")[0])
+    assert conditions == {"positivity", "ppt", "-"}
+
+
+def test_check_existence_builds_at_most_one_fraction(monkeypatch):
+    built = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(ame, "Fraction", CountingFraction)
+    verdicts = set()
+    for n, d in [(4, 2), (7, 2), (9, 2), (12, 5), (30, 20), (60, 3)]:
+        built.clear()
+        rep = ame.check_existence(n, d)
+        assert len(built) == (rep.verdict == "infeasible"), (n, d)
+        verdicts.add(rep.verdict)
+    assert verdicts == {"infeasible", "inconclusive"}
+
+
 def test_check_existence_never_says_exists():
     for n in range(2, 9):
         for d in (2, 3):
@@ -350,5 +390,13 @@ def test_import_leaves_the_process_pool_unloaded():
     """`scan` imports concurrent.futures only for jobs > 1, so the package import skips it."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = "import sys, qmarginal; sys.exit(int('concurrent.futures' in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_dual_ladder_level_leaves_numpy_ma_unloaded():
+    """The witness blocks group indices with `np.bincount`; `np.unique` would load numpy.ma."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import sys, qmarginal; qmarginal.level_check(3, 2, 3); sys.exit(int('numpy.ma' in sys.modules))"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -57,14 +57,14 @@ def test_negative_eigenprojector_is_a_witness_for_42():
 
 
 def test_dual_witness_level2_is_an_lp():
-    lp = hi.assemble_dual_witness(4, 2, 2, rank1_only=True)
+    lp = hi.witness_lp(4, 2, 2)
     sdp = hi.assemble_dual_witness(4, 2, 2)
     assert all(blk.k == 1 for blk in sdp.blocks)
     assert len(lp.rows) == len(sdp.blocks) == 3
 
 
 def test_witness_lp_optimum_42():
-    lp = hi.assemble_dual_witness(4, 2, 2, rank1_only=True)
+    lp = hi.witness_lp(4, 2, 2)
     res = lp_solve_exact(lp.to_linear_program())
     assert res.status == "optimal"
     assert res.value == F(-1, 2)
@@ -73,7 +73,7 @@ def test_witness_lp_optimum_42():
 
 def test_zero_witness_always_feasible():
     for n, d, copies in [(4, 2, 2), (4, 6, 3)]:
-        lp = hi.assemble_dual_witness(n, d, copies, rank1_only=True)
+        lp = hi.witness_lp(n, d, copies)
         res = lp_solve_exact(lp.to_linear_program())
         assert res.status == "optimal"
         assert res.value <= 0
@@ -104,7 +104,7 @@ def test_level_monotonicity_42():
 
 def test_relaxation_ordering_lp_below_sdp():
     # dropping blocks of a minimization can only lower the optimum
-    lp = hi.assemble_dual_witness(4, 2, 3, rank1_only=True)
+    lp = hi.witness_lp(4, 2, 3)
     lp_res = lp_solve_exact(lp.to_linear_program())
     dual = hi.assemble_dual_witness(4, 2, 3)
     sdp_res = sdp_solve(dual.to_sdp_problem(), y0=hi._interior_w(dual))
