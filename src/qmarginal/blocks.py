@@ -20,10 +20,14 @@ This module provides
   by the diagonal copy-permutation action (`_basis`), and compressed
   operator sums U^T W E U with their orthonormalized float versions,
   memoized per tuple. `irrep_block` (`_block`) takes E = E_K for every
-  coefficient key K over the whole copy group, applied to U slot by slot
-  as mode products (no total x total matrix). `witness_blocks`
-  (`_witness_block`) takes the swap-pattern sums E_l, which are diagonal
-  in seminormal form, as Krawtchouk-weighted sums of Gram matrices.
+  coefficient key K over the whole copy group: U is moved slot by slot
+  as one integer array over the multisets placed so far, one stacked
+  mode product per group element, and z_K for every key is one batched
+  product (no total x total matrix). `witness_blocks` (`_witness_block`)
+  takes the swap-pattern sums E_l, which are diagonal in seminormal
+  form, as Krawtchouk-weighted sums of Gram matrices. Both read their
+  Fractions and their correctly rounded floats from the same integers
+  (`_compressed`).
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from math import gcd, lcm, prod
 import numpy as np
 
 from . import exactla
+from .exactla import F0
 from .ame import krawtchouk
 from .errors import InvalidInputError, ResourceCapError
 from .symgroup import (
@@ -272,7 +277,7 @@ class SymbolicOperator:
         keys = self.keys.copy()
         keys[:, slots] = g.ptrace[copy][self.keys[:, slots]]
         factor = np.where(g.fixes[copy][self.keys[:, slots]], np.array(dims, dtype=np.int64), 1).prod(axis=1)
-        return self._with(keys, numerators=_widen(self.numerators, prod(dims) * _max_abs(self.numerators)) * factor, traced=self.traced | cells)
+        return self._with(keys, numerators=_widen(self.numerators, prod(dims) * exactla.array_max_abs(self.numerators)) * factor, traced=self.traced | cells)
 
     def untrace(self, cells) -> "SymbolicOperator":
         """Reinstate traced cells as explicit identity factors."""
@@ -316,7 +321,7 @@ class SymbolicOperator:
         by_var = np.argsort(self.variables, kind="stable")
         variables, term = self.variables[by_var], term[by_var]
         starts = np.flatnonzero(np.concatenate([[True], variables[1:] != variables[:-1]]))
-        numerators = _widen(self.numerators[by_var], len(by_var) * _max_abs(self.numerators))
+        numerators = _widen(self.numerators[by_var], len(by_var) * exactla.array_max_abs(self.numerators))
         column = int(np.add.reduceat(np.abs(numerators), starts).max())
         dtype = exactla.int_dtype(prod(dims) ** copies * column)
         numerators = numerators.astype(dtype)
@@ -344,7 +349,7 @@ def _compact(keys, variables, numerators, den) -> tuple:
     if len(variables):
         order = np.lexsort((variables, *keys.T[::-1]))
         keys, variables = keys[order], variables[order]
-        numerators = _widen(numerators[order], len(order) * _max_abs(numerators))
+        numerators = _widen(numerators[order], len(order) * exactla.array_max_abs(numerators))
         new = np.ones(len(order), dtype=bool)
         new[1:] = (keys[1:] != keys[:-1]).any(axis=1) | (variables[1:] != variables[:-1])
         starts = np.flatnonzero(new)
@@ -355,11 +360,7 @@ def _compact(keys, variables, numerators, den) -> tuple:
         return keys, variables, numerators.astype(np.int64), 1
     common = gcd(den, int(np.gcd.reduce(numerators)))
     numerators = numerators // common
-    return keys, variables, numerators.astype(exactla.int_dtype(_max_abs(numerators))), den // common
-
-
-def _max_abs(numerators) -> int:
-    return int(np.abs(numerators).max()) if len(numerators) else 0
+    return keys, variables, numerators.astype(exactla.int_dtype(exactla.array_max_abs(numerators))), den // common
 
 
 def _widen(numerators, bound: int):
@@ -368,7 +369,7 @@ def _widen(numerators, bound: int):
 
 
 def _scaled(numerators, factor: int):
-    return _widen(numerators, abs(factor) * max(_max_abs(numerators), 1)) * factor
+    return _widen(numerators, abs(factor) * max(exactla.array_max_abs(numerators), 1)) * factor
 
 
 # ---------------------------------------------------------------------------
@@ -463,16 +464,16 @@ def witness_blocks(n: int, d: int, copies: int, cap: int = 512) -> list[IrrepBlo
 
 
 def _basis(parts: tuple[tuple[int, ...], ...]) -> tuple:
-    """(u, wu, dens, wden, gram): a tuple's invariant basis U, W U and U^T W U.
+    """(u, wu, dens, wden, gram): a tuple's invariant basis U, W U and U^T W U, in integers.
 
     Row b of the integer array u over dens[b] is basis vector u_b
     (`invariant_basis_exact`), and row a of wu over dens[a] wden is W u_a,
     the weights an integer diagonal over their lcm wden; so every entry
     of U^T W M U, M an integer matrix, is one integer sum over
-    dens[a] dens[b] wden. gram is the one product wu u^T read back as
-    Fractions. The arrays are int64 when a bound on every sum of the
-    witness blocks (2^n, the largest Krawtchouk entry, times the length
-    times the largest entries of U and W U) fits, Python ints otherwise.
+    dens[a] dens[b] wden, and gram is the one product wu u^T over that.
+    The arrays are int64 when a bound on every sum of the witness blocks
+    (2^n, the largest Krawtchouk entry, times the length times the
+    largest entries of U and W U) fits, Python ints otherwise.
     """
     vectors, weights = invariant_basis_exact(tuple(Partition(p) for p in parts), cap=prod(_rep(p).dim for p in parts))
     wden = lcm(*(w.denominator for w in weights))
@@ -481,26 +482,44 @@ def _basis(parts: tuple[tuple[int, ...], ...]) -> tuple:
     vectors, dens = [u for u, _ in vectors], [den for _, den in vectors]
     dtype = exactla.int_dtype(2 ** len(parts) * len(scaled) * exactla._max_abs(vectors) * exactla._max_abs(weighted))
     u, wu = np.array(vectors, dtype=dtype), np.array(weighted, dtype=dtype)
-    return u, wu, dens, wden, _exact_symmetric(wu @ u.T, dens, wden)
+    return u, wu, dens, wden, wu @ u.T
 
 
-def _exact_symmetric(mat, dens, wden) -> list:
-    """The symmetric integer k x k array `mat` over dens[a] dens[b] wden, as Fractions."""
-    out = exactla.zeros(len(dens), len(dens))
-    for a, row in enumerate(mat.tolist()):
-        for b in range(a + 1):
-            out[a][b] = out[b][a] = Fraction(row[b], dens[a] * dens[b] * wden)
-    return out
+def _compressed(parts, dens, wden, gram, scale, keys, z) -> IrrepBlock:
+    """The block of a tuple from integers: the exact gram and z, and the gram-orthonormal float y.
+
+    gram is an integer k x k array over dens[a] dens[b] wden, and z[i],
+    the compressed operator of keys[i], one over dens[a] dens[b] wden
+    scale. Every exact entry is one Fraction. The floats are the same
+    quotients correctly rounded (`_floats`), so they equal the Fractions'
+    float(); y = L^-1 z L^-T, L the Cholesky factor of the float gram, is
+    one batched product over every key.
+    """
+    den = [[da * db * wden for db in dens] for da in dens]
+    zden = [[x * scale for x in row] for row in den]
+    linv = np.linalg.inv(np.linalg.cholesky(_floats(gram, den)))
+    y = linv @ _floats(z, zden) @ linv.T
+    y.flags.writeable = False
+    exact = {key: _fractions(zk, zden) for key, zk in zip(keys, z)}
+    return IrrepBlock(tuple(Partition(p) for p in parts), len(dens), prod(_rep(p).dim for p in parts), _fractions(gram, den), exact, dict(zip(keys, y)))
 
 
-def _compressed(parts, gram, z: dict) -> IrrepBlock:
-    """The block of a tuple from its exact gram and z, with the gram-orthonormal float y."""
-    linv = np.linalg.inv(np.linalg.cholesky(exactla.to_float(gram)))
-    y = {}
-    for key, zk in z.items():
-        y[key] = linv @ exactla.to_float(zk) @ linv.T
-        y[key].flags.writeable = False
-    return IrrepBlock(tuple(Partition(p) for p in parts), len(gram), prod(_rep(p).dim for p in parts), gram, z, y)
+def _fractions(mat, den) -> list:
+    """The integer k x k array `mat` over den[a][b], as rows of Fractions."""
+    return [[Fraction(x, d) if x else F0 for x, d in zip(row, drow)] for row, drow in zip(mat.tolist(), den)]
+
+
+def _floats(num, den) -> np.ndarray:
+    """The quotients num / den (den broadcast over num's leading axes), each correctly rounded.
+
+    In float64 when every numerator and denominator is exact there
+    (at most 2^53 in size), else by Python's int division; both round the
+    exact quotient correctly, as float() of its Fraction does.
+    """
+    den = np.array(den, dtype=object)
+    if max(exactla.array_max_abs(num), exactla.array_max_abs(den)) <= 2**53:
+        return num.astype(float) / den.astype(float)
+    return (num.astype(object) / den).astype(float)
 
 
 @lru_cache(maxsize=None)
@@ -515,7 +534,7 @@ def _witness_block(parts: tuple[tuple[int, ...], ...]) -> IrrepBlock:
     matrix U^T W U restricted to the indices with m(i) = m, the gram of
     `_basis` is sum_m G_m and z_l = sum_m K[m][l] G_m. The G_m are
     integer matrix products in the dtype of `_basis`'s arrays, whose
-    bound covers these sums; each entry of z is then one Fraction.
+    bound covers these sums.
     """
     u, wu, dens, wden, gram = _basis(parts)
     n = len(parts)
@@ -528,7 +547,7 @@ def _witness_block(parts: tuple[tuple[int, ...], ...]) -> IrrepBlock:
         cols = np.flatnonzero(m == j)
         g[j] = wu[:, cols] @ u[:, cols].T
     z = np.tensordot(np.array(krawtchouk(n), dtype=u.dtype).T, g, axes=1)
-    return _compressed(parts, gram, {l: _exact_symmetric(z[l], dens, wden) for l in range(n + 1)})
+    return _compressed(parts, dens, wden, gram, 1, range(n + 1), z)
 
 
 @lru_cache(maxsize=None)
@@ -538,65 +557,53 @@ def _block(parts: tuple[tuple[int, ...], ...], classes: tuple[int, ...]) -> Irre
     K runs over the canonical keys over the whole copy group: one
     multiset of elements per slot class. E_K is the sum, over the
     arrangements of K, of the Kronecker product of the slot irreps
-    rho_s(g_s). It is applied to each basis vector u slot by slot: one
-    partial sum per multiset placed so far, and at slot s every partial
-    sum moves by rho_s(e), as a mode product, into the partial sum with e
-    added, for every element e (the identity needs no product). After the
-    last slot the partial sums are the E_K u. No total x total matrix is
-    formed. The block's variables are the keys K whose z_K is not zero;
-    the cap is checked by the callers.
+    rho_s(g_s). It is applied to the whole basis U slot by slot, as one
+    integer array of shape (multisets placed so far, k, total): at slot s
+    every element e moves the whole array by rho_s(e), one stacked mode
+    product (`exactla.mode_product`; the identity needs none), and the
+    moved sums are added into the multisets with e placed. For a fixed e
+    that map is one-to-one, so one fancy-indexed add places them. After
+    the last slot the array holds E_K U for every key K, and
+    z_K = (W U)^T E_K U is one batched product. No total x total matrix is
+    formed, and the transient is one moved array, not one per element.
+    The block's variables are the keys K whose z_K is not zero; the cap is
+    checked by the callers.
 
-    All of it runs in Python integers (`_basis`): each slot's seminormal
-    matrices share one scale (the partition's `_integer_tables`; identity
-    moves are scaled by it too, so every partial sum after slot s has the
-    same denominator). Each entry of z is then one integer dot product
-    and one Fraction; gram comes from `_basis`.
+    Each slot's seminormal matrices share one scale (the partition's
+    `_integer_tables`; identity moves are scaled by it too), so every
+    partial sum after slot s has the same denominator. The array is int64
+    while a bound on the next slot's sums (the number of elements times
+    the largest entries of the sums and of d rho_s or the scale) fits,
+    Python ints from then on; z is int64 when total times the largest
+    entries of W U and of the sums fits. Each entry of z then gets one
+    Fraction, and y its correctly rounded floats (`_compressed`); gram
+    comes from `_basis`.
     """
     u, wu, dens, wden, gram = _basis(parts)
-    vectors, weighted, k = u.tolist(), wu.tolist(), len(dens)
     group = _copy_group(sum(parts[0]))
     dims = [_rep(p).dim for p in parts]
-    support = [[i for i, x in enumerate(row) if x] for row in weighted]
-    elements = range(len(group.elements))
     tables = [_integer_tables(p) for p in parts]
-    scales = [t.scale for t in tables]
     order = sorted(set(classes))
     slot_class = [order.index(c) for c in classes]
-    members = [[s for s, c in enumerate(classes) if c == cls] for cls in order]
 
-    def key_of(placed):
-        key = [0] * len(classes)
-        for slots, vals in zip(members, placed):
-            for s, v in zip(slots, sorted(vals)):
-                key[s] = v
-        return tuple(key)
+    placed, sums = [((),) * len(order)], u[None]  # per class, the sorted elements placed so far
+    for s, (c, t) in enumerate(zip(slot_class, tables)):
+        index: dict = {}
+        targets = [
+            [index.setdefault(q[:c] + (tuple(sorted(q[c] + (e,))),) + q[c + 1 :], len(index)) for q in placed]
+            for e in range(len(group.elements))
+        ]
+        big = len(targets) * max(dims[s] * exactla.array_max_abs(t.matrices), t.scale) * exactla.array_max_abs(sums)
+        if sums.dtype != object and exactla.int_dtype(big) is object:
+            sums = sums.astype(object)
+        moved_sums = np.zeros((len(index), *sums.shape[1:]), dtype=sums.dtype)
+        for e, to in enumerate(targets):
+            moved_sums[to] += t.scale * sums if e == group.identity else exactla.mode_product(t.matrices[e], sums, dims, s)
+        placed, sums = list(index), moved_sums
 
-    z: dict = {}
-    for b, (u, db) in enumerate(zip(vectors, dens)):
-        sums = {((),) * len(order): u}
-        for s, c in enumerate(slot_class):
-            moved_sums: dict = {}
-            for placed, vec in sums.items():
-                for e in elements:
-                    if e != group.identity:
-                        moved = exactla.mode_product(tables[s].matrices[e], vec, dims, s)
-                    else:
-                        moved = vec if scales[s] == 1 else [scales[s] * x for x in vec]
-                    to = placed[:c] + (tuple(sorted(placed[c] + (e,))),) + placed[c + 1 :]
-                    acc = moved_sums.get(to)
-                    moved_sums[to] = moved if acc is None else [x + y for x, y in zip(acc, moved)]
-            sums = moved_sums
-        # the sums are prod(scales) E_K u_b, over the denominator db
-        den_b = db * wden * prod(scales)
-        for placed, vec in sums.items():
-            key = key_of(placed)
-            inverse = key_of([[int(group.inv[e]) for e in vals] for vals in placed])
-            zk = z.setdefault(key, exactla.zeros(k, k))
-            zi = z.setdefault(inverse, exactla.zeros(k, k))
-            # rho(g)^T W = W rho(g^-1) in seminormal form (the orthogonal form
-            # W^1/2 rho W^-1/2 is orthogonal), so z_K^T = z_{K^-1}: one dot
-            # product fills z_K[a][b] and z_{K^-1}[b][a]
-            for a in range(b + 1):
-                wa = weighted[a]
-                zk[a][b] = zi[b][a] = Fraction(sum(wa[i] * vec[i] for i in support[a]), dens[a] * den_b)
-    return _compressed(parts, gram, {key: zk for key, zk in z.items() if any(any(row) for row in zk)})
+    dtype = exactla.int_dtype(u.shape[1] * exactla.array_max_abs(wu) * exactla.array_max_abs(sums))
+    z = wu.astype(dtype) @ sums.astype(dtype).transpose(0, 2, 1)  # z[K][a][b] = W u_a . E_K u_b
+    nonzero = np.flatnonzero((z != 0).any(axis=(1, 2))).tolist()
+    position = [classes[:s].count(c) for s, c in enumerate(classes)]  # of the slot within its class
+    keys = [tuple(placed[i][c][j] for c, j in zip(slot_class, position)) for i in nonzero]
+    return _compressed(parts, dens, wden, gram, prod(t.scale for t in tables), keys, z[nonzero])

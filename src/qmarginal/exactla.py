@@ -1,16 +1,18 @@
 """Dense exact linear algebra over the rationals.
 
-Matrices are lists of lists, small and dense; these routines back the
-exact solver paths where floating point would blur a sign decision. The
-hot kernels (`mode_product`, `solve_integer_rows`, `ldlt_psd_witness`)
-run in integers: rational data is scaled to integer rows
-(`integer_matrices`, `primitive`), worked on in Python ints or in numpy
-arrays whose dtype `int_dtype` picks from a checked bound, and read back
-with one Fraction per output entry. An equality system is eliminated
-fraction-free only on the rows a pass mod the prime P selects; every
-other row is checked exactly against them. The PSD test eliminates
-fraction-free too; its only Fractions are its multipliers and witness.
-`zeros` and `mat_add` work on Fractions.
+Matrices are lists of lists or integer arrays, small and dense; these
+routines back the exact solver paths where floating point would blur a
+sign decision. The hot kernels (`mode_product`, `solve_integer_rows`,
+`ldlt_psd_witness`) run in integers: rational data is scaled to integer
+rows (`integer_matrices`, `primitive`), worked on in Python ints or in
+numpy arrays whose dtype `int_dtype` picks from a checked bound, and
+read back with one Fraction per output entry. `mode_product` moves a
+whole stack of tensor vectors by one slot matrix in one numpy product.
+An equality system is one integer array (`integer_rows`; a list of rows
+is accepted too), eliminated fraction-free only on the rows a pass mod
+the prime P selects; every other row is checked exactly against them.
+The PSD test eliminates fraction-free too; its only Fractions are its
+multipliers and witness. `zeros` and `mat_add` work on Fractions.
 """
 
 from fractions import Fraction
@@ -33,21 +35,27 @@ def mat_add(a, b, scale=F1):
     return [[a[i][j] + scale * b[i][j] for j in range(len(a[0]))] for i in range(len(a))]
 
 
-def mode_product(m, vec, dims, axis):
-    """(1 x ... x m x ... x 1) @ vec with m acting on tensor factor `axis`, in integers.
+def mode_product(m, vecs, dims, axis):
+    """(1 x ... x m x ... x 1) applied to every vector of the integer array `vecs`, m on factor `axis`.
 
-    `m` is an integer matrix and `vec` a flat integer list over the
-    factors of sizes `dims`, first factor most significant, as in a
-    Kronecker product. That product is never formed: vec is viewed as an
-    (outer, d, inner) array and m multiplies its middle axis, one numpy
-    product, in int64 when a bound on every output entry (d times the
-    largest entries of m and vec) fits, else in Python ints. Rational
-    matrices enter through `integer_matrices`.
+    `m` is an integer matrix and the last axis of `vecs` a flat vector
+    over the factors of sizes `dims`, first factor most significant, as
+    in a Kronecker product; the other axes stack vectors. That product is
+    never formed: the whole stack is viewed as an (outer, d, inner) array
+    and m multiplies its middle axis, one numpy product, in int64 when a
+    bound on every output entry (d times the largest entries of m and
+    vecs) fits and vecs is not already Python ints, else in Python ints.
+    Returns an array of the shape of vecs. Rational matrices enter
+    through `integer_matrices`.
     """
-    d, inner, m = dims[axis], prod(dims[axis + 1 :]), np.asarray(m, dtype=object)
-    dtype = int_dtype(d * max(map(abs, m.flat)) * max(map(abs, vec), default=0))
-    out = np.matmul(m.astype(dtype), np.array(vec, dtype=dtype).reshape(-1, d, inner))
-    return out.reshape(-1).tolist()
+    d, inner, m = dims[axis], prod(dims[axis + 1 :]), np.asarray(m)
+    dtype = object if vecs.dtype == object else int_dtype(d * array_max_abs(m) * array_max_abs(vecs))
+    return np.matmul(m.astype(dtype), vecs.astype(dtype).reshape(-1, d, inner)).reshape(vecs.shape)
+
+
+def array_max_abs(a) -> int:
+    """The largest |entry| of an integer array (int64 or Python ints), 0 when empty."""
+    return int(np.abs(a).max()) if a.size else 0
 
 
 def integer_matrices(mats):
@@ -69,9 +77,10 @@ def solve_integer_rows(rows, ncols):
     """Solve the augmented integer system rows = (a | b), a x = b, exactly.
 
     Each row holds `ncols` integer coefficients and then its right-hand
-    side. Returns (particular, nullspace_basis) as Fractions, read from
-    the reduced row echelon form (RREF), or None when the system is
-    inconsistent (the RREF has a pivot in the rhs column).
+    side. `rows` is one integer array (int64 or Python ints) or a list of
+    rows (`integer_rows`). Returns (particular, nullspace_basis) as
+    Fractions, read from the reduced row echelon form (RREF), or None when
+    the system is inconsistent (the RREF has a pivot in the rhs column).
 
     Method: row selection mod a prime, then exact elimination of the
     selected rows only (Dixon, Numer. Math. 40, 1982, for the modular
@@ -82,19 +91,23 @@ def solve_integer_rows(rows, ncols):
     their span (`_outside_span`); rows that do not join the selection and
     the step repeats. The RREF of a row space is unique, so the result
     equals that of eliminating every row, and no decision rests on
-    arithmetic mod P.
+    arithmetic mod P. The rows stay one array throughout: the residues,
+    the bounds that pick each dtype and the selected and remaining rows
+    are read from it.
     """
-    chosen = _independent_rows_mod_p(rows, ncols + 1)
+    a = integer_rows(rows, ncols + 1)
+    chosen = _independent_rows_mod_p(a, ncols + 1)
     while True:
-        reduced, pivots = _gauss_jordan([rows[i] for i in chosen], ncols + 1)
+        reduced, pivots = _gauss_jordan(a[chosen], ncols + 1)
         if pivots and pivots[-1] == ncols:
             return None
-        taken = set(chosen)
-        others = [i for i in range(len(rows)) if i not in taken]
-        failing = _outside_span(reduced, pivots, [rows[i] for i in others], ncols + 1)
+        rest = np.ones(len(a), dtype=bool)
+        rest[chosen] = False
+        others = np.flatnonzero(rest)
+        failing = _outside_span(reduced, pivots, a[others], ncols + 1)
         if not failing:
             break
-        chosen += [others[j] for j in failing]
+        chosen += others[failing].tolist()
     particular = [F0] * ncols
     for row, c in zip(reduced, pivots):
         particular[c] = Fraction(row[ncols], row[c])
@@ -106,9 +119,22 @@ def solve_integer_rows(rows, ncols):
         v = [F0] * ncols
         v[fc] = F1
         for row, c in zip(reduced, pivots):
-            v[c] = Fraction(-row[fc], row[c])
+            if row[fc]:
+                v[c] = Fraction(-row[fc], row[c])
         basis.append(v)
     return particular, basis
+
+
+def integer_rows(rows, width) -> np.ndarray:
+    """Integer rows as one (rows, width) array, in int64 when its largest entry fits, else Python ints.
+
+    An int64 array is taken as it is; a list, or an object array, is
+    sized from its entries.
+    """
+    if isinstance(rows, np.ndarray) and rows.dtype == np.int64:
+        return rows.reshape(len(rows), width)
+    big = array_max_abs(rows) if isinstance(rows, np.ndarray) else _max_abs(rows)
+    return np.array(rows, dtype=int_dtype(big)).reshape(len(rows), width)
 
 
 def _independent_rows_mod_p(rows, width) -> list[int]:
@@ -116,12 +142,11 @@ def _independent_rows_mod_p(rows, width) -> list[int]:
 
     Gaussian elimination mod P in int64 numpy, columns left to right; the
     pivot of a column is the first unchosen row with a nonzero residue
-    there, and only the unchosen rows with a nonzero residue are updated.
+    there, and only the unchosen rows with a nonzero residue are updated,
+    from that column on (every unchosen row is zero left of it).
     """
-    if not rows:
-        return []
-    a = np.array([[x % P for x in row] for row in rows], dtype=np.int64)
-    unchosen = np.ones(len(rows), dtype=bool)
+    a = (integer_rows(rows, width) % P).astype(np.int64)
+    unchosen = np.ones(len(a), dtype=bool)
     chosen = []
     for c in range(width):
         hit = np.flatnonzero(unchosen & (a[:, c] != 0))
@@ -130,8 +155,8 @@ def _independent_rows_mod_p(rows, width) -> list[int]:
         i, others = hit[0], hit[1:]
         unchosen[i] = False
         chosen.append(int(i))
-        pivot = a[i] * pow(int(a[i, c]), -1, P) % P
-        a[others] = (a[others] - a[others, c, None] * pivot) % P
+        pivot = a[i, c:] * pow(int(a[i, c]), -1, P) % P
+        a[others, c:] = (a[others, c:] - a[others, c, None] * pivot) % P
     return chosen
 
 
@@ -146,7 +171,7 @@ def _gauss_jordan(rows, width) -> tuple[list, list]:
     int64 while twice the square of the largest entry (the bound of an
     update) fits, in Python ints from the first pivot where it does not.
     """
-    a = np.array(rows, dtype=int_dtype(_max_abs(rows))).reshape(len(rows), width)
+    a = integer_rows(rows, width).copy()
     pivots = []
     for c in range(width):
         r = len(pivots)
@@ -169,7 +194,7 @@ def _gauss_jordan(rows, width) -> tuple[list, list]:
 
 
 def _outside_span(reduced, pivots, others, width) -> list[int]:
-    """Positions in `others` of the rows outside the span of the reduced rows.
+    """Positions in `others` (integer rows) of the rows outside the span of the reduced rows.
 
     Row q is in the span exactly when q = sum_i q[c_i] / d_i R_i, with
     R_i the reduced rows, c_i their pivot columns and d_i their pivot
@@ -178,18 +203,18 @@ def _outside_span(reduced, pivots, others, width) -> list[int]:
     q_P N', with N'_i = (L / d_i) times the non-pivot part of R_i. One
     matrix product, in int64 when a bound on its entries allows it.
     """
-    if not others:
+    q = integer_rows(others, width)
+    if not len(q):
         return []
     pivot_set = set(pivots)
     free = [c for c in range(width) if c not in pivot_set]
     scale = lcm(*(row[c] for row, c in zip(reduced, pivots)))
     lifted = [[scale // row[c] * row[j] for j in free] for row, c in zip(reduced, pivots)]
-    q_piv = [[q[c] for c in pivots] for q in others]
-    q_free = [[q[j] for j in free] for q in others]
-    big_piv, big_lifted, big_free = _max_abs(q_piv), _max_abs(lifted), _max_abs(q_free)
+    q_piv, q_free = q[:, pivots], q[:, free]
+    big_piv, big_lifted, big_free = array_max_abs(q_piv), _max_abs(lifted), array_max_abs(q_free)
     dtype = int_dtype(max(big_piv, big_lifted, scale * max(big_free, 1), big_piv * big_lifted * len(pivots)))
-    lhs = np.array(q_free, dtype=dtype).reshape(len(others), len(free)) * scale
-    rhs = np.array(q_piv, dtype=dtype).reshape(len(others), len(pivots)) @ np.array(lifted, dtype=dtype).reshape(len(pivots), len(free))
+    lhs = q_free.astype(dtype) * scale
+    rhs = q_piv.astype(dtype) @ np.array(lifted, dtype=dtype).reshape(len(pivots), len(free))
     return np.flatnonzero((lhs != rhs).any(axis=1)).tolist()
 
 
@@ -264,6 +289,3 @@ def _undo_elimination(v, steps):
             out[piv] -= f * out[i]
     return out
 
-
-def to_float(a):
-    return np.array([[float(x) for x in row] for row in a], dtype=float)

@@ -124,12 +124,13 @@ class BlockSdp:
 
     `int_rows` holds the equalities as primitive integer rows
     (a_0, ..., a_{nvars-1}, b) with a x = b, which `solve_primal`
-    eliminates.
+    eliminates: one integer array from `assemble_primal`, a list of rows
+    from `codes.code_two_party_constraints`.
     """
 
     system: SlotSystem
     keys: list
-    int_rows: list
+    int_rows: np.ndarray | list
     blocks: list  # IrrepBlock
 
     @property
@@ -137,8 +138,8 @@ class BlockSdp:
         return len(self.keys)
 
 
-def _dedupe_rows(rows, nvars: int) -> list[list[int]]:
-    """Normalized, deduplicated integer equality rows, in first-seen order.
+def _dedupe_rows(rows, nvars: int) -> np.ndarray:
+    """Normalized, deduplicated integer equality rows, in first-seen order, as one array.
 
     Each row is an integer row (a_0, ..., a_{nvars-1}, b) standing for
     a x = b. It is divided by the gcd of its entries and its sign is set
@@ -147,7 +148,8 @@ def _dedupe_rows(rows, nvars: int) -> list[list[int]]:
     kept. Zero rows are dropped; a row holding only a nonzero constant
     makes the system inconsistent and raises InvalidInputError. The rows
     are normalized at once on one integer array, int64 or Python ints
-    alike: `np.gcd.reduce`, the lead signs, one floor division.
+    alike: `np.gcd.reduce`, the lead signs, one floor division; the
+    first-seen rows are picked by their bytes (int64) or values.
     """
     a = np.asarray(rows)
     nonzero = a[:, :nvars] != 0
@@ -158,7 +160,10 @@ def _dedupe_rows(rows, nvars: int) -> list[list[int]]:
     lead = a[np.arange(len(a)), nonzero[has_var].argmax(axis=1)]
     g = np.gcd.reduce(a, axis=1)
     a = a // np.where(lead < 0, -g, g)[:, None]
-    return [list(row) for row in dict.fromkeys(map(tuple, a.tolist()))]
+    first: dict = {}
+    for i, row in enumerate(map(tuple, a.tolist()) if a.dtype == object else map(np.ndarray.tobytes, a)):
+        first.setdefault(row, i)
+    return a[list(first.values())]
 
 
 def _rows_from_operator(op: SymbolicOperator, tests, nvars: int) -> np.ndarray:
@@ -271,7 +276,7 @@ def solve_primal(problem: BlockSdp) -> PrimalVerdict:
             return PrimalVerdict("feasible", exact=True, x=x, nullity=len(basis))
         return PrimalVerdict("infeasible", exact=True, nullity=len(basis))
 
-    coeffs = np.array([[float(c) for c in vec] for vec in (x0, *active)])
+    coeffs = np.array([[float(c) if c else 0.0 for c in vec] for vec in (x0, *active)])
     sdp_blocks = []
     for blk in problem.blocks:
         stack = _float_stack(blk, coeffs)
@@ -334,7 +339,7 @@ class WitnessLp:
     copies: int
     objective: list  # folded objective coefficients
     rows: list  # (label, folded coefficient list); constraint is coeffs.w >= 0
-    dropped: list  # IrrepBlock with k > 1, which the relaxation leaves out
+    blocks: list  # every IrrepBlock of the level; the rows hold the k = 1 ones, the k > 1 ones are left out
 
     def to_linear_program(self) -> LinearProgram:
         lp = LinearProgram(c=list(self.objective), bounds=[(-F1, F1)] * len(self.objective))
@@ -379,8 +384,9 @@ def witness_lp(n: int, d: int, copies: int, cap: int = 512) -> WitnessLp:
     """The rank-one LP relaxation at level `copies`.
 
     Every block with k = 1 is a scalar inequality with exact rational
-    data, one row labelled by its partition tuple; the k > 1 blocks are
-    kept as `dropped`, for the cut loop to check the optimum against.
+    data, one row labelled by its partition tuple. All the level's blocks
+    are kept as `blocks`: the cut loop checks the optimum against the
+    k > 1 ones, and `level_check`'s float fallback solves over all of them.
     """
     blocks = witness_blocks(n, d, copies, cap=cap)
     rows = [
@@ -388,7 +394,7 @@ def witness_lp(n: int, d: int, copies: int, cap: int = 512) -> WitnessLp:
         for blk in blocks
         if blk.k == 1
     ]
-    return WitnessLp(n, d, copies, fold(swap_overlaps(n, d), n), rows, [blk for blk in blocks if blk.k > 1])
+    return WitnessLp(n, d, copies, fold(swap_overlaps(n, d), n), rows, blocks)
 
 
 @dataclass
@@ -460,6 +466,14 @@ class LevelReport:
         }
 
 
+class _CutLoop(tuple):
+    """(status, optimum, folded w, rounds), a plain tuple to unpack, compare and print;
+    `blocks` is the relaxation's block list, which `level_check`'s float fallback reads
+    instead of listing the level's blocks again."""
+
+    blocks: list
+
+
 def witness_optimize_exact(n: int, d: int, copies: int, cap: int = 512):
     """Exact dual optimum via the rank-one LP plus cutting planes.
 
@@ -467,7 +481,8 @@ def witness_optimize_exact(n: int, d: int, copies: int, cap: int = 512):
     optimum is certified nonnegative (level feasible), "witness" when a
     fully verified negative witness exists, "undecided" after
     MAX_CUT_ROUNDS LP solves. The LP is the rank-one relaxation
-    (`witness_lp`); every cut is appended to it as one more row.
+    (`witness_lp`); every cut is appended to it as one more row. The
+    tuple also carries the relaxation's blocks (`_CutLoop.blocks`).
 
     Method: in integers. A block with k > 1 holds its folded z_l as one
     integer (r+1, k, k) array F over a denominator D (`_integer_stack`).
@@ -477,14 +492,19 @@ def witness_optimize_exact(n: int, d: int, copies: int, cap: int = 512):
     Both run in int64 when a bound on their entries allows it.
     """
     relaxation = witness_lp(n, d, copies, cap=cap)
-    stacks = [_integer_stack(blk, n) for blk in relaxation.dropped]
+    stacks = [_integer_stack(blk, n) for blk in relaxation.blocks if blk.k > 1]
+
+    def result(*fields) -> _CutLoop:
+        out = _CutLoop(fields)
+        out.blocks = relaxation.blocks
+        return out
 
     for round_no in range(MAX_CUT_ROUNDS):
         res = lp_solve_exact(relaxation.to_linear_program())
         if res.status != "optimal":
             raise InvalidInputError("witness LP must be bounded and feasible")  # pragma: no cover
         if res.value >= 0:
-            return "passed", res.value, res.x, round_no
+            return result("passed", res.value, res.x, round_no)
         _, ((w,),) = exactla.integer_matrices([[res.x]])
         violated = False
         for den, f, big in stacks:
@@ -497,8 +517,8 @@ def witness_optimize_exact(n: int, d: int, copies: int, cap: int = 512):
                 relaxation.rows.append(("cut", [Fraction(x, den * c * c) for x in q]))
                 violated = True
         if not violated:
-            return "witness", res.value, res.x, round_no
-    return "undecided", res.value, res.x, MAX_CUT_ROUNDS
+            return result("witness", res.value, res.x, round_no)
+    return result("undecided", res.value, res.x, MAX_CUT_ROUNDS)
 
 
 def _integer_stack(blk: IrrepBlock, n: int) -> tuple:
@@ -514,18 +534,20 @@ def level_check(n: int, d: int, copies: int, method: str = "auto", cap: int = 51
 
     Both methods run the exact cut loop (`witness_optimize_exact`). When
     it is undecided, "exact" raises SolverConvergenceError and "auto"
-    solves the float SDP, whose optimum `certify` reads against
-    FLOAT_TOL. Any other method raises InvalidInputError before any work.
+    solves the float SDP over the cut loop's blocks, whose optimum
+    `certify` reads against FLOAT_TOL. Any other method raises
+    InvalidInputError before any work.
     """
     if method not in ("auto", "exact"):
         raise InvalidInputError(f"unknown method {method!r}: use 'auto' or 'exact'")
-    status, opt, w, rounds = witness_optimize_exact(n, d, copies, cap=cap)
+    loop = witness_optimize_exact(n, d, copies, cap=cap)
+    status, opt, w, rounds = loop
     if status != "undecided":
         cert = certify(opt, n, d, copies, w, method="lp-exact+cuts" if rounds else "lp-exact")
         return LevelReport(n, d, copies, status == "passed", True, float(opt), opt, cert)
     if method == "exact":
         raise SolverConvergenceError("cutting-plane rounds exhausted without a certificate")
-    dual = assemble_dual_witness(n, d, copies, cap=cap)
+    dual = DualWitnessSdp(n, d, copies, fold(swap_overlaps(n, d), n), loop.blocks)
     res = sdp_solve(dual.to_sdp_problem(), y0=_interior_w(dual))
     if res.status != "optimal":
         raise SolverConvergenceError(f"dual witness solve ended with status {res.status}")

@@ -493,7 +493,8 @@ def invariant_basis_exact(lams, cap: int = 512):
     Reynolds projector, (1/N!) sum_sigma prod_s tr S_s(sigma), read from
     the integer seminormal tables and not from the characters; the rank
     must reach k, and every vector is checked exactly against both
-    generators of S_N. So the result is k independent invariant vectors
+    generators of S_N (all k at once, one stacked `exactla.mode_product`
+    per slot). So the result is k independent invariant vectors
     in a space of dimension k: a basis of it, and by uniqueness of the
     reduced row echelon form the same basis a full scan gives.
     Everything runs in Python integers on per-partition tables built
@@ -555,12 +556,12 @@ def invariant_basis_exact(lams, cap: int = 512):
                 vectors[i] = exactla.primitive_ints([vj[p] * a - f * b for a, b in zip(vectors[i], vj)])
 
     gens = (Permutation.transposition(n, 0, 1), Permutation.full_cycle(n)) if n > 1 else ()
+    stacked = np.array(vectors, dtype=exactla.int_dtype(exactla._max_abs(vectors)))
     for g in gens:
         e = group_elements(n).index(g)
-        for v in vectors:
-            w = v
-            for s, t in enumerate(tables):
-                w = exactla.mode_product(t.matrices[e], w, dims, s)
-            if w != [scale * a for a in v]:
-                raise InternalConsistencyError(f"invariant vector of {parts} is not fixed by {g.images}")
+        w = stacked
+        for s, t in enumerate(tables):
+            w = exactla.mode_product(t.matrices[e], w, dims, s)
+        if w.tolist() != [[scale * a for a in v] for v in vectors]:
+            raise InternalConsistencyError(f"invariant vector of {parts} is not fixed by {g.images}")
     return [(v, v[p]) for v, p in zip(vectors, pivots)], weights

@@ -34,6 +34,12 @@ the two must give the same verdict and the same witness;
 `check_existence_fraction` is the closed-form existence test over
 Fractions, from full products with K and T (`spectrum_fraction`), that
 `ame.check_existence` decides on integer numerators.
+
+`block_per_vector` is the primal block builder that `blocks._block`
+runs as one stacked slot product per group element: one basis vector,
+one partial sum and one group element at a time, through the
+single-vector `mode_product_vector`, with `float()` of every Fraction
+(`to_float`) for y.
 """
 
 import itertools
@@ -555,3 +561,78 @@ def _undo_fraction_elimination(v, steps):
 
 def quadratic_form(m, v):
     return sum(v[i] * sum(m[i][j] * v[j] for j in range(len(v)) if v[j]) for i in range(len(v)) if v[i])
+
+
+def to_float(a):
+    """A matrix of Fractions as a float array, one float() per entry."""
+    return np.array([[float(x) for x in row] for row in a], dtype=float)
+
+
+def mode_product_vector(m, vec, dims, axis):
+    """(1 x ... x m x ... x 1) @ vec for one flat integer list, as a list: m on the middle
+    axis of vec viewed as (outer, d, inner), in Python ints."""
+    d, inner = dims[axis], prod(dims[axis + 1 :])
+    out = np.matmul(np.asarray(m, dtype=object), np.array(vec, dtype=object).reshape(-1, d, inner))
+    return out.reshape(-1).tolist()
+
+
+def block_per_vector(parts, classes):
+    """(k, dim, gram, z, y) of one primal block, built one basis vector, one partial sum
+    and one group element at a time, in Python ints, with float() of every Fraction.
+
+    The per-vector builder `blocks._block` replaced: for each basis vector u_b, one
+    partial sum per multiset placed so far; at slot s every partial sum moves by
+    rho_s(e), as one single-vector mode product, into the sum with e added. After the
+    last slot the sums are E_K u_b, and z_K[a][b] = W u_a . E_K u_b is one dot product,
+    which also fills z_{K^-1}[b][a] (rho(g)^T W = W rho(g^-1) in seminormal form).
+    y_K = L^-1 z_K L^-T from the float gram's Cholesky factor L, key by key.
+    """
+    vectors, weights = sg.invariant_basis_exact(tuple(sg.Partition(p) for p in parts), cap=prod(sg._rep(p).dim for p in parts))
+    wden = lcm(*(w.denominator for w in weights))
+    scaled = [w.numerator * (wden // w.denominator) for w in weights]
+    weighted = [[a * x for a, x in zip(scaled, u)] for u, _ in vectors]
+    vectors, dens = [u for u, _ in vectors], [den for _, den in vectors]
+    k = len(vectors)
+    gram = [[Fraction(sum(a * x for a, x in zip(weighted[a_], vectors[b_])), dens[a_] * dens[b_] * wden) for b_ in range(k)] for a_ in range(k)]
+    group = blocks._copy_group(sum(parts[0]))
+    dims = [sg._rep(p).dim for p in parts]
+    tables = [sg._integer_tables(p) for p in parts]
+    scales = [t.scale for t in tables]
+    order = sorted(set(classes))
+    slot_class = [order.index(c) for c in classes]
+    members = [[s for s, c in enumerate(classes) if c == cls] for cls in order]
+
+    def key_of(placed):
+        key = [0] * len(classes)
+        for slots, vals in zip(members, placed):
+            for s, v in zip(slots, sorted(vals)):
+                key[s] = v
+        return tuple(key)
+
+    z = {}
+    for b, (u, db) in enumerate(zip(vectors, dens)):
+        sums = {((),) * len(order): u}
+        for s, c in enumerate(slot_class):
+            moved_sums = {}
+            for placed, vec in sums.items():
+                for e in range(len(group.elements)):
+                    if e != group.identity:
+                        moved = mode_product_vector(tables[s].matrices[e], vec, dims, s)
+                    else:
+                        moved = [scales[s] * x for x in vec]
+                    to = placed[:c] + (tuple(sorted(placed[c] + (e,))),) + placed[c + 1 :]
+                    acc = moved_sums.get(to)
+                    moved_sums[to] = moved if acc is None else [x + y for x, y in zip(acc, moved)]
+            sums = moved_sums
+        den_b = db * wden * prod(scales)
+        for placed, vec in sums.items():
+            key = key_of(placed)
+            inverse = key_of([[int(group.inv[e]) for e in vals] for vals in placed])
+            zk = z.setdefault(key, [[F0] * k for _ in range(k)])
+            zi = z.setdefault(inverse, [[F0] * k for _ in range(k)])
+            for a in range(b + 1):
+                zk[a][b] = zi[b][a] = Fraction(sum(w * x for w, x in zip(weighted[a], vec)), dens[a] * den_b)
+    z = {key: zk for key, zk in z.items() if any(any(row) for row in zk)}
+    linv = np.linalg.inv(np.linalg.cholesky(to_float(gram)))
+    y = {key: linv @ to_float(zk) @ linv.T for key, zk in z.items()}
+    return k, prod(dims), gram, z, y

@@ -174,8 +174,8 @@ def _dense_witness_blocks(n, d, copies):
                 mats = [[list(row) for row in rep.seminormal(swap if s in subset else ident)] for s, rep in enumerate(reps)]
                 acc = exactla.mat_add(acc, kron_all(mats))
             z_per_l.append(mat_mul(wut, mat_mul(acc, u)))
-        linv = np.linalg.inv(np.linalg.cholesky(exactla.to_float(gram)))
-        y_per_l = [linv @ exactla.to_float(z) @ linv.T for z in z_per_l]
+        linv = np.linalg.inv(np.linalg.cholesky(reference.to_float(gram)))
+        y_per_l = [linv @ reference.to_float(z) @ linv.T for z in z_per_l]
         out.append((parts, len(vectors), len(weights), z_per_l, y_per_l, gram))
     return out
 
@@ -210,8 +210,8 @@ def _dense_irrep_blocks(system, keys):
             z = _compress(acc, vectors, weights)
             if any(any(row) for row in z):
                 z_per_var[vi] = z
-        linv = np.linalg.inv(np.linalg.cholesky(exactla.to_float(gram)))
-        y_per_var = {vi: (linv @ exactla.to_float(z) @ linv.T).tobytes() for vi, z in z_per_var.items()}
+        linv = np.linalg.inv(np.linalg.cholesky(reference.to_float(gram)))
+        y_per_var = {vi: (linv @ reference.to_float(z) @ linv.T).tobytes() for vi, z in z_per_var.items()}
         out.append((parts, len(vectors), len(weights), gram, z_per_var, y_per_var))
     return out
 
@@ -264,21 +264,24 @@ def test_invariant_basis_rank_check_fails_when_the_images_fall_short(monkeypatch
 
 def test_invariant_basis_generator_check_can_fail(monkeypatch):
     mode_product = exactla.mode_product
-    monkeypatch.setattr(exactla, "mode_product", lambda m, vec, dims, axis: [2 * x for x in mode_product(m, vec, dims, axis)])
+    monkeypatch.setattr(exactla, "mode_product", lambda m, vecs, dims, axis: 2 * mode_product(m, vecs, dims, axis))
     with pytest.raises(InternalConsistencyError):
         sg.invariant_basis_exact(((2, 1),) * 3)
 
 
 @pytest.mark.parametrize("big", [1, 2**40], ids=["int64", "python-ints"])
 def test_mode_product_matches_kronecker_product(big):
+    """Every vector of a (2, 3, total) stack, given as int64 or as Python ints, is moved as by the Kronecker product."""
     rng = random.Random(3)
     dims = [2, 3, 2]
-    vec = [rng.randint(-5, 5) * big for _ in range(prod(dims))]
+    vecs = [[[rng.randint(-5, 5) * big for _ in range(prod(dims))] for _ in range(3)] for _ in range(2)]
     for axis, d in enumerate(dims):
         m = [[rng.randint(-3, 3) * big for _ in range(d)] for _ in range(d)]
         factors = [m if s == axis else [[int(i == j) for j in range(e)] for i in range(e)] for s, e in enumerate(dims)]
-        expected = [sum(a * x for a, x in zip(row, vec)) for row in kron_all(factors)]
-        assert exactla.mode_product(m, vec, dims, axis) == expected
+        expected = [[[sum(a * x for a, x in zip(row, vec)) for row in kron_all(factors)] for vec in stack] for stack in vecs]
+        for dtype in (np.int64, object):
+            got = exactla.mode_product(m, np.array(vecs, dtype=dtype), dims, axis)
+            assert got.shape == (2, 3, prod(dims)) and got.tolist() == expected
 
 
 @pytest.mark.parametrize("n,d,copies", [(4, 2, 3), (5, 2, 3), (4, 2, 4)])
@@ -381,6 +384,101 @@ def test_irrep_blocks_match_dense_reference(name):
     assert got == _dense_irrep_blocks(system, keys)
 
 
+STACKED_SYSTEMS = {
+    "extension-((4,1,2))_2-N3": codes.code_marginal_spec(codes.CodeParams(4, 1, 1, 2, pure=True)).slot_system(3),
+    "extension-((2,2,2))_2-N3": codes.code_marginal_spec(codes.CodeParams(2, 2, 1, 2)).slot_system(3),
+    "primal-ame(3,2)-N3": hi.ame_marginal_spec(3, 2).slot_system(3),
+    "mixed-dims-(3,2,2)": blocks.SlotSystem(3, (3, 2, 2), (0, 1, 1)),
+    "primal-ame(3,2)-N4": blocks.ame_system(3, 2, 4),
+}
+
+# sha256 over repr((parts, k, dim, gram, sorted z items)) of every primal block
+# (`blocks._block`) of these systems, recorded from the per-vector builder before
+# the stacked one replaced it
+PRIMAL_BLOCK_DIGESTS = {
+    "extension-((4,1,2))_2-N3": "04332991c33e45e328674fcb5813225049da97f132612a0882b89ef69d1a78d1",
+    "extension-((2,2,2))_2-N3": "76aad5640120986e3e945f558c32c86ef84969e453580cc34264131aa895ff25",
+    "primal-ame(3,2)-N3": "c98c11318fd343d2012c307a01eaed6a47fd1540a031e4caa30e03988d8fdf2b",
+    "mixed-dims-(3,2,2)": "45580792b8faf8e41b52acf89bef634039d720eb640c40da592efbce7c444949",
+    "primal-ame(3,2)-N4": "dc29bee439de4339db73fb306ef6c459f53e75d55e0fd17eb00cddad3f69af3e",
+}
+
+
+def _cold_primal_blocks(system):
+    blocks._block.cache_clear()
+    return [(tuple(p.parts for p in tpl), blocks._block(tuple(p.parts for p in tpl), system.classes)) for tpl in blocks.block_tuples(system, cap=512)]
+
+
+@pytest.mark.parametrize("name", sorted(PRIMAL_BLOCK_DIGESTS))
+def test_primal_blocks_match_recorded_digests(name):
+    system = STACKED_SYSTEMS[name]
+    digest = hashlib.sha256()
+    for parts, blk in _cold_primal_blocks(system):
+        digest.update(repr((tuple(p.parts for p in blk.partitions), blk.k, blk.dim, blk.gram, sorted(blk.z_per_var.items()))).encode())
+    assert digest.hexdigest() == PRIMAL_BLOCK_DIGESTS[name]
+
+
+def _assert_matches_per_vector(system, built):
+    for parts, blk in built:
+        k, dim, gram, z, y = reference.block_per_vector(parts, system.classes)
+        assert (blk.k, blk.dim, blk.gram) == (k, dim, gram)
+        assert list(blk.z_per_var) == list(blk.y_per_var) and set(blk.z_per_var) == set(z)
+        assert blk.z_per_var == z
+        assert all(np.abs(blk.y_per_var[key] - y[key]).max() <= 1e-12 for key in z)
+
+
+@pytest.mark.parametrize("name", sorted(set(STACKED_SYSTEMS) - {"primal-ame(3,2)-N4"}))
+def test_stacked_primal_blocks_match_per_vector_builder(name):
+    """z keys, z and gram identical to the per-vector builder, y within 1e-12."""
+    system = STACKED_SYSTEMS[name]
+    _assert_matches_per_vector(system, _cold_primal_blocks(system))
+
+
+@pytest.mark.parametrize("narrow", [False, True], ids=["python-ints-from-the-basis", "python-ints-midway"])
+def test_stacked_primal_blocks_past_int64_match(monkeypatch, narrow):
+    """Basis vectors and denominators scaled by 2^50 put the stacked sums in Python ints, from
+    the basis on, or, with the basis narrowed back to int64, from the slot whose sums leave
+    int64; the blocks still match the per-vector builder."""
+    original, basis, mode_product = blocks.invariant_basis_exact, blocks._basis, exactla.mode_product
+    seen = []
+
+    def scaled(lams, cap):
+        vectors, weights = original(lams, cap)
+        return [([2**50 * x for x in v], 2**50 * den) for v, den in vectors], weights
+
+    def narrowed(parts):
+        u, wu, dens, wden, gram = basis(parts)
+        return u.astype(np.int64), wu.astype(np.int64), dens, wden, gram
+
+    def recorded(m, vecs, dims, axis):
+        if vecs.ndim == 3:  # a stacked slot step of `_block`
+            seen.append(str(vecs.dtype))
+        return mode_product(m, vecs, dims, axis)
+
+    monkeypatch.setattr(blocks, "invariant_basis_exact", scaled)
+    monkeypatch.setattr(exactla, "mode_product", recorded)
+    if narrow:
+        monkeypatch.setattr(blocks, "_basis", narrowed)
+    system = STACKED_SYSTEMS["extension-((4,1,2))_2-N3"]
+    _assert_matches_per_vector(system, _cold_primal_blocks(system))
+    if narrow:
+        assert "object" in seen[seen.index("int64") :]
+    else:
+        assert set(seen) == {"object"}
+    blocks._block.cache_clear()
+
+
+def test_block_floats_are_the_fractions_floats():
+    """`_floats` rounds each quotient as float() of its Fraction does, below and past 2^53."""
+    rng = random.Random(53)
+    for bits in (20, 52, 60, 90):
+        num = [[rng.randint(-(2**bits), 2**bits) for _ in range(3)] for _ in range(3)]
+        den = [[rng.randint(1, 2**bits) | 1 for _ in range(3)] for _ in range(3)]
+        expected = [[float(Fraction(x, d)) for x, d in zip(row, drow)] for row, drow in zip(num, den)]
+        got = blocks._floats(np.array([num], dtype=exactla.int_dtype(2**bits)), den)
+        assert got.shape == (1, 3, 3) and got[0].tolist() == expected
+
+
 def test_primal_block_memo_holds_only_nonzero_keys():
     """((4,1,2))_2 at N = 3: 144 of the 504 (tuple, key) pairs have a zero block and are not stored."""
     system = codes.code_extension_blocksdp(codes.CodeParams(4, 1, 1, 2, pure=True), 3).system
@@ -455,20 +553,46 @@ def _random_system(rng, nrows, ncols, rank, kind):
     return [a[i] for i in order], [b[i] for i in order]
 
 
-@pytest.mark.parametrize("kind", ["full-rank", "rank-deficient", "inconsistent", "zero-rows"])
-def test_solve_affine_matches_fraction_rref(kind):
+def _affine_systems(kind):
+    """25 seeded systems (a, b, ncols) of one kind."""
     rng = random.Random(kind)
     for trial in range(25):
         nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
         rank = min(nrows, ncols) if kind == "full-rank" else rng.randint(0, min(nrows, ncols) - 1)
         if kind == "inconsistent":
             rank, nrows = max(rank, 1), max(nrows, 2)
-        a, b = _random_system(rng, nrows, ncols, rank, kind)
+        yield (*_random_system(rng, nrows, ncols, rank, kind), ncols)
+
+
+@pytest.mark.parametrize("kind", ["full-rank", "rank-deficient", "inconsistent", "zero-rows"])
+def test_solve_affine_matches_fraction_rref(kind):
+    for a, b, ncols in _affine_systems(kind):
         ref = _reference_solve_affine(a, b, ncols)
         assert (ref is None) == (kind == "inconsistent")
         assert _solve(a, b, ncols) == ref
     assert _solve([[F0, F0]], [F1], 2) is None
     assert _solve([], [], 2) == ([F0, F0], [[F1, F0], [F0, F1]])
+
+
+def _row_forms(rows, width):
+    """The same integer rows as a list of lists, an int64 array (when they fit) and an object array."""
+    forms = {"list": rows, "object": np.array(rows, dtype=object).reshape(len(rows), width)}
+    if exactla.int_dtype(exactla._max_abs(rows)) is np.int64:
+        forms["int64"] = np.array(rows, dtype=np.int64).reshape(len(rows), width)
+    return forms
+
+
+@pytest.mark.parametrize("kind", ["full-rank", "rank-deficient", "inconsistent", "zero-rows"])
+def test_solve_integer_rows_takes_lists_and_arrays_alike(kind):
+    """A list of rows, an int64 array and an object array give identical output, which is the Fraction RREF's."""
+    for a, b, ncols in _affine_systems(kind):
+        rows = [exactla.primitive([*row, rhs]) for row, rhs in zip(a, b)]
+        forms = _row_forms(rows, ncols + 1)
+        assert sorted(forms) == ["int64", "list", "object"]
+        got = {name: exactla.solve_integer_rows(form, ncols) for name, form in forms.items()}
+        assert got["int64"] == got["object"] == got["list"] == _reference_solve_affine(a, b, ncols)
+    for form in _row_forms([], 3).values():
+        assert exactla.solve_integer_rows(form, 2) == ([F0, F0], [[F1, F0], [F0, F1]])
 
 
 def _wide_system(rng, bits, kind):
@@ -493,6 +617,21 @@ def test_solve_affine_wide_entries_match_fraction_rref(bits, kind):
         ref = _reference_solve_affine(a, b, len(a[0]))
         assert (ref is None) == (kind == "inconsistent")
         assert _solve(a, b, len(a[0])) == ref
+
+
+@pytest.mark.parametrize("bits", [15, 40, 70], ids=["python-ints-midway", "python-ints-at-first-pivot", "past-int64"])
+def test_solve_integer_rows_takes_wide_lists_and_arrays_alike(bits):
+    """Wide rows as a list, an object array and (where they fit) an int64 array give identical output."""
+    rng = random.Random(f"{bits}-arrays")
+    for kind in ("rank-deficient", "inconsistent"):
+        for trial in range(5):
+            a, b = _wide_system(rng, bits, kind)
+            ncols = len(a[0])
+            rows = [exactla.primitive([*row, rhs]) for row, rhs in zip(a, b)]
+            forms = _row_forms(rows, ncols + 1)
+            assert ("int64" in forms) == (bits < 70)
+            got = [exactla.solve_integer_rows(form, ncols) for form in forms.values()]
+            assert all(g == got[0] for g in got) and got[0] == _reference_solve_affine(a, b, ncols)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -7,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from qmarginal import cli, codes, hierarchy
+from qmarginal import ame, cli, codes, hierarchy
 from qmarginal.errors import InternalConsistencyError, QmarginalError
 
 SCHEMA = json.loads((Path(__file__).resolve().parent.parent / "docs" / "report.schema.json").read_text())
@@ -39,6 +40,27 @@ def test_ame_candidate_eigenvalues():
     rep = json.loads(out)
     validate(rep, "candidate_report")
     assert rep["p"] == ["5/864", "0", "1/96", "0", "-1/32"]
+
+
+# sha256 of the stdout of `ame candidate` (with and without --eigenvalues), recorded
+# while the verb still ran the spectral kernel once per list
+CANDIDATE_DIGESTS = {
+    (4, 2, False): "ae79a1efba96f889ce836420a9167337a6c1c64ead3af541fdb5412edacdb5b2",
+    (4, 2, True): "2521ed3934041ebb2134b7dc3cb2d48b5b1b9b4173cdbf6ed1e74110361b9f6b",
+    (6, 2, False): "15e92f245db21d1ade7bb64b08ac20ee2fb2c9e074550f1735a698f30fabb6c0",
+    (6, 2, True): "90b5d640053301730be74df1c4b490beda51dfcbd705f86ebab4902fbdae82ac",
+    (7, 3, False): "0f8b5ebe44ce7a2533cced5b156c6782a06d03bf6a8b62f0a12ccb8ff488b7fd",
+    (7, 3, True): "a4ffe49cbe661622699a47d8b4f5de0c481ec4e3f2bf5d08cba16a438d6af418",
+}
+
+
+@pytest.mark.parametrize("n, d, eigenvalues", sorted(CANDIDATE_DIGESTS), ids=str)
+def test_ame_candidate_runs_the_spectral_kernel_once(monkeypatch, n, d, eigenvalues):
+    spectrum, calls = ame._spectrum, []
+    monkeypatch.setattr(ame, "_spectrum", lambda n, d: calls.append((n, d)) or spectrum(n, d))
+    code, out, _ = run_cli(["ame", "candidate", "--n", str(n), "--d", str(d)] + ["--eigenvalues"] * eigenvalues)
+    assert code == 0 and calls == [(n, d)]
+    assert hashlib.sha256(out.encode()).hexdigest() == CANDIDATE_DIGESTS[n, d, eigenvalues]
 
 
 def test_ame_scan_tsv_and_json():

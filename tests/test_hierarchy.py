@@ -348,6 +348,18 @@ def test_soundness_ladder_refutes_where_no_state_exists(level):
     assert rep.optimum == DOES_NOT_EXIST[level]
 
 
+def test_float_fallback_reads_the_cut_loops_blocks(monkeypatch):
+    """An undecided cut loop hands its blocks to the float SDP: (6,2,3) lists its blocks once."""
+    listed, original = [], hi.witness_blocks
+    monkeypatch.setattr(hi, "witness_blocks", lambda *args, **kwargs: listed.append(args) or original(*args, **kwargs))
+    rep = hi.level_check(6, 2, 3)
+    assert (rep.certificate.method, rep.exact) == ("sdp-float", False)
+    assert listed == [(6, 2, 3)]
+    dual = hi.assemble_dual_witness(6, 2, 3)
+    expected = sdp_solve(dual.to_sdp_problem(), y0=hi._interior_w(dual))
+    assert (rep.optimum_float, rep.certificate.w) == (expected.value, list(expected.y))
+
+
 def test_dedupe_rows_normalizes_sign_and_gcd():
     """Rows (a_0, a_1, a_2 | b): gcd 1, lead variable positive, first-seen order, zero rows dropped."""
     rows = [
@@ -360,21 +372,21 @@ def test_dedupe_rows_normalizes_sign_and_gcd():
         [0, 0, 5, 0],
     ]
     int_rows = hi._dedupe_rows(rows, 3)
-    assert int_rows == [[0, 2, -3, 1], [1, 0, 0, 3], [0, 0, 1, 0]]
+    assert int_rows.dtype == np.int64 and int_rows.tolist() == [[0, 2, -3, 1], [1, 0, 0, 3], [0, 0, 1, 0]]
     assert [list(reference.dict_row(p, 3).items()) for p in int_rows] == [
         [(codes.CONST, F(-1, 2)), (1, F(1)), (2, F(-3, 2))],
         [(codes.CONST, F(-3)), (0, F(1))],
         [(2, F(1))],
     ]
-    assert hi._dedupe_rows([[0, 0, 0]], 2) == []
+    assert hi._dedupe_rows([[0, 0, 0]], 2).tolist() == []
 
 
 def test_dedupe_rows_normalizes_rows_past_int64():
     """Rows with entries past 2^63 (Python ints) normalize as int64 rows do."""
     rows = [[0, -4, 6, -2], [2, 0, 0, 6], [0, 2, -3, 1]]
-    assert hi._dedupe_rows([[x * 2**70 for x in row] for row in rows], 3) == hi._dedupe_rows(rows, 3)
+    assert hi._dedupe_rows([[x * 2**70 for x in row] for row in rows], 3).tolist() == hi._dedupe_rows(rows, 3).tolist()
     wide = [3**41, 0, 2**64 + 1, 5]
-    assert hi._dedupe_rows([[-x for x in wide], [0, 0, 0, 0], wide], 3) == [wide]
+    assert hi._dedupe_rows([[-x for x in wide], [0, 0, 0, 0], wide], 3).tolist() == [wide]
 
 
 def test_dedupe_rows_rejects_a_constant_only_row():
