@@ -41,7 +41,6 @@ from math import gcd, lcm, prod
 import numpy as np
 
 from . import exactla
-from .exactla import F0
 from .ame import krawtchouk
 from .errors import InvalidInputError, ResourceCapError
 from .symgroup import (
@@ -506,7 +505,7 @@ def _compressed(parts, dens, wden, gram, scale, keys, z) -> IrrepBlock:
 
 def _fractions(mat, den) -> list:
     """The integer k x k array `mat` over den[a][b], as rows of Fractions."""
-    return [[Fraction(x, d) if x else F0 for x, d in zip(row, drow)] for row, drow in zip(mat.tolist(), den)]
+    return [[Fraction(x, d) if x else exactla.F0 for x, d in zip(row, drow)] for row, drow in zip(mat.tolist(), den)]
 
 
 def _floats(num, den) -> np.ndarray:
