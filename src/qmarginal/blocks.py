@@ -114,15 +114,6 @@ class SlotSystem:
     def group(self) -> "_CopyGroup":
         return _copy_group(self.copies)
 
-    def canonical(self, key: tuple[int, ...]) -> tuple[int, ...]:
-        out = list(key)
-        for cls in set(self.classes):
-            idx = [i for i, c in enumerate(self.classes) if c == cls]
-            vals = sorted(out[i] for i in idx)
-            for i, v in zip(idx, vals):
-                out[i] = v
-        return tuple(out)
-
     def keys(self) -> list[tuple[int, ...]]:
         """All canonical coefficient keys (multisets per class), sorted."""
         per_class: list[list[tuple[int, ...]]] = []
@@ -432,9 +423,11 @@ def block_tuples(system: SlotSystem, cap: int) -> list[tuple[Partition, ...]]:
 def irrep_block(system: SlotSystem, partitions, keys, cap: int = 512) -> IrrepBlock | None:
     """Positivity block of one canonical partition tuple for a primal system.
 
-    Variable v is the coefficient of keys[v]; variables whose z vanishes
-    are left out. Returns None when the diagonal-trivial subspace is
-    empty (the equality system forces the block to vanish there). The
+    Variable v is the coefficient of keys[v]; the keys must be canonical
+    (`system.keys()` or a slice of it), as they are looked up as given.
+    Variables whose z vanishes are left out. Returns None when the
+    diagonal-trivial subspace is empty (the equality system forces the
+    block to vanish there). The
     cap is checked before any work; the block data is `_block`, built
     once per tuple and slot classes, which holds the nonzero keys only.
     """
@@ -442,8 +435,7 @@ def irrep_block(system: SlotSystem, partitions, keys, cap: int = 512) -> IrrepBl
         return None
     _check_cap(partitions, cap)
     memo = _block(tuple(p.parts for p in partitions), system.classes)
-    canonical = (system.canonical(key) for key in keys)
-    return memo.relabel({v: key for v, key in enumerate(canonical) if key in memo.z_per_var})
+    return memo.relabel({v: key for v, key in enumerate(keys) if key in memo.z_per_var})
 
 
 def witness_blocks(n: int, d: int, copies: int, cap: int = 512) -> list[IrrepBlock]:

@@ -77,8 +77,6 @@ def _cmd_ame_candidate(args) -> int:
 
 
 def _cmd_ame_witness(args) -> int:
-    if args.rank1_only and args.exact:
-        raise InvalidInputError("--rank1-only and --exact exclude each other: the rank-1 relaxation is never a certificate")
     if args.rank1_only:
         # the rank-1 LP drops the k > 1 blocks, so its optimum only bounds the level's from
         # below: it is reported, never as a certificate
@@ -88,8 +86,7 @@ def _cmd_ame_witness(args) -> int:
         cert = hierarchy.Certificate(args.n, args.d, args.copies, "lp-exact", float(res.value), "inconclusive", res.value, res.x, note)
         payload = cert.to_dict()
     else:
-        method = "exact" if args.exact else "auto"
-        payload = hierarchy.level_check(args.n, args.d, args.copies, method=method, cap=args.cap).to_dict()
+        payload = hierarchy.level_check(args.n, args.d, args.copies, cap=args.cap).to_dict()
     # the header follows the input checks, so a rejected call writes only its error line
     print(f"level {args.copies} witness for n={args.n}, d={args.d}", file=sys.stderr)
     _emit(payload)
@@ -172,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--d", type=int, required=True)
     pw.add_argument("--copies", type=int, required=True)
     pw.add_argument("--rank1-only", action="store_true")
-    pw.add_argument("--exact", action="store_true")
     pw.add_argument("--cap", type=int, default=512)
     pw.set_defaults(func=_cmd_ame_witness)
 

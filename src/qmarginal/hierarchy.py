@@ -12,7 +12,9 @@ an entanglement witness: the level is infeasible and no AME(n, d)
 exists. Keeping only the one-dimensional blocks yields an LP relaxation
 that we solve in exact arithmetic; candidate witnesses from the LP are
 then verified against every block exactly, adding violated directions
-as cutting planes until the answer is certified either way.
+as cutting planes until the answer is certified either way. That loop
+is the only path to a witness verdict; the float SDP form of the dual
+(`DualWitnessSdp`) serves the SDPA export.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .symgroup import Permutation
 F0 = Fraction(0)
 F1 = Fraction(1)
 
-FLOAT_TOL = 1e-7  # a float optimum or margin below -FLOAT_TOL is a float verdict of infeasibility
+FLOAT_TOL = 1e-7  # a float primal margin below -FLOAT_TOL is a float verdict of infeasibility
 MAX_CUT_ROUNDS = 12  # LP solves of the cutting-plane loop before it gives up
 
 
@@ -267,8 +269,8 @@ def solve_primal(problem: BlockSdp) -> PrimalVerdict:
         # every sector is scalar: feasibility is an exact rational LP
         lp = LinearProgram(c=[F0] * len(active), bounds=[(None, None)] * len(active))
         for blk in problem.blocks:
-            base = blk.z_at(x0)[0][0]
-            coeffs = [blk.z_at(vec)[0][0] for vec in active]
+            scalars = [(v, z[0][0]) for v, z in blk.z_per_var.items()]
+            base, *coeffs = (sum((vec[v] * s for v, s in scalars if vec[v]), start=F0) for vec in (x0, *active))
             lp.add_row([-c for c in coeffs], "<=", base)
         res = lp_solve_exact(lp)
         if res.status == "optimal":
@@ -386,7 +388,7 @@ def witness_lp(n: int, d: int, copies: int, cap: int = 512) -> WitnessLp:
     Every block with k = 1 is a scalar inequality with exact rational
     data, one row labelled by its partition tuple. All the level's blocks
     are kept as `blocks`: the cut loop checks the optimum against the
-    k > 1 ones, and `level_check`'s float fallback solves over all of them.
+    k > 1 ones.
     """
     blocks = witness_blocks(n, d, copies, cap=cap)
     rows = [
@@ -404,7 +406,7 @@ class Certificate:
     n: int
     d: int
     copies: int
-    method: str  # "lp-exact" | "lp-exact+cuts" | "sdp-float"
+    method: str  # "lp-exact" | "lp-exact+cuts"
     optimum_float: float
     verdict: str  # "no-ame" | "inconclusive"
     optimum: Fraction | None = None
@@ -419,25 +421,22 @@ class Certificate:
             "method": self.method,
             "optimum": None if self.optimum is None else str(self.optimum),
             "optimum_float": self.optimum_float,
-            "w": None if self.w is None else [str(Fraction(v)) if not isinstance(v, float) else v for v in self.w],
+            "w": None if self.w is None else [str(Fraction(v)) for v in self.w],
             "verdict": self.verdict,
             "note": self.note,
         }
 
 
-def certify(optimum, n: int, d: int, copies: int, w=None, method: str = "sdp-float") -> Certificate:
-    """Interpret a dual optimum: strictly negative means no AME(n, d).
+def certify(optimum: Fraction, n: int, d: int, copies: int, w=None, method: str = "lp-exact") -> Certificate:
+    """Interpret an exact dual optimum: strictly negative means no AME(n, d).
 
-    Float values inside [-FLOAT_TOL, 0) stay inconclusive and are
-    flagged; an exact (Fraction) optimum is decided on its own strict
-    sign, never through float().
+    The optimum is decided on its own strict sign, never through
+    float(); anything but a Fraction raises InvalidInputError.
     """
-    exact = isinstance(optimum, Fraction)
-    opt_f = float(optimum)
-    if (optimum < 0) if exact else (opt_f < -FLOAT_TOL):
-        return Certificate(n, d, copies, method, opt_f, "no-ame", optimum if exact else None, w)
-    note = "within tolerance" if (not exact and -FLOAT_TOL <= opt_f < 0) else ""
-    return Certificate(n, d, copies, method, opt_f, "inconclusive", optimum if exact else None, w, note)
+    if not isinstance(optimum, Fraction):
+        raise InvalidInputError(f"a certificate needs an exact (Fraction) optimum, got {type(optimum).__name__}")
+    verdict = "no-ame" if optimum < 0 else "inconclusive"
+    return Certificate(n, d, copies, method, float(optimum), verdict, optimum, w)
 
 
 @dataclass
@@ -466,59 +465,78 @@ class LevelReport:
         }
 
 
-class _CutLoop(tuple):
-    """(status, optimum, folded w, rounds), a plain tuple to unpack, compare and print;
-    `blocks` is the relaxation's block list, which `level_check`'s float fallback reads
-    instead of listing the level's blocks again."""
-
-    blocks: list
-
-
-def witness_optimize_exact(n: int, d: int, copies: int, cap: int = 512):
+def witness_optimize_exact(n: int, d: int, copies: int, cap: int = 512) -> tuple:
     """Exact dual optimum via the rank-one LP plus cutting planes.
 
     Returns (status, optimum, folded w, rounds): status "passed" when the
     optimum is certified nonnegative (level feasible), "witness" when a
     fully verified negative witness exists, "undecided" after
-    MAX_CUT_ROUNDS LP solves. The LP is the rank-one relaxation
-    (`witness_lp`); every cut is appended to it as one more row. The
-    tuple also carries the relaxation's blocks (`_CutLoop.blocks`).
+    MAX_CUT_ROUNDS LP solves, with the last LP optimum and vertex. The LP
+    is the rank-one relaxation (`witness_lp`); every cut is appended to
+    it as one more row.
 
     Method: in integers. A block with k > 1 holds its folded z_l as one
     integer (r+1, k, k) array F over a denominator D (`_integer_stack`).
     With w as integers W over their lcm L, Z = sum_l W_l F_l = L D Z(w),
-    one tensordot, has the verdict and witness v of Z(w); with v as
-    integers c v, the cut is q_l = (c v)^T F_l (c v) / (D c^2), one einsum.
-    Both run in int64 when a bound on their entries allows it.
+    one tensordot, is tested by `psd_check_exact`. v^T Z(w') v >= 0 at
+    every feasible w', for any v, so a failing block gives the cut
+    q_l = v^T F_l v / D >= 0 from any integer v with v^T Z v < 0 (Kelley,
+    J. SIAM 8, 1960): a short one (`_short_cut`) if one is found, else
+    c v for the elimination's rational witness v, q_l over D c^2. Short
+    cuts keep the LP's rationals small. Both products run in int64 when
+    a bound on their entries allows it.
     """
     relaxation = witness_lp(n, d, copies, cap=cap)
     stacks = [_integer_stack(blk, n) for blk in relaxation.blocks if blk.k > 1]
-
-    def result(*fields) -> _CutLoop:
-        out = _CutLoop(fields)
-        out.blocks = relaxation.blocks
-        return out
-
     for round_no in range(MAX_CUT_ROUNDS):
         res = lp_solve_exact(relaxation.to_linear_program())
         if res.status != "optimal":
             raise InvalidInputError("witness LP must be bounded and feasible")  # pragma: no cover
         if res.value >= 0:
-            return result("passed", res.value, res.x, round_no)
+            return "passed", res.value, res.x, round_no
         _, ((w,),) = exactla.integer_matrices([[res.x]])
         violated = False
         for den, f, big in stacks:
             ws = np.array(w, dtype=exactla.int_dtype(sum(map(abs, w)) * big))
-            check = psd_check_exact(np.tensordot(ws, f.astype(ws.dtype), axes=1).tolist())
+            z = np.tensordot(ws, f.astype(ws.dtype), axes=1)
+            check = psd_check_exact(z.tolist())
             if not check.psd:
-                c, ((v,),) = exactla.integer_matrices([[check.witness]])
+                v, c = _short_cut(z), 1
+                if v is None:
+                    c, ((v,),) = exactla.integer_matrices([[check.witness]])
                 vs = np.array(v, dtype=exactla.int_dtype(sum(map(abs, v)) ** 2 * big))
                 q = np.einsum("i,lij,j->l", vs, f.astype(vs.dtype), vs).tolist()
                 relaxation.rows.append(("cut", [Fraction(x, den * c * c) for x in q]))
                 violated = True
         if not violated:
-            return result("witness", res.value, res.x, round_no)
-    return result("undecided", res.value, res.x, MAX_CUT_ROUNDS)
+            return "witness", res.value, res.x, round_no
+    return "undecided", res.value, res.x, MAX_CUT_ROUNDS
+
+
+SHORT_CUT_SCALES = (4, 16, 64, 256, 1024, 2**16)  # largest |v_i| of the rounded eigenvectors tried, in order
+
+
+def _short_cut(z: np.ndarray) -> list | None:
+    """A short integer v with v^T z v < 0 for an integer array z, or None.
+
+    The float eigenvector of z's least eigenvalue is only a hint: scaled
+    to each largest entry in SHORT_CUT_SCALES and rounded, the first v
+    whose v^T z v < 0 holds in integers is returned. A failed or
+    non-finite eigendecomposition, or a miss at every scale, gives None.
+    """
+    big = int(np.abs(z).max())
+    try:
+        e = np.linalg.eigh((z / big).astype(float))[1][:, 0]
+    except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(e).all():
+        return None
+    for scale in SHORT_CUT_SCALES:
+        v = np.rint(e * (scale / np.abs(e).max())).astype(np.int64)
+        vs = v.astype(exactla.int_dtype(int(np.abs(v).sum()) ** 2 * big))
+        if vs @ z.astype(vs.dtype) @ vs < 0:
+            return v.tolist()
+    return None
 
 
 def _integer_stack(blk: IrrepBlock, n: int) -> tuple:
@@ -529,37 +547,24 @@ def _integer_stack(blk: IrrepBlock, n: int) -> tuple:
     return den, f.astype(exactla.int_dtype(big)), big
 
 
-def level_check(n: int, d: int, copies: int, method: str = "auto", cap: int = 512) -> LevelReport:
+def level_check(n: int, d: int, copies: int, cap: int = 512) -> LevelReport:
     """Decide one hierarchy level through the dual witness problem.
 
-    Both methods run the exact cut loop (`witness_optimize_exact`). When
-    it is undecided, "exact" raises SolverConvergenceError and "auto"
-    solves the float SDP over the cut loop's blocks, whose optimum
-    `certify` reads against FLOAT_TOL. Any other method raises
-    InvalidInputError before any work.
+    The exact cut loop (`witness_optimize_exact`) decides it: "passed"
+    is feasible, "witness" is `no-ame` with its rational optimum. A loop
+    still undecided after MAX_CUT_ROUNDS is reported `inconclusive` and
+    not exact: w is the last LP vertex, `optimum` is None, and
+    `optimum_float` is the last LP bound, a lower bound on the level's
+    optimum.
     """
-    if method not in ("auto", "exact"):
-        raise InvalidInputError(f"unknown method {method!r}: use 'auto' or 'exact'")
-    loop = witness_optimize_exact(n, d, copies, cap=cap)
-    status, opt, w, rounds = loop
+    status, opt, w, rounds = witness_optimize_exact(n, d, copies, cap=cap)
+    method = "lp-exact+cuts" if rounds else "lp-exact"
     if status != "undecided":
-        cert = certify(opt, n, d, copies, w, method="lp-exact+cuts" if rounds else "lp-exact")
+        cert = certify(opt, n, d, copies, w, method=method)
         return LevelReport(n, d, copies, status == "passed", True, float(opt), opt, cert)
-    if method == "exact":
-        raise SolverConvergenceError("cutting-plane rounds exhausted without a certificate")
-    dual = DualWitnessSdp(n, d, copies, fold(swap_overlaps(n, d), n), loop.blocks)
-    res = sdp_solve(dual.to_sdp_problem(), y0=_interior_w(dual))
-    if res.status != "optimal":
-        raise SolverConvergenceError(f"dual witness solve ended with status {res.status}")
-    cert = certify(res.value, n, d, copies, list(res.y), method="sdp-float")
-    feasible = cert.verdict != "no-ame"
-    return LevelReport(n, d, copies, feasible, False, res.value, None, cert)
-
-
-def _interior_w(dual: DualWitnessSdp) -> np.ndarray:
-    y0 = np.zeros(len(dual.objective))
-    y0[0] = 0.5
-    return y0
+    note = f"undecided after {rounds} cut rounds; last LP bound {opt}"
+    cert = Certificate(n, d, copies, method, float(opt), "inconclusive", None, w, note)
+    return LevelReport(n, d, copies, True, False, float(opt), None, cert)
 
 
 def export_dual_sdpa(n: int, d: int, copies: int, path, cap: int = 512) -> DualWitnessSdp:

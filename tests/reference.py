@@ -14,6 +14,9 @@ Young's orthogonal form (floats) is built here from the library's
 seminormal matrices and weights, and the hook-content multiplicity from
 the partition's hook lengths.
 
+`canonical` sorts an ordered key within each slot class, the form
+`SlotSystem.keys` lists and `blocks.irrep_block` expects.
+
 The `terms_*` functions are the operator arithmetic over
 {ordered key: {var: Fraction}} dicts, merged term by term (`_merge`),
 that `blocks.SymbolicOperator` runs on its entry arrays; `operator` and
@@ -63,6 +66,16 @@ def perm_matrix(images: tuple[int, ...], d: int) -> np.ndarray:
             moved[images[j]] = x
         out[np.ravel_multi_index(moved, (d,) * n), np.ravel_multi_index(digits, (d,) * n)] = 1
     return out
+
+
+def canonical(system: blocks.SlotSystem, key) -> tuple[int, ...]:
+    """The canonical form of an ordered key: its entries sorted within each slot class."""
+    out = list(key)
+    for cls in set(system.classes):
+        idx = [i for i, c in enumerate(system.classes) if c == cls]
+        for i, v in zip(idx, sorted(out[i] for i in idx)):
+            out[i] = v
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

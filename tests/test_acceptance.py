@@ -140,7 +140,7 @@ def test_criterion_7_witness_lp_signs():
         assert rep.certificate.w is not None
         # float solver agrees on the sign and value
         dual = hi.assemble_dual_witness(4, 2, 2)
-        res = sdp_solve(dual.to_sdp_problem(), y0=hi._interior_w(dual))
+        res = sdp_solve(dual.to_sdp_problem(), y0=np.array([0.5, 0.0, 0.0]))
         assert res.status == "optimal" and res.value < -1e-6
         for copies in (2, 3):
             rep = hi.level_check(4, 6, copies)

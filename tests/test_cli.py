@@ -105,11 +105,28 @@ def test_ame_witness():
     assert rep["w"] and rep["note"] == "rank-1 relaxation only: a negative optimum here is not yet a certificate"
 
 
-def test_ame_witness_rejects_rank1_only_with_exact():
-    # the rank-1 relaxation is never a certificate, so neither flag may silently win
-    code, out, err = run_cli(["ame", "witness", "--n", "4", "--d", "2", "--copies", "2", "--rank1-only", "--exact"])
-    assert code == 2 and out == ""
-    assert err == "error: --rank1-only and --exact exclude each other: the rank-1 relaxation is never a certificate\n"
+def test_ame_witness_closes_623_exactly():
+    # AME(6,2) exists, and its level 3 now passes with an exact optimum
+    code, out, _ = run_cli(["ame", "witness", "--n", "6", "--d", "2", "--copies", "3"])
+    assert code == 0
+    rep = json.loads(out)
+    validate(rep, "level_report")
+    assert (rep["exact"], rep["feasible"], rep["optimum"]) == (True, True, "0")
+    assert (rep["certificate"]["method"], rep["certificate"]["w"]) == ("lp-exact+cuts", ["1", "-1/3", "-1/15", "1/5"])
+    # there is one witness path, so no flag selects one
+    with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):
+        cli.main(["ame", "witness", "--n", "6", "--d", "2", "--copies", "3", "--exact"])
+    assert exc.value.code == 2
+
+
+def test_ame_witness_reports_an_undecided_loop(monkeypatch):
+    monkeypatch.setattr(hierarchy, "MAX_CUT_ROUNDS", 1)
+    code, out, _ = run_cli(["ame", "witness", "--n", "6", "--d", "2", "--copies", "3"])
+    assert code == 0
+    rep = json.loads(out)
+    validate(rep, "level_report")
+    assert (rep["exact"], rep["optimum"], rep["optimum_float"]) == (False, None, -1.0)
+    assert (rep["certificate"]["verdict"], rep["certificate"]["optimum"]) == ("inconclusive", None)
 
 
 def test_hierarchy_export_deterministic(tmp_path):
@@ -154,7 +171,7 @@ def test_code_verify_cli(tmp_path):
     assert code == 0 and json.loads(out)["ok"]
 
 
-def test_exit_code_invalid_input(tmp_path, monkeypatch):
+def test_exit_code_invalid_input(tmp_path):
     code, _, err = run_cli(["ame", "check", "--n", "1", "--d", "2"])
     assert code == 2 and "error" in err
     code, _, _ = run_cli(["code", "verify", "--state", str(tmp_path / "missing.json"), "--n", "2", "--K", "1", "--m", "1", "--d", "2"])
@@ -190,12 +207,6 @@ def test_exit_code_invalid_input(tmp_path, monkeypatch):
         code, out, err = run_cli(["ame", "scan", *args])
         assert code == 2 and out == "", args
         assert err.splitlines() == [message], args
-    # level_check takes only the methods "auto" and "exact"
-    level_check = hierarchy.level_check
-    monkeypatch.setattr(hierarchy, "level_check", lambda n, d, copies, method, cap: level_check(n, d, copies, method="bogus", cap=cap))
-    code, out, err = run_cli(["ame", "witness", "--n", "4", "--d", "2", "--copies", "2"])
-    assert code == 2 and out == ""
-    assert err == "error: unknown method 'bogus': use 'auto' or 'exact'\n"
 
 
 def test_exit_code_resource_cap(tmp_path):

@@ -91,11 +91,6 @@ def test_level_checks_signs():
     assert rep.feasible and rep.exact and rep.optimum == 0
 
 
-def test_level_check_rejects_an_unknown_method():
-    with pytest.raises(InvalidInputError, match="unknown method 'bogus'"):
-        hi.level_check(4, 2, 2, method="bogus")
-
-
 def test_level_monotonicity_42():
     low = hi.level_check(4, 2, 2)
     high = hi.level_check(4, 2, 3)
@@ -107,25 +102,24 @@ def test_relaxation_ordering_lp_below_sdp():
     lp = hi.witness_lp(4, 2, 3)
     lp_res = lp_solve_exact(lp.to_linear_program())
     dual = hi.assemble_dual_witness(4, 2, 3)
-    sdp_res = sdp_solve(dual.to_sdp_problem(), y0=hi._interior_w(dual))
+    sdp_res = sdp_solve(dual.to_sdp_problem(), y0=np.array([0.5, 0.0, 0.0]))
     assert sdp_res.status == "optimal"
     assert float(lp_res.value) <= sdp_res.value + 1e-6
 
 
 def test_float_sdp_matches_exact_optimum_42():
     dual = hi.assemble_dual_witness(4, 2, 2)
-    res = sdp_solve(dual.to_sdp_problem(), y0=hi._interior_w(dual))
+    res = sdp_solve(dual.to_sdp_problem(), y0=np.array([0.5, 0.0, 0.0]))
     assert res.status == "optimal"
     assert abs(res.value - (-0.5)) < 1e-5
 
 
 def test_certify_tolerance_edge():
-    cert = hi.certify(-1e-9, 4, 6, 3, None, method="sdp-float")
-    assert cert.verdict == "inconclusive" and cert.note == "within tolerance"
-    cert = hi.certify(-1e-3, 4, 2, 2, [1.0], method="sdp-float")
-    assert cert.verdict == "no-ame"
     cert = hi.certify(F(0), 4, 6, 2, None, method="lp-exact")
     assert cert.verdict == "inconclusive" and cert.optimum == 0
+    # a float optimum is no certificate, however negative
+    with pytest.raises(InvalidInputError, match="exact"):
+        hi.certify(-1e-3, 4, 2, 2, [F(1)], method="lp-exact")
 
 
 def test_certify_exact_sign_below_float_range():
@@ -289,16 +283,18 @@ def test_exported_problem_solves_to_same_optimum(tmp_path):
 
 def test_float_dual_46_level3_nonnegative():
     dual = hi.assemble_dual_witness(4, 6, 3)
-    res = sdp_solve(dual.to_sdp_problem(), y0=hi._interior_w(dual))
+    res = sdp_solve(dual.to_sdp_problem(), y0=np.array([0.5, 0.0, 0.0]))
     assert res.status == "optimal"
     assert res.value >= -1e-8
 
 
 # sha256 of repr(witness_optimize_exact(n, d, copies)) over the benchmark's
 # level ladder, recorded from the Fraction simplex. The rank-one LPs of
-# (4,3,3) and (5,2,3) round 0 and of (6,2,3) round 4 have more than one
-# optimal vertex: the w reported (and, for (6,2,3), every later cut) is the
-# one Bland's rule reaches, so any change of pivot path shows here.
+# (4,3,3) and (5,2,3) round 0 have more than one optimal vertex: the w
+# reported is the one Bland's rule reaches, so any change of pivot path
+# shows here. (6,2,3) is the one level that needs cuts: it passes in 3
+# rounds with w = (1, -1/3, -1/15, 1/5), so its digest also pins the short
+# cuts (`_short_cut`) and the pivot paths of the LPs they extend.
 CUT_LOOP_DIGESTS = {
     (3, 2, 3): "023bd0a3baca79a845deb1ffef876d39f27667fda2d2741e474148ff6b07306c",
     (4, 2, 3): "f57d7080d9920a78e8b92bca785462965e60dfedf0e385c4a483c0097c9d7ccd",
@@ -306,7 +302,7 @@ CUT_LOOP_DIGESTS = {
     (4, 6, 3): "d0696b8aa96a2bf8ae4a5bc38863edc5f9224898db6b69abd2a8f8223325d269",
     (5, 2, 3): "5460b62a0fb6c32faac109f20f1382dde87e2bc68c9694e3307e90e622be7cbc",
     (5, 3, 3): "d0696b8aa96a2bf8ae4a5bc38863edc5f9224898db6b69abd2a8f8223325d269",
-    (6, 2, 3): "4deffb16a3938863206eb0f343db1cc77fe23ae6013ae54a2a18a9c4c4247fae",
+    (6, 2, 3): "ab8a3448cfb227c334a63ed63682fe6e9f5d26de659fe61869807b820449334d",
     (4, 2, 4): "f57d7080d9920a78e8b92bca785462965e60dfedf0e385c4a483c0097c9d7ccd",
     (4, 6, 4): "d0696b8aa96a2bf8ae4a5bc38863edc5f9224898db6b69abd2a8f8223325d269",
 }
@@ -322,6 +318,8 @@ def test_cut_loop_matches_recorded_digests(level):
 # `no-ame` only where no AME state exists.
 # - AME(5,2): the five-qubit code state (Laflamme, Miquel, Paz & Zurek,
 #   PRL 77, 198, 1996).
+# - AME(6,2): Borras, Plastino, Batle, Zander, Casas & Plastino, J. Phys. A
+#   40, 13407 (2007).
 # - AME(4,3): Helwig, Cui, Latorre, Riera & Lo, PRA 86, 052335 (2012);
 #   Goyeneche & Zyczkowski, PRA 90, 022316 (2014).
 # - AME(5,3): the five-qutrit ring graph state. Every pair of slots has a
@@ -330,12 +328,24 @@ def test_cut_loop_matches_recorded_digests(level):
 # - AME(4,6): Rather et al., PRL 128, 080507 (2022).
 # - No AME(4,2): Higuchi & Sudbery, Phys. Lett. A 273, 213 (2000).
 # - No AME(8,2): Scott, PRA 69, 052330 (2004).
-EXISTS = [(5, 2, 3), (5, 2, 4), (4, 3, 3), (5, 3, 3), (5, 3, 4), (4, 6, 4)]
+# - No AME(7,2): Huber, Guehne & Siewert, PRL 118, 200502 (2017). Its level
+#   3 still passes exactly: a pass says only that this level finds no
+#   witness, and the complete hierarchy refutes it at some higher level.
+EXISTS = [(5, 2, 3), (5, 2, 4), (6, 2, 3), (6, 2, 4), (4, 3, 3), (5, 3, 3), (5, 3, 4), (4, 6, 4)]
+LADDER_CAPS = {(6, 2, 4): 729}  # the largest block of (6,2,4) has dim 729
+PASSES_WITHOUT_A_STATE = [(7, 2, 3)]
 DOES_NOT_EXIST = {(4, 2, 3): F(-1, 2), (8, 2, 3): F(-13, 8)}
 
 
 @pytest.mark.parametrize("level", EXISTS, ids=str)
 def test_soundness_ladder_passes_where_a_state_exists(level):
+    rep = hi.level_check(*level, cap=LADDER_CAPS.get(level, 512))
+    assert rep.exact and rep.feasible and rep.optimum == 0
+    assert rep.certificate.verdict != "no-ame"
+
+
+@pytest.mark.parametrize("level", PASSES_WITHOUT_A_STATE, ids=str)
+def test_soundness_ladder_passes_below_a_refuting_level(level):
     rep = hi.level_check(*level)
     assert rep.exact and rep.feasible and rep.optimum == 0
     assert rep.certificate.verdict != "no-ame"
@@ -348,16 +358,42 @@ def test_soundness_ladder_refutes_where_no_state_exists(level):
     assert rep.optimum == DOES_NOT_EXIST[level]
 
 
-def test_float_fallback_reads_the_cut_loops_blocks(monkeypatch):
-    """An undecided cut loop hands its blocks to the float SDP: (6,2,3) lists its blocks once."""
-    listed, original = [], hi.witness_blocks
-    monkeypatch.setattr(hi, "witness_blocks", lambda *args, **kwargs: listed.append(args) or original(*args, **kwargs))
+def test_undecided_cut_loop_is_reported_inconclusive(monkeypatch):
+    """Out of rounds, the loop reports its last LP bound and vertex, never a float verdict."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the witness verdict must not reach the float SDP")
+
+    monkeypatch.setattr(hi, "MAX_CUT_ROUNDS", 1)
+    monkeypatch.setattr(hi, "sdp_solve", refuse)
+    rank1 = lp_solve_exact(hi.witness_lp(6, 2, 3).to_linear_program())
     rep = hi.level_check(6, 2, 3)
-    assert (rep.certificate.method, rep.exact) == ("sdp-float", False)
-    assert listed == [(6, 2, 3)]
-    dual = hi.assemble_dual_witness(6, 2, 3)
-    expected = sdp_solve(dual.to_sdp_problem(), y0=hi._interior_w(dual))
-    assert (rep.optimum_float, rep.certificate.w) == (expected.value, list(expected.y))
+    assert (rep.exact, rep.feasible, rep.optimum, rep.optimum_float) == (False, True, None, float(rank1.value))
+    cert = rep.certificate
+    assert (cert.verdict, cert.method, cert.optimum, cert.optimum_float) == ("inconclusive", "lp-exact+cuts", None, -1.0)
+    assert cert.w == rank1.x
+    assert cert.note == "undecided after 1 cut rounds; last LP bound -1"
+
+
+def test_ldl_witnesses_alone_keep_the_exact_verdicts(monkeypatch):
+    """With every eigenvector hint missing, the cuts come from the exact elimination's witnesses."""
+    hinted = []
+    monkeypatch.setattr(hi, "_short_cut", lambda z: hinted.append(z) and None)
+    rep = hi.level_check(5, 3, 4)
+    assert (rep.exact, rep.feasible, rep.optimum) == (True, True, 0)
+    rep = hi.level_check(8, 2, 3)
+    assert (rep.exact, rep.feasible, rep.optimum) == (True, False, F(-13, 8))
+    assert rep.certificate.verdict == "no-ame"
+    assert hinted
+
+
+def test_short_cut_is_checked_in_integers():
+    """The rounded eigenvector is a cut only where v^T z v < 0 holds in integers; big entries stay exact."""
+    z = np.array([[2, 3], [3, 2]])  # eigenvalues 5 and -1, least eigenvector (1, -1)
+    assert hi._short_cut(z) in ([4, -4], [-4, 4])
+    assert hi._short_cut(np.array([[1, 0], [0, 1]])) is None
+    big = np.array([[2 * 10**400, 3 * 10**400], [3 * 10**400, 2 * 10**400]], dtype=object)
+    assert hi._short_cut(big) in ([4, -4], [-4, 4])
 
 
 def test_dedupe_rows_normalizes_sign_and_gcd():

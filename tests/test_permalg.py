@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import comb
 
 from hypothesis import given, settings, strategies as st
-from reference import dual_coefficients, op_terms, operator, xi_gram
+from reference import canonical, dual_coefficients, op_terms, operator, xi_gram
 
 from qmarginal import blocks
 from qmarginal.symgroup import Permutation
@@ -87,9 +87,12 @@ def test_left_multiply_group_action(n, data):
 
 def test_canonicalization_idempotent():
     system = blocks.ame_system(3, 2, 2)
-    canon = system.canonical((1, 0, 1))
-    assert canon == (0, 1, 1) and system.canonical(canon) == canon
+    canon = canonical(system, (1, 0, 1))
+    assert canon == (0, 1, 1) and canonical(system, canon) == canon
     assert sorted(system.arrangements(canon)) == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
+    # irrep_block looks keys up as given: every listed key is canonical already
+    for listed in (system, blocks.SlotSystem(3, (2, 2, 2, 2), (0, 0, 1, 1))):
+        assert all(canonical(listed, key) == key for key in listed.keys())
 
 
 def test_dual_basis_pairing_small():
@@ -152,5 +155,5 @@ def test_perm_tensor_basis_element():
     system = blocks.ame_system(3, 3, 2)
     ident, swap = system.group.identity, _index(system, Permutation.transposition(2, 0, 1))
     key = (swap, ident, swap)
-    assert system.canonical(key) == (ident, swap, swap)
+    assert canonical(system, key) == (ident, swap, swap)
     assert _single(system, key).trace_row() == {0: 3 * 9 * 3}
