@@ -22,15 +22,14 @@ from .errors import (
 from .hierarchy import (
     BlockSdp,
     Certificate,
+    DualWitness,
     MarginalSpec,
-    WitnessLp,
     ame_marginal_spec,
     assemble_dual_witness,
     assemble_primal,
     certify,
     level_check,
     solve_primal,
-    witness_lp,
     witness_value,
 )
 

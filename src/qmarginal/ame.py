@@ -98,7 +98,7 @@ def _spectrum(n: int, d: int) -> tuple[list[int], list[int], list[int]]:
     return p, x, [_dot(row, dx) for row in _binomials(n)]
 
 
-def _spectrum_fractions(n: int, d: int) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
+def _rational_spectrum(n: int, d: int) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
     """p, x and q as Fractions, from one `_spectrum` pass."""
     p, x, q = _spectrum(n, d)
     den = _denominator(n, d)
@@ -107,20 +107,20 @@ def _spectrum_fractions(n: int, d: int) -> tuple[list[Fraction], list[Fraction],
 
 def candidate_x(n: int, d: int) -> list[Fraction]:
     """Coefficients x_0..x_n of the unique symmetrized two-party extension."""
-    return _spectrum_fractions(n, d)[1]
+    return _rational_spectrum(n, d)[1]
 
 
 def eigenvalues_p(n: int, d: int) -> list[Fraction]:
     """Eigenvalues p_0..p_n of the candidate, indexed by the number of
     antisymmetric tensor factors in the eigenspace."""
-    return _spectrum_fractions(n, d)[0]
+    return _rational_spectrum(n, d)[0]
 
 
 def eigenvalues_q(n: int, d: int) -> list[Fraction]:
     """Eigenvalues q_0..q_n of the partial transpose of the candidate,
     indexed by the number of factors orthogonal to the maximally
     entangled state: q = T x."""
-    return _spectrum_fractions(n, d)[2]
+    return _rational_spectrum(n, d)[2]
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,7 @@ class AmeCandidate:
 
 def candidate(n: int, d: int) -> AmeCandidate:
     """x, p and q of the candidate, from one `_spectrum` pass."""
-    p, x, q = _spectrum_fractions(n, d)
+    p, x, q = _rational_spectrum(n, d)
     return AmeCandidate(n, d, tuple(x), tuple(p), tuple(q))
 
 

@@ -25,9 +25,10 @@ This module provides
   mode product per group element, and z_K for every key is one batched
   product (no total x total matrix). `witness_blocks` (`_witness_block`)
   takes the swap-pattern sums E_l, which are diagonal in seminormal
-  form, as Krawtchouk-weighted sums of Gram matrices. Both read their
-  Fractions and their correctly rounded floats from the same integers
-  (`_compressed`).
+  form, as Krawtchouk-weighted sums of Gram matrices. Every block holds
+  one exact form, an integer stack over one denominator in lowest terms,
+  and its correctly rounded floats, both from the same integers
+  (`_compressed`); `irrep_block` selects rows of it.
 """
 
 from __future__ import annotations
@@ -131,24 +132,6 @@ class SlotSystem:
                     key[i] = v
             out.append(tuple(key))
         return sorted(out)
-
-    def arrangements(self, key: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """Distinct ordered tuples equivalent to the canonical key."""
-        order = sorted(set(self.classes))
-        per_class = []
-        for cls in order:
-            idx = [i for i, c in enumerate(self.classes) if c == cls]
-            vals = [key[i] for i in idx]
-            per_class.append(sorted(set(itertools.permutations(vals))))
-        out = []
-        for combo in itertools.product(*per_class):
-            arr = [None] * self.slots
-            for cls, vals in zip(order, combo):
-                idx = [i for i, c in enumerate(self.classes) if c == cls]
-                for i, v in zip(idx, vals):
-                    arr[i] = v
-            out.append(tuple(arr))
-        return out
 
     def partition_tuples(self) -> list[tuple[Partition, ...]]:
         """Canonical partition tuples with nonzero multiplicity in every slot."""
@@ -368,36 +351,35 @@ def _scaled(numerators, factor: int):
 
 @dataclass
 class IrrepBlock:
-    """Positivity data of one partition tuple.
+    """Positivity data of one partition tuple, in one exact form.
 
-    U spans the diagonal-trivial subspace in the seminormal picture, W is
-    its diagonal metric and `gram` = U^T W U. Variable v carries the
-    compressed operator z_v = U^T W E_v U (k x k rational) and its float
-    version y_v in a gram-orthonormal basis. Positivity of the underlying
-    operator block is exactly Z(x) = sum_v x_v z_v >= 0. The matrices and
-    the read-only arrays are shared between blocks of one tuple; callers
-    must not mutate them.
+    U spans the diagonal-trivial subspace in the seminormal picture and W
+    is its diagonal metric. Variable variables[i] carries the compressed
+    operator z_i = U^T W E_i U = num[i] / den: `num` is one
+    (len(variables), k, k) integer stack, int64 while its largest entry
+    fits (`exactla.int_dtype`), else Python ints, and den > 0 is in lowest
+    terms with it. y[i] is z_i as floats in a gram-orthonormal basis.
+    Positivity of the underlying operator block is exactly
+    Z(x) = sum_i x_{variables[i]} num[i] >= 0. The arrays are read-only
+    and may be shared between blocks of one tuple.
     """
 
     partitions: tuple[Partition, ...]
     k: int
     dim: int
-    gram: list  # k x k rational
-    z_per_var: dict  # var -> k x k rational matrix
-    y_per_var: dict  # var -> read-only float k x k array
+    variables: list
+    num: np.ndarray
+    den: int
+    y: np.ndarray
 
-    def z_at(self, x) -> list:
-        out = exactla.zeros(self.k, self.k)
-        for v, m in self.z_per_var.items():
-            if x[v]:
-                out = exactla.mat_add(out, m, scale=Fraction(x[v]))
-        return out
 
-    def relabel(self, var_keys: dict) -> "IrrepBlock":
-        """The block whose variable v is this block's variable var_keys[v]."""
-        z = {v: self.z_per_var[key] for v, key in var_keys.items()}
-        y = {v: self.y_per_var[key] for v, key in var_keys.items()}
-        return IrrepBlock(self.partitions, self.k, self.dim, self.gram, z, y)
+def _lowest_terms(num, den) -> tuple:
+    """(num, den) divided by the gcd of den and every entry, num narrowed to int64 when it fits, read-only."""
+    common = gcd(den, int(np.gcd.reduce(num, axis=None))) if num.size else den
+    num = num // common
+    num = num.astype(exactla.int_dtype(exactla.array_max_abs(num)))
+    num.flags.writeable = False
+    return num, den // common
 
 
 def _check_cap(partitions, cap: int) -> None:
@@ -427,15 +409,21 @@ def irrep_block(system: SlotSystem, partitions, keys, cap: int = 512) -> IrrepBl
     (`system.keys()` or a slice of it), as they are looked up as given.
     Variables whose z vanishes are left out. Returns None when the
     diagonal-trivial subspace is empty (the equality system forces the
-    block to vanish there). The
-    cap is checked before any work; the block data is `_block`, built
-    once per tuple and slot classes, which holds the nonzero keys only.
+    block to vanish there). The cap is checked before any work; the
+    block is a row selection of `_block`, built once per tuple and slot
+    classes, which holds the nonzero keys only.
     """
     if trivial_multiplicity(partitions) == 0:
         return None
     _check_cap(partitions, cap)
     memo = _block(tuple(p.parts for p in partitions), system.classes)
-    return memo.relabel({v: key for v, key in enumerate(keys) if key in memo.z_per_var})
+    row = {key: i for i, key in enumerate(memo.variables)}
+    picked = [(v, row[key]) for v, key in enumerate(keys) if key in row]
+    rows = [i for _, i in picked]
+    num, den = _lowest_terms(memo.num[rows], memo.den)
+    y = memo.y[rows]
+    y.flags.writeable = False
+    return IrrepBlock(memo.partitions, memo.k, memo.dim, [v for v, _ in picked], num, den, y)
 
 
 def witness_blocks(n: int, d: int, copies: int, cap: int = 512) -> list[IrrepBlock]:
@@ -476,38 +464,35 @@ def _basis(parts: tuple[tuple[int, ...], ...]) -> tuple:
     return u, wu, dens, wden, wu @ u.T
 
 
-def _compressed(parts, dens, wden, gram, scale, keys, z) -> IrrepBlock:
-    """The block of a tuple from integers: the exact gram and z, and the gram-orthonormal float y.
+def _compressed(parts, dens, wden, gram, scale, variables, z) -> IrrepBlock:
+    """The block of a tuple from integers: z over one denominator, and the gram-orthonormal float y.
 
     gram is an integer k x k array over dens[a] dens[b] wden, and z[i],
-    the compressed operator of keys[i], one over dens[a] dens[b] wden
-    scale. Every exact entry is one Fraction. The floats are the same
-    quotients correctly rounded (`_floats`), so they equal the Fractions'
-    float(); y = L^-1 z L^-T, L the Cholesky factor of the float gram, is
-    one batched product over every key.
+    the compressed operator of variables[i], one over dens[a] dens[b] wden
+    scale. With L = lcm(dens), entry (a, b) of z times (L / dens[a])
+    (L / dens[b]) puts every entry over L^2 wden scale, and the gcd is
+    divided out (`_lowest_terms`). The floats are the quotients correctly
+    rounded (`_floats`); y = C^-1 z C^-T, C the Cholesky factor of the
+    float gram, is one batched product over every variable.
     """
-    den = [[da * db * wden for db in dens] for da in dens]
-    zden = [[x * scale for x in row] for row in den]
-    linv = np.linalg.inv(np.linalg.cholesky(_floats(gram, den)))
-    y = linv @ _floats(z, zden) @ linv.T
+    common = lcm(*dens)
+    lift = [common // x for x in dens]
+    dtype = exactla.int_dtype(exactla.array_max_abs(z) * max(lift) ** 2)
+    num, den = _lowest_terms(z.astype(dtype) * np.array([[a * b for b in lift] for a in lift], dtype=dtype), common**2 * wden * scale)
+    linv = np.linalg.inv(np.linalg.cholesky(_floats(gram, [[da * db * wden for db in dens] for da in dens])))
+    y = linv @ _floats(num, den) @ linv.T
     y.flags.writeable = False
-    exact = {key: _fractions(zk, zden) for key, zk in zip(keys, z)}
-    return IrrepBlock(tuple(Partition(p) for p in parts), len(dens), prod(_rep(p).dim for p in parts), _fractions(gram, den), exact, dict(zip(keys, y)))
-
-
-def _fractions(mat, den) -> list:
-    """The integer k x k array `mat` over den[a][b], as rows of Fractions."""
-    return [[Fraction(x, d) if x else exactla.F0 for x, d in zip(row, drow)] for row, drow in zip(mat.tolist(), den)]
+    return IrrepBlock(tuple(Partition(p) for p in parts), len(dens), prod(_rep(p).dim for p in parts), list(variables), num, den, y)
 
 
 def _floats(num, den) -> np.ndarray:
-    """The quotients num / den (den broadcast over num's leading axes), each correctly rounded.
+    """The quotients num / den (den an integer, or broadcast over num's leading axes), each correctly rounded.
 
     In float64 when every numerator and denominator is exact there
     (at most 2^53 in size), else by Python's int division; both round the
     exact quotient correctly, as float() of its Fraction does.
     """
-    den = np.array(den, dtype=object)
+    den = np.atleast_1d(np.array(den, dtype=object))
     if max(exactla.array_max_abs(num), exactla.array_max_abs(den)) <= 2**53:
         return num.astype(float) / den.astype(float)
     return (num.astype(object) / den).astype(float)
@@ -566,9 +551,8 @@ def _block(parts: tuple[tuple[int, ...], ...], classes: tuple[int, ...]) -> Irre
     while a bound on the next slot's sums (the number of elements times
     the largest entries of the sums and of d rho_s or the scale) fits,
     Python ints from then on; z is int64 when total times the largest
-    entries of W U and of the sums fits. Each entry of z then gets one
-    Fraction, and y its correctly rounded floats (`_compressed`); gram
-    comes from `_basis`.
+    entries of W U and of the sums fits. z then goes over one
+    denominator, and y is its correctly rounded floats (`_compressed`).
     """
     u, wu, dens, wden, gram = _basis(parts)
     group = _copy_group(sum(parts[0]))

@@ -76,17 +76,24 @@ def _cmd_ame_candidate(args) -> int:
     return 0
 
 
+def _cap(args) -> int:
+    """The --cap value: a block cap below 1 admits no block, so it is invalid input."""
+    if args.cap < 1:
+        raise InvalidInputError(f"need a positive cap, got {args.cap}")
+    return args.cap
+
+
 def _cmd_ame_witness(args) -> int:
+    cap = _cap(args)
     if args.rank1_only:
         # the rank-1 LP drops the k > 1 blocks, so its optimum only bounds the level's from
         # below: it is reported, never as a certificate
-        lp = hierarchy.witness_lp(args.n, args.d, args.copies, cap=args.cap)
-        res = lp_solve_exact(lp.to_linear_program())
+        res = lp_solve_exact(hierarchy.assemble_dual_witness(args.n, args.d, args.copies, cap=cap).to_linear_program())
         note = "rank-1 relaxation only: a negative optimum here is not yet a certificate"
         cert = hierarchy.Certificate(args.n, args.d, args.copies, "lp-exact", float(res.value), "inconclusive", res.value, res.x, note)
         payload = cert.to_dict()
     else:
-        payload = hierarchy.level_check(args.n, args.d, args.copies, cap=args.cap).to_dict()
+        payload = hierarchy.level_check(args.n, args.d, args.copies, cap=cap).to_dict()
     # the header follows the input checks, so a rejected call writes only its error line
     print(f"level {args.copies} witness for n={args.n}, d={args.d}", file=sys.stderr)
     _emit(payload)
@@ -94,7 +101,7 @@ def _cmd_ame_witness(args) -> int:
 
 
 def _cmd_hierarchy_export(args) -> int:
-    dual = hierarchy.export_dual_sdpa(args.n, args.d, args.copies, args.out, cap=args.cap)
+    dual = hierarchy.export_dual_sdpa(args.n, args.d, args.copies, args.out, cap=_cap(args))
     _emit(
         {
             "out": args.out,
@@ -110,7 +117,7 @@ def _cmd_hierarchy_export(args) -> int:
 
 def _cmd_code_check(args) -> int:
     params = codes.CodeParams(args.n, args.K, args.m, args.d, pure=args.pure)
-    rep = codes.code_check(params, level=args.level, copies=args.copies, cap=args.cap)
+    rep = codes.code_check(params, level=args.level, copies=args.copies, cap=_cap(args))
     _emit(rep.to_dict())
     return 0
 

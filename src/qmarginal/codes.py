@@ -19,7 +19,7 @@ code's marginal spec (`code_marginal_spec`).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import exactla
 from .ame import krawtchouk, ppt_table
-from .blocks import SlotSystem
+from .blocks import IrrepBlock, SlotSystem
 from .errors import InvalidInputError, ResourceCapError
 from .hierarchy import BlockSdp, MarginalSpec, assemble_primal, solve_primal
 from .symgroup import Partition
@@ -195,23 +195,13 @@ def verify_code_state(state, params: CodeParams, tol: float = 1e-10) -> CodeStat
 # two-party (two-copy) constraint systems in closed form
 
 
-@dataclass
-class ScalarBlock:
-    """1x1 positivity sector of the code ansatz; solve_primal-compatible."""
-
-    partitions: tuple
-    kind: str  # "pos" | "ppt"
-    k: int
-    z_per_var: dict
-    y_per_var: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.y_per_var:
-            self.y_per_var = {v: np.array([[float(c[0][0])]]) for v, c in self.z_per_var.items()}
-
-    def z_at(self, x) -> list:
-        total = sum((Fraction(x[v]) * m[0][0] for v, m in self.z_per_var.items() if x[v]), start=F0)
-        return [[total]]
+def _sector(partitions, coeffs: dict) -> IrrepBlock:
+    """A 1 x 1 sector: variable v carries the integer coeffs[v], in the dict's order."""
+    values = list(coeffs.values())
+    num = np.array(values, dtype=exactla.int_dtype(max(map(abs, values), default=0))).reshape(len(values), 1, 1)
+    y = num.astype(float)
+    num.flags.writeable = y.flags.writeable = False
+    return IrrepBlock(partitions, 1, 1, list(coeffs), num, 1, y)
 
 
 def code_two_party_constraints(params: CodeParams, level: str = "ppt") -> BlockSdp:
@@ -243,22 +233,21 @@ def code_two_party_constraints(params: CodeParams, level: str = "ppt") -> BlockS
         z = {}
         for l, c in enumerate(row):
             if c:
-                z[l] = [[Fraction(c)]]
+                z[l] = c
                 if not aux_free:
-                    z[nx + l] = [[Fraction(sign * c)]]
-        blocks.append(ScalarBlock((anti2 if j % 2 else sym2, ("pattern", j)), "pos", 1, z))
+                    z[nx + l] = sign * c
+        blocks.append(_sector((anti2 if j % 2 else sym2, ("pattern", j)), z))
     if level == "ppt":
         for j, row in enumerate(ppt_table(n, d)):
             z = {}
             for i, c in enumerate(row):
                 if c:
-                    z[i] = [[Fraction(c)]]
+                    z[i] = c
                     if not aux_free:
-                        z[nx + i] = [[Fraction(K * c)]]
-            blocks.append(ScalarBlock((("phi-sector",), ("pattern", j)), "ppt", 1, z))
+                        z[nx + i] = K * c
+            blocks.append(_sector((("phi-sector",), ("pattern", j)), z))
             if not aux_free:
-                z2 = {i: [[Fraction(c)]] for i, c in enumerate(row) if c}
-                blocks.append(ScalarBlock((("perp-sector",), ("pattern", j)), "ppt", 1, z2))
+                blocks.append(_sector((("perp-sector",), ("pattern", j)), {i: c for i, c in enumerate(row) if c}))
 
     system = SlotSystem(2, (params.K,) + (d,) * n, (0,) + (1,) * n)
     int_rows = [exactla.primitive([r.get(v, F0) for v in range(len(keys))] + [-r.get(CONST, F0)]) for r in _two_party_rows(params)]

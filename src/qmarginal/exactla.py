@@ -12,7 +12,7 @@ An equality system is one integer array (`integer_rows`; a list of rows
 is accepted too), eliminated fraction-free only on the rows a pass mod
 the prime P selects; every other row is checked exactly against them.
 The PSD test eliminates fraction-free too; its only Fractions are its
-multipliers and witness. `zeros` and `mat_add` work on Fractions.
+multipliers and witness.
 """
 
 from fractions import Fraction
@@ -25,14 +25,6 @@ from .errors import InternalConsistencyError
 F0 = Fraction(0)
 F1 = Fraction(1)
 P = 2**31 - 1  # the prime of the row selection: a product of two residues fits in int64
-
-
-def zeros(rows, cols):
-    return [[F0] * cols for _ in range(rows)]
-
-
-def mat_add(a, b, scale=F1):
-    return [[a[i][j] + scale * b[i][j] for j in range(len(a[0]))] for i in range(len(a))]
 
 
 def mode_product(m, vecs, dims, axis):

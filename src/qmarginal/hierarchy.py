@@ -13,8 +13,9 @@ exists. Keeping only the one-dimensional blocks yields an LP relaxation
 that we solve in exact arithmetic; candidate witnesses from the LP are
 then verified against every block exactly, adding violated directions
 as cutting planes until the answer is certified either way. That loop
-is the only path to a witness verdict; the float SDP form of the dual
-(`DualWitnessSdp`) serves the SDPA export.
+is the only path to a witness verdict. The LP relaxation and the float
+SDP form of the dual, which the SDPA export writes, are two readings of
+the same blocks (`DualWitness`).
 """
 
 from __future__ import annotations
@@ -244,9 +245,10 @@ def solve_primal(problem: BlockSdp) -> PrimalVerdict:
 
     When no free direction of the equalities moves a block (no free
     direction at all is one case), the answer is an exact PSD test of
-    every block at the particular solution x0; an infeasible verdict
-    keeps x0 and names the first failing tuple. When every block is
-    scalar it is an exact LP. Otherwise the remaining freedom goes
+    every block at the particular solution x0, as integers over their lcm,
+    one tensordot with the block's num; an infeasible verdict keeps x0
+    and names the first failing tuple. When every block is scalar it is
+    an exact LP on each block's num[:, 0, 0] over its den. Otherwise the remaining freedom goes
     through the float margin-maximization SDP, and a margin below
     -FLOAT_TOL is a float `infeasible`.
     """
@@ -257,10 +259,12 @@ def solve_primal(problem: BlockSdp) -> PrimalVerdict:
     x0, basis = sol
 
     # keep only directions that move some block
-    active = [vec for vec in basis if any(any(vec[v] for v in blk.z_per_var) for blk in problem.blocks)]
+    moved = {v for blk in problem.blocks for v in blk.variables}
+    active = [vec for vec in basis if any(vec[v] for v in moved)]
     if not active:
+        _, ((x,),) = exactla.integer_matrices([[x0]])
         for blk in problem.blocks:
-            if not psd_check_exact(blk.z_at(x0)).psd:
+            if not psd_check_exact(_combination([x[v] for v in blk.variables], blk.num, exactla.array_max_abs(blk.num)).tolist()).psd:
                 parts = tuple(getattr(p, "parts", p) for p in blk.partitions)
                 return PrimalVerdict("infeasible", exact=True, x=x0, nullity=len(basis), witness_block=parts)
         return PrimalVerdict("feasible", exact=True, x=x0, nullity=len(basis))
@@ -269,8 +273,8 @@ def solve_primal(problem: BlockSdp) -> PrimalVerdict:
         # every sector is scalar: feasibility is an exact rational LP
         lp = LinearProgram(c=[F0] * len(active), bounds=[(None, None)] * len(active))
         for blk in problem.blocks:
-            scalars = [(v, z[0][0]) for v, z in blk.z_per_var.items()]
-            base, *coeffs = (sum((vec[v] * s for v, s in scalars if vec[v]), start=F0) for vec in (x0, *active))
+            scalars = list(zip(blk.variables, blk.num[:, 0, 0].tolist()))
+            base, *coeffs = (sum((vec[v] * s for v, s in scalars if vec[v]), start=F0) / blk.den for vec in (x0, *active))
             lp.add_row([-c for c in coeffs], "<=", base)
         res = lp_solve_exact(lp)
         if res.status == "optimal":
@@ -296,10 +300,18 @@ def solve_primal(problem: BlockSdp) -> PrimalVerdict:
 
 
 def _float_stack(blk: IrrepBlock, coeffs: np.ndarray) -> np.ndarray:
-    """sum_v coeffs[i, v] y_v for every row i of the float coefficient array: one product."""
-    variables = list(blk.y_per_var)
-    ys = np.array([blk.y_per_var[v] for v in variables]).reshape(len(variables), blk.k * blk.k)
-    return (coeffs[:, variables] @ ys).reshape(len(coeffs), blk.k, blk.k)
+    """sum_i coeffs[r, variables[i]] y_i for every row r of the float coefficient array: one product."""
+    return (coeffs[:, blk.variables] @ blk.y.reshape(len(blk.variables), blk.k * blk.k)).reshape(len(coeffs), blk.k, blk.k)
+
+
+def _combination(coeffs, stack, big: int) -> np.ndarray:
+    """sum_i coeffs[i] stack[i] for integer coeffs and an integer stack: one tensordot.
+
+    In int64 when the sum of |coeffs| times `big`, a bound on the stack's
+    entries, fits, else in Python ints.
+    """
+    c = np.array(coeffs, dtype=exactla.int_dtype(sum(map(abs, coeffs)) * big))
+    return np.tensordot(c, stack.astype(c.dtype), axes=1)
 
 
 # ---------------------------------------------------------------------------
@@ -333,37 +345,39 @@ def witness_value(w, n: int, d: int) -> Fraction:
 
 
 @dataclass
-class WitnessLp:
-    """Rank-one-block LP relaxation of the dual witness problem; every w_l lies in [-1, 1]."""
+class DualWitness:
+    """The dual witness problem at one hierarchy level, with all its blocks.
+
+    Two readings of the same blocks: the exact rank-one LP relaxation
+    (`to_linear_program`) and the float SDP (`to_sdp_problem`).
+    """
 
     n: int
     d: int
     copies: int
     objective: list  # folded objective coefficients
-    rows: list  # (label, folded coefficient list); constraint is coeffs.w >= 0
-    blocks: list  # every IrrepBlock of the level; the rows hold the k = 1 ones, the k > 1 ones are left out
+    blocks: list  # IrrepBlock, variables l = 0..n
 
-    def to_linear_program(self) -> LinearProgram:
+    def to_linear_program(self, cuts=()) -> LinearProgram:
+        """The rank-one LP: every w_l in [-1, 1], then coeffs.w >= 0 for each row.
+
+        Every block with k = 1 is one row with exact rational data, its
+        num[:, 0, 0] folded over its den, in block order; the k > 1 blocks
+        are left out, and each of `cuts` (folded coefficient lists) is one
+        more row after them.
+        """
         lp = LinearProgram(c=list(self.objective), bounds=[(-F1, F1)] * len(self.objective))
-        for _, coeffs in self.rows:
+        for blk in self.blocks:
+            if blk.k == 1:
+                lp.add_row([Fraction(x, blk.den) for x in fold(blk.num[:, 0, 0].tolist(), self.n)], ">=", F0)
+        for coeffs in cuts:
             lp.add_row(coeffs, ">=", F0)
         return lp
-
-
-@dataclass
-class DualWitnessSdp:
-    """Full blockwise dual witness problem at one hierarchy level."""
-
-    n: int
-    d: int
-    copies: int
-    objective: list
-    blocks: list  # IrrepBlock, variables l = 0..n
 
     def to_sdp_problem(self) -> SdpProblem:
         r = self.n // 2
         m = r + 1
-        sdp_blocks = [SdpBlock(blk.k, np.zeros((blk.k, blk.k)), fold(blk.y_per_var, self.n)) for blk in self.blocks]
+        sdp_blocks = [SdpBlock(blk.k, np.zeros((blk.k, blk.k)), fold(blk.y, self.n)) for blk in self.blocks]
         # box block: 1 - w_l >= 0 and w_l + 1 >= 0
         size = 2 * m
         f0 = -np.eye(size)
@@ -377,26 +391,10 @@ class DualWitnessSdp:
         return SdpProblem(m, sdp_blocks, np.array([float(v) for v in self.objective]))
 
 
-def assemble_dual_witness(n: int, d: int, copies: int, cap: int = 512) -> DualWitnessSdp:
-    """Dual witness problem at level `copies`, with all its blocks."""
-    return DualWitnessSdp(n, d, copies, fold(swap_overlaps(n, d), n), witness_blocks(n, d, copies, cap=cap))
-
-
-def witness_lp(n: int, d: int, copies: int, cap: int = 512) -> WitnessLp:
-    """The rank-one LP relaxation at level `copies`.
-
-    Every block with k = 1 is a scalar inequality with exact rational
-    data, one row labelled by its partition tuple. All the level's blocks
-    are kept as `blocks`: the cut loop checks the optimum against the
-    k > 1 ones.
-    """
+def assemble_dual_witness(n: int, d: int, copies: int, cap: int = 512) -> DualWitness:
+    """Dual witness problem at level `copies`, with all its blocks (which check n, d and the cap first)."""
     blocks = witness_blocks(n, d, copies, cap=cap)
-    rows = [
-        (tuple(p.parts for p in blk.partitions), fold([z[0][0] for z in blk.z_per_var.values()], n))
-        for blk in blocks
-        if blk.k == 1
-    ]
-    return WitnessLp(n, d, copies, fold(swap_overlaps(n, d), n), rows, blocks)
+    return DualWitness(n, d, copies, fold(swap_overlaps(n, d), n), blocks)
 
 
 @dataclass
@@ -472,24 +470,26 @@ def witness_optimize_exact(n: int, d: int, copies: int, cap: int = 512) -> tuple
     optimum is certified nonnegative (level feasible), "witness" when a
     fully verified negative witness exists, "undecided" after
     MAX_CUT_ROUNDS LP solves, with the last LP optimum and vertex. The LP
-    is the rank-one relaxation (`witness_lp`); every cut is appended to
-    it as one more row.
+    is the rank-one relaxation (`DualWitness.to_linear_program`); every
+    cut is one more row of it.
 
-    Method: in integers. A block with k > 1 holds its folded z_l as one
-    integer (r+1, k, k) array F over a denominator D (`_integer_stack`).
-    With w as integers W over their lcm L, Z = sum_l W_l F_l = L D Z(w),
-    one tensordot, is tested by `psd_check_exact`. v^T Z(w') v >= 0 at
-    every feasible w', for any v, so a failing block gives the cut
-    q_l = v^T F_l v / D >= 0 from any integer v with v^T Z v < 0 (Kelley,
-    J. SIAM 8, 1960): a short one (`_short_cut`) if one is found, else
-    c v for the elimination's rational witness v, q_l over D c^2. Short
-    cuts keep the LP's rationals small. Both products run in int64 when
-    a bound on their entries allows it.
+    Method: in integers. A block with k > 1 is folded straight from its
+    exact form, F_l = num[l] + num[n - l] (num[l] alone when l = n - l),
+    one integer (r+1, k, k) array over the block's den D (`_folded`). With w as integers W over their
+    lcm L, Z = sum_l W_l F_l = L D Z(w), one tensordot, is tested by
+    `psd_check_exact`. v^T Z(w') v >= 0 at every feasible w', for any v,
+    so a failing block gives the cut q_l = v^T F_l v / D >= 0 from any
+    integer v with v^T Z v < 0 (Kelley, J. SIAM 8, 1960): a short one
+    (`_short_cut`) if one is found, else c v for the elimination's
+    rational witness v, q_l over D c^2. Short cuts keep the LP's
+    rationals small. Both products run in int64 when a bound on their
+    entries allows it.
     """
-    relaxation = witness_lp(n, d, copies, cap=cap)
-    stacks = [_integer_stack(blk, n) for blk in relaxation.blocks if blk.k > 1]
+    dual = assemble_dual_witness(n, d, copies, cap=cap)
+    stacks = [(blk.den, *_folded(blk.num, n)) for blk in dual.blocks if blk.k > 1]
+    cuts: list = []
     for round_no in range(MAX_CUT_ROUNDS):
-        res = lp_solve_exact(relaxation.to_linear_program())
+        res = lp_solve_exact(dual.to_linear_program(cuts))
         if res.status != "optimal":
             raise InvalidInputError("witness LP must be bounded and feasible")  # pragma: no cover
         if res.value >= 0:
@@ -497,8 +497,7 @@ def witness_optimize_exact(n: int, d: int, copies: int, cap: int = 512) -> tuple
         _, ((w,),) = exactla.integer_matrices([[res.x]])
         violated = False
         for den, f, big in stacks:
-            ws = np.array(w, dtype=exactla.int_dtype(sum(map(abs, w)) * big))
-            z = np.tensordot(ws, f.astype(ws.dtype), axes=1)
+            z = _combination(w, f, big)
             check = psd_check_exact(z.tolist())
             if not check.psd:
                 v, c = _short_cut(z), 1
@@ -506,7 +505,7 @@ def witness_optimize_exact(n: int, d: int, copies: int, cap: int = 512) -> tuple
                     c, ((v,),) = exactla.integer_matrices([[check.witness]])
                 vs = np.array(v, dtype=exactla.int_dtype(sum(map(abs, v)) ** 2 * big))
                 q = np.einsum("i,lij,j->l", vs, f.astype(vs.dtype), vs).tolist()
-                relaxation.rows.append(("cut", [Fraction(x, den * c * c) for x in q]))
+                cuts.append([Fraction(x, den * c * c) for x in q])
                 violated = True
         if not violated:
             return "witness", res.value, res.x, round_no
@@ -539,12 +538,12 @@ def _short_cut(z: np.ndarray) -> list | None:
     return None
 
 
-def _integer_stack(blk: IrrepBlock, n: int) -> tuple:
-    """(D, F, max |F|): a block's folded z_l as one integer (r+1, k, k) array F over the denominator D."""
-    den, mats = exactla.integer_matrices([blk.z_per_var[l] for l in range(n + 1)])
-    f = np.array(fold(np.array(mats, dtype=object), n))
-    big = int(np.abs(f).max())
-    return den, f.astype(exactla.int_dtype(big)), big
+def _folded(num: np.ndarray, n: int) -> tuple:
+    """(F, max |F|): a witness block's stack folded as `fold` folds it, as one integer array."""
+    wide = num.astype(object) if exactla.int_dtype(2 * exactla.array_max_abs(num)) is object else num
+    f = np.array(fold(wide, n))
+    big = exactla.array_max_abs(f)
+    return f.astype(exactla.int_dtype(big)), big
 
 
 def level_check(n: int, d: int, copies: int, cap: int = 512) -> LevelReport:
@@ -567,7 +566,7 @@ def level_check(n: int, d: int, copies: int, cap: int = 512) -> LevelReport:
     return LevelReport(n, d, copies, True, False, float(opt), None, cert)
 
 
-def export_dual_sdpa(n: int, d: int, copies: int, path, cap: int = 512) -> DualWitnessSdp:
+def export_dual_sdpa(n: int, d: int, copies: int, path, cap: int = 512) -> DualWitness:
     """Write the level-`copies` dual witness SDP in sparse SDPA form.
 
     Returns the exported problem, so callers can report on it without

@@ -15,7 +15,13 @@ seminormal matrices and weights, and the hook-content multiplicity from
 the partition's hook lengths.
 
 `canonical` sorts an ordered key within each slot class, the form
-`SlotSystem.keys` lists and `blocks.irrep_block` expects.
+`SlotSystem.keys` lists and `blocks.irrep_block` expects;
+`arrangements` lists the ordered keys of one canonical key.
+
+`block_z`, `z_at` and `block_gram` read a positivity block as Fractions:
+z from its exact form (num, den), Z(x) summed with `zeros`/`mat_add`,
+and U^T W U from `blocks._basis`, the forms the recorded block digests
+were taken in; `assert_exact_form` checks that form itself.
 
 The `terms_*` functions are the operator arithmetic over
 {ordered key: {var: Fraction}} dicts, merged term by term (`_merge`),
@@ -48,7 +54,7 @@ single-vector `mode_product_vector`, with `float()` of every Fraction
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 
 import numpy as np
 
@@ -76,6 +82,63 @@ def canonical(system: blocks.SlotSystem, key) -> tuple[int, ...]:
         for i, v in zip(idx, sorted(out[i] for i in idx)):
             out[i] = v
     return tuple(out)
+
+
+def arrangements(system: blocks.SlotSystem, key) -> list[tuple[int, ...]]:
+    """Distinct ordered tuples equivalent to the canonical key."""
+    order = sorted(set(system.classes))
+    per_class = []
+    for cls in order:
+        idx = [i for i, c in enumerate(system.classes) if c == cls]
+        per_class.append(sorted(set(itertools.permutations([key[i] for i in idx]))))
+    out = []
+    for combo in itertools.product(*per_class):
+        arr = [None] * system.slots
+        for cls, vals in zip(order, combo):
+            for i, v in zip([i for i, c in enumerate(system.classes) if c == cls], vals):
+                arr[i] = v
+        out.append(tuple(arr))
+    return out
+
+
+def zeros(rows, cols):
+    return [[Fraction(0)] * cols for _ in range(rows)]
+
+
+def mat_add(a, b, scale=Fraction(1)):
+    return [[a[i][j] + scale * b[i][j] for j in range(len(a[0]))] for i in range(len(a))]
+
+
+def block_z(blk) -> dict:
+    """{variable: z as k x k Fractions}: a block's num / den, in its variable order."""
+    return {v: [[Fraction(x, blk.den) for x in row] for row in m] for v, m in zip(blk.variables, blk.num.tolist())}
+
+
+def z_at(blk, x) -> list:
+    """Z(x) = sum_v x_v z_v of a block as k x k Fractions."""
+    out = zeros(blk.k, blk.k)
+    for v, m in block_z(blk).items():
+        out = mat_add(out, m, Fraction(x[v]))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _gram(parts) -> tuple:
+    _, _, dens, wden, gram = blocks._basis(parts)
+    return tuple(tuple(Fraction(x, da * db * wden) for x, db in zip(row, dens)) for row, da in zip(gram.tolist(), dens))
+
+
+def block_gram(blk) -> list:
+    """U^T W U of a block's partition tuple as k x k Fractions, from `blocks._basis` (memoized)."""
+    return [list(row) for row in _gram(tuple(p.parts for p in blk.partitions))]
+
+
+def assert_exact_form(blk) -> None:
+    """num is a (len(variables), k, k) integer stack, int64 exactly when it fits, over den > 0 in lowest terms."""
+    entries = blk.num.ravel().tolist()
+    assert blk.num.shape == blk.y.shape == (len(blk.variables), blk.k, blk.k)
+    assert blk.num.dtype == exactla.int_dtype(max(map(abs, entries), default=0))
+    assert blk.den > 0 and gcd(blk.den, *entries) == 1
 
 
 @lru_cache(maxsize=None)
@@ -184,7 +247,7 @@ def xi_gram(n: int, d: int) -> list[list[Fraction]]:
     phi = blocks.SymbolicOperator.variable_expansion(system)
     gram = []
     for key in system.keys():
-        den, variables, m = phi.pairing_matrix(system.arrangements(key))
+        den, variables, m = phi.pairing_matrix(arrangements(system, key))
         sums = dict(zip(variables, m.sum(axis=0).tolist()))
         gram.append([Fraction(sums.get(j, 0), den) for j in range(n + 1)])
     return gram

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from reference import (
+    block_gram,
     candidate_matrix,
     candidate_spectrum,
     check_existence_fraction,
@@ -18,6 +19,7 @@ from reference import (
     spectrum_fraction,
     xi_coordinates,
     xi_gram,
+    z_at,
 )
 
 from qmarginal import ame, blocks, exactla, hierarchy
@@ -84,7 +86,7 @@ def test_candidate_x_equals_oracle_full_grid():
             p = ame.eigenvalues_p(n, d)
             for blk in problem.blocks:
                 assert blk.k == 1
-                assert blk.z_at(verdict.x)[0][0] / blk.gram[0][0] == p[sum(part.parts == (1, 1) for part in blk.partitions)]
+                assert z_at(blk, verdict.x)[0][0] / block_gram(blk)[0][0] == p[sum(part.parts == (1, 1) for part in blk.partitions)]
 
 
 def test_candidate_invariants():

@@ -38,7 +38,7 @@ F1 = Fraction(1)
 
 def mat_mul(a, b):
     rows, inner, cols = len(a), len(b), len(b[0])
-    out = exactla.zeros(rows, cols)
+    out = reference.zeros(rows, cols)
     for i in range(rows):
         ai, oi = a[i], out[i]
         for k in range(inner):
@@ -142,9 +142,9 @@ def _dense_basis(parts):
     reps = [sg._rep(p) for p in parts]
     n = sum(parts[0])
     total = prod(rep.dim for rep in reps)
-    a = exactla.zeros(total, total)
+    a = reference.zeros(total, total)
     for g in (Permutation.transposition(n, 0, 1), Permutation.full_cycle(n)):
-        a = exactla.mat_add(a, kron_all([[list(row) for row in rep.seminormal(g)] for rep in reps]))
+        a = reference.mat_add(a, kron_all([[list(row) for row in rep.seminormal(g)] for rep in reps]))
     for i in range(total):
         a[i][i] -= 2
     weights = [sg.F1]
@@ -169,10 +169,10 @@ def _dense_witness_blocks(n, d, copies):
         gram = mat_mul(wut, u)
         z_per_l = []
         for l in range(n + 1):
-            acc = exactla.zeros(len(weights), len(weights))
+            acc = reference.zeros(len(weights), len(weights))
             for subset in itertools.combinations(range(n), l):
                 mats = [[list(row) for row in rep.seminormal(swap if s in subset else ident)] for s, rep in enumerate(reps)]
-                acc = exactla.mat_add(acc, kron_all(mats))
+                acc = reference.mat_add(acc, kron_all(mats))
             z_per_l.append(mat_mul(wut, mat_mul(acc, u)))
         linv = np.linalg.inv(np.linalg.cholesky(reference.to_float(gram)))
         y_per_l = [linv @ reference.to_float(z) @ linv.T for z in z_per_l]
@@ -185,7 +185,7 @@ def _compress(matrix, vectors, weights) -> list:
     k = len(vectors)
     dim = len(weights)
     mu = [[sum((matrix[i][j] * v[j] for j in range(dim) if matrix[i][j] and v[j]), start=F0) for v in vectors] for i in range(dim)]
-    out = exactla.zeros(k, k)
+    out = reference.zeros(k, k)
     for a, u in enumerate(vectors):
         for b in range(k):
             out[a][b] = sum((u[i] * weights[i] * mu[i][b] for i in range(dim) if u[i] and mu[i][b]), start=F0)
@@ -204,9 +204,9 @@ def _dense_irrep_blocks(system, keys):
         gram = mat_mul(wut, transpose(vectors))
         z_per_var = {}
         for vi, key in enumerate(keys):
-            acc = exactla.zeros(len(weights), len(weights))
-            for arr in system.arrangements(key):
-                acc = exactla.mat_add(acc, kron_all([per_slot[s][g] for s, g in enumerate(arr)]))
+            acc = reference.zeros(len(weights), len(weights))
+            for arr in reference.arrangements(system, key):
+                acc = reference.mat_add(acc, kron_all([per_slot[s][g] for s, g in enumerate(arr)]))
             z = _compress(acc, vectors, weights)
             if any(any(row) for row in z):
                 z_per_var[vi] = z
@@ -217,7 +217,8 @@ def _dense_irrep_blocks(system, keys):
 
 
 def _fields(blk):
-    return (tuple(p.parts for p in blk.partitions), blk.k, blk.dim, list(blk.z_per_var.values()), [y.tobytes() for y in blk.y_per_var.values()], blk.gram)
+    z = reference.block_z(blk)
+    return (tuple(p.parts for p in blk.partitions), blk.k, blk.dim, list(z.values()), [y.tobytes() for y in blk.y], reference.block_gram(blk))
 
 
 def _cold_blocks(n, d, copies):
@@ -318,8 +319,9 @@ WITNESS_BLOCK_DIGESTS = {
 def test_witness_blocks_match_recorded_digests(level):
     digest = hashlib.sha256()
     for blk in blocks.witness_blocks(*level):
-        digest.update(repr((tuple(p.parts for p in blk.partitions), blk.k, blk.dim, blk.gram, sorted(blk.z_per_var.items()))).encode())
-        for _, y in sorted(blk.y_per_var.items()):
+        z = reference.block_z(blk)
+        digest.update(repr((tuple(p.parts for p in blk.partitions), blk.k, blk.dim, reference.block_gram(blk), sorted(z.items()))).encode())
+        for y in blk.y:  # variables 0..n, in order
             digest.update(y.tobytes())
     assert digest.hexdigest() == WITNESS_BLOCK_DIGESTS[level]
 
@@ -355,9 +357,9 @@ def test_level_check_then_export_reuses_blocks(monkeypatch):
 def test_witness_blocks_are_read_only():
     primal = hi.assemble_primal(hi.ame_marginal_spec(3, 2), 3).blocks[-1]
     for blk in (blocks.witness_blocks(3, 2, 3)[0], primal):
-        for y in blk.y_per_var.values():
+        for stack in (blk.y, blk.num):
             with pytest.raises(ValueError):
-                y[0, 0] = 1.0
+                stack[0, 0, 0] = 1
 
 
 PRIMAL_SYSTEMS = {  # system, key stride
@@ -379,8 +381,9 @@ def test_irrep_blocks_match_dense_reference(name):
     got = []
     for tpl in blocks.block_tuples(system, cap=512):
         blk = blocks.irrep_block(system, tpl, keys)
-        y = {v: arr.tobytes() for v, arr in blk.y_per_var.items()}
-        got.append((tuple(p.parts for p in blk.partitions), blk.k, blk.dim, blk.gram, blk.z_per_var, y))
+        reference.assert_exact_form(blk)
+        y = {v: arr.tobytes() for v, arr in zip(blk.variables, blk.y)}
+        got.append((tuple(p.parts for p in blk.partitions), blk.k, blk.dim, reference.block_gram(blk), reference.block_z(blk), y))
     assert got == _dense_irrep_blocks(system, keys)
 
 
@@ -414,17 +417,28 @@ def test_primal_blocks_match_recorded_digests(name):
     system = STACKED_SYSTEMS[name]
     digest = hashlib.sha256()
     for parts, blk in _cold_primal_blocks(system):
-        digest.update(repr((tuple(p.parts for p in blk.partitions), blk.k, blk.dim, blk.gram, sorted(blk.z_per_var.items()))).encode())
+        z = reference.block_z(blk)
+        digest.update(repr((tuple(p.parts for p in blk.partitions), blk.k, blk.dim, reference.block_gram(blk), sorted(z.items()))).encode())
     assert digest.hexdigest() == PRIMAL_BLOCK_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(PRIMAL_BLOCK_DIGESTS))
+def test_primal_blocks_are_in_lowest_terms(name):
+    """Every primal block, and every row selection of it, is one integer stack over den > 0 in lowest terms."""
+    system = STACKED_SYSTEMS[name]
+    for tpl in blocks.block_tuples(system, cap=512):
+        reference.assert_exact_form(blocks._block(tuple(p.parts for p in tpl), system.classes))
+        for keys in (system.keys(), system.keys()[::5]):
+            reference.assert_exact_form(blocks.irrep_block(system, tpl, keys))
 
 
 def _assert_matches_per_vector(system, built):
     for parts, blk in built:
         k, dim, gram, z, y = reference.block_per_vector(parts, system.classes)
-        assert (blk.k, blk.dim, blk.gram) == (k, dim, gram)
-        assert list(blk.z_per_var) == list(blk.y_per_var) and set(blk.z_per_var) == set(z)
-        assert blk.z_per_var == z
-        assert all(np.abs(blk.y_per_var[key] - y[key]).max() <= 1e-12 for key in z)
+        assert (blk.k, blk.dim, reference.block_gram(blk)) == (k, dim, gram)
+        assert len(blk.variables) == len(blk.y) and set(blk.variables) == set(z)
+        assert reference.block_z(blk) == z
+        assert all(np.abs(yk - y[key]).max() <= 1e-12 for key, yk in zip(blk.variables, blk.y))
 
 
 @pytest.mark.parametrize("name", sorted(set(STACKED_SYSTEMS) - {"primal-ame(3,2)-N4"}))
@@ -485,9 +499,9 @@ def test_primal_block_memo_holds_only_nonzero_keys():
     stored = 0
     for tpl in blocks.block_tuples(system, cap=512):
         memo = blocks._block(tuple(p.parts for p in tpl), system.classes)
-        assert all(any(any(row) for row in z) for z in memo.z_per_var.values())
-        assert list(memo.y_per_var) == list(memo.z_per_var)
-        stored += len(memo.z_per_var)
+        assert (memo.num != 0).any(axis=(1, 2)).all()
+        assert len(memo.y) == len(memo.variables)
+        stored += len(memo.variables)
     assert stored == 504 - 144
 
 
@@ -512,7 +526,7 @@ def test_primal_assembly_builds_each_tuple_once(monkeypatch):
     second = hi.assemble_primal(hi.ame_marginal_spec(3, 2), 3).blocks
     assert len(built) == len(first) == 3
     def fields(blk):
-        return blk.partitions, blk.z_per_var, {v: y.tobytes() for v, y in blk.y_per_var.items()}
+        return blk.partitions, blk.variables, blk.num.tolist(), blk.den, blk.y.tobytes()
 
     assert [fields(b) for b in second] == [fields(b) for b in first]
 

@@ -207,6 +207,18 @@ def test_exit_code_invalid_input(tmp_path):
         code, out, err = run_cli(["ame", "scan", *args])
         assert code == 2 and out == "", args
         assert err.splitlines() == [message], args
+    # a block cap admits some block only when positive, on every verb that takes one
+    for cap in ("0", "-5"):
+        for args in (
+            ["ame", "witness", "--n", "4", "--d", "2", "--copies", "3"],
+            ["ame", "witness", "--n", "4", "--d", "2", "--copies", "3", "--rank1-only"],
+            ["hierarchy", "export", "--n", "4", "--d", "2", "--copies", "3", "--out", str(tmp_path / "cap.dat-s")],
+            ["code", "check", "--n", "5", "--K", "2", "--m", "2", "--d", "2", "--pure", "--level", "ppt"],
+            ["code", "check", "--n", "2", "--K", "2", "--m", "1", "--d", "2", "--level", "extension"],
+        ):
+            code, out, err = run_cli(args + ["--cap", cap])
+            assert code == 2 and out == "" and err.splitlines() == [f"error: need a positive cap, got {cap}"], args
+    assert not (tmp_path / "cap.dat-s").exists()
 
 
 def test_exit_code_resource_cap(tmp_path):

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import reference
 from reference import xi_coordinates
 
 from qmarginal import ame, blocks, codes as cd, hierarchy as hi
 from qmarginal.errors import InvalidInputError
+from qmarginal.symgroup import Partition
 
 F = Fraction
 
@@ -164,7 +166,8 @@ def test_two_party_sectors_match_recorded_digests(level):
         if p.pure and cd.singleton_check(p) == "fail":
             continue
         bs = cd.code_two_party_constraints(p, level)
-        blocks_data = [(b.partitions, b.kind, b.k, list(b.z_per_var.items())) for b in bs.blocks]
+        # a pos sector is labelled by its two-copy irrep, a ppt sector by its name
+        blocks_data = [(b.partitions, "pos" if isinstance(b.partitions[0], Partition) else "ppt", b.k, list(reference.block_z(b).items())) for b in bs.blocks]
         digest.update(repr((p, bs.keys, [list(r.items()) for r in cd._two_party_rows(p)], blocks_data)).encode())
     assert digest.hexdigest() == SECTOR_DIGESTS[level]
 
@@ -298,4 +301,4 @@ def test_five_qubit_pair_satisfies_assembled_system():
     for row in bs.int_rows:
         assert sum(a * x for a, x in zip(row, vec)) == row[-1], row
     for blk in bs.blocks:
-        assert blk.z_at(vec)[0][0] >= 0, blk.partitions
+        assert reference.z_at(blk, vec)[0][0] >= 0, blk.partitions

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import reference
 
-from qmarginal import ame, blocks, codes, hierarchy as hi
+from qmarginal import ame, blocks, codes, exactla, hierarchy as hi
 from qmarginal.errors import InvalidInputError, UnsupportedFeatureError
 from qmarginal.solve import lp_solve_exact, sdp_solve
 from qmarginal.symgroup import Permutation
@@ -52,20 +52,18 @@ def test_negative_eigenprojector_is_a_witness_for_42():
     # feasibility: every level-2 block value is >= 0
     dual = hi.assemble_dual_witness(4, 2, 2)
     for blk in dual.blocks:
-        z = sum(float(w_full[l]) * blk.y_per_var[l][0, 0] for l in range(5))
+        z = sum(float(w_full[l]) * blk.y[l, 0, 0] for l in range(5))
         assert z > -1e-12
 
 
 def test_dual_witness_level2_is_an_lp():
-    lp = hi.witness_lp(4, 2, 2)
-    sdp = hi.assemble_dual_witness(4, 2, 2)
-    assert all(blk.k == 1 for blk in sdp.blocks)
-    assert len(lp.rows) == len(sdp.blocks) == 3
+    dual = hi.assemble_dual_witness(4, 2, 2)
+    assert all(blk.k == 1 for blk in dual.blocks)
+    assert len(dual.to_linear_program().rows) == len(dual.blocks) == 3
 
 
 def test_witness_lp_optimum_42():
-    lp = hi.witness_lp(4, 2, 2)
-    res = lp_solve_exact(lp.to_linear_program())
+    res = lp_solve_exact(hi.assemble_dual_witness(4, 2, 2).to_linear_program())
     assert res.status == "optimal"
     assert res.value == F(-1, 2)
     assert hi.witness_value(res.x, 4, 2) == res.value
@@ -73,8 +71,7 @@ def test_witness_lp_optimum_42():
 
 def test_zero_witness_always_feasible():
     for n, d, copies in [(4, 2, 2), (4, 6, 3)]:
-        lp = hi.witness_lp(n, d, copies)
-        res = lp_solve_exact(lp.to_linear_program())
+        res = lp_solve_exact(hi.assemble_dual_witness(n, d, copies).to_linear_program())
         assert res.status == "optimal"
         assert res.value <= 0
 
@@ -99,9 +96,8 @@ def test_level_monotonicity_42():
 
 def test_relaxation_ordering_lp_below_sdp():
     # dropping blocks of a minimization can only lower the optimum
-    lp = hi.witness_lp(4, 2, 3)
-    lp_res = lp_solve_exact(lp.to_linear_program())
     dual = hi.assemble_dual_witness(4, 2, 3)
+    lp_res = lp_solve_exact(dual.to_linear_program())
     sdp_res = sdp_solve(dual.to_sdp_problem(), y0=np.array([0.5, 0.0, 0.0]))
     assert sdp_res.status == "optimal"
     assert float(lp_res.value) <= sdp_res.value + 1e-6
@@ -204,7 +200,7 @@ def test_primal_level2_blocks_reproduce_eigenvalues():
     seen = {}
     for blk in bs.blocks:
         signs = sum(1 for lam in blk.partitions if lam.parts == (1, 1))
-        val = blk.z_at(verdict.x)[0][0]
+        val = reference.z_at(blk, verdict.x)[0][0]
         seen[signs] = val
     for j, val in seen.items():
         assert val == p[j]
@@ -254,7 +250,7 @@ def test_block_assembly_dense_oracle_n2():
 
     # blockwise values of P (W x 1) P agree with the dense spectrum on the support
     dual = hi.assemble_dual_witness(n, d, copies)
-    vals = sorted(float(sum(float(unfold(w, n)[l]) * blk.y_per_var[l][0, 0] for l in range(n + 1))) for blk in dual.blocks)
+    vals = sorted(float(sum(float(unfold(w, n)[l]) * blk.y[l, 0, 0] for l in range(n + 1))) for blk in dual.blocks)
     dense_evs = np.linalg.eigvalsh(pwp / (den_p**2 * den_w))
     for v in vals:
         assert any(abs(v - t) < 1e-9 for t in dense_evs), (v, dense_evs)
@@ -358,6 +354,16 @@ def test_soundness_ladder_refutes_where_no_state_exists(level):
     assert rep.optimum == DOES_NOT_EXIST[level]
 
 
+@pytest.mark.parametrize("level", EXISTS + sorted(DOES_NOT_EXIST), ids=str)
+def test_soundness_ladder_blocks_are_in_lowest_terms(level):
+    """Every witness block, variables 0..n, is one integer stack over den > 0 in lowest terms:
+    the (den, num) that `exactla.integer_matrices` recovers from its Fractions."""
+    for blk in blocks.witness_blocks(*level, cap=LADDER_CAPS.get(level, 512)):
+        reference.assert_exact_form(blk)
+        assert blk.variables == list(range(level[0] + 1))
+        assert exactla.integer_matrices(list(reference.block_z(blk).values())) == (blk.den, blk.num.tolist())
+
+
 def test_undecided_cut_loop_is_reported_inconclusive(monkeypatch):
     """Out of rounds, the loop reports its last LP bound and vertex, never a float verdict."""
 
@@ -366,7 +372,7 @@ def test_undecided_cut_loop_is_reported_inconclusive(monkeypatch):
 
     monkeypatch.setattr(hi, "MAX_CUT_ROUNDS", 1)
     monkeypatch.setattr(hi, "sdp_solve", refuse)
-    rank1 = lp_solve_exact(hi.witness_lp(6, 2, 3).to_linear_program())
+    rank1 = lp_solve_exact(hi.assemble_dual_witness(6, 2, 3).to_linear_program())
     rep = hi.level_check(6, 2, 3)
     assert (rep.exact, rep.feasible, rep.optimum, rep.optimum_float) == (False, True, None, float(rank1.value))
     cert = rep.certificate

@@ -83,7 +83,7 @@ def _fixed_lps():
 
 def _witness_lps():
     """Round 0 of (4,3,3) and (5,2,3) has more than one optimal vertex; the w reported must be the reference's."""
-    return [hi.witness_lp(*level).to_linear_program() for level in [(4, 3, 3), (5, 2, 3), (4, 2, 4)]]
+    return [hi.assemble_dual_witness(*level).to_linear_program() for level in [(4, 3, 3), (5, 2, 3), (4, 2, 4)]]
 
 
 def test_lp_matches_fraction_reference(monkeypatch):
