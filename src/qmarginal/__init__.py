@@ -1,7 +1,7 @@
 """Pure-state quantum marginal problems via two-party separability.
 
 Modules: symgroup (symmetric-group representations and exact invariant
-bases), blocks (the permutation-tensor operator algebra and the
+bases), blocks (the permutation-tensor trace pairings and the
 positivity blocks), exactla (exact linear algebra), ame (closed-form
 existence tests), hierarchy (N-copy feasibility and dual witnesses),
 codes (quantum code feasibility), solve (exact LP / dense SDP / SDPA

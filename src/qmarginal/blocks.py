@@ -10,11 +10,10 @@ of permutations per class.
 This module provides
 
 * coefficient key enumeration and canonicalization over slot classes;
-* a symbolic operator layer (linear in the coefficient vector), held as
-  integer entry arrays, with slotwise products, adjoints and per-copy
-  partial traces as gathers through the copy-group tables, and exact
-  trace pairings against all tests at once as one integer matrix, used
-  to emit equality constraint rows;
+* the trace pairings Tr(V_t phi) of the unknown operator
+  phi = sum_v x_v E_{keys[v]} with every test t, which depend on t only
+  through its canonical key: one integer table over the keys (`gram`),
+  read by gathers, from which the equality constraint rows are made;
 * the positivity blocks of the primal, code-extension and dual-witness
   problems: per partition tuple, an exact basis U of the subspace fixed
   by the diagonal copy-permutation action (`_basis`), and compressed
@@ -35,8 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 
 import numpy as np
@@ -117,39 +115,27 @@ class SlotSystem:
 
     def keys(self) -> list[tuple[int, ...]]:
         """All canonical coefficient keys (multisets per class), sorted."""
-        per_class: list[list[tuple[int, ...]]] = []
-        order = sorted(set(self.classes))
         size = len(self.group.elements)
-        for cls in order:
-            count = self.classes.count(cls)
-            per_class.append(list(itertools.combinations_with_replacement(range(size), count)))
-        out = []
-        for combo in itertools.product(*per_class):
-            key = [None] * self.slots
-            for cls, vals in zip(order, combo):
-                idx = [i for i, c in enumerate(self.classes) if c == cls]
-                for i, v in zip(idx, vals):
-                    key[i] = v
-            out.append(tuple(key))
-        return sorted(out)
+        return sorted(self._per_class(lambda d: range(size)))
 
     def partition_tuples(self) -> list[tuple[Partition, ...]]:
         """Canonical partition tuples with nonzero multiplicity in every slot."""
         parts_all = enumerate_partitions(self.copies, self.copies)
-        per_slot_opts = {}
-        for cls in sorted(set(self.classes)):
-            d = self.dims[self.classes.index(cls)]
-            opts = [p for p in parts_all if len(p) <= d]
-            count = self.classes.count(cls)
-            per_slot_opts[cls] = list(itertools.combinations_with_replacement(opts, count))
-        out = []
+        return self._per_class(lambda d: [p for p in parts_all if len(p) <= d])
+
+    def _per_class(self, options) -> list[tuple]:
+        """Every tuple taking, on the slots of each class in turn, one multiset of
+        `options(d)` (d the class's dimension) in combinations-with-replacement
+        order, the classes in ascending order and the last varying fastest."""
         order = sorted(set(self.classes))
-        for combo in itertools.product(*(per_slot_opts[c] for c in order)):
+        members = [[s for s, c in enumerate(self.classes) if c == cls] for cls in order]
+        per_class = [itertools.combinations_with_replacement(options(self.dims[slots[0]]), len(slots)) for slots in members]
+        out = []
+        for combo in itertools.product(*per_class):
             tpl = [None] * self.slots
-            for cls, vals in zip(order, combo):
-                idx = [i for i, c in enumerate(self.classes) if c == cls]
-                for i, v in zip(idx, vals):
-                    tpl[i] = v
+            for slots, vals in zip(members, combo):
+                for s, v in zip(slots, vals):
+                    tpl[s] = v
             out.append(tuple(tpl))
         return out
 
@@ -159,190 +145,79 @@ def ame_system(n: int, d: int, copies: int) -> SlotSystem:
 
 
 # ---------------------------------------------------------------------------
-# symbolic operators, linear in the coefficient vector
+# trace pairings of the unknown operator
 
 
 class SymbolicOperator:
-    """Operator whose basis coefficients are linear forms in the variables.
+    """The unknown phi = sum_v x_v E_{keys[v]} of a primal system, read through its trace pairings.
 
-    Held as three arrays over one integer denominator `den`: entry e is
-    the coefficient numerators[e] / den of variable variables[e] on the
-    basis operator V_{keys[e, 0]} x ... x V_{keys[e, slots - 1]}, the key
-    entries indexing the copy group. The entries are compact: sorted by
-    (key, variable), one per pair, none zero, and den the smallest
-    (`_compact`). The numerators are int64 while their largest size is
-    checked to fit (`exactla.int_dtype`), else Python ints. Every
-    operation is a gather through a copy-group table, a scaling or a
-    concatenation, then one compaction; no method changes an operator.
+    E_v sums V_K = V_{K_0} x ... x V_{K_{n-1}} over every arrangement K of
+    keys[v] within the slot classes, and slots of one class share a
+    dimension, so the pairing Tr(V_t phi) with a test t (one copy-group
+    element per slot) depends on t only through its canonical form, one
+    of `keys` (`system.keys()`), at position `index(t)`. The pairings of
+    every test are therefore rows of one integer table, `gram`, and
+    `pairings` gathers them.
     """
 
-    def __init__(self, system: SlotSystem, keys, variables, numerators, den: int, traced=frozenset()):
-        """From entry arrays (keys one row per entry), compacted; zero coefficients are dropped."""
-        self.system, self.traced = system, frozenset(traced)
-        self.keys, self.variables, self.numerators, self.den = _compact(keys, variables, numerators, den)
+    def __init__(self, system: SlotSystem):
+        self.system, self.keys = system, system.keys()
+        self._radix = (len(system.group.elements),) * system.slots
+        self._lookup = np.full(prod(self._radix), -1, dtype=np.intp)
+        self._lookup[np.ravel_multi_index(np.array(self.keys, dtype=np.intp).T, self._radix)] = np.arange(len(self.keys))
 
-    def _with(self, keys, variables=None, numerators=None, den=None, traced=None) -> "SymbolicOperator":
-        """An operator on the same system from new entry arrays (defaults: this one's)."""
-        return SymbolicOperator(
-            self.system,
-            keys,
-            self.variables if variables is None else variables,
-            self.numerators if numerators is None else numerators,
-            self.den if den is None else den,
-            self.traced if traced is None else traced,
-        )
+    def index(self, tests) -> np.ndarray:
+        """The position in `keys` of each test's canonical form: its entries
+        sorted within each slot class, looked up by mixed-radix code."""
+        canonical = np.array(tests, dtype=np.intp).reshape(-1, self.system.slots)
+        for cls in set(self.system.classes):
+            cols = [s for s, c in enumerate(self.system.classes) if c == cls]
+            canonical[:, cols] = np.sort(canonical[:, cols], axis=1)
+        return self._lookup[np.ravel_multi_index(canonical.T, self._radix)]
 
-    @staticmethod
-    def variable_expansion(system: SlotSystem, keys=None) -> "SymbolicOperator":
-        """sum_v x_v E_{keys[v]}: every ordered key whose canonical form is keys[v] carries x_v.
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """gram[u][v] = Tr(V_{keys[u]} E_{keys[v]}), in integers, read-only.
 
-        The ordered keys are enumerated as one array, canonicalized by
-        sorting the columns of each slot class, and looked up in a table
-        indexed by the keys' mixed-radix codes.
-        """
-        keys = system.keys() if keys is None else keys
-        radix = (len(system.group.elements),) * system.slots
-        ordered = np.indices(radix).reshape(system.slots, -1).T
-        canonical = ordered.copy()
-        for cls in set(system.classes):
-            cols = [s for s, c in enumerate(system.classes) if c == cls]
-            canonical[:, cols] = np.sort(ordered[:, cols], axis=1)
-        lookup = np.full(prod(radix), -1, dtype=np.intp)
-        lookup[np.ravel_multi_index(np.array(keys, dtype=np.intp).reshape(-1, system.slots).T, radix)] = np.arange(len(keys))
-        variables = lookup[np.ravel_multi_index(canonical.T, radix)]
-        hit = variables >= 0
-        return SymbolicOperator(system, ordered[hit], variables[hit], np.ones(int(hit.sum()), dtype=np.int64), 1)
-
-    def sub(self, other: "SymbolicOperator") -> "SymbolicOperator":
-        if self.traced != other.traced:
-            raise InvalidInputError("operands have different traced cells")
-        den = lcm(self.den, other.den)
-        return self._with(
-            np.concatenate([self.keys, other.keys]),
-            np.concatenate([self.variables, other.variables]),
-            np.concatenate([_scaled(self.numerators, den // self.den), _scaled(other.numerators, -(den // other.den))]),
-            den,
-        )
-
-    def scale(self, s) -> "SymbolicOperator":
-        s = Fraction(s)
-        return self._with(self.keys, numerators=_scaled(self.numerators, s.numerator), den=self.den * s.denominator)
-
-    def slotwise_multiply(self, taus: tuple[int, ...]) -> "SymbolicOperator":
-        """The left product (V_{taus_0} x ... x V_{taus_{n-1}}) self."""
-        return self._with(self.system.group.mul[np.array(taus, dtype=np.intp), self.keys])
-
-    def adjoint(self) -> "SymbolicOperator":
-        return self._with(self.system.group.inv[self.keys])
-
-    def ptrace(self, slots, copy: int) -> "SymbolicOperator":
-        """Partial trace of copy `copy` of `slots`: a gather through the copy's ptrace table.
-
-        A basis element fixing the copy leaves a factor of the slot
-        dimension; otherwise the copy leaves its cycle.
-        """
-        slots = np.array(tuple(slots), dtype=np.intp)
-        cells = {(s, copy) for s in slots.tolist()}
-        if cells & self.traced:
-            raise InvalidInputError("cell traced twice")
-        g = self.system.group
-        dims = [self.system.dims[s] for s in slots.tolist()]
-        keys = self.keys.copy()
-        keys[:, slots] = g.ptrace[copy][self.keys[:, slots]]
-        factor = np.where(g.fixes[copy][self.keys[:, slots]], np.array(dims, dtype=np.int64), 1).prod(axis=1)
-        return self._with(keys, numerators=_widen(self.numerators, prod(dims) * exactla.array_max_abs(self.numerators)) * factor, traced=self.traced | cells)
-
-    def untrace(self, cells) -> "SymbolicOperator":
-        """Reinstate traced cells as explicit identity factors."""
-        cells = set(cells)
-        if not cells <= self.traced:
-            raise InvalidInputError("cannot reinstate a cell that was not traced")
-        for s, c in cells:
-            if not self.system.group.fixes[c][self.keys[:, s]].all():
-                raise InvalidInputError("reinstated cell is not acted on trivially")
-        return self._with(self.keys, traced=self.traced - cells)
-
-    def trace_row(self) -> dict:
-        """Linear form of the full trace: row 0 of `pairing_matrix` at the identity, each
-        traced cell dividing by its dimension. Every variable has an entry, zero or not."""
-        den, variables, m = self.pairing_matrix([(self.system.group.identity,) * self.system.slots])
-        den *= prod(self.system.dims[s] for s, _ in self.traced)
-        return {v: Fraction(a, den) for v, a in zip(variables, m[0].tolist())}
-
-    def pairing_matrix(self, tests) -> tuple[int, list, np.ndarray]:
-        """(den, variables, m): m[i][j] / den is the coefficient of variables[j] in Tr(V_tests[i] @ self).
-
-        Every test at once, in integers, read from the entry arrays. The
-        weight of key K against test g is prod_s dims[s]^#cycles(g_s K_s):
-        the cycle counts come from one gathered table of the copy group,
-        `cycles[mul[g_s][K_s]]`, slot by slot, are summed over the slots of
-        each dimension and looked up in that dimension's power table. The
-        (tests x distinct keys) weights, gathered per entry and times the
-        numerators, are summed per variable. The dtype is int64 when the
-        largest value (the largest weight, every slot dimension to the
-        power `copies`, times the largest column sum of |numerator|) is
-        checked to fit, else Python ints, through the same code. Tests
-        are taken in chunks to bound the weight arrays.
+        That is the sum, over the arrangements K of keys[v], of
+        prod_s dims[s]^#cycles(keys[u]_s K_s). Every ordered key is
+        enumerated as one array and sorted by its variable (`index`); the
+        cycle counts come from one gathered table of the copy group,
+        `product_cycles`, slot by slot, are summed over the slots of each
+        dimension and looked up in that dimension's power table, and the
+        weights are summed per variable. The dtype is int64 when twice
+        the product of the slot dimensions times the largest value (every
+        slot dimension to the power `copies`, times the most arrangements
+        of one key) is checked to fit, else Python ints, through the same
+        code: the equality rows, differences of pairings some scaled by
+        at most that product, then stay in it. The rows are taken in
+        chunks to bound the weight arrays.
         """
         g, dims, copies = self.system.group, self.system.dims, self.system.copies
-        tests = np.array(tests, dtype=np.intp).reshape(-1, self.system.slots)
-        if not len(self.variables):
-            return self.den, [], np.zeros((len(tests), 0), dtype=np.int64)
-        first = np.ones(len(self.keys), dtype=bool)
-        first[1:] = (self.keys[1:] != self.keys[:-1]).any(axis=1)
-        keys, term = self.keys[first], np.cumsum(first) - 1
-        by_var = np.argsort(self.variables, kind="stable")
-        variables, term = self.variables[by_var], term[by_var]
-        starts = np.flatnonzero(np.concatenate([[True], variables[1:] != variables[:-1]]))
-        numerators = _widen(self.numerators[by_var], len(by_var) * exactla.array_max_abs(self.numerators))
-        column = int(np.add.reduceat(np.abs(numerators), starts).max())
-        dtype = exactla.int_dtype(prod(dims) ** copies * column)
-        numerators = numerators.astype(dtype)
-        out = np.zeros((len(tests), len(starts)), dtype=dtype)
+        ordered = np.indices(self._radix).reshape(self.system.slots, -1).T
+        variables = self.index(ordered)
+        ordered = ordered[np.argsort(variables, kind="stable")]
+        counts = np.bincount(variables, minlength=len(self.keys))
+        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        dtype = exactla.int_dtype(2 * prod(dims) ** (copies + 1) * int(counts.max()))
+        tests = np.array(self.keys, dtype=np.intp)
+        out = np.zeros((len(tests), len(self.keys)), dtype=dtype)
         slots_of = {d: [s for s, ds in enumerate(dims) if ds == d] for d in sorted(set(dims))}
         powers = {d: np.array([d**e for e in range(len(slots) * copies + 1)], dtype=dtype) for d, slots in slots_of.items()}
-        step = max(1, 2**16 // len(keys))
+        step = max(1, 2**16 // len(ordered))
         for lo in range(0, len(tests), step):
             chunk = tests[lo : lo + step]
             weights = 1
             for d, slots in slots_of.items():
-                exponents = sum(g.product_cycles[chunk[:, s, None], keys[None, :, s]] for s in slots)
+                exponents = sum(g.product_cycles[chunk[:, s, None], ordered[None, :, s]] for s in slots)
                 weights = weights * powers[d][exponents]
-            out[lo : lo + step] = np.add.reduceat(weights[:, term] * numerators, starts, axis=1)
-        return self.den, variables[starts].tolist(), out
+            out[lo : lo + step] = np.add.reduceat(weights, starts, axis=1)
+        out.flags.writeable = False
+        return out
 
-
-def _compact(keys, variables, numerators, den) -> tuple:
-    """Entries sorted by (key, variable), equal pairs summed, zeros dropped, den reduced.
-
-    One lexicographic sort; the sums are widened to Python ints first
-    when their bound (entries times the largest numerator) does not fit
-    int64, and the result is narrowed back when its largest numerator does.
-    """
-    if len(variables):
-        order = np.lexsort((variables, *keys.T[::-1]))
-        keys, variables = keys[order], variables[order]
-        numerators = _widen(numerators[order], len(order) * exactla.array_max_abs(numerators))
-        new = np.ones(len(order), dtype=bool)
-        new[1:] = (keys[1:] != keys[:-1]).any(axis=1) | (variables[1:] != variables[:-1])
-        starts = np.flatnonzero(new)
-        numerators = np.add.reduceat(numerators, starts)
-        keep = numerators != 0
-        keys, variables, numerators = keys[starts[keep]], variables[starts[keep]], numerators[keep]
-    if not len(variables):
-        return keys, variables, numerators.astype(np.int64), 1
-    common = gcd(den, int(np.gcd.reduce(numerators)))
-    numerators = numerators // common
-    return keys, variables, numerators.astype(exactla.int_dtype(exactla.array_max_abs(numerators))), den // common
-
-
-def _widen(numerators, bound: int):
-    """The numerators as Python ints when values up to `bound` would not fit int64."""
-    return numerators.astype(object) if exactla.int_dtype(bound) is object else numerators
-
-
-def _scaled(numerators, factor: int):
-    return _widen(numerators, abs(factor) * max(exactla.array_max_abs(numerators), 1)) * factor
+    def pairings(self, tests) -> np.ndarray:
+        """Row i: the integer coefficients of Tr(V_{tests[i]} phi) per variable, gathered from `gram`."""
+        return self.gram[self.index(tests)]
 
 
 # ---------------------------------------------------------------------------

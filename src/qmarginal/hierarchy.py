@@ -169,14 +169,6 @@ def _dedupe_rows(rows, nvars: int) -> np.ndarray:
     return a[list(first.values())]
 
 
-def _rows_from_operator(op: SymbolicOperator, tests, nvars: int) -> np.ndarray:
-    """Integer rows (pairing with each test | 0), over the operator's denominator."""
-    _, variables, m = op.pairing_matrix(tests)
-    full = np.zeros((len(m), nvars + 1), dtype=m.dtype)
-    full[:, variables] = m
-    return full
-
-
 def assemble_primal(spec: MarginalSpec, copies: int, cap: int = 512) -> BlockSdp:
     """Level-`copies` feasibility system for a uniform marginal spec.
 
@@ -184,50 +176,63 @@ def assemble_primal(spec: MarginalSpec, copies: int, cap: int = 512) -> BlockSdp
     UnsupportedFeatureError (`MarginalSpec.representative`).
 
     The one N-copy assembler for AME, m-uniform and code specs; the slot
-    system comes from the spec. Equality rows: unit trace, hermiticity,
-    symmetric-subspace support (via the two copy-permutation
-    generators), and the marginal conditions
-    rho_S = 1_M / dim M (x) Tr_M rho_S on copy 0 for the representative
-    subset S and its maximally mixed part M (slot symmetry supplies the
-    other subsets, copy symmetry the other copies). Positivity lives in
-    the per-partition-tuple blocks; their dimensions are checked against
-    `cap` before any work starts.
+    system comes from the spec. Every equality is a trace pairing
+    Tr(V_t phi) with a test t, gathered from one integer table
+    (`SymbolicOperator`: `gram`, looked up by `index`), up to a positive
+    factor that `_dedupe_rows` divides out:
+
+    * unit trace: the pairing with the identity is 1;
+    * hermiticity: Tr(V_t phi) = Tr(V_t phi^dagger) for t in `keys`, where
+      Tr(V_t phi^dagger) = Tr(V_{t^-1} phi) since #cycles(t K^-1) = #cycles(t^-1 K);
+    * symmetric-subspace support: Tr(V_t V_pi phi) = Tr(V_{t pi} phi) equals
+      Tr(V_t phi) for the copy-permutation generators pi, (0 1) and the
+      full cycle, on every slot;
+    * marginals: rho_S = 1_M / dim M (x) Tr_M rho_S on copy 0 for the
+      representative subset S and its maximally mixed part M (slot
+      symmetry supplies the other subsets, copy symmetry the other copies).
+      A test t fixes copy 0 on every slot traced out of S (`_marginal_tests`),
+      so rho_S pairs as Tr(V_t phi) times their dimensions. The partial
+      trace of copy 0 of V_{t_s}, s in M, is f_s V_{t'_s}, with t'_s the
+      element t_s with copy 0 deleted from its cycle and f_s = d_s when
+      t_s fixes copy 0, else 1; so the row is
+      dim M Tr(V_t phi) - prod_s f_s Tr(V_t' phi) = 0.
+
+    Positivity lives in the per-partition-tuple blocks; their dimensions
+    are checked against `cap` before any work starts.
     """
     system = spec.slot_system(copies)
     kept, mixed = spec.representative(system.classes)
     tuples = block_tuples(system, cap)
     g = system.group
-    keys = system.keys()
-    phi = SymbolicOperator.variable_expansion(system, keys)
-
-    nvars = len(keys)
-    trace_row = phi.trace_row()
-    rows = [np.array([exactla.primitive([trace_row.get(v, F0) for v in range(nvars)] + [F1])])]
-
-    canon_tests = keys  # canonical tuples as test elements
-    rows.append(_rows_from_operator(phi.sub(phi.adjoint()), canon_tests, nvars))
-
+    phi = SymbolicOperator(system)
+    keys = np.array(phi.keys, dtype=np.intp)
+    rows = [_with_rhs(phi.pairings([(g.identity,) * system.slots]), 1), _with_rhs(phi.gram - phi.pairings(g.inv[keys]), 0)]
     for gen in (Permutation.transposition(copies, 0, 1), Permutation.full_cycle(copies)):
-        gi = g.index[gen.images]
-        moved = phi.slotwise_multiply((gi,) * system.slots)
-        rows.append(_rows_from_operator(moved.sub(phi), canon_tests, nvars))
+        rows.append(_with_rhs(phi.pairings(g.mul[keys, g.index[gen.images]]) - phi.gram, 0))
 
-    traced = tuple(s for s in range(system.slots) if s not in kept)
-    marginal = phi.ptrace(traced, 0)
+    tests = _marginal_tests(system, [s for s in range(system.slots) if s not in kept])
+    mixed = list(mixed)
+    reduced = tests.copy()
+    reduced[:, mixed] = g.ptrace[0][tests[:, mixed]]
+    factor = np.where(g.fixes[0][tests[:, mixed]], np.array([system.dims[s] for s in mixed], dtype=np.int64), 1).prod(axis=1)
     dim_mixed = prod(system.dims[s] for s in mixed)
-    target = marginal.ptrace(mixed, 0).untrace({(s, 0) for s in mixed}).scale(Fraction(1, dim_mixed))
-    rows.append(_rows_from_operator(marginal.sub(target), _marginal_tests(system, traced), nvars))
+    rows.append(_with_rhs(dim_mixed * phi.pairings(tests) - factor[:, None] * phi.pairings(reduced), 0))
 
-    blocks = [irrep_block(system, tpl, keys, cap=cap) for tpl in tuples]
-    return BlockSdp(system, keys, _dedupe_rows(np.concatenate(rows), nvars), blocks)
+    blocks = [irrep_block(system, tpl, phi.keys, cap=cap) for tpl in tuples]
+    return BlockSdp(system, phi.keys, _dedupe_rows(np.concatenate(rows), len(keys)), blocks)
 
 
-def _marginal_tests(system: SlotSystem, traced_slots):
-    """Test elements of the copy-0 marginal rows: any element on a kept
-    slot, one fixing copy 0 on a traced slot."""
+def _with_rhs(lhs: np.ndarray, rhs: int) -> np.ndarray:
+    """The rows (lhs[i] | rhs) as one integer array."""
+    return np.column_stack([lhs, np.full(len(lhs), rhs, dtype=lhs.dtype)])
+
+
+def _marginal_tests(system: SlotSystem, traced_slots) -> np.ndarray:
+    """Test elements of the copy-0 marginal rows, one per array row: any
+    element on a kept slot, one fixing copy 0 on a traced slot."""
     g = system.group
     opts = [np.flatnonzero(g.fixes[0]).tolist() if s in traced_slots else range(len(g.elements)) for s in range(system.slots)]
-    return list(itertools.product(*opts))
+    return np.array(list(itertools.product(*opts)), dtype=np.intp)
 
 
 @dataclass

@@ -170,7 +170,9 @@ def trivial_multiplicity(lams) -> int:
     """Multiplicity of the trivial irrep in M_{lam_1} x ... x M_{lam_n}.
 
     Character inner product with the trivial character, summed over
-    conjugacy classes weighted by class size.
+    conjugacy classes weighted by class size. The product does not depend
+    on the order of the factors, so it is memoized per sorted tuple of
+    partitions, after the input checks.
     """
     parts = [_as_parts(l) for l in lams]
     if not parts:
@@ -178,6 +180,12 @@ def trivial_multiplicity(lams) -> int:
     n = sum(parts[0])
     if any(sum(p) != n for p in parts):
         raise InvalidInputError("all partitions must have the same weight")
+    return _trivial_multiplicity(tuple(sorted(parts)))
+
+
+@lru_cache(maxsize=None)
+def _trivial_multiplicity(parts: tuple[tuple[int, ...], ...]) -> int:
+    n = sum(parts[0])
     total = 0
     for cls in conjugacy_classes(n):
         total += class_size(cls) * prod(character(p, cls) for p in parts)

@@ -3,9 +3,10 @@
 The dense integer model builds the explicit matrices that
 `blocks.SymbolicOperator` never forms: V_sigma on (C^d)^N as a 0/1
 permutation matrix, `np.kron` over the slots (cell (slot s, copy c) is
-tensor factor s*N + c), partial traces by reshaping. An operator
-evaluated at rational coefficients is returned as int64 numerators over
-one common denominator, so every comparison made with it is exact.
+tensor factor s*N + c), partial traces by reshaping. An operator, given
+by its terms {ordered key: {var: rational}} and evaluated at rational
+coefficients (`matrix`), is returned as int64 numerators over one common
+denominator, so every comparison made with it is exact.
 
 The X_i basis (X_i = P{V^i x 1^(n-i)}, variable i of the two-copy
 system) is handled through its Gram matrix and its closed-form dual.
@@ -23,10 +24,13 @@ z from its exact form (num, den), Z(x) summed with `zeros`/`mat_add`,
 and U^T W U from `blocks._basis`, the forms the recorded block digests
 were taken in; `assert_exact_form` checks that form itself.
 
-The `terms_*` functions are the operator arithmetic over
-{ordered key: {var: Fraction}} dicts, merged term by term (`_merge`),
-that `blocks.SymbolicOperator` runs on its entry arrays; `operator` and
-`op_terms` convert between the two forms.
+The `terms_*` functions are the operator algebra over
+{ordered key: {var: Fraction}} dicts, merged term by term (`_merge`):
+sums, scalings, adjoints, left slotwise products, per-copy partial
+traces, and trace pairings with a test (`terms_pairing`).
+`expansion_terms` is phi = sum_v x_v E_{keys[v]} in that form, and
+`operator_rows` the equality rows of `hierarchy.assemble_primal` taken
+through it, the route the library replaced by gathers from one table.
 
 `dict_row` reads a primitive integer equality row as a dict, the form
 the recorded row digests were taken in.
@@ -159,18 +163,16 @@ def key_matrix(system: blocks.SlotSystem, key) -> np.ndarray:
     return out
 
 
-def matrix(op: blocks.SymbolicOperator, x) -> tuple[np.ndarray, int]:
-    """(numerators, denominator) of op at coefficients x (var -> rational), on all N copies.
-
-    A traced cell carries the identity, as it does in the operator's terms.
-    """
-    coeffs = {key: sum((c * Fraction(x.get(v, 0)) for v, c in lin.items()), start=Fraction(0)) for key, lin in op_terms(op).items()}
+def matrix(system: blocks.SlotSystem, terms: dict, x) -> tuple[np.ndarray, int]:
+    """(numerators, denominator) of the operator with terms {ordered key: {var: rational}}
+    at coefficients x (var -> rational), on all N copies."""
+    coeffs = {key: sum((c * Fraction(x.get(v, 0)) for v, c in lin.items()), start=Fraction(0)) for key, lin in terms.items()}
     den = lcm(*(c.denominator for c in coeffs.values()))
-    side = prod(d**op.system.copies for d in op.system.dims)
+    side = prod(d**system.copies for d in system.dims)
     out = np.zeros((side, side), dtype=np.int64)
     for key, c in coeffs.items():
         if c:
-            out[_key_rows(op.system, key), np.arange(side)] += int(c * den)
+            out[_key_rows(system, key), np.arange(side)] += int(c * den)
     return out, den
 
 
@@ -196,8 +198,8 @@ def ptrace(m: np.ndarray, system: blocks.SlotSystem, cells) -> np.ndarray:
 
 def candidate_matrix(n: int, d: int) -> tuple[np.ndarray, int]:
     """The AME candidate sum_i x_i X_i as a dense matrix on two copies."""
-    phi = blocks.SymbolicOperator.variable_expansion(blocks.ame_system(n, d, 2))
-    return matrix(phi, dict(enumerate(ame.candidate_x(n, d))))
+    system = blocks.ame_system(n, d, 2)
+    return matrix(system, expansion_terms(system), dict(enumerate(ame.candidate_x(n, d))))
 
 
 def candidate_spectrum(n: int, d: int) -> list[tuple[Fraction, int]]:
@@ -242,15 +244,11 @@ def check_existence_fraction(n: int, d: int) -> ame.FeasibilityReport:
 
 
 def xi_gram(n: int, d: int) -> list[list[Fraction]]:
-    """G[i][j] = Tr(X_i X_j), from `pairing_matrix` summed over the arrangements of X_i's key."""
+    """G[i][j] = Tr(X_i X_j): X_i sums V_K over the arrangements K of key i, each
+    pairing with X_j as row i of `SymbolicOperator.gram` does."""
     system = blocks.ame_system(n, d, 2)
-    phi = blocks.SymbolicOperator.variable_expansion(system)
-    gram = []
-    for key in system.keys():
-        den, variables, m = phi.pairing_matrix(arrangements(system, key))
-        sums = dict(zip(variables, m.sum(axis=0).tolist()))
-        gram.append([Fraction(sums.get(j, 0), den) for j in range(n + 1)])
-    return gram
+    gram = blocks.SymbolicOperator(system).gram.tolist()
+    return [[Fraction(len(arrangements(system, key)) * x) for x in row] for key, row in zip(system.keys(), gram)]
 
 
 def xi_coordinates(n: int, d: int, overlaps) -> list[Fraction]:
@@ -295,26 +293,64 @@ def _merge(terms: dict, key, lin: dict, scale=Fraction(1)) -> None:
         terms.pop(tuple(int(k) for k in key), None)
 
 
-def operator(system: blocks.SlotSystem, terms: dict, traced=frozenset()) -> blocks.SymbolicOperator:
-    """The operator with terms {ordered key: {var: rational}}, from its entry arrays."""
-    items = [(key, v, Fraction(c)) for key, lin in terms.items() for v, c in lin.items()]
-    den = lcm(*(c.denominator for _, _, c in items))
-    nums = [c.numerator * (den // c.denominator) for _, _, c in items]
-    return blocks.SymbolicOperator(
-        system,
-        np.array([key for key, _, _ in items], dtype=np.intp).reshape(len(items), system.slots),
-        np.array([v for _, v, _ in items], dtype=np.intp),
-        np.array(nums, dtype=exactla.int_dtype(max(map(abs, nums), default=0))),
-        den,
-        traced,
-    )
+def expansion_terms(system: blocks.SlotSystem) -> dict:
+    """phi = sum_v x_v E_{keys[v]} as terms: every arrangement of keys[v] carries x_v."""
+    return {arr: {v: Fraction(1)} for v, key in enumerate(system.keys()) for arr in arrangements(system, key)}
 
 
-def op_terms(op: blocks.SymbolicOperator) -> dict:
-    """{ordered key: {var: Fraction}}: an operator's entry arrays as terms."""
+def terms_pairing(system: blocks.SlotSystem, terms: dict, test) -> dict:
+    """Tr(V_test A) per variable, A given by its terms, a traced cell carrying the identity:
+    each term weighs prod_s dims[s]^#cycles(test_s key_s). Summed in integers over
+    the lcm of the coefficients' denominators."""
+    cycles = system.group.product_cycles.tolist()
+    weights = [[d**e for e in cycles[t]] for d, t in zip(system.dims, test)]  # per slot, by key entry
+    den = lcm(*(c.denominator for lin in terms.values() for c in lin.values()))
     out: dict = {}
-    for key, v, c in zip(map(tuple, op.keys.tolist()), op.variables.tolist(), op.numerators.tolist()):
-        out.setdefault(key, {})[v] = Fraction(c, op.den)
+    for key, lin in terms.items():
+        w = prod(row[k] for row, k in zip(weights, key))
+        for v, c in lin.items():
+            out[v] = out.get(v, 0) + w * c.numerator * (den // c.denominator)
+    return {v: Fraction(x, den) for v, x in out.items()}
+
+
+def operator_rows(spec, copies: int) -> list[list[int]]:
+    """The equality rows of `hierarchy.assemble_primal` through the operator algebra over terms.
+
+    Rows, in order: (Tr phi | 1); (Tr(V_t A) | 0) for A = phi - phi^dagger,
+    then V_pi phi - phi for pi = (0 1) and the full cycle on every slot, at
+    every key t; and for A = R - 1_M / dim M (x) Tr_M R, R the partial trace
+    of copy 0 of the slots outside the representative subset S, at every
+    test fixing copy 0 on those slots. Each row is made a primitive
+    integer row with a positive lead; zero rows are dropped and the first
+    of equal rows is kept.
+    """
+    system = spec.slot_system(copies)
+    kept, mixed = spec.representative(system.classes)
+    g, keys = system.group, system.keys()
+    phi = expansion_terms(system)
+    traced = [s for s in range(system.slots) if s not in kept]
+    marginal = terms_ptrace(system, phi, traced, 0)
+    target = terms_scale(terms_ptrace(system, marginal, mixed, 0), Fraction(1, prod(system.dims[s] for s in mixed)))
+    fixing = [e for e, p in enumerate(g.elements) if p.fixes(0)]
+    tests = list(itertools.product(*[fixing if s in traced else range(len(g.elements)) for s in range(system.slots)]))
+    families = [(phi, [(g.identity,) * system.slots], 1), (terms_sub(phi, terms_adjoint(system, phi)), keys, 0)]
+    for gen in (sg.Permutation.transposition(copies, 0, 1), sg.Permutation.full_cycle(copies)):
+        moved = terms_slotwise_multiply(system, phi, (g.index[gen.images],) * system.slots)
+        families.append((terms_sub(moved, phi), keys, 0))
+    families.append((terms_sub(marginal, target), tests, 0))
+    out, seen = [], set()
+    for terms, family_tests, rhs in families:
+        for t in family_tests:
+            pairing = terms_pairing(system, terms, t)
+            row = exactla.primitive([pairing.get(v, F0) for v in range(len(keys))] + [Fraction(rhs)])
+            lead = next((x for x in row[:-1] if x), None)
+            if lead is None:
+                assert not row[-1], "inconsistent constant row"
+                continue
+            row = tuple(x if lead > 0 else -x for x in row)
+            if row not in seen:
+                seen.add(row)
+                out.append(list(row))
     return out
 
 

@@ -14,9 +14,11 @@ from reference import (
     candidate_matrix,
     candidate_spectrum,
     check_existence_fraction,
-    op_terms,
+    expansion_terms,
     quadratic_form,
     spectrum_fraction,
+    terms_pairing,
+    terms_ptrace,
     xi_coordinates,
     xi_gram,
     z_at,
@@ -94,8 +96,9 @@ def test_candidate_invariants():
         x = ame.candidate_x(n, d)
         assert x == x[::-1]  # palindrome
         assert sum(binom(n, i) * d ** (2 * n - i) * x[i] for i in range(n + 1)) == 1
-        trace = blocks.SymbolicOperator.variable_expansion(blocks.ame_system(n, d, 2)).trace_row()
-        assert sum(c * x[v] for v, c in trace.items()) == 1
+        system = blocks.ame_system(n, d, 2)
+        trace = blocks.SymbolicOperator(system).pairings([(system.group.identity,) * n])[0].tolist()
+        assert sum(c * xv for c, xv in zip(trace, x)) == 1
 
 
 def test_eigenvalues_fixtures_qubits4():
@@ -190,10 +193,12 @@ def test_symmetry_pairing_identity():
 def test_candidate_marginal_is_maximally_mixed():
     system = blocks.ame_system(4, 2, 2)
     x = ame.candidate_x(4, 2)
-    marg = blocks.SymbolicOperator.variable_expansion(system).ptrace((0, 1), 0)
-    values = {key: sum(c * x[v] for v, c in lin.items()) for key, lin in op_terms(marg).items()}
+    marg = terms_ptrace(system, expansion_terms(system), (0, 1), 0)
+    values = {key: sum(c * x[v] for v, c in lin.items()) for key, lin in marg.items()}
     assert {key for key, value in values.items() if value} == {(system.group.identity,) * 4}
-    assert sum(c * x[v] for v, c in marg.trace_row().items()) == 1
+    # its trace is 1: paired with the identity, each of the two traced cells counts as a 2-dimensional identity
+    pairing = terms_pairing(system, marg, (system.group.identity,) * 4)
+    assert sum(c * x[v] for v, c in pairing.items()) == 2**2
 
 
 def test_ppt_trivial_half():

@@ -8,11 +8,12 @@ of the primal blocks as explicit Kronecker products (`kron_all` below),
 compressed by `_compress`. The library's results must be identical to
 it, entry for entry and byte for byte. The integer kernels
 (`exactla.solve_integer_rows` with its mod-P row selection, on rational
-systems made primitive rows (`_solve`), and
-`SymbolicOperator.pairing_matrix`, also one test at a time
-(`_pairing_row`)) are checked against the Fraction loops they replace,
-every operation of `SymbolicOperator` against the dense integer model in
-`reference.py`, and its entry arrays against the dict arithmetic there.
+systems made primitive rows (`_solve`)) are checked against the Fraction
+loops they replace; the trace pairings of `SymbolicOperator` and the row
+identities `assemble_primal` gathers with them against the dense integer
+model and the dict operator algebra in `reference.py`, and the assembled
+rows against the operator route taken through that algebra
+(`reference.operator_rows`).
 """
 
 import hashlib
@@ -26,10 +27,9 @@ from math import prod
 import numpy as np
 import pytest
 import reference
-from hypothesis import given, settings, strategies as st
 
 from qmarginal import blocks, cli, codes, exactla, hierarchy as hi, symgroup as sg
-from qmarginal.errors import InternalConsistencyError, InvalidInputError, ResourceCapError
+from qmarginal.errors import InternalConsistencyError, ResourceCapError
 from qmarginal.symgroup import Permutation
 
 F0 = Fraction(0)
@@ -668,43 +668,38 @@ def test_solve_affine_rechecks_rows_left_out_mod_p(a, b):
     assert _solve(a, b, ncols) == _reference_solve_affine(a, b, ncols)
 
 
-def _pairing_row(op, test):
-    """Tr(V_test @ op) as Fractions: the one row of `pairing_matrix` for that test."""
-    den, variables, m = op.pairing_matrix([test])
-    return {v: Fraction(a, den) for v, a in zip(variables, m[0].tolist())}
+def _phi_pairing(system, test):
+    """Tr(V_test phi) per variable as Fractions, from the terms of phi."""
+    return reference.terms_pairing(system, reference.expansion_terms(system), test)
 
 
-def _fraction_pairing_row(op, test):
-    g = op.system.group
-    row = {}
-    for key, lin in reference.op_terms(op).items():
-        w = 1
-        for s, k in enumerate(key):
-            w *= op.system.dims[s] ** g.cycles[g.mul[test[s]][k]]
-        for v, c in lin.items():
-            row[v] = row.get(v, F0) + w * c
-    return row
-
-
-def _assembly_operators(system):
-    """The operator shapes the assemblers pair: hermiticity, support, a scaled marginal difference."""
-    phi = blocks.SymbolicOperator.variable_expansion(system)
-    cycle = system.group.index[Permutation.full_cycle(system.copies).images]
-    moved = phi.slotwise_multiply((cycle,) * system.slots)
-    marginal = phi.ptrace((0,), 0)
-    rest = {(s, 0) for s in range(1, system.slots)}
-    full = phi.ptrace(range(system.slots), 0).untrace(rest).scale(Fraction(1, 6))
-    return [phi, phi.sub(phi.adjoint()), moved.sub(phi), marginal.sub(full)]
+def _as_row(pairing, nvars):
+    return [pairing.get(v, F0) for v in range(nvars)]
 
 
 @pytest.mark.parametrize("system", [blocks.ame_system(4, 2, 3), blocks.SlotSystem(3, (3, 2, 2), (0, 1, 1))], ids=["uniform-dims", "mixed-dims"])
 def test_pairing_row_matches_fraction_reference(system):
-    tests = system.keys()[::5]
-    for op in _assembly_operators(system):
-        for t in tests:
-            row = _pairing_row(op, t)
-            assert row == _fraction_pairing_row(op, t)
-            assert all(type(c) is Fraction for c in row.values())
+    """The row identities of `assemble_primal`, exactly, against the Fraction pairings of
+    operators built by the dict algebra: hermiticity and support at every fifth key,
+    and a marginal difference (copy 0 of slot 0 traced, slot 2 maximally mixed) at
+    every test fixing copy 0 on slot 0."""
+    g, phi = system.group, blocks.SymbolicOperator(system)
+    terms, nvars = reference.expansion_terms(system), len(phi.keys)
+    keys = np.array(phi.keys[::5])
+    herm = reference.terms_sub(terms, reference.terms_adjoint(system, terms))
+    cycle = g.index[Permutation.full_cycle(system.copies).images]
+    moved = reference.terms_sub(reference.terms_slotwise_multiply(system, terms, (cycle,) * system.slots), terms)
+    for t, own, inverse, shifted in zip(keys.tolist(), phi.pairings(keys), phi.pairings(g.inv[keys]), phi.pairings(g.mul[keys, cycle])):
+        assert _as_row(reference.terms_pairing(system, herm, t), nvars) == (own - inverse).tolist()
+        assert _as_row(reference.terms_pairing(system, moved, t), nvars) == (shifted - own).tolist()
+    marginal = reference.terms_ptrace(system, terms, (0,), 0)
+    d0, d2 = system.dims[0], system.dims[2]
+    difference = reference.terms_sub(marginal, reference.terms_scale(reference.terms_ptrace(system, marginal, (2,), 0), Fraction(1, d2)))
+    for t in itertools.product(np.flatnonzero(g.fixes[0]).tolist(), *[range(len(g.elements))] * (system.slots - 1)):
+        reduced = t[:2] + (int(g.ptrace[0][t[2]]),) + t[3:]
+        factor = d2 if g.fixes[0][t[2]] else 1
+        want = d0 * (d2 * phi.pairings([t])[0] - factor * phi.pairings([reduced])[0])
+        assert [x * d2 for x in _as_row(reference.terms_pairing(system, difference, t), nvars)] == want.tolist()
 
 
 @pytest.mark.parametrize(
@@ -717,93 +712,33 @@ def test_pairing_row_matches_fraction_reference(system):
     ids=["uniform-dims", "mixed-dims", "past-int64"],
 )
 def test_pairing_matrix_matches_fraction_reference(system, dtype):
-    """All tests at once: m[i][j] / den is the Fraction pairing of variables[j] with tests[i]."""
-    tests = system.keys()[::5] if system.copies * system.slots < 15 else system.keys()[::60]
-    for op in _assembly_operators(system):
-        den, variables, m = op.pairing_matrix(tests)
-        assert m.dtype == dtype and m.shape == (len(tests), len(variables))
-        for t, row in zip(tests, m.tolist()):
-            assert dict(zip(variables, (Fraction(x, den) for x in row))) == _fraction_pairing_row(op, t)
+    """`gram` is the pairing matrix of the keys with every variable, and `pairings`
+    gathers its rows for ordered tests, which need not be canonical."""
+    phi = blocks.SymbolicOperator(system)
+    assert phi.gram.dtype == dtype and phi.gram.shape == (len(phi.keys),) * 2 and not phi.gram.flags.writeable
+    rng = random.Random(5)
+    tests = [tuple(rng.randrange(len(system.group.elements)) for _ in range(system.slots)) for _ in range(12)]
+    tests += phi.keys[:: 60 if system.copies * system.slots >= 15 else 5]
+    for t, row in zip(tests, phi.pairings(tests).tolist()):
+        assert row == _as_row(_phi_pairing(system, t), len(phi.keys))
+        assert phi.keys[phi.index([t])[0]] == reference.canonical(system, t)
 
 
-def test_pairing_row_follows_merge():
-    """Subtracting a single-term operator merges it into the entries the pairing reads."""
-    system = blocks.ame_system(3, 2, 2)
-    op = blocks.SymbolicOperator.variable_expansion(system).scale(Fraction(1, 3))
-    key = system.keys()[1]
-    before = _pairing_row(op, key)
-    op = op.sub(reference.operator(system, {key: {0: Fraction(-5, 7)}}))
-    after = _pairing_row(op, key)
-    assert after != before
-    assert after == _fraction_pairing_row(op, key)
+ORACLE_SYSTEMS = {  # spec, copies: the systems whose operator-route oracle takes under half a second
+    "primal-ame(3,2)-N3": (hi.ame_marginal_spec(3, 2), 3),
+    "primal-ame(3,3)-N3": (hi.ame_marginal_spec(3, 3), 3),
+    "extension-((2,2,2))_2": (codes.code_marginal_spec(codes.CodeParams(2, 2, 1, 2)), 3),
+    "extension-pure-((3,2,2))_2-N2": (codes.code_marginal_spec(codes.CodeParams(3, 2, 1, 2, pure=True)), 2),
+    "extension-general-((3,3,2))_2-N2": (codes.code_marginal_spec(codes.CodeParams(3, 3, 1, 2)), 2),
+}
 
 
-ARRAY_SYSTEMS = [blocks.ame_system(3, 2, 3), blocks.SlotSystem(3, (3, 2, 2), (0, 1, 1))]
-# small values, and values whose sums and products leave int64
-COEFFICIENTS = st.one_of(st.integers(-4, 4), st.sampled_from([2**62, -(2**62), 3**40]))
-
-
-@st.composite
-def _operator_terms(draw, system):
-    size = len(system.group.elements)
-    key = st.tuples(*[st.integers(0, size - 1)] * system.slots)
-    entries = draw(st.lists(st.tuples(key, st.integers(0, 4), COEFFICIENTS), max_size=12))
-    terms: dict = {}
-    for k, v, c in entries:
-        terms.setdefault(k, {})[v] = Fraction(c)
-    return terms
-
-
-@given(st.data())
-@settings(max_examples=60, deadline=None)
-def test_operator_arrays_match_dict_reference(data):
-    """sub, adjoint, slotwise_multiply, ptrace and scale on the entry arrays equal the dict arithmetic."""
-    system = data.draw(st.sampled_from(ARRAY_SYSTEMS))
-    size = len(system.group.elements)
-    terms = reference.op_terms
-    a = reference.operator(system, data.draw(_operator_terms(system)))
-    b = reference.operator(system, data.draw(_operator_terms(system)))
-    assert terms(a) == reference.terms_scale(terms(a), 1)  # the entries are compact: no zero coefficient
-    assert terms(a.sub(b)) == reference.terms_sub(terms(a), terms(b))
-    assert terms(a.sub(a)) == {} and not len(a.sub(a).variables)
-    assert terms(a.adjoint()) == reference.terms_adjoint(system, terms(a))
-    taus = data.draw(st.tuples(*[st.integers(0, size - 1)] * system.slots))
-    assert terms(a.slotwise_multiply(taus)) == reference.terms_slotwise_multiply(system, terms(a), taus)
-    slots = data.draw(st.lists(st.integers(0, system.slots - 1), unique=True))
-    copy = data.draw(st.integers(0, system.copies - 1))
-    traced = a.ptrace(slots, copy)
-    assert terms(traced) == reference.terms_ptrace(system, terms(a), slots, copy)
-    assert terms(traced.sub(b.ptrace(slots, copy))) == reference.terms_sub(terms(traced), terms(b.ptrace(slots, copy)))
-    s = Fraction(data.draw(COEFFICIENTS), data.draw(st.sampled_from([1, 3, 2**40])))
-    assert terms(a.scale(s)) == reference.terms_scale(terms(a), s)
-    for op in (a.sub(b), traced, a.scale(s)):
-        assert op.numerators.dtype == exactla.int_dtype(max(map(abs, op.numerators.tolist()), default=0))
-
-
-def test_operator_sums_leave_int64():
-    """Entries that fit int64 whose sum does not: the merge moves to Python ints."""
-    system = ARRAY_SYSTEMS[0]
-    key = (1, 2, 3)
-    a = reference.operator(system, {key: {0: Fraction(2**62)}, (0, 0, 0): {1: F1}})
-    b = reference.operator(system, {key: {0: Fraction(-(2**62))}})
-    assert a.numerators.dtype == np.int64
-    diff = a.sub(b)
-    assert reference.op_terms(diff) == {key: {0: Fraction(2**63)}, (0, 0, 0): {1: F1}} and diff.numerators.dtype == object
-    back = diff.sub(a)
-    assert reference.op_terms(back) == {key: {0: Fraction(2**62)}} and back.numerators.dtype == np.int64
-
-
-def test_untrace_checks_only_the_surviving_terms():
-    """A term acting on a reinstated cell blocks untrace until it cancels."""
-    system = blocks.ame_system(2, 2, 2)
-    ident, swap = system.group.identity, system.group.index[Permutation.transposition(2, 0, 1).images]
-    cells = frozenset({(0, 1)})
-    op = reference.operator(system, {(ident, swap): {0: F1}, (swap, ident): {1: F1}}, cells)
-    with pytest.raises(InvalidInputError, match="not acted on trivially"):
-        op.untrace(cells)
-    cancelled = op.sub(reference.operator(system, {(swap, ident): {1: F1}}, cells))
-    embedded = cancelled.untrace(cells)
-    assert reference.op_terms(embedded) == {(ident, swap): {0: F1}} and not embedded.traced
+@pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+def test_int_rows_match_operator_oracle(name):
+    """The gathered rows equal, row for row, the rows of the operator route: adjoints,
+    slotwise products and partial traces in the dict algebra, then Fraction pairings."""
+    spec, copies = ORACLE_SYSTEMS[name]
+    assert hi.assemble_primal(spec, copies).int_rows.tolist() == reference.operator_rows(spec, copies)
 
 
 # sha256 of repr([list(row.items()) for row in rows]), the rows the dict form of
@@ -858,55 +793,42 @@ DENSE_SYSTEMS = [blocks.ame_system(n, d, 2) for n in (1, 2, 3) for d in (2, 3)]
 DENSE_SYSTEMS += [blocks.ame_system(n, d, 3) for n in (1, 2) for d in (2, 3)] + [blocks.SlotSystem(2, (3, 2), (0, 1))]
 
 
-def _dense_cases(system, rng):
-    """(operator, coefficient point) pairs: each variable of a random operator
-    with ordered keys alone, and the variable expansion at a random point."""
-    size = len(system.group.elements)
-    terms = {}
-    for _ in range(5):
-        key = tuple(rng.randrange(size) for _ in range(system.slots))
-        terms.setdefault(key, {})[rng.randrange(3)] = Fraction(rng.choice((-5, -2, 1, 3, 4)), rng.randint(1, 4))
-    op = reference.operator(system, terms)
-    phi = blocks.SymbolicOperator.variable_expansion(system)
-    point = {v: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for v in range(len(system.keys()))}
-    return [(op, {v: 1}) for v in range(3)] + [(phi, point)]
-
-
-def _value(row, x):
-    return sum((c * x.get(v, 0) for v, c in row.items()), start=F0)
-
-
-def _assert_dense(op, x, want):
-    got, den = reference.matrix(op, x)
-    assert np.array_equal(got * want[1], want[0] * den)
-
-
 def test_symbolic_operator_matches_dense_reference():
-    """trace_row, one-test pairings, adjoint, the left slotwise product, ptrace and untrace
-    against explicit int64 Kronecker matrices."""
+    """The four row identities of `assemble_primal` against explicit int64 Kronecker
+    matrices of phi at a random rational point x, at every ordered test t:
+    Tr(V_t phi) and Tr(V_t phi^dagger) are the gathered rows of t and t^-1,
+    Tr(V_t V_pi phi) the row of t pi for both generators pi, and for a random
+    set T of slots traced from copy 0, R = Tr_{T,0} phi (x) 1 and a random
+    M outside T, at every t fixing copy 0 on T: Tr(V_t R) is prod_T d_s times
+    the row of t, and Tr(V_t (1 (x) Tr_{M,0} R)) is that times f(t) at t'."""
     rng = random.Random(11)
     for system in DENSE_SYSTEMS:
-        tests = list(itertools.product(range(len(system.group.elements)), repeat=system.slots))
-        for op, x in _dense_cases(system, rng):
-            m, den = reference.matrix(op, x)
-            assert _value(op.trace_row(), x) == Fraction(int(np.trace(m)), den)
-            for t in tests:
-                pair = np.einsum("ij,ji->", reference.key_matrix(system, t), m)
-                assert _value(_pairing_row(op, t), x) == Fraction(int(pair), den)
-            _assert_dense(op.adjoint(), x, (m.T, den))
-            taus = tests[rng.randrange(len(tests))]
-            v = reference.key_matrix(system, taus)
-            _assert_dense(op.slotwise_multiply(taus), x, (reference.mul(v, m), den))
-            slots = tuple(sorted(rng.sample(range(system.slots), rng.randint(1, system.slots))))
-            copy = rng.randrange(system.copies)
-            cells = {(s, copy) for s in slots}
-            traced = op.ptrace(slots, copy)
-            reduced = reference.ptrace(m, system, cells)
-            _assert_dense(traced, x, (reduced, den))
-            assert _value(traced.trace_row(), x) == Fraction(int(np.trace(m)), den)
-            for t in tests[:: max(1, len(tests) // 8)]:
-                pair = np.einsum("ij,ji->", reference.key_matrix(system, t), reduced)
-                assert _value(_pairing_row(traced, t), x) == Fraction(int(pair), den)
-            embedded = traced.untrace(cells)
-            _assert_dense(embedded, x, (reduced, den))
-            assert _value(embedded.trace_row(), x) == Fraction(int(np.trace(reduced)), den)
+        g, phi = system.group, blocks.SymbolicOperator(system)
+        x = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in phi.keys]
+        m, den = reference.matrix(system, reference.expansion_terms(system), dict(enumerate(x)))
+
+        def value(tests):
+            return [sum((c * xv for c, xv in zip(row, x)), start=F0) for row in phi.pairings(tests).tolist()]
+
+        def pair(t, a):
+            return Fraction(int(np.einsum("ij,ji->", reference.key_matrix(system, t), a)), den)
+
+        tests = np.array(list(itertools.product(range(len(g.elements)), repeat=system.slots)))
+        generators = [g.index[p.images] for p in (Permutation.transposition(system.copies, 0, 1), Permutation.full_cycle(system.copies))]
+        moved = [reference.mul(reference.key_matrix(system, (pi,) * system.slots), m) for pi in generators]
+        assert [pair(t, m) for t in tests] == value(tests)
+        assert [pair(t, m.T) for t in tests] == value(g.inv[tests])
+        for pi, vm in zip(generators, moved):
+            assert [pair(t, vm) for t in tests] == value(g.mul[tests, pi])
+
+        traced = sorted(rng.sample(range(system.slots), rng.randint(1, system.slots)))
+        mixed = [s for s in range(system.slots) if s not in traced and rng.random() < 0.7]
+        reduced = reference.ptrace(m, system, {(s, 0) for s in traced})
+        target = reference.ptrace(reduced, system, {(s, 0) for s in mixed})
+        dim_traced = prod(system.dims[s] for s in traced)
+        tests = tests[g.fixes[0][tests[:, traced]].all(axis=1)]
+        primed = tests.copy()
+        primed[:, mixed] = g.ptrace[0][tests[:, mixed]]
+        factors = [prod(system.dims[s] if g.fixes[0][t[s]] else 1 for s in mixed) for t in tests.tolist()]
+        assert [pair(t, reduced) for t in tests] == [dim_traced * v for v in value(tests)]
+        assert [pair(t, target) for t in tests] == [dim_traced * f * v for f, v in zip(factors, value(primed))]

@@ -183,8 +183,8 @@ def test_extension_level_k2_small():
 
 
 def test_extension_rejects_inconsistent_constant_row(monkeypatch):
-    # an operator whose trace vanished identically would turn unit trace into the row 0 = 1
-    monkeypatch.setattr(blocks.SymbolicOperator, "trace_row", lambda self: {})
+    # pairings that vanished identically would turn unit trace into the row 0 = 1
+    monkeypatch.setattr(blocks.SymbolicOperator, "gram", property(lambda self: np.zeros((len(self.keys),) * 2, dtype=np.int64)))
     with pytest.raises(InvalidInputError, match="inconsistent"):
         cd.code_extension_blocksdp(cd.CodeParams(2, 2, 1, 2), 2)
 

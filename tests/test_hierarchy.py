@@ -180,15 +180,13 @@ def test_primal_level2_weak_marginals_agree():
         bs = hi.assemble_primal(hi.ame_marginal_spec(n, d), copies)
         verdict = hi.solve_primal(bs)
         assert verdict.exact and verdict.nullity == 0 and verdict.status == status
-        reduced = blocks.SymbolicOperator.variable_expansion(bs.system, bs.keys)
-        for c in range(copies):
-            reduced = reduced.ptrace(range(n - r), c)
+        # a test that is the identity on the traced slots pairs with phi as its kept part with rho_kept
+        phi = blocks.SymbolicOperator(bs.system)
         g = bs.system.group
         for kept in itertools.product(range(len(g.elements)), repeat=r):
-            den, variables, m = reduced.pairing_matrix([(g.identity,) * (n - r) + kept])
-            value = sum((F(a, den) * verdict.x[v] for v, a in zip(variables, m[0].tolist())), start=F(0))
-            # a traced cell pairs as a d-dimensional identity factor
-            assert value / d ** ((n - r) * copies) == F(d ** sum(g.cycles[t] for t in kept), d ** (r * copies))
+            row = phi.pairings([(g.identity,) * (n - r) + kept])[0].tolist()
+            value = sum((c * xv for c, xv in zip(row, verdict.x)), start=F(0))
+            assert value == F(d ** sum(g.cycles[t] for t in kept), d ** (r * copies))
 
 
 def test_primal_level2_blocks_reproduce_eigenvalues():
@@ -231,16 +229,16 @@ def test_primal_tuple_enumeration_unique():
 def test_block_assembly_dense_oracle_n2():
     n, d, copies = 2, 2, 2
     system = blocks.ame_system(n, d, copies)
-    xi = blocks.SymbolicOperator.variable_expansion(system)
-    dphi, den_phi = reference.matrix(xi, dict(enumerate(ame.candidate_x(n, d))))
+    xi = reference.expansion_terms(system)
+    dphi, den_phi = reference.matrix(system, xi, dict(enumerate(ame.candidate_x(n, d))))
     # P_2^+ = (1 + V x V)/2 in the coefficient algebra
     half = F(1, 2)
     ident, swap = system.group.identity, system.group.index[SWAP.images]
-    proj = reference.operator(system, {(ident, ident): {0: half}, (swap, swap): {0: half}})
-    dp, den_p = reference.matrix(proj, {0: 1})
+    proj = {(ident, ident): {0: half}, (swap, swap): {0: half}}
+    dp, den_p = reference.matrix(system, proj, {0: 1})
     rng = np.random.default_rng(2)
     w = [F(int(rng.integers(-3, 4)), 2) for _ in range(n // 2 + 1)]
-    dw, den_w = reference.matrix(xi, dict(enumerate(unfold(w, n))))
+    dw, den_w = reference.matrix(system, xi, dict(enumerate(unfold(w, n))))
     pwp = reference.mul(dp, reference.mul(dw, dp))
 
     # exact objective identity: Tr(W Phi) in dense and in folded coordinates
