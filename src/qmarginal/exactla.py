@@ -4,19 +4,21 @@ Matrices are lists of lists or integer arrays, small and dense; these
 routines back the exact solver paths where floating point would blur a
 sign decision. The hot kernels (`mode_product`, `solve_integer_rows`,
 `ldlt_psd_witness`) run in integers: rational data is scaled to integer
-rows (`integer_matrices`, `primitive`), worked on in Python ints or in
-numpy arrays whose dtype `int_dtype` picks from a checked bound, and
-read back with one Fraction per output entry. `mode_product` moves a
-whole stack of tensor vectors by one slot matrix in one numpy product.
-An equality system is one integer array (`integer_rows`; a list of rows
-is accepted too), eliminated fraction-free only on the rows a pass mod
-the prime P selects; every other row is checked exactly against them.
-The PSD test eliminates fraction-free too; its only Fractions are its
-multipliers and witness.
+rows (`integer_matrices`, `primitive`) and worked on in Python ints or
+in numpy arrays whose dtype `int_dtype` picks from a checked bound.
+`mode_product` moves a whole stack of tensor vectors by one slot matrix
+in one numpy product. An equality system is one integer array
+(`integer_rows`; a list of rows is accepted too); its RREF is computed
+mod the prime P, read back by rational reconstruction and kept as
+integers over one denominator (`Echelon`), and one exact integer
+product checks it against every row, with fraction-free elimination of
+the rows chosen mod P as the fallback. The PSD test eliminates
+fraction-free too; its only Fractions are its multipliers and witness.
 """
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +26,9 @@ from .errors import InternalConsistencyError
 
 F0 = Fraction(0)
 F1 = Fraction(1)
-P = 2**31 - 1  # the prime of the row selection: a product of two residues fits in int64
+P = 2**27 - 39  # the prime of the modular RREF: REDUCE_EVERY products of two residues fit in int64
+REDUCE_EVERY = 256  # pivots between full reductions mod P in `_rref_mod_p`
+RECON_BOUND = isqrt(P // 2)  # numerators and denominators that `_reconstruct` reads back mod P
 
 
 def mode_product(m, vecs, dims, axis):
@@ -50,6 +54,12 @@ def array_max_abs(a) -> int:
     return int(np.abs(a).max()) if a.size else 0
 
 
+def int_matmul(a, b) -> np.ndarray:
+    """a @ b for integer arrays, in int64 when a bound on every output entry fits, else in Python ints."""
+    dtype = int_dtype(array_max_abs(a) * array_max_abs(b) * a.shape[-1])
+    return a.astype(dtype) @ b.astype(dtype)
+
+
 def integer_matrices(mats):
     """(scale, integer matrices): rational matrices times the lcm of all their denominators."""
     scale = lcm(*(x.denominator for m in mats for row in m for x in row))
@@ -65,56 +75,76 @@ def int_dtype(bound):
     return np.int64 if bound < 2**63 else object
 
 
-def solve_integer_rows(rows, ncols):
-    """Solve the augmented integer system rows = (a | b), a x = b, exactly.
+class Echelon(NamedTuple):
+    """The reduced row echelon form (RREF) of an augmented system (a | b), in integers over one denominator.
+
+    Row i of the RREF is rows[i] / den: rows is one integer array (int64
+    while its entries fit, else Python ints), rows[i, pivots[i]] == den
+    and every other pivot column of row i is 0. A pivot in the rhs column
+    (index ncols) means the system is inconsistent.
+    """
+
+    rows: np.ndarray
+    pivots: list
+    den: int
+
+    def free_columns(self, width) -> np.ndarray:
+        """The columns below `width` that hold no pivot, in order."""
+        free = np.ones(width, dtype=bool)
+        free[self.pivots] = False
+        return np.flatnonzero(free)
+
+    def affine(self, ncols) -> tuple[np.ndarray, np.ndarray]:
+        """(x0, basis) of the solution set of a x = b, integer arrays over den.
+
+        x0 is the particular solution, zero on every free column; basis has
+        one row per free column fc < ncols, den at fc and -rows[:, fc] on
+        the pivot columns, so x0 / den + span(basis) is every solution.
+        """
+        free = self.free_columns(ncols)
+        x0 = np.zeros(ncols, dtype=self.rows.dtype)
+        x0[self.pivots] = self.rows[:, ncols]
+        basis = np.zeros((len(free), ncols), dtype=self.rows.dtype)
+        basis[np.arange(len(free)), free] = self.den
+        basis[:, self.pivots] = -self.rows[:, free].T
+        return x0, basis
+
+
+def solve_integer_rows(rows, ncols) -> Echelon | None:
+    """The checked RREF of the augmented integer system rows = (a | b), or None when a x = b is inconsistent.
 
     Each row holds `ncols` integer coefficients and then its right-hand
     side. `rows` is one integer array (int64 or Python ints) or a list of
-    rows (`integer_rows`). Returns (particular, nullspace_basis) as
-    Fractions, read from the reduced row echelon form (RREF), or None when
-    the system is inconsistent (the RREF has a pivot in the rhs column).
+    rows (`integer_rows`).
 
-    Method: row selection mod a prime, then exact elimination of the
-    selected rows only (Dixon, Numer. Math. 40, 1982, for the modular
-    idea). Gaussian elimination mod P picks rows independent mod P; a
-    nonzero minor mod P is nonzero over the integers, so they are
-    independent over Q. Fraction-free Gauss-Jordan (`_gauss_jordan`)
-    reduces them, and every other row is then checked exactly to lie in
-    their span (`_outside_span`); rows that do not join the selection and
-    the step repeats. The RREF of a row space is unique, so the result
-    equals that of eliminating every row, and no decision rests on
-    arithmetic mod P. The rows stay one array throughout: the residues,
-    the bounds that pick each dtype and the selected and remaining rows
-    are read from it.
+    Method: a modular RREF with rational reconstruction, checked exactly
+    in integers (Dixon, Numer. Math. 40, 1982; Wang, Guy & Davenport,
+    SIGSAM Bull. 16, 1982). One Gauss-Jordan pass mod the prime P over
+    all rows (`_rref_mod_p`) gives the RREF mod P, its pivots and the
+    rows it chose; its entries are read back as fractions and the rows
+    scaled to integers R over one denominator L (`_reconstruct`). The
+    rows chosen mod P are independent mod P, hence over Q, so
+    rank a >= len(pivots); the integer check `_unspanned`
+    (L a == a[:, pivots] R) shows every row of a lies in the span of R,
+    so R spans the row space, and being an RREF it is the unique one.
+    When reconstruction or the check fails, fraction-free Gauss-Jordan
+    (`_gauss_jordan`) reduces the chosen rows exactly instead, and rows
+    that fail the same check join them until none does. Every returned
+    form has passed the check, and no decision rests on arithmetic mod P.
     """
     a = integer_rows(rows, ncols + 1)
-    chosen = _independent_rows_mod_p(a, ncols + 1)
-    while True:
-        reduced, pivots = _gauss_jordan(a[chosen], ncols + 1)
-        if pivots and pivots[-1] == ncols:
-            return None
-        rest = np.ones(len(a), dtype=bool)
-        rest[chosen] = False
-        others = np.flatnonzero(rest)
-        failing = _outside_span(reduced, pivots, a[others], ncols + 1)
-        if not failing:
-            break
-        chosen += others[failing].tolist()
-    particular = [F0] * ncols
-    for row, c in zip(reduced, pivots):
-        particular[c] = Fraction(row[ncols], row[c])
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        v = [F0] * ncols
-        v[fc] = F1
-        for row, c in zip(reduced, pivots):
-            if row[fc]:
-                v[c] = Fraction(-row[fc], row[c])
-        basis.append(v)
-    return particular, basis
+    residues, pivots, chosen = _rref_mod_p(a)
+    ech = _reconstruct(residues, pivots)
+    if ech is None or len(_unspanned(a, ech)):
+        while True:
+            ech = _scaled(*_gauss_jordan(a[chosen], ncols + 1), ncols + 1)
+            failing = _unspanned(a, ech)
+            if not len(failing):
+                break
+            chosen += failing.tolist()
+    if ech.pivots and ech.pivots[-1] == ncols:
+        return None
+    return ech
 
 
 def integer_rows(rows, width) -> np.ndarray:
@@ -129,27 +159,80 @@ def integer_rows(rows, width) -> np.ndarray:
     return np.array(rows, dtype=int_dtype(big)).reshape(len(rows), width)
 
 
-def _independent_rows_mod_p(rows, width) -> list[int]:
-    """Indices of rows that are linearly independent mod P, one per pivot column.
+def _rref_mod_p(a) -> tuple[np.ndarray, list, list]:
+    """(RREF mod P, pivot columns, original indices of the rows chosen as pivots) of the integer rows a.
 
-    Gaussian elimination mod P in int64 numpy, columns left to right; the
-    pivot of a column is the first unchosen row with a nonzero residue
-    there, and only the unchosen rows with a nonzero residue are updated,
-    from that column on (every unchosen row is zero left of it).
+    One Gauss-Jordan pass in int64 numpy over all rows, columns left to
+    right; the pivot of a column is the first unchosen row with a nonzero
+    residue there. Entries are reduced mod P lazily: a column when it is
+    searched (its residues are the multipliers), the pivot row when it is
+    scaled, and the whole array every REDUCE_EVERY pivots, which bounds
+    every entry by P + REDUCE_EVERY P^2 < 2^63.
     """
-    a = (integer_rows(rows, width) % P).astype(np.int64)
-    unchosen = np.ones(len(a), dtype=bool)
-    chosen = []
-    for c in range(width):
-        hit = np.flatnonzero(unchosen & (a[:, c] != 0))
-        if not len(hit):
+    m = (a % P).astype(np.int64)
+    order = list(range(len(m)))
+    pivots = []
+    for c in range(m.shape[1]):
+        r = len(pivots)
+        if r == len(m):
+            break
+        col = m[:, c] % P
+        hit = col[r:].nonzero()[0]
+        if not hit.size:
             continue
-        i, others = hit[0], hit[1:]
-        unchosen[i] = False
-        chosen.append(int(i))
-        pivot = a[i, c:] * pow(int(a[i, c]), -1, P) % P
-        a[others, c:] = (a[others, c:] - a[others, c, None] * pivot) % P
-    return chosen
+        i = r + int(hit[0])
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+            order[r], order[i] = order[i], order[r]
+            col[r], col[i] = col[i], col[r]
+        pivot = m[r, c:] % P * pow(int(col[r]), -1, P) % P
+        col[r] = 0
+        update = col.nonzero()[0]
+        m[update, c:] -= np.multiply.outer(col[update], pivot)
+        m[r, c:] = pivot
+        pivots.append(c)
+        if len(pivots) % REDUCE_EVERY == 0:
+            m %= P
+    return m[: len(pivots)] % P, pivots, order[: len(pivots)]
+
+
+def _reconstruct(residues, pivots) -> Echelon | None:
+    """The rational RREF whose residues mod P are `residues`, or None where some entry does not reconstruct.
+
+    An entry whose symmetric residue is at most RECON_BOUND is that
+    integer; every other distinct residue is read back once as the
+    fraction u / v (`_rational`). The rows are then scaled to integers
+    over the lcm L of the entry denominators, which is the lcm of the
+    rows' own denominators. The result is a guess until `_unspanned`
+    checks it.
+    """
+    nums = np.where(residues > P // 2, residues - P, residues)
+    big = np.abs(nums) > RECON_BOUND
+    entries = (nums[big] % P).tolist()
+    fractions = {e: _rational(e) for e in set(entries)}
+    if None in fractions.values():
+        return None
+    scale = lcm(*(v for _, v in fractions.values()))
+    dtype = int_dtype(scale * RECON_BOUND)
+    rows = np.where(big, 0, nums).astype(dtype) * scale
+    rows[big] = np.array([fractions[e][0] * (scale // fractions[e][1]) for e in entries], dtype=dtype)
+    return Echelon(rows, pivots, scale)
+
+
+def _rational(e) -> tuple[int, int] | None:
+    """The fraction (u, v) = e mod P with |u|, v <= RECON_BOUND, v > 0, or None.
+
+    The half extended Euclidean algorithm on (P, e), stopped at the first
+    remainder at most RECON_BOUND; since 2 RECON_BOUND^2 < P the fraction
+    is unique when it exists (Wang, Guy & Davenport, SIGSAM Bull. 16, 1982).
+    """
+    r0, r1, t0, t1 = P, e, 0, 1
+    while r1 > RECON_BOUND:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > RECON_BOUND or gcd(r1, t1) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
 def _gauss_jordan(rows, width) -> tuple[list, list]:
@@ -185,29 +268,26 @@ def _gauss_jordan(rows, width) -> tuple[list, list]:
     return a[: len(pivots)].tolist(), pivots
 
 
-def _outside_span(reduced, pivots, others, width) -> list[int]:
-    """Positions in `others` (integer rows) of the rows outside the span of the reduced rows.
-
-    Row q is in the span exactly when q = sum_i q[c_i] / d_i R_i, with
-    R_i the reduced rows, c_i their pivot columns and d_i their pivot
-    entries. The pivot columns agree by construction, so the test runs
-    over the other columns, in integers over L = lcm(d_i): L q_N equals
-    q_P N', with N'_i = (L / d_i) times the non-pivot part of R_i. One
-    matrix product, in int64 when a bound on its entries allows it.
-    """
-    q = integer_rows(others, width)
-    if not len(q):
-        return []
-    pivot_set = set(pivots)
-    free = [c for c in range(width) if c not in pivot_set]
+def _scaled(reduced, pivots, width) -> Echelon:
+    """The RREF of `_gauss_jordan` output (rows up to scale) over the lcm L of their pivot entries."""
     scale = lcm(*(row[c] for row, c in zip(reduced, pivots)))
-    lifted = [[scale // row[c] * row[j] for j in free] for row, c in zip(reduced, pivots)]
-    q_piv, q_free = q[:, pivots], q[:, free]
-    big_piv, big_lifted, big_free = array_max_abs(q_piv), _max_abs(lifted), array_max_abs(q_free)
-    dtype = int_dtype(max(big_piv, big_lifted, scale * max(big_free, 1), big_piv * big_lifted * len(pivots)))
-    lhs = q_free.astype(dtype) * scale
-    rhs = q_piv.astype(dtype) @ np.array(lifted, dtype=dtype).reshape(len(pivots), len(free))
-    return np.flatnonzero((lhs != rhs).any(axis=1)).tolist()
+    rows = [[scale // row[c] * x for x in row] for row, c in zip(reduced, pivots)]
+    return Echelon(integer_rows(rows, width), pivots, scale)
+
+
+def _unspanned(a, ech: Echelon) -> np.ndarray:
+    """Indices of the rows of the integer array a outside the span of the RREF `ech`.
+
+    Row q is in the span exactly when q = sum_i q[pivots[i]] R_i / L, with
+    R = ech.rows and L = ech.den: one integer product, L a == a[:, pivots]
+    R, compared on the free columns (it holds on the pivot columns since
+    R[:, pivots] = L I), each side in int64 when a bound on its entries
+    allows it, else in Python ints.
+    """
+    free = ech.free_columns(a.shape[1])
+    a_free = a[:, free]
+    lhs = a_free.astype(int_dtype(ech.den * array_max_abs(a_free))) * ech.den
+    return np.flatnonzero((lhs != int_matmul(a[:, ech.pivots], ech.rows[:, free])).any(axis=1))
 
 
 def _max_abs(rows) -> int:

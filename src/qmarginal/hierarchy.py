@@ -248,46 +248,53 @@ class PrimalVerdict:
 def solve_primal(problem: BlockSdp) -> PrimalVerdict:
     """Decide feasibility of an assembled primal system.
 
-    When no free direction of the equalities moves a block (no free
-    direction at all is one case), the answer is an exact PSD test of
-    every block at the particular solution x0, as integers over their lcm,
+    The equalities are solved once, exactly, as the checked integer RREF
+    of `exactla.solve_integer_rows`; the particular solution x0 and the
+    nullspace are integer arrays over its one denominator L, and the free
+    directions that move no block are dropped by one mask. When no free
+    direction moves a block (no free direction at all is one case), the
+    answer is an exact PSD test of every block at x0, as integers over L,
     one tensordot with the block's num; an infeasible verdict keeps x0
     and names the first failing tuple. When every block is scalar it is
-    an exact LP on each block's num[:, 0, 0] over its den. Otherwise the remaining freedom goes
-    through the float margin-maximization SDP, and a margin below
-    -FLOAT_TOL is a float `infeasible`.
+    an exact LP whose rows are one integer product per block (over L
+    times the block's den), and x is one more product. Otherwise the
+    remaining freedom goes through the float margin-maximization SDP, on
+    the correctly rounded quotients of the same integers by L, and a
+    margin below -FLOAT_TOL is a float `infeasible`.
     """
     nv = problem.nvars
-    sol = exactla.solve_integer_rows(problem.int_rows, nv)
-    if sol is None:
+    ech = exactla.solve_integer_rows(problem.int_rows, nv)
+    if ech is None:
         return PrimalVerdict("infeasible", exact=True, nullity=0)
-    x0, basis = sol
+    x0, basis = ech.affine(nv)
+    nullity = len(basis)
 
-    # keep only directions that move some block
-    moved = {v for blk in problem.blocks for v in blk.variables}
-    active = [vec for vec in basis if any(vec[v] for v in moved)]
-    if not active:
-        _, ((x,),) = exactla.integer_matrices([[x0]])
+    moved = sorted({v for blk in problem.blocks for v in blk.variables})
+    active = basis[(basis[:, moved] != 0).any(axis=1)]
+    if not len(active):
+        x = _over(x0.tolist(), ech.den)
         for blk in problem.blocks:
-            if not psd_check_exact(_combination([x[v] for v in blk.variables], blk.num, exactla.array_max_abs(blk.num)).tolist()).psd:
+            if not psd_check_exact(_combination(x0[blk.variables].tolist(), blk.num, exactla.array_max_abs(blk.num)).tolist()).psd:
                 parts = tuple(getattr(p, "parts", p) for p in blk.partitions)
-                return PrimalVerdict("infeasible", exact=True, x=x0, nullity=len(basis), witness_block=parts)
-        return PrimalVerdict("feasible", exact=True, x=x0, nullity=len(basis))
+                return PrimalVerdict("infeasible", exact=True, x=x, nullity=nullity, witness_block=parts)
+        return PrimalVerdict("feasible", exact=True, x=x, nullity=nullity)
 
+    stacked = np.concatenate([x0[None], active])
     if all(blk.k == 1 for blk in problem.blocks):
         # every sector is scalar: feasibility is an exact rational LP
         lp = LinearProgram(c=[F0] * len(active), bounds=[(None, None)] * len(active))
         for blk in problem.blocks:
-            scalars = list(zip(blk.variables, blk.num[:, 0, 0].tolist()))
-            base, *coeffs = (sum((vec[v] * s for v, s in scalars if vec[v]), start=F0) / blk.den for vec in (x0, *active))
-            lp.add_row([-c for c in coeffs], "<=", base)
+            base, *coeffs = exactla.int_matmul(stacked[:, blk.variables], blk.num[:, 0, 0]).tolist()
+            scale = ech.den * blk.den
+            lp.add_row([Fraction(-c, scale) for c in coeffs], "<=", Fraction(base, scale))
         res = lp_solve_exact(lp)
         if res.status == "optimal":
-            x = [x0[v] + sum((Fraction(res.x[j]) * active[j][v] for j in range(len(active))), start=F0) for v in range(nv)]
-            return PrimalVerdict("feasible", exact=True, x=x, nullity=len(basis))
-        return PrimalVerdict("infeasible", exact=True, nullity=len(basis))
+            step, ((y,),) = exactla.integer_matrices([[res.x]])
+            x = exactla.int_matmul(np.array([step, *y], dtype=object), stacked)
+            return PrimalVerdict("feasible", exact=True, x=_over(x.tolist(), ech.den * step), nullity=nullity)
+        return PrimalVerdict("infeasible", exact=True, nullity=nullity)
 
-    coeffs = np.array([[float(c) if c else 0.0 for c in vec] for vec in (x0, *active)])
+    coeffs = _float_quotients(stacked, ech.den)
     sdp_blocks = []
     for blk in problem.blocks:
         stack = _float_stack(blk, coeffs)
@@ -300,8 +307,23 @@ def solve_primal(problem: BlockSdp) -> PrimalVerdict:
         "feasible" if feasible else "infeasible",
         exact=False,
         margin=res.margin,
-        nullity=len(basis),
+        nullity=nullity,
     )
+
+
+def _over(nums, den) -> list[Fraction]:
+    return [Fraction(v, den) for v in nums]
+
+
+def _float_quotients(nums: np.ndarray, den: int) -> np.ndarray:
+    """nums / den as correctly rounded floats, as float(Fraction(num, den)) rounds them.
+
+    One float division while every operand converts to float exactly
+    (below 2^53), else Python's int true division, entry by entry.
+    """
+    if exactla.array_max_abs(nums) <= 2**53 and den <= 2**53:
+        return nums.astype(float) / den
+    return np.array([[v / den for v in row] for row in nums.tolist()], dtype=float).reshape(nums.shape)
 
 
 def _float_stack(blk: IrrepBlock, coeffs: np.ndarray) -> np.ndarray:

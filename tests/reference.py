@@ -32,6 +32,9 @@ traces, and trace pairings with a test (`terms_pairing`).
 `operator_rows` the equality rows of `hierarchy.assemble_primal` taken
 through it, the route the library replaced by gathers from one table.
 
+`affine_solution` reads the integer RREF of `exactla.solve_integer_rows`
+as the (particular, nullspace basis) Fractions of a rational system.
+
 `dict_row` reads a primitive integer equality row as a dict, the form
 the recorded row digests were taken in.
 
@@ -254,9 +257,33 @@ def xi_gram(n: int, d: int) -> list[list[Fraction]]:
 def xi_coordinates(n: int, d: int, overlaps) -> list[Fraction]:
     """The x with Tr(X_i sum_j x_j X_j) = overlaps[i], solved exactly."""
     rows = [exactla.primitive([*row, Fraction(v)]) for row, v in zip(xi_gram(n, d), overlaps)]
-    particular, free = exactla.solve_integer_rows(rows, n + 1)
+    particular, free = affine_solution(exactla.solve_integer_rows(rows, n + 1), n + 1)
     assert not free
     return particular
+
+
+def affine_solution(ech, ncols):
+    """(particular, nullspace basis) as Fractions, read from the integer RREF of
+    `exactla.solve_integer_rows` (None, an inconsistent system, stays None).
+
+    Entry by entry: the particular solution is rhs / den on the pivot
+    columns and 0 elsewhere, and each free column fc gives the vector with
+    1 at fc and -row[fc] / den on the pivot columns.
+    """
+    if ech is None:
+        return None
+    reduced = ech.rows.tolist()
+    particular = [F0] * ncols
+    for row, c in zip(reduced, ech.pivots):
+        particular[c] = Fraction(row[ncols], ech.den)
+    basis = []
+    for fc in sorted(set(range(ncols)) - set(ech.pivots)):
+        v = [F0] * ncols
+        v[fc] = F1
+        for row, c in zip(reduced, ech.pivots):
+            v[c] = Fraction(-row[fc], ech.den)
+        basis.append(v)
+    return particular, basis
 
 
 def dual_coefficients(i: int, n: int, d: int) -> list[Fraction]:

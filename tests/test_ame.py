@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from reference import (
+    affine_solution,
     block_gram,
     candidate_matrix,
     candidate_spectrum,
@@ -56,7 +57,7 @@ def candidate_x_oracle(n: int, d: int) -> list[Fraction]:
             row[s + t] += binom(n - r, t) * d ** (n - r - t)
         rows.append(row)
         rhs.append(F0)
-    particular, free = exactla.solve_integer_rows([exactla.primitive([*row, b]) for row, b in zip(rows, rhs)], n + 1)
+    particular, free = affine_solution(exactla.solve_integer_rows([exactla.primitive([*row, b]) for row, b in zip(rows, rhs)], n + 1), n + 1)
     assert not free, (n, d)
     return particular
 

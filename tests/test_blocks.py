@@ -7,9 +7,11 @@ swap-pattern sums of the witness blocks and the per-key arrangement sums
 of the primal blocks as explicit Kronecker products (`kron_all` below),
 compressed by `_compress`. The library's results must be identical to
 it, entry for entry and byte for byte. The integer kernels
-(`exactla.solve_integer_rows` with its mod-P row selection, on rational
-systems made primitive rows (`_solve`)) are checked against the Fraction
-loops they replace; the trace pairings of `SymbolicOperator` and the row
+(`exactla.solve_integer_rows` with its checked modular RREF and its
+fraction-free fallback, on rational systems made primitive rows
+(`_solve`), read back by `reference.affine_solution`) are checked
+against the Fraction loops they replace; the trace pairings of
+`SymbolicOperator` and the row
 identities `assemble_primal` gathers with them against the dense integer
 model and the dict operator algebra in `reference.py`, and the assembled
 rows against the operator route taken through that algebra
@@ -122,8 +124,8 @@ def nullspace(a, ncols=None):
 
 
 def _solve(a, b, ncols):
-    """exactla.solve_integer_rows on the rational system a x = b, each row (a_i | b_i) made primitive."""
-    return exactla.solve_integer_rows([exactla.primitive([*row, rhs]) for row, rhs in zip(a, b)], ncols)
+    """exactla.solve_integer_rows on the rational system a x = b, each row (a_i | b_i) made primitive, as Fractions."""
+    return reference.affine_solution(exactla.solve_integer_rows([exactla.primitive([*row, rhs]) for row, rhs in zip(a, b)], ncols), ncols)
 
 
 def _reference_solve_affine(a, b, n):
@@ -603,10 +605,10 @@ def test_solve_integer_rows_takes_lists_and_arrays_alike(kind):
         rows = [exactla.primitive([*row, rhs]) for row, rhs in zip(a, b)]
         forms = _row_forms(rows, ncols + 1)
         assert sorted(forms) == ["int64", "list", "object"]
-        got = {name: exactla.solve_integer_rows(form, ncols) for name, form in forms.items()}
+        got = {name: reference.affine_solution(exactla.solve_integer_rows(form, ncols), ncols) for name, form in forms.items()}
         assert got["int64"] == got["object"] == got["list"] == _reference_solve_affine(a, b, ncols)
     for form in _row_forms([], 3).values():
-        assert exactla.solve_integer_rows(form, 2) == ([F0, F0], [[F1, F0], [F0, F1]])
+        assert reference.affine_solution(exactla.solve_integer_rows(form, 2), 2) == ([F0, F0], [[F1, F0], [F0, F1]])
 
 
 def _wide_system(rng, bits, kind):
@@ -644,7 +646,7 @@ def test_solve_integer_rows_takes_wide_lists_and_arrays_alike(bits):
             rows = [exactla.primitive([*row, rhs]) for row, rhs in zip(a, b)]
             forms = _row_forms(rows, ncols + 1)
             assert ("int64" in forms) == (bits < 70)
-            got = [exactla.solve_integer_rows(form, ncols) for form in forms.values()]
+            got = [reference.affine_solution(exactla.solve_integer_rows(form, ncols), ncols) for form in forms.values()]
             assert all(g == got[0] for g in got) and got[0] == _reference_solve_affine(a, b, ncols)
 
 
@@ -658,14 +660,66 @@ def test_solve_integer_rows_takes_wide_lists_and_arrays_alike(bits):
     ids=["hidden-rank", "hidden-inconsistency", "with-dependent-rows"],
 )
 def test_solve_affine_rechecks_rows_left_out_mod_p(a, b):
-    """Rows dependent mod P are left out by the selection and found by the exact span check."""
+    """Rows dependent mod P are left out of the modular RREF, whose reconstruction the exact check then rejects."""
     a = [[Fraction(x) for x in row] for row in a]
     b = [Fraction(x) for x in b]
     ncols = len(a[0])
-    rows = [exactla.primitive([*row, rhs]) for row, rhs in zip(a, b)]
-    chosen = exactla._independent_rows_mod_p(rows, ncols + 1)
-    assert exactla._outside_span(*exactla._gauss_jordan([rows[i] for i in chosen], ncols + 1), [rows[1]], ncols + 1) == [0]
+    rows = exactla.integer_rows([exactla.primitive([*row, rhs]) for row, rhs in zip(a, b)], ncols + 1)
+    residues, pivots, chosen = exactla._rref_mod_p(rows)
+    assert 1 not in chosen
+    assert exactla._unspanned(rows, exactla._reconstruct(residues, pivots)).tolist() == [1]
     assert _solve(a, b, ncols) == _reference_solve_affine(a, b, ncols)
+
+
+def _echelon_system(rng, dens, inconsistent):
+    """(a, b, ncols): random integer mixes of the rows of a random RREF R, whose entries are num / den, den in `dens`.
+
+    The first row's first free entry has denominator max(dens); an
+    inconsistent system has a pivot in the rhs column. Drawn again until
+    the mix keeps the rank, so that R is the system's RREF.
+    """
+    while True:
+        ncols = rng.randint(3, 9)
+        rank = rng.randint(1, ncols - 1)
+        pivots = [0, *sorted(rng.sample(range(1, ncols), rank - 1))] + [ncols] * inconsistent
+        reduced = []
+        for c in pivots:
+            row = [F0] * (ncols + 1)
+            row[c] = F1
+            for j in range(c + 1, ncols + 1):
+                if j not in pivots and rng.random() < 0.8:
+                    row[j] = Fraction(rng.randint(-30, 30), rng.choice(dens))
+            reduced.append(row)
+        first_free = min(j for j in range(1, ncols + 1) if j not in pivots)
+        reduced[0][first_free] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), max(dens))
+        mixes = [[rng.randint(-3, 3) for _ in reduced] for _ in range(len(reduced) + rng.randint(0, 3))]
+        aug = [[sum((m * row[j] for m, row in zip(mix, reduced)), start=F0) for j in range(ncols + 1)] for mix in mixes]
+        if rref([list(row) for row in aug], ncols=ncols + 1) == pivots:
+            return [row[:ncols] for row in aug], [row[ncols] for row in aug], ncols
+
+
+@pytest.mark.parametrize("dens, fallback", [((1, 2, 3, 4, 6), False), ((10007, 65537), True)], ids=["inside-bound", "past-bound"])
+def test_solve_integer_rows_reconstructs_or_falls_back(dens, fallback, monkeypatch):
+    """RREF denominators inside the reconstruction bound are read back mod P and
+    checked; past it, the fraction-free elimination runs instead. Either way
+    the result is the Fraction RREF's, and it has passed the integer check."""
+    calls = []
+    gauss_jordan = exactla._gauss_jordan
+    monkeypatch.setattr(exactla, "_gauss_jordan", lambda *args: calls.append(args) or gauss_jordan(*args))
+    rng = random.Random(f"echelon-{max(dens)}")
+    for trial in range(20):
+        inconsistent = trial % 4 == 3
+        a, b, ncols = _echelon_system(rng, dens, inconsistent)
+        calls.clear()
+        rows = [exactla.primitive([*row, rhs]) for row, rhs in zip(a, b)]
+        ech = exactla.solve_integer_rows(rows, ncols)
+        assert bool(calls) == fallback
+        ref = _reference_solve_affine(a, b, ncols)
+        assert (ech is None) == (ref is None) == inconsistent
+        if ech is not None:
+            assert reference.affine_solution(ech, ncols) == ref
+            assert (ech.rows[:, ech.pivots] == ech.den * np.eye(len(ech.pivots), dtype=int)).all()
+            assert not len(exactla._unspanned(exactla.integer_rows(rows, ncols + 1), ech))
 
 
 def _phi_pairing(system, test):

@@ -400,6 +400,54 @@ def test_short_cut_is_checked_in_integers():
     assert hi._short_cut(big) in ([4, -4], [-4, 4])
 
 
+# The five primal-extension systems, and AME(3,3) at N = 3 -> (status, exact, nullity,
+# sha256 of the x entries joined by spaces, margin as float.hex(), witness block),
+# recorded before the modular RREF replaced the Fraction post-processing of the
+# equality solution. Between them they take every branch of `solve_primal`: an
+# inconsistent system, the exact PSD test at x0 (feasible and infeasible), the scalar
+# LP and the float barrier; AME(3,3) is the one whose LP optimum is not 0 (79/1296000).
+PRIMAL_PINS = {
+    ("code", 4, 1, 1, 2, True, "extension"): ("feasible", False, 58, None, "0x1.1110cab2b5a36p-10", None),
+    ("code", 2, 2, 1, 2, False, "extension"): ("infeasible", True, 0, None, None, None),
+    ("code", 5, 2, 2, 2, True, "ppt"): ("feasible", True, 0, "bcb10fe189efc6230e57b35b2a2cc098fb4e79792d616ca522b4466da50f3725", None, None),
+    ("code", 4, 1, 2, 2, True, "ppt"): (
+        "infeasible",
+        True,
+        0,
+        "afdfaec474cb0876324a4aeeb8fee1287b592daad7c9d77ec6bec653938dc753",
+        None,
+        ((2,), ("pattern", 4)),
+    ),
+    ("ame", 3, 2, 3): ("feasible", True, 21, "ab14ad0ad2fb8e3e861d15e0e7336b40a54933a31a1e1c7a603ff504f4b7f889", None, None),
+    ("ame", 3, 3, 3): ("feasible", True, 1, "3c187a2235aee23f3d43cf41e93d3f4ae92460dad22441408f9e5f80e2000b25", None, None),
+}
+
+
+@pytest.mark.parametrize("system", sorted(PRIMAL_PINS, key=str), ids=lambda system: "-".join(map(str, system)))
+def test_solve_primal_matches_recorded_verdicts(system):
+    """Status, exactness, nullity, x and the float bits of the margin, unchanged on the bench systems."""
+    if system[0] == "ame":
+        problem = hi.assemble_primal(hi.ame_marginal_spec(*system[1:3]), system[3])
+    else:
+        n, k, m, d, pure, level = system[1:]
+        params = codes.CodeParams(n, k, m, d, pure=pure)
+        problem = codes.code_two_party_constraints(params, level) if level == "ppt" else codes.code_extension_blocksdp(params, 3)
+    v = hi.solve_primal(problem)
+    x = None if v.x is None else hashlib.sha256(" ".join(map(str, v.x)).encode()).hexdigest()
+    margin = None if v.margin is None else float(v.margin).hex()
+    assert (v.status, v.exact, v.nullity, x, margin, v.witness_block) == PRIMAL_PINS[system]
+
+
+def test_float_quotients_round_as_fractions_do():
+    """Both branches give float(Fraction(num, den)), bit for bit: float division below 2^53, int division past it."""
+    nums = np.array([[0, 1, -1, 2**53, -(2**53) + 1], [7, -7, 10**15, 3, 2**52 + 1]], dtype=np.int64)
+    for den in (1, 3, 41472, 2**53):
+        assert hi._float_quotients(nums, den).tolist() == [[float(F(v, den)) for v in row] for row in nums.tolist()]
+    wide = np.array([[2**70 + 1, -(3**50)], [1, 0]], dtype=object)
+    for den in (3, 2**60 + 7):
+        assert hi._float_quotients(wide, den).tolist() == [[float(F(v, den)) for v in row] for row in wide.tolist()]
+
+
 def test_dedupe_rows_normalizes_sign_and_gcd():
     """Rows (a_0, a_1, a_2 | b): gcd 1, lead variable positive, first-seen order, zero rows dropped."""
     rows = [
