@@ -24,7 +24,8 @@ This module provides
   mode product per group element, and z_K for every key is one batched
   product (no total x total matrix). `witness_blocks` (`_witness_block`)
   takes the swap-pattern sums E_l, which are diagonal in seminormal
-  form, as Krawtchouk-weighted sums of Gram matrices. Every block holds
+  form, as Krawtchouk-weighted sums of Gram matrices, and a tuple of
+  multiplicity 1 from the Reynolds diagonal alone (`_rank_one`). Every block holds
   one exact form, an integer stack over one denominator in lowest terms,
   and its correctly rounded floats, both from the same integers
   (`_compressed`); `irrep_block` selects rows of it.
@@ -41,7 +42,7 @@ import numpy as np
 
 from . import exactla
 from .ame import krawtchouk
-from .errors import InvalidInputError, ResourceCapError
+from .errors import InternalConsistencyError, InvalidInputError, ResourceCapError
 from .symgroup import (
     Partition,
     Permutation,
@@ -385,20 +386,59 @@ def _witness_block(parts: tuple[tuple[int, ...], ...]) -> IrrepBlock:
     matrix U^T W U restricted to the indices with m(i) = m, the gram of
     `_basis` is sum_m G_m and z_l = sum_m K[m][l] G_m. The G_m are
     integer matrix products in the dtype of `_basis`'s arrays, whose
-    bound covers these sums.
+    bound covers these sums. A tuple of multiplicity k = 1 needs no
+    basis: its block is read off the Reynolds diagonal (`_rank_one`).
     """
-    u, wu, dens, wden, gram = _basis(parts)
     n = len(parts)
     m = np.zeros(1, dtype=np.intp)
     for p in parts:
         rep = _rep(p)
         m = (m[:, None] + np.array([rep.generators[0][i][i] < 0 for i in range(rep.dim)], dtype=np.intp)).ravel()
+    if trivial_multiplicity(parts) == 1:
+        return _rank_one(parts, m)
+    u, wu, dens, wden, gram = _basis(parts)
     g = np.zeros((n + 1, len(dens), len(dens)), dtype=u.dtype)
     for j in np.flatnonzero(np.bincount(m)).tolist():
         cols = np.flatnonzero(m == j)
         g[j] = wu[:, cols] @ u[:, cols].T
     z = np.tensordot(np.array(krawtchouk(n), dtype=u.dtype).T, g, axes=1)
     return _compressed(parts, dens, wden, gram, 1, range(n + 1), z)
+
+
+def _rank_one(parts: tuple[tuple[int, ...], ...], m: np.ndarray) -> IrrepBlock:
+    """The witness block of a tuple whose invariant subspace is one line, from the Reynolds diagonal.
+
+    The Reynolds operator P = (1/N!) sum_sigma S_1(sigma) x ... x S_n(sigma)
+    is the W-orthogonal projector v v^T W / (v^T W v) onto the line, so
+    P_jj = w_j v_j^2 / (v^T W v) >= 0. Its integer form
+    d_j = sum_sigma prod_s matrices_s[sigma][j_s, j_s] is N! (prod_s scale_s) P_jj,
+    one sum of Kronecker products of the table diagonals (`_integer_tables`),
+    int64 when N! times the product of the largest diagonal entries
+    fits, else Python ints. Tr P = 1 is checked exactly. The basis vector
+    u = v / v_p of `invariant_basis_exact` has its pivot p at the last j
+    with d_j != 0, so gram = u^T W u = w_p / P_pp and
+    z_l = sum_j w_j u_j^2 K[m(j)][l] = gram sum_j P_jj K[m(j)][l]
+    = (w_p / d_p) sum_j d_j K[m(j)][l]: integers over w_p's denominator
+    times d_p, handed to `_compressed` as 1 x 1 arrays.
+    """
+    n, tables = len(parts), [_integer_tables(p) for p in parts]
+    order, scale = len(tables[0].matrices), prod(t.scale for t in tables)
+    diagonals = [t.matrices.diagonal(axis1=1, axis2=2) for t in tables]  # element, index
+    dtype = exactla.int_dtype(order * prod(exactla.array_max_abs(x) for x in diagonals))
+    acc = diagonals[0].astype(dtype)
+    for x in diagonals[1:]:
+        acc = (acc[:, :, None] * x.astype(dtype)[:, None, :]).reshape(order, -1)
+    d = acc.sum(axis=0).tolist()
+    if sum(d) != order * scale:
+        raise InternalConsistencyError(f"the Reynolds trace of {parts} is not 1")
+    p = max(j for j, x in enumerate(d) if x)
+    w = prod(_rep(q).weights[i] for q, i in zip(parts, np.unravel_index(p, [x.shape[1] for x in diagonals])))
+    per_m = [0] * (n + 1)
+    for x, j in zip(d, m.tolist()):
+        per_m[j] += x
+    z = [[[w.numerator * sum(row[l] * x for row, x in zip(krawtchouk(n), per_m))]] for l in range(n + 1)]
+    gram = np.array([[w.numerator * order * scale]], dtype=object)
+    return _compressed(parts, [1], w.denominator * d[p], gram, 1, range(n + 1), np.array(z, dtype=object))
 
 
 @lru_cache(maxsize=None)

@@ -1,8 +1,9 @@
 """Representation theory of the symmetric group S_N.
 
 Provides partitions, characters (Murnaghan-Nakayama), irreducible
-representation matrices in Young's seminormal form (exact rationals)
-with the weights of the orthogonalization metric, and exact bases of the
+representation matrices in Young's seminormal form (exact rationals for
+the generators, integer tables over one scale for the whole group) with
+the weights of the orthogonalization metric, and exact bases of the
 subspace of an irrep tensor product that transforms trivially under the
 diagonal action.
 
@@ -21,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial, gcd, lcm, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -184,12 +185,15 @@ def trivial_multiplicity(lams) -> int:
 
 
 @lru_cache(maxsize=None)
+def _classes(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(cycle type, class size) of every conjugacy class of S_n."""
+    return tuple((cls.parts, class_size(cls)) for cls in conjugacy_classes(n))
+
+
+@lru_cache(maxsize=None)
 def _trivial_multiplicity(parts: tuple[tuple[int, ...], ...]) -> int:
-    n = sum(parts[0])
-    total = 0
-    for cls in conjugacy_classes(n):
-        total += class_size(cls) * prod(character(p, cls) for p in parts)
-    q, r = divmod(total, factorial(n))
+    total = sum(size * prod(_character(p, cycle) for p in parts) for cycle, size in _classes(sum(parts[0])))
+    q, r = divmod(total, factorial(sum(parts[0])))
     if r:
         raise InternalConsistencyError("non-integer trivial multiplicity")
     return q
@@ -352,7 +356,6 @@ class _Rep:
         self._index = {tab: i for i, tab in enumerate(self.tableaux)}
         self.generators = [self._generator(k) for k in range(self.n - 1)]
         self.weights = self._orth_weights()
-        self._semi_cache: dict[tuple[int, ...], tuple] = {}
 
     def _swap_letters(self, ti: int, k: int) -> int:
         tab = self.tableaux[ti]
@@ -420,26 +423,6 @@ class _Rep:
             raise InternalConsistencyError("tableau swap graph not connected")
         return weights
 
-    def seminormal(self, perm: Permutation):
-        key = perm.images
-        cached = self._semi_cache.get(key)
-        if cached is not None:
-            return cached
-        d = self.dim
-        ks = perm.adjacent_factorization()
-        if not ks:
-            out = tuple(tuple(F1 if i == j else F0 for j in range(d)) for i in range(d))
-        else:
-            # perm = s_k o rest with rest one generator shorter; S(s_k) has at
-            # most two nonzeros per row, so one product costs O(d^2)
-            k = ks[-1]
-            inner = self.seminormal(Permutation.transposition(self.n, k, k + 1).compose(perm))
-            rows = [[(l, x) for l, x in enumerate(row) if x] for row in self.generators[k]]
-            out = tuple(tuple(sum(x * inner[l][j] for l, x in row) for j in range(d)) for row in rows)
-        if len(self._semi_cache) < 50000:
-            self._semi_cache[key] = out
-        return out
-
 
 @lru_cache(maxsize=None)
 def _rep(parts: tuple[int, ...]) -> _Rep:
@@ -465,12 +448,46 @@ class _IntegerTables(NamedTuple):
 
 
 @lru_cache(maxsize=None)
+def _descents(n: int) -> list[tuple[int, int, int]]:
+    """(i, k, j) for every element sigma_i of `group_elements(n)` but the identity, shortest first:
+    sigma_i = s_k o sigma_j with k the last letter of its `adjacent_factorization`, so
+    sigma_j is one adjacent transposition shorter and comes earlier in the list."""
+    elements = group_elements(n)
+    index = {sigma.images: i for i, sigma in enumerate(elements)}
+    steps = []
+    for i, sigma in enumerate(elements):
+        ks = sigma.adjacent_factorization()
+        if ks:
+            steps.append((len(ks), i, ks[-1], index[Permutation.transposition(n, ks[-1], ks[-1] + 1).compose(sigma).images]))
+    return [(i, k, j) for _, i, k, j in sorted(steps)]
+
+
+@lru_cache(maxsize=None)
 def _integer_tables(parts: tuple[int, ...]) -> _IntegerTables:
-    """Built once per partition and shared by every tuple that has it in a slot."""
+    """Built once per partition, from integer products alone, and shared by every tuple that has it in a slot.
+
+    With D the lcm of the generators' denominators, G_k = D S(s_k) is an
+    integer matrix. Along `_descents`, sigma = s_k o rho with rho one
+    adjacent transposition shorter, so M_sigma = G_k M_rho (M = I at the
+    identity) is an integer matrix with S(sigma) = M_sigma / D^l, l the
+    length of sigma. Over g = gcd(D^l, entries of M_sigma), D^l / g is
+    the lcm of the denominators of S(sigma); `scale` is the lcm of those
+    over the group, and matrices[sigma] = (scale g / D^l) M_sigma / g.
+    That is the unique lcm-scaled integer form: the `Fraction` matrices
+    times the lcm of all their denominators, as the test oracle builds it.
+    """
     rep = _rep(parts)
-    scale, mats = exactla.integer_matrices([rep.seminormal(sigma) for sigma in group_elements(rep.n)])
-    mats = np.array(mats, dtype=object)
-    return _IntegerTables(scale, mats, mats.diagonal(axis1=1, axis2=2).sum(axis=1).tolist())
+    base, gens = exactla.integer_matrices(rep.generators)
+    gens = [np.array(g, dtype=object) for g in gens]
+    mats = [(np.eye(rep.dim, dtype=np.int64).astype(object), 1)] * factorial(rep.n)  # (M_sigma, D^l); the identity is first
+    for i, k, j in _descents(rep.n):
+        mats[i] = (gens[k] @ mats[j][0], mats[j][1] * base)
+    for i, (m, power) in enumerate(mats):
+        g = gcd(power, *m.flat)
+        mats[i] = (m // g, power // g)
+    scale = lcm(*(power for _, power in mats))
+    matrices = np.stack([m * (scale // power) for m, power in mats])
+    return _IntegerTables(scale, matrices, matrices.diagonal(axis1=1, axis2=2).sum(axis=1).tolist())
 
 
 def invariant_basis_exact(lams, cap: int = 512):
@@ -508,7 +525,8 @@ def invariant_basis_exact(lams, cap: int = 512):
     Everything runs in Python integers on per-partition tables built
     once (`_integer_tables`): each slot's seminormal matrices share one
     scale, rows are kept primitive, and the back-substitution is
-    fraction-free.
+    fraction-free. The witness blocks call this only for k > 1; a k = 1
+    block is read off the Reynolds diagonal (`blocks._rank_one`).
     """
     parts = tuple(Partition(_as_parts(l)) for l in lams)
     n = parts[0].n

@@ -11,9 +11,11 @@ denominator, so every comparison made with it is exact.
 The X_i basis (X_i = P{V^i x 1^(n-i)}, variable i of the two-copy
 system) is handled through its Gram matrix and its closed-form dual.
 
-Young's orthogonal form (floats) is built here from the library's
-seminormal matrices and weights, and the hook-content multiplicity from
-the partition's hook lengths.
+Young's seminormal matrices are built here as `Fraction`s, by the
+recursion over adjacent transpositions (`seminormal`) that the library's
+integer tables (`symgroup._integer_tables`) are checked against; the
+orthogonal form (floats) comes from them and the library's weights, and
+the hook-content multiplicity from the partition's hook lengths.
 
 `canonical` sorts an ordered key within each slot class, the form
 `SlotSystem.keys` lists and `blocks.irrep_block` expects;
@@ -439,15 +441,29 @@ def terms_ptrace(system: blocks.SlotSystem, a: dict, slots, copy: int) -> dict:
 
 
 def seminormal(lam, perm) -> tuple:
-    """Young's seminormal matrix of perm in the irrep lam, exact."""
-    return sg._rep(sg._as_parts(lam)).seminormal(perm)
+    """Young's seminormal matrix of perm in the irrep lam, exact (`Fraction` rows)."""
+    return _seminormal(sg._as_parts(lam), perm.images)
+
+
+@lru_cache(maxsize=None)
+def _seminormal(parts, images) -> tuple:
+    """The `Fraction` recursion: perm = s_k o rest, rest one adjacent transposition shorter,
+    and S(s_k) (`_Rep.generators`) has at most two nonzeros per row."""
+    rep, perm = sg._rep(parts), sg.Permutation(images)
+    ks = perm.adjacent_factorization()
+    if not ks:
+        return tuple(tuple(Fraction(int(i == j)) for j in range(rep.dim)) for i in range(rep.dim))
+    k = ks[-1]
+    inner = _seminormal(parts, sg.Permutation.transposition(rep.n, k, k + 1).compose(perm).images)
+    rows = [[(l, x) for l, x in enumerate(row) if x] for row in rep.generators[k]]
+    return tuple(tuple(sum(x * inner[l][j] for l, x in row) for j in range(rep.dim)) for row in rows)
 
 
 def orthogonal_form(lam, perm) -> np.ndarray:
     """Young's orthogonal form W^1/2 S(perm) W^-1/2, with W the orthogonalization weights."""
     rep = sg._rep(sg._as_parts(lam))
     sq = np.sqrt([float(w) for w in rep.weights])
-    return sq[:, None] * np.array(rep.seminormal(perm), dtype=float) / sq[None, :]
+    return sq[:, None] * np.array(seminormal(lam, perm), dtype=float) / sq[None, :]
 
 
 def gl_multiplicity(lam, d: int) -> int:

@@ -146,7 +146,7 @@ def _dense_basis(parts):
     total = prod(rep.dim for rep in reps)
     a = reference.zeros(total, total)
     for g in (Permutation.transposition(n, 0, 1), Permutation.full_cycle(n)):
-        a = reference.mat_add(a, kron_all([[list(row) for row in rep.seminormal(g)] for rep in reps]))
+        a = reference.mat_add(a, kron_all([[list(row) for row in reference.seminormal(p, g)] for p in parts]))
     for i in range(total):
         a[i][i] -= 2
     weights = [sg.F1]
@@ -164,7 +164,6 @@ def _dense_witness_blocks(n, d, copies):
         if not sg.trivial_multiplicity(tpl):
             continue
         parts = tuple(p.parts for p in tpl)
-        reps = [sg._rep(p) for p in parts]
         vectors, weights = _dense_basis(parts)
         u = transpose(vectors)
         wut = [[w * x for w, x in zip(weights, v)] for v in vectors]
@@ -173,7 +172,7 @@ def _dense_witness_blocks(n, d, copies):
         for l in range(n + 1):
             acc = reference.zeros(len(weights), len(weights))
             for subset in itertools.combinations(range(n), l):
-                mats = [[list(row) for row in rep.seminormal(swap if s in subset else ident)] for s, rep in enumerate(reps)]
+                mats = [[list(row) for row in reference.seminormal(p, swap if s in subset else ident)] for s, p in enumerate(parts)]
                 acc = reference.mat_add(acc, kron_all(mats))
             z_per_l.append(mat_mul(wut, mat_mul(acc, u)))
         linv = np.linalg.inv(np.linalg.cholesky(reference.to_float(gram)))
@@ -199,8 +198,7 @@ def _dense_irrep_blocks(system, keys):
     out = []
     for tpl in blocks.block_tuples(system, cap=512):
         parts = tuple(p.parts for p in tpl)
-        reps = [sg._rep(p) for p in parts]
-        per_slot = [[[list(row) for row in rep.seminormal(g)] for g in system.group.elements] for rep in reps]
+        per_slot = [[[list(row) for row in reference.seminormal(p, g)] for g in system.group.elements] for p in parts]
         vectors, weights = _dense_basis(parts)
         wut = [[w * x for w, x in zip(weights, v)] for v in vectors]
         gram = mat_mul(wut, transpose(vectors))
@@ -342,18 +340,72 @@ def test_witness_blocks_past_int64_match(monkeypatch):
     blocks._witness_block.cache_clear()
 
 
-def test_level_check_then_export_reuses_blocks(monkeypatch):
+def test_level_check_then_export_reuses_blocks():
     cold = [_fields(blk) for blk in _cold_blocks(4, 6, 4)]
     blocks._witness_block.cache_clear()
-    built = []
-    original = blocks.invariant_basis_exact
-    monkeypatch.setattr(blocks, "invariant_basis_exact", lambda lams, cap: built.append(lams) or original(lams, cap))
     hi.level_check(4, 2, 4)
-    after_level = len(built)
+    after_level = blocks._witness_block.cache_info().misses
     warm = hi.assemble_dual_witness(4, 6, 4).blocks
     assert [_fields(blk) for blk in warm] == cold
     assert after_level == len(hi.assemble_dual_witness(4, 2, 4).blocks)
-    assert len(built) == len(warm)  # every tuple built once, across both d
+    assert blocks._witness_block.cache_info().misses == len(warm)  # every tuple built once, across both d
+
+
+# the dual-ladder levels, then (5,2,4) and (6,2,4), whose blocks reach dim 729
+RANK_ONE_LEVELS = [(3, 2, 3), (4, 2, 3), (4, 3, 3), (4, 6, 3), (5, 2, 3), (5, 3, 3), (6, 2, 3), (4, 2, 4), (4, 6, 4), (5, 2, 4), (6, 2, 4)]
+
+
+@lru_cache(maxsize=None)
+def _rank_one_tuples() -> tuple:
+    """Every distinct k = 1 partition tuple of RANK_ONE_LEVELS, in first-seen order."""
+    seen = {}
+    for level in RANK_ONE_LEVELS:
+        for tpl in blocks.block_tuples(blocks.ame_system(*level), cap=729):
+            if sg.trivial_multiplicity(tpl) == 1:
+                seen.setdefault(tuple(p.parts for p in tpl), None)
+    return tuple(seen)
+
+
+def _all_fields(blk):
+    return blk.partitions, blk.k, blk.dim, blk.variables, str(blk.num.dtype), blk.num.tolist(), blk.den, blk.y.tobytes()
+
+
+def _built(parts) -> list:
+    """The witness blocks of `parts`, each built afresh (the memo is bypassed)."""
+    return [_all_fields(blocks._witness_block.__wrapped__(p)) for p in parts]
+
+
+def test_rank_one_blocks_match_the_basis_path(monkeypatch):
+    """Every k = 1 block read off the Reynolds diagonal equals, field by field, the block built
+    from the invariant basis, which runs when k = 1 reads as 2."""
+    parts = _rank_one_tuples()
+    assert len(parts) == 63
+    calls = []
+    original, true_k = blocks.invariant_basis_exact, blocks.trivial_multiplicity
+    monkeypatch.setattr(blocks, "invariant_basis_exact", lambda lams, cap: calls.append(lams) or original(lams, cap))
+    rank_one = _built(parts)
+    assert calls == []
+    monkeypatch.setattr(blocks, "trivial_multiplicity", lambda lams: 2 * true_k(lams))
+    assert _built(parts) == rank_one
+    assert len(calls) == len(parts)
+
+
+def test_rank_one_blocks_past_int64_match(monkeypatch):
+    """Seminormal tables scaled by 2^40 (matrices and scale alike) push the Reynolds diagonal past
+    int64 in every slot product; the blocks are unchanged."""
+    parts = _rank_one_tuples()
+    fast = _built(parts)
+    tables = blocks._integer_tables
+    monkeypatch.setattr(blocks, "_integer_tables", lambda p: tables(p)._replace(scale=2**40 * tables(p).scale, matrices=2**40 * tables(p).matrices))
+    assert _built(parts) == fast
+
+
+def test_rank_one_reynolds_trace_check_can_fail(monkeypatch):
+    """Tables doubled in every slot (the scale kept) put the Reynolds trace at 2^n, not 1."""
+    tables = blocks._integer_tables
+    monkeypatch.setattr(blocks, "_integer_tables", lambda p: tables(p)._replace(matrices=2 * tables(p).matrices))
+    with pytest.raises(InternalConsistencyError, match="Reynolds trace"):
+        blocks._witness_block.__wrapped__(((2, 1),) * 3)
 
 
 def test_witness_blocks_are_read_only():
@@ -534,11 +586,12 @@ def test_primal_assembly_builds_each_tuple_once(monkeypatch):
 
 
 def test_witness_cap_checked_before_any_block(monkeypatch):
-    def refuse(lams, cap):
+    def refuse(*args):
         raise AssertionError("a block was built before the cap check")
 
     blocks._witness_block.cache_clear()
     monkeypatch.setattr(blocks, "invariant_basis_exact", refuse)
+    monkeypatch.setattr(blocks, "_integer_tables", refuse)
     with pytest.raises(ResourceCapError):
         blocks.witness_blocks(4, 2, 3, cap=4)
     assert cli.main(["ame", "witness", "--n", "4", "--d", "2", "--copies", "3", "--cap", "4"]) == 3

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 from reference import gl_multiplicity, orthogonal_form, seminormal
 
-from qmarginal import symgroup as sg
+from qmarginal import exactla, symgroup as sg
 from qmarginal.errors import InvalidInputError
 
 
@@ -133,6 +133,16 @@ def test_seminormal_homomorphism_exact_s4():
             ma = seminormal(lam, a)
             mb = seminormal(lam, b)
             assert _mat_mul_exact(ma, mb) == seminormal(lam, a.compose(b))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_integer_tables_match_fraction_oracle(n):
+    """The integer-built tables equal the `Fraction` recursion's matrices times the lcm of all their denominators."""
+    for lam in sg.enumerate_partitions(n, n):
+        tables = sg._integer_tables(lam.parts)
+        scale, mats = exactla.integer_matrices([seminormal(lam, g) for g in sg.group_elements(n)])
+        assert tables.matrices.dtype == object and tables.matrices.shape == (factorial(n), sg.irrep_dimension(lam), sg.irrep_dimension(lam))
+        assert (tables.scale, tables.matrices.tolist(), tables.traces) == (scale, mats, [sum(m[i][i] for i in range(len(m))) for m in mats])
 
 
 def test_seminormal_identity_and_trace():
