@@ -302,6 +302,18 @@ def irrep_block(system: SlotSystem, partitions, keys, cap: int = 512) -> IrrepBl
     return IrrepBlock(memo.partitions, memo.k, memo.dim, [v for v, _ in picked], num, den, y)
 
 
+def witness_tuples(n: int, d: int, copies: int, cap: int = 512) -> list[tuple[tuple[int, ...], ...]]:
+    """The canonical partition tuples, as parts, of the level-`copies` witness LMI, in block order.
+
+    n and d are checked first, then the cap on every tuple that carries
+    a block (`block_tuples`), so nothing is built for a level that
+    fails either check.
+    """
+    if n < 2 or d < 2:
+        raise InvalidInputError(f"need n >= 2 and d >= 2, got n={n}, d={d}")
+    return [tuple(p.parts for p in tpl) for tpl in block_tuples(ame_system(n, d, copies), cap)]
+
+
 def witness_blocks(n: int, d: int, copies: int, cap: int = 512) -> list[IrrepBlock]:
     """All canonical partition-tuple blocks of the level-`copies` witness LMI.
 
@@ -310,12 +322,10 @@ def witness_blocks(n: int, d: int, copies: int, cap: int = 512) -> list[IrrepBlo
     (`_witness_block`). A block depends only on its partition tuple (the
     tuple's weight is `copies`, its length is n); d only decides which
     tuples appear, so blocks are shared across d, levels and repeated
-    calls. The cap is checked on every surviving tuple before any block
-    is built.
+    calls. The tuples are checked before any block is built
+    (`witness_tuples`).
     """
-    if n < 2 or d < 2:
-        raise InvalidInputError(f"need n >= 2 and d >= 2, got n={n}, d={d}")
-    return [_witness_block(tuple(p.parts for p in tpl)) for tpl in block_tuples(ame_system(n, d, copies), cap)]
+    return [_witness_block(parts) for parts in witness_tuples(n, d, copies, cap)]
 
 
 def _basis(parts: tuple[tuple[int, ...], ...]) -> tuple:

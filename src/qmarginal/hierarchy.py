@@ -15,7 +15,10 @@ then verified against every block exactly, adding violated directions
 as cutting planes until the answer is certified either way. That loop
 is the only path to a witness verdict. The LP relaxation and the float
 SDP form of the dual, which the SDPA export writes, are two readings of
-the same blocks (`DualWitness`).
+the same blocks (`DualWitness`). Blocks are built in the order they are
+read: the k = 1 blocks for the LP, and the k > 1 blocks only on the
+first negative LP optimum, since a nonnegative one already passes the
+level.
 """
 
 from __future__ import annotations
@@ -23,15 +26,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, prod
 
 import numpy as np
 
 from . import exactla
-from .blocks import IrrepBlock, SlotSystem, SymbolicOperator, ame_system, block_tuples, irrep_block, witness_blocks
+from .blocks import IrrepBlock, SlotSystem, SymbolicOperator, _witness_block, ame_system, block_tuples, irrep_block, witness_blocks, witness_tuples
 from .errors import InvalidInputError, SolverConvergenceError, UnsupportedFeatureError
 from .solve import LinearProgram, SdpBlock, SdpProblem, export_sdpa, lp_solve_exact, psd_check_exact, sdp_solve
-from .symgroup import Permutation
+from .symgroup import Permutation, trivial_multiplicity
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -373,17 +377,31 @@ def witness_value(w, n: int, d: int) -> Fraction:
 
 @dataclass
 class DualWitness:
-    """The dual witness problem at one hierarchy level, with all its blocks.
+    """The dual witness problem at one hierarchy level, its blocks built as they are read.
 
-    Two readings of the same blocks: the exact rank-one LP relaxation
-    (`to_linear_program`) and the float SDP (`to_sdp_problem`).
+    Assembly builds the k = 1 blocks alone (`rank_one`), all that the
+    exact rank-one LP relaxation reads (`to_linear_program`). Every block
+    (`blocks`), which the float SDP reads (`to_sdp_problem`), and the
+    folded k > 1 stacks that the cut loop checks a candidate w against
+    (`stacks`) are built on first read.
     """
 
     n: int
     d: int
     copies: int
     objective: list  # folded objective coefficients
-    blocks: list  # IrrepBlock, variables l = 0..n
+    cap: int
+    rank_one: list  # the IrrepBlocks with k = 1, in block order, variables l = 0..n
+
+    @cached_property
+    def blocks(self) -> list:
+        """Every block, in block order (`witness_blocks`; the k = 1 ones come from the block cache)."""
+        return witness_blocks(self.n, self.d, self.copies, cap=self.cap)
+
+    @cached_property
+    def stacks(self) -> list:
+        """(den, F, max |F|) of every k > 1 block, in block order: its stack folded as one integer array (`_folded`)."""
+        return [(blk.den, *_folded(blk.num, self.n)) for blk in self.blocks if blk.k > 1]
 
     def to_linear_program(self, cuts=()) -> LinearProgram:
         """The rank-one LP: every w_l in [-1, 1], then coeffs.w >= 0 for each row.
@@ -394,9 +412,8 @@ class DualWitness:
         more row after them.
         """
         lp = LinearProgram(c=list(self.objective), bounds=[(-F1, F1)] * len(self.objective))
-        for blk in self.blocks:
-            if blk.k == 1:
-                lp.add_row([Fraction(x, blk.den) for x in fold(blk.num[:, 0, 0].tolist(), self.n)], ">=", F0)
+        for blk in self.rank_one:
+            lp.add_row([Fraction(x, blk.den) for x in fold(blk.num[:, 0, 0].tolist(), self.n)], ">=", F0)
         for coeffs in cuts:
             lp.add_row(coeffs, ">=", F0)
         return lp
@@ -419,9 +436,13 @@ class DualWitness:
 
 
 def assemble_dual_witness(n: int, d: int, copies: int, cap: int = 512) -> DualWitness:
-    """Dual witness problem at level `copies`, with all its blocks (which check n, d and the cap first)."""
-    blocks = witness_blocks(n, d, copies, cap=cap)
-    return DualWitness(n, d, copies, fold(swap_overlaps(n, d), n), blocks)
+    """Dual witness problem at level `copies`, with its k = 1 blocks built.
+
+    n, d and the cap on every tuple are checked first (`witness_tuples`);
+    the k > 1 blocks wait for the first read of `DualWitness.blocks`.
+    """
+    rank_one = [_witness_block(parts) for parts in witness_tuples(n, d, copies, cap) if trivial_multiplicity(parts) == 1]
+    return DualWitness(n, d, copies, fold(swap_overlaps(n, d), n), cap, rank_one)
 
 
 @dataclass
@@ -498,7 +519,10 @@ def witness_optimize_exact(n: int, d: int, copies: int, cap: int = 512) -> tuple
     fully verified negative witness exists, "undecided" after
     MAX_CUT_ROUNDS LP solves, with the last LP optimum and vertex. The LP
     is the rank-one relaxation (`DualWitness.to_linear_program`); every
-    cut is one more row of it.
+    cut is one more row of it. Only the k = 1 blocks are built before
+    round 0: a nonnegative optimum passes the level from them alone, and
+    the k > 1 blocks and their folded stacks (`DualWitness.stacks`) are
+    built on the first negative one.
 
     Method: in integers. A block with k > 1 is folded straight from its
     exact form, F_l = num[l] + num[n - l] (num[l] alone when l = n - l),
@@ -513,7 +537,6 @@ def witness_optimize_exact(n: int, d: int, copies: int, cap: int = 512) -> tuple
     entries allows it.
     """
     dual = assemble_dual_witness(n, d, copies, cap=cap)
-    stacks = [(blk.den, *_folded(blk.num, n)) for blk in dual.blocks if blk.k > 1]
     cuts: list = []
     for round_no in range(MAX_CUT_ROUNDS):
         res = lp_solve_exact(dual.to_linear_program(cuts))
@@ -523,7 +546,7 @@ def witness_optimize_exact(n: int, d: int, copies: int, cap: int = 512) -> tuple
             return "passed", res.value, res.x, round_no
         _, ((w,),) = exactla.integer_matrices([[res.x]])
         violated = False
-        for den, f, big in stacks:
+        for den, f, big in dual.stacks:
             z = _combination(w, f, big)
             check = psd_check_exact(z.tolist())
             if not check.psd:

@@ -586,6 +586,9 @@ def test_primal_assembly_builds_each_tuple_once(monkeypatch):
 
 
 def test_witness_cap_checked_before_any_block(monkeypatch):
+    """Caps are checked on every tuple before any block is built, also on (4,6,4), which passes
+    at round 0 from its k = 1 blocks: all of them fit cap 27, but its k > 1 blocks reach dim 81."""
+
     def refuse(*args):
         raise AssertionError("a block was built before the cap check")
 
@@ -595,6 +598,14 @@ def test_witness_cap_checked_before_any_block(monkeypatch):
     with pytest.raises(ResourceCapError):
         blocks.witness_blocks(4, 2, 3, cap=4)
     assert cli.main(["ame", "witness", "--n", "4", "--d", "2", "--copies", "3", "--cap", "4"]) == 3
+    tuples = blocks.block_tuples(blocks.ame_system(4, 6, 4), cap=81)
+    dims = {k: [math.prod(sg.irrep_dimension(p) for p in tpl) for tpl in tuples if (sg.trivial_multiplicity(tpl) == 1) == k] for k in (True, False)}
+    assert max(dims[True]) <= 27 and (min(dims[False]), max(dims[False])) == (16, 81)
+    for run in (hi.witness_optimize_exact, hi.level_check, hi.assemble_dual_witness):
+        with pytest.raises(ResourceCapError):
+            run(4, 6, 4, cap=27)
+    for extra in ([], ["--rank1-only"]):
+        assert cli.main(["ame", "witness", "--n", "4", "--d", "6", "--copies", "4", "--cap", "27", *extra]) == 3
 
 
 def _random_system(rng, nrows, ncols, rank, kind):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import reference
 
-from qmarginal import ame, blocks, codes, exactla, hierarchy as hi
+from qmarginal import ame, blocks, cli, codes, exactla, hierarchy as hi
 from qmarginal.errors import InvalidInputError, UnsupportedFeatureError
 from qmarginal.solve import lp_solve_exact, sdp_solve
 from qmarginal.symgroup import Permutation
@@ -306,6 +306,44 @@ CUT_LOOP_DIGESTS = {
 def test_cut_loop_matches_recorded_digests(level):
     result = hi.witness_optimize_exact(*level)
     assert hashlib.sha256(repr(result).encode()).hexdigest() == CUT_LOOP_DIGESTS[level]
+
+
+# the ladder levels whose rank-one LP optimum is already nonnegative at round 0
+ROUND_ZERO_PASSES = [(3, 2, 3), (4, 3, 3), (4, 6, 3), (5, 2, 3), (5, 3, 3), (4, 6, 4)]
+
+
+def test_round_zero_pass_builds_no_k_above_one_block(monkeypatch):
+    """A level that the rank-one LP passes reads no k > 1 block, so none is built: with the
+    block cache cold and the basis builder refusing, the verdicts and results are unchanged."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a k > 1 block was built")
+
+    blocks._witness_block.cache_clear()
+    monkeypatch.setattr(blocks, "invariant_basis_exact", refuse)
+    for level in ROUND_ZERO_PASSES:
+        result = hi.witness_optimize_exact(*level)
+        assert result[0] == "passed" and result[3] == 0
+        assert hashlib.sha256(repr(result).encode()).hexdigest() == CUT_LOOP_DIGESTS[level]
+        rep = hi.level_check(*level)
+        assert rep.exact and rep.feasible and rep.optimum == 0
+    assert cli.main(["ame", "witness", "--n", "6", "--d", "2", "--copies", "3", "--rank1-only"]) == 0
+
+
+# psd_check_exact calls of the cut loop per level, pinned
+PSD_CHECKS = {(4, 2, 3): 1, (4, 2, 4): 4, (6, 2, 3): 9}
+
+
+@pytest.mark.parametrize("level", sorted(PSD_CHECKS), ids=str)
+def test_cut_loop_checks_every_k_above_one_block(monkeypatch, level):
+    """Past a negative LP optimum every round checks every k > 1 block: the recorded count,
+    and the rounds that check times the level's k > 1 blocks."""
+    checked = []
+    original = hi.psd_check_exact
+    monkeypatch.setattr(hi, "psd_check_exact", lambda m: checked.append(1) or original(m))
+    status, _, _, rounds = hi.witness_optimize_exact(*level)
+    k_above_one = sum(blk.k > 1 for blk in hi.assemble_dual_witness(*level).blocks)
+    assert len(checked) == PSD_CHECKS[level] == (rounds + (status == "witness")) * k_above_one
 
 
 # Known existence results as a soundness oracle: an exact level may say
