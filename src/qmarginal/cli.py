@@ -24,7 +24,6 @@ from fractions import Fraction
 
 from . import ame, codes, hierarchy
 from .errors import InvalidInputError, QmarginalError, ResourceCapError, SolverConvergenceError, UnsupportedFeatureError
-from .solve import lp_solve_exact
 
 
 def _frac_list(values) -> list[str]:
@@ -88,9 +87,9 @@ def _cmd_ame_witness(args) -> int:
     if args.rank1_only:
         # the rank-1 LP drops the k > 1 blocks, so its optimum only bounds the level's from
         # below: it is reported, never as a certificate
-        res = lp_solve_exact(hierarchy.assemble_dual_witness(args.n, args.d, args.copies, cap=cap).to_linear_program())
+        value, w = hierarchy.assemble_dual_witness(args.n, args.d, args.copies, cap=cap).rank_one_lp().solve()
         note = "rank-1 relaxation only: a negative optimum here is not yet a certificate"
-        cert = hierarchy.Certificate(args.n, args.d, args.copies, "lp-exact", float(res.value), "inconclusive", res.value, res.x, note)
+        cert = hierarchy.Certificate(args.n, args.d, args.copies, "lp-exact", float(value), "inconclusive", value, w, note)
         payload = cert.to_dict()
     else:
         payload = hierarchy.level_check(args.n, args.d, args.copies, cap=cap).to_dict()

@@ -34,11 +34,10 @@ import numpy as np
 from . import exactla
 from .blocks import IrrepBlock, SlotSystem, SymbolicOperator, _witness_block, ame_system, block_tuples, irrep_block, witness_blocks, witness_tuples
 from .errors import InvalidInputError, SolverConvergenceError, UnsupportedFeatureError
-from .solve import LinearProgram, SdpBlock, SdpProblem, export_sdpa, lp_solve_exact, psd_check_exact, sdp_solve
+from .solve import BoxLp, LinearProgram, SdpBlock, SdpProblem, export_sdpa, lp_solve_exact, psd_check_exact, sdp_solve
 from .symgroup import Permutation, trivial_multiplicity
 
 F0 = Fraction(0)
-F1 = Fraction(1)
 
 FLOAT_TOL = 1e-7  # a float primal margin below -FLOAT_TOL is a float verdict of infeasibility
 MAX_CUT_ROUNDS = 12  # LP solves of the cutting-plane loop before it gives up
@@ -380,7 +379,7 @@ class DualWitness:
     """The dual witness problem at one hierarchy level, its blocks built as they are read.
 
     Assembly builds the k = 1 blocks alone (`rank_one`), all that the
-    exact rank-one LP relaxation reads (`to_linear_program`). Every block
+    exact rank-one LP relaxation reads (`rank_one_lp`). Every block
     (`blocks`), which the float SDP reads (`to_sdp_problem`), and the
     folded k > 1 stacks that the cut loop checks a candidate w against
     (`stacks`) are built on first read.
@@ -400,22 +399,20 @@ class DualWitness:
 
     @cached_property
     def stacks(self) -> list:
-        """(den, F, max |F|) of every k > 1 block, in block order: its stack folded as one integer array (`_folded`)."""
-        return [(blk.den, *_folded(blk.num, self.n)) for blk in self.blocks if blk.k > 1]
+        """(F, max |F|) of every k > 1 block, in block order: its stack folded as one integer array (`_folded`)."""
+        return [_folded(blk.num, self.n) for blk in self.blocks if blk.k > 1]
 
-    def to_linear_program(self, cuts=()) -> LinearProgram:
-        """The rank-one LP: every w_l in [-1, 1], then coeffs.w >= 0 for each row.
+    def rank_one_lp(self) -> BoxLp:
+        """The rank-one LP: minimize objective.w over w in [-1, 1]^(r+1) subject to one row per k = 1 block.
 
-        Every block with k = 1 is one row with exact rational data, its
-        num[:, 0, 0] folded over its den, in block order; the k > 1 blocks
-        are left out, and each of `cuts` (folded coefficient lists) is one
-        more row after them.
+        A block's row is its num[:, 0, 0] folded, in block order: z(w) >= 0
+        is that row's integer dot w >= 0 over the block's positive den.
+        The k > 1 blocks are left out; the cut loop adds its cuts to the
+        returned LP as further rows.
         """
-        lp = LinearProgram(c=list(self.objective), bounds=[(-F1, F1)] * len(self.objective))
+        lp = BoxLp(self.objective)
         for blk in self.rank_one:
-            lp.add_row([Fraction(x, blk.den) for x in fold(blk.num[:, 0, 0].tolist(), self.n)], ">=", F0)
-        for coeffs in cuts:
-            lp.add_row(coeffs, ">=", F0)
+            lp.add_row(fold(blk.num[:, 0, 0].tolist(), self.n))
         return lp
 
     def to_sdp_problem(self) -> SdpProblem:
@@ -517,49 +514,52 @@ def witness_optimize_exact(n: int, d: int, copies: int, cap: int = 512) -> tuple
     Returns (status, optimum, folded w, rounds): status "passed" when the
     optimum is certified nonnegative (level feasible), "witness" when a
     fully verified negative witness exists, "undecided" after
-    MAX_CUT_ROUNDS LP solves, with the last LP optimum and vertex. The LP
-    is the rank-one relaxation (`DualWitness.to_linear_program`); every
-    cut is one more row of it. Only the k = 1 blocks are built before
-    round 0: a nonnegative optimum passes the level from them alone, and
-    the k > 1 blocks and their folded stacks (`DualWitness.stacks`) are
-    built on the first negative one.
+    MAX_CUT_ROUNDS LP solves, with the last LP optimum and w. The LP is
+    the rank-one relaxation (`DualWitness.rank_one_lp`), built once per
+    level; every cut is one more row of it. Only the k = 1 blocks are
+    built before round 0: a nonnegative optimum passes the level from
+    them alone, and the k > 1 blocks and their folded stacks
+    (`DualWitness.stacks`) are built on the first negative one.
 
-    Method: in integers. A block with k > 1 is folded straight from its
-    exact form, F_l = num[l] + num[n - l] (num[l] alone when l = n - l),
-    one integer (r+1, k, k) array over the block's den D (`_folded`). With w as integers W over their
-    lcm L, Z = sum_l W_l F_l = L D Z(w), one tensordot, is tested by
+    Method: in integers. Each round's LP is `solve.BoxLp`, a dual simplex
+    that resumes from the last round's optimal basis, and its w is the
+    lexicographically largest minimizer: of the w that reach the LP
+    optimum, the one with the largest w_0, then w_1, and so on. So w is
+    a point that the LP defines, not one that a pivot rule reaches, and
+    it is checked exactly as an optimum before it is read. A block with
+    k > 1 is folded straight from its exact form, F_l = num[l] +
+    num[n - l] (num[l] alone when l = n - l), one integer (r+1, k, k)
+    array (`_folded`). With w as integers W over their lcm, Z = sum_l W_l
+    F_l, one tensordot, is a positive multiple of Z(w) and is tested by
     `psd_check_exact`. v^T Z(w') v >= 0 at every feasible w', for any v,
-    so a failing block gives the cut q_l = v^T F_l v / D >= 0 from any
+    so a failing block gives the cut q.w >= 0, q_l = v^T F_l v, from any
     integer v with v^T Z v < 0 (Kelley, J. SIAM 8, 1960): a short one
     (`_short_cut`) if one is found, else c v for the elimination's
-    rational witness v, q_l over D c^2. Short cuts keep the LP's
-    rationals small. Both products run in int64 when a bound on their
-    entries allows it.
+    rational witness v and c the lcm of its denominators. Short cuts keep
+    the LP's rationals small. Both products run in int64 when a bound on
+    their entries allows it.
     """
     dual = assemble_dual_witness(n, d, copies, cap=cap)
-    cuts: list = []
+    lp = dual.rank_one_lp()
     for round_no in range(MAX_CUT_ROUNDS):
-        res = lp_solve_exact(dual.to_linear_program(cuts))
-        if res.status != "optimal":
-            raise InvalidInputError("witness LP must be bounded and feasible")  # pragma: no cover
-        if res.value >= 0:
-            return "passed", res.value, res.x, round_no
-        _, ((w,),) = exactla.integer_matrices([[res.x]])
+        value, x = lp.solve()
+        if value >= 0:
+            return "passed", value, x, round_no
+        _, ((w,),) = exactla.integer_matrices([[x]])
         violated = False
-        for den, f, big in dual.stacks:
+        for f, big in dual.stacks:
             z = _combination(w, f, big)
             check = psd_check_exact(z.tolist())
             if not check.psd:
-                v, c = _short_cut(z), 1
+                v = _short_cut(z)
                 if v is None:
-                    c, ((v,),) = exactla.integer_matrices([[check.witness]])
+                    _, ((v,),) = exactla.integer_matrices([[check.witness]])
                 vs = np.array(v, dtype=exactla.int_dtype(sum(map(abs, v)) ** 2 * big))
-                q = np.einsum("i,lij,j->l", vs, f.astype(vs.dtype), vs).tolist()
-                cuts.append([Fraction(x, den * c * c) for x in q])
+                lp.add_row(np.einsum("i,lij,j->l", vs, f.astype(vs.dtype), vs).tolist())
                 violated = True
         if not violated:
-            return "witness", res.value, res.x, round_no
-    return "undecided", res.value, res.x, MAX_CUT_ROUNDS
+            return "witness", value, x, round_no
+    return "undecided", value, x, MAX_CUT_ROUNDS
 
 
 SHORT_CUT_SCALES = (4, 16, 64, 256, 1024, 2**16)  # largest |v_i| of the rounded eigenvectors tried, in order

@@ -1,10 +1,14 @@
 """Optimization back ends.
 
-Three solvers, deliberately self-contained:
+Four solvers, deliberately self-contained:
 
 * an exact two-phase simplex with Bland's rule on a fraction-free
   integer tableau (Edmonds, J. Res. NBS 71B, 1967), for linear programs
   whose sign decisions must not depend on tolerances;
+* an exact lexicographic dual simplex on the same tableau for the
+  witness LP (`BoxLp`): minimize c.w over the box [-1, 1]^m subject to
+  integer rows g.w >= 0 added one at a time, each solve resuming from
+  the last optimal basis;
 * an exact PSD test via fraction-free symmetric elimination, returning
   a rational witness vector when the matrix is not PSD;
 * a small dense log-barrier solver for linear matrix inequalities in
@@ -23,7 +27,7 @@ from math import gcd, lcm
 import numpy as np
 
 from . import exactla
-from .errors import InvalidInputError, SolverConvergenceError
+from .errors import InternalConsistencyError, InvalidInputError, SolverConvergenceError
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -246,6 +250,113 @@ def lp_solve_exact(lp: LinearProgram) -> LpResult:
         else:
             x[j] = u[kind[1]] - u[kind[2]]
     return LpResult("optimal", value - neg_offset, x)
+
+
+class BoxLp:
+    """minimize c.w over the box [-1, 1]^m subject to integer rows g.w >= 0, added one at a time.
+
+    Method: a dual simplex (Lemke, Naval Res. Logist. Q. 1, 1954) on the
+    fraction-free tableau of `_pivot`. Its columns are w_0..w_{m-1}, one
+    slack per constraint a.w + b >= 0 (`cons`: w_l + 1 and 1 - w_l for
+    each l, then the rows in the order added) and the right-hand side.
+    w is free, so rows 0..m-1 keep w_0..w_{m-1} basic; every other row
+    has a slack basic, and the basis is primal feasible when none of
+    their right-hand sides is negative. The start is the box vertex
+    w_l = -1 where c_l > 0, else 1, which is dual feasible. A new row is
+    reduced against the current basis with its slack basic, which leaves
+    every reduced cost as it was: `solve` resumes from the last optimal
+    basis.
+
+    The entering column comes from the lexicographic ratio test on the
+    reduced costs of (c, -e_0, ..., -e_{m-1}) (Dantzig, Orden & Wolfe,
+    Pacific J. Math. 5, 1955), read off the w rows. Every reduced cost
+    stays lexicographically positive, so the dual objective rises at each
+    pivot and no basis repeats, and the optimum reached is that of
+    c.w - e w_0 - e^2 w_1 - ... for small e > 0: of the minimizers of c.w,
+    the lexicographically largest w, whatever the pivot path.
+    """
+
+    def __init__(self, c):
+        self.c = [Fraction(v) for v in c]
+        m = len(self.c)
+        den = lcm(*(v.denominator for v in self.c))
+        self.cost = [v.numerator * (den // v.denominator) for v in self.c]
+        self.cons = [([s * (j == l) for j in range(m)], 1) for l in range(m) for s in (1, -1)]
+        self.rows, self.basis = [], []
+        for l, cl in enumerate(self.cost):
+            s = 1 if cl > 0 else -1  # w_l starts at -s, where the slack `tight` is 0
+            tight, loose = m + 2 * l + (s < 0), m + 2 * l + (s > 0)
+            w_row, loose_row = [0] * (3 * m + 1), [0] * (3 * m + 1)
+            w_row[l], w_row[tight], w_row[-1] = 1, -s, -s
+            loose_row[tight], loose_row[loose], loose_row[-1] = 1, 1, 2
+            self.rows.insert(l, w_row)
+            self.basis.insert(l, l)
+            self.rows.append(loose_row)
+            self.basis.append(loose)
+
+    def add_row(self, g) -> None:
+        """Add the constraint g.w >= 0 for an integer vector g."""
+        m = len(self.c)
+        self.cons.append((list(g), 0))
+        for row in self.rows:
+            row.insert(-1, 0)
+        new = [-v for v in g] + [0] * (len(self.cons) - 1) + [1, 0]
+        for l in range(m):
+            if new[l]:
+                p, f = self.rows[l][l], new[l]
+                new = [p * a - f * b for a, b in zip(new, self.rows[l])]
+        self.rows.append(exactla.primitive_ints(new))
+        self.basis.append(m + len(self.cons) - 1)
+
+    def solve(self) -> tuple[Fraction, list[Fraction]]:
+        """(c.w, w) at the lexicographically largest minimizer, checked exactly (`_check`)."""
+        m, rows = len(self.c), self.rows
+        while (r := next((i for i in range(m, len(rows)) if rows[i][-1] < 0), None)) is not None:
+            _, scale = self._scale()
+            best = None  # (column, |a|, key): the smallest key / |a|, compared by cross multiplication
+            for j, a in enumerate(rows[r][:-1]):
+                if a < 0:
+                    key = [self._reduced_cost(scale, j)] + [row[j] for row in rows[:m]]
+                    if best is None or [v * best[1] for v in key] < [v * -a for v in best[2]]:
+                        best = (j, -a, key)
+            if best is None:
+                raise InternalConsistencyError("a box LP with homogeneous rows has no feasible point")
+            _pivot(rows, self.basis, r, best[0])
+        return self._check()
+
+    def _scale(self) -> tuple[int, list[int]]:
+        """(P, P / p_l) for p_l the basic entries of the w rows and P their lcm: w_l = rhs_l (P / p_l) / P."""
+        p = [self.rows[l][l] for l in range(len(self.c))]
+        big = lcm(*p)
+        return big, [big // v for v in p]
+
+    def _reduced_cost(self, scale, j: int) -> int:
+        """P times the reduced cost of column j for the integer cost, read off the w rows."""
+        return -sum(c * s * row[j] for c, s, row in zip(self.cost, scale, self.rows))
+
+    def _check(self) -> tuple[Fraction, list[Fraction]]:
+        """The basis's (c.w, w) if w is a minimizer, else InternalConsistencyError.
+
+        Independent of the pivots: with w = W / P from the w rows and
+        y_k = Y_k / P the reduced cost of slack k (the multiplier of
+        constraint a_k.w + b_k >= 0, in units of the integer cost), w must
+        meet every constraint, every y_k be nonnegative and zero where
+        constraint k is slack, and sum_k y_k a_k equal the cost; then c.w
+        is the minimum by weak duality.
+        """
+        big, scale = self._scale()
+        w = [row[-1] * s for row, s in zip(self.rows, scale)]
+        grad = [0] * len(w)
+        for j, (a, b) in enumerate(self.cons, start=len(w)):
+            y = self._reduced_cost(scale, j)
+            slack = sum(x * v for x, v in zip(a, w)) + b * big
+            if y < 0 or slack < 0 or y and slack:
+                raise InternalConsistencyError("the final basis of the box LP is not optimal")
+            grad = [g + y * x for g, x in zip(grad, a)]
+        if grad != [c * big for c in self.cost]:
+            raise InternalConsistencyError("the multipliers of the box LP do not reproduce its cost")
+        x = [Fraction(v, big) for v in w]
+        return sum((c * v for c, v in zip(self.c, x)), start=F0), x
 
 
 # ---------------------------------------------------------------------------

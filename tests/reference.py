@@ -43,6 +43,10 @@ the recorded row digests were taken in.
 `lp_solve_fraction` is the two-phase Bland simplex over Fractions that
 `solve.lp_solve_exact` runs in integers: the same formulation, pivot rule
 and pivot count, so the two must agree on every result.
+`lex_max_optimum` reads the lexicographically largest minimizer of an LP
+through it, one stage per variable, the point `solve.BoxLp` must return;
+`to_linear_program` writes a dual witness problem's rank-one LP as a
+`solve.LinearProgram` over Fractions for both.
 
 `ldlt_psd_witness_fraction` is the symmetric elimination over Fractions
 that `exactla.ldlt_psd_witness` runs fraction-free: the same pivots, so
@@ -67,7 +71,7 @@ from math import comb, gcd, lcm, prod
 
 import numpy as np
 
-from qmarginal import ame, blocks, codes, errors, exactla, solve as sv, symgroup as sg
+from qmarginal import ame, blocks, codes, errors, exactla, hierarchy, solve as sv, symgroup as sg
 
 
 @lru_cache(maxsize=None)
@@ -661,6 +665,36 @@ def lp_solve_fraction(lp, counter):
         else:
             x[j] = u[kind[1]] - u[kind[2]]
     return sv.LpResult("optimal", value + offset, x)
+
+
+def to_linear_program(dual):
+    """The rank-one LP of a `hierarchy.DualWitness` over Fractions: every w_l in [-1, 1], then z(w) >= 0 per k = 1 block.
+
+    Every block with k = 1 is one row with exact rational data, its
+    num[:, 0, 0] folded over its den, in block order; the k > 1 blocks
+    are left out.
+    """
+    lp = sv.LinearProgram(c=list(dual.objective), bounds=[(-F1, F1)] * len(dual.objective))
+    for blk in dual.rank_one:
+        lp.add_row([Fraction(x, blk.den) for x in hierarchy.fold(blk.num[:, 0, 0].tolist(), dual.n)], ">=", F0)
+    return lp
+
+
+def lex_max_optimum(lp):
+    """(min c.x, x) of a bounded feasible LP, x the lexicographically largest minimizer.
+
+    Minimize c.x, then maximize x_0, x_1, ... in turn, each stage one
+    `lp_solve_fraction` with the earlier values fixed by equality rows.
+    """
+    fixed = sv.LinearProgram(c=list(lp.c), rows=list(lp.rows), bounds=lp.bounds)
+    value = lp_solve_fraction(fixed, []).value
+    fixed.add_row(lp.c, "=", value)
+    x = []
+    for l in range(lp.nvars):
+        unit = [F1 if j == l else F0 for j in range(lp.nvars)]
+        x.append(-lp_solve_fraction(sv.LinearProgram(c=[-v for v in unit], rows=list(fixed.rows), bounds=lp.bounds), []).value)
+        fixed.add_row(unit, "=", x[-1])
+    return value, x
 
 
 def ldlt_psd_witness_fraction(m):

@@ -59,21 +59,27 @@ def test_negative_eigenprojector_is_a_witness_for_42():
 def test_dual_witness_level2_is_an_lp():
     dual = hi.assemble_dual_witness(4, 2, 2)
     assert all(blk.k == 1 for blk in dual.blocks)
-    assert len(dual.to_linear_program().rows) == len(dual.blocks) == 3
+    assert len(reference.to_linear_program(dual).rows) == len(dual.blocks) == 3
 
 
 def test_witness_lp_optimum_42():
-    res = lp_solve_exact(hi.assemble_dual_witness(4, 2, 2).to_linear_program())
+    dual = hi.assemble_dual_witness(4, 2, 2)
+    res = lp_solve_exact(reference.to_linear_program(dual))
     assert res.status == "optimal"
     assert res.value == F(-1, 2)
     assert hi.witness_value(res.x, 4, 2) == res.value
+    value, w = dual.rank_one_lp().solve()
+    assert (value, w) == reference.lex_max_optimum(reference.to_linear_program(dual))
+    assert value == res.value == hi.witness_value(w, 4, 2)
 
 
 def test_zero_witness_always_feasible():
     for n, d, copies in [(4, 2, 2), (4, 6, 3)]:
-        res = lp_solve_exact(hi.assemble_dual_witness(n, d, copies).to_linear_program())
+        dual = hi.assemble_dual_witness(n, d, copies)
+        res = lp_solve_exact(reference.to_linear_program(dual))
         assert res.status == "optimal"
         assert res.value <= 0
+        assert dual.rank_one_lp().solve()[0] == res.value
 
 
 def test_level_checks_signs():
@@ -97,7 +103,8 @@ def test_level_monotonicity_42():
 def test_relaxation_ordering_lp_below_sdp():
     # dropping blocks of a minimization can only lower the optimum
     dual = hi.assemble_dual_witness(4, 2, 3)
-    lp_res = lp_solve_exact(dual.to_linear_program())
+    lp_res = lp_solve_exact(reference.to_linear_program(dual))
+    assert dual.rank_one_lp().solve()[0] == lp_res.value
     sdp_res = sdp_solve(dual.to_sdp_problem(), y0=np.array([0.5, 0.0, 0.0]))
     assert sdp_res.status == "optimal"
     assert float(lp_res.value) <= sdp_res.value + 1e-6
@@ -285,10 +292,11 @@ def test_float_dual_46_level3_nonnegative():
 # sha256 of repr(witness_optimize_exact(n, d, copies)) over the benchmark's
 # level ladder, recorded from the Fraction simplex. The rank-one LPs of
 # (4,3,3) and (5,2,3) round 0 have more than one optimal vertex: the w
-# reported is the one Bland's rule reaches, so any change of pivot path
-# shows here. (6,2,3) is the one level that needs cuts: it passes in 3
-# rounds with w = (1, -1/3, -1/15, 1/5), so its digest also pins the short
-# cuts (`_short_cut`) and the pivot paths of the LPs they extend.
+# reported was the one Bland's rule reaches, and is also the
+# lexicographically largest optimum that `solve.BoxLp` returns. (6,2,3) is
+# the one level that needs cuts: it passes in 3 rounds with
+# w = (1, -1/3, -1/15, 1/5), so its digest also pins the short cuts
+# (`_short_cut`) and the LP optima they lead to.
 CUT_LOOP_DIGESTS = {
     (3, 2, 3): "023bd0a3baca79a845deb1ffef876d39f27667fda2d2741e474148ff6b07306c",
     (4, 2, 3): "f57d7080d9920a78e8b92bca785462965e60dfedf0e385c4a483c0097c9d7ccd",
@@ -306,6 +314,28 @@ CUT_LOOP_DIGESTS = {
 def test_cut_loop_matches_recorded_digests(level):
     result = hi.witness_optimize_exact(*level)
     assert hashlib.sha256(repr(result).encode()).hexdigest() == CUT_LOOP_DIGESTS[level]
+
+
+# The same digests for cut loops past the ladder, at their caps, recorded
+# from the Bland simplex except (4,3,4): its round-0 LP has an optimal face
+# with more than one vertex, where Bland's rule reached w = (-1, 1, -1) and
+# the lexicographically largest optimum is w = (1, -1, 1). Both pass at
+# round 0 with optimum 0, so its result is now that of (4,3,3).
+FRONTIER_CUT_LOOP_DIGESTS = {
+    ((7, 2, 3), 512): "74d98f64cfe5b0b8210ed86fe6a588d802b175e987738af31f39fff2e39336c1",
+    ((8, 2, 3), 512): "ffe4a89e5bedd9a6ce7e2b261b5c7c949b08ca3cdf64d49ea932b64c82349370",
+    ((5, 2, 4), 512): "5460b62a0fb6c32faac109f20f1382dde87e2bc68c9694e3307e90e622be7cbc",
+    ((3, 3, 4), 512): "023bd0a3baca79a845deb1ffef876d39f27667fda2d2741e474148ff6b07306c",
+    ((4, 3, 4), 512): "b6864f64fc2154b1361aad365ce933b17a14755b3178faed946e0b030d3fcbaf",
+    ((6, 2, 4), 729): "4f35186cc70b32f551a955b949f966d7c715c3963fb315c58c871429fd641873",
+    ((5, 3, 4), 729): "7015b69443c3ecb3c479b488117cdca749ba3a8320bddd0fee69df17e9a1b459",
+}
+
+
+@pytest.mark.parametrize("level, cap", sorted(FRONTIER_CUT_LOOP_DIGESTS), ids=str)
+def test_frontier_cut_loop_matches_recorded_digests(level, cap):
+    result = hi.witness_optimize_exact(*level, cap=cap)
+    assert hashlib.sha256(repr(result).encode()).hexdigest() == FRONTIER_CUT_LOOP_DIGESTS[level, cap]
 
 
 # the ladder levels whose rank-one LP optimum is already nonnegative at round 0
@@ -408,7 +438,9 @@ def test_undecided_cut_loop_is_reported_inconclusive(monkeypatch):
 
     monkeypatch.setattr(hi, "MAX_CUT_ROUNDS", 1)
     monkeypatch.setattr(hi, "sdp_solve", refuse)
-    rank1 = lp_solve_exact(hi.assemble_dual_witness(6, 2, 3).to_linear_program())
+    dual = hi.assemble_dual_witness(6, 2, 3)
+    rank1 = lp_solve_exact(reference.to_linear_program(dual))
+    assert dual.rank_one_lp().solve() == (rank1.value, rank1.x)
     rep = hi.level_check(6, 2, 3)
     assert (rep.exact, rep.feasible, rep.optimum, rep.optimum_float) == (False, True, None, float(rank1.value))
     cert = rep.certificate

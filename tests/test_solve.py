@@ -8,7 +8,7 @@ import reference
 from scipy.optimize import linprog
 
 from qmarginal import codes, exactla, hierarchy as hi, solve as sv
-from qmarginal.errors import InvalidInputError
+from qmarginal.errors import InternalConsistencyError, InvalidInputError
 
 F = Fraction
 
@@ -81,9 +81,12 @@ def _fixed_lps():
     return [face, crowded, free, _beale()]
 
 
+WITNESS_LP_LEVELS = [(4, 3, 3), (5, 2, 3), (4, 2, 4)]
+
+
 def _witness_lps():
     """Round 0 of (4,3,3) and (5,2,3) has more than one optimal vertex; the w reported must be the reference's."""
-    return [hi.assemble_dual_witness(*level).to_linear_program() for level in [(4, 3, 3), (5, 2, 3), (4, 2, 4)]]
+    return [reference.to_linear_program(hi.assemble_dual_witness(*level)) for level in WITNESS_LP_LEVELS]
 
 
 def test_lp_matches_fraction_reference(monkeypatch):
@@ -101,6 +104,76 @@ def test_lp_matches_fraction_reference(monkeypatch):
         assert len(calls) == len(ref_calls), trial
         statuses[got.status] += 1
     assert min(statuses[s] for s in ("optimal", "infeasible", "unbounded")) >= 20, statuses
+
+
+def _box_case(rng, m):
+    """(c, rows) of a random box LP: 0 to 30 homogeneous integer rows (fewer more often) with small
+    entries, all met by one random integer point, a quarter of them repeating an earlier row or a
+    multiple of it; c has zero entries, or is a multiple of one row, often enough that optimal
+    faces with several vertices are common."""
+    u = [rng.randint(-2, 2) for _ in range(m)]
+    rows = []
+    for _ in range(min(rng.randint(0, 30), rng.randint(0, 30))):
+        if rows and rng.random() < 0.25:
+            rows.append([v * rng.randint(1, 3) for v in rng.choice(rows)])
+        else:
+            g = [rng.randint(-3, 3) for _ in range(m)]
+            rows.append(g if sum(x * y for x, y in zip(g, u)) >= 0 else [-v for v in g])
+    if rows and rng.random() < 0.4:
+        return [F(v * rng.randint(1, 3), 2) for v in rng.choice(rows)], rows
+    return [F(rng.randint(-3, 3), rng.choice((1, 2, 3))) if rng.random() < 0.6 else F(0) for _ in range(m)], rows
+
+
+def _box_program(c, rows):
+    lp = sv.LinearProgram(c=list(c), bounds=[(F(-1), F(1))] * len(c))
+    for g in rows:
+        lp.add_row([F(v) for v in g], ">=", 0)
+    return lp
+
+
+def test_box_lp_matches_lex_max_reference():
+    """BoxLp returns the lexicographically largest minimizer (`reference.lex_max_optimum`), the same
+    whether rows come one at a time with a solve after each or all before one fresh solve; on the
+    rank-one witness LPs its optimum is lp_solve_exact's."""
+    rng = random.Random(22)
+    faces = 0
+    for trial in range(30):
+        c, rows = _box_case(rng, 1 + trial % 5)
+        warm, mirror = sv.BoxLp(c), sv.BoxLp([-v for v in c])
+        for i, g in enumerate(rows):
+            warm.add_row(g)
+            mirror.add_row([-v for v in g])
+            fresh = sv.BoxLp(c)
+            for h in rows[: i + 1]:
+                fresh.add_row(h)
+            assert warm.solve() == fresh.solve(), (trial, i)
+        value, w = warm.solve()
+        assert (value, w) == reference.lex_max_optimum(_box_program(c, rows)), trial
+        # the mirrored LP's w, negated, is the lexicographically smallest minimizer: it differs
+        # from the largest only on an optimal face with several vertices
+        faces += [-v for v in mirror.solve()[1]] != w
+    assert faces >= 10, faces
+    for level in WITNESS_LP_LEVELS:
+        dual = hi.assemble_dual_witness(*level)
+        lp = reference.to_linear_program(dual)
+        value, w = dual.rank_one_lp().solve()
+        assert (value, w) == reference.lex_max_optimum(lp)
+        assert value == sv.lp_solve_exact(lp).value
+
+
+def test_box_lp_check_rejects_a_negative_reduced_cost():
+    """The final check is independent of the pivots: a basis with one reduced cost negated is refused."""
+    c, rows = [F(1), F(2), F(-1)], [[1, 1, 0], [0, 1, 1], [1, -2, 1]]
+    lp = sv.BoxLp(c)
+    for g in rows:
+        lp.add_row(g)
+    assert lp.solve() == reference.lex_max_optimum(_box_program(c, rows))
+    _, scale = lp._scale()
+    j = next(j for j in range(3, len(lp.rows[0]) - 1) if lp._reduced_cost(scale, j) > 0)
+    for row in lp.rows[:3]:
+        row[j] = -row[j]
+    with pytest.raises(InternalConsistencyError):
+        lp.solve()
 
 
 def test_lp_against_scipy_random():
