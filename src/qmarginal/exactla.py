@@ -2,21 +2,23 @@
 
 Matrices are lists of lists or integer arrays, small and dense; these
 routines back the exact solver paths where floating point would blur a
-sign decision. The hot kernels (`mode_product`, `solve_integer_rows`,
+sign decision. The hot kernels (`mode_product`, `echelon`,
 `ldlt_psd_witness`) run in integers: rational data is scaled to integer
 rows (`integer_matrices`, `primitive`) and worked on in Python ints or
 in numpy arrays whose dtype `int_dtype` picks from a checked bound.
 `mode_product` moves a whole stack of tensor vectors by one slot matrix
-in one numpy product. An equality system is one integer array
-(`integer_rows`; a list of rows is accepted too); its RREF is computed
-mod the prime P, read back by rational reconstruction and kept as
-integers over one denominator (`Echelon`), and one exact integer
-product checks it against every row, with fraction-free elimination of
-the rows chosen mod P as the fallback. The PSD test eliminates
-fraction-free too; its only Fractions are its multipliers and witness.
+in one numpy product. `echelon` is the one exact RREF of integer rows:
+it is computed mod primes below 2^27, combined by CRT, read back by
+rational reconstruction and kept as integers over one denominator
+(`Echelon`), and one exact integer product checks it against every row.
+An equality system is one integer array (`integer_rows`; a list of rows
+is accepted too), solved by `solve_integer_rows`; the invariant bases of
+`symgroup` are the same routine's output. The PSD test eliminates
+fraction-free; its only Fractions are its multipliers and witness.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
 from typing import NamedTuple
 
@@ -26,9 +28,8 @@ from .errors import InternalConsistencyError
 
 F0 = Fraction(0)
 F1 = Fraction(1)
-P = 2**27 - 39  # the prime of the modular RREF: REDUCE_EVERY products of two residues fit in int64
-REDUCE_EVERY = 256  # pivots between full reductions mod P in `_rref_mod_p`
-RECON_BOUND = isqrt(P // 2)  # numerators and denominators that `_reconstruct` reads back mod P
+P = 2**27 - 39  # the first prime of the modular RREF: REDUCE_EVERY products of two residues fit in int64
+REDUCE_EVERY = 256  # pivots between full reductions mod p in `_rref_mod_p`
 
 
 def mode_product(m, vecs, dims, axis):
@@ -117,31 +118,10 @@ def solve_integer_rows(rows, ncols) -> Echelon | None:
     side. `rows` is one integer array (int64 or Python ints) or a list of
     rows (`integer_rows`).
 
-    Method: a modular RREF with rational reconstruction, checked exactly
-    in integers (Dixon, Numer. Math. 40, 1982; Wang, Guy & Davenport,
-    SIGSAM Bull. 16, 1982). One Gauss-Jordan pass mod the prime P over
-    all rows (`_rref_mod_p`) gives the RREF mod P, its pivots and the
-    rows it chose; its entries are read back as fractions and the rows
-    scaled to integers R over one denominator L (`_reconstruct`). The
-    rows chosen mod P are independent mod P, hence over Q, so
-    rank a >= len(pivots); the integer check `_unspanned`
-    (L a == a[:, pivots] R) shows every row of a lies in the span of R,
-    so R spans the row space, and being an RREF it is the unique one.
-    When reconstruction or the check fails, fraction-free Gauss-Jordan
-    (`_gauss_jordan`) reduces the chosen rows exactly instead, and rows
-    that fail the same check join them until none does. Every returned
-    form has passed the check, and no decision rests on arithmetic mod P.
+    Method: `echelon`, whose RREF is checked exactly in integers, so a
+    pivot in the rhs column is an exact verdict of inconsistency.
     """
-    a = integer_rows(rows, ncols + 1)
-    residues, pivots, chosen = _rref_mod_p(a)
-    ech = _reconstruct(residues, pivots)
-    if ech is None or len(_unspanned(a, ech)):
-        while True:
-            ech = _scaled(*_gauss_jordan(a[chosen], ncols + 1), ncols + 1)
-            failing = _unspanned(a, ech)
-            if not len(failing):
-                break
-            chosen += failing.tolist()
+    ech = echelon(integer_rows(rows, ncols + 1))
     if ech.pivots and ech.pivots[-1] == ncols:
         return None
     return ech
@@ -159,24 +139,78 @@ def integer_rows(rows, width) -> np.ndarray:
     return np.array(rows, dtype=int_dtype(big)).reshape(len(rows), width)
 
 
-def _rref_mod_p(a) -> tuple[np.ndarray, list, list]:
-    """(RREF mod P, pivot columns, original indices of the rows chosen as pivots) of the integer rows a.
+def echelon(a) -> Echelon:
+    """The reduced row echelon form (RREF) of the integer array a (int64 or Python ints), checked exactly.
+
+    Method: a multi-modular RREF with rational reconstruction (Wang, Guy &
+    Davenport, SIGSAM Bull. 16, 1982), stopped at the first result that
+    an exact check accepts (after Monagan, ISSAC 2004). One Gauss-Jordan
+    pass mod P over all rows (`_rref_mod_p`) gives the RREF mod P, its
+    pivots and the rows it chose, which are independent mod P, hence over
+    Q. The residues, combined by CRT over the primes that gave the
+    winning pivots, are read back as fractions (`_reconstruct`), and
+    `_unspanned` checks L a == a[:, pivots] R in integers. On a failure
+    the next prime below 2^27 (`_prime`) reduces the chosen rows. Mod p
+    the rank is at most the rank over Q and the pivot list no earlier, so
+    a prime of higher rank, or of the same rank and a lexicographically
+    smaller pivot list, replaces the others, and one of lower rank or a
+    larger pivot list is dropped. When every chosen row passes, R is
+    their RREF, and the failing rows lie outside its span: they join the
+    chosen rows and the primes start again. Past a modulus of 2 B^2, B
+    the Hadamard bound of the chosen rows, every entry of their RREF (a
+    ratio of minors) reconstructs, so a further failure raises
+    InternalConsistencyError. A returned R has passed the check, so it
+    spans the row space of a, and being an RREF it is the unique one.
+    """
+    residues, pivots, chosen = _rref_mod_p(a, P)
+    forms, tried = [(P, residues)], 1  # residues mod each prime that gave `pivots`; primes tried on `chosen`
+    while True:
+        ech = _reconstruct(forms, pivots)
+        failing = None if ech is None else _unspanned(a, ech).tolist()
+        if failing == []:
+            return ech
+        if failing and not set(failing) & set(chosen):
+            chosen += failing
+            forms, pivots, tried = [], None, 0
+        elif prod(p for p, _ in forms) > 2 * prod((a[chosen].astype(object) ** 2).sum(axis=1).tolist()):  # 2 B^2
+            raise InternalConsistencyError("the modular RREF fails its exact check past the Hadamard bound")
+        p = _prime(tried)
+        tried += 1
+        res, piv, _ = _rref_mod_p(a[chosen], p)
+        if pivots is None or (-len(piv), piv) < (-len(pivots), pivots):
+            forms, pivots = [(p, res)], piv
+        elif piv == pivots:
+            forms.append((p, res))
+
+
+@lru_cache(maxsize=None)
+def _prime(i) -> int:
+    """The i-th prime below 2^27, largest first: _prime(0) == P."""
+    p = P if i == 0 else _prime(i - 1) - 2
+    while pow(2, p - 1, p) != 1 or not (p % np.arange(3, isqrt(p) + 1, 2)).all():  # Fermat's test first, as a fast filter
+        p -= 2
+    return p
+
+
+def _rref_mod_p(a, p) -> tuple[np.ndarray, list, list]:
+    """(RREF mod p, pivot columns, original indices of the rows chosen as pivots) of the integer rows a.
 
     One Gauss-Jordan pass in int64 numpy over all rows, columns left to
-    right; the pivot of a column is the first unchosen row with a nonzero
-    residue there. Entries are reduced mod P lazily: a column when it is
+    right but for those zero mod p, which row operations keep zero; the
+    pivot of a column is the first unchosen row with a nonzero residue
+    there. Entries are reduced mod p < 2^27 lazily: a column when it is
     searched (its residues are the multipliers), the pivot row when it is
     scaled, and the whole array every REDUCE_EVERY pivots, which bounds
-    every entry by P + REDUCE_EVERY P^2 < 2^63.
+    every entry by p + REDUCE_EVERY p^2 < 2^63.
     """
-    m = (a % P).astype(np.int64)
+    m = (a % p).astype(np.int64)
     order = list(range(len(m)))
     pivots = []
-    for c in range(m.shape[1]):
+    for c in np.flatnonzero(m.any(axis=0)).tolist():
         r = len(pivots)
         if r == len(m):
             break
-        col = m[:, c] % P
+        col = m[:, c] % p
         hit = col[r:].nonzero()[0]
         if not hit.size:
             continue
@@ -185,94 +219,61 @@ def _rref_mod_p(a) -> tuple[np.ndarray, list, list]:
             m[[r, i]] = m[[i, r]]
             order[r], order[i] = order[i], order[r]
             col[r], col[i] = col[i], col[r]
-        pivot = m[r, c:] % P * pow(int(col[r]), -1, P) % P
+        pivot = m[r, c:] % p * pow(int(col[r]), -1, p) % p
         col[r] = 0
         update = col.nonzero()[0]
         m[update, c:] -= np.multiply.outer(col[update], pivot)
         m[r, c:] = pivot
         pivots.append(c)
         if len(pivots) % REDUCE_EVERY == 0:
-            m %= P
-    return m[: len(pivots)] % P, pivots, order[: len(pivots)]
+            m %= p
+    return m[: len(pivots)] % p, pivots, order[: len(pivots)]
 
 
-def _reconstruct(residues, pivots) -> Echelon | None:
-    """The rational RREF whose residues mod P are `residues`, or None where some entry does not reconstruct.
+def _reconstruct(forms, pivots) -> Echelon | None:
+    """The rational RREF with the given residues mod p, for each (p, residues) in forms, or None if an entry fails.
 
-    An entry whose symmetric residue is at most RECON_BOUND is that
-    integer; every other distinct residue is read back once as the
-    fraction u / v (`_rational`). The rows are then scaled to integers
-    over the lcm L of the entry denominators, which is the lcm of the
-    rows' own denominators. The result is a guess until `_unspanned`
-    checks it.
+    The residues are combined by CRT into residues mod M, the product of
+    the primes. An entry whose symmetric residue is at most the bound
+    isqrt(M // 2) is that integer; every other distinct residue is read
+    back once as the fraction u / v (`_rational`). The rows are then
+    scaled to integers over the lcm L of the entry denominators, which is
+    the lcm of the rows' own denominators. The result is a guess until
+    `_unspanned` checks it.
     """
-    nums = np.where(residues > P // 2, residues - P, residues)
-    big = np.abs(nums) > RECON_BOUND
-    entries = (nums[big] % P).tolist()
-    fractions = {e: _rational(e) for e in set(entries)}
+    m, residues = forms[0]
+    for p, r in forms[1:]:
+        t = (r - residues % p) * pow(m, -1, p) % p
+        residues = residues.astype(int_dtype(m * p)) + m * t.astype(int_dtype(m * p))
+        m *= p
+    bound = isqrt(m // 2)
+    nums = np.where(residues > m // 2, residues - m, residues)
+    big = np.abs(nums) > bound
+    entries = (nums[big] % m).tolist()
+    fractions = {e: _rational(e, m, bound) for e in set(entries)}
     if None in fractions.values():
         return None
     scale = lcm(*(v for _, v in fractions.values()))
-    dtype = int_dtype(scale * RECON_BOUND)
+    dtype = int_dtype(scale * bound)
     rows = np.where(big, 0, nums).astype(dtype) * scale
     rows[big] = np.array([fractions[e][0] * (scale // fractions[e][1]) for e in entries], dtype=dtype)
     return Echelon(rows, pivots, scale)
 
 
-def _rational(e) -> tuple[int, int] | None:
-    """The fraction (u, v) = e mod P with |u|, v <= RECON_BOUND, v > 0, or None.
+def _rational(e, m, bound) -> tuple[int, int] | None:
+    """The fraction (u, v) = e mod m with |u|, v <= bound, v > 0, or None.
 
-    The half extended Euclidean algorithm on (P, e), stopped at the first
-    remainder at most RECON_BOUND; since 2 RECON_BOUND^2 < P the fraction
-    is unique when it exists (Wang, Guy & Davenport, SIGSAM Bull. 16, 1982).
+    The half extended Euclidean algorithm on (m, e), stopped at the first
+    remainder at most `bound`; since 2 bound^2 < m the fraction is unique
+    when it exists (Wang, Guy & Davenport, SIGSAM Bull. 16, 1982).
     """
-    r0, r1, t0, t1 = P, e, 0, 1
-    while r1 > RECON_BOUND:
+    r0, r1, t0, t1 = m, e, 0, 1
+    while r1 > bound:
         q = r0 // r1
         r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-    if abs(t1) > RECON_BOUND or gcd(r1, t1) != 1:
+    if abs(t1) > bound or gcd(r1, t1) != 1:
         return None
     return (r1, t1) if t1 > 0 else (-r1, -t1)
-
-
-def _gauss_jordan(rows, width) -> tuple[list, list]:
-    """(nonzero RREF rows up to scale, pivot columns) of integer rows, fraction-free.
-
-    The pivot is the first row with a nonzero entry in the column,
-    columns left to right; every update r_i <- p r_i - r_i[c] r_p (after
-    Bareiss, Math. Comp. 22, 1968) is followed by dividing r_i by the gcd
-    of its entries. Row i of the result is the i-th RREF row times its
-    entry in its pivot column. All rows are updated at once in numpy, in
-    int64 while twice the square of the largest entry (the bound of an
-    update) fits, in Python ints from the first pivot where it does not.
-    """
-    a = integer_rows(rows, width).copy()
-    pivots = []
-    for c in range(width):
-        r = len(pivots)
-        hit = np.flatnonzero(a[r:, c])
-        if not len(hit):
-            continue
-        a[[r, r + hit[0]]] = a[[r + hit[0], r]]
-        if a.dtype != object and int_dtype(2 * int(np.abs(a).max()) ** 2) is object:
-            a = a.astype(object)
-        update = np.flatnonzero(a[:, c])
-        update = update[update != r]
-        a[update] = a[r, c] * a[update] - a[update, c, None] * a[r]
-        g = np.gcd.reduce(a[update], axis=1)
-        g[g == 0] = 1
-        a[update] //= g[:, None]
-        pivots.append(c)
-        if r + 1 == len(a):
-            break
-    return a[: len(pivots)].tolist(), pivots
-
-
-def _scaled(reduced, pivots, width) -> Echelon:
-    """The RREF of `_gauss_jordan` output (rows up to scale) over the lcm L of their pivot entries."""
-    scale = lcm(*(row[c] for row, c in zip(reduced, pivots)))
-    rows = [[scale // row[c] * x for x in row] for row, c in zip(reduced, pivots)]
-    return Echelon(integer_rows(rows, width), pivots, scale)
 
 
 def _unspanned(a, ech: Echelon) -> np.ndarray:

@@ -31,10 +31,10 @@ from math import comb, prod
 
 import numpy as np
 
-from . import exactla
+from . import exactla, solve
 from .blocks import IrrepBlock, SlotSystem, SymbolicOperator, _witness_block, ame_system, block_tuples, irrep_block, witness_blocks, witness_tuples
 from .errors import InvalidInputError, SolverConvergenceError, UnsupportedFeatureError
-from .solve import BoxLp, LinearProgram, SdpBlock, SdpProblem, export_sdpa, lp_solve_exact, psd_check_exact, sdp_solve
+from .solve import BoxLp, LinearProgram, SdpBlock, SdpProblem, lp_solve_exact, psd_check_exact, sdp_solve
 from .symgroup import Permutation, trivial_multiplicity
 
 F0 = Fraction(0)
@@ -623,5 +623,5 @@ def export_dual_sdpa(n: int, d: int, copies: int, path, cap: int = 512) -> DualW
     assembling it again.
     """
     dual = assemble_dual_witness(n, d, copies, cap=cap)
-    export_sdpa(dual.to_sdp_problem(), path)
+    solve.export_sdpa(dual.to_sdp_problem(), path)  # through the module, so a wrapper on solve.export_sdpa sees it
     return dual

@@ -490,6 +490,14 @@ def _integer_tables(parts: tuple[int, ...]) -> _IntegerTables:
     return _IntegerTables(scale, matrices, matrices.diagonal(axis1=1, axis2=2).sum(axis=1).tolist())
 
 
+def _reynolds_image(cols, idx) -> np.ndarray:
+    """sum_sigma (x)_s column idx[s] of S_s(sigma), the Reynolds image of the basis vector e_idx (times N! and the scales)."""
+    acc = cols[0][idx[0]]
+    for s in range(1, len(cols)):
+        acc = (acc[:, :, None] * cols[s][idx[s]][:, None, :]).reshape(len(acc), -1)
+    return acc.sum(axis=0)
+
+
 def invariant_basis_exact(lams, cap: int = 512):
     """Exact rational basis of the diagonal-trivial subspace, seminormal picture.
 
@@ -505,28 +513,30 @@ def invariant_basis_exact(lams, cap: int = 512):
     projects onto the subspace. S((0 1)) is diagonal +-1 in seminormal
     form and P S((0 1)) = P, so P e_i vanishes unless the slot signs at i
     multiply to +1; every other image is a sum over S_N of Kronecker
-    products of one column per slot, built without a total x total
-    matrix. The images are reduced to echelon form with pivots taken
-    from right to left, then normalized and back-substituted. The pivots
-    are then the free columns of the kernel of the two-generator
-    expression, so the vectors are the reduced-row-echelon nullspace basis
-    of it: the unique basis that is the identity on those columns,
-    sorted by that column.
+    products of one column per slot (`_reynolds_image`), built without a
+    total x total matrix, from per-partition tables built once
+    (`_integer_tables`), in int64 when a bound allows. The images are
+    scanned k at a time, and one `exactla._rref_mod_p` pass over each
+    stack keeps the images independent mod P, hence over Q, until there
+    are k. Their RREF with pivots taken from right to left is
+    `exactla.echelon` of the images (each divided by the gcd of its
+    entries) with the column order reversed. The pivots are then the free
+    columns of the kernel of the two-generator expression, so the vectors
+    are the reduced-row-echelon nullspace basis of it: the unique basis
+    that is the identity on those columns, sorted by that column, each
+    scaled to a primitive integer vector.
 
-    The scan stops as soon as the rank reaches k, the character-formula
-    multiplicity. That k is first checked against the trace of the
+    The scan stops at the first batch that brings the rank to k, the
+    character-formula multiplicity. That k is first checked against the trace of the
     Reynolds projector, (1/N!) sum_sigma prod_s tr S_s(sigma), read from
     the integer seminormal tables and not from the characters; the rank
     must reach k, and every vector is checked exactly against both
     generators of S_N (all k at once, one stacked `exactla.mode_product`
     per slot). So the result is k independent invariant vectors
     in a space of dimension k: a basis of it, and by uniqueness of the
-    reduced row echelon form the same basis a full scan gives.
-    Everything runs in Python integers on per-partition tables built
-    once (`_integer_tables`): each slot's seminormal matrices share one
-    scale, rows are kept primitive, and the back-substitution is
-    fraction-free. The witness blocks call this only for k > 1; a k = 1
-    block is read off the Reynolds diagonal (`blocks._rank_one`).
+    reduced row echelon form the same basis a full scan gives. The
+    witness blocks call this only for k > 1; a k = 1 block is read off
+    the Reynolds diagonal (`blocks._rank_one`).
     """
     parts = tuple(Partition(_as_parts(l)) for l in lams)
     n = parts[0].n
@@ -548,44 +558,31 @@ def invariant_basis_exact(lams, cap: int = 512):
     reynolds = sum(prod(traces) for traces in zip(*(t.traces for t in tables)))
     if reynolds != k * factorial(n) * scale:
         raise InternalConsistencyError(f"character formula {k} disagrees with the Reynolds trace of {parts}")
-    cols = [t.matrices.transpose(2, 0, 1) for t in tables]  # column, element, row
+    dtype = exactla.int_dtype(factorial(n) * prod(exactla.array_max_abs(t.matrices) for t in tables))
+    cols = [t.matrices.transpose(2, 0, 1).astype(dtype) for t in tables]  # column, element, row
     signs = [[int(rep.generators[0][i][i]) for i in range(rep.dim)] if n > 1 else [1] * rep.dim for rep in reps]
+    scan = (idx for idx in itertools.product(*(range(dim) for dim in dims)) if prod(signs[s][i] for s, i in enumerate(idx)) > 0)
 
-    rows: dict[int, list[int]] = {}  # pivot -> integer row, zero right of the pivot
-    for idx in itertools.product(*(range(dim) for dim in dims)):
-        if len(rows) == k:
+    # k images at a time, of which those independent mod P (hence over Q) are kept
+    images = np.zeros((0, total), dtype=dtype)
+    while len(images) < k:
+        batch = [_reynolds_image(cols, idx) for idx in itertools.islice(scan, k)]
+        if not batch:
             break
-        if prod(signs[s][i] for s, i in enumerate(idx)) < 0:
-            continue
-        acc = cols[0][idx[0]]
-        for s in range(1, len(parts)):
-            acc = (acc[:, :, None] * cols[s][idx[s]][:, None, :]).reshape(len(acc), -1)
-        v = acc.sum(axis=0).tolist()
-        for p in sorted(rows, reverse=True):
-            if v[p]:
-                row, f, piv = rows[p], v[p], rows[p][p]
-                v = [piv * a - f * b for a, b in zip(v, row)]
-        pivot = next((j for j in range(total - 1, -1, -1) if v[j]), None)
-        if pivot is not None:
-            rows[pivot] = exactla.primitive_ints(v)
-    if len(rows) != k:
-        raise InternalConsistencyError(f"invariant subspace rank {len(rows)} disagrees with character formula {k} for {parts}")
-
-    # back-substitution in integers: row p stands for the vector row / row[p]
-    pivots = sorted(rows)
-    vectors = [rows[p] if rows[p][p] > 0 else [-a for a in rows[p]] for p in pivots]
-    for j, p in enumerate(pivots):
-        vj = vectors[j]
-        for i in range(j + 1, len(vectors)):
-            f = vectors[i][p]
-            if f:
-                vectors[i] = exactla.primitive_ints([vj[p] * a - f * b for a, b in zip(vectors[i], vj)])
+        images = np.concatenate([images, batch])
+        images = images[exactla._rref_mod_p(images, exactla.P)[2]]
+    if len(images) != k:
+        raise InternalConsistencyError(f"invariant subspace rank {len(images)} disagrees with character formula {k} for {parts}")
+    images //= np.gcd.reduce(images, axis=1)[:, None]
+    ech = exactla.echelon(images[:, ::-1])  # columns reversed: pivots taken from the right
+    pivots = [total - 1 - c for c in reversed(ech.pivots)]
+    basis = ech.rows[::-1, ::-1] // np.gcd.reduce(ech.rows, axis=1)[::-1, None]
+    vectors = basis.tolist()
 
     gens = (Permutation.transposition(n, 0, 1), Permutation.full_cycle(n)) if n > 1 else ()
-    stacked = np.array(vectors, dtype=exactla.int_dtype(exactla._max_abs(vectors)))
     for g in gens:
         e = group_elements(n).index(g)
-        w = stacked
+        w = basis
         for s, t in enumerate(tables):
             w = exactla.mode_product(t.matrices[e], w, dims, s)
         if w.tolist() != [[scale * a for a in v] for v in vectors]:

@@ -7,8 +7,8 @@ swap-pattern sums of the witness blocks and the per-key arrangement sums
 of the primal blocks as explicit Kronecker products (`kron_all` below),
 compressed by `_compress`. The library's results must be identical to
 it, entry for entry and byte for byte. The integer kernels
-(`exactla.solve_integer_rows` with its checked modular RREF and its
-fraction-free fallback, on rational systems made primitive rows
+(`exactla.solve_integer_rows` with its checked multi-modular RREF,
+`exactla.echelon`, on rational systems made primitive rows
 (`_solve`), read back by `reference.affine_solution`) are checked
 against the Fraction loops they replace; the trace pairings of
 `SymbolicOperator` and the row
@@ -715,24 +715,59 @@ def test_solve_integer_rows_takes_wide_lists_and_arrays_alike(bits):
 
 
 @pytest.mark.parametrize(
-    "a, b",
+    "a, b, failing",
     [
-        ([[1, 0], [1, exactla.P]], [1, 1]),  # independent over Q, dependent mod P
-        ([[1, 0], [1 + exactla.P, 0]], [1, 1]),  # inconsistent over Q, consistent mod P
-        ([[1, 2, 0], [1, 2 + exactla.P, 0], [3, 6, 0], [0, 0, 1]], [3, 3, 9, 1]),
+        ([[1, 0], [1, exactla.P]], [1, 1], [1]),  # independent over Q, dependent mod P
+        ([[1, 0], [1 + exactla.P, 0]], [1, 1], [1]),  # inconsistent over Q, consistent mod P
+        ([[1, 2, 0], [1, 2 + exactla.P, 0], [3, 6, 0], [0, 0, 1]], [3, 3, 9, 1], [1]),
+        ([[exactla.P, 1]], [1], [0]),  # rank 1 mod P as over Q, but the pivot moves from column 0 to 1
     ],
-    ids=["hidden-rank", "hidden-inconsistency", "with-dependent-rows"],
+    ids=["hidden-rank", "hidden-inconsistency", "with-dependent-rows", "shifted-pivot"],
 )
-def test_solve_affine_rechecks_rows_left_out_mod_p(a, b):
-    """Rows dependent mod P are left out of the modular RREF, whose reconstruction the exact check then rejects."""
+def test_solve_affine_rechecks_rows_left_out_mod_p(a, b, failing):
+    """The one-prime RREF fails the exact check, at a row left out mod P or at a row whose pivot moved
+    mod P; the checked echelon form still ends at the Fraction RREF."""
     a = [[Fraction(x) for x in row] for row in a]
     b = [Fraction(x) for x in b]
     ncols = len(a[0])
     rows = exactla.integer_rows([exactla.primitive([*row, rhs]) for row, rhs in zip(a, b)], ncols + 1)
-    residues, pivots, chosen = exactla._rref_mod_p(rows)
-    assert 1 not in chosen
-    assert exactla._unspanned(rows, exactla._reconstruct(residues, pivots)).tolist() == [1]
+    residues, pivots, chosen = exactla._rref_mod_p(rows, exactla.P)
+    assert exactla._unspanned(rows, exactla._reconstruct([(exactla.P, residues)], pivots)).tolist() == failing
+    if failing == [0]:
+        assert (chosen, pivots, exactla.echelon(rows).pivots) == ([0], [1], [0])
+    else:
+        assert 1 not in chosen
     assert _solve(a, b, ncols) == _reference_solve_affine(a, b, ncols)
+
+
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        ([[65537, 0, 1], [65537, exactla._prime(1), 1]], [[1, 0, Fraction(1, 65537)], [0, 1, 0]]),  # rank 1 mod p2
+        ([[1, 0, 0], [1, exactla._prime(1), 1]], [[1, 0, 0], [0, 1, Fraction(1, exactla._prime(1))]]),  # pivots [0, 2] mod p2
+    ],
+    ids=["lower-rank", "other-pivots"],
+)
+def test_echelon_drops_an_unlucky_prime(rows, expected, monkeypatch):
+    """Both RREFs need a second prime, and the second prime p2 is unlucky: its residues are never combined."""
+    combined = []
+    reconstruct = exactla._reconstruct
+    monkeypatch.setattr(exactla, "_reconstruct", lambda forms, pivots: combined.append([p for p, _ in forms]) or reconstruct(forms, pivots))
+    ech = exactla.echelon(np.array(rows))
+    assert [[Fraction(x, ech.den) for x in row] for row in ech.rows.tolist()] == expected
+    assert combined[0] == [exactla.P] and len(combined) > 1 and not any(exactla._prime(1) in primes for primes in combined)
+
+
+def test_echelon_stops_past_the_hadamard_bound(monkeypatch):
+    """A check that keeps failing on a chosen row raises once the modulus passes 2 B^2, B the Hadamard bound of the chosen rows."""
+    used = []
+    rref_mod_p = exactla._rref_mod_p
+    monkeypatch.setattr(exactla, "_rref_mod_p", lambda a, p: used.append(p) or rref_mod_p(a, p))
+    monkeypatch.setattr(exactla, "_unspanned", lambda a, ech: np.array([0]))
+    count = next(i for i in range(1, 9) if prod(exactla._prime(j) for j in range(i)) > 2 * 2**40 * (2**40 + 1))
+    with pytest.raises(InternalConsistencyError, match="Hadamard"):
+        exactla.echelon(np.array([[2**20, 0, 0], [0, 2**20, 1]]))  # B^2 = 2^40 (2^40 + 1)
+    assert count == 4 and used == [exactla._prime(j) for j in range(count)]
 
 
 def _echelon_system(rng, dens, inconsistent):
@@ -762,27 +797,34 @@ def _echelon_system(rng, dens, inconsistent):
             return [row[:ncols] for row in aug], [row[ncols] for row in aug], ncols
 
 
-@pytest.mark.parametrize("dens, fallback", [((1, 2, 3, 4, 6), False), ((10007, 65537), True)], ids=["inside-bound", "past-bound"])
-def test_solve_integer_rows_reconstructs_or_falls_back(dens, fallback, monkeypatch):
-    """RREF denominators inside the reconstruction bound are read back mod P and
-    checked; past it, the fraction-free elimination runs instead. Either way
-    the result is the Fraction RREF's, and it has passed the integer check."""
-    calls = []
-    gauss_jordan = exactla._gauss_jordan
-    monkeypatch.setattr(exactla, "_gauss_jordan", lambda *args: calls.append(args) or gauss_jordan(*args))
+@pytest.mark.parametrize(
+    "dens, primes",
+    [((1, 2, 3, 4, 6), 1), ((10007, 65537), 2), ((2**40 - 87, 2**40 - 57), 4)],
+    ids=["inside-bound", "past-bound", "near-2^40"],
+)
+def test_solve_integer_rows_adds_primes_past_the_bound(dens, primes, monkeypatch):
+    """RREF denominators inside the one-prime reconstruction bound are read back
+    mod P alone; larger ones take more primes, combined by CRT, until the exact
+    check passes: a modulus M reads back fractions up to about sqrt(M / 2), so
+    denominators near 2^16 take 2 primes and near 2^40 take 4 (3 primes below
+    2^27 fall just short of 2^81). Either way the result is the Fraction RREF's,
+    and it has passed the integer check."""
+    used = []
+    rref_mod_p = exactla._rref_mod_p
+    monkeypatch.setattr(exactla, "_rref_mod_p", lambda a, p: used.append(p) or rref_mod_p(a, p))
     rng = random.Random(f"echelon-{max(dens)}")
     for trial in range(20):
         inconsistent = trial % 4 == 3
         a, b, ncols = _echelon_system(rng, dens, inconsistent)
-        calls.clear()
+        used.clear()
         rows = [exactla.primitive([*row, rhs]) for row, rhs in zip(a, b)]
         ech = exactla.solve_integer_rows(rows, ncols)
-        assert bool(calls) == fallback
+        assert used[0] == exactla.P and len(used) == len(set(used)) == primes
         ref = _reference_solve_affine(a, b, ncols)
         assert (ech is None) == (ref is None) == inconsistent
         if ech is not None:
             assert reference.affine_solution(ech, ncols) == ref
-            assert (ech.rows[:, ech.pivots] == ech.den * np.eye(len(ech.pivots), dtype=int)).all()
+            assert (ech.rows[:, ech.pivots] == ech.den * np.eye(len(ech.pivots), dtype=object)).all()
             assert not len(exactla._unspanned(exactla.integer_rows(rows, ncols + 1), ech))
 
 

@@ -1,6 +1,7 @@
+import hashlib
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 import pytest
@@ -264,6 +265,20 @@ def test_invariant_basis_exact_matches_float():
     tpl = [(2, 1), (2, 1)]
     assert len(sg.invariant_basis_exact(tpl)[0]) == 1
     assert np.max(np.abs(_exact_projector(tpl) - _reynolds(tpl))) < 1e-10
+
+
+# sha256 of repr(invariant_basis_exact(tuple)), recorded before the basis
+# elimination moved to `exactla.echelon`. ((3,1)^6, (2,2)) has k = 61 and its
+# RREF entries pass the one-prime reconstruction bound, so its basis needs a
+# second prime.
+BASIS_DIGESTS = {((3, 1),) * 6 + ((2, 2),): "d8582c12f5b057f9c6d7b3bd6431a8a8e5cf0ed7a1eee48c740c420649e1b180"}
+
+
+@pytest.mark.parametrize("tpl", list(BASIS_DIGESTS), ids=["(3,1)^6-(2,2)"])
+def test_invariant_basis_matches_recorded_digest(tpl):
+    out = sg.invariant_basis_exact(tpl, cap=prod(sg.irrep_dimension(p) for p in tpl))
+    assert len(out[0]) == sg.trivial_multiplicity(tpl) == 61
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == BASIS_DIGESTS[tpl]
 
 
 def test_resource_cap():
