@@ -179,6 +179,8 @@ def verify_code_state(state, params: CodeParams, tol: float = 1e-10) -> CodeStat
     if dim > DENSE_STATE_CAP:
         raise ResourceCapError(f"state dimension {dim} exceeds {DENSE_STATE_CAP}")
     psi = np.asarray(state, dtype=complex).reshape([K] + [d] * n)
+    if not np.isfinite(psi).all():
+        raise InvalidInputError("state vector must have finite amplitudes")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
         raise InvalidInputError("state vector must be normalized")
     target_dim = K * d**m

@@ -34,7 +34,7 @@ import numpy as np
 from . import exactla, solve
 from .blocks import IrrepBlock, SlotSystem, SymbolicOperator, _witness_block, ame_system, block_tuples, irrep_block, witness_blocks, witness_tuples
 from .errors import InvalidInputError, SolverConvergenceError, UnsupportedFeatureError
-from .solve import BoxLp, LinearProgram, SdpBlock, SdpProblem, lp_solve_exact, psd_check_exact, sdp_solve
+from .solve import BoxLp, SdpBlock, SdpProblem, psd_check_exact, sdp_solve
 from .symgroup import Permutation, trivial_multiplicity
 
 F0 = Fraction(0)
@@ -259,8 +259,16 @@ def solve_primal(problem: BlockSdp) -> PrimalVerdict:
     answer is an exact PSD test of every block at x0, as integers over L,
     one tensordot with the block's num; an infeasible verdict keeps x0
     and names the first failing tuple. When every block is scalar it is
-    an exact LP whose rows are one integer product per block (over L
-    times the block's den), and x is one more product. Otherwise the
+    an exact LP. Block b's row (base_b, c_b) is one integer product, and
+    the block is nonnegative at x0 + u.active exactly when base_b + c_b.u
+    >= 0 (over L times the block's den, a positive scale). Only the
+    directions at the pivot columns of the RREF of the c matrix are kept:
+    they span its column space, so no feasibility is lost. The
+    homogeneous `BoxLp` minimizing -t over w = (t, v), with the row
+    (base_b, c_b at the pivots) per block, is checked exactly at its
+    optimum: below 0, t > 0 and x = x0 + sum_i (v_i / t) active_{pivot_i}
+    is one more product; 0 means no t > 0 is feasible, an exact
+    `infeasible`. Otherwise the
     remaining freedom goes through the float margin-maximization SDP, on
     the correctly rounded quotients of the same integers by L, and a
     margin below -FLOAT_TOL is a float `infeasible`.
@@ -284,17 +292,17 @@ def solve_primal(problem: BlockSdp) -> PrimalVerdict:
 
     stacked = np.concatenate([x0[None], active])
     if all(blk.k == 1 for blk in problem.blocks):
-        # every sector is scalar: feasibility is an exact rational LP
-        lp = LinearProgram(c=[F0] * len(active), bounds=[(None, None)] * len(active))
-        for blk in problem.blocks:
-            base, *coeffs = exactla.int_matmul(stacked[:, blk.variables], blk.num[:, 0, 0]).tolist()
-            scale = ech.den * blk.den
-            lp.add_row([Fraction(-c, scale) for c in coeffs], "<=", Fraction(base, scale))
-        res = lp_solve_exact(lp)
-        if res.status == "optimal":
-            step, ((y,),) = exactla.integer_matrices([[res.x]])
-            x = exactla.int_matmul(np.array([step, *y], dtype=object), stacked)
-            return PrimalVerdict("feasible", exact=True, x=_over(x.tolist(), ech.den * step), nullity=nullity)
+        # every sector is scalar: feasibility is an exact LP
+        rows = np.array([exactla.int_matmul(stacked[:, blk.variables], blk.num[:, 0, 0]) for blk in problem.blocks])
+        kept = [0] + [1 + p for p in exactla.echelon(rows[:, 1:]).pivots]
+        lp = BoxLp([-1] + [0] * (len(kept) - 1))
+        for row in rows[:, kept].tolist():
+            lp.add_row(row)
+        value, w = lp.solve()
+        if value < 0:
+            _, ((w,),) = exactla.integer_matrices([[w]])
+            x = exactla.int_matmul(np.array(w, dtype=object), stacked[kept])
+            return PrimalVerdict("feasible", exact=True, x=_over(x.tolist(), ech.den * w[0]), nullity=nullity)
         return PrimalVerdict("infeasible", exact=True, nullity=nullity)
 
     coeffs = _float_quotients(stacked, ech.den)

@@ -1,14 +1,13 @@
 """Optimization back ends.
 
-Four solvers, deliberately self-contained:
+Three solvers, deliberately self-contained:
 
-* an exact two-phase simplex with Bland's rule on a fraction-free
-  integer tableau (Edmonds, J. Res. NBS 71B, 1967), for linear programs
-  whose sign decisions must not depend on tolerances;
-* an exact lexicographic dual simplex on the same tableau for the
-  witness LP (`BoxLp`): minimize c.w over the box [-1, 1]^m subject to
+* an exact lexicographic dual simplex on a fraction-free integer
+  tableau (`BoxLp`): minimize c.w over the box [-1, 1]^m subject to
   integer rows g.w >= 0 added one at a time, each solve resuming from
-  the last optimal basis;
+  the last optimal basis and each optimum checked exactly. It decides
+  the witness LP and the all-scalar primal, and no sign decision it
+  makes depends on a tolerance;
 * an exact PSD test via fraction-free symmetric elimination, returning
   a rational witness vector when the matrix is not PSD;
 * a small dense log-barrier solver for linear matrix inequalities in
@@ -20,9 +19,9 @@ format with deterministic, byte-stable output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from . import exactla
 from .errors import InternalConsistencyError, InvalidInputError, SolverConvergenceError
 
 F0 = Fraction(0)
-F1 = Fraction(1)
 
 SDP_TOL = 1e-8  # barrier duality-gap target of `sdp_solve`
 SDP_MAX_ITER = 4000  # Newton steps of one barrier run before it reports "max-iter"
@@ -38,33 +36,6 @@ SDP_MAX_ITER = 4000  # Newton steps of one barrier run before it reports "max-it
 
 # ---------------------------------------------------------------------------
 # exact linear programming
-
-
-@dataclass
-class LinearProgram:
-    """minimize c.x subject to rows (coeffs, rel, rhs) and variable bounds."""
-
-    c: list
-    rows: list = field(default_factory=list)
-    bounds: list | None = None  # per-variable (lo, hi), None entries = unbounded
-
-    @property
-    def nvars(self) -> int:
-        return len(self.c)
-
-    def add_row(self, coeffs, rel: str, rhs):
-        if rel not in ("<=", "=", ">="):
-            raise InvalidInputError(f"bad relation {rel!r}")
-        if len(coeffs) != self.nvars:
-            raise InvalidInputError("row length mismatch")
-        self.rows.append(([Fraction(v) for v in coeffs], rel, Fraction(rhs)))
-
-
-@dataclass
-class LpResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    value: Fraction | None = None
-    x: list | None = None
 
 
 def _pivot(rows, basis, r, c):
@@ -84,172 +55,6 @@ def _pivot(rows, basis, r, c):
         if i != r and f:
             rows[i] = exactla.primitive_ints([p * a - f * b for a, b in zip(ri, pr)])
     basis[r] = c
-
-
-def _reduce_objective(obj, den, row, col):
-    """obj / den minus obj[col] / den times the row it pivots on, over a new denominator."""
-    p, f = row[col], obj[col]
-    out = [p * a - f * b for a, b in zip(obj, row)]
-    g = gcd(den * p, *out)
-    return [a // g for a in out], den * p // g
-
-
-def _run_simplex(rows, basis, costs):
-    """Minimize costs.x on a canonical integer tableau (rhs >= 0, unit basis columns).
-
-    Bland's rule throughout, so termination is guaranteed: the first
-    negative reduced cost enters, the minimum ratio leaves, ties go to the
-    smallest basis index. Ratios rhs_i / a_i are compared by cross
-    multiplication and the objective row is carried as integers over one
-    positive denominator, so every decision is an exact sign test and the
-    pivots are those of the same simplex over rationals. Returns (status,
-    x, value) with one Fraction per entry.
-    """
-    m = len(rows)
-    n = len(rows[0]) - 1 if m else len(costs)
-    den = lcm(*(c.denominator for c in costs))
-    obj = [c.numerator * (den // c.denominator) for c in costs] + [0]
-    for i, b in enumerate(basis):
-        if obj[b]:
-            obj, den = _reduce_objective(obj, den, rows[i], b)
-    while True:
-        col = next((j for j in range(n) if obj[j] < 0), None)
-        if col is None:
-            x = [F0] * n
-            for i, b in enumerate(basis):
-                x[b] = Fraction(rows[i][n], rows[i][b])
-            return "optimal", x, Fraction(-obj[n], den)
-        best = None
-        for i, ri in enumerate(rows):
-            a = ri[col]
-            if a <= 0:
-                continue
-            if best is None:
-                best = i
-                continue
-            rb = rows[best]
-            lhs, rhs = ri[n] * rb[col], rb[n] * a
-            if lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
-                best = i
-        if best is None:
-            return "unbounded", None, None
-        _pivot(rows, basis, best, col)
-        obj, den = _reduce_objective(obj, den, rows[best], col)
-
-
-def lp_solve_exact(lp: LinearProgram) -> LpResult:
-    """Exact rational optimum of a linear program (two-phase simplex)."""
-    nv = lp.nvars
-    bounds = lp.bounds if lp.bounds is not None else [(None, None)] * nv
-    if len(bounds) != nv:
-        raise InvalidInputError("bounds length mismatch")
-    for coeffs, _, _ in lp.rows:
-        if len(coeffs) != nv:
-            raise InvalidInputError("row length mismatch")
-
-    # substitute every variable by nonnegative ones:
-    #   lo <= x       -> x = lo + u
-    #   x <= hi (only)-> x = hi - u
-    #   free          -> x = u - v
-    # upper bounds with a lower bound become extra rows.
-    subs = []  # per variable: ("lo", lo, col) | ("hi", hi, col) | ("free", col_pos, col_neg)
-    extra_rows = []
-    ncols = 0
-    for j, (lo, hi) in enumerate(bounds):
-        if lo is not None:
-            subs.append(("lo", Fraction(lo), ncols))
-            ncols += 1
-            if hi is not None:
-                row = [F0] * nv
-                row[j] = F1
-                extra_rows.append((row, "<=", Fraction(hi)))
-        elif hi is not None:
-            subs.append(("hi", Fraction(hi), ncols))
-            ncols += 1
-        else:
-            subs.append(("free", ncols, ncols + 1))
-            ncols += 2
-
-    def translate(coeffs, rhs):
-        out = [F0] * ncols
-        r = Fraction(rhs)
-        for j, cj in enumerate(coeffs):
-            if not cj:
-                continue
-            kind = subs[j]
-            if kind[0] == "lo":
-                out[kind[2]] += cj
-                r -= cj * kind[1]
-            elif kind[0] == "hi":
-                out[kind[2]] -= cj
-                r -= cj * kind[1]
-            else:
-                out[kind[1]] += cj
-                out[kind[2]] -= cj
-        return out, r
-
-    rows = []
-    for coeffs, rel, rhs in list(lp.rows) + extra_rows:
-        row, r = translate(coeffs, rhs)
-        if r < 0:
-            row = [-v for v in row]
-            r = -r
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-        rows.append((row, rel, r))
-
-    nslack = sum(1 for _, rel, _ in rows if rel != "=")
-    nart = len(rows)
-    total = ncols + nslack + nart
-    tableau = []
-    basis = []
-    si = ncols
-    ai = ncols + nslack
-    art_cols = set(range(ai, ai + nart))
-    for row, rel, r in rows:
-        line = list(row) + [F0] * (nslack + nart) + [r]
-        if rel == "<=":
-            line[si] = F1
-            si += 1
-        elif rel == ">=":
-            line[si] = -F1
-            si += 1
-        line[ai] = F1
-        basis.append(ai)
-        ai += 1
-        tableau.append(exactla.primitive(line))
-
-    # phase 1: minimize the artificial total
-    phase1 = [F0] * total
-    for j in art_cols:
-        phase1[j] = F1
-    status, _, value = _run_simplex(tableau, basis, phase1)
-    if status != "optimal" or value > 0:
-        return LpResult("infeasible")
-    # drive leftover artificials out of the basis
-    for i in range(len(basis)):
-        if basis[i] in art_cols:
-            col = next((j for j in range(ncols + nslack) if tableau[i][j]), None)
-            if col is not None:
-                _pivot(tableau, basis, i, col)
-    keep = [i for i in range(len(basis)) if basis[i] not in art_cols]
-    tableau = [exactla.primitive_ints(tableau[i][: ncols + nslack] + tableau[i][-1:]) for i in keep]
-    basis = [basis[i] for i in keep]
-
-    # the cost in the substituted columns; the constant it leaves is -offset
-    phase2, neg_offset = translate(lp.c, 0)
-    status, u, value = _run_simplex(tableau, basis, phase2 + [F0] * nslack)
-    if status == "unbounded":
-        return LpResult("unbounded")
-
-    x = [F0] * nv
-    for j, kind in enumerate(subs):
-        if kind[0] == "lo":
-            x[j] = kind[1] + u[kind[2]]
-        elif kind[0] == "hi":
-            x[j] = kind[1] - u[kind[2]]
-        else:
-            x[j] = u[kind[1]] - u[kind[2]]
-    return LpResult("optimal", value - neg_offset, x)
 
 
 class BoxLp:

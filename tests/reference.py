@@ -40,13 +40,13 @@ as the (particular, nullspace basis) Fractions of a rational system.
 `dict_row` reads a primitive integer equality row as a dict, the form
 the recorded row digests were taken in.
 
-`lp_solve_fraction` is the two-phase Bland simplex over Fractions that
-`solve.lp_solve_exact` runs in integers: the same formulation, pivot rule
-and pivot count, so the two must agree on every result.
+`lp_solve_fraction` is a two-phase Bland simplex over Fractions on a
+`LinearProgram` (rows with any relation, any variable bounds), an LP
+oracle that shares no code with `solve.BoxLp`.
 `lex_max_optimum` reads the lexicographically largest minimizer of an LP
 through it, one stage per variable, the point `solve.BoxLp` must return;
 `to_linear_program` writes a dual witness problem's rank-one LP as a
-`solve.LinearProgram` over Fractions for both.
+`LinearProgram` over Fractions.
 
 `ldlt_psd_witness_fraction` is the symmetric elimination over Fractions
 that `exactla.ldlt_psd_witness` runs fraction-free: the same pivots, so
@@ -65,13 +65,14 @@ single-vector `mode_product_vector`, with `float()` of every Fraction
 """
 
 import itertools
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm, prod
 
 import numpy as np
 
-from qmarginal import ame, blocks, codes, errors, exactla, hierarchy, solve as sv, symgroup as sg
+from qmarginal import ame, blocks, codes, errors, exactla, hierarchy, symgroup as sg
 
 
 @lru_cache(maxsize=None)
@@ -485,8 +486,31 @@ F0 = Fraction(0)
 F1 = Fraction(1)
 
 
-def _fraction_pivot(tableau, basis, row, col, counter):
-    counter.append(1)
+@dataclass
+class LinearProgram:
+    """minimize c.x subject to rows (coeffs, rel, rhs) and variable bounds."""
+
+    c: list
+    rows: list = field(default_factory=list)
+    bounds: list | None = None  # per-variable (lo, hi), None entries = unbounded
+
+    @property
+    def nvars(self) -> int:
+        return len(self.c)
+
+    def add_row(self, coeffs, rel: str, rhs):
+        assert rel in ("<=", "=", ">=") and len(coeffs) == self.nvars
+        self.rows.append(([Fraction(v) for v in coeffs], rel, Fraction(rhs)))
+
+
+@dataclass
+class LpResult:
+    status: str  # "optimal" | "infeasible" | "unbounded"
+    value: Fraction | None = None
+    x: list | None = None
+
+
+def _fraction_pivot(tableau, basis, row, col):
     piv = tableau[row][col]
     tableau[row] = [v / piv for v in tableau[row]]
     prow = tableau[row]
@@ -498,7 +522,7 @@ def _fraction_pivot(tableau, basis, row, col, counter):
         basis[row] = col
 
 
-def _fraction_simplex(tableau, basis, costs, counter):
+def _fraction_simplex(tableau, basis, costs):
     """Minimize costs.x on a canonical tableau (rhs >= 0, identity basis).
 
     Bland's rule throughout, so termination is guaranteed. The objective
@@ -526,17 +550,14 @@ def _fraction_simplex(tableau, basis, costs, counter):
                     best = (ratio, i)
         if best is None:
             return "unbounded", None, None, obj
-        _fraction_pivot(tableau, basis, best[1], col, counter)
+        _fraction_pivot(tableau, basis, best[1], col)
         f = obj[col]
         if f:
             obj = [a - f * b for a, b in zip(obj, tableau[best[1]])]
 
 
-def lp_solve_fraction(lp, counter):
-    """Two-phase Bland simplex over Fractions, the reference for `solve.lp_solve_exact`.
-
-    Appends one entry to `counter` per pivot.
-    """
+def lp_solve_fraction(lp: LinearProgram) -> LpResult:
+    """Exact optimum of a linear program: a two-phase Bland simplex over Fractions."""
     nv = lp.nvars
     bounds = lp.bounds if lp.bounds is not None else [(None, None)] * nv
     if len(bounds) != nv:
@@ -620,15 +641,15 @@ def lp_solve_fraction(lp, counter):
     phase1 = [F0] * total
     for j in art_cols:
         phase1[j] = F1
-    status, _, value, _ = _fraction_simplex(tableau, basis, phase1, counter)
+    status, _, value, _ = _fraction_simplex(tableau, basis, phase1)
     if status != "optimal" or value > 0:
-        return sv.LpResult("infeasible")
+        return LpResult("infeasible")
     # drive leftover artificials out of the basis
     for i in range(len(basis)):
         if basis[i] in art_cols:
             col = next((j for j in range(ncols + nslack) if tableau[i][j]), None)
             if col is not None:
-                _fraction_pivot(tableau, basis, i, col, counter)
+                _fraction_pivot(tableau, basis, i, col)
     keep = [i for i in range(len(basis)) if basis[i] not in art_cols]
     tableau = [
         [tableau[i][j] for j in range(ncols + nslack)] + [tableau[i][-1]] for i in keep
@@ -647,9 +668,9 @@ def lp_solve_fraction(lp, counter):
         else:
             phase2[kind[1]] += Fraction(cj)
             phase2[kind[2]] -= Fraction(cj)
-    status, u, value, _ = _fraction_simplex(tableau, basis, phase2, counter)
+    status, u, value, _ = _fraction_simplex(tableau, basis, phase2)
     if status == "unbounded":
-        return sv.LpResult("unbounded")
+        return LpResult("unbounded")
 
     x = [F0] * nv
     offset = F0
@@ -664,7 +685,7 @@ def lp_solve_fraction(lp, counter):
             offset += cj * kind[1]
         else:
             x[j] = u[kind[1]] - u[kind[2]]
-    return sv.LpResult("optimal", value + offset, x)
+    return LpResult("optimal", value + offset, x)
 
 
 def to_linear_program(dual):
@@ -674,7 +695,7 @@ def to_linear_program(dual):
     num[:, 0, 0] folded over its den, in block order; the k > 1 blocks
     are left out.
     """
-    lp = sv.LinearProgram(c=list(dual.objective), bounds=[(-F1, F1)] * len(dual.objective))
+    lp = LinearProgram(c=list(dual.objective), bounds=[(-F1, F1)] * len(dual.objective))
     for blk in dual.rank_one:
         lp.add_row([Fraction(x, blk.den) for x in hierarchy.fold(blk.num[:, 0, 0].tolist(), dual.n)], ">=", F0)
     return lp
@@ -686,13 +707,13 @@ def lex_max_optimum(lp):
     Minimize c.x, then maximize x_0, x_1, ... in turn, each stage one
     `lp_solve_fraction` with the earlier values fixed by equality rows.
     """
-    fixed = sv.LinearProgram(c=list(lp.c), rows=list(lp.rows), bounds=lp.bounds)
-    value = lp_solve_fraction(fixed, []).value
+    fixed = LinearProgram(c=list(lp.c), rows=list(lp.rows), bounds=lp.bounds)
+    value = lp_solve_fraction(fixed).value
     fixed.add_row(lp.c, "=", value)
     x = []
     for l in range(lp.nvars):
         unit = [F1 if j == l else F0 for j in range(lp.nvars)]
-        x.append(-lp_solve_fraction(sv.LinearProgram(c=[-v for v in unit], rows=list(fixed.rows), bounds=lp.bounds), []).value)
+        x.append(-lp_solve_fraction(LinearProgram(c=[-v for v in unit], rows=list(fixed.rows), bounds=lp.bounds)).value)
         fixed.add_row(unit, "=", x[-1])
     return value, x
 

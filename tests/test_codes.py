@@ -89,6 +89,15 @@ def test_verify_rejects_unnormalized():
         cd.verify_code_state(np.ones(4), cd.CodeParams(2, 1, 1, 2, pure=True))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)], ids=["nan", "inf", "nan-imag"])
+def test_verify_rejects_non_finite_amplitudes(bad):
+    """A NaN would pass the norm test (its comparison is false) and fail later in the SVD."""
+    state = np.array([1, 0, 0, 0], dtype=complex)
+    state[3] = bad
+    with pytest.raises(InvalidInputError, match="finite"):
+        cd.verify_code_state(state, cd.CodeParams(2, 1, 1, 2, pure=True))
+
+
 def test_k1_purecode_equals_ame_system():
     params = cd.CodeParams(4, 1, 2, 2, pure=True)
     bs = cd.code_two_party_constraints(params, "pos")

@@ -9,7 +9,7 @@ import reference
 
 from qmarginal import ame, blocks, cli, codes, exactla, hierarchy as hi
 from qmarginal.errors import InvalidInputError, UnsupportedFeatureError
-from qmarginal.solve import lp_solve_exact, sdp_solve
+from qmarginal.solve import sdp_solve
 from qmarginal.symgroup import Permutation
 
 F = Fraction
@@ -64,7 +64,7 @@ def test_dual_witness_level2_is_an_lp():
 
 def test_witness_lp_optimum_42():
     dual = hi.assemble_dual_witness(4, 2, 2)
-    res = lp_solve_exact(reference.to_linear_program(dual))
+    res = reference.lp_solve_fraction(reference.to_linear_program(dual))
     assert res.status == "optimal"
     assert res.value == F(-1, 2)
     assert hi.witness_value(res.x, 4, 2) == res.value
@@ -76,7 +76,7 @@ def test_witness_lp_optimum_42():
 def test_zero_witness_always_feasible():
     for n, d, copies in [(4, 2, 2), (4, 6, 3)]:
         dual = hi.assemble_dual_witness(n, d, copies)
-        res = lp_solve_exact(reference.to_linear_program(dual))
+        res = reference.lp_solve_fraction(reference.to_linear_program(dual))
         assert res.status == "optimal"
         assert res.value <= 0
         assert dual.rank_one_lp().solve()[0] == res.value
@@ -103,7 +103,7 @@ def test_level_monotonicity_42():
 def test_relaxation_ordering_lp_below_sdp():
     # dropping blocks of a minimization can only lower the optimum
     dual = hi.assemble_dual_witness(4, 2, 3)
-    lp_res = lp_solve_exact(reference.to_linear_program(dual))
+    lp_res = reference.lp_solve_fraction(reference.to_linear_program(dual))
     assert dual.rank_one_lp().solve()[0] == lp_res.value
     sdp_res = sdp_solve(dual.to_sdp_problem(), y0=np.array([0.5, 0.0, 0.0]))
     assert sdp_res.status == "optimal"
@@ -439,7 +439,7 @@ def test_undecided_cut_loop_is_reported_inconclusive(monkeypatch):
     monkeypatch.setattr(hi, "MAX_CUT_ROUNDS", 1)
     monkeypatch.setattr(hi, "sdp_solve", refuse)
     dual = hi.assemble_dual_witness(6, 2, 3)
-    rank1 = lp_solve_exact(reference.to_linear_program(dual))
+    rank1 = reference.lp_solve_fraction(reference.to_linear_program(dual))
     assert dual.rank_one_lp().solve() == (rank1.value, rank1.x)
     rep = hi.level_check(6, 2, 3)
     assert (rep.exact, rep.feasible, rep.optimum, rep.optimum_float) == (False, True, None, float(rank1.value))
@@ -506,6 +506,40 @@ def test_solve_primal_matches_recorded_verdicts(system):
     x = None if v.x is None else hashlib.sha256(" ".join(map(str, v.x)).encode()).hexdigest()
     margin = None if v.margin is None else float(v.margin).hex()
     assert (v.status, v.exact, v.nullity, x, margin, v.witness_block) == PRIMAL_PINS[system]
+
+
+# Two-party code systems whose all-scalar LP keeps several directions (rank of the block
+# rows over the free directions) -> (verdict, that rank). The bench systems keep none.
+SCALAR_LP_CASES = {
+    (6, 3, 2, 2, "ppt"): ("infeasible", 3),
+    (7, 4, 2, 2, "ppt"): ("infeasible", 4),
+    (7, 4, 1, 3, "pos"): ("feasible", 5),
+    (3, 2, 1, 2, "ppt"): ("infeasible", 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCALAR_LP_CASES), ids=lambda case: "-".join(map(str, case)))
+def test_scalar_lp_branch_matches_the_unreduced_lp(case):
+    """The verdict is that of the LP over every free direction, solved over Fractions
+    (`reference.lp_solve_fraction`); a feasible x meets every equality and every block."""
+    *params, level = case
+    problem = codes.code_two_party_constraints(codes.CodeParams(*params), level)
+    assert all(blk.k == 1 for blk in problem.blocks)
+    int_rows = exactla.integer_rows(problem.int_rows, problem.nvars + 1).tolist()
+    x0, basis = reference.affine_solution(exactla.solve_integer_rows(int_rows, problem.nvars), problem.nvars)
+    lp = reference.LinearProgram(c=[F(0)] * len(basis), bounds=[(None, None)] * len(basis))
+    moves = []
+    for blk in problem.blocks:
+        num = blk.num[:, 0, 0].tolist()
+        moves.append([sum(c * b[v] for c, v in zip(num, blk.variables)) for b in basis])
+        lp.add_row(moves[-1], ">=", -sum(c * x0[v] for c, v in zip(num, blk.variables)))
+    expected = {"optimal": "feasible", "infeasible": "infeasible"}[reference.lp_solve_fraction(lp).status]
+    assert (expected, np.linalg.matrix_rank(np.array(moves, dtype=float))) == SCALAR_LP_CASES[case]
+    v = hi.solve_primal(problem)
+    assert (v.status, v.exact, v.nullity) == (expected, True, len(basis))
+    if v.status == "feasible":
+        assert all(sum(a * x for a, x in zip(row, v.x)) == row[-1] for row in int_rows)
+        assert all(sum(c * v.x[var] for c, var in zip(blk.num[:, 0, 0].tolist(), blk.variables)) >= 0 for blk in problem.blocks)
 
 
 def test_float_quotients_round_as_fractions_do():

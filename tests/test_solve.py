@@ -1,109 +1,17 @@
 import random
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import reference
-from scipy.optimize import linprog
 
 from qmarginal import codes, exactla, hierarchy as hi, solve as sv
 from qmarginal.errors import InternalConsistencyError, InvalidInputError
 
 F = Fraction
 
-
-def test_lp_basic_examples():
-    lp = sv.LinearProgram(c=[F(1)], bounds=[(F(3), None)])
-    res = sv.lp_solve_exact(lp)
-    assert (res.status, res.value, res.x) == ("optimal", 3, [3])
-
-    lp = sv.LinearProgram(c=[F(1)], bounds=[(None, F(0))])
-    lp.add_row([F(1)], ">=", F(1))
-    assert sv.lp_solve_exact(lp).status == "infeasible"
-
-    lp = sv.LinearProgram(c=[F(-1)], bounds=[(F(0), None)])
-    assert sv.lp_solve_exact(lp).status == "unbounded"
-
-
-def test_lp_mixed_rows():
-    lp = sv.LinearProgram(c=[F(1), F(2)])
-    lp.add_row([F(1), F(1)], "=", F(4))
-    lp.add_row([F(1), F(-1)], "<=", F(2))
-    res = sv.lp_solve_exact(lp)
-    assert res.status == "optimal" and res.value == 5 and res.x == [3, 1]
-
-
-def _beale():
-    lp = sv.LinearProgram(
-        c=[F(-3, 4), F(150), F(-1, 50), F(6)],
-        bounds=[(F(0), None)] * 4,
-    )
-    lp.add_row([F(1, 4), F(-60), F(-1, 25), F(9)], "<=", 0)
-    lp.add_row([F(1, 2), F(-90), F(-1, 50), F(3)], "<=", 0)
-    lp.add_row([F(0), F(0), F(1), F(0)], "<=", 1)
-    return lp
-
-
-def test_lp_beale_cycling_fixture_terminates():
-    res = sv.lp_solve_exact(_beale())
-    assert res.status == "optimal" and res.value == F(-1, 20)
-
-
-def _random_lp(rng):
-    """Small LP with every relation and bound kind; small entries make ties and degenerate faces common."""
-
-    def q():
-        return F(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
-
-    nv = rng.randint(1, 4)
-    bounds = []
-    for _ in range(nv):
-        lo = q()
-        bounds.append(rng.choice([(lo, None), (None, lo), (lo, lo + abs(q())), (None, None)]))
-    lp = sv.LinearProgram(c=[q() if rng.random() < 0.8 else F(0) for _ in range(nv)], bounds=bounds)
-    for _ in range(rng.randint(0, 5)):
-        lp.add_row([q() if rng.random() < 0.7 else F(0) for _ in range(nv)], rng.choice(("<=", "=", ">=")), q())
-    return lp
-
-
-def _fixed_lps():
-    """An optimal face with more than one vertex, a vertex on more rows than it needs, free variables, Beale."""
-    face = sv.LinearProgram(c=[F(1), F(1)], bounds=[(F(0), F(1))] * 2)
-    face.add_row([F(1), F(1)], ">=", 1)
-    crowded = sv.LinearProgram(c=[F(-1), F(-1), F(0)], bounds=[(F(0), None)] * 3)
-    for row, rhs in (([1, 1, 0], 1), ([1, 1, 1], 1), ([2, 2, -1], 2), ([1, 0, 0], 1)):
-        crowded.add_row([F(v) for v in row], "<=", rhs)
-    free = sv.LinearProgram(c=[F(0), F(1, 2), F(-1)])
-    free.add_row([F(1), F(1), F(-1)], "=", 0)
-    free.add_row([F(0), F(1), F(0)], ">=", F(-2, 3))
-    free.add_row([F(1), F(0), F(0)], "<=", 5)
-    return [face, crowded, free, _beale()]
-
-
+# round 0 of (4,3,3) and (5,2,3) has more than one optimal vertex
 WITNESS_LP_LEVELS = [(4, 3, 3), (5, 2, 3), (4, 2, 4)]
-
-
-def _witness_lps():
-    """Round 0 of (4,3,3) and (5,2,3) has more than one optimal vertex; the w reported must be the reference's."""
-    return [reference.to_linear_program(hi.assemble_dual_witness(*level)) for level in WITNESS_LP_LEVELS]
-
-
-def test_lp_matches_fraction_reference(monkeypatch):
-    calls = []
-    pivot = sv._pivot
-    monkeypatch.setattr(sv, "_pivot", lambda *args: calls.append(1) or pivot(*args))
-    rng = random.Random(8)
-    statuses = Counter()
-    for trial, lp in enumerate(_fixed_lps() + _witness_lps() + [_random_lp(rng) for _ in range(400)]):
-        ref_calls = []
-        ref = reference.lp_solve_fraction(lp, ref_calls)
-        calls.clear()
-        got = sv.lp_solve_exact(lp)
-        assert (got.status, got.value, got.x) == (ref.status, ref.value, ref.x), trial
-        assert len(calls) == len(ref_calls), trial
-        statuses[got.status] += 1
-    assert min(statuses[s] for s in ("optimal", "infeasible", "unbounded")) >= 20, statuses
 
 
 def _box_case(rng, m):
@@ -125,7 +33,7 @@ def _box_case(rng, m):
 
 
 def _box_program(c, rows):
-    lp = sv.LinearProgram(c=list(c), bounds=[(F(-1), F(1))] * len(c))
+    lp = reference.LinearProgram(c=list(c), bounds=[(F(-1), F(1))] * len(c))
     for g in rows:
         lp.add_row([F(v) for v in g], ">=", 0)
     return lp
@@ -134,7 +42,7 @@ def _box_program(c, rows):
 def test_box_lp_matches_lex_max_reference():
     """BoxLp returns the lexicographically largest minimizer (`reference.lex_max_optimum`), the same
     whether rows come one at a time with a solve after each or all before one fresh solve; on the
-    rank-one witness LPs its optimum is lp_solve_exact's."""
+    rank-one witness LPs its optimum is `reference.lp_solve_fraction`'s."""
     rng = random.Random(22)
     faces = 0
     for trial in range(30):
@@ -158,7 +66,7 @@ def test_box_lp_matches_lex_max_reference():
         lp = reference.to_linear_program(dual)
         value, w = dual.rank_one_lp().solve()
         assert (value, w) == reference.lex_max_optimum(lp)
-        assert value == sv.lp_solve_exact(lp).value
+        assert value == reference.lp_solve_fraction(lp).value
 
 
 def test_box_lp_check_rejects_a_negative_reduced_cost():
@@ -174,34 +82,6 @@ def test_box_lp_check_rejects_a_negative_reduced_cost():
         row[j] = -row[j]
     with pytest.raises(InternalConsistencyError):
         lp.solve()
-
-
-def test_lp_against_scipy_random():
-    rng = np.random.default_rng(0)
-    for trial in range(50):
-        nv = int(rng.integers(2, 5))
-        nr = int(rng.integers(1, 4))
-        c = rng.integers(-5, 6, nv)
-        a = rng.integers(-4, 5, (nr, nv))
-        b = rng.integers(1, 8, nr)
-        lp = sv.LinearProgram(c=[F(int(v)) for v in c], bounds=[(F(-3), F(3))] * nv)
-        for i in range(nr):
-            lp.add_row([F(int(v)) for v in a[i]], "<=", F(int(b[i])))
-        mine = sv.lp_solve_exact(lp)
-        ref = linprog(c, A_ub=a, b_ub=b, bounds=[(-3, 3)] * nv, method="highs")
-        if ref.status == 2:
-            assert mine.status == "infeasible", trial
-        else:
-            assert mine.status == "optimal"
-            assert abs(float(mine.value) - ref.fun) < 1e-9, trial
-
-
-def test_lp_row_validation():
-    lp = sv.LinearProgram(c=[F(1)])
-    with pytest.raises(InvalidInputError):
-        lp.add_row([F(1), F(2)], "<=", 0)
-    with pytest.raises(InvalidInputError):
-        lp.add_row([F(1)], "!=", 0)
 
 
 def test_psd_check_examples():
@@ -409,8 +289,8 @@ def test_sdp_agrees_with_exact_lp_on_diagonal_blocks():
             c,
         )
         got = sv.sdp_solve(prob)
-        lp = sv.LinearProgram(c=[F(int(v)) for v in c], bounds=[(F(-1), F(2))] * nv)
-        ref = sv.lp_solve_exact(lp)
+        lp = reference.LinearProgram(c=[F(int(v)) for v in c], bounds=[(F(-1), F(2))] * nv)
+        ref = reference.lp_solve_fraction(lp)
         assert got.status == "optimal" and abs(got.value - float(ref.value)) < 1e-6, trial
 
 
