@@ -18,10 +18,11 @@ conditions only, so there is no "exists" verdict here).
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import ceil, comb
 from operator import mul
 
 from .errors import InvalidInputError
@@ -196,12 +197,18 @@ def _scan_worker(args: tuple[int, int]) -> FeasibilityReport:
     return check_existence(*args)
 
 
+def scan_workers(jobs: int, cases: int) -> int:
+    """Processes of `scan`: at most `jobs`, the CPU count and the tasks of 32 cases, as the pool starts all it may."""
+    return min(jobs, os.cpu_count() or 1, ceil(cases / 32))
+
+
 def scan(n_values, d_values, jobs: int = 1) -> list[FeasibilityReport]:
     """check_existence over a grid, in deterministic (n, d) order.
 
-    `jobs` > 1 runs the grid in that many worker processes, 32 cases per
-    task (one case costs far less than sending it to a worker); the pool
-    is imported only then, so `import qmarginal` does not load it.
+    `jobs` > 1 runs the grid in a pool of `scan_workers` processes, 32
+    cases per task (one case costs far less than sending it to a
+    worker); the pool is imported only then, so `import qmarginal` does
+    not load it.
     """
     if jobs < 1:
         raise InvalidInputError(f"need at least one job, got {jobs}")
@@ -209,7 +216,7 @@ def scan(n_values, d_values, jobs: int = 1) -> list[FeasibilityReport]:
     if jobs > 1 and len(grid) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=scan_workers(jobs, len(grid))) as pool:
             return list(pool.map(_scan_worker, grid, chunksize=32))
     return [check_existence(n, d) for n, d in grid]
 

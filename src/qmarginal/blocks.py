@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 
 import numpy as np
 
@@ -149,6 +149,9 @@ def ame_system(n: int, d: int, copies: int) -> SlotSystem:
 # trace pairings of the unknown operator
 
 
+MAX_KEYS = 8192  # coefficient keys of one primal system, counted before any table: `gram` is keys x keys
+
+
 class SymbolicOperator:
     """The unknown phi = sum_v x_v E_{keys[v]} of a primal system, read through its trace pairings.
 
@@ -158,10 +161,15 @@ class SymbolicOperator:
     element per slot) depends on t only through its canonical form, one
     of `keys` (`system.keys()`), at position `index(t)`. The pairings of
     every test are therefore rows of one integer table, `gram`, and
-    `pairings` gathers them.
+    `pairings` gathers them. A system of more than MAX_KEYS keys raises
+    ResourceCapError before the keys or the copy group are built.
     """
 
     def __init__(self, system: SlotSystem):
+        # one class of s slots takes a multiset of s copy-group elements: C(N! + s - 1, s) keys
+        count = prod(comb(factorial(system.copies) + size - 1, size) for size in map(system.classes.count, set(system.classes)))
+        if count > MAX_KEYS:
+            raise ResourceCapError(f"{count} coefficient keys exceed cap {MAX_KEYS}")
         self.system, self.keys = system, system.keys()
         self._radix = (len(system.group.elements),) * system.slots
         self._lookup = np.full(prod(self._radix), -1, dtype=np.intp)

@@ -57,7 +57,7 @@ def _cmd_ame_scan(args) -> int:
     n_vals = _parse_range(args.n_range)
     d_vals = _parse_range(args.d_range)
     reports = ame.scan(n_vals, d_vals, jobs=args.jobs)
-    print(f"scanned {len(reports)} cases with {args.jobs} worker(s)", file=sys.stderr)
+    print(f"scanned {len(reports)} cases with {ame.scan_workers(args.jobs, len(reports))} worker(s)", file=sys.stderr)
     if args.format == "json":
         print(ame.reports_to_json(reports))
     else:

@@ -32,7 +32,7 @@ from math import comb, prod
 import numpy as np
 
 from . import exactla, solve
-from .blocks import IrrepBlock, SlotSystem, SymbolicOperator, _witness_block, ame_system, block_tuples, irrep_block, witness_blocks, witness_tuples
+from .blocks import IrrepBlock, SlotSystem, SymbolicOperator, _floats, _witness_block, ame_system, block_tuples, irrep_block, witness_blocks, witness_tuples
 from .errors import InvalidInputError, SolverConvergenceError, UnsupportedFeatureError
 from .solve import BoxLp, SdpBlock, SdpProblem, psd_check_exact, sdp_solve
 from .symgroup import Permutation, trivial_multiplicity
@@ -206,8 +206,8 @@ def assemble_primal(spec: MarginalSpec, copies: int, cap: int = 512) -> BlockSdp
     system = spec.slot_system(copies)
     kept, mixed = spec.representative(system.classes)
     tuples = block_tuples(system, cap)
-    g = system.group
     phi = SymbolicOperator(system)
+    g = system.group
     keys = np.array(phi.keys, dtype=np.intp)
     rows = [_with_rhs(phi.pairings([(g.identity,) * system.slots]), 1), _with_rhs(phi.gram - phi.pairings(g.inv[keys]), 0)]
     for gen in (Permutation.transposition(copies, 0, 1), Permutation.full_cycle(copies)):
@@ -305,12 +305,12 @@ def solve_primal(problem: BlockSdp) -> PrimalVerdict:
             return PrimalVerdict("feasible", exact=True, x=_over(x.tolist(), ech.den * w[0]), nullity=nullity)
         return PrimalVerdict("infeasible", exact=True, nullity=nullity)
 
-    coeffs = _float_quotients(stacked, ech.den)
+    coeffs = _floats(stacked, ech.den)
     sdp_blocks = []
     for blk in problem.blocks:
         stack = _float_stack(blk, coeffs)
         sdp_blocks.append(SdpBlock(blk.k, -stack[0], list(stack[1:])))
-    res = sdp_solve(SdpProblem(len(active), sdp_blocks, None))
+    res = sdp_solve(SdpProblem(len(active), sdp_blocks))
     if res.status == "max-iter" or res.margin is None:
         raise SolverConvergenceError("margin maximization did not converge")
     feasible = res.margin >= -FLOAT_TOL
@@ -324,17 +324,6 @@ def solve_primal(problem: BlockSdp) -> PrimalVerdict:
 
 def _over(nums, den) -> list[Fraction]:
     return [Fraction(v, den) for v in nums]
-
-
-def _float_quotients(nums: np.ndarray, den: int) -> np.ndarray:
-    """nums / den as correctly rounded floats, as float(Fraction(num, den)) rounds them.
-
-    One float division while every operand converts to float exactly
-    (below 2^53), else Python's int true division, entry by entry.
-    """
-    if exactla.array_max_abs(nums) <= 2**53 and den <= 2**53:
-        return nums.astype(float) / den
-    return np.array([[v / den for v in row] for row in nums.tolist()], dtype=float).reshape(nums.shape)
 
 
 def _float_stack(blk: IrrepBlock, coeffs: np.ndarray) -> np.ndarray:

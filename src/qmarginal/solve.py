@@ -10,8 +10,11 @@ Three solvers, deliberately self-contained:
   makes depends on a tolerance;
 * an exact PSD test via fraction-free symmetric elimination, returning
   a rational witness vector when the matrix is not PSD;
-* a small dense log-barrier solver for linear matrix inequalities in
-  SDPA form: minimize c.y subject to sum_i y_i F_i - F_0 >= 0 per block.
+* a small dense log-barrier solver (`_barrier`) for linear matrix
+  inequalities in SDPA form, S_b(y) = sum_i y_i F_i - F_0 >= 0 per block.
+  Its one entry point, `sdp_solve`, maximizes the common eigenvalue
+  margin of the blocks: the float feasibility verdict of the primal
+  hierarchy when the exact paths do not decide it.
 
 Plus a writer/parser pair for the sparse SDPA ".dat-s" interchange
 format with deterministic, byte-stable output.
@@ -26,11 +29,12 @@ from math import lcm
 import numpy as np
 
 from . import exactla
-from .errors import InternalConsistencyError, InvalidInputError, SolverConvergenceError
+from .errors import InternalConsistencyError, InvalidInputError
 
 F0 = Fraction(0)
 
 SDP_TOL = 1e-8  # barrier duality-gap target of `sdp_solve`
+SDP_MARGIN_CAP = 10.0  # upper bound on the margin of `sdp_solve`, which keeps its problem bounded
 SDP_MAX_ITER = 4000  # Newton steps of one barrier run before it reports "max-iter"
 
 
@@ -211,10 +215,11 @@ class SdpBlock:
 
 @dataclass
 class SdpProblem:
-    """minimize c.y over the intersection of the blocks' LMI cones.
+    """An LMI problem in SDPA form: minimize c.y subject to every block's S_b(y) >= 0.
 
-    c None means a pure feasibility question; it is answered by
-    maximizing the smallest eigenvalue margin over all blocks.
+    `export_sdpa` writes it whole. `sdp_solve` answers only whether the
+    blocks have a common point, so it takes c None (a feasibility
+    question, exported as zeros) or zero.
     """
 
     m: int
@@ -321,59 +326,29 @@ def _barrier(blocks, c, y, tol):
     return SdpResult("optimal", y, float(c @ y), mu * nu)
 
 
-def _margin_problem(problem: SdpProblem, cap: float) -> SdpProblem:
-    """Augment with a margin variable s: S_b(y) - s I >= 0, s <= cap."""
-    blocks = []
-    for b in problem.blocks:
-        fs = [f.copy() for f in b.fs] + [-np.eye(b.size)]
-        blocks.append(SdpBlock(b.size, b.f0.copy(), fs, b.diagonal))
-    bound = SdpBlock(1, np.array([[-cap]]), [np.zeros((1, 1))] * problem.m + [-np.ones((1, 1))], True)
-    blocks.append(bound)
-    c = np.zeros(problem.m + 1)
-    c[-1] = -1.0  # maximize the margin
-    return SdpProblem(problem.m + 1, blocks, c)
+def sdp_solve(problem: SdpProblem) -> SdpResult:
+    """The largest margin s <= SDP_MARGIN_CAP with S_b(y) - s I >= 0 in every block: a feasibility certificate.
 
-
-def _feasible_start(blocks, s: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Strictly feasible start for the margin-augmented problem, from the padded stack s of the S_b(y)."""
-    low = min(float(np.linalg.eigvalsh(sb[: b.size, : b.size]).min()) for sb, b in zip(s, blocks))
-    return np.concatenate([y, [low - 1.0]])
-
-
-def sdp_solve(problem: SdpProblem, y0=None) -> SdpResult:
-    """Solve the LMI problem; feasibility questions get a margin certificate.
-
-    For objective problems, a strictly feasible start is found by margin
-    maximization first. Feasibility problems report "infeasible" only
-    when the best achievable margin is clearly negative.
+    Method: the margin form of the feasibility question, the standard
+    phase-I problem (Vandenberghe & Boyd, SIAM Rev. 38, 1996). Each block
+    gains the column -I for s and a 1 x 1 diagonal block caps s; `_barrier`
+    minimizes -s from y = 0 and s one below the least eigenvalue of any
+    S_b(0) = -(F_0 + F_0^T) / 2, a strictly feasible start. The status is
+    "infeasible" only when the margin reached is below -max(SDP_TOL, gap).
+    The objective must be None or zero (what `parse_sdpa` reads back for
+    None): an objective is not optimized here.
     """
-    for b in problem.blocks:
-        if len(b.fs) != problem.m:
-            raise InvalidInputError("block coefficient count mismatch")
-    y = np.zeros(problem.m) if y0 is None else np.asarray(y0, dtype=float)
-    f0, fs = _stack(problem.blocks, problem.m)
-
-    if problem.c is None:
-        aug = _margin_problem(problem, cap=10.0)
-        res = _barrier(aug.blocks, aug.c, _feasible_start(problem.blocks, _block_s(f0, fs, y), y), SDP_TOL)
-        margin = float(res.y[-1])
-        status = res.status
-        if status == "optimal":
-            status = "infeasible" if margin < -max(SDP_TOL, res.gap or 0.0) else "optimal"
-        return SdpResult(status, res.y[:-1], margin, res.gap, margin)
-
-    s = _block_s(f0, fs, y)
-    if not _is_pd(s):
-        aug = _margin_problem(problem, cap=10.0)
-        # phase 1 needs a positive margin, not an optimum
-        res = _barrier(aug.blocks, aug.c, _feasible_start(problem.blocks, s, y), 1e-6)
-        if res.y is None or float(res.y[-1]) <= 0:
-            return SdpResult("infeasible", None, None, res.gap, float(res.y[-1]) if res.y is not None else None)
-        # re-center strictly inside before optimizing the real objective
-        y = res.y[:-1]
-        if not _is_pd(_block_s(f0, fs, y)):
-            raise SolverConvergenceError("phase-1 produced a non-interior point")
-    return _barrier(problem.blocks, np.asarray(problem.c, dtype=float), y, SDP_TOL)
+    if problem.c is not None and np.any(problem.c):
+        raise InvalidInputError("sdp_solve answers feasibility only: the objective must be None or zero")
+    if any(len(b.fs) != problem.m for b in problem.blocks):
+        raise InvalidInputError("block coefficient count mismatch")
+    blocks = [SdpBlock(b.size, b.f0, [*b.fs, -np.eye(b.size)], b.diagonal) for b in problem.blocks]
+    blocks.append(SdpBlock(1, np.array([[-SDP_MARGIN_CAP]]), [np.zeros((1, 1))] * problem.m + [-np.ones((1, 1))], True))
+    low = min(float(np.linalg.eigvalsh(-0.5 * (b.f0 + b.f0.T)).min()) for b in problem.blocks)
+    res = _barrier(blocks, np.append(np.zeros(problem.m), -1.0), np.append(np.zeros(problem.m), low - 1.0), SDP_TOL)
+    margin = float(res.y[-1])
+    infeasible = res.status == "optimal" and margin < -max(SDP_TOL, res.gap or 0.0)
+    return SdpResult("infeasible" if infeasible else res.status, res.y[:-1], margin, res.gap, margin)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ import numpy as np
 from reference import candidate_matrix, candidate_spectrum, dual_coefficients, orthogonal_form, seminormal, xi_gram
 from test_ame import candidate_x_oracle
 
-from qmarginal import ame, cli, codes, hierarchy as hi, symgroup as sg
-from qmarginal.solve import export_sdpa, parse_sdpa, sdp_solve
+from qmarginal import ame, cli, codes, hierarchy as hi, solve, symgroup as sg
+from qmarginal.solve import export_sdpa, parse_sdpa
 
 F = Fraction
 
@@ -140,7 +140,8 @@ def test_criterion_7_witness_lp_signs():
         assert rep.certificate.w is not None
         # float solver agrees on the sign and value
         dual = hi.assemble_dual_witness(4, 2, 2)
-        res = sdp_solve(dual.to_sdp_problem(), y0=np.array([0.5, 0.0, 0.0]))
+        prob = dual.to_sdp_problem()
+        res = solve._barrier(prob.blocks, prob.c, np.array([0.5, 0.0, 0.0]), solve.SDP_TOL)
         assert res.status == "optimal" and res.value < -1e-6
         for copies in (2, 3):
             rep = hi.level_check(4, 6, copies)

@@ -327,6 +327,36 @@ def test_scan_parallel_matches_serial():
     assert [r.to_dict() for r in serial] == [r.to_dict() for r in parallel]
 
 
+def test_scan_pool_is_bounded_by_cpus_and_tasks(monkeypatch):
+    """The pool gets at most min(jobs, CPUs, tasks of 32 cases) workers; a serial fake stands in for it."""
+    import concurrent.futures
+
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    serial = [r.to_dict() for r in ame.scan(range(2, 20), range(2, 20))]  # 324 cases, 11 tasks
+    for cpus, jobs, workers in ((8, 100000, 8), (8, 3, 3), (64, 100000, 11), (None, 4, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert [r.to_dict() for r in ame.scan(range(2, 20), range(2, 20), jobs=jobs)] == serial
+        assert seen.pop() == workers, (cpus, jobs)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    ame.scan(range(2, 8), range(2, 5), jobs=100000)  # 18 cases, one task
+    assert seen == [1]
+
+
 def _pair_state_overlaps(psi, n, d):
     """<psi x psi| V_U |psi x psi> for every swap subset U, exact.
 

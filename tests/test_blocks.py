@@ -940,6 +940,23 @@ def test_primal_and_code_caps_checked_before_any_block(monkeypatch):
     assert cli.main(args) == 3
 
 
+def test_key_cap_checked_before_any_table(monkeypatch):
+    """C(5! + 2, 3) = 295,240 keys at five copies of ((3,1,2))_2: refused before keys, copy group or gram."""
+
+    def refuse(*args):
+        raise AssertionError("a key table was built before the key cap")
+
+    for system, count in ((blocks.SlotSystem(4, (2, 2, 2), (0, 0, 0)), 2600), (blocks.SlotSystem(4, (2, 2, 3), (0, 0, 1)), 7200)):
+        assert len(blocks.SymbolicOperator(system).keys) == count <= blocks.MAX_KEYS
+    monkeypatch.setattr(blocks, "_copy_group", refuse)
+    monkeypatch.setattr(blocks.SlotSystem, "keys", refuse)
+    monkeypatch.setattr(blocks.SymbolicOperator, "gram", property(refuse))
+    with pytest.raises(ResourceCapError, match="17550 coefficient keys exceed cap 8192"):
+        blocks.SymbolicOperator(blocks.SlotSystem(4, (2, 2, 2, 2), (0, 0, 0, 0)))
+    args = ["code", "check", "--n", "3", "--K", "1", "--m", "1", "--d", "2", "--pure", "--level", "extension", "--copies", "5"]
+    assert cli.main(args) == 3
+
+
 def test_cap_skips_tuples_without_a_block():
     system = blocks.SlotSystem(5, (2, 3), (0, 1))
     # ((3,2),(3,1,1)) has dimension 30 but no trivial component; the largest block is 25

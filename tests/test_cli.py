@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import os
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -81,6 +82,14 @@ def test_ame_scan_jobs_reproducible():
     _, out1, _ = run_cli(["ame", "scan", "--n-range", "4:7", "--d-range", "2:3", "--jobs", "2"])
     _, out2, _ = run_cli(["ame", "scan", "--n-range", "4:7", "--d-range", "2:3"])
     assert out1 == out2
+
+
+def test_ame_scan_reports_the_pool_size(monkeypatch):
+    """`--jobs` far above the CPUs and tasks reports the workers the pool gets, with no pool started here."""
+    monkeypatch.setattr(ame, "scan", lambda n_vals, d_vals, jobs: [ame.check_existence(4, 2)] * 100)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, _, err = run_cli(["ame", "scan", "--n-range", "4", "--d-range", "2", "--jobs", "100000"])
+    assert (code, err) == (0, "scanned 100 cases with 2 worker(s)\n")
 
 
 def test_ame_witness():

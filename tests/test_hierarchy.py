@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 import reference
 
-from qmarginal import ame, blocks, cli, codes, exactla, hierarchy as hi
+from qmarginal import ame, blocks, cli, codes, exactla, hierarchy as hi, solve
 from qmarginal.errors import InvalidInputError, UnsupportedFeatureError
-from qmarginal.solve import sdp_solve
 from qmarginal.symgroup import Permutation
 
 F = Fraction
@@ -105,14 +104,16 @@ def test_relaxation_ordering_lp_below_sdp():
     dual = hi.assemble_dual_witness(4, 2, 3)
     lp_res = reference.lp_solve_fraction(reference.to_linear_program(dual))
     assert dual.rank_one_lp().solve()[0] == lp_res.value
-    sdp_res = sdp_solve(dual.to_sdp_problem(), y0=np.array([0.5, 0.0, 0.0]))
+    prob = dual.to_sdp_problem()
+    sdp_res = solve._barrier(prob.blocks, prob.c, np.array([0.5, 0.0, 0.0]), solve.SDP_TOL)
     assert sdp_res.status == "optimal"
     assert float(lp_res.value) <= sdp_res.value + 1e-6
 
 
 def test_float_sdp_matches_exact_optimum_42():
     dual = hi.assemble_dual_witness(4, 2, 2)
-    res = sdp_solve(dual.to_sdp_problem(), y0=np.array([0.5, 0.0, 0.0]))
+    prob = dual.to_sdp_problem()
+    res = solve._barrier(prob.blocks, prob.c, np.array([0.5, 0.0, 0.0]), solve.SDP_TOL)
     assert res.status == "optimal"
     assert abs(res.value - (-0.5)) < 1e-5
 
@@ -278,13 +279,14 @@ def test_exported_problem_solves_to_same_optimum(tmp_path):
     from qmarginal.solve import parse_sdpa
 
     parsed = parse_sdpa(path)
-    res = sdp_solve(parsed, y0=np.array([0.5, 0.0, 0.0]))
+    res = solve._barrier(parsed.blocks, parsed.c, np.array([0.5, 0.0, 0.0]), solve.SDP_TOL)
     assert res.status == "optimal" and abs(res.value + 0.5) < 1e-5
 
 
 def test_float_dual_46_level3_nonnegative():
     dual = hi.assemble_dual_witness(4, 6, 3)
-    res = sdp_solve(dual.to_sdp_problem(), y0=np.array([0.5, 0.0, 0.0]))
+    prob = dual.to_sdp_problem()
+    res = solve._barrier(prob.blocks, prob.c, np.array([0.5, 0.0, 0.0]), solve.SDP_TOL)
     assert res.status == "optimal"
     assert res.value >= -1e-8
 
@@ -546,10 +548,10 @@ def test_float_quotients_round_as_fractions_do():
     """Both branches give float(Fraction(num, den)), bit for bit: float division below 2^53, int division past it."""
     nums = np.array([[0, 1, -1, 2**53, -(2**53) + 1], [7, -7, 10**15, 3, 2**52 + 1]], dtype=np.int64)
     for den in (1, 3, 41472, 2**53):
-        assert hi._float_quotients(nums, den).tolist() == [[float(F(v, den)) for v in row] for row in nums.tolist()]
+        assert blocks._floats(nums, den).tolist() == [[float(F(v, den)) for v in row] for row in nums.tolist()]
     wide = np.array([[2**70 + 1, -(3**50)], [1, 0]], dtype=object)
     for den in (3, 2**60 + 7):
-        assert hi._float_quotients(wide, den).tolist() == [[float(F(v, den)) for v in row] for row in wide.tolist()]
+        assert blocks._floats(wide, den).tolist() == [[float(F(v, den)) for v in row] for row in wide.tolist()]
 
 
 def test_dedupe_rows_normalizes_sign_and_gcd():

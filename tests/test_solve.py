@@ -155,21 +155,8 @@ def test_fraction_free_ldlt_matches_fraction_elimination(kind):
 
 def test_sdp_scalar_bound():
     prob = sv.SdpProblem(1, [sv.SdpBlock(1, np.array([[2.0]]), [np.array([[1.0]])])], np.array([1.0]))
-    res = sv.sdp_solve(prob, y0=np.array([4.0]))
+    res = sv._barrier(prob.blocks, prob.c, np.array([4.0]), sv.SDP_TOL)
     assert res.status == "optimal" and abs(res.value - 2) < 1e-6
-
-
-def test_sdp_phase1_and_box():
-    prob = sv.SdpProblem(
-        1,
-        [
-            sv.SdpBlock(1, np.array([[-2.0]]), [np.array([[-1.0]])]),
-            sv.SdpBlock(1, np.array([[-5.0]]), [np.array([[1.0]])]),
-        ],
-        np.array([-1.0]),
-    )
-    res = sv.sdp_solve(prob)
-    assert res.status == "optimal" and abs(res.value + 2) < 1e-6
 
 
 def test_sdp_matrix_block():
@@ -177,7 +164,7 @@ def test_sdp_matrix_block():
     f0 = np.array([[0.0, -1.0], [-1.0, 0.0]])
     fs = [np.eye(2)]
     prob = sv.SdpProblem(1, [sv.SdpBlock(2, f0, fs)], np.array([1.0]))
-    res = sv.sdp_solve(prob, y0=np.array([3.0]))
+    res = sv._barrier(prob.blocks, prob.c, np.array([3.0]), sv.SDP_TOL)
     assert res.status == "optimal" and abs(res.value - 1) < 1e-5
 
 
@@ -276,6 +263,15 @@ def test_sdp_feasibility_modes():
     assert res.status == "infeasible" and res.margin < -0.4
 
 
+def test_sdp_solve_refuses_an_objective():
+    blocks = [sv.SdpBlock(1, np.array([[1.0]]), [np.array([[1.0]])])]
+    with pytest.raises(InvalidInputError, match="objective"):
+        sv.sdp_solve(sv.SdpProblem(1, blocks, np.array([1.0])))
+    # a zero objective is the feasibility question, as `parse_sdpa` reads it back
+    zero = sv.sdp_solve(sv.SdpProblem(1, blocks, np.zeros(1)))
+    assert zero.margin.hex() == sv.sdp_solve(sv.SdpProblem(1, blocks)).margin.hex()
+
+
 def test_sdp_agrees_with_exact_lp_on_diagonal_blocks():
     rng = np.random.default_rng(7)
     for trial in range(50):
@@ -288,7 +284,7 @@ def test_sdp_agrees_with_exact_lp_on_diagonal_blocks():
             [sv.SdpBlock(nv, np.diag([-2.0] * nv), fs_up, True), sv.SdpBlock(nv, np.diag([-1.0] * nv), fs_lo, True)],
             c,
         )
-        got = sv.sdp_solve(prob)
+        got = sv._barrier(prob.blocks, prob.c, np.zeros(nv), sv.SDP_TOL)
         lp = reference.LinearProgram(c=[F(int(v)) for v in c], bounds=[(F(-1), F(2))] * nv)
         ref = reference.lp_solve_fraction(lp)
         assert got.status == "optimal" and abs(got.value - float(ref.value)) < 1e-6, trial
@@ -317,6 +313,18 @@ def test_sdpa_round_trip_and_determinism(tmp_path):
         assert np.array_equal(b1.f0, b2.f0)
         for m1, m2 in zip(b1.fs, b2.fs):
             assert np.array_equal(m1, m2)
+
+
+def test_sdpa_round_trip_keeps_the_margin_bits(tmp_path):
+    """A feasibility problem written and read back (its None objective as zeros) solves to the same floats."""
+    p = _sample_problem()
+    p = sv.SdpProblem(p.m, p.blocks)
+    f = tmp_path / "margin.dat-s"
+    sv.export_sdpa(p, f)
+    parsed = sv.parse_sdpa(f)
+    assert parsed.c is not None and not parsed.c.any()
+    want, got = sv.sdp_solve(p), sv.sdp_solve(parsed)
+    assert (got.status, got.margin.hex(), got.y.tobytes()) == (want.status, want.margin.hex(), want.y.tobytes())
 
 
 def test_sdpa_empty_problem(tmp_path):
