@@ -106,11 +106,6 @@ def _rational_spectrum(n: int, d: int) -> tuple[list[Fraction], list[Fraction], 
     return [Fraction(v, den) for v in p], [Fraction(v, den << n) for v in x], [Fraction(v, den << n) for v in q]
 
 
-def candidate_x(n: int, d: int) -> list[Fraction]:
-    """Coefficients x_0..x_n of the unique symmetrized two-party extension."""
-    return _rational_spectrum(n, d)[1]
-
-
 def eigenvalues_p(n: int, d: int) -> list[Fraction]:
     """Eigenvalues p_0..p_n of the candidate, indexed by the number of
     antisymmetric tensor factors in the eigenspace."""

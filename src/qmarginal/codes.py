@@ -55,10 +55,6 @@ class CodeParams:
         if self.m > self.n:
             raise InvalidInputError("uniformity m cannot exceed n")
 
-    @property
-    def distance(self) -> int:
-        return self.m + 1
-
     def label(self) -> str:
         return f"(({self.n},{self.K},{self.m + 1}))_{self.d}"
 
@@ -105,46 +101,7 @@ def uniform_marginal_spec(n: int, d: int, size: int) -> MarginalSpec:
 
 
 # ---------------------------------------------------------------------------
-# state fixtures and direct verification
-
-
-def ghz_state(n: int, d: int) -> np.ndarray:
-    psi = np.zeros(d**n)
-    step = (d**n - 1) // (d - 1)
-    for k in range(d):
-        psi[k * step] = 1.0
-    return psi / np.sqrt(d)
-
-
-def five_qubit_code_state() -> np.ndarray:
-    """Logical-basis entangled state of the ((5,2,3))_2 stabilizer code.
-
-    Generators XZZXI and its cyclic shifts; the logical operators are
-    X^x5 and Z^x5. Returns the 64-dimensional vector on aux (x) 5 qubits.
-    """
-    x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    z = np.array([[1.0, 0.0], [0.0, -1.0]])
-    eye = np.eye(2)
-
-    def pauli_string(s: str) -> np.ndarray:
-        out = np.array([[1.0]])
-        for ch in s:
-            out = np.kron(out, {"X": x, "Z": z, "I": eye}[ch])
-        return out
-
-    base = "XZZXI"
-    gens = [base[-k:] + base[:-k] for k in range(4)]
-    proj = np.eye(32)
-    for gstr in gens:
-        proj = proj @ (np.eye(32) + pauli_string(gstr)) / 2
-    zero = np.zeros(32)
-    zero[0] = 1.0
-    logical0 = proj @ zero
-    logical0 /= np.linalg.norm(logical0)
-    logical1 = pauli_string("XXXXX") @ logical0
-    logical1 /= np.linalg.norm(logical1)
-    state = np.concatenate([logical0, logical1]) / np.sqrt(2)
-    return state
+# direct verification
 
 
 @dataclass
@@ -253,7 +210,7 @@ def code_two_party_constraints(params: CodeParams, level: str = "ppt") -> BlockS
 
     system = SlotSystem(2, (params.K,) + (d,) * n, (0,) + (1,) * n)
     int_rows = [exactla.primitive([r.get(v, F0) for v in range(len(keys))] + [-r.get(CONST, F0)]) for r in _two_party_rows(params)]
-    return BlockSdp(system, keys, int_rows, blocks)
+    return BlockSdp(system, keys, int_rows, lambda: blocks)
 
 
 def _two_party_rows(params: CodeParams) -> list[dict]:
@@ -360,6 +317,7 @@ class CodeFeasibilityReport:
     exact: bool = True
     margin: float | None = None
     nullity: int = 0
+    x: list | None = None  # the exactly checked feasible point of an exact `feasible`, else None
 
     def to_dict(self) -> dict:
         return {
@@ -375,6 +333,7 @@ class CodeFeasibilityReport:
             "exact": self.exact,
             "margin": self.margin,
             "nullity": self.nullity,
+            "x": None if self.x is None else [str(v) for v in self.x],
         }
 
 
@@ -397,4 +356,5 @@ def code_check(params: CodeParams, level: str = "ppt", copies: int = 3, cap: int
         verdict.exact,
         verdict.margin,
         verdict.nullity,
+        verdict.x if verdict.status == "feasible" and verdict.exact else None,
     )

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, prod
+from typing import Callable
 
 import numpy as np
 
@@ -126,18 +127,25 @@ def ame_marginal_spec(n: int, d: int) -> MarginalSpec:
 
 @dataclass
 class BlockSdp:
-    """Equality system plus PSD blocks over the coefficient variables.
+    """Equality system plus PSD blocks over the coefficient variables, the blocks built as they are read.
 
     `int_rows` holds the equalities as primitive integer rows
     (a_0, ..., a_{nvars-1}, b) with a x = b, which `solve_primal`
     eliminates: one integer array from `assemble_primal`, a list of rows
-    from `codes.code_two_party_constraints`.
+    from `codes.code_two_party_constraints`. `build` returns the
+    IrrepBlocks; it runs on the first read of `blocks`, which
+    `solve_primal` makes only once the equalities are consistent.
     """
 
     system: SlotSystem
     keys: list
     int_rows: np.ndarray | list
-    blocks: list  # IrrepBlock
+    build: Callable[[], list]
+
+    @cached_property
+    def blocks(self) -> list:
+        """The IrrepBlocks, built on first read."""
+        return self.build()
 
     @property
     def nvars(self) -> int:
@@ -201,17 +209,19 @@ def assemble_primal(spec: MarginalSpec, copies: int, cap: int = 512) -> BlockSdp
       dim M Tr(V_t phi) - prod_s f_s Tr(V_t' phi) = 0.
 
     Positivity lives in the per-partition-tuple blocks; their dimensions
-    are checked against `cap` before any work starts.
+    are checked against `cap` before any work starts, and the blocks are
+    built on the first read of `BlockSdp.blocks`.
     """
     system = spec.slot_system(copies)
     kept, mixed = spec.representative(system.classes)
     tuples = block_tuples(system, cap)
     phi = SymbolicOperator(system)
     g = system.group
-    keys = np.array(phi.keys, dtype=np.intp)
-    rows = [_with_rhs(phi.pairings([(g.identity,) * system.slots]), 1), _with_rhs(phi.gram - phi.pairings(g.inv[keys]), 0)]
+    keys = phi.keys
+    idx = np.array(keys, dtype=np.intp)
+    rows = [_with_rhs(phi.pairings([(g.identity,) * system.slots]), 1), _with_rhs(phi.gram - phi.pairings(g.inv[idx]), 0)]
     for gen in (Permutation.transposition(copies, 0, 1), Permutation.full_cycle(copies)):
-        rows.append(_with_rhs(phi.pairings(g.mul[keys, g.index[gen.images]]) - phi.gram, 0))
+        rows.append(_with_rhs(phi.pairings(g.mul[idx, g.index[gen.images]]) - phi.gram, 0))
 
     tests = _marginal_tests(system, [s for s in range(system.slots) if s not in kept])
     mixed = list(mixed)
@@ -221,8 +231,8 @@ def assemble_primal(spec: MarginalSpec, copies: int, cap: int = 512) -> BlockSdp
     dim_mixed = prod(system.dims[s] for s in mixed)
     rows.append(_with_rhs(dim_mixed * phi.pairings(tests) - factor[:, None] * phi.pairings(reduced), 0))
 
-    blocks = [irrep_block(system, tpl, phi.keys, cap=cap) for tpl in tuples]
-    return BlockSdp(system, phi.keys, _dedupe_rows(np.concatenate(rows), len(keys)), blocks)
+    int_rows = _dedupe_rows(np.concatenate(rows), len(keys))
+    return BlockSdp(system, keys, int_rows, lambda: [irrep_block(system, tpl, keys, cap=cap) for tpl in tuples])
 
 
 def _with_rhs(lhs: np.ndarray, rhs: int) -> np.ndarray:
@@ -240,6 +250,15 @@ def _marginal_tests(system: SlotSystem, traced_slots) -> np.ndarray:
 
 @dataclass
 class PrimalVerdict:
+    """The verdict of `solve_primal`.
+
+    An exact `feasible` carries x, a rational point that meets every
+    equality and makes every block PSD, both checked exactly. An exact
+    `infeasible` from the PSD test at x0 keeps x0 in x and names the
+    first failing tuple. A float verdict (exact False) carries the
+    barrier's margin and no x.
+    """
+
     status: str  # "feasible" | "infeasible"
     exact: bool
     margin: float | None = None
@@ -248,30 +267,40 @@ class PrimalVerdict:
     witness_block: tuple | None = None
 
 
+ROUNDING_DIGITS = 15  # the rounding ladder tries y rounded to j decimals, j = 1..15: a float holds about 16 digits
+
+
 def solve_primal(problem: BlockSdp) -> PrimalVerdict:
-    """Decide feasibility of an assembled primal system.
+    """Decide feasibility of an assembled primal system on its effective directions.
 
     The equalities are solved once, exactly, as the checked integer RREF
     of `exactla.solve_integer_rows`; the particular solution x0 and the
-    nullspace are integer arrays over its one denominator L, and the free
-    directions that move no block are dropped by one mask. When no free
-    direction moves a block (no free direction at all is one case), the
-    answer is an exact PSD test of every block at x0, as integers over L,
-    one tensordot with the block's num; an infeasible verdict keeps x0
-    and names the first failing tuple. When every block is scalar it is
-    an exact LP. Block b's row (base_b, c_b) is one integer product, and
-    the block is nonnegative at x0 + u.active exactly when base_b + c_b.u
-    >= 0 (over L times the block's den, a positive scale). Only the
-    directions at the pivot columns of the RREF of the c matrix are kept:
-    they span its column space, so no feasibility is lost. The
-    homogeneous `BoxLp` minimizing -t over w = (t, v), with the row
-    (base_b, c_b at the pivots) per block, is checked exactly at its
-    optimum: below 0, t > 0 and x = x0 + sum_i (v_i / t) active_{pivot_i}
-    is one more product; 0 means no t > 0 is feasible, an exact
-    `infeasible`. Otherwise the
-    remaining freedom goes through the float margin-maximization SDP, on
-    the correctly rounded quotients of the same integers by L, and a
-    margin below -FLOAT_TOL is a float `infeasible`.
+    nullspace basis are integer arrays over its one denominator L. An
+    inconsistent system is an exact `infeasible`, decided before any
+    block is built (`BlockSdp.blocks`). Block b's exact effect is one
+    integer product per block, the rows [x0; basis] times its num as a
+    (variables, k^2) array; at x = (w_0 x0 + sum_i w_i d_i) / (L w_0),
+    w_0 > 0, Z_b(x) is the combination w of those rows over the positive
+    L w_0 den_b. The pivots of one `exactla.echelon` of the directions'
+    effects, transposed, are the r effective directions: every effect is
+    a combination of theirs, so no feasibility is lost by keeping them
+    alone.
+
+    * r = 0: the exact PSD test of every block at x0; an infeasible
+      verdict keeps x0 and names the first failing tuple.
+    * Every block scalar: an exact LP. The homogeneous `BoxLp`
+      minimizing -t over w = (t, v), one row per block, is checked
+      exactly at its optimum: below 0, t > 0 and x = w [x0; d] / (L t);
+      0 means no t > 0 is feasible, an exact `infeasible`.
+    * Otherwise: the float margin-maximization SDP over the r
+      directions (`sdp_solve`), on the correctly rounded quotients of
+      the same integers by L. A margin above 0 is rounded to a rational
+      point (Peyrl & Parrilo, Theor. Comput. Sci. 409, 2008): for
+      j = 1..ROUNDING_DIGITS, w = (10^j, round(10^j y)) and the first
+      w at which `psd_check_exact` passes every block is an exact
+      `feasible`, carrying x and the float margin. A margin at or below
+      0, or a ladder that never passes, leaves the float verdict: a
+      margin below -FLOAT_TOL is `infeasible`, anything else `feasible`.
     """
     nv = problem.nvars
     ech = exactla.solve_integer_rows(problem.int_rows, nv)
@@ -279,47 +308,60 @@ def solve_primal(problem: BlockSdp) -> PrimalVerdict:
         return PrimalVerdict("infeasible", exact=True, nullity=0)
     x0, basis = ech.affine(nv)
     nullity = len(basis)
+    blocks = problem.blocks
+    points = np.concatenate([x0[None], basis])
+    effects = [exactla.int_matmul(points[:, blk.variables], blk.num.reshape(len(blk.variables), blk.k * blk.k)) for blk in blocks]
+    moves = np.hstack([np.zeros((len(points), 0), dtype=np.int64), *effects])[1:]
+    kept = [0] + [1 + p for p in exactla.echelon(moves.T).pivots]
+    stacked = points[kept]
+    kept_effects = [(blk, e[kept]) for blk, e in zip(blocks, effects)]
 
-    moved = sorted({v for blk in problem.blocks for v in blk.variables})
-    active = basis[(basis[:, moved] != 0).any(axis=1)]
-    if not len(active):
+    if len(kept) == 1:
+        failing = _failing(kept_effects, [1])
         x = _over(x0.tolist(), ech.den)
-        for blk in problem.blocks:
-            if not psd_check_exact(_combination(x0[blk.variables].tolist(), blk.num, exactla.array_max_abs(blk.num)).tolist()).psd:
-                parts = tuple(getattr(p, "parts", p) for p in blk.partitions)
-                return PrimalVerdict("infeasible", exact=True, x=x, nullity=nullity, witness_block=parts)
+        if failing is not None:
+            parts = tuple(getattr(p, "parts", p) for p in failing.partitions)
+            return PrimalVerdict("infeasible", exact=True, x=x, nullity=nullity, witness_block=parts)
         return PrimalVerdict("feasible", exact=True, x=x, nullity=nullity)
 
-    stacked = np.concatenate([x0[None], active])
-    if all(blk.k == 1 for blk in problem.blocks):
+    if all(blk.k == 1 for blk in blocks):
         # every sector is scalar: feasibility is an exact LP
-        rows = np.array([exactla.int_matmul(stacked[:, blk.variables], blk.num[:, 0, 0]) for blk in problem.blocks])
-        kept = [0] + [1 + p for p in exactla.echelon(rows[:, 1:]).pivots]
         lp = BoxLp([-1] + [0] * (len(kept) - 1))
-        for row in rows[:, kept].tolist():
-            lp.add_row(row)
+        for _, e in kept_effects:
+            lp.add_row(e[:, 0].tolist())
         value, w = lp.solve()
         if value < 0:
             _, ((w,),) = exactla.integer_matrices([[w]])
-            x = exactla.int_matmul(np.array(w, dtype=object), stacked[kept])
-            return PrimalVerdict("feasible", exact=True, x=_over(x.tolist(), ech.den * w[0]), nullity=nullity)
+            return PrimalVerdict("feasible", exact=True, x=_point(w, stacked, ech.den), nullity=nullity)
         return PrimalVerdict("infeasible", exact=True, nullity=nullity)
 
     coeffs = _floats(stacked, ech.den)
     sdp_blocks = []
-    for blk in problem.blocks:
+    for blk in blocks:
         stack = _float_stack(blk, coeffs)
         sdp_blocks.append(SdpBlock(blk.k, -stack[0], list(stack[1:])))
-    res = sdp_solve(SdpProblem(len(active), sdp_blocks))
+    res = sdp_solve(SdpProblem(len(kept) - 1, sdp_blocks))
     if res.status == "max-iter" or res.margin is None:
         raise SolverConvergenceError("margin maximization did not converge")
-    feasible = res.margin >= -FLOAT_TOL
-    return PrimalVerdict(
-        "feasible" if feasible else "infeasible",
-        exact=False,
-        margin=res.margin,
-        nullity=nullity,
-    )
+    for j in range(1, ROUNDING_DIGITS + 1) if res.margin > 0 else ():
+        w = [10**j] + [round(v * 10**j) for v in res.y.tolist()]
+        if _failing(kept_effects, w) is None:
+            return PrimalVerdict("feasible", exact=True, margin=res.margin, x=_point(w, stacked, ech.den), nullity=nullity)
+    return PrimalVerdict("feasible" if res.margin >= -FLOAT_TOL else "infeasible", exact=False, margin=res.margin, nullity=nullity)
+
+
+def _failing(effects, w) -> IrrepBlock | None:
+    """The first block not PSD at the point w [x0; d] / (L w_0), or None: `psd_check_exact` of each block's combination w of its effect rows."""
+    w = np.array(w, dtype=object)
+    for blk, e in effects:
+        if not psd_check_exact(exactla.int_matmul(w, e).reshape(blk.k, blk.k).tolist()).psd:
+            return blk
+    return None
+
+
+def _point(w, stacked, den) -> list[Fraction]:
+    """x = w [x0; d] / (den w_0) for integers w, w_0 > 0: one product."""
+    return _over(exactla.int_matmul(np.array(w, dtype=object), stacked).tolist(), den * w[0])
 
 
 def _over(nums, den) -> list[Fraction]:

@@ -13,8 +13,8 @@ Three solvers, deliberately self-contained:
 * a small dense log-barrier solver (`_barrier`) for linear matrix
   inequalities in SDPA form, S_b(y) = sum_i y_i F_i - F_0 >= 0 per block.
   Its one entry point, `sdp_solve`, maximizes the common eigenvalue
-  margin of the blocks: the float feasibility verdict of the primal
-  hierarchy when the exact paths do not decide it.
+  margin of the blocks: the point that `hierarchy.solve_primal` rounds
+  to an exactly checked one, or else its float feasibility verdict.
 
 Plus a writer/parser pair for the sparse SDPA ".dat-s" interchange
 format with deterministic, byte-stable output.

@@ -235,9 +235,6 @@ class Permutation:
             inv[img] = i
         return Permutation(tuple(inv))
 
-    def is_identity(self) -> bool:
-        return all(i == img for i, img in enumerate(self.images))
-
     def cycles(self) -> list[tuple[int, ...]]:
         seen = [False] * self.n
         out = []

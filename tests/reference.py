@@ -53,6 +53,11 @@ that `exactla.ldlt_psd_witness` runs fraction-free: the same pivots, so
 the two must give the same verdict and the same witness;
 `quadratic_form` is v^T m v over Fractions.
 
+`candidate_x`, `is_identity`, `ghz_state` and `five_qubit_code_state`
+are fixtures that only the tests read: the AME candidate's coefficients,
+the identity test of a permutation, and two state vectors whose
+marginals `codes.verify_code_state` checks.
+
 `check_existence_fraction` is the closed-form existence test over
 Fractions, from full products with K and T (`spectrum_fraction`), that
 `ame.check_existence` decides on integer numerators.
@@ -206,10 +211,15 @@ def ptrace(m: np.ndarray, system: blocks.SlotSystem, cells) -> np.ndarray:
     return np.einsum(*operands, list(range(2 * n))).reshape(m.shape)
 
 
+def candidate_x(n: int, d: int) -> list[Fraction]:
+    """Coefficients x_0..x_n of the unique symmetrized two-party extension, as a list."""
+    return list(ame.candidate(n, d).x)
+
+
 def candidate_matrix(n: int, d: int) -> tuple[np.ndarray, int]:
     """The AME candidate sum_i x_i X_i as a dense matrix on two copies."""
     system = blocks.ame_system(n, d, 2)
-    return matrix(system, expansion_terms(system), dict(enumerate(ame.candidate_x(n, d))))
+    return matrix(system, expansion_terms(system), dict(enumerate(candidate_x(n, d))))
 
 
 def candidate_spectrum(n: int, d: int) -> list[tuple[Fraction, int]]:
@@ -846,3 +856,40 @@ def block_per_vector(parts, classes):
     linv = np.linalg.inv(np.linalg.cholesky(to_float(gram)))
     y = {key: linv @ to_float(zk) @ linv.T for key, zk in z.items()}
     return k, prod(dims), gram, z, y
+
+
+def is_identity(p: sg.Permutation) -> bool:
+    return all(i == img for i, img in enumerate(p.images))
+
+
+def ghz_state(n: int, d: int) -> np.ndarray:
+    """(|0...0> + ... + |d-1...d-1>) / sqrt(d) on n qudits."""
+    psi = np.zeros(d**n)
+    step = (d**n - 1) // (d - 1)
+    for k in range(d):
+        psi[k * step] = 1.0
+    return psi / np.sqrt(d)
+
+
+def five_qubit_code_state() -> np.ndarray:
+    """Logical-basis entangled state of the ((5,2,3))_2 stabilizer code.
+
+    Generators XZZXI and its cyclic shifts; the logical operators are
+    X^x5 and Z^x5. Returns the 64-dimensional vector on aux (x) 5 qubits.
+    """
+    paulis = {"X": np.array([[0.0, 1.0], [1.0, 0.0]]), "Z": np.array([[1.0, 0.0], [0.0, -1.0]]), "I": np.eye(2)}
+
+    def pauli_string(s: str) -> np.ndarray:
+        out = np.array([[1.0]])
+        for ch in s:
+            out = np.kron(out, paulis[ch])
+        return out
+
+    base = "XZZXI"
+    proj = np.eye(32)
+    for gstr in (base[-k:] + base[:-k] for k in range(4)):
+        proj = proj @ (np.eye(32) + pauli_string(gstr)) / 2
+    logical0 = proj[:, 0] / np.linalg.norm(proj[:, 0])
+    logical1 = pauli_string("XXXXX") @ logical0
+    logical1 /= np.linalg.norm(logical1)
+    return np.concatenate([logical0, logical1]) / np.sqrt(2)

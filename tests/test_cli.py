@@ -8,6 +8,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+import reference
 
 from qmarginal import ame, cli, codes, hierarchy
 from qmarginal.errors import InternalConsistencyError, QmarginalError
@@ -157,13 +158,30 @@ def test_code_check_cli():
     validate(rep, "code_report")
     assert rep["verdict"] == "infeasible" and rep["level"] == "singleton"
 
+    assert rep["x"] is None
+
     code, out, _ = run_cli(["code", "check", "--n", "5", "--K", "2", "--m", "2", "--d", "2", "--pure", "--level", "ppt"])
     rep = json.loads(out)
-    assert rep["verdict"] == "feasible"
+    validate(rep, "code_report")
+    assert (rep["verdict"], rep["exact"]) == ("feasible", True)
+    assert rep["x"] == [str(v) for v in hierarchy.solve_primal(codes.code_two_party_constraints(codes.CodeParams(5, 2, 2, 2, pure=True), "ppt")).x]
+
+    # the barrier's point, rounded and checked exactly, is the certificate
+    code, out, _ = run_cli(["code", "check", "--n", "4", "--K", "1", "--m", "1", "--d", "2", "--pure", "--level", "extension", "--copies", "3"])
+    rep = json.loads(out)
+    validate(rep, "code_report")
+    assert (rep["verdict"], rep["exact"], rep["nullity"], len(rep["x"])) == ("feasible", True, 58, 126)
+    assert any("/" in v for v in rep["x"])
+
+    # an infeasible verdict carries no point, even where the solver kept x0
+    code, out, _ = run_cli(["code", "check", "--n", "4", "--K", "1", "--m", "2", "--d", "2", "--pure", "--level", "ppt"])
+    rep = json.loads(out)
+    validate(rep, "code_report")
+    assert (rep["verdict"], rep["exact"], rep["x"]) == ("infeasible", True, None)
 
 
 def test_code_verify_cli(tmp_path):
-    state = codes.five_qubit_code_state()
+    state = reference.five_qubit_code_state()
     path = tmp_path / "state.json"
     path.write_text(json.dumps([float(v) for v in state]))
     code, out, _ = run_cli(

