@@ -9,26 +9,30 @@ of permutations per class.
 
 This module provides
 
-* coefficient key enumeration and canonicalization over slot classes;
+* coefficient keys, one multiset per slot class (`multiset_tuples`),
+  and the one multiset placement table (`_place`), which canonicalizes
+  tests and grows the pairing tables and the primal blocks;
 * the trace pairings Tr(V_t phi) of the unknown operator
   phi = sum_v x_v E_{keys[v]} with every test t, which depend on t only
   through its canonical key: one integer table over the keys (`gram`),
-  read by gathers, from which the equality constraint rows are made;
+  a Kronecker product over the classes, read by gathers, from which
+  the equality constraint rows are made;
 * the positivity blocks of the primal, code-extension and dual-witness
-  problems: per partition tuple, an exact basis U of the subspace fixed
-  by the diagonal copy-permutation action (`_basis`), and compressed
-  operator sums U^T W E U with their orthonormalized float versions,
-  memoized per tuple. `irrep_block` (`_block`) takes E = E_K for every
-  coefficient key K over the whole copy group: U is moved slot by slot
-  as one integer array over the multisets placed so far, one stacked
-  mode product per group element, and z_K for every key is one batched
-  product (no total x total matrix). `witness_blocks` (`_witness_block`)
-  takes the swap-pattern sums E_l, which are diagonal in seminormal
-  form, as Krawtchouk-weighted sums of Gram matrices, and a tuple of
-  multiplicity 1 from the Reynolds diagonal alone (`_rank_one`). Every block holds
-  one exact form, an integer stack over one denominator in lowest terms,
-  and its correctly rounded floats, both from the same integers
-  (`_compressed`); `irrep_block` selects rows of it.
+  problems: per partition tuple, an exact basis U of the subspace
+  fixed by the diagonal copy-permutation action (`_basis`), and
+  compressed operator sums U^T W E U with their orthonormalized float
+  versions, memoized per tuple. `irrep_block` (`_block`) takes E = E_K
+  for every coefficient key K over the whole copy group: U is moved
+  slot by slot as one integer array over the multisets placed so far,
+  one stacked mode product per group element placed through `_place`,
+  and z_K for every key is one batched product (no total x total
+  matrix). `witness_blocks` (`_witness_block`) takes the swap-pattern
+  sums E_l, which are diagonal in seminormal form, as
+  Krawtchouk-weighted sums of Gram matrices, and a tuple of
+  multiplicity 1 from the Reynolds diagonal alone (`_rank_one`). Every
+  block holds one exact form, an integer stack over one denominator in
+  lowest terms, and its correctly rounded floats, both from the same
+  integers (`_compressed`); `irrep_block` selects rows of it.
 """
 
 from __future__ import annotations
@@ -90,7 +94,7 @@ def _copy_group(n: int) -> _CopyGroup:
 
 @dataclass(frozen=True)
 class SlotSystem:
-    """N copies of a slot list with per-slot dimensions and symmetry classes."""
+    """N copies of a slot list with per-slot dimensions and symmetry classes, the classes in ascending order."""
 
     copies: int
     dims: tuple[int, ...]
@@ -101,10 +105,8 @@ class SlotSystem:
             raise InvalidInputError("need at least two copies")
         if len(self.dims) != len(self.classes):
             raise InvalidInputError("dims and classes must align")
-        by_class = {}
-        for d, c in zip(self.dims, self.classes):
-            if by_class.setdefault(c, d) != d:
-                raise InvalidInputError("slots in one class must share a dimension")
+        if any(len({self.dims[s] for s in slots}) > 1 for slots in class_slots(self.classes)):
+            raise InvalidInputError("slots in one class must share a dimension")
 
     @property
     def slots(self) -> int:
@@ -115,30 +117,38 @@ class SlotSystem:
         return _copy_group(self.copies)
 
     def keys(self) -> list[tuple[int, ...]]:
-        """All canonical coefficient keys (multisets per class), sorted."""
-        size = len(self.group.elements)
-        return sorted(self._per_class(lambda d: range(size)))
+        """All canonical coefficient keys, one multiset of copy-group elements per class (`multiset_tuples`), sorted."""
+        return multiset_tuples([(len(slots), range(len(self.group.elements))) for slots in class_slots(self.classes)])
 
     def partition_tuples(self) -> list[tuple[Partition, ...]]:
-        """Canonical partition tuples with nonzero multiplicity in every slot."""
+        """Canonical partition tuples with nonzero multiplicity in every slot: one multiset of partitions per class."""
         parts_all = enumerate_partitions(self.copies, self.copies)
-        return self._per_class(lambda d: [p for p in parts_all if len(p) <= d])
+        return multiset_tuples([(len(slots), [p for p in parts_all if len(p) <= self.dims[slots[0]]]) for slots in class_slots(self.classes)])
 
-    def _per_class(self, options) -> list[tuple]:
-        """Every tuple taking, on the slots of each class in turn, one multiset of
-        `options(d)` (d the class's dimension) in combinations-with-replacement
-        order, the classes in ascending order and the last varying fastest."""
-        order = sorted(set(self.classes))
-        members = [[s for s, c in enumerate(self.classes) if c == cls] for cls in order]
-        per_class = [itertools.combinations_with_replacement(options(self.dims[slots[0]]), len(slots)) for slots in members]
-        out = []
-        for combo in itertools.product(*per_class):
-            tpl = [None] * self.slots
-            for slots, vals in zip(members, combo):
-                for s, v in zip(slots, vals):
-                    tpl[s] = v
-            out.append(tuple(tpl))
-        return out
+
+def class_slots(classes) -> list[range]:
+    """The slots of each class in ascending class order, one run each; classes out of that order raise InvalidInputError."""
+    if list(classes) != sorted(classes):
+        raise InvalidInputError(f"slot classes {tuple(classes)} are not in ascending order")
+    return [range(classes.index(c), len(classes) - classes[::-1].index(c)) for c in sorted(set(classes))]
+
+
+def multiset_tuples(groups) -> list[tuple]:
+    """Every tuple made of one sorted multiset of `size` entries of `options` per (size, options) group, in
+    group order; each group's multisets in combinations-with-replacement order, the last group fastest."""
+    per_group = [itertools.combinations_with_replacement(options, size) for size, options in groups]
+    return [tuple(itertools.chain.from_iterable(combo)) for combo in itertools.product(*per_group)]
+
+
+@lru_cache(maxsize=None)
+def _place(order: int, size: int) -> np.ndarray:
+    """to[i, e]: the position of multiset i of `size` entries of range(order), with e added, among those of
+    size + 1, both in `multiset_tuples` order. One-to-one for a fixed e, so one fancy-indexed add places
+    a whole array. Read-only."""
+    position = {m: i for i, m in enumerate(multiset_tuples([(size + 1, range(order))]))}
+    to = np.array([[position[tuple(sorted(m + (e,)))] for e in range(order)] for m in multiset_tuples([(size, range(order))])], dtype=np.intp)
+    to.flags.writeable = False
+    return to
 
 
 def ame_system(n: int, d: int, copies: int) -> SlotSystem:
@@ -161,66 +171,65 @@ class SymbolicOperator:
     element per slot) depends on t only through its canonical form, one
     of `keys` (`system.keys()`), at position `index(t)`. The pairings of
     every test are therefore rows of one integer table, `gram`, and
-    `pairings` gathers them. A system of more than MAX_KEYS keys raises
-    ResourceCapError before the keys or the copy group are built.
+    `pairings` gathers them; neither is built over the ordered tests. A
+    system of more than MAX_KEYS keys raises ResourceCapError before the
+    keys or the copy group are built.
     """
 
     def __init__(self, system: SlotSystem):
         # one class of s slots takes a multiset of s copy-group elements: C(N! + s - 1, s) keys
-        count = prod(comb(factorial(system.copies) + size - 1, size) for size in map(system.classes.count, set(system.classes)))
+        self._spans = class_slots(system.classes)
+        count = prod(comb(factorial(system.copies) + len(slots) - 1, len(slots)) for slots in self._spans)
         if count > MAX_KEYS:
             raise ResourceCapError(f"{count} coefficient keys exceed cap {MAX_KEYS}")
         self.system, self.keys = system, system.keys()
-        self._radix = (len(system.group.elements),) * system.slots
-        self._lookup = np.full(prod(self._radix), -1, dtype=np.intp)
-        self._lookup[np.ravel_multi_index(np.array(self.keys, dtype=np.intp).T, self._radix)] = np.arange(len(self.keys))
 
     def index(self, tests) -> np.ndarray:
-        """The position in `keys` of each test's canonical form: its entries
-        sorted within each slot class, looked up by mixed-radix code."""
-        canonical = np.array(tests, dtype=np.intp).reshape(-1, self.system.slots)
-        for cls in set(self.system.classes):
-            cols = [s for s, c in enumerate(self.system.classes) if c == cls]
-            canonical[:, cols] = np.sort(canonical[:, cols], axis=1)
-        return self._lookup[np.ravel_multi_index(canonical.T, self._radix)]
+        """The position in `keys` of each test's canonical form: each class's
+        entries placed one at a time (`_place`), the classes combined in mixed radix."""
+        tests = np.array(tests, dtype=np.intp).reshape(-1, self.system.slots)
+        order, out = len(self.system.group.elements), np.zeros(len(tests), dtype=np.intp)
+        for slots in self._spans:
+            own = 0
+            for j, s in enumerate(slots):
+                own = _place(order, j)[own, tests[:, s]]
+            out = out * comb(order + len(slots) - 1, len(slots)) + own
+        return out
 
     @cached_property
     def gram(self) -> np.ndarray:
         """gram[u][v] = Tr(V_{keys[u]} E_{keys[v]}), in integers, read-only.
 
         That is the sum, over the arrangements K of keys[v], of
-        prod_s dims[s]^#cycles(keys[u]_s K_s). Every ordered key is
-        enumerated as one array and sorted by its variable (`index`); the
-        cycle counts come from one gathered table of the copy group,
-        `product_cycles`, slot by slot, are summed over the slots of each
-        dimension and looked up in that dimension's power table, and the
-        weights are summed per variable. The dtype is int64 when twice
-        the product of the slot dimensions times the largest value (every
+        prod_s dims[s]^#cycles(keys[u]_s K_s): the Kronecker product over
+        the slot classes of one table each, whose row u holds the
+        coefficients of prod_i sum_g d^#cycles(u_i g) z_g, one monomial
+        per multiset v. It is built one factor at a time, each g placed
+        by one fancy-indexed add (`_place`), d^#cycles gathered from the
+        copy group's `product_cycles`. The dtype is int64 when twice the
+        product of the slot dimensions times the largest value (every
         slot dimension to the power `copies`, times the most arrangements
-        of one key) is checked to fit, else Python ints, through the same
-        code: the equality rows, differences of pairings some scaled by
-        at most that product, then stay in it. The rows are taken in
-        chunks to bound the weight arrays.
+        of one key, s! / ((q + 1)!^r q!^(N! - r)) per class of
+        s = q N! + r slots) is checked to fit, else Python ints, through
+        the same code: the equality rows, differences of pairings some
+        scaled by at most that product, then stay in it.
         """
         g, dims, copies = self.system.group, self.system.dims, self.system.copies
-        ordered = np.indices(self._radix).reshape(self.system.slots, -1).T
-        variables = self.index(ordered)
-        ordered = ordered[np.argsort(variables, kind="stable")]
-        counts = np.bincount(variables, minlength=len(self.keys))
-        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        dtype = exactla.int_dtype(2 * prod(dims) ** (copies + 1) * int(counts.max()))
-        tests = np.array(self.keys, dtype=np.intp)
-        out = np.zeros((len(tests), len(self.keys)), dtype=dtype)
-        slots_of = {d: [s for s, ds in enumerate(dims) if ds == d] for d in sorted(set(dims))}
-        powers = {d: np.array([d**e for e in range(len(slots) * copies + 1)], dtype=dtype) for d, slots in slots_of.items()}
-        step = max(1, 2**16 // len(ordered))
-        for lo in range(0, len(tests), step):
-            chunk = tests[lo : lo + step]
-            weights = 1
-            for d, slots in slots_of.items():
-                exponents = sum(g.product_cycles[chunk[:, s, None], ordered[None, :, s]] for s in slots)
-                weights = weights * powers[d][exponents]
-            out[lo : lo + step] = np.add.reduceat(weights, starts, axis=1)
+        order, most = len(g.elements), 1
+        for q, r in (divmod(len(slots), order) for slots in self._spans):
+            most *= factorial(q * order + r) // (factorial(q + 1) ** r * factorial(q) ** (order - r))
+        dtype = exactla.int_dtype(2 * prod(dims) ** (copies + 1) * most)
+        out = np.ones((1, 1), dtype=dtype)
+        for slots in self._spans:
+            powers = np.array([dims[slots[0]] ** e for e in range(copies + 1)], dtype=dtype)[g.product_cycles]  # d^#cycles(a b)
+            rows = np.array(multiset_tuples([(len(slots), range(order))]), dtype=np.intp)
+            table = np.ones((len(rows), 1), dtype=dtype)
+            for i in range(len(slots)):
+                to, grown = _place(order, i), np.zeros((len(rows), comb(order + i, i + 1)), dtype=dtype)
+                for e in range(order):
+                    grown[:, to[:, e]] += table * powers[rows[:, i], e][:, None]
+                table = grown
+            out = np.kron(out, table)
         out.flags.writeable = False
         return out
 
@@ -467,16 +476,17 @@ def _block(parts: tuple[tuple[int, ...], ...], classes: tuple[int, ...]) -> Irre
     multiset of elements per slot class. E_K is the sum, over the
     arrangements of K, of the Kronecker product of the slot irreps
     rho_s(g_s). It is applied to the whole basis U slot by slot, as one
-    integer array of shape (multisets placed so far, k, total): at slot s
-    every element e moves the whole array by rho_s(e), one stacked mode
+    integer array of shape (multisets placed so far, k, total), the
+    finished classes and the current one in mixed radix: at slot s every
+    element e moves the whole array by rho_s(e), one stacked mode
     product (`exactla.mode_product`; the identity needs none), and the
-    moved sums are added into the multisets with e placed. For a fixed e
-    that map is one-to-one, so one fancy-indexed add places them. After
-    the last slot the array holds E_K U for every key K, and
-    z_K = (W U)^T E_K U is one batched product. No total x total matrix is
-    formed, and the transient is one moved array, not one per element.
-    The block's variables are the keys K whose z_K is not zero; the cap is
-    checked by the callers.
+    moved sums are added into the multisets with e placed, by one
+    fancy-indexed add through `_place`. After the last slot row i holds
+    E_K U for the i-th key K of `multiset_tuples`, the order of
+    `SlotSystem.keys`, and z_K = (W U)^T E_K U is one batched product.
+    No total x total matrix is formed, and the transient is one moved
+    array, not one per element. The block's variables are the keys K
+    whose z_K is not zero; the cap is checked by the callers.
 
     Each slot's seminormal matrices share one scale (the partition's
     `_integer_tables`; identity moves are scaled by it too), so every
@@ -489,29 +499,25 @@ def _block(parts: tuple[tuple[int, ...], ...], classes: tuple[int, ...]) -> Irre
     """
     u, wu, dens, wden, gram = _basis(parts)
     group = _copy_group(sum(parts[0]))
-    dims = [_rep(p).dim for p in parts]
-    tables = [_integer_tables(p) for p in parts]
-    order = sorted(set(classes))
-    slot_class = [order.index(c) for c in classes]
+    order, dims, tables = len(group.elements), [_rep(p).dim for p in parts], [_integer_tables(p) for p in parts]
+    spans = class_slots(classes)
 
-    placed, sums = [((),) * len(order)], u[None]  # per class, the sorted elements placed so far
-    for s, (c, t) in enumerate(zip(slot_class, tables)):
-        index: dict = {}
-        targets = [
-            [index.setdefault(q[:c] + (tuple(sorted(q[c] + (e,))),) + q[c + 1 :], len(index)) for q in placed]
-            for e in range(len(group.elements))
-        ]
-        big = len(targets) * max(dims[s] * exactla.array_max_abs(t.matrices), t.scale) * exactla.array_max_abs(sums)
-        if sums.dtype != object and exactla.int_dtype(big) is object:
-            sums = sums.astype(object)
-        moved_sums = np.zeros((len(index), *sums.shape[1:]), dtype=sums.dtype)
-        for e, to in enumerate(targets):
-            moved_sums[to] += t.scale * sums if e == group.identity else exactla.mode_product(t.matrices[e], sums, dims, s)
-        placed, sums = list(index), moved_sums
+    sums = u[None]  # row: the multisets placed so far, the classes in mixed radix
+    for slots in spans:
+        for j, slot in enumerate(slots):
+            t, to, width = tables[slot], _place(order, j), comb(order + j, j + 1)
+            big = order * max(dims[slot] * exactla.array_max_abs(t.matrices), t.scale) * exactla.array_max_abs(sums)
+            if sums.dtype != object and exactla.int_dtype(big) is object:
+                sums = sums.astype(object)
+            outer, inner = np.divmod(np.arange(len(sums)), len(to))
+            targets = outer[:, None] * width + to[inner]
+            moved_sums = np.zeros((len(sums) // len(to) * width, *sums.shape[1:]), dtype=sums.dtype)
+            for e in range(order):
+                moved_sums[targets[:, e]] += t.scale * sums if e == group.identity else exactla.mode_product(t.matrices[e], sums, dims, slot)
+            sums = moved_sums
 
     dtype = exactla.int_dtype(u.shape[1] * exactla.array_max_abs(wu) * exactla.array_max_abs(sums))
     z = wu.astype(dtype) @ sums.astype(dtype).transpose(0, 2, 1)  # z[K][a][b] = W u_a . E_K u_b
     nonzero = np.flatnonzero((z != 0).any(axis=(1, 2))).tolist()
-    position = [classes[:s].count(c) for s, c in enumerate(classes)]  # of the slot within its class
-    keys = [tuple(placed[i][c][j] for c, j in zip(slot_class, position)) for i in nonzero]
-    return _compressed(parts, dens, wden, gram, prod(t.scale for t in tables), keys, z[nonzero])
+    keys = multiset_tuples([(len(slots), range(order)) for slots in spans])
+    return _compressed(parts, dens, wden, gram, prod(t.scale for t in tables), [keys[i] for i in nonzero], z[nonzero])

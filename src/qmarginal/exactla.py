@@ -56,8 +56,9 @@ def array_max_abs(a) -> int:
 
 
 def int_matmul(a, b) -> np.ndarray:
-    """a @ b for integer arrays, in int64 when a bound on every output entry fits, else in Python ints."""
-    dtype = int_dtype(array_max_abs(a) * array_max_abs(b) * a.shape[-1])
+    """a @ b for integer arrays, in int64 when every entry of a and b and a bound on every output entry fit, else in Python ints."""
+    big_a, big_b = array_max_abs(a), array_max_abs(b)
+    dtype = int_dtype(max(big_a * big_b * a.shape[-1], big_a, big_b))
     return a.astype(dtype) @ b.astype(dtype)
 
 

@@ -23,7 +23,6 @@ level.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -33,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from . import exactla, solve
-from .blocks import IrrepBlock, SlotSystem, SymbolicOperator, _floats, _witness_block, ame_system, block_tuples, irrep_block, witness_blocks, witness_tuples
+from .blocks import IrrepBlock, SlotSystem, SymbolicOperator, _floats, _witness_block, ame_system, block_tuples, class_slots, irrep_block, multiset_tuples, witness_blocks, witness_tuples
 from .errors import InvalidInputError, SolverConvergenceError, UnsupportedFeatureError
 from .solve import BoxLp, SdpBlock, SdpProblem, psd_check_exact, sdp_solve
 from .symgroup import Permutation, trivial_multiplicity
@@ -86,8 +85,7 @@ class MarginalSpec:
         class, and every such subset is prescribed. Anything else raises
         UnsupportedFeatureError.
         """
-        order = sorted(set(classes))
-        members = [[s for s, c in enumerate(classes) if c == cls] for cls in order]
+        members = class_slots(classes)
 
         def counts(subset):
             return tuple(sum(s in subset for s in slots) for slots in members)
@@ -223,8 +221,7 @@ def assemble_primal(spec: MarginalSpec, copies: int, cap: int = 512) -> BlockSdp
     for gen in (Permutation.transposition(copies, 0, 1), Permutation.full_cycle(copies)):
         rows.append(_with_rhs(phi.pairings(g.mul[idx, g.index[gen.images]]) - phi.gram, 0))
 
-    tests = _marginal_tests(system, [s for s in range(system.slots) if s not in kept])
-    mixed = list(mixed)
+    tests, mixed = _marginal_tests(system, kept, mixed), list(mixed)
     reduced = tests.copy()
     reduced[:, mixed] = g.ptrace[0][tests[:, mixed]]
     factor = np.where(g.fixes[0][tests[:, mixed]], np.array([system.dims[s] for s in mixed], dtype=np.int64), 1).prod(axis=1)
@@ -240,12 +237,17 @@ def _with_rhs(lhs: np.ndarray, rhs: int) -> np.ndarray:
     return np.column_stack([lhs, np.full(len(lhs), rhs, dtype=lhs.dtype)])
 
 
-def _marginal_tests(system: SlotSystem, traced_slots) -> np.ndarray:
-    """Test elements of the copy-0 marginal rows, one per array row: any
-    element on a kept slot, one fixing copy 0 on a traced slot."""
+def _marginal_tests(system: SlotSystem, kept, mixed) -> np.ndarray:
+    """Test elements of the copy-0 marginal rows, one per array row: an element fixing copy 0 on a
+    traced slot, any element on a kept one. A row depends on its test only up to permutations within
+    each class's runs of traced, kept-unmixed and mixed slots (`MarginalSpec.representative` keeps the
+    last slots of a class), so each run takes one multiset: the lexicographically first test of each row."""
     g = system.group
-    opts = [np.flatnonzero(g.fixes[0]).tolist() if s in traced_slots else range(len(g.elements)) for s in range(system.slots)]
-    return np.array(list(itertools.product(*opts)), dtype=np.intp)
+    fixing, every, groups = np.flatnonzero(g.fixes[0]).tolist(), range(len(g.elements)), []
+    for slots in class_slots(system.classes):
+        n_kept, n_mixed = sum(s in kept for s in slots), sum(s in mixed for s in slots)
+        groups += [(len(slots) - n_kept, fixing), (n_kept - n_mixed, every), (n_mixed, every)]
+    return np.array(multiset_tuples(groups), dtype=np.intp)
 
 
 @dataclass
@@ -373,16 +375,6 @@ def _float_stack(blk: IrrepBlock, coeffs: np.ndarray) -> np.ndarray:
     return (coeffs[:, blk.variables] @ blk.y.reshape(len(blk.variables), blk.k * blk.k)).reshape(len(coeffs), blk.k, blk.k)
 
 
-def _combination(coeffs, stack, big: int) -> np.ndarray:
-    """sum_i coeffs[i] stack[i] for integer coeffs and an integer stack: one tensordot.
-
-    In int64 when the sum of |coeffs| times `big`, a bound on the stack's
-    entries, fits, else in Python ints.
-    """
-    c = np.array(coeffs, dtype=exactla.int_dtype(sum(map(abs, coeffs)) * big))
-    return np.tensordot(c, stack.astype(c.dtype), axes=1)
-
-
 # ---------------------------------------------------------------------------
 # dual witness problem
 
@@ -438,7 +430,7 @@ class DualWitness:
 
     @cached_property
     def stacks(self) -> list:
-        """(F, max |F|) of every k > 1 block, in block order: its stack folded as one integer array (`_folded`)."""
+        """The stack of every k > 1 block, in block order, folded as one integer array (`_folded`)."""
         return [_folded(blk.num, self.n) for blk in self.blocks if blk.k > 1]
 
     def rank_one_lp(self) -> BoxLp:
@@ -569,14 +561,14 @@ def witness_optimize_exact(n: int, d: int, copies: int, cap: int = 512) -> tuple
     k > 1 is folded straight from its exact form, F_l = num[l] +
     num[n - l] (num[l] alone when l = n - l), one integer (r+1, k, k)
     array (`_folded`). With w as integers W over their lcm, Z = sum_l W_l
-    F_l, one tensordot, is a positive multiple of Z(w) and is tested by
+    F_l, one product, is a positive multiple of Z(w) and is tested by
     `psd_check_exact`. v^T Z(w') v >= 0 at every feasible w', for any v,
     so a failing block gives the cut q.w >= 0, q_l = v^T F_l v, from any
     integer v with v^T Z v < 0 (Kelley, J. SIAM 8, 1960): a short one
     (`_short_cut`) if one is found, else c v for the elimination's
     rational witness v and c the lcm of its denominators. Short cuts keep
-    the LP's rationals small. Both products run in int64 when a bound on
-    their entries allows it.
+    the LP's rationals small. Every product is one `exactla.int_matmul`,
+    in int64 when a bound on its entries allows it.
     """
     dual = assemble_dual_witness(n, d, copies, cap=cap)
     lp = dual.rank_one_lp()
@@ -586,15 +578,15 @@ def witness_optimize_exact(n: int, d: int, copies: int, cap: int = 512) -> tuple
             return "passed", value, x, round_no
         _, ((w,),) = exactla.integer_matrices([[x]])
         violated = False
-        for f, big in dual.stacks:
-            z = _combination(w, f, big)
+        for f in dual.stacks:
+            z = exactla.int_matmul(np.array(w, dtype=object), f.reshape(len(f), -1)).reshape(f.shape[1:])
             check = psd_check_exact(z.tolist())
             if not check.psd:
                 v = _short_cut(z)
                 if v is None:
                     _, ((v,),) = exactla.integer_matrices([[check.witness]])
-                vs = np.array(v, dtype=exactla.int_dtype(sum(map(abs, v)) ** 2 * big))
-                lp.add_row(np.einsum("i,lij,j->l", vs, f.astype(vs.dtype), vs).tolist())
+                v = np.array(v, dtype=object)
+                lp.add_row(exactla.int_matmul(exactla.int_matmul(f, v), v).tolist())
                 violated = True
         if not violated:
             return "witness", value, x, round_no
@@ -621,18 +613,16 @@ def _short_cut(z: np.ndarray) -> list | None:
         return None
     for scale in SHORT_CUT_SCALES:
         v = np.rint(e * (scale / np.abs(e).max())).astype(np.int64)
-        vs = v.astype(exactla.int_dtype(int(np.abs(v).sum()) ** 2 * big))
-        if vs @ z.astype(vs.dtype) @ vs < 0:
+        if exactla.int_matmul(exactla.int_matmul(z, v), v) < 0:
             return v.tolist()
     return None
 
 
-def _folded(num: np.ndarray, n: int) -> tuple:
-    """(F, max |F|): a witness block's stack folded as `fold` folds it, as one integer array."""
+def _folded(num: np.ndarray, n: int) -> np.ndarray:
+    """A witness block's stack folded as `fold` folds it, as one integer array."""
     wide = num.astype(object) if exactla.int_dtype(2 * exactla.array_max_abs(num)) is object else num
     f = np.array(fold(wide, n))
-    big = exactla.array_max_abs(f)
-    return f.astype(exactla.int_dtype(big)), big
+    return f.astype(exactla.int_dtype(exactla.array_max_abs(f)))
 
 
 def level_check(n: int, d: int, copies: int, cap: int = 512) -> LevelReport:

@@ -22,6 +22,7 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
@@ -31,7 +32,7 @@ import pytest
 import reference
 
 from qmarginal import blocks, cli, codes, exactla, hierarchy as hi, symgroup as sg
-from qmarginal.errors import InternalConsistencyError, ResourceCapError
+from qmarginal.errors import InternalConsistencyError, InvalidInputError, ResourceCapError
 from qmarginal.symgroup import Permutation
 
 F0 = Fraction(0)
@@ -955,6 +956,45 @@ def test_key_cap_checked_before_any_table(monkeypatch):
         blocks.SymbolicOperator(blocks.SlotSystem(4, (2, 2, 2, 2), (0, 0, 0, 0)))
     args = ["code", "check", "--n", "3", "--K", "1", "--m", "1", "--d", "2", "--pure", "--level", "extension", "--copies", "5"]
     assert cli.main(args) == 3
+
+
+def test_slot_classes_must_ascend():
+    """Keys, gram and index read the slot classes class-major, each class one run of slots."""
+    with pytest.raises(InvalidInputError, match="ascending"):
+        blocks.SlotSystem(3, (2, 2, 2), (1, 0, 1))
+
+
+@pytest.mark.parametrize("order, size", [(1, 3), (2, 0), (2, 4), (6, 2), (24, 1)])
+def test_place_adds_one_entry_to_each_multiset(order, size):
+    smaller, bigger = (blocks.multiset_tuples([(s, range(order))]) for s in (size, size + 1))
+    to = blocks._place(order, size)
+    assert to.shape == (len(smaller), order) and not to.flags.writeable
+    assert [[bigger[i] for i in row] for row in to.tolist()] == [[tuple(sorted(m + (e,))) for e in range(order)] for m in smaller]
+
+
+def test_wide_system_assembles_without_ordered_tests():
+    """((18,1,2))_2 at N = 2 has 19 keys and 2^18 ordered tests: no table of the tests is allocated."""
+    tracemalloc.start()
+    try:
+        bs = codes.code_extension_blocksdp(codes.CodeParams(18, 1, 1, 2, pure=True), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(bs.keys) == 19 and peak < 2**20
+
+
+def test_gram_dtype_is_bounded_by_the_most_arrangements_of_one_key():
+    """((16,1,2))_2 at N = 2: 2 * 2^48 * C(16, 8) fits in int64 and 16! in place of C(16, 8) would not."""
+    phi = blocks.SymbolicOperator(codes.code_marginal_spec(codes.CodeParams(16, 1, 1, 2, pure=True)).slot_system(2))
+    assert 2 * 2**48 * math.comb(16, 8) < 2**63 <= 2 * 2**48 * math.factorial(16)
+    assert phi.gram.dtype == np.int64
+
+
+def test_int_matmul_with_an_empty_operand():
+    """An empty side bounds no output entry, but the other side's entries must still fit the dtype."""
+    wide = np.array([[2**70]], dtype=object)
+    assert exactla.int_matmul(wide, np.zeros((1, 0), dtype=np.int64)).shape == (1, 0)
+    assert exactla.int_matmul(np.zeros((0, 1), dtype=np.int64), wide).shape == (0, 1)
 
 
 def test_cap_skips_tuples_without_a_block():

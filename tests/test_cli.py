@@ -180,6 +180,14 @@ def test_code_check_cli():
     assert (rep["verdict"], rep["exact"], rep["x"]) == ("infeasible", True, None)
 
 
+def test_code_check_with_effects_past_int64():
+    """((18,1,2))_2 at N = 2: the directions' effects on the blocks are past int64, and the
+    echelon that picks the effective directions checks them against an empty array."""
+    code, out, _ = run_cli(["code", "check", "--n", "18", "--K", "1", "--m", "1", "--d", "2", "--pure", "--level", "extension", "--copies", "2"])
+    rep = json.loads(out)
+    assert code == 0 and (rep["verdict"], rep["exact"], rep["nullity"]) == ("feasible", True, 8)
+
+
 def test_code_verify_cli(tmp_path):
     state = reference.five_qubit_code_state()
     path = tmp_path / "state.json"
