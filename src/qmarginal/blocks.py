@@ -26,10 +26,13 @@ This module provides
   slot by slot as one integer array over the multisets placed so far,
   one stacked mode product per group element placed through `_place`,
   and z_K for every key is one batched product (no total x total
-  matrix). `witness_blocks` (`_witness_block`) takes the swap-pattern
-  sums E_l, which are diagonal in seminormal form, as
-  Krawtchouk-weighted sums of Gram matrices, and a tuple of
-  multiplicity 1 from the Reynolds diagonal alone (`_rank_one`). Every
+  matrix); a tuple of multiplicity 1 needs no basis, its z_K are read
+  from characters (`_rank_one_sums`). `witness_blocks`
+  (`_witness_block`) takes the swap-pattern sums E_l, which are
+  diagonal in seminormal form, as Krawtchouk-weighted sums of Gram
+  matrices, and a tuple of multiplicity 1 from the Reynolds diagonal
+  alone (`_rank_one`). Both k = 1 builders share the Reynolds diagonal,
+  its pivot and its weight (`_reynolds`). Every
   block holds one exact form, an integer stack over one denominator in
   lowest terms, and its correctly rounded floats, both from the same
   integers (`_compressed`); `irrep_block` selects rows of it.
@@ -151,6 +154,20 @@ def _place(order: int, size: int) -> np.ndarray:
     return to
 
 
+def _expand(factors) -> np.ndarray:
+    """Row r: the coefficients of prod_i sum_g factors[i][r, g] z_g in commuting z_g, one per multiset of
+    len(factors) entries g (`multiset_tuples` order), grown one factor at a time, each g placed by one
+    fancy-indexed add through `_place`, in the factors' dtype."""
+    rows, order = factors[0].shape
+    table = np.ones((rows, 1), dtype=factors[0].dtype)
+    for i, f in enumerate(factors):
+        to, grown = _place(order, i), np.zeros((rows, comb(order + i, i + 1)), dtype=table.dtype)
+        for e in range(order):
+            grown[:, to[:, e]] += table * f[:, e, None]
+        table = grown
+    return table
+
+
 def ame_system(n: int, d: int, copies: int) -> SlotSystem:
     return SlotSystem(copies, (d,) * n, (0,) * n)
 
@@ -204,9 +221,8 @@ class SymbolicOperator:
         prod_s dims[s]^#cycles(keys[u]_s K_s): the Kronecker product over
         the slot classes of one table each, whose row u holds the
         coefficients of prod_i sum_g d^#cycles(u_i g) z_g, one monomial
-        per multiset v. It is built one factor at a time, each g placed
-        by one fancy-indexed add (`_place`), d^#cycles gathered from the
-        copy group's `product_cycles`. The dtype is int64 when twice the
+        per multiset v (`_expand`), d^#cycles gathered from the copy
+        group's `product_cycles`. The dtype is int64 when twice the
         product of the slot dimensions times the largest value (every
         slot dimension to the power `copies`, times the most arrangements
         of one key, s! / ((q + 1)!^r q!^(N! - r)) per class of
@@ -223,13 +239,7 @@ class SymbolicOperator:
         for slots in self._spans:
             powers = np.array([dims[slots[0]] ** e for e in range(copies + 1)], dtype=dtype)[g.product_cycles]  # d^#cycles(a b)
             rows = np.array(multiset_tuples([(len(slots), range(order))]), dtype=np.intp)
-            table = np.ones((len(rows), 1), dtype=dtype)
-            for i in range(len(slots)):
-                to, grown = _place(order, i), np.zeros((len(rows), comb(order + i, i + 1)), dtype=dtype)
-                for e in range(order):
-                    grown[:, to[:, e]] += table * powers[rows[:, i], e][:, None]
-                table = grown
-            out = np.kron(out, table)
+            out = np.kron(out, _expand([powers[rows[:, i]] for i in range(len(slots))]))
         out.flags.writeable = False
         return out
 
@@ -432,8 +442,8 @@ def _witness_block(parts: tuple[tuple[int, ...], ...]) -> IrrepBlock:
     return _compressed(parts, dens, wden, gram, 1, range(n + 1), z)
 
 
-def _rank_one(parts: tuple[tuple[int, ...], ...], m: np.ndarray) -> IrrepBlock:
-    """The witness block of a tuple whose invariant subspace is one line, from the Reynolds diagonal.
+def _reynolds(parts: tuple[tuple[int, ...], ...]) -> tuple[list[int], int, int, np.ndarray]:
+    """(d, a, b, gram) of a tuple whose invariant subspace is one line: its Reynolds diagonal d, w_p / d_p = a / b.
 
     The Reynolds operator P = (1/N!) sum_sigma S_1(sigma) x ... x S_n(sigma)
     is the W-orthogonal projector v v^T W / (v^T W v) onto the line, so
@@ -443,29 +453,68 @@ def _rank_one(parts: tuple[tuple[int, ...], ...], m: np.ndarray) -> IrrepBlock:
     int64 when N! times the product of the largest diagonal entries
     fits, else Python ints. Tr P = 1 is checked exactly. The basis vector
     u = v / v_p of `invariant_basis_exact` has its pivot p at the last j
-    with d_j != 0, so gram = u^T W u = w_p / P_pp and
-    z_l = sum_j w_j u_j^2 K[m(j)][l] = gram sum_j P_jj K[m(j)][l]
-    = (w_p / d_p) sum_j d_j K[m(j)][l]: integers over w_p's denominator
-    times d_p, handed to `_compressed` as 1 x 1 arrays.
+    with d_j != 0, so gram = u^T W u = w_p / P_pp, and u^T W M u =
+    gram Tr(P M) for any operator M. gram is a 1 x 1 integer array over
+    b, as `_compressed` takes it: w_p's numerator times N! prod_s scale_s
+    over w_p's denominator times d_p.
     """
-    n, tables = len(parts), [_integer_tables(p) for p in parts]
-    order, scale = len(tables[0].matrices), prod(t.scale for t in tables)
-    diagonals = [t.matrices.diagonal(axis1=1, axis2=2) for t in tables]  # element, index
-    dtype = exactla.int_dtype(order * prod(exactla.array_max_abs(x) for x in diagonals))
-    acc = diagonals[0].astype(dtype)
-    for x in diagonals[1:]:
-        acc = (acc[:, :, None] * x.astype(dtype)[:, None, :]).reshape(order, -1)
+    tables = {q: _integer_tables(q) for q in set(parts)}
+    order, scale = len(tables[parts[0]].matrices), prod(tables[q].scale for q in parts)
+    diagonals = {q: t.matrices.diagonal(axis1=1, axis2=2) for q, t in tables.items()}  # element, index
+    big = {q: exactla.array_max_abs(x) for q, x in diagonals.items()}
+    dtype = exactla.int_dtype(order * prod(big[q] for q in parts))
+    diagonals = {q: x.astype(dtype) for q, x in diagonals.items()}
+    acc = diagonals[parts[0]]
+    for q in parts[1:]:
+        acc = (acc[:, :, None] * diagonals[q][:, None, :]).reshape(order, -1)
     d = acc.sum(axis=0).tolist()
     if sum(d) != order * scale:
         raise InternalConsistencyError(f"the Reynolds trace of {parts} is not 1")
     p = max(j for j, x in enumerate(d) if x)
-    w = prod(_rep(q).weights[i] for q, i in zip(parts, np.unravel_index(p, [x.shape[1] for x in diagonals])))
+    w = prod(_rep(q).weights[i] for q, i in zip(parts, np.unravel_index(p, [diagonals[q].shape[1] for q in parts])))
+    return d, w.numerator, w.denominator * d[p], np.array([[w.numerator * order * scale]], dtype=object)
+
+
+def _rank_one(parts: tuple[tuple[int, ...], ...], m: np.ndarray) -> IrrepBlock:
+    """The witness block of a tuple whose invariant subspace is one line, from the Reynolds diagonal (`_reynolds`).
+
+    z_l = sum_j w_j u_j^2 K[m(j)][l] = gram sum_j P_jj K[m(j)][l]
+    = (w_p / d_p) sum_j d_j K[m(j)][l]: integers over w_p's denominator
+    times d_p, handed to `_compressed` as 1 x 1 arrays.
+    """
+    n = len(parts)
+    d, a, b, gram = _reynolds(parts)
     per_m = [0] * (n + 1)
     for x, j in zip(d, m.tolist()):
         per_m[j] += x
-    z = [[[w.numerator * sum(row[l] * x for row, x in zip(krawtchouk(n), per_m))]] for l in range(n + 1)]
-    gram = np.array([[w.numerator * order * scale]], dtype=object)
-    return _compressed(parts, [1], w.denominator * d[p], gram, 1, range(n + 1), np.array(z, dtype=object))
+    z = [[[a * sum(row[l] * x for row, x in zip(krawtchouk(n), per_m))]] for l in range(n + 1)]
+    return _compressed(parts, [1], b, gram, 1, range(n + 1), np.array(z, dtype=object))
+
+
+def _rank_one_sums(parts: tuple[tuple[int, ...], ...], group: _CopyGroup, spans) -> tuple:
+    """(z, b, gram): the primal z_K of every key K over b, of a tuple whose invariant subspace is one line, from characters.
+
+    With M = E_K in u^T W M u = gram Tr(P M) (`_reynolds`) and the traces
+    t_s(h) = tr matrices_s[h] of the integer tables,
+    z_K = (w_p / d_p) sum_sigma sum_arrangements prod_s t_s(sigma g_s),
+    over the arrangements g of K. For each sigma the inner sum is the
+    coefficient of the monomial K in prod_s sum_g t_s(sigma g) z_g: one
+    table per slot class (`_expand`, as `SymbolicOperator.gram` grows its
+    tables), the classes combined in mixed radix, one row per sigma. The sums are
+    int64 when N! times the product over slots of N! times the largest
+    trace fits, else Python ints.
+    """
+    _, a, b, gram = _reynolds(parts)
+    order = len(group.elements)
+    traces = {q: np.trace(_integer_tables(q).matrices, axis1=1, axis2=2)[group.mul] for q in set(parts)}  # [sigma, g] = t_q(sigma g)
+    big = {q: order * exactla.array_max_abs(t) for q, t in traces.items()}
+    dtype = exactla.int_dtype(order * prod(big[q] for q in parts))
+    traces = {q: t.astype(dtype) for q, t in traces.items()}
+    acc = np.ones((order, 1), dtype=dtype)
+    for slots in spans:
+        table = _expand([traces[parts[s]] for s in slots])
+        acc = (acc[:, :, None] * table[:, None, :]).reshape(order, -1)
+    return (acc.sum(axis=0).astype(object) * a).reshape(-1, 1, 1), b, gram
 
 
 @lru_cache(maxsize=None)
@@ -496,28 +545,33 @@ def _block(parts: tuple[tuple[int, ...], ...], classes: tuple[int, ...]) -> Irre
     Python ints from then on; z is int64 when total times the largest
     entries of W U and of the sums fits. z then goes over one
     denominator, and y is its correctly rounded floats (`_compressed`).
+    A tuple of multiplicity k = 1 needs no basis: its z_K are read from
+    characters (`_rank_one_sums`).
     """
-    u, wu, dens, wden, gram = _basis(parts)
-    group = _copy_group(sum(parts[0]))
-    order, dims, tables = len(group.elements), [_rep(p).dim for p in parts], [_integer_tables(p) for p in parts]
-    spans = class_slots(classes)
-
-    sums = u[None]  # row: the multisets placed so far, the classes in mixed radix
-    for slots in spans:
-        for j, slot in enumerate(slots):
-            t, to, width = tables[slot], _place(order, j), comb(order + j, j + 1)
-            big = order * max(dims[slot] * exactla.array_max_abs(t.matrices), t.scale) * exactla.array_max_abs(sums)
-            if sums.dtype != object and exactla.int_dtype(big) is object:
-                sums = sums.astype(object)
-            outer, inner = np.divmod(np.arange(len(sums)), len(to))
-            targets = outer[:, None] * width + to[inner]
-            moved_sums = np.zeros((len(sums) // len(to) * width, *sums.shape[1:]), dtype=sums.dtype)
-            for e in range(order):
-                moved_sums[targets[:, e]] += t.scale * sums if e == group.identity else exactla.mode_product(t.matrices[e], sums, dims, slot)
-            sums = moved_sums
-
-    dtype = exactla.int_dtype(u.shape[1] * exactla.array_max_abs(wu) * exactla.array_max_abs(sums))
-    z = wu.astype(dtype) @ sums.astype(dtype).transpose(0, 2, 1)  # z[K][a][b] = W u_a . E_K u_b
+    group, spans = _copy_group(sum(parts[0])), class_slots(classes)
+    order = len(group.elements)
+    if trivial_multiplicity(parts) == 1:
+        z, wden, gram = _rank_one_sums(parts, group, spans)
+        dens, scale = [1], 1
+    else:
+        u, wu, dens, wden, gram = _basis(parts)
+        dims, tables = [_rep(p).dim for p in parts], [_integer_tables(p) for p in parts]
+        sums = u[None]  # row: the multisets placed so far, the classes in mixed radix
+        for slots in spans:
+            for j, slot in enumerate(slots):
+                t, to, width = tables[slot], _place(order, j), comb(order + j, j + 1)
+                big = order * max(dims[slot] * exactla.array_max_abs(t.matrices), t.scale) * exactla.array_max_abs(sums)
+                if sums.dtype != object and exactla.int_dtype(big) is object:
+                    sums = sums.astype(object)
+                outer, inner = np.divmod(np.arange(len(sums)), len(to))
+                targets = outer[:, None] * width + to[inner]
+                moved_sums = np.zeros((len(sums) // len(to) * width, *sums.shape[1:]), dtype=sums.dtype)
+                for e in range(order):
+                    moved_sums[targets[:, e]] += t.scale * sums if e == group.identity else exactla.mode_product(t.matrices[e], sums, dims, slot)
+                sums = moved_sums
+        dtype = exactla.int_dtype(u.shape[1] * exactla.array_max_abs(wu) * exactla.array_max_abs(sums))
+        z = wu.astype(dtype) @ sums.astype(dtype).transpose(0, 2, 1)  # z[K][a][b] = W u_a . E_K u_b
+        scale = prod(t.scale for t in tables)
     nonzero = np.flatnonzero((z != 0).any(axis=(1, 2))).tolist()
     keys = multiset_tuples([(len(slots), range(order)) for slots in spans])
-    return _compressed(parts, dens, wden, gram, prod(t.scale for t in tables), [keys[i] for i in nonzero], z[nonzero])
+    return _compressed(parts, dens, wden, gram, scale, [keys[i] for i in nonzero], z[nonzero])

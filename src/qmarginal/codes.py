@@ -4,39 +4,33 @@ A pure ((n, K, m+1))_d code corresponds to a state on an auxiliary
 K-dimensional system plus n qudits whose marginals on the auxiliary
 system and any m qudits are maximally mixed; general codes only require
 the auxiliary part of those marginals to be maximally mixed and
-uncorrelated. Both become two-party separability problems, and after
-symmetrization the candidate operator has the two-block form
+uncorrelated. So code existence is itself a pure-state marginal problem
+on the auxiliary slot plus the n qudits (`code_marginal_spec`), and
+every relaxation level is `hierarchy.assemble_primal` on that spec: the
+N-copy extension at N copies, and pos at two copies, where the
+symmetrized candidate has the two-block form
 
-    Phi = 1_{K^2} (x) sum_i x_i P{V^i 1^(n-i)} + V_aux (x) sum_i y_i P{...}.
+    Phi = 1_{K^2} (x) sum_i x_i P{V^i 1^(n-i)} + V_aux (x) sum_i y_i P{...}
 
-At two copies every positivity and PPT sector of this ansatz is scalar,
-so relaxation-level feasibility is an exact rational LP. Code existence
-is itself a pure-state marginal problem on the auxiliary slot plus the
-n qudits, so the N-copy extension is `hierarchy.assemble_primal` on the
-code's marginal spec (`code_marginal_spec`).
+and every block is scalar. ppt adds the scalar partial-transpose
+sectors of T_d (`ame.ppt_table`) over the same x and y, so both two-copy
+levels are exact rational LPs.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
-from math import comb
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import exactla
-from .ame import krawtchouk, ppt_table
-from .blocks import IrrepBlock, SlotSystem
+from .ame import ppt_table
+from .blocks import IrrepBlock
 from .errors import InvalidInputError, ResourceCapError
 from .hierarchy import BlockSdp, MarginalSpec, assemble_primal, solve_primal
-from .symgroup import Partition
-
-F0 = Fraction(0)
-F1 = Fraction(1)
 
 DENSE_STATE_CAP = 4096
-CONST = -1  # pseudo-variable index of the constant term in a two-party dict row
 
 
 @dataclass(frozen=True)
@@ -88,16 +82,12 @@ def code_marginal_spec(params: CodeParams) -> MarginalSpec:
     n, K, m, d = params.n, params.K, params.m, params.d
     if K == 1:
         return uniform_marginal_spec(n, d, m if params.pure else 0)
-    aux = frozenset({0})
-    mixed = "maximally_mixed" if params.pure else aux
-    marginals = {aux | {i + 1 for i in c}: mixed for c in itertools.combinations(range(n), m)}
-    return MarginalSpec(n + 1, d, marginals, dims=(K,) + (d,) * n)
+    return MarginalSpec(n + 1, d, (1, m), (1, m if params.pure else 0), dims=(K,) + (d,) * n)
 
 
 def uniform_marginal_spec(n: int, d: int, size: int) -> MarginalSpec:
     """All size-body marginals maximally mixed (m-uniform states)."""
-    marginals = {frozenset(c): "maximally_mixed" for c in itertools.combinations(range(n), size)}
-    return MarginalSpec(n, d, marginals)
+    return MarginalSpec(n, d, (size,), (size,))
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +141,7 @@ def verify_code_state(state, params: CodeParams, tol: float = 1e-10) -> CodeStat
 
 
 # ---------------------------------------------------------------------------
-# two-party (two-copy) constraint systems in closed form
+# two-copy levels
 
 
 def _sector(partitions, coeffs: dict) -> IrrepBlock:
@@ -164,135 +154,33 @@ def _sector(partitions, coeffs: dict) -> IrrepBlock:
 
 
 def code_two_party_constraints(params: CodeParams, level: str = "ppt") -> BlockSdp:
-    """Equalities and scalar positivity/PPT sectors of the symmetrized
-    two-party code operator.
+    """The two-copy system of a code: `assemble_primal` on its spec at two copies, plus the PPT sectors at ppt.
 
-    The variables are x_0..x_n, then y_0..y_n for K >= 2. The equalities
-    are `_two_party_rows` as primitive integer rows.
+    The keys are x_0..x_n, the aux identity times i swaps on the qudits,
+    then, for K >= 2, y_0..y_n, the aux swap times i swaps. At ppt the
+    partial transpose's sectors follow the positivity blocks: per row j
+    of T_d (`ame.ppt_table`), one on the maximally entangled aux vector,
+    x_i + K y_i, and for K >= 2 one orthogonal to it, x_i alone.
     """
     if level not in ("pos", "ppt"):
         raise InvalidInputError(f"unknown relaxation level {level!r}")
-    _singleton_guard(params)
-    n, K, d = params.n, params.K, params.d
-    aux_free = K == 1
-    nx = n + 1
-    keys = [("x", i) for i in range(nx)] + ([] if aux_free else [("y", i) for i in range(nx)])
-
-    # pos sectors are rows j of the Krawtchouk matrix; ppt sectors rows of T_d
-    blocks = []
-    sym2 = Partition((2,))
-    anti2 = Partition((1, 1))
-    for j, row in enumerate(krawtchouk(n)):
-        # total sign parity is even: even j sit in the aux-symmetric sector
-        # (y enters with +), odd j in the aux-antisymmetric one (y with -),
-        # which K = 1 does not have
-        if aux_free and j % 2:
-            continue
-        sign = -1 if j % 2 else 1
+    problem = assemble_primal(code_marginal_spec(params), 2)
+    if level == "pos":
+        return problem
+    nx, K = params.n + 1, params.K
+    sectors = []
+    for j, row in enumerate(ppt_table(params.n, params.d)):
         z = {}
-        for l, c in enumerate(row):
+        for i, c in enumerate(row):
             if c:
-                z[l] = c
-                if not aux_free:
-                    z[nx + l] = sign * c
-        blocks.append(_sector((anti2 if j % 2 else sym2, ("pattern", j)), z))
-    if level == "ppt":
-        for j, row in enumerate(ppt_table(n, d)):
-            z = {}
-            for i, c in enumerate(row):
-                if c:
-                    z[i] = c
-                    if not aux_free:
-                        z[nx + i] = K * c
-            blocks.append(_sector((("phi-sector",), ("pattern", j)), z))
-            if not aux_free:
-                blocks.append(_sector((("perp-sector",), ("pattern", j)), {i: c for i, c in enumerate(row) if c}))
-
-    system = SlotSystem(2, (params.K,) + (d,) * n, (0,) + (1,) * n)
-    int_rows = [exactla.primitive([r.get(v, F0) for v in range(len(keys))] + [-r.get(CONST, F0)]) for r in _two_party_rows(params)]
-    return BlockSdp(system, keys, int_rows, lambda: blocks)
-
-
-def _two_party_rows(params: CodeParams) -> list[dict]:
-    """The two-party equalities as dicts var -> Fraction, CONST carrying the
-    constant (sum_v c_v x_v + c_CONST = 0), deduplicated, zero rows dropped.
-
-    For K = 1 the auxiliary factor is trivial and the system collapses to
-    the single coefficient family of an m-uniform state problem. For
-    K >= 2 the swap-invariance of the support couples the two families as
-    y_i = x_{n-i}; pure codes additionally fix the kept marginal, while
-    general codes only constrain the auxiliary (traceless) directions.
-    """
-    n, K, m, d = params.n, params.K, params.m, params.d
-    aux_free = K == 1
-    nx = n + 1
-
-    def xv(i):
-        return i
-
-    def yv(i):
-        return i if aux_free else nx + i
-
-    rows: list[dict] = []
-    # normalization: K^2 tr(x-part) + K tr(y-part) = 1; single family for K=1
-    if aux_free:
-        row = {xv(i): Fraction(comb(n, i) * d ** (2 * n - i)) for i in range(nx)}
-    else:
-        row = {}
-        for i in range(nx):
-            t = comb(n, i) * d ** (2 * n - i)
-            row[xv(i)] = Fraction(K * K * t)
-            row[yv(i)] = Fraction(K * t)
-    row[CONST] = -F1
-    rows.append(row)
-
-    # swap-invariant support: y_i = x_{n-i} (K>=2) or z_i = z_{n-i} (K=1)
-    for i in range(nx):
-        if aux_free:
-            if i < n - i:
-                rows.append({xv(i): F1, xv(n - i): -F1})
-        elif yv(i) != xv(n - i):
-            rows.append({yv(i): F1, xv(n - i): -F1})
-
-    # marginal families: c_w(v) = sum_t binom(n-m,t) d^(n-m-t) v_{w+t}
-    def family(vfun, w):
-        row = {}
-        for t in range(n - m + 1):
-            if w + t <= n:
-                row[vfun(w + t)] = row.get(vfun(w + t), F0) + comb(n - m, t) * d ** (n - m - t)
-        return row
-
-    if not aux_free:
-        for w in range(m + 1):
-            rows.append(family(yv, w))
-    if params.pure:
-        for w in range(1, m + 1):
-            rows.append(family(xv, w))
-        # the identity component ties to the total trace of the one-party marginal
-        row = family(xv, 0)
-        scale = Fraction(1, K * d**m)
-        for i in range(nx):
-            t = comb(n, i) * d ** (n - i)
-            if aux_free:
-                row[xv(i)] = row.get(xv(i), F0) - scale * t
-            else:
-                row[xv(i)] = row.get(xv(i), F0) - scale * K * t
-                row[yv(i)] = row.get(yv(i), F0) - scale * t
-        rows.append(row)
-
-    # dedupe / drop zero rows
-    cleaned = []
-    seen = set()
-    for r in rows:
-        r = {v: c for v, c in r.items() if c}
-        if not r:
-            continue
-        keyed = tuple(sorted(r.items()))
-        if keyed not in seen:
-            seen.add(keyed)
-            cleaned.append(r)
-
-    return cleaned
+                z[i] = c
+                if K > 1:
+                    z[nx + i] = K * c
+        sectors.append(_sector((("phi-sector",), ("pattern", j)), z))
+        if K > 1:
+            sectors.append(_sector((("perp-sector",), ("pattern", j)), {i: c for i, c in enumerate(row) if c}))
+    positivity = problem.build
+    return replace(problem, build=lambda: positivity() + sectors)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from . import exactla, solve
-from .blocks import IrrepBlock, SlotSystem, SymbolicOperator, _floats, _witness_block, ame_system, block_tuples, class_slots, irrep_block, multiset_tuples, witness_blocks, witness_tuples
+from .blocks import IrrepBlock, SlotSystem, SymbolicOperator, _floats, _witness_block, block_tuples, class_slots, irrep_block, multiset_tuples, witness_blocks, witness_tuples
 from .errors import InvalidInputError, SolverConvergenceError, UnsupportedFeatureError
 from .solve import BoxLp, SdpBlock, SdpProblem, psd_check_exact, sdp_solve
 from .symgroup import Permutation, trivial_multiplicity
@@ -49,74 +49,59 @@ MAX_CUT_ROUNDS = 12  # LP solves of the cutting-plane loop before it gives up
 
 @dataclass
 class MarginalSpec:
-    """Which subsets carry prescribed marginals, and what they are.
+    """Which marginals are prescribed, as counts per slot class.
 
-    `marginals` maps a subset S of the slots to "maximally_mixed"
-    (rho_S = 1 / dim S) or to a subset M of S whose part alone is
-    maximally mixed and uncorrelated, rho_S = 1_M / dim M (x) Tr_M rho_S
-    (general codes, M the auxiliary slot). The symmetry-reduced assembly
-    accepts only specs that every permutation of the slots within their
-    classes maps to themselves (`representative` checks this); they
-    cover AME, m-uniform states and quantum codes. `dims`, when given,
-    lists the per-slot local dimensions of a system whose slot 0 is
-    auxiliary (quantum codes); that slot is its own symmetry class.
+    The slots fall into classes of interchangeable slots: all n slots,
+    or, when `dims` lists per-slot local dimensions, the auxiliary slot 0
+    alone and the other n - 1 (quantum codes). Every subset S made of
+    kept[c] slots of each class c carries a prescribed marginal, maximally
+    mixed on its part M in the classes with mixed[c] = kept[c] and
+    uncorrelated with the rest: rho_S = 1_M / dim M (x) Tr_M rho_S. AME
+    and m-uniform states have kept = mixed = (m,); pure codes (1, m) and
+    (1, m), general codes (1, m) and (1, 0). Such a spec is mapped to
+    itself by every permutation of the slots within their classes, which
+    the symmetry-reduced assembly needs. A count that does not fit its
+    class raises InvalidInputError, and a mixed count other than 0 or
+    kept UnsupportedFeatureError.
     """
 
     n: int
     d: int
-    marginals: dict
+    kept: tuple[int, ...]
+    mixed: tuple[int, ...]
     dims: tuple | None = None
 
-    def slot_system(self, copies: int) -> SlotSystem:
-        if self.dims is None:
-            return ame_system(self.n, self.d, copies)
-        return SlotSystem(copies, self.dims, (0,) + (1,) * (self.n - 1))
+    def __post_init__(self):
+        sizes = [len(slots) for slots in class_slots(self.classes)]
+        if not len(self.kept) == len(self.mixed) == len(sizes) or any(not 0 <= k <= size for k, size in zip(self.kept, sizes)):
+            raise InvalidInputError(f"marginal counts {self.kept} do not fit slot classes of sizes {tuple(sizes)}")
+        if any(x not in (0, k) for x, k in zip(self.mixed, self.kept)):
+            raise UnsupportedFeatureError(f"a marginal maximally mixed on part of a slot class ({self.mixed} of {self.kept}) is not supported")
 
-    def representative(self, classes) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    @property
+    def classes(self) -> tuple[int, ...]:
+        return (0,) * self.n if self.dims is None else (0,) + (1,) * (self.n - 1)
+
+    def slot_system(self, copies: int) -> SlotSystem:
+        return SlotSystem(copies, (self.d,) * self.n if self.dims is None else self.dims, self.classes)
+
+    def representative(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """One subset S standing for every prescribed subset, and its maximally mixed part M.
 
-        Slots of one class are interchangeable, so S takes in each class
-        the last slots of that class, as many as every prescribed subset
-        has there, and M likewise: the last r qudits for AME, the
-        auxiliary slot and the last m qudits for codes. That stands for
-        the whole spec only when the spec is closed under permuting the
-        slots of each class: every M holds, in each class, all of its
-        S's slots or none, every S has the same number of slots in each
-        class, and every such subset is prescribed. Anything else raises
-        UnsupportedFeatureError.
+        Slots of one class are interchangeable, so S takes the last
+        kept[c] slots of each class c, and M the last mixed[c]: the last r
+        qudits for AME, the auxiliary slot and the last m qudits for codes.
         """
-        members = class_slots(classes)
-
-        def counts(subset):
-            return tuple(sum(s in subset for s in slots) for slots in members)
-
-        shapes = set()
-        for subset, value in self.marginals.items():
-            part = subset if isinstance(value, str) and value == "maximally_mixed" else value
-            if not (isinstance(part, frozenset) and part <= subset) or any(
-                count not in (0, whole) for count, whole in zip(counts(part), counts(subset))
-            ):
-                raise UnsupportedFeatureError(f"the marginal of {sorted(subset)} is not maximally mixed on whole slot classes of it")
-            shapes.add((counts(subset), counts(part)))
-        if len(shapes) != 1:
-            raise UnsupportedFeatureError("mixed marginal subset sizes are not supported")
-        kept, mixed = shapes.pop()
-        if len(self.marginals) != prod(comb(len(slots), k) for slots, k in zip(members, kept)):
-            raise UnsupportedFeatureError("the prescribed subsets are not closed under permuting the slots of a class")
 
         def last(per_class):
-            return tuple(sorted(s for slots, k in zip(members, per_class) for s in slots[len(slots) - k :]))
+            return tuple(s for slots, k in zip(class_slots(self.classes), per_class) for s in slots[len(slots) - k :])
 
-        return last(kept), last(mixed)
+        return last(self.kept), last(self.mixed)
 
 
 def ame_marginal_spec(n: int, d: int) -> MarginalSpec:
     """All floor(n/2)-body marginals maximally mixed."""
-    from itertools import combinations
-
-    r = n // 2
-    marginals = {frozenset(c): "maximally_mixed" for c in combinations(range(n), r)}
-    return MarginalSpec(n, d, marginals)
+    return MarginalSpec(n, d, (n // 2,), (n // 2,))
 
 
 # ---------------------------------------------------------------------------
@@ -129,15 +114,14 @@ class BlockSdp:
 
     `int_rows` holds the equalities as primitive integer rows
     (a_0, ..., a_{nvars-1}, b) with a x = b, which `solve_primal`
-    eliminates: one integer array from `assemble_primal`, a list of rows
-    from `codes.code_two_party_constraints`. `build` returns the
+    eliminates: the one integer array of `_dedupe_rows`. `build` returns the
     IrrepBlocks; it runs on the first read of `blocks`, which
     `solve_primal` makes only once the equalities are consistent.
     """
 
     system: SlotSystem
     keys: list
-    int_rows: np.ndarray | list
+    int_rows: np.ndarray
     build: Callable[[], list]
 
     @cached_property
@@ -181,9 +165,6 @@ def _dedupe_rows(rows, nvars: int) -> np.ndarray:
 def assemble_primal(spec: MarginalSpec, copies: int, cap: int = 512) -> BlockSdp:
     """Level-`copies` feasibility system for a uniform marginal spec.
 
-    A spec that its slot symmetry does not map to itself raises
-    UnsupportedFeatureError (`MarginalSpec.representative`).
-
     The one N-copy assembler for AME, m-uniform and code specs; the slot
     system comes from the spec. Every equality is a trace pairing
     Tr(V_t phi) with a test t, gathered from one integer table
@@ -211,7 +192,6 @@ def assemble_primal(spec: MarginalSpec, copies: int, cap: int = 512) -> BlockSdp
     built on the first read of `BlockSdp.blocks`.
     """
     system = spec.slot_system(copies)
-    kept, mixed = spec.representative(system.classes)
     tuples = block_tuples(system, cap)
     phi = SymbolicOperator(system)
     g = system.group
@@ -221,7 +201,7 @@ def assemble_primal(spec: MarginalSpec, copies: int, cap: int = 512) -> BlockSdp
     for gen in (Permutation.transposition(copies, 0, 1), Permutation.full_cycle(copies)):
         rows.append(_with_rhs(phi.pairings(g.mul[idx, g.index[gen.images]]) - phi.gram, 0))
 
-    tests, mixed = _marginal_tests(system, kept, mixed), list(mixed)
+    tests, mixed = _marginal_tests(system, spec.kept, spec.mixed), list(spec.representative()[1])
     reduced = tests.copy()
     reduced[:, mixed] = g.ptrace[0][tests[:, mixed]]
     factor = np.where(g.fixes[0][tests[:, mixed]], np.array([system.dims[s] for s in mixed], dtype=np.int64), 1).prod(axis=1)
@@ -238,14 +218,14 @@ def _with_rhs(lhs: np.ndarray, rhs: int) -> np.ndarray:
 
 
 def _marginal_tests(system: SlotSystem, kept, mixed) -> np.ndarray:
-    """Test elements of the copy-0 marginal rows, one per array row: an element fixing copy 0 on a
-    traced slot, any element on a kept one. A row depends on its test only up to permutations within
-    each class's runs of traced, kept-unmixed and mixed slots (`MarginalSpec.representative` keeps the
-    last slots of a class), so each run takes one multiset: the lexicographically first test of each row."""
+    """Test elements of the copy-0 marginal rows, one per array row, for kept[c] and mixed[c] slots of
+    each class c: an element fixing copy 0 on a traced slot, any element on a kept one. A row depends
+    on its test only up to permutations within each class's runs of traced, kept-unmixed and mixed
+    slots (`MarginalSpec.representative` keeps the last slots of a class), so each run takes one
+    multiset: the lexicographically first test of each row."""
     g = system.group
     fixing, every, groups = np.flatnonzero(g.fixes[0]).tolist(), range(len(g.elements)), []
-    for slots in class_slots(system.classes):
-        n_kept, n_mixed = sum(s in kept for s in slots), sum(s in mixed for s in slots)
+    for slots, n_kept, n_mixed in zip(class_slots(system.classes), kept, mixed):
         groups += [(len(slots) - n_kept, fixing), (n_kept - n_mixed, every), (n_mixed, every)]
     return np.array(multiset_tuples(groups), dtype=np.intp)
 
@@ -256,8 +236,7 @@ class PrimalVerdict:
 
     An exact `feasible` carries x, a rational point that meets every
     equality and makes every block PSD, both checked exactly. An exact
-    `infeasible` from the PSD test at x0 keeps x0 in x and names the
-    first failing tuple. A float verdict (exact False) carries the
+    `infeasible` from the PSD test at x0 keeps x0 in x. A float verdict (exact False) carries the
     barrier's margin and no x.
     """
 
@@ -266,7 +245,6 @@ class PrimalVerdict:
     margin: float | None = None
     x: list | None = None
     nullity: int = 0
-    witness_block: tuple | None = None
 
 
 ROUNDING_DIGITS = 15  # the rounding ladder tries y rounded to j decimals, j = 1..15: a float holds about 16 digits
@@ -289,7 +267,7 @@ def solve_primal(problem: BlockSdp) -> PrimalVerdict:
     alone.
 
     * r = 0: the exact PSD test of every block at x0; an infeasible
-      verdict keeps x0 and names the first failing tuple.
+      verdict keeps x0.
     * Every block scalar: an exact LP. The homogeneous `BoxLp`
       minimizing -t over w = (t, v), one row per block, is checked
       exactly at its optimum: below 0, t > 0 and x = w [x0; d] / (L t);
@@ -319,12 +297,8 @@ def solve_primal(problem: BlockSdp) -> PrimalVerdict:
     kept_effects = [(blk, e[kept]) for blk, e in zip(blocks, effects)]
 
     if len(kept) == 1:
-        failing = _failing(kept_effects, [1])
-        x = _over(x0.tolist(), ech.den)
-        if failing is not None:
-            parts = tuple(getattr(p, "parts", p) for p in failing.partitions)
-            return PrimalVerdict("infeasible", exact=True, x=x, nullity=nullity, witness_block=parts)
-        return PrimalVerdict("feasible", exact=True, x=x, nullity=nullity)
+        status = "feasible" if _failing(kept_effects, [1]) is None else "infeasible"
+        return PrimalVerdict(status, exact=True, x=_over(x0.tolist(), ech.den), nullity=nullity)
 
     if all(blk.k == 1 for blk in blocks):
         # every sector is scalar: feasibility is an exact LP

@@ -184,7 +184,8 @@ def psd_check_exact(matrix) -> PsdResult:
     Method: the matrix times the lcm of its denominators, an integer
     matrix M with the same verdict and witnesses, is eliminated
     fraction-free (`exactla.ldlt_psd_witness`). A witness v is checked in
-    integers: (c v)^T M (c v) < 0, c the lcm of its denominators.
+    integers: (c v)^T M (c v) < 0, c the lcm of its denominators; a
+    witness that fails it raises InternalConsistencyError.
     """
     _, (m,) = exactla.integer_matrices([matrix])
     n = len(m)
@@ -195,7 +196,7 @@ def psd_check_exact(matrix) -> PsdResult:
         return PsdResult(True)
     _, ((v,),) = exactla.integer_matrices([[witness]])
     if sum(v[i] * m[i][j] * v[j] for i in range(n) if v[i] for j in range(n)) >= 0:
-        raise InvalidInputError("internal witness failure")  # pragma: no cover
+        raise InternalConsistencyError("the elimination's witness v has v^T M v >= 0")
     return PsdResult(False, witness)
 
 

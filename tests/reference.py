@@ -38,7 +38,8 @@ through it, the route the library replaced by gathers from one table.
 as the (particular, nullspace basis) Fractions of a rational system.
 
 `dict_row` reads a primitive integer equality row as a dict, the form
-the recorded row digests were taken in.
+the recorded row digests were taken in, its constant under the
+pseudo-variable `CONST`.
 
 `lp_solve_fraction` is a two-phase Bland simplex over Fractions on a
 `LinearProgram` (rows with any relation, any variable bounds), an LP
@@ -77,7 +78,7 @@ from math import comb, gcd, lcm, prod
 
 import numpy as np
 
-from qmarginal import ame, blocks, codes, errors, exactla, hierarchy, symgroup as sg
+from qmarginal import ame, blocks, errors, exactla, hierarchy, symgroup as sg
 
 
 @lru_cache(maxsize=None)
@@ -369,7 +370,7 @@ def operator_rows(spec, copies: int) -> list[list[int]]:
     of equal rows is kept.
     """
     system = spec.slot_system(copies)
-    kept, mixed = spec.representative(system.classes)
+    kept, mixed = spec.representative()
     g, keys = system.group, system.keys()
     phi = expansion_terms(system)
     traced = [s for s in range(system.slots) if s not in kept]
@@ -398,11 +399,14 @@ def operator_rows(spec, copies: int) -> list[list[int]]:
     return out
 
 
+CONST = -1  # pseudo-variable index of the constant term in a dict row
+
+
 def dict_row(p, nvars: int) -> dict:
-    """Integer row p as a dict: codes.CONST -> -p_b / p_lead (when nonzero) first,
+    """Integer row p as a dict: CONST -> -p_b / p_lead (when nonzero) first,
     then each variable v with p_v != 0, ascending, -> p_v / p_lead."""
     lead = next(x for x in p if x)
-    row = {codes.CONST: Fraction(-p[nvars], lead)} if p[nvars] else {}
+    row = {CONST: Fraction(-p[nvars], lead)} if p[nvars] else {}
     row.update((v, Fraction(x, lead)) for v, x in enumerate(p[:nvars]) if x)
     return row
 

@@ -391,6 +391,47 @@ def test_rank_one_blocks_match_the_basis_path(monkeypatch):
     assert len(calls) == len(parts)
 
 
+# primal systems with k = 1 tuples: AME, one- and two-class code extensions, two-copy codes
+# (((5,2,3))_2 and ((4,1,3))_2, the bench's ppt cases) and a mixed-dims system
+RANK_ONE_PRIMAL_SYSTEMS = {
+    "primal-ame(3,2)-N3": hi.ame_marginal_spec(3, 2).slot_system(3),
+    "primal-ame(4,3)-N3": hi.ame_marginal_spec(4, 3).slot_system(3),
+    "extension-((4,1,2))_2-N3": codes.code_marginal_spec(codes.CodeParams(4, 1, 1, 2, pure=True)).slot_system(3),
+    "extension-((2,2,2))_2-N3": codes.code_marginal_spec(codes.CodeParams(2, 2, 1, 2)).slot_system(3),
+    "two-copy-((5,2,3))_2": codes.code_marginal_spec(codes.CodeParams(5, 2, 2, 2, pure=True)).slot_system(2),
+    "two-copy-((4,1,3))_2": codes.code_marginal_spec(codes.CodeParams(4, 1, 2, 2, pure=True)).slot_system(2),
+    "two-copy-((6,3,2))_3": codes.code_marginal_spec(codes.CodeParams(6, 3, 1, 3)).slot_system(2),
+    "mixed-dims-(3,2,2)": blocks.SlotSystem(3, (3, 2, 2), (0, 1, 1)),
+    "classes-(0,0,1,2)": blocks.SlotSystem(3, (2, 2, 2, 2), (0, 0, 1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANK_ONE_PRIMAL_SYSTEMS))
+def test_rank_one_primal_blocks_match_the_basis_path(monkeypatch, name):
+    """Every k = 1 primal block read from characters equals, field by field, the block built from
+    the invariant basis, which runs when k = 1 reads as 2."""
+    system = RANK_ONE_PRIMAL_SYSTEMS[name]
+    parts = [tuple(p.parts for p in tpl) for tpl in blocks.block_tuples(system, cap=512) if sg.trivial_multiplicity(tpl) == 1]
+    assert parts
+    calls = []
+    original, true_k = blocks.invariant_basis_exact, blocks.trivial_multiplicity
+    monkeypatch.setattr(blocks, "invariant_basis_exact", lambda lams, cap: calls.append(lams) or original(lams, cap))
+    characters = [_all_fields(blocks._block.__wrapped__(p, system.classes)) for p in parts]
+    assert calls == []
+    monkeypatch.setattr(blocks, "trivial_multiplicity", lambda lams: 2 * true_k(lams))
+    assert [_all_fields(blocks._block.__wrapped__(p, system.classes)) for p in parts] == characters
+    assert len(calls) == len(parts)
+
+
+def test_rank_one_primal_blocks_past_int64_match(monkeypatch):
+    """Seminormal tables scaled by 2^40 push the character sums past int64; the blocks are unchanged."""
+    cases = [(system, tuple(p.parts for p in tpl)) for system in RANK_ONE_PRIMAL_SYSTEMS.values() for tpl in blocks.block_tuples(system, cap=512) if sg.trivial_multiplicity(tpl) == 1]
+    fast = [_all_fields(blocks._block.__wrapped__(parts, system.classes)) for system, parts in cases]
+    tables = blocks._integer_tables
+    monkeypatch.setattr(blocks, "_integer_tables", lambda p: tables(p)._replace(scale=2**40 * tables(p).scale, matrices=2**40 * tables(p).matrices))
+    assert [_all_fields(blocks._block.__wrapped__(parts, system.classes)) for system, parts in cases] == fast
+
+
 def test_rank_one_blocks_past_int64_match(monkeypatch):
     """Seminormal tables scaled by 2^40 (matrices and scale alike) push the Reynolds diagonal past
     int64 in every slot product; the blocks are unchanged."""
@@ -572,14 +613,11 @@ def test_irrep_block_cap_checked_before_any_build(monkeypatch):
         blocks.irrep_block(system, tpl, system.keys(), cap=7)
 
 
-def test_primal_assembly_builds_each_tuple_once(monkeypatch):
+def test_primal_assembly_builds_each_tuple_once():
     blocks._block.cache_clear()
-    built = []
-    original = blocks.invariant_basis_exact
-    monkeypatch.setattr(blocks, "invariant_basis_exact", lambda lams, cap: built.append(lams) or original(lams, cap))
     first = hi.assemble_primal(hi.ame_marginal_spec(3, 2), 3).blocks
     second = hi.assemble_primal(hi.ame_marginal_spec(3, 2), 3).blocks
-    assert len(built) == len(first) == 3
+    assert blocks._block.cache_info().misses == len(first) == 3
     def fields(blk):
         return blk.partitions, blk.variables, blk.num.tolist(), blk.den, blk.y.tobytes()
 

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,6 @@ from reference import xi_coordinates
 
 from qmarginal import ame, blocks, codes as cd, hierarchy as hi
 from qmarginal.errors import InvalidInputError
-from qmarginal.symgroup import Partition
 
 F = Fraction
 
@@ -35,31 +35,38 @@ def test_singleton_examples():
 
 def test_purecode_marginal_spec():
     spec = cd.code_marginal_spec(P523)
-    assert spec.n == 6
-    assert spec.representative((0,) + (1,) * 5) == ((0, 4, 5), (0, 4, 5))
+    assert (spec.n, spec.kept, spec.mixed) == (6, (1, 2), (1, 2))
+    assert spec.representative() == ((0, 4, 5), (0, 4, 5))
     assert spec.dims == (2, 2, 2, 2, 2, 2)
-    assert len(spec.marginals) == 10
-    for subset in spec.marginals:
-        assert 0 in subset and len(subset) == 3
     with pytest.raises(InvalidInputError):
         cd.code_marginal_spec(P423)
     # m = 0: only the auxiliary marginal remains
     spec0 = cd.code_marginal_spec(cd.CodeParams(2, 2, 0, 2, pure=True))
-    assert list(spec0.marginals) == [frozenset({0})]
+    assert (spec0.kept, spec0.mixed, spec0.representative()) == ((1, 0), (1, 0), ((0,), (0,)))
     # K = 1 reduces to the m-uniform spec on the qudits
     spec1 = cd.uniform_marginal_spec(4, 2, 2)
-    assert len(spec1.marginals) == 6 and all(len(s) == 2 for s in spec1.marginals)
+    assert (spec1.kept, spec1.mixed, spec1.dims, spec1.representative()) == ((2,), (2,), None, ((2, 3), (2, 3)))
     assert cd.code_marginal_spec(cd.CodeParams(4, 1, 2, 2, pure=True)) == spec1
 
 
 def test_general_code_marginal_spec():
     # only the auxiliary part of each {aux} u I is maximally mixed
     spec = cd.code_marginal_spec(cd.CodeParams(5, 2, 2, 2))
-    assert spec.n == 6 and spec.dims == (2,) * 6 and len(spec.marginals) == 10
-    assert all(mixed == frozenset({0}) for mixed in spec.marginals.values())
-    assert spec.representative(spec.slot_system(2).classes) == ((0, 4, 5), (0,))
+    assert (spec.n, spec.dims, spec.kept, spec.mixed) == (6, (2,) * 6, (1, 2), (1, 0))
+    assert spec.representative() == ((0, 4, 5), (0,))
     # K = 1: no marginal condition, the 0-uniform spec on the qudits
     assert cd.code_marginal_spec(cd.CodeParams(4, 1, 2, 2)) == cd.uniform_marginal_spec(4, 2, 0)
+
+
+def test_wide_spec_holds_no_subsets():
+    """Uniform (22, 2, 11) at N = 2: C(22, 11) = 705,432 prescribed subsets, assembled from two counts."""
+    tracemalloc.start()
+    try:
+        bs = hi.assemble_primal(cd.uniform_marginal_spec(22, 2, 11), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(bs.keys) == 23 and peak < 2**20
 
 
 def test_five_qubit_code_state_verifies():
@@ -158,26 +165,22 @@ def test_two_copy_extension_agrees_with_positivity(params):
     assert cd.code_check(params, "extension", copies=2).verdict == cd.code_check(params, "pos").verdict
 
 
-# sha256 of the repr of (params, keys, rows, blocks) of code_two_party_constraints
-# over CROSS_LEVEL, recorded from the per-entry binomial sums the sectors were
-# first written as; pure codes the Singleton bound rejects are skipped
-SECTOR_DIGESTS = {
-    "pos": "50ed6be303be24e501363cb955b16fd4bc479525ae97c04588b898ce309237cd",
-    "ppt": "4c7972c1d2878c78dfe6d7606583b79a9246f84a2eb4b0667d35359fecc81c95",
+# sha256 of the repr of (params, verdict, exact, nullity, x) of `code_check` over
+# CROSS_LEVEL, recorded when pos and ppt still had their own two-party equalities
+# and Krawtchouk positivity sectors
+TWO_COPY_DIGESTS = {
+    "pos": "27f9bee0516f64980638b87e57285e04869c4080d2fe042a581d94c4b14e6390",
+    "ppt": "c09a02cad0eaed9724b7c35f633d8a12ac7a66022f455acd4bbef585955b1508",
 }
 
 
-@pytest.mark.parametrize("level", sorted(SECTOR_DIGESTS))
-def test_two_party_sectors_match_recorded_digests(level):
+@pytest.mark.parametrize("level", sorted(TWO_COPY_DIGESTS))
+def test_two_copy_levels_match_recorded_digests(level):
     digest = hashlib.sha256()
     for p in CROSS_LEVEL:
-        if p.pure and cd.singleton_check(p) == "fail":
-            continue
-        bs = cd.code_two_party_constraints(p, level)
-        # a pos sector is labelled by its two-copy irrep, a ppt sector by its name
-        blocks_data = [(b.partitions, "pos" if isinstance(b.partitions[0], Partition) else "ppt", b.k, list(reference.block_z(b).items())) for b in bs.blocks]
-        digest.update(repr((p, bs.keys, [list(r.items()) for r in cd._two_party_rows(p)], blocks_data)).encode())
-    assert digest.hexdigest() == SECTOR_DIGESTS[level]
+        r = cd.code_check(p, level)
+        digest.update(repr((p, r.verdict, r.exact, r.nullity, r.x)).encode())
+    assert digest.hexdigest() == TWO_COPY_DIGESTS[level]
 
 
 def test_extension_level_k1():
@@ -303,9 +306,9 @@ def test_five_qubit_pair_satisfies_assembled_system():
     assert ys == xs[::-1]  # swap-invariance of the support
 
     bs = cd.code_two_party_constraints(P523, "ppt")
-    values = {("x", i): xs[i] for i in range(n + 1)}
-    values.update({("y", i): ys[i] for i in range(n + 1)})
-    vec = [values[k] for k in bs.keys]
+    identity = bs.system.group.identity
+    assert [(key[0] != identity, sum(e != identity for e in key[1:])) for key in bs.keys] == [(aux, i) for aux in (False, True) for i in range(n + 1)]
+    vec = xs + ys  # keys x_0..x_n (the aux identity, i swaps), then y_0..y_n (the aux swap)
     for row in bs.int_rows:
         assert sum(a * x for a, x in zip(row, vec)) == row[-1], row
     for blk in bs.blocks:

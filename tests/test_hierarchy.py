@@ -139,29 +139,25 @@ def test_certify_exact_sign_below_float_range():
 # primal assembly
 
 
-def test_assemble_primal_rejects_nonuniform():
-    spec = hi.MarginalSpec(2, 2, {frozenset({0}): np.eye(2) / 2})
+@pytest.mark.parametrize(
+    "spec",
+    [(3, 2, (2,), (1,), None), (4, 2, (1, 2), (1, 1), (3, 2, 2, 2))],
+    ids=["split-class", "split-qudit-class"],
+)
+def test_assemble_primal_rejects_specs_without_slot_symmetry(spec):
+    # a marginal maximally mixed on part of a class's slots is not mapped to itself by permuting them
     with pytest.raises(UnsupportedFeatureError):
-        hi.assemble_primal(spec, 2)
+        hi.MarginalSpec(*spec)
 
 
 @pytest.mark.parametrize(
-    "n,marginals",
-    [
-        # satisfied by Bell pairs on slots (0,2) and (1,3), so no exact
-        # infeasible verdict may come from the symmetric representative
-        (4, {frozenset({0, 1}): "maximally_mixed"}),
-        # closed under the cyclic slot shift but not under swapping two slots
-        (3, {frozenset({0, 1}): frozenset({0}), frozenset({0, 2}): frozenset({2}), frozenset({1, 2}): frozenset({1})}),
-        (4, {frozenset({0, 1}): "maximally_mixed", frozenset({0, 2, 3}): "maximally_mixed"}),
-    ],
-    ids=["missing-subsets", "split-class", "mixed-sizes"],
+    "spec",
+    [(3, 2, (4,), (4,), None), (3, 2, (-1,), (0,), None), (3, 2, (1, 1), (1, 1), None), (4, 2, (2, 1), (0, 0), (3, 2, 2, 2)), (4, 2, (1, 3), (1,), (3, 2, 2, 2))],
+    ids=["too-many", "negative", "extra-class", "aux-class-overflow", "missing-mixed-count"],
 )
-def test_assemble_primal_rejects_specs_without_slot_symmetry(n, marginals):
-    # derived from a library spec, so every other field is one the assembler accepts
-    spec = dataclasses.replace(hi.ame_marginal_spec(n, 2), marginals=marginals)
-    with pytest.raises(UnsupportedFeatureError):
-        hi.assemble_primal(spec, 2)
+def test_marginal_spec_counts_must_fit_their_classes(spec):
+    with pytest.raises(InvalidInputError):
+        hi.MarginalSpec(*spec)
 
 
 @pytest.mark.parametrize("n,d", [(4, 2), (3, 2), (2, 3), (4, 6)])
@@ -473,7 +469,7 @@ def test_short_cut_is_checked_in_integers():
 
 
 # The five primal-extension systems, and AME(3,3) at N = 3 -> (status, exact, nullity,
-# sha256 of the x entries joined by spaces, margin as float.hex(), witness block),
+# sha256 of the x entries joined by spaces, margin as float.hex()),
 # recorded before the modular RREF replaced the Fraction post-processing of the
 # equality solution. The ((4,1,2))_2 extension was re-recorded when the barrier came to
 # run over its 2 effective directions and its point to be rounded to an exact x (at 10^5).
@@ -487,20 +483,12 @@ PRIMAL_PINS = {
         58,
         "8bccab27305e19b9a49e58172e5b9e67323dfd0deb9d6d9693eaceb3a3f81076",
         "0x1.1110cab2b5b06p-10",
-        None,
     ),
-    ("code", 2, 2, 1, 2, False, "extension"): ("infeasible", True, 0, None, None, None),
-    ("code", 5, 2, 2, 2, True, "ppt"): ("feasible", True, 0, "bcb10fe189efc6230e57b35b2a2cc098fb4e79792d616ca522b4466da50f3725", None, None),
-    ("code", 4, 1, 2, 2, True, "ppt"): (
-        "infeasible",
-        True,
-        0,
-        "afdfaec474cb0876324a4aeeb8fee1287b592daad7c9d77ec6bec653938dc753",
-        None,
-        ((2,), ("pattern", 4)),
-    ),
-    ("ame", 3, 2, 3): ("feasible", True, 21, "ab14ad0ad2fb8e3e861d15e0e7336b40a54933a31a1e1c7a603ff504f4b7f889", None, None),
-    ("ame", 3, 3, 3): ("feasible", True, 1, "3c187a2235aee23f3d43cf41e93d3f4ae92460dad22441408f9e5f80e2000b25", None, None),
+    ("code", 2, 2, 1, 2, False, "extension"): ("infeasible", True, 0, None, None),
+    ("code", 5, 2, 2, 2, True, "ppt"): ("feasible", True, 0, "bcb10fe189efc6230e57b35b2a2cc098fb4e79792d616ca522b4466da50f3725", None),
+    ("code", 4, 1, 2, 2, True, "ppt"): ("infeasible", True, 0, "afdfaec474cb0876324a4aeeb8fee1287b592daad7c9d77ec6bec653938dc753", None),
+    ("ame", 3, 2, 3): ("feasible", True, 21, "ab14ad0ad2fb8e3e861d15e0e7336b40a54933a31a1e1c7a603ff504f4b7f889", None),
+    ("ame", 3, 3, 3): ("feasible", True, 1, "3c187a2235aee23f3d43cf41e93d3f4ae92460dad22441408f9e5f80e2000b25", None),
 }
 
 
@@ -518,7 +506,7 @@ def test_solve_primal_matches_recorded_verdicts(system):
     v = hi.solve_primal(_pinned_problem(system))
     x = None if v.x is None else hashlib.sha256(" ".join(map(str, v.x)).encode()).hexdigest()
     margin = None if v.margin is None else float(v.margin).hex()
-    assert (v.status, v.exact, v.nullity, x, margin, v.witness_block) == PRIMAL_PINS[system]
+    assert (v.status, v.exact, v.nullity, x, margin) == PRIMAL_PINS[system]
 
 
 # the exact `feasible` pins, ((3,1,2))_2 and ((4,2,2))_2 general: PSD test at x0, scalar LP, rounded barrier point
@@ -590,7 +578,7 @@ def test_no_direction_and_no_block():
         v = hi.solve_primal(sdp)
         assert (v.status, v.exact, v.nullity, v.x) == ("feasible", True, nullity, [F(2)] + [F(0)] * nullity)
     v = hi.solve_primal(hi.BlockSdp(None, [0], [[1, 2]], lambda: [_hand_block([[[-1]]])]))
-    assert (v.status, v.exact, v.witness_block) == ("infeasible", True, ((1,),))
+    assert (v.status, v.exact, v.x) == ("infeasible", True, [F(2)])
 
 
 # Two-party code systems whose all-scalar LP keeps several directions (rank of the block
@@ -651,8 +639,8 @@ def test_dedupe_rows_normalizes_sign_and_gcd():
     int_rows = hi._dedupe_rows(rows, 3)
     assert int_rows.dtype == np.int64 and int_rows.tolist() == [[0, 2, -3, 1], [1, 0, 0, 3], [0, 0, 1, 0]]
     assert [list(reference.dict_row(p, 3).items()) for p in int_rows] == [
-        [(codes.CONST, F(-1, 2)), (1, F(1)), (2, F(-3, 2))],
-        [(codes.CONST, F(-3)), (0, F(1))],
+        [(reference.CONST, F(-1, 2)), (1, F(1)), (2, F(-3, 2))],
+        [(reference.CONST, F(-3)), (0, F(1))],
         [(2, F(1))],
     ]
     assert hi._dedupe_rows([[0, 0, 0]], 2).tolist() == []

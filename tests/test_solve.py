@@ -92,6 +92,13 @@ def test_psd_check_examples():
         sv.psd_check_exact([[F(1), F(2)], [F(1), F(1)]])
 
 
+def test_psd_witness_failure_is_an_internal_error(monkeypatch):
+    """A witness of the elimination that fails the integer check is an internal fault (exit 5), not bad input."""
+    monkeypatch.setattr(exactla, "ldlt_psd_witness", lambda m: [Fraction(1), Fraction(0)])
+    with pytest.raises(InternalConsistencyError, match="witness"):
+        sv.psd_check_exact([[1, 0], [0, -1]])
+
+
 def test_psd_zero_diagonal_indefinite():
     m = [[F(0), F(1)], [F(1), F(0)]]
     res = sv.psd_check_exact(m)
