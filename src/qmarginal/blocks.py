@@ -363,18 +363,17 @@ def _basis(parts: tuple[tuple[int, ...], ...]) -> tuple:
     the weights an integer diagonal over their lcm wden; so every entry
     of U^T W M U, M an integer matrix, is one integer sum over
     dens[a] dens[b] wden, and gram is the one product wu u^T over that.
-    The arrays are int64 when a bound on every sum of the witness blocks
-    (2^n, the largest Krawtchouk entry, times the length times the
-    largest entries of U and W U) fits, Python ints otherwise.
+    u and wu are int64 while their entries fit, Python ints otherwise;
+    each product of them is one `exactla.int_matmul`, which sizes its
+    own output.
     """
     vectors, weights = invariant_basis_exact(tuple(Partition(p) for p in parts), cap=prod(_rep(p).dim for p in parts))
     wden = lcm(*(w.denominator for w in weights))
     scaled = [w.numerator * (wden // w.denominator) for w in weights]
     weighted = [[a * x for a, x in zip(scaled, u)] for u, _ in vectors]
-    vectors, dens = [u for u, _ in vectors], [den for _, den in vectors]
-    dtype = exactla.int_dtype(2 ** len(parts) * len(scaled) * exactla._max_abs(vectors) * exactla._max_abs(weighted))
-    u, wu = np.array(vectors, dtype=dtype), np.array(weighted, dtype=dtype)
-    return u, wu, dens, wden, wu @ u.T
+    dens, total = [den for _, den in vectors], len(scaled)
+    u, wu = exactla.integer_rows([u for u, _ in vectors], total), exactla.integer_rows(weighted, total)
+    return u, wu, dens, wden, exactla.int_matmul(wu, u.T)
 
 
 def _compressed(parts, dens, wden, gram, scale, variables, z) -> IrrepBlock:
@@ -421,10 +420,12 @@ def _witness_block(parts: tuple[tuple[int, ...], ...]) -> IrrepBlock:
     of z^l in (1 - z)^m(i) (1 + z)^(n - m(i)), K[m(i)][l] of the binary
     Krawtchouk table (`ame.krawtchouk`). With G_m the weighted Gram
     matrix U^T W U restricted to the indices with m(i) = m, the gram of
-    `_basis` is sum_m G_m and z_l = sum_m K[m][l] G_m. The G_m are
-    integer matrix products in the dtype of `_basis`'s arrays, whose
-    bound covers these sums. A tuple of multiplicity k = 1 needs no
-    basis: its block is read off the Reynolds diagonal (`_rank_one`).
+    `_basis` is sum_m G_m and z_l = sum_m K[m][l] G_m. Every G_m comes
+    from one integer product, W U against U spread over the classes
+    (column i of U in class m(i), zero in the others), and the sums over
+    m from a second (`exactla.int_matmul`). A tuple of multiplicity
+    k = 1 needs no basis: its block is read off the Reynolds diagonal
+    (`_rank_one`).
     """
     n = len(parts)
     m = np.zeros(1, dtype=np.intp)
@@ -434,11 +435,11 @@ def _witness_block(parts: tuple[tuple[int, ...], ...]) -> IrrepBlock:
     if trivial_multiplicity(parts) == 1:
         return _rank_one(parts, m)
     u, wu, dens, wden, gram = _basis(parts)
-    g = np.zeros((n + 1, len(dens), len(dens)), dtype=u.dtype)
-    for j in np.flatnonzero(np.bincount(m)).tolist():
-        cols = np.flatnonzero(m == j)
-        g[j] = wu[:, cols] @ u[:, cols].T
-    z = np.tensordot(np.array(krawtchouk(n), dtype=u.dtype).T, g, axes=1)
+    k = len(dens)
+    by_class = np.zeros((len(m), n + 1, k), dtype=u.dtype)  # by_class[i, m(i)] is column i of U
+    by_class[np.arange(len(m)), m] = u.T
+    g = exactla.int_matmul(wu, by_class.reshape(len(m), -1)).reshape(k, n + 1, k).transpose(1, 0, 2)  # g[m] = G_m
+    z = exactla.int_matmul(exactla.integer_rows(krawtchouk(n), n + 1).T, g.reshape(n + 1, -1)).reshape(n + 1, k, k)
     return _compressed(parts, dens, wden, gram, 1, range(n + 1), z)
 
 
@@ -542,9 +543,9 @@ def _block(parts: tuple[tuple[int, ...], ...], classes: tuple[int, ...]) -> Irre
     partial sum after slot s has the same denominator. The array is int64
     while a bound on the next slot's sums (the number of elements times
     the largest entries of the sums and of d rho_s or the scale) fits,
-    Python ints from then on; z is int64 when total times the largest
-    entries of W U and of the sums fits. z then goes over one
-    denominator, and y is its correctly rounded floats (`_compressed`).
+    Python ints from then on; z is one `exactla.int_matmul`. z then goes
+    over one denominator, and y is its correctly rounded floats
+    (`_compressed`).
     A tuple of multiplicity k = 1 needs no basis: its z_K are read from
     characters (`_rank_one_sums`).
     """
@@ -569,8 +570,7 @@ def _block(parts: tuple[tuple[int, ...], ...], classes: tuple[int, ...]) -> Irre
                 for e in range(order):
                     moved_sums[targets[:, e]] += t.scale * sums if e == group.identity else exactla.mode_product(t.matrices[e], sums, dims, slot)
                 sums = moved_sums
-        dtype = exactla.int_dtype(u.shape[1] * exactla.array_max_abs(wu) * exactla.array_max_abs(sums))
-        z = wu.astype(dtype) @ sums.astype(dtype).transpose(0, 2, 1)  # z[K][a][b] = W u_a . E_K u_b
+        z = exactla.int_matmul(wu, sums.transpose(0, 2, 1))  # z[K][a][b] = W u_a . E_K u_b
         scale = prod(t.scale for t in tables)
     nonzero = np.flatnonzero((z != 0).any(axis=(1, 2))).tolist()
     keys = multiset_tuples([(len(slots), range(order)) for slots in spans])

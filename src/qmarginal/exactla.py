@@ -2,15 +2,21 @@
 
 Matrices are lists of lists or integer arrays, small and dense; these
 routines back the exact solver paths where floating point would blur a
-sign decision. The hot kernels (`mode_product`, `echelon`,
+sign decision. The hot kernels (`int_matmul`, `mode_product`, `echelon`,
 `ldlt_psd_witness`) run in integers: rational data is scaled to integer
 rows (`integer_matrices`, `primitive`) and worked on in Python ints or
 in numpy arrays whose dtype `int_dtype` picks from a checked bound.
-`mode_product` moves a whole stack of tensor vectors by one slot matrix
-in one numpy product. `echelon` is the one exact RREF of integer rows:
-it is computed mod primes below 2^27, combined by CRT, read back by
-rational reconstruction and kept as integers over one denominator
-(`Echelon`), and one exact integer product checks it against every row.
+`int_matmul` is the one exact integer matrix product: past a small
+size, float64 BLAS when a bound puts every partial sum within 2^53,
+where float64 holds each integer exactly, and on limbs when the bound is
+larger and the entries fit in int64. `mode_product` moves a whole stack
+of tensor vectors by one slot matrix in one numpy product. `echelon` is
+the one exact RREF of integer rows: it is computed mod primes below 2^27
+(`_rref_mod_p`, a Gauss-Jordan pass on the transpose in column panels
+whose trailing updates are `int_matmul` products), combined by CRT, read
+back by rational reconstruction and kept as integers over one
+denominator (`Echelon`), and one exact integer product checks it
+against every row.
 An equality system is one integer array (`integer_rows`; a list of rows
 is accepted too), solved by `solve_integer_rows`; the invariant bases of
 `symgroup` are the same routine's output. The PSD test eliminates
@@ -29,7 +35,10 @@ from .errors import InternalConsistencyError
 F0 = Fraction(0)
 F1 = Fraction(1)
 P = 2**27 - 39  # the first prime of the modular RREF: REDUCE_EVERY products of two residues fit in int64
-REDUCE_EVERY = 256  # pivots between full reductions mod p in `_rref_mod_p`
+REDUCE_EVERY = 256  # pivots between reductions mod p of a panel in `_rref_mod_p`
+BLAS_WORK = 2**15  # multiply-adds below which `int_matmul` stays in numpy's integer product
+PANEL_COLUMNS = 512  # the widest panel of `_rref_mod_p`
+PANEL_PIVOTS = 128  # pivots that close a panel with columns after it
 
 
 def mode_product(m, vecs, dims, axis):
@@ -56,10 +65,57 @@ def array_max_abs(a) -> int:
 
 
 def int_matmul(a, b) -> np.ndarray:
-    """a @ b for integer arrays, in int64 when every entry of a and b and a bound on every output entry fit, else in Python ints."""
+    """a @ b for integer arrays (int64 or Python ints), exactly, on float64 BLAS wherever a bound allows it.
+
+    The output is int64 when every entry of a and b and the bound
+    B = max|a| max|b| inner on every output entry fit (below 2^63), else
+    Python ints. A product of fewer than BLAS_WORK multiply-adds, where a
+    BLAS call costs more than it saves, and one with entries past int64
+    run as numpy's integer product in that dtype. Otherwise, when
+    B <= 2^53, the product is one float64 matmul (a BLAS dgemm): every
+    term and every partial sum is then an integer of size at most 2^53,
+    which float64 holds exactly, so the sum is exact in any order, with
+    or without fused multiply-adds. When B is larger, the side of larger
+    entries, say b, is cut into sign-magnitude limbs of w bits,
+    b = sum_i b_i 2^(w i) with |b_i| < 2^w, w the most that keeps each
+    a @ b_i within 2^53; when the other side's entries times inner leave
+    no room for a 10-bit limb, both sides are cut into limbs of
+    (53 - bits of inner) / 2 bits (after Ozaki, Ogita, Oishi & Rump,
+    Numer. Algorithms 59, 2012). The exact limb products are shifted and
+    added in the output dtype; every partial sum is a product of a and b
+    with their lowest limbs kept, which B bounds too.
+    """
     big_a, big_b = array_max_abs(a), array_max_abs(b)
-    dtype = int_dtype(max(big_a * big_b * a.shape[-1], big_a, big_b))
-    return a.astype(dtype) @ b.astype(dtype)
+    bound = big_a * big_b * a.shape[-1]
+    dtype = int_dtype(max(bound, big_a, big_b))
+    if max(big_a, big_b) >= 2**63 or a.size * b.size < BLAS_WORK * a.shape[-1]:
+        return a.astype(dtype) @ b.astype(dtype)
+    if bound <= 2**53:
+        return (a.astype(float) @ b.astype(float)).astype(np.int64)
+    room = 53 - (min(big_a, big_b) * a.shape[-1]).bit_length()
+    if room < 10:
+        width_a = width_b = (53 - a.shape[-1].bit_length()) // 2
+    else:
+        width_a, width_b = (64, room) if big_a <= big_b else (room, 64)
+    out = 0
+    for shift_a, limb_a in _limbs(a, width_a):
+        for shift_b, limb_b in _limbs(b, width_b):
+            out = out + (limb_a @ limb_b).astype(np.int64).astype(dtype) * (1 << (shift_a + shift_b))
+    return out
+
+
+def _limbs(x, width) -> list:
+    """[(shift, limb)]: the int64-sized integer array x as sum(limb << shift), float64 limbs of size below 2^width.
+
+    Sign-magnitude: each limb carries the sign of x, so every partial sum
+    of the limbs, lowest first, is at most |x| in size.
+    """
+    x = x.astype(np.int64, copy=False)
+    if width >= 63:
+        return [(0, x.astype(float))]
+    mag, sign = np.abs(x), np.sign(x)
+    count = max(1, -(-array_max_abs(x).bit_length() // width))
+    return [(width * i, (sign * ((mag >> (width * i)) & ((1 << width) - 1))).astype(float)) for i in range(count)]
 
 
 def integer_matrices(mats):
@@ -162,6 +218,11 @@ def echelon(a) -> Echelon:
     ratio of minors) reconstructs, so a further failure raises
     InternalConsistencyError. A returned R has passed the check, so it
     spans the row space of a, and being an RREF it is the unique one.
+    Each pass mod p runs on the transpose in column panels of at most
+    PANEL_COLUMNS columns, closed at PANEL_PIVOTS pivots while columns
+    remain after them, and their trailing updates and the check's
+    product run on BLAS (`int_matmul`); the residues, pivots and chosen
+    rows are those of the plain row-by-row pass.
     """
     residues, pivots, chosen = _rref_mod_p(a, P)
     forms, tried = [(P, residues)], 1  # residues mod each prime that gave `pivots`; primes tried on `chosen`
@@ -196,39 +257,77 @@ def _prime(i) -> int:
 def _rref_mod_p(a, p) -> tuple[np.ndarray, list, list]:
     """(RREF mod p, pivot columns, original indices of the rows chosen as pivots) of the integer rows a.
 
-    One Gauss-Jordan pass in int64 numpy over all rows, columns left to
-    right but for those zero mod p, which row operations keep zero; the
-    pivot of a column is the first unchosen row with a nonzero residue
-    there. Entries are reduced mod p < 2^27 lazily: a column when it is
+    One Gauss-Jordan pass over all rows, columns left to right but for
+    those zero mod p, which row operations keep zero; the pivot of a
+    column is the first unchosen row with a nonzero residue there, and
+    it trades places with the first unchosen row in the order of rows
+    (`order`; the data never moves). The work runs in int64 numpy on the
+    transpose, so a column is one contiguous array and a pivot updates
+    one contiguous block of columns.
+
+    Columns are scanned in panels of at most PANEL_COLUMNS columns (after
+    FFLAS-FFPACK: Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008). Inside a
+    panel each pivot updates the panel's columns from its own on; a panel
+    that does not reach the last column closes at PANEL_PIVOTS pivots, or
+    at its end, and the columns J after it then get the panel's row
+    operations in one Schur-complement step: with B = A[Rp, Cp], its
+    pivot rows and columns as they stood when the panel opened, and O
+    the other rows, X = B^-1 A[Rp, J] and A[O, J] -= A[O, Cp] X, both
+    products on BLAS through `int_matmul`, and B^-1 the right half of
+    this routine's RREF of (B | I), one panel. The next panel opens at the
+    column after the last one scanned. A matrix of at most PANEL_COLUMNS
+    columns is one panel, the plain loop.
+
+    Entries are reduced mod p < 2^27 lazily: not at all at first when
+    they are int64 and smaller than p in size, a column when it is
     searched (its residues are the multipliers), the pivot row when it is
-    scaled, and the whole array every REDUCE_EVERY pivots, which bounds
-    every entry by p + REDUCE_EVERY p^2 < 2^63.
+    scaled, a later panel's columns when it opens and every REDUCE_EVERY
+    pivots, which bounds every entry by p + REDUCE_EVERY p^2 < 2^63.
     """
-    m = (a % p).astype(np.int64)
-    order = list(range(len(m)))
+    nrows, ncols = a.shape
+    small = a.dtype == np.int64 and array_max_abs(a) < p  # taken as it is: zero mod p only where zero
+    m = np.array((a if small else a % p).T, dtype=np.int64, order="C")  # a copy; m[c] is column c, and the rows never move
+    order = np.arange(nrows)  # order[i]: the row at position i; positions from len(pivots) on are unchosen
     pivots = []
-    for c in np.flatnonzero(m.any(axis=0)).tolist():
-        r = len(pivots)
-        if r == len(m):
-            break
-        col = m[:, c] % p
-        hit = col[r:].nonzero()[0]
-        if not hit.size:
-            continue
-        i = r + int(hit[0])
-        if i != r:
-            m[[r, i]] = m[[i, r]]
+    columns = np.flatnonzero(m.any(axis=1)).tolist()
+    start, next_column = 0, 0  # first column of the open panel; index into columns
+    while start < ncols and len(pivots) < nrows:
+        end, first = min(start + PANEL_COLUMNS, ncols), len(pivots)
+        if start:
+            m[start:end] %= p
+        opened, stop = m[start:end].copy() if end < ncols else None, end
+        while next_column < len(columns) and columns[next_column] < end and len(pivots) < nrows:
+            c, r = columns[next_column], len(pivots)
+            next_column += 1
+            col = m[c] % p
+            hit = col[order[r:]].nonzero()[0]
+            if not hit.size:
+                continue
+            i = r + int(hit[0])
             order[r], order[i] = order[i], order[r]
-            col[r], col[i] = col[i], col[r]
-        pivot = m[r, c:] % p * pow(int(col[r]), -1, p) % p
-        col[r] = 0
-        update = col.nonzero()[0]
-        m[update, c:] -= np.multiply.outer(col[update], pivot)
-        m[r, c:] = pivot
-        pivots.append(c)
-        if len(pivots) % REDUCE_EVERY == 0:
-            m %= p
-    return m[: len(pivots)] % p, pivots, order[: len(pivots)]
+            row = order[r]
+            pivot = m[c:end, row] % p * pow(int(col[row]), -1, p) % p
+            col[row] = 0
+            m[c:end] -= np.multiply.outer(pivot, col)
+            m[c:end, row] = pivot
+            pivots.append(c)
+            if (len(pivots) - first) % REDUCE_EVERY == 0:
+                m[c:end] %= p
+            if opened is not None and len(pivots) - first == PANEL_PIVOTS:
+                stop = c + 1
+                break
+        if opened is not None and len(pivots) > first:
+            rows, t = order[first : len(pivots)], len(pivots) - first
+            cp = opened[np.array(pivots[first:]) - start]  # A[:, Cp]^T as the panel opened
+            inverse = _rref_mod_p(np.concatenate([cp[:, rows].T, np.eye(t, dtype=np.int64)], axis=1), p)[0][:, t:]  # B^-1
+            rest = m[end:]
+            x = int_matmul(rest[:, rows], inverse.T) % p  # X^T
+            rest -= int_matmul(x, cp)
+            rest %= p
+            rest[:, rows] = x
+        start = stop
+    chosen = order[: len(pivots)]
+    return np.ascontiguousarray(m[:, chosen].T % p), pivots, chosen.tolist()
 
 
 def _reconstruct(forms, pivots) -> Echelon | None:
@@ -284,7 +383,8 @@ def _unspanned(a, ech: Echelon) -> np.ndarray:
     R = ech.rows and L = ech.den: one integer product, L a == a[:, pivots]
     R, compared on the free columns (it holds on the pivot columns since
     R[:, pivots] = L I), each side in int64 when a bound on its entries
-    allows it, else in Python ints.
+    allows it, else in Python ints. The product is `int_matmul`; the
+    comparison stays one of integers.
     """
     free = ech.free_columns(a.shape[1])
     a_free = a[:, free]

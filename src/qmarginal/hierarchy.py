@@ -144,8 +144,11 @@ def _dedupe_rows(rows, nvars: int) -> np.ndarray:
     kept. Zero rows are dropped; a row holding only a nonzero constant
     makes the system inconsistent and raises InvalidInputError. The rows
     are normalized at once on one integer array, int64 or Python ints
-    alike: `np.gcd.reduce`, the lead signs, one floor division; the
-    first-seen rows are picked by their bytes (int64) or values.
+    alike: `np.gcd.reduce`, the lead signs, one floor division. The
+    first-seen int64 rows are picked by one stable `np.unique` of the rows
+    as byte strings, in the narrowest integer type that holds them (equal
+    rows stay equal there, in fewer bytes to compare); Python-int rows by
+    their values.
     """
     a = np.asarray(rows)
     nonzero = a[:, :nvars] != 0
@@ -156,10 +159,14 @@ def _dedupe_rows(rows, nvars: int) -> np.ndarray:
     lead = a[np.arange(len(a)), nonzero[has_var].argmax(axis=1)]
     g = np.gcd.reduce(a, axis=1)
     a = a // np.where(lead < 0, -g, g)[:, None]
-    first: dict = {}
-    for i, row in enumerate(map(tuple, a.tolist()) if a.dtype == object else map(np.ndarray.tobytes, a)):
-        first.setdefault(row, i)
-    return a[list(first.values())]
+    if a.dtype == object:
+        first: dict = {}
+        for i, row in enumerate(map(tuple, a.tolist())):
+            first.setdefault(row, i)
+        return a[list(first.values())]
+    narrow = a.astype(np.min_scalar_type(-1 - exactla.array_max_abs(a)))
+    _, first = np.unique(narrow.view(np.dtype((np.void, narrow.itemsize * narrow.shape[1]))).ravel(), return_index=True)
+    return a[np.sort(first)]
 
 
 def assemble_primal(spec: MarginalSpec, copies: int, cap: int = 512) -> BlockSdp:

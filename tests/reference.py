@@ -37,6 +37,11 @@ through it, the route the library replaced by gathers from one table.
 `affine_solution` reads the integer RREF of `exactla.solve_integer_rows`
 as the (particular, nullspace basis) Fractions of a rational system.
 
+`rref_mod_p` is the row-major Gauss-Jordan pass mod p that
+`exactla._rref_mod_p` runs on the transpose in panels: the same pivot
+rule and row swaps, one outer-product update per pivot over every later
+column, so the two must give the same residues, pivots and chosen rows.
+
 `dict_row` reads a primitive integer equality row as a dict, the form
 the recorded row digests were taken in, its constant under the
 pseudo-variable `CONST`.
@@ -278,6 +283,42 @@ def xi_coordinates(n: int, d: int, overlaps) -> list[Fraction]:
     particular, free = affine_solution(exactla.solve_integer_rows(rows, n + 1), n + 1)
     assert not free
     return particular
+
+
+def rref_mod_p(a, p) -> tuple[np.ndarray, list, list]:
+    """(RREF mod p, pivot columns, original indices of the rows chosen as pivots) of the integer rows a.
+
+    One Gauss-Jordan pass in int64 numpy over all rows, columns left to
+    right but for those zero mod p; the pivot of a column is the first
+    unchosen row with a nonzero residue there, swapped into place. Each
+    pivot updates the rows with a nonzero multiplier over every column
+    from its own on; the whole array is reduced mod p every 256 pivots.
+    """
+    m = (a % p).astype(np.int64)
+    order = list(range(len(m)))
+    pivots = []
+    for c in np.flatnonzero(m.any(axis=0)).tolist():
+        r = len(pivots)
+        if r == len(m):
+            break
+        col = m[:, c] % p
+        hit = col[r:].nonzero()[0]
+        if not hit.size:
+            continue
+        i = r + int(hit[0])
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+            order[r], order[i] = order[i], order[r]
+            col[r], col[i] = col[i], col[r]
+        pivot = m[r, c:] % p * pow(int(col[r]), -1, p) % p
+        col[r] = 0
+        update = col.nonzero()[0]
+        m[update, c:] -= np.multiply.outer(col[update], pivot)
+        m[r, c:] = pivot
+        pivots.append(c)
+        if len(pivots) % 256 == 0:
+            m %= p
+    return m[: len(pivots)] % p, pivots, order[: len(pivots)]
 
 
 def affine_solution(ech, ncols):

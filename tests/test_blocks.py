@@ -546,15 +546,16 @@ def test_stacked_primal_blocks_match_per_vector_builder(name):
 
 @pytest.mark.parametrize("narrow", [False, True], ids=["python-ints-from-the-basis", "python-ints-midway"])
 def test_stacked_primal_blocks_past_int64_match(monkeypatch, narrow):
-    """Basis vectors and denominators scaled by 2^50 put the stacked sums in Python ints, from
-    the basis on, or, with the basis narrowed back to int64, from the slot whose sums leave
-    int64; the blocks still match the per-vector builder."""
+    """Basis vectors and denominators scaled by 2^64, past int64, put the stacked sums in Python
+    ints from the basis on; scaled by 2^50, with the basis narrowed to int64, from the slot whose
+    sums leave int64. Either way the blocks still match the per-vector builder."""
     original, basis, mode_product = blocks.invariant_basis_exact, blocks._basis, exactla.mode_product
     seen = []
+    scale = 2**50 if narrow else 2**64
 
     def scaled(lams, cap):
         vectors, weights = original(lams, cap)
-        return [([2**50 * x for x in v], 2**50 * den) for v, den in vectors], weights
+        return [([scale * x for x in v], scale * den) for v, den in vectors], weights
 
     def narrowed(parts):
         u, wu, dens, wden, gram = basis(parts)
@@ -1031,8 +1032,104 @@ def test_gram_dtype_is_bounded_by_the_most_arrangements_of_one_key():
 def test_int_matmul_with_an_empty_operand():
     """An empty side bounds no output entry, but the other side's entries must still fit the dtype."""
     wide = np.array([[2**70]], dtype=object)
-    assert exactla.int_matmul(wide, np.zeros((1, 0), dtype=np.int64)).shape == (1, 0)
-    assert exactla.int_matmul(np.zeros((0, 1), dtype=np.int64), wide).shape == (0, 1)
+    for a, b in ((wide, np.zeros((1, 0), dtype=np.int64)), (np.zeros((0, 1), dtype=np.int64), wide)):
+        out = exactla.int_matmul(a, b)
+        assert out.shape == (a.shape[0], b.shape[1]) and out.dtype == object
+    out = exactla.int_matmul(np.full((2, 0), 2**62, dtype=np.int64), np.zeros((0, 3), dtype=np.int64))
+    assert out.dtype == np.int64 and out.tolist() == [[0] * 3] * 2  # an empty inner axis sums to 0
+    out = exactla.int_matmul(wide, np.zeros((1, 2), dtype=np.int64))
+    assert out.dtype == object and out.tolist() == [[0, 0]]
+
+
+def _int_matmul_operands(rng, big_a, big_b, inner):
+    """Integer arrays (object) with entries of size up to big_a and big_b, each reaching it, of both signs."""
+    a = np.array([[rng.randint(-big_a, big_a) for _ in range(inner)] for _ in range(3)], dtype=object)
+    b = np.array([[rng.randint(-big_b, big_b) for _ in range(4)] for _ in range(inner)], dtype=object)
+    a[0, 0], a[1, -1], b[0, 0], b[-1, 1] = big_a, -big_a, -big_b, big_b
+    return a, b
+
+
+@pytest.mark.parametrize("blas", [True, False], ids=["blas", "numpy"])
+@pytest.mark.parametrize(
+    "big_a, big_b, inner",
+    [
+        (2**26, 2**26, 2),  # B = 2^53: one float product
+        (2**26, 2**26 + 1, 2),  # just past 2^53: limbs of b
+        (3, 2**52, 2),  # just past 2^53 with a tiny a
+        (2**50, 2**10, 8),  # a too large to leave b room for a 10-bit limb: both sides cut
+        (2**30, 2**31 - 1, 4),  # just below 2^63
+        (2**30, 2**31, 4),  # B = 2^63: Python ints from int64 limbs
+        (2**62, 2**62, 3),  # far past 2^63, entries still int64
+        (2**63, 5, 3),  # an entry past int64
+    ],
+)
+def test_int_matmul_matches_python_ints(big_a, big_b, inner, blas, monkeypatch):
+    """Every path of the one integer product is exact, for 2-D and 1-D operands and a stack of b's,
+    and its dtype is int64 exactly when the entries and B = max|a| max|b| inner are below 2^63.
+    These operands are below BLAS_WORK, so with `blas` the threshold is lowered to send them to BLAS."""
+    if blas:
+        monkeypatch.setattr(exactla, "BLAS_WORK", 0)
+    rng = random.Random(f"{big_a}-{big_b}-{inner}")
+    a, b = _int_matmul_operands(rng, big_a, big_b, inner)
+    expected = a @ b
+    dtype = np.int64 if max(big_a * big_b * inner, big_a, big_b) < 2**63 else object
+    forms = [(a, b), (a.astype(np.int64), b.astype(np.int64))] if max(big_a, big_b) < 2**63 else [(a, b)]
+    for x, y in forms:
+        out = exactla.int_matmul(x, y)
+        assert out.dtype == dtype and out.tolist() == expected.tolist()
+        assert exactla.int_matmul(x[1], y).tolist() == expected[1].tolist()
+        assert exactla.int_matmul(x, y[:, 1]).tolist() == expected[:, 1].tolist()
+        assert exactla.int_matmul(x[0], y[:, 0]) == expected[0, 0]
+        stacked = exactla.int_matmul(x, np.stack([y, -y, y[::-1]]))
+        assert stacked.tolist() == [expected.tolist(), (-expected).tolist(), (a @ b[::-1]).tolist()]
+
+
+def test_int_matmul_past_blas_work_matches_python_ints():
+    """A product past BLAS_WORK multiply-adds with B past 2^53 (limbs of b) is exact."""
+    rng = np.random.default_rng(53)
+    a, b = rng.integers(-(2**20), 2**20, (128, 16)), rng.integers(-(2**38), 2**38, (16, 256))
+    assert a.size * b.size >= exactla.BLAS_WORK * 16 and 2**53 < 2**20 * 2**38 * 16 < 2**63
+    out = exactla.int_matmul(a, b)
+    assert out.dtype == np.int64 and out.tolist() == (a.astype(object) @ b.astype(object)).tolist()
+
+
+def _panel_cases():
+    """Integer matrices that cross `_rref_mod_p`'s panel rules, as parameters (name, rows, p)."""
+    rng = np.random.default_rng(29)
+    cases = []
+    wide = np.asfortranarray(rng.integers(-9, 10, (100, 1000)))  # every row a pivot inside the first panel, the rest one Schur step
+    cases.append(("wide", wide, exactla.P))
+    tall = rng.integers(-(2**20), 2**20, (300, 700))  # panels that close at 128 pivots
+    tall[:, [3, 200, 650]] = 0
+    tall[250:] = rng.integers(-3, 4, (50, 250)) @ tall[:250]  # dependent rows, never chosen
+    cases.append(("tall-dependent", tall[rng.permutation(300)], exactla.P))
+    low = rng.integers(-5, 6, (240, 30)) @ rng.integers(-5, 6, (30, 1300))  # rank 30 in 1300 columns
+    low[:, 600:640] = rng.integers(-5, 6, (240, 40))  # 40 more pivots past the first panel's end
+    cases.append(("low-rank", low, exactla._prime(1)))
+    cases.append(("one-panel-past-reduce-every", rng.integers(0, exactla.P, (300, 400)), exactla.P))
+    sparse = rng.integers(-3, 4, (400, 900)) * (rng.random((400, 900)) < 0.02)  # pivots found past unchosen zero rows
+    cases.append(("sparse", sparse, exactla.P))
+    big = np.array(rng.integers(-(2**30), 2**30, (150, 600)), dtype=object) * 2**40 + rng.integers(0, 9, (150, 600))
+    big[:, 10] = exactla.P * 2**50  # zero mod P
+    big[:, 550:] = big[:, :50] * 3 + exactla.P * 7  # same residues up to a scale, past the first panel
+    cases.append(("object-past-p", big, exactla.P))
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("name, rows, p", _panel_cases())
+def test_rref_mod_p_matches_the_row_major_pass(name, rows, p):
+    """The transposed, panel-blocked pass gives the row-major pass's residues, pivots and chosen rows,
+    and leaves its input as it was (the Fortran-ordered one too, whose transpose needs no copy)."""
+    before = rows.copy()
+    residues, pivots, chosen = exactla._rref_mod_p(rows, p)
+    assert np.array_equal(rows, before)
+    ref_residues, ref_pivots, ref_chosen = reference.rref_mod_p(rows, p)
+    assert (pivots, chosen) == (ref_pivots, ref_chosen)
+    assert residues.dtype == np.int64 and np.array_equal(residues, ref_residues)
+    if name in ("tall-dependent", "one-panel-past-reduce-every", "sparse"):
+        assert len(pivots) > exactla.PANEL_PIVOTS
+    if name != "one-panel-past-reduce-every":
+        assert rows.shape[1] > exactla.PANEL_COLUMNS
 
 
 def test_cap_skips_tuples_without_a_block():
