@@ -7,12 +7,15 @@ d-independent binary Krawtchouk matrix (K K = 2^n I), and the
 eigenvalues of its partial transpose are q = T x, with
 T[j][l] = binom(n-j, l) d^l. One integer kernel (`_spectrum`) computes
 p from a closed form, then x = K p / 2^n and q = T x, in one pass, as
-numerators over two shared denominators; K and the binomial part of T
-are cached once per n. The existence test decides every sign and the
-minimum on those integers and forms one `Fraction`, for the reported
-witness. A negative eigenvalue on either side rules the AME state out;
-otherwise the test is inconclusive (positivity and PPT are necessary
-conditions only, so there is no "exists" verdict here).
+numerators over two shared denominators. p dots the even rows of K,
+folded onto their first half, with powers of d, and x reads half of K's
+even columns (both halves cached once per n); q takes no products with
+T at all, only the pairwise sums of Pascal's rule, so T is never formed.
+The existence test decides every sign and the minimum on those integers
+and forms one `Fraction`, for the reported witness. A negative
+eigenvalue on either side rules the AME state out; otherwise the test is
+inconclusive (positivity and PPT are necessary conditions only, so there
+is no "exists" verdict here).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, repeat
 from math import ceil, comb
 from operator import mul
 
@@ -58,20 +62,35 @@ def krawtchouk(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _binomials(n: int) -> tuple[tuple[int, ...], ...]:
-    """Rows binom(n-j, l), l = 0..n-j, of T_d without its powers of d."""
-    return tuple(tuple(comb(n - j, l) for l in range(n - j + 1)) for j in range(n + 1))
+def _half_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The halves of `krawtchouk` that `_spectrum` reads: its even rows
+    folded onto l <= n // 2, and the even columns of rows 0..n // 2.
+
+    An even row is a palindrome (K[j][n-l] = (-1)^j K[j][l]), so its dot
+    with a palindrome is the dot of its folded row (K[j][l] + K[j][n-l],
+    or K[j][l] alone at l = n - l) with that vector's first half.
+    """
+    kraw, h = krawtchouk(n), n // 2
+    folded = tuple(tuple(row[l] + row[n - l] if 2 * l < n else row[l] for l in range(h + 1)) for row in kraw[::2])
+    return folded, tuple(row[::2] for row in kraw[: h + 1])
 
 
 def ppt_table(n: int, d: int) -> list[list[int]]:
     """T[j][l] = binom(n-j, l) d^l: the value of the partially transposed
     P{V^l 1^(n-l)} on an eigenvector with j factors orthogonal to the
-    maximally entangled state (the transposed swap is d times its projector)."""
-    return [[c * d**l for l, c in enumerate(row)] + [0] * j for j, row in enumerate(_binomials(n))]
+    maximally entangled state (the transposed swap is d times its projector).
+    Formed from `comb` on each call and not cached: the two-copy code
+    constraints (`codes`) read it, and `_spectrum` applies T without it."""
+    return [[comb(n - j, l) * d**l for l in range(n - j + 1)] + [0] * j for j in range(n + 1)]
 
 
 def _dot(row, v) -> int:
     return sum(map(mul, row, v))
+
+
+def _powers(base: int, count: int, start: int = 1) -> list[int]:
+    """start base^i, i = 0..count-1, as running products."""
+    return list(accumulate(repeat(base, count - 1), mul, initial=start))
 
 
 def _denominator(n: int, d: int) -> int:
@@ -83,20 +102,34 @@ def _spectrum(n: int, d: int) -> tuple[list[int], list[int], list[int]]:
 
     p_j = sum_l K[j][l] / (d^n (d+1)^(n-j) (d-1)^j min(d^l, d^(n-l))), and
     every min(d^l, d^(n-l)) divides d^(n//2). K[j][n-l] = (-1)^j K[j][l]
-    and the weights are a palindrome, so p_j = 0 for odd j. x = K p / 2^n
-    then reads the even columns of K only, and K[n-l][j] = (-1)^j K[l][j]
-    makes x a palindrome, so half of it is summed. q = T x is read as
-    binom(n-j, l) (d^l x_l).
+    and the weights d^(n//2 - min(l, n-l)) are a palindrome, so p_j = 0
+    for odd j; for even j the folded row (`_half_tables`) dots
+    d^(n//2 - l), l = 0..n//2, and the factors (d+1)^j (d-1)^(n-j) are
+    running products. x = K p / 2^n then reads the even columns of K
+    only, and K[n-l][j] = (-1)^j K[l][j] makes x a palindrome, so half of
+    it is summed. q_j = sum_l binom(n-j, l) y_l, y_l = d^l x_l, is read
+    by Pascal's rule binom(m, l) = binom(m-1, l) + binom(m-1, l-1): m
+    rounds of r_l <- r_l + r_(l+1) from r = y leave sum_l binom(m, l) y_l
+    in r_0, which is q_(n-m). That is n(n+1)/2 additions in place of
+    T's (n+1)(n+2)/2 products.
     """
     _validate(n, d)
     h = n // 2
-    kraw = krawtchouk(n)
-    a = [d ** (h - min(l, n - l)) for l in range(n + 1)]
-    p = [_dot(row, a) * (d + 1) ** j * (d - 1) ** (n - j) if j % 2 == 0 else 0 for j, row in enumerate(kraw)]
-    x = [_dot(row[::2], p[::2]) for row in kraw[: h + 1]]
+    powers = _powers(d, n + 1)
+    up, down = _powers((d + 1) ** 2, h + 1), _powers((d - 1) ** 2, h + 1, (d - 1) ** (n % 2))  # j = 2i: up[i] down[h - i]
+    (folded, columns), weights = _half_tables(n), powers[h::-1]
+    even = [_dot(row, weights) * u * v for row, u, v in zip(folded, up, reversed(down))]
+    p = [0] * (n + 1)
+    p[::2] = even
+    x = [_dot(row, even) for row in columns]
     x += x[(n - 1) // 2 :: -1]
-    dx = [v * d**l for l, v in enumerate(x)]
-    return p, x, [_dot(row, dx) for row in _binomials(n)]
+    r = list(map(mul, x, powers))
+    q = [r[0]]
+    for m in range(n, 0, -1):
+        for l in range(m):
+            r[l] += r[l + 1]
+        q.append(r[0])
+    return p, x, q[::-1]
 
 
 def _rational_spectrum(n: int, d: int) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:

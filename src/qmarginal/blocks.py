@@ -43,7 +43,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, lcm, prod, sqrt
 
 import numpy as np
 
@@ -385,16 +385,39 @@ def _compressed(parts, dens, wden, gram, scale, variables, z) -> IrrepBlock:
     (L / dens[b]) puts every entry over L^2 wden scale, and the gcd is
     divided out (`_lowest_terms`). The floats are the quotients correctly
     rounded (`_floats`); y = C^-1 z C^-T, C the Cholesky factor of the
-    float gram, is one batched product over every variable.
+    float gram, is one batched product over every variable. A 1 x 1
+    block (k = 1) takes the same arithmetic on Python ints, without LAPACK
+    (`_compressed_scalar`).
     """
-    common = lcm(*dens)
-    lift = [common // x for x in dens]
-    dtype = exactla.int_dtype(exactla.array_max_abs(z) * max(lift) ** 2)
-    num, den = _lowest_terms(z.astype(dtype) * np.array([[a * b for b in lift] for a in lift], dtype=dtype), common**2 * wden * scale)
-    linv = np.linalg.inv(np.linalg.cholesky(_floats(gram, [[da * db * wden for db in dens] for da in dens])))
-    y = linv @ _floats(num, den) @ linv.T
+    if len(dens) == 1:
+        num, den, y = _compressed_scalar(dens[0] ** 2 * wden, gram, scale, z)
+    else:
+        common = lcm(*dens)
+        lift = [common // x for x in dens]
+        dtype = exactla.int_dtype(exactla.array_max_abs(z) * max(lift) ** 2)
+        num, den = _lowest_terms(z.astype(dtype) * np.array([[a * b for b in lift] for a in lift], dtype=dtype), common**2 * wden * scale)
+        linv = np.linalg.inv(np.linalg.cholesky(_floats(gram, [[da * db * wden for db in dens] for da in dens])))
+        y = linv @ _floats(num, den) @ linv.T
     y.flags.writeable = False
     return IrrepBlock(tuple(Partition(p) for p in parts), len(dens), prod(_rep(p).dim for p in parts), list(variables), num, den, y)
+
+
+def _compressed_scalar(gden: int, gram, scale: int, z) -> tuple:
+    """(num, den, y) of `_compressed` for a 1 x 1 block, gram over gden and z over gden scale.
+
+    num / den is z in lowest terms, num int64 when it fits; with
+    g = gram / gden and f = num / den each a correctly rounded Python
+    int / int, as `_floats` rounds them, y = (linv f) linv with
+    linv = 1 / sqrt(g): the arithmetic of the 1 x 1 Cholesky factor, its
+    inverse and the two products, so y's bytes are the general path's.
+    """
+    values = list(map(int, z.flat))
+    common = gcd(gden * scale, *values)
+    values, den = [v // common for v in values], gden * scale // common
+    num = np.array(values, dtype=exactla.int_dtype(max(map(abs, values), default=0))).reshape(z.shape)
+    num.flags.writeable = False
+    linv = 1.0 / sqrt(int(gram[0, 0]) / gden)
+    return num, den, np.array([linv * (v / den) * linv for v in values], dtype=float).reshape(z.shape)
 
 
 def _floats(num, den) -> np.ndarray:

@@ -66,7 +66,13 @@ marginals `codes.verify_code_state` checks.
 
 `check_existence_fraction` is the closed-form existence test over
 Fractions, from full products with K and T (`spectrum_fraction`), that
-`ame.check_existence` decides on integer numerators.
+`ame.check_existence` decides on integer numerators. `spectrum_rows` is
+the integer kernel `ame._spectrum` replaced: the same numerators, from
+dots with the even rows of K in full and with every row of T_d.
+
+`compressed_general` is the arithmetic of `blocks._compressed` for any
+k (lift onto lcm(dens), `_lowest_terms`, a Cholesky factor of the float
+gram and its inverse), which the 1 x 1 branch must reproduce exactly.
 
 `block_per_vector` is the primal block builder that `blocks._block`
 runs as one stacked slot product per group element: one basis vector,
@@ -76,6 +82,7 @@ single-vector `mode_product_vector`, with `float()` of every Fraction
 """
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -252,6 +259,30 @@ def spectrum_fraction(n: int, d: int) -> tuple[list[Fraction], list[Fraction]]:
     x = [sum(k * v for k, v in zip(row, p)) for row in kraw]
     q = [sum(comb(n - j, l) * d**l * x[l] for l in range(n + 1)) for j in range(n + 1)]
     return [Fraction(v, den) for v in p], [Fraction(v, den << n) for v in q]
+
+
+@lru_cache(maxsize=None)
+def _binomials(n: int) -> tuple[tuple[int, ...], ...]:
+    """Rows binom(n-j, l), l = 0..n-j, of T_d without its powers of d."""
+    return tuple(tuple(comb(n - j, l) for l in range(n - j + 1)) for j in range(n + 1))
+
+
+def _dot(row, v) -> int:
+    return sum(map(operator.mul, row, v))
+
+
+def spectrum_rows(n: int, d: int) -> tuple[list[int], list[int], list[int]]:
+    """(p, x, q) numerators as `ame._spectrum` returns them, from row dots:
+    p_j from the whole row K[j] (even j), x from the even columns of rows
+    0..n//2 mirrored, and q_j as the dot of row j of T_d with d^l x_l."""
+    h = n // 2
+    kraw = ame.krawtchouk(n)
+    a = [d ** (h - min(l, n - l)) for l in range(n + 1)]
+    p = [_dot(row, a) * (d + 1) ** j * (d - 1) ** (n - j) if j % 2 == 0 else 0 for j, row in enumerate(kraw)]
+    x = [_dot(row[::2], p[::2]) for row in kraw[: h + 1]]
+    x += x[(n - 1) // 2 :: -1]
+    dx = [v * d**l for l, v in enumerate(x)]
+    return p, x, [_dot(row, dx) for row in _binomials(n)]
 
 
 def check_existence_fraction(n: int, d: int) -> ame.FeasibilityReport:
@@ -822,6 +853,18 @@ def _undo_fraction_elimination(v, steps):
         for i, f in mults.items():
             out[piv] -= f * out[i]
     return out
+
+
+def compressed_general(dens, wden, gram, scale, z) -> tuple:
+    """(num, den, y) of a block by the arithmetic of `blocks._compressed` for any k:
+    z lifted onto lcm(dens)^2 wden scale and put in lowest terms, y = C^-1 z C^-T
+    with C the LAPACK Cholesky factor of the float gram."""
+    common = lcm(*dens)
+    lift = [common // x for x in dens]
+    dtype = exactla.int_dtype(exactla.array_max_abs(z) * max(lift) ** 2)
+    num, den = blocks._lowest_terms(z.astype(dtype) * np.array([[a * b for b in lift] for a in lift], dtype=dtype), common**2 * wden * scale)
+    linv = np.linalg.inv(np.linalg.cholesky(blocks._floats(gram, [[da * db * wden for db in dens] for da in dens])))
+    return num, den, linv @ blocks._floats(num, den) @ linv.T
 
 
 def quadratic_form(m, v):

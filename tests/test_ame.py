@@ -182,6 +182,18 @@ def test_closed_forms_match_recorded_digests():
     assert reports.hexdigest() == REPORT_DIGEST
 
 
+def test_spectrum_matches_the_row_dot_oracle():
+    """The folded rows and Pascal sums give the row-dot kernel's integers, bit for bit:
+    odd and even n, and q's numerators well past 355 bits."""
+    widest = 0
+    for n in range(2, 121):
+        for d in (2, 3, 5, 7, 10, 31, 64, 101):
+            got = ame._spectrum(n, d)
+            assert got == reference.spectrum_rows(n, d), (n, d)
+            widest = max(widest, *(v.bit_length() for v in got[2]))
+    assert widest > 355
+
+
 def test_marginal_pairing_identity():
     for n, d in [(3, 2), (4, 2), (4, 6), (5, 3)]:
         assert candidate_overlaps(n, d) == [Fraction(binom(n, i), min(d**i, d ** (n - i))) for i in range(n + 1)]

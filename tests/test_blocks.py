@@ -367,6 +367,44 @@ def _rank_one_tuples() -> tuple:
     return tuple(seen)
 
 
+def _one_by_one_case(case: str) -> tuple:
+    """(dens, wden, gram, scale, z) of a seeded 1 x 1 block whose z, in lowest terms, has entries where `case` says.
+
+    z is those entries times a factor the denominator shares, so the
+    lowest terms divide it out; "past-2^63-reduced" is z past int64
+    whose lowest terms sit just below 2^63."""
+    rng = random.Random(case)
+    dens, wden, scale = [rng.choice((1, 2, 3, 6))], rng.choice((4, 12, 20, 60)), rng.choice((1, 2, 8, 36))
+    shared, count = math.gcd(dens[0] ** 2 * wden * scale, rng.choice((2, 4, 6, 12))), rng.randint(3, 8)
+    lo, hi = {
+        "below-2^53": (2**53 - 4096, 2**53),
+        "above-2^53": (2**53 + 1, 2**53 + 4096),
+        "past-2^63": (2**63, 2**66),
+        "past-2^63-reduced": (2**63 - 2**40, 2**63 - 1),
+        "negative": (-(2**60), 2**10),
+        "zero-row": (-(2**40), 2**40),
+        "all-zero": (0, 0),
+    }[case]
+    values = [rng.randint(lo, hi) * shared for _ in range(count)]
+    if case == "zero-row":
+        values[rng.randrange(count)] = 0
+    big = max(map(abs, values)) >= 2**63
+    z = np.array(values, dtype=object if big else np.int64).reshape(count, 1, 1)
+    gram = np.array([[rng.randint(1, 2**70 if big else 2**50)]], dtype=object)
+    return dens, wden, gram, scale, z
+
+
+@pytest.mark.parametrize("case", ["below-2^53", "above-2^53", "past-2^63", "past-2^63-reduced", "negative", "zero-row", "all-zero"])
+def test_one_by_one_compressed_matches_the_general_arithmetic(case):
+    """The k = 1 branch of `_compressed` (Python ints, no LAPACK) equals the general
+    arithmetic field for field: num, den, num's dtype and y's bytes."""
+    dens, wden, gram, scale, z = _one_by_one_case(case)
+    blk = blocks._compressed(((2,), (2,)), dens, wden, gram, scale, range(len(z)), z)
+    num, den, y = reference.compressed_general(dens, wden, gram, scale, z)
+    assert (blk.num.tolist(), blk.den, str(blk.num.dtype), blk.y.tobytes()) == (num.tolist(), den, str(num.dtype), y.tobytes())
+    assert blk.k == 1 and blk.y.shape == z.shape and not blk.num.flags.writeable and not blk.y.flags.writeable
+
+
 def _all_fields(blk):
     return blk.partitions, blk.k, blk.dim, blk.variables, str(blk.num.dtype), blk.num.tolist(), blk.den, blk.y.tobytes()
 
