@@ -132,24 +132,21 @@ def _spectrum(n: int, d: int) -> tuple[list[int], list[int], list[int]]:
     return p, x, q[::-1]
 
 
-def _rational_spectrum(n: int, d: int) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
-    """p, x and q as Fractions, from one `_spectrum` pass."""
-    p, x, q = _spectrum(n, d)
-    den = _denominator(n, d)
-    return [Fraction(v, den) for v in p], [Fraction(v, den << n) for v in x], [Fraction(v, den << n) for v in q]
+def _fractions(values, den: int) -> list[Fraction]:
+    return [Fraction(v, den) for v in values]
 
 
 def eigenvalues_p(n: int, d: int) -> list[Fraction]:
     """Eigenvalues p_0..p_n of the candidate, indexed by the number of
     antisymmetric tensor factors in the eigenspace."""
-    return _rational_spectrum(n, d)[0]
+    return _fractions(_spectrum(n, d)[0], _denominator(n, d))
 
 
 def eigenvalues_q(n: int, d: int) -> list[Fraction]:
     """Eigenvalues q_0..q_n of the partial transpose of the candidate,
     indexed by the number of factors orthogonal to the maximally
     entangled state: q = T x."""
-    return _rational_spectrum(n, d)[2]
+    return _fractions(_spectrum(n, d)[2], _denominator(n, d) << n)
 
 
 @dataclass(frozen=True)
@@ -165,8 +162,9 @@ class AmeCandidate:
 
 def candidate(n: int, d: int) -> AmeCandidate:
     """x, p and q of the candidate, from one `_spectrum` pass."""
-    p, x, q = _rational_spectrum(n, d)
-    return AmeCandidate(n, d, tuple(x), tuple(p), tuple(q))
+    p, x, q = _spectrum(n, d)
+    den = _denominator(n, d)
+    return AmeCandidate(n, d, tuple(_fractions(x, den << n)), tuple(_fractions(p, den)), tuple(_fractions(q, den << n)))
 
 
 @dataclass(frozen=True)

@@ -21,25 +21,36 @@ This module provides
   problems: per partition tuple, an exact basis U of the subspace
   fixed by the diagonal copy-permutation action (`_basis`), and
   compressed operator sums U^T W E U with their orthonormalized float
-  versions, memoized per tuple. `irrep_block` (`_block`) takes E = E_K
-  for every coefficient key K over the whole copy group: U is moved
-  slot by slot as one integer array over the multisets placed so far,
-  one stacked mode product per group element placed through `_place`,
-  and z_K for every key is one batched product (no total x total
-  matrix); a tuple of multiplicity 1 needs no basis, its z_K are read
-  from characters (`_rank_one_sums`). `witness_blocks`
-  (`_witness_block`) takes the swap-pattern sums E_l, which are
-  diagonal in seminormal form, as Krawtchouk-weighted sums of Gram
-  matrices, and a tuple of multiplicity 1 from the Reynolds diagonal
-  alone (`_rank_one`). Both k = 1 builders share the Reynolds diagonal,
-  its pivot and its weight (`_reynolds`). Every
-  block holds one exact form, an integer stack over one denominator in
-  lowest terms, and its correctly rounded floats, both from the same
-  integers (`_compressed`); `irrep_block` selects rows of it.
+  versions, memoized per tuple (`_Memo`). `irrep_block` (`_block`) takes
+  E = E_K for every coefficient key K over the whole copy group: U is
+  moved slot by slot as one integer array over the multisets placed so
+  far, one stacked mode product per group element placed through
+  `_place`, and z_K for every key is one batched product (no total x
+  total matrix). `witness_blocks` (`_witness_block`) takes the
+  swap-pattern sums E_l, which are diagonal in seminormal form, as
+  Krawtchouk-weighted sums of Gram matrices. Every block holds one exact
+  form, an integer stack over one denominator in lowest terms, and its
+  correctly rounded floats, both from the same integers (`_compressed`);
+  `irrep_block` selects rows of it.
+
+A block set is a witness level or a primal `SlotSystem`. Its inventory,
+the trivial multiplicity k of every partition tuple, is one integer
+product of character rows (`_inventory`), read before any block is
+built so that caps are checked first. A tuple of multiplicity k = 1
+needs no basis: its subspace is one line, and its block is read off the
+Reynolds operator's diagonal (`_lines`), the witness z_l from products
+of per-slot sign-class polynomials (`_rank_one_witness`) and the primal
+z_K from per-class generating functions of characters
+(`_rank_one_primal`). Every k = 1 block a set lacks is built in one
+batched pass over the set, on its first read; `_witness_block` and
+`_block` run a batch of one. All of these read the per-partition
+integer tables (`symgroup._IntegerTables`: seminormal diagonals, sign
+classes, orthogonalization weights) through this module's namespace.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -58,6 +69,8 @@ from .symgroup import (
     invariant_basis_exact,
     irrep_dimension,
     trivial_multiplicity,
+    _character_row,
+    _classes,
     _integer_tables,
     _rep,
 )
@@ -122,11 +135,6 @@ class SlotSystem:
     def keys(self) -> list[tuple[int, ...]]:
         """All canonical coefficient keys, one multiset of copy-group elements per class (`multiset_tuples`), sorted."""
         return multiset_tuples([(len(slots), range(len(self.group.elements))) for slots in class_slots(self.classes)])
-
-    def partition_tuples(self) -> list[tuple[Partition, ...]]:
-        """Canonical partition tuples with nonzero multiplicity in every slot: one multiset of partitions per class."""
-        parts_all = enumerate_partitions(self.copies, self.copies)
-        return multiset_tuples([(len(slots), [p for p in parts_all if len(p) <= self.dims[slots[0]]]) for slots in class_slots(self.classes)])
 
 
 def class_slots(classes) -> list[range]:
@@ -285,24 +293,92 @@ def _lowest_terms(num, den) -> tuple:
     return num, den // common
 
 
-def _check_cap(partitions, cap: int) -> None:
-    total = prod(irrep_dimension(p) for p in partitions)
-    if total > cap:
-        raise ResourceCapError(f"block dimension {total} exceeds cap {cap}")
+def _check_cap(dim: int, cap: int) -> None:
+    if dim > cap:
+        raise ResourceCapError(f"block dimension {dim} exceeds cap {cap}")
+
+
+@lru_cache(maxsize=None)
+def _partition(parts: tuple[int, ...]) -> Partition:
+    """One shared (immutable) Partition per parts."""
+    return Partition(parts)
+
+
+class _Memo:
+    """One block per argument tuple, built on the first call and kept, with the `cache_info`, `cache_clear`
+    and `__wrapped__` of `functools.lru_cache(maxsize=None)`; `build` stores the blocks of one batch."""
+
+    def __init__(self, build):
+        functools.update_wrapper(self, build)
+        self.cache_clear()
+
+    def __call__(self, *args):
+        if args in self._held:
+            self._hits += 1
+        else:
+            self.build([args], lambda lacking: [self.__wrapped__(*args)])
+        return self._held[args]
+
+    def build(self, calls, batch) -> None:
+        """Store batch(lacking), one block per argument tuple, for the argument tuples of `calls` not held yet, each a miss."""
+        lacking = [args for args in dict.fromkeys(calls) if args not in self._held]
+        if lacking:
+            self._held.update(zip(lacking, batch(lacking)))
+            self._misses += len(lacking)
+
+    def cache_info(self):
+        return functools._CacheInfo(self._hits, self._misses, None, len(self._held))
+
+    def cache_clear(self) -> None:
+        self._held, self._hits, self._misses = {}, 0, 0
+
+
+@lru_cache(maxsize=None)
+def _inventory(system: SlotSystem) -> dict:
+    """{parts: (partitions, k, dim)} for every partition tuple of `system` with trivial multiplicity k > 0,
+    from one integer product of character rows; dim is the block dimension.
+
+    The canonical tuples hold one multiset per slot class of the
+    partitions of N with at most that class's dimension of rows
+    (`multiset_tuples` order), as indices into `enumerate_partitions`.
+    k is (1/N!) sum over the conjugacy classes of the class size times
+    prod_s chi_s(class), as `symgroup.trivial_multiplicity` sums it; the
+    products of every tuple's character rows (`symgroup._character_row`),
+    one gather per slot, go against the class sizes in one
+    `exactla.int_matmul`. The rows are int64 when the largest character
+    to the power of the slot count fits, else Python ints. A sum that N!
+    does not divide raises InternalConsistencyError. No seminormal table
+    is read, so the caps are checked on the result before any work.
+    """
+    parts_all = enumerate_partitions(system.copies, system.copies)
+    options = [(len(slots), [i for i, p in enumerate(parts_all) if len(p) <= system.dims[slots[0]]]) for slots in class_slots(system.classes)]
+    idx = np.array(multiset_tuples(options), dtype=np.intp).reshape(-1, system.slots)
+    rows = [_character_row(p.parts) for p in parts_all]
+    chars = np.array(rows, dtype=exactla.int_dtype(max(abs(x) for row in rows for x in row) ** system.slots))
+    products = chars[idx[:, 0]]
+    for s in range(1, system.slots):
+        products = products * chars[idx[:, s]]
+    ks, rest = np.divmod(exactla.int_matmul(products, np.array([size for _, size in _classes(system.copies)])), factorial(system.copies))
+    if rest.any():
+        raise InternalConsistencyError("non-integer trivial multiplicity")
+    dims, inventory = [irrep_dimension(p) for p in parts_all], {}
+    for row, k in zip(idx[ks != 0].tolist(), ks[ks != 0].tolist()):
+        inventory[tuple(parts_all[i].parts for i in row)] = (tuple(parts_all[i] for i in row), k, prod(dims[i] for i in row))
+    return inventory
 
 
 def block_tuples(system: SlotSystem, cap: int) -> list[tuple[Partition, ...]]:
-    """The partition tuples that carry a block: nonzero trivial multiplicity.
+    """The partition tuples that carry a block: nonzero trivial multiplicity (`_inventory`).
 
     Their dimensions are checked against `cap` (from characters and hook
     lengths) before any block is built, so an oversized system raises
     ResourceCapError without doing work; tuples without a block are
     never checked.
     """
-    tuples = [tpl for tpl in system.partition_tuples() if trivial_multiplicity(tpl)]
-    for tpl in tuples:
-        _check_cap(tpl, cap)
-    return tuples
+    inventory = _inventory(system).values()
+    for _, _, dim in inventory:
+        _check_cap(dim, cap)
+    return [tpl for tpl, _, _ in inventory]
 
 
 def irrep_block(system: SlotSystem, partitions, keys, cap: int = 512) -> IrrepBlock | None:
@@ -314,11 +390,17 @@ def irrep_block(system: SlotSystem, partitions, keys, cap: int = 512) -> IrrepBl
     diagonal-trivial subspace is empty (the equality system forces the
     block to vanish there). The cap is checked before any work; the
     block is a row selection of `_block`, built once per tuple and slot
-    classes, which holds the nonzero keys only.
+    classes, which holds the nonzero keys only. The first read of a
+    k = 1 tuple builds, in one batch, every k = 1 block of the system
+    within the cap that `_block` does not hold yet (`_rank_one_primal`).
     """
-    if trivial_multiplicity(partitions) == 0:
+    k = trivial_multiplicity(partitions)
+    if k == 0:
         return None
-    _check_cap(partitions, cap)
+    _check_cap(prod(irrep_dimension(p) for p in partitions), cap)
+    if k == 1:
+        ones = [(parts, system.classes) for parts, (_, kt, dim) in _inventory(system).items() if kt == 1 and dim <= cap]
+        _block.build(ones, lambda lacking: _rank_one_primal([parts for parts, _ in lacking], system.classes))
     memo = _block(tuple(p.parts for p in partitions), system.classes)
     row = {key: i for i, key in enumerate(memo.variables)}
     picked = [(v, row[key]) for v, key in enumerate(keys) if key in row]
@@ -341,6 +423,16 @@ def witness_tuples(n: int, d: int, copies: int, cap: int = 512) -> list[tuple[tu
     return [tuple(p.parts for p in tpl) for tpl in block_tuples(ame_system(n, d, copies), cap)]
 
 
+def _witness_level(n: int, d: int, copies: int, cap: int) -> tuple[list, list]:
+    """(tuples, rank_one): the level's block tuples (`witness_tuples`) and those of k = 1, every k = 1
+    block that `_witness_block` does not hold yet built in one batch (`_rank_one_witness`)."""
+    tuples = witness_tuples(n, d, copies, cap)
+    inventory = _inventory(ame_system(n, d, copies))
+    rank_one = [parts for parts in tuples if inventory[parts][1] == 1]
+    _witness_block.build([(parts,) for parts in rank_one], lambda lacking: _rank_one_witness([parts for parts, in lacking]))
+    return tuples, rank_one
+
+
 def witness_blocks(n: int, d: int, copies: int, cap: int = 512) -> list[IrrepBlock]:
     """All canonical partition-tuple blocks of the level-`copies` witness LMI.
 
@@ -350,9 +442,14 @@ def witness_blocks(n: int, d: int, copies: int, cap: int = 512) -> list[IrrepBlo
     tuple's weight is `copies`, its length is n); d only decides which
     tuples appear, so blocks are shared across d, levels and repeated
     calls. The tuples are checked before any block is built
-    (`witness_tuples`).
+    (`witness_tuples`), and the k = 1 blocks are built in one batch.
     """
-    return [_witness_block(parts) for parts in witness_tuples(n, d, copies, cap)]
+    return [_witness_block(parts) for parts in _witness_level(n, d, copies, cap)[0]]
+
+
+def rank_one_witness_blocks(n: int, d: int, copies: int, cap: int = 512) -> list[IrrepBlock]:
+    """The k = 1 blocks of `witness_blocks`, in block order, without building the others."""
+    return [_witness_block(parts) for parts in _witness_level(n, d, copies, cap)[1]]
 
 
 def _basis(parts: tuple[tuple[int, ...], ...]) -> tuple:
@@ -363,17 +460,18 @@ def _basis(parts: tuple[tuple[int, ...], ...]) -> tuple:
     the weights an integer diagonal over their lcm wden; so every entry
     of U^T W M U, M an integer matrix, is one integer sum over
     dens[a] dens[b] wden, and gram is the one product wu u^T over that.
-    u and wu are int64 while their entries fit, Python ints otherwise;
-    each product of them is one `exactla.int_matmul`, which sizes its
-    own output.
+    u is int64 while its entries fit, and wu, one array product of u
+    and the weights, while the product of their largest entries does;
+    Python ints otherwise. Each product of them is one
+    `exactla.int_matmul`, which sizes its own output.
     """
     vectors, weights = invariant_basis_exact(tuple(Partition(p) for p in parts), cap=prod(_rep(p).dim for p in parts))
     wden = lcm(*(w.denominator for w in weights))
     scaled = [w.numerator * (wden // w.denominator) for w in weights]
-    weighted = [[a * x for a, x in zip(scaled, u)] for u, _ in vectors]
-    dens, total = [den for _, den in vectors], len(scaled)
-    u, wu = exactla.integer_rows([u for u, _ in vectors], total), exactla.integer_rows(weighted, total)
-    return u, wu, dens, wden, exactla.int_matmul(wu, u.T)
+    u = exactla.integer_rows([u for u, _ in vectors], len(scaled))
+    dtype = exactla.int_dtype(exactla.array_max_abs(u) * max(scaled))
+    wu = u.astype(dtype) * np.array(scaled, dtype=dtype)
+    return u, wu, [den for _, den in vectors], wden, exactla.int_matmul(wu, u.T)
 
 
 def _compressed(parts, dens, wden, gram, scale, variables, z) -> IrrepBlock:
@@ -399,7 +497,7 @@ def _compressed(parts, dens, wden, gram, scale, variables, z) -> IrrepBlock:
         linv = np.linalg.inv(np.linalg.cholesky(_floats(gram, [[da * db * wden for db in dens] for da in dens])))
         y = linv @ _floats(num, den) @ linv.T
     y.flags.writeable = False
-    return IrrepBlock(tuple(Partition(p) for p in parts), len(dens), prod(_rep(p).dim for p in parts), list(variables), num, den, y)
+    return IrrepBlock(tuple(map(_partition, parts)), len(dens), prod(_rep(p).dim for p in parts), list(variables), num, den, y)
 
 
 def _compressed_scalar(gden: int, gram, scale: int, z) -> tuple:
@@ -433,7 +531,7 @@ def _floats(num, den) -> np.ndarray:
     return (num.astype(object) / den).astype(float)
 
 
-@lru_cache(maxsize=None)
+@_Memo
 def _witness_block(parts: tuple[tuple[int, ...], ...]) -> IrrepBlock:
     """The witness block z_l = U^T W E_l U, l = 0..n, of one partition tuple, from one table.
 
@@ -447,16 +545,14 @@ def _witness_block(parts: tuple[tuple[int, ...], ...]) -> IrrepBlock:
     from one integer product, W U against U spread over the classes
     (column i of U in class m(i), zero in the others), and the sums over
     m from a second (`exactla.int_matmul`). A tuple of multiplicity
-    k = 1 needs no basis: its block is read off the Reynolds diagonal
-    (`_rank_one`).
+    k = 1 needs no basis: it is a batch of one of `_rank_one_witness`.
     """
+    if trivial_multiplicity(parts) == 1:
+        return _rank_one_witness([parts])[0]
     n = len(parts)
     m = np.zeros(1, dtype=np.intp)
     for p in parts:
-        rep = _rep(p)
-        m = (m[:, None] + np.array([rep.generators[0][i][i] < 0 for i in range(rep.dim)], dtype=np.intp)).ravel()
-    if trivial_multiplicity(parts) == 1:
-        return _rank_one(parts, m)
+        m = (m[:, None] + (_integer_tables(p).signs < 0)).ravel()
     u, wu, dens, wden, gram = _basis(parts)
     k = len(dens)
     by_class = np.zeros((len(m), n + 1, k), dtype=u.dtype)  # by_class[i, m(i)] is column i of U
@@ -466,82 +562,124 @@ def _witness_block(parts: tuple[tuple[int, ...], ...]) -> IrrepBlock:
     return _compressed(parts, dens, wden, gram, 1, range(n + 1), z)
 
 
-def _reynolds(parts: tuple[tuple[int, ...], ...]) -> tuple[list[int], int, int, np.ndarray]:
-    """(d, a, b, gram) of a tuple whose invariant subspace is one line: its Reynolds diagonal d, w_p / d_p = a / b.
+def _lines(tuples) -> tuple:
+    """(lines, idx, traces, plus): the Reynolds data of a batch of tuples whose invariant subspaces are lines.
 
     The Reynolds operator P = (1/N!) sum_sigma S_1(sigma) x ... x S_n(sigma)
-    is the W-orthogonal projector v v^T W / (v^T W v) onto the line, so
-    P_jj = w_j v_j^2 / (v^T W v) >= 0. Its integer form
-    d_j = sum_sigma prod_s matrices_s[sigma][j_s, j_s] is N! (prod_s scale_s) P_jj,
-    one sum of Kronecker products of the table diagonals (`_integer_tables`),
-    int64 when N! times the product of the largest diagonal entries
-    fits, else Python ints. Tr P = 1 is checked exactly. The basis vector
-    u = v / v_p of `invariant_basis_exact` has its pivot p at the last j
-    with d_j != 0, so gram = u^T W u = w_p / P_pp, and u^T W M u =
-    gram Tr(P M) for any operator M. gram is a 1 x 1 integer array over
-    b, as `_compressed` takes it: w_p's numerator times N! prod_s scale_s
-    over w_p's denominator times d_p.
+    of such a tuple is the W-orthogonal projector v v^T W / (v^T W v)
+    onto the line, so P_jj = w_j v_j^2 / (v^T W v) >= 0, and its integer
+    form d_j = sum_sigma prod_s diagonal_s[sigma, j_s] (`_integer_tables`)
+    is N! (prod_s scale_s) P_jj. Tr P = 1, sum_sigma prod_s traces_s(sigma)
+    = N! prod_s scale_s, is checked exactly. The basis vector u = v / v_p
+    of `invariant_basis_exact` has its pivot p at the last j with
+    d_j != 0, so gram = u^T W u = w_p / P_pp, and u^T W M u = gram Tr(P M)
+    for any operator M. lines[t] = (a, b, gram) with w_p / d_p = a / b and
+    gram a 1 x 1 integer array over b, as `_compressed` takes it: w_p's
+    numerator times N! prod_s scale_s.
+
+    Only d_p is formed. As every d_j >= 0, the sum of d over the indices
+    with a given prefix is zero exactly when each of them is, so p is a
+    greedy descent: slot by slot, the last index i whose marginal,
+    sum_sigma prefix(sigma) diagonal_s[sigma, i] suffix_s(sigma), is not
+    zero, prefix the product of the diagonals chosen so far and suffix_s
+    the product of the later slots' traces. Every tuple descends at once,
+    one product per slot over the batch. The batch's distinct partitions
+    are rows of traces[option, sigma] and of plus[option, sigma], the sum
+    of the diagonal over the indices of sign class +1; idx[t, s] is the
+    row of slot s of tuple t. All of these are int64 when N! times the
+    product over slots of the largest row sum of |diagonal| fits, for
+    every tuple, else Python ints.
     """
-    tables = {q: _integer_tables(q) for q in set(parts)}
-    order, scale = len(tables[parts[0]].matrices), prod(tables[q].scale for q in parts)
-    diagonals = {q: t.matrices.diagonal(axis1=1, axis2=2) for q, t in tables.items()}  # element, index
-    big = {q: exactla.array_max_abs(x) for q, x in diagonals.items()}
-    dtype = exactla.int_dtype(order * prod(big[q] for q in parts))
-    diagonals = {q: x.astype(dtype) for q, x in diagonals.items()}
-    acc = diagonals[parts[0]]
-    for q in parts[1:]:
-        acc = (acc[:, :, None] * diagonals[q][:, None, :]).reshape(order, -1)
-    d = acc.sum(axis=0).tolist()
-    if sum(d) != order * scale:
-        raise InternalConsistencyError(f"the Reynolds trace of {parts} is not 1")
-    p = max(j for j, x in enumerate(d) if x)
-    w = prod(_rep(q).weights[i] for q, i in zip(parts, np.unravel_index(p, [diagonals[q].shape[1] for q in parts])))
-    return d, w.numerator, w.denominator * d[p], np.array([[w.numerator * order * scale]], dtype=object)
+    options = sorted({q for parts in tuples for q in parts})
+    tables = [_integer_tables(q) for q in options]
+    idx = np.array([[options.index(q) for q in parts] for parts in tuples], dtype=np.intp)
+    order, count, width = len(tables[0].matrices), len(tuples), max(len(t.signs) for t in tables)
+    sizes = [int(np.abs(t.diagonal).sum(axis=1).max()) for t in tables]
+    dtype = exactla.int_dtype(order * max(prod(sizes[i] for i in row) for row in idx.tolist()))
+    diagonal, positive = np.zeros((len(tables), order, width), dtype=dtype), np.zeros((len(tables), 1, width), dtype=dtype)
+    for i, t in enumerate(tables):
+        diagonal[i, :, : len(t.signs)], positive[i, 0, : len(t.signs)] = t.diagonal, t.signs > 0
+    traces = diagonal.sum(axis=2)
+
+    suffix = [np.ones((count, order), dtype=dtype)]  # suffix[-1 - s]: the product of the traces of slots s.. (built backwards)
+    for s in reversed(range(idx.shape[1])):
+        suffix.append(suffix[-1] * traces[idx[:, s]])
+    suffix.reverse()
+    for parts, row, total in zip(tuples, idx.tolist(), suffix[0].sum(axis=1).tolist()):
+        if total != order * prod(tables[i].scale for i in row):
+            raise InternalConsistencyError(f"the Reynolds trace of {parts} is not 1")
+    prefix, pivots = np.ones((count, order), dtype=dtype), []
+    for s in range(idx.shape[1]):
+        rows = diagonal[idx[:, s]]
+        marginal = ((prefix * suffix[s + 1])[:, :, None] * rows).sum(axis=1)
+        pivots.append(width - 1 - np.argmax(marginal[:, ::-1] != 0, axis=1))
+        prefix = prefix * rows[np.arange(count), :, pivots[-1]]
+    lines = []
+    for row, pivot, dp in zip(idx.tolist(), np.array(pivots).T.tolist(), prefix.sum(axis=1).tolist()):
+        a = prod(tables[i].weights[j] for i, j in zip(row, pivot))
+        lines.append((a, prod(tables[i].wden for i in row) * dp, np.array([[a * order * prod(tables[i].scale for i in row)]], dtype=object)))
+    return lines, idx, traces, (diagonal * positive).sum(axis=2)
 
 
-def _rank_one(parts: tuple[tuple[int, ...], ...], m: np.ndarray) -> IrrepBlock:
-    """The witness block of a tuple whose invariant subspace is one line, from the Reynolds diagonal (`_reynolds`).
+def _rank_one_witness(tuples) -> list[IrrepBlock]:
+    """The witness blocks of a batch of tuples whose invariant subspaces are lines, from the Reynolds diagonal (`_lines`).
 
     z_l = sum_j w_j u_j^2 K[m(j)][l] = gram sum_j P_jj K[m(j)][l]
-    = (w_p / d_p) sum_j d_j K[m(j)][l]: integers over w_p's denominator
-    times d_p, handed to `_compressed` as 1 x 1 arrays.
+    = (w_p / d_p) sum_m K[m][l] D_m, with m(j) the number of slots whose
+    index has sign class -1 and D_m the sum of d_j over m(j) = m: the
+    coefficient of t^m in sum_sigma prod_s (A_s(sigma) + B_s(sigma) t),
+    A_s and B_s the sums of diagonal_s[sigma] over the indices of sign
+    +1 and -1. That product of per-slot polynomials takes one step per
+    slot over the whole batch, in `_lines`'s dtype, which bounds it too;
+    z goes to `_compressed` as integers over w_p's denominator times d_p.
     """
-    n = len(parts)
-    d, a, b, gram = _reynolds(parts)
-    per_m = [0] * (n + 1)
-    for x, j in zip(d, m.tolist()):
-        per_m[j] += x
-    z = [[[a * sum(row[l] * x for row, x in zip(krawtchouk(n), per_m))]] for l in range(n + 1)]
-    return _compressed(parts, [1], b, gram, 1, range(n + 1), np.array(z, dtype=object))
+    lines, idx, traces, plus = _lines(tuples)
+    n = idx.shape[1]
+    poly = np.zeros((len(tuples), traces.shape[1], n + 1), dtype=traces.dtype)  # [t, sigma, m]
+    poly[:, :, 0] = 1
+    for s in range(n):
+        grown = plus[idx[:, s], :, None] * poly
+        grown[:, :, 1:] += (traces - plus)[idx[:, s], :, None] * poly[:, :, :-1]
+        poly = grown
+    sums = exactla.int_matmul(poly.sum(axis=1), exactla.integer_rows(krawtchouk(n), n + 1))  # [t, l] = sum_m D_m K[m][l]
+    return [
+        _compressed(parts, [1], b, gram, 1, range(n + 1), (a * np.array(row, dtype=object)).reshape(-1, 1, 1))
+        for parts, (a, b, gram), row in zip(tuples, lines, sums.tolist())
+    ]
 
 
-def _rank_one_sums(parts: tuple[tuple[int, ...], ...], group: _CopyGroup, spans) -> tuple:
-    """(z, b, gram): the primal z_K of every key K over b, of a tuple whose invariant subspace is one line, from characters.
+def _rank_one_primal(tuples, classes) -> list[IrrepBlock]:
+    """The primal blocks (`_block`) of a batch of tuples whose invariant subspaces are lines, from characters.
 
-    With M = E_K in u^T W M u = gram Tr(P M) (`_reynolds`) and the traces
+    With M = E_K in u^T W M u = gram Tr(P M) (`_lines`) and the traces
     t_s(h) = tr matrices_s[h] of the integer tables,
     z_K = (w_p / d_p) sum_sigma sum_arrangements prod_s t_s(sigma g_s),
     over the arrangements g of K. For each sigma the inner sum is the
     coefficient of the monomial K in prod_s sum_g t_s(sigma g) z_g: one
     table per slot class (`_expand`, as `SymbolicOperator.gram` grows its
-    tables), the classes combined in mixed radix, one row per sigma. The sums are
-    int64 when N! times the product over slots of N! times the largest
-    trace fits, else Python ints.
+    tables) over the rows (tuple, sigma) of the whole batch stacked, the
+    classes combined in mixed radix. The sums are int64 when N! times
+    the product over slots of N! times the largest trace fits, for every
+    tuple, else Python ints.
     """
-    _, a, b, gram = _reynolds(parts)
-    order = len(group.elements)
-    traces = {q: np.trace(_integer_tables(q).matrices, axis1=1, axis2=2)[group.mul] for q in set(parts)}  # [sigma, g] = t_q(sigma g)
-    big = {q: order * exactla.array_max_abs(t) for q, t in traces.items()}
-    dtype = exactla.int_dtype(order * prod(big[q] for q in parts))
-    traces = {q: t.astype(dtype) for q, t in traces.items()}
-    acc = np.ones((order, 1), dtype=dtype)
+    lines, idx, traces, _ = _lines(tuples)
+    group, spans = _copy_group(sum(tuples[0][0])), class_slots(classes)
+    order, count = len(group.elements), len(tuples)
+    big = [order * exactla.array_max_abs(t) for t in traces]
+    moved = traces[:, group.mul].astype(exactla.int_dtype(order * max(prod(big[i] for i in row) for row in idx.tolist())))  # [option, sigma, g] = t(sigma g)
+    acc = np.ones((count * order, 1), dtype=moved.dtype)
     for slots in spans:
-        table = _expand([traces[parts[s]] for s in slots])
-        acc = (acc[:, :, None] * table[:, None, :]).reshape(order, -1)
-    return (acc.sum(axis=0).astype(object) * a).reshape(-1, 1, 1), b, gram
+        table = _expand([moved[idx[:, s]].reshape(count * order, order) for s in slots])
+        acc = (acc[:, :, None] * table[:, None, :]).reshape(count * order, -1)
+    keys = multiset_tuples([(len(slots), range(order)) for slots in spans])
+    out = []
+    for parts, (a, b, gram), sums in zip(tuples, lines, acc.reshape(count, order, -1).sum(axis=1)):
+        nonzero = np.flatnonzero(sums).tolist()
+        out.append(_compressed(parts, [1], b, gram, 1, [keys[i] for i in nonzero], (a * sums[nonzero].astype(object)).reshape(-1, 1, 1)))
+    return out
 
 
-@lru_cache(maxsize=None)
+@_Memo
 def _block(parts: tuple[tuple[int, ...], ...], classes: tuple[int, ...]) -> IrrepBlock:
     """Compressed operator sums z_K = U^T W E_K U of one partition tuple, for the primal path.
 
@@ -569,32 +707,30 @@ def _block(parts: tuple[tuple[int, ...], ...], classes: tuple[int, ...]) -> Irre
     Python ints from then on; z is one `exactla.int_matmul`. z then goes
     over one denominator, and y is its correctly rounded floats
     (`_compressed`).
-    A tuple of multiplicity k = 1 needs no basis: its z_K are read from
-    characters (`_rank_one_sums`).
+    A tuple of multiplicity k = 1 needs no basis: it is a batch of one
+    of `_rank_one_primal`.
     """
+    if trivial_multiplicity(parts) == 1:
+        return _rank_one_primal([parts], classes)[0]
     group, spans = _copy_group(sum(parts[0])), class_slots(classes)
     order = len(group.elements)
-    if trivial_multiplicity(parts) == 1:
-        z, wden, gram = _rank_one_sums(parts, group, spans)
-        dens, scale = [1], 1
-    else:
-        u, wu, dens, wden, gram = _basis(parts)
-        dims, tables = [_rep(p).dim for p in parts], [_integer_tables(p) for p in parts]
-        sums = u[None]  # row: the multisets placed so far, the classes in mixed radix
-        for slots in spans:
-            for j, slot in enumerate(slots):
-                t, to, width = tables[slot], _place(order, j), comb(order + j, j + 1)
-                big = order * max(dims[slot] * exactla.array_max_abs(t.matrices), t.scale) * exactla.array_max_abs(sums)
-                if sums.dtype != object and exactla.int_dtype(big) is object:
-                    sums = sums.astype(object)
-                outer, inner = np.divmod(np.arange(len(sums)), len(to))
-                targets = outer[:, None] * width + to[inner]
-                moved_sums = np.zeros((len(sums) // len(to) * width, *sums.shape[1:]), dtype=sums.dtype)
-                for e in range(order):
-                    moved_sums[targets[:, e]] += t.scale * sums if e == group.identity else exactla.mode_product(t.matrices[e], sums, dims, slot)
-                sums = moved_sums
-        z = exactla.int_matmul(wu, sums.transpose(0, 2, 1))  # z[K][a][b] = W u_a . E_K u_b
-        scale = prod(t.scale for t in tables)
+    u, wu, dens, wden, gram = _basis(parts)
+    dims, tables = [_rep(p).dim for p in parts], [_integer_tables(p) for p in parts]
+    sums = u[None]  # row: the multisets placed so far, the classes in mixed radix
+    for slots in spans:
+        for j, slot in enumerate(slots):
+            t, to, width = tables[slot], _place(order, j), comb(order + j, j + 1)
+            big = order * max(dims[slot] * exactla.array_max_abs(t.matrices), t.scale) * exactla.array_max_abs(sums)
+            if sums.dtype != object and exactla.int_dtype(big) is object:
+                sums = sums.astype(object)
+            outer, inner = np.divmod(np.arange(len(sums)), len(to))
+            targets = outer[:, None] * width + to[inner]
+            moved_sums = np.zeros((len(sums) // len(to) * width, *sums.shape[1:]), dtype=sums.dtype)
+            for e in range(order):
+                moved_sums[targets[:, e]] += t.scale * sums if e == group.identity else exactla.mode_product(t.matrices[e], sums, dims, slot)
+            sums = moved_sums
+    z = exactla.int_matmul(wu, sums.transpose(0, 2, 1))  # z[K][a][b] = W u_a . E_K u_b
+    scale = prod(t.scale for t in tables)
     nonzero = np.flatnonzero((z != 0).any(axis=(1, 2))).tolist()
     keys = multiset_tuples([(len(slots), range(order)) for slots in spans])
     return _compressed(parts, dens, wden, gram, scale, [keys[i] for i in nonzero], z[nonzero])

@@ -37,7 +37,7 @@ F1 = Fraction(1)
 P = 2**27 - 39  # the first prime of the modular RREF: REDUCE_EVERY products of two residues fit in int64
 REDUCE_EVERY = 256  # pivots between reductions mod p of a panel in `_rref_mod_p`
 BLAS_WORK = 2**15  # multiply-adds below which `int_matmul` stays in numpy's integer product
-PANEL_COLUMNS = 512  # the widest panel of `_rref_mod_p`
+PANEL_COLUMNS = 512  # the widest panel of `_rref_mod_p`, unless 2 PANEL_PIVOTS is wider
 PANEL_PIVOTS = 128  # pivots that close a panel with columns after it
 
 
@@ -274,9 +274,11 @@ def _rref_mod_p(a, p) -> tuple[np.ndarray, list, list]:
     pivot rows and columns as they stood when the panel opened, and O
     the other rows, X = B^-1 A[Rp, J] and A[O, J] -= A[O, Cp] X, both
     products on BLAS through `int_matmul`, and B^-1 the right half of
-    this routine's RREF of (B | I), one panel. The next panel opens at the
-    column after the last one scanned. A matrix of at most PANEL_COLUMNS
-    columns is one panel, the plain loop.
+    this routine's RREF of (B | I). The next panel opens at the column
+    after the last one scanned. A panel spans PANEL_COLUMNS columns, or
+    2 PANEL_PIVOTS when that is more, so a matrix of at most that many
+    columns is one panel, the plain loop; (B | I), 2t <= 2 PANEL_PIVOTS
+    columns wide, is always one.
 
     Entries are reduced mod p < 2^27 lazily: not at all at first when
     they are int64 and smaller than p in size, a column when it is
@@ -290,9 +292,9 @@ def _rref_mod_p(a, p) -> tuple[np.ndarray, list, list]:
     order = np.arange(nrows)  # order[i]: the row at position i; positions from len(pivots) on are unchosen
     pivots = []
     columns = np.flatnonzero(m.any(axis=1)).tolist()
-    start, next_column = 0, 0  # first column of the open panel; index into columns
+    start, next_column, panel = 0, 0, max(PANEL_COLUMNS, 2 * PANEL_PIVOTS)  # first column of the open panel; index into columns
     while start < ncols and len(pivots) < nrows:
-        end, first = min(start + PANEL_COLUMNS, ncols), len(pivots)
+        end, first = min(start + panel, ncols), len(pivots)
         if start:
             m[start:end] %= p
         opened, stop = m[start:end].copy() if end < ncols else None, end

@@ -32,10 +32,10 @@ from typing import Callable
 import numpy as np
 
 from . import exactla, solve
-from .blocks import IrrepBlock, SlotSystem, SymbolicOperator, _floats, _witness_block, block_tuples, class_slots, irrep_block, multiset_tuples, witness_blocks, witness_tuples
+from .blocks import IrrepBlock, SlotSystem, SymbolicOperator, _floats, block_tuples, class_slots, irrep_block, multiset_tuples, rank_one_witness_blocks, witness_blocks
 from .errors import InvalidInputError, SolverConvergenceError, UnsupportedFeatureError
 from .solve import BoxLp, SdpBlock, SdpProblem, psd_check_exact, sdp_solve
-from .symgroup import Permutation, trivial_multiplicity
+from .symgroup import Permutation
 
 F0 = Fraction(0)
 
@@ -450,7 +450,7 @@ def assemble_dual_witness(n: int, d: int, copies: int, cap: int = 512) -> DualWi
     n, d and the cap on every tuple are checked first (`witness_tuples`);
     the k > 1 blocks wait for the first read of `DualWitness.blocks`.
     """
-    rank_one = [_witness_block(parts) for parts in witness_tuples(n, d, copies, cap) if trivial_multiplicity(parts) == 1]
+    rank_one = rank_one_witness_blocks(n, d, copies, cap)
     return DualWitness(n, d, copies, fold(swap_overlaps(n, d), n), cap, rank_one)
 
 

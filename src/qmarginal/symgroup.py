@@ -1,11 +1,14 @@
 """Representation theory of the symmetric group S_N.
 
-Provides partitions, characters (Murnaghan-Nakayama), irreducible
+Provides partitions, characters (Murnaghan-Nakayama; one cached
+character row per partition, `_character_row`), irreducible
 representation matrices in Young's seminormal form (exact rationals for
-the generators, integer tables over one scale for the whole group) with
-the weights of the orthogonalization metric, and exact bases of the
-subspace of an irrep tensor product that transforms trivially under the
-diagonal action.
+the generators) with the weights of the orthogonalization metric, one
+cached integer table per partition (`_integer_tables`: the seminormal
+matrices of the whole group over one scale, their diagonals and traces,
+the sign classes and the weights over one denominator) that every block
+builder reads, and exact bases of the subspace of an irrep tensor
+product that transforms trivially under the diagonal action.
 
 Conventions, fixed here and asserted by the test suite:
 
@@ -188,6 +191,13 @@ def trivial_multiplicity(lams) -> int:
 def _classes(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """(cycle type, class size) of every conjugacy class of S_n."""
     return tuple((cls.parts, class_size(cls)) for cls in conjugacy_classes(n))
+
+
+@lru_cache(maxsize=None)
+def _character_row(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """The character of the partition on every conjugacy class of S_n, in `_classes` order: the
+    per-partition table the block inventory reads, built from characters alone (no seminormal table)."""
+    return tuple(_character(parts, cycle) for cycle, _ in _classes(sum(parts)))
 
 
 @lru_cache(maxsize=None)
@@ -431,17 +441,28 @@ def _rep(parts: tuple[int, ...]) -> _Rep:
 
 
 class _IntegerTables(NamedTuple):
-    """One partition's seminormal matrices over S_N, in integers.
+    """One partition's seminormal data over S_N, in integers, read by every block builder.
 
     `scale` is the lcm of every denominator, so matrices[g] = scale
     S(sigma_g) is an integer matrix for every element sigma_g of
     `group_elements` (an object array, indexed element, row, column) and
-    traces[g] its trace.
+    traces[g] its trace; `diagonal` is their diagonals. signs[i] is
+    S((0 1))[i, i], +1 or -1 (1 for N = 1): seminormal form is diagonal
+    on (0 1), so that is tableau i's sign class. weights[i] / wden is
+    tableau i's orthogonalization weight, every weight over their lcm.
     """
 
     scale: int
     matrices: np.ndarray
     traces: list
+    signs: np.ndarray
+    weights: tuple
+    wden: int
+
+    @property
+    def diagonal(self) -> np.ndarray:
+        """diagonal[g, i] = matrices[g, i, i], a read-only view, so a table with scaled matrices has scaled diagonals."""
+        return self.matrices.diagonal(axis1=1, axis2=2)
 
 
 @lru_cache(maxsize=None)
@@ -472,6 +493,8 @@ def _integer_tables(parts: tuple[int, ...]) -> _IntegerTables:
     over the group, and matrices[sigma] = (scale g / D^l) M_sigma / g.
     That is the unique lcm-scaled integer form: the `Fraction` matrices
     times the lcm of all their denominators, as the test oracle builds it.
+    The sign classes are the diagonal of the generator S((0 1)), and the
+    weights the orthogonalization weights' numerators over their lcm.
     """
     rep = _rep(parts)
     base, gens = exactla.integer_matrices(rep.generators)
@@ -484,7 +507,10 @@ def _integer_tables(parts: tuple[int, ...]) -> _IntegerTables:
         mats[i] = (m // g, power // g)
     scale = lcm(*(power for _, power in mats))
     matrices = np.stack([m * (scale // power) for m, power in mats])
-    return _IntegerTables(scale, matrices, matrices.diagonal(axis1=1, axis2=2).sum(axis=1).tolist())
+    signs = np.array([int(rep.generators[0][i][i]) for i in range(rep.dim)] if rep.n > 1 else [1] * rep.dim, dtype=np.int64)
+    wden = lcm(*(w.denominator for w in rep.weights))
+    weights = tuple(w.numerator * (wden // w.denominator) for w in rep.weights)
+    return _IntegerTables(scale, matrices, matrices.diagonal(axis1=1, axis2=2).sum(axis=1).tolist(), signs, weights, wden)
 
 
 def _reynolds_image(cols, idx) -> np.ndarray:
@@ -503,16 +529,18 @@ def invariant_basis_exact(lams, cap: int = 512):
     vector's pivot, so numerators / denominator is 1 there. The vectors
     span the subspace fixed by S(sigma) x ... x S(sigma) for every sigma,
     and weights (Fractions) is the diagonal of the tensor-product
-    orthogonalization metric. A vector v in this picture corresponds to
-    W^{1/2} v in the orthogonal picture.
+    orthogonalization metric, formed as an integer outer product of the
+    tables' weights over the product of their denominators. A vector v in
+    this picture corresponds to W^{1/2} v in the orthogonal picture.
 
     Method: the Reynolds operator P = sum_sigma S(sigma) x ... x S(sigma)
     projects onto the subspace. S((0 1)) is diagonal +-1 in seminormal
-    form and P S((0 1)) = P, so P e_i vanishes unless the slot signs at i
-    multiply to +1; every other image is a sum over S_N of Kronecker
-    products of one column per slot (`_reynolds_image`), built without a
-    total x total matrix, from per-partition tables built once
-    (`_integer_tables`), in int64 when a bound allows. The images are
+    form (the tables' sign classes) and P S((0 1)) = P, so P e_i vanishes
+    unless the slot signs at i multiply to +1; every other image is a sum
+    over S_N of Kronecker products of one column per slot
+    (`_reynolds_image`), built without a total x total matrix, from
+    per-partition tables built once (`_integer_tables`), in int64 when a
+    bound allows. The images are
     scanned k at a time, and one `exactla._rref_mod_p` pass over each
     stack keeps the images independent mod P, hence over Q, until there
     are k. Their RREF with pivots taken from right to left is
@@ -529,11 +557,11 @@ def invariant_basis_exact(lams, cap: int = 512):
     the integer seminormal tables and not from the characters; the rank
     must reach k, and every vector is checked exactly against both
     generators of S_N (all k at once, one stacked `exactla.mode_product`
-    per slot). So the result is k independent invariant vectors
-    in a space of dimension k: a basis of it, and by uniqueness of the
-    reduced row echelon form the same basis a full scan gives. The
-    witness blocks call this only for k > 1; a k = 1 block is read off
-    the Reynolds diagonal (`blocks._rank_one`).
+    per slot, compared with the scaled basis as one array). So the result
+    is k independent invariant vectors in a space of dimension k: a basis
+    of it, and by uniqueness of the reduced row echelon form the same
+    basis a full scan gives. The blocks call this only for k > 1; a k = 1
+    block is read off the Reynolds diagonal (`blocks._lines`).
     """
     parts = tuple(Partition(_as_parts(l)) for l in lams)
     n = parts[0].n
@@ -541,23 +569,24 @@ def invariant_basis_exact(lams, cap: int = 512):
     total = prod(dims)
     if total > cap:
         raise ResourceCapError(f"block dimension {total} exceeds cap {cap}")
-    reps = [_rep(p.parts) for p in parts]
     k = trivial_multiplicity(parts)
-    weights = [F1]
-    for rep in reps:
-        weights = [w * rw for w in weights for rw in rep.weights]
+    tables = [_integer_tables(p.parts) for p in parts]
+    weights = [1]
+    for t in tables:
+        weights = [w * x for w in weights for x in t.weights]
+    wden = prod(t.wden for t in tables)
+    weights = [Fraction(w, wden) for w in weights]
 
     # the Reynolds trace (1/N!) sum_sigma prod_s tr S_s(sigma), from the integer
     # tables alone, is the dimension of the subspace: the scan below may then
     # stop at rank k
-    tables = [_integer_tables(p.parts) for p in parts]
     scale = prod(t.scale for t in tables)
     reynolds = sum(prod(traces) for traces in zip(*(t.traces for t in tables)))
     if reynolds != k * factorial(n) * scale:
         raise InternalConsistencyError(f"character formula {k} disagrees with the Reynolds trace of {parts}")
     dtype = exactla.int_dtype(factorial(n) * prod(exactla.array_max_abs(t.matrices) for t in tables))
     cols = [t.matrices.transpose(2, 0, 1).astype(dtype) for t in tables]  # column, element, row
-    signs = [[int(rep.generators[0][i][i]) for i in range(rep.dim)] if n > 1 else [1] * rep.dim for rep in reps]
+    signs = [t.signs.tolist() for t in tables]
     scan = (idx for idx in itertools.product(*(range(dim) for dim in dims)) if prod(signs[s][i] for s, i in enumerate(idx)) > 0)
 
     # k images at a time, of which those independent mod P (hence over Q) are kept
@@ -574,7 +603,7 @@ def invariant_basis_exact(lams, cap: int = 512):
     ech = exactla.echelon(images[:, ::-1])  # columns reversed: pivots taken from the right
     pivots = [total - 1 - c for c in reversed(ech.pivots)]
     basis = ech.rows[::-1, ::-1] // np.gcd.reduce(ech.rows, axis=1)[::-1, None]
-    vectors = basis.tolist()
+    fixed = basis.astype(exactla.int_dtype(scale * exactla.array_max_abs(basis))) * scale
 
     gens = (Permutation.transposition(n, 0, 1), Permutation.full_cycle(n)) if n > 1 else ()
     for g in gens:
@@ -582,6 +611,6 @@ def invariant_basis_exact(lams, cap: int = 512):
         w = basis
         for s, t in enumerate(tables):
             w = exactla.mode_product(t.matrices[e], w, dims, s)
-        if w.tolist() != [[scale * a for a in v] for v in vectors]:
+        if not np.array_equal(w, fixed):
             raise InternalConsistencyError(f"invariant vector of {parts} is not fixed by {g.images}")
-    return [(v, v[p]) for v, p in zip(vectors, pivots)], weights
+    return [(v, v[p]) for v, p in zip(basis.tolist(), pivots)], weights

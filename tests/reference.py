@@ -74,6 +74,14 @@ dots with the even rows of K in full and with every row of T_d.
 k (lift onto lcm(dens), `_lowest_terms`, a Cholesky factor of the float
 gram and its inverse), which the 1 x 1 branch must reproduce exactly.
 
+`partition_tuples` lists every canonical partition tuple of a slot
+system, the tuples `blocks._inventory` weighs by characters.
+`reynolds`, `rank_one_witness_block` and `rank_one_primal_block` build
+one k = 1 block per tuple from the tuple's whole Reynolds diagonal, a
+Kronecker product of the table diagonals: the route that `blocks._lines`,
+`_rank_one_witness` and `_rank_one_primal` replaced by one batched pass
+per block set, so the two must agree field by field.
+
 `block_per_vector` is the primal block builder that `blocks._block`
 runs as one stacked slot product per group element: one basis vector,
 one partial sum and one group element at a time, through the
@@ -865,6 +873,77 @@ def compressed_general(dens, wden, gram, scale, z) -> tuple:
     num, den = blocks._lowest_terms(z.astype(dtype) * np.array([[a * b for b in lift] for a in lift], dtype=dtype), common**2 * wden * scale)
     linv = np.linalg.inv(np.linalg.cholesky(blocks._floats(gram, [[da * db * wden for db in dens] for da in dens])))
     return num, den, linv @ blocks._floats(num, den) @ linv.T
+
+
+def partition_tuples(system: blocks.SlotSystem) -> list[tuple[sg.Partition, ...]]:
+    """Canonical partition tuples with nonzero multiplicity in every slot: one multiset of partitions per
+    class, of at most the class's dimension of rows, in `multiset_tuples` order."""
+    parts_all = sg.enumerate_partitions(system.copies, system.copies)
+    return blocks.multiset_tuples([(len(slots), [p for p in parts_all if len(p) <= system.dims[slots[0]]]) for slots in blocks.class_slots(system.classes)])
+
+
+def reynolds(parts) -> tuple:
+    """(d, a, b, gram) of a tuple whose invariant subspace is one line, per tuple: its whole Reynolds
+    diagonal d, w_p / d_p = a / b with p the last j where d_j != 0, and gram = [[a N! prod_s scale_s]].
+
+    d_j = sum_sigma prod_s matrices_s[sigma][j_s, j_s] is one sum of Kronecker products of the table
+    diagonals, read through `blocks._integer_tables`, int64 when N! times the product of the largest
+    diagonal entries fits, else Python ints; Tr P = 1 is checked exactly, and w_p is a product of the
+    `Fraction` weights. This is the per-tuple route `blocks._lines` replaced by a greedy descent over a batch.
+    """
+    tables = {q: blocks._integer_tables(q) for q in set(parts)}
+    order, scale = len(tables[parts[0]].matrices), prod(tables[q].scale for q in parts)
+    diagonals = {q: t.matrices.diagonal(axis1=1, axis2=2) for q, t in tables.items()}  # element, index
+    big = {q: exactla.array_max_abs(x) for q, x in diagonals.items()}
+    dtype = exactla.int_dtype(order * prod(big[q] for q in parts))
+    diagonals = {q: x.astype(dtype) for q, x in diagonals.items()}
+    acc = diagonals[parts[0]]
+    for q in parts[1:]:
+        acc = (acc[:, :, None] * diagonals[q][:, None, :]).reshape(order, -1)
+    d = acc.sum(axis=0).tolist()
+    if sum(d) != order * scale:
+        raise errors.InternalConsistencyError(f"the Reynolds trace of {parts} is not 1")
+    p = max(j for j, x in enumerate(d) if x)
+    w = prod(sg._rep(q).weights[i] for q, i in zip(parts, np.unravel_index(p, [diagonals[q].shape[1] for q in parts])))
+    return d, w.numerator, w.denominator * d[p], np.array([[w.numerator * order * scale]], dtype=object)
+
+
+def rank_one_witness_block(parts) -> blocks.IrrepBlock:
+    """The witness block of one tuple whose invariant subspace is one line, from its whole Reynolds
+    diagonal (`reynolds`): z_l = (w_p / d_p) sum_j d_j K[m(j)][l], one Python sum per sign class m."""
+    n = len(parts)
+    m = np.zeros(1, dtype=np.intp)
+    for q in parts:
+        rep = sg._rep(q)
+        m = (m[:, None] + np.array([rep.generators[0][i][i] < 0 for i in range(rep.dim)], dtype=np.intp)).ravel()
+    d, a, b, gram = reynolds(parts)
+    per_m = [0] * (n + 1)
+    for x, j in zip(d, m.tolist()):
+        per_m[j] += x
+    z = [[[a * sum(row[l] * x for row, x in zip(ame.krawtchouk(n), per_m))]] for l in range(n + 1)]
+    return blocks._compressed(parts, [1], b, gram, 1, range(n + 1), np.array(z, dtype=object))
+
+
+def rank_one_primal_block(parts, classes) -> blocks.IrrepBlock:
+    """The primal block of one tuple whose invariant subspace is one line, from characters, per tuple:
+    z_K = (w_p / d_p) sum_sigma sum_arrangements prod_s t_s(sigma g_s), one `blocks._expand` table per
+    slot class over the N! rows sigma, int64 when N! times the product over slots of N! times the
+    largest trace fits, else Python ints. `reynolds` gives the line."""
+    _, a, b, gram = reynolds(parts)
+    group, spans = blocks._copy_group(sum(parts[0])), blocks.class_slots(classes)
+    order = len(group.elements)
+    traces = {q: np.trace(blocks._integer_tables(q).matrices, axis1=1, axis2=2)[group.mul] for q in set(parts)}  # [sigma, g] = t_q(sigma g)
+    big = {q: order * exactla.array_max_abs(t) for q, t in traces.items()}
+    dtype = exactla.int_dtype(order * prod(big[q] for q in parts))
+    traces = {q: t.astype(dtype) for q, t in traces.items()}
+    acc = np.ones((order, 1), dtype=dtype)
+    for slots in spans:
+        table = blocks._expand([traces[parts[s]] for s in slots])
+        acc = (acc[:, :, None] * table[:, None, :]).reshape(order, -1)
+    z = (acc.sum(axis=0).astype(object) * a).reshape(-1, 1, 1)
+    nonzero = np.flatnonzero((z != 0).any(axis=(1, 2))).tolist()
+    keys = blocks.multiset_tuples([(len(slots), range(order)) for slots in spans])
+    return blocks._compressed(parts, [1], b, gram, 1, [keys[i] for i in nonzero], z[nonzero])
 
 
 def quadratic_form(m, v):

@@ -161,7 +161,7 @@ def _dense_witness_blocks(n, d, copies):
     swap = Permutation.transposition(copies, 0, 1)
     ident = Permutation.identity(copies)
     out = []
-    for tpl in system.partition_tuples():
+    for tpl in reference.partition_tuples(system):
         if not sg.trivial_multiplicity(tpl):
             continue
         parts = tuple(p.parts for p in tpl)
@@ -486,6 +486,111 @@ def test_rank_one_reynolds_trace_check_can_fail(monkeypatch):
     monkeypatch.setattr(blocks, "_integer_tables", lambda p: tables(p)._replace(matrices=2 * tables(p).matrices))
     with pytest.raises(InternalConsistencyError, match="Reynolds trace"):
         blocks._witness_block.__wrapped__(((2, 1),) * 3)
+
+
+# levels whose k = 1 tuples reach dims 2,187 (n = 7), 6,561 (n = 8, N = 4) and 512 over every partition of 3
+BATCHED_LEVELS = RANK_ONE_LEVELS + [(7, 2, 4), (8, 3, 4), (9, 3, 3)]
+
+
+def _rank_one_level(level) -> list:
+    """The k = 1 tuples of a witness level, in block order, by the per-tuple character formula."""
+    return [parts for parts in blocks.witness_tuples(*level, cap=10**6) if sg.trivial_multiplicity(parts) == 1]
+
+
+@pytest.mark.parametrize("level", BATCHED_LEVELS, ids=str)
+def test_batched_rank_one_witness_blocks_match_the_per_tuple_oracle(level):
+    """A whole level's k = 1 blocks, built in one batch, equal field by field (num dtype, den,
+    y bytes, variables) the per-tuple Reynolds-diagonal builder."""
+    parts = _rank_one_level(level)
+    assert parts
+    assert [_all_fields(blk) for blk in blocks._rank_one_witness(parts)] == [_all_fields(reference.rank_one_witness_block(p)) for p in parts]
+
+
+BATCHED_PRIMAL_SYSTEMS = {**RANK_ONE_PRIMAL_SYSTEMS, "uniform-(3,2,1)-N4": hi.MarginalSpec(3, 2, (1,), (1,)).slot_system(4)}
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED_PRIMAL_SYSTEMS))
+def test_batched_rank_one_primal_blocks_match_the_per_tuple_oracle(name):
+    """A whole system's k = 1 primal blocks, built in one batch, equal field by field the per-tuple
+    character sums, and `irrep_block` reads them from that one batch."""
+    system = BATCHED_PRIMAL_SYSTEMS[name]
+    tuples = [tpl for tpl in blocks.block_tuples(system, cap=512) if sg.trivial_multiplicity(tpl) == 1]
+    parts = [tuple(p.parts for p in tpl) for tpl in tuples]
+    expected = [_all_fields(reference.rank_one_primal_block(p, system.classes)) for p in parts]
+    assert [_all_fields(blk) for blk in blocks._rank_one_primal(parts, system.classes)] == expected
+    blocks._block.cache_clear()
+    keys = system.keys()
+    for tpl, fields in zip(tuples, expected):
+        blk = blocks.irrep_block(system, tpl, keys, cap=512)
+        assert blocks._block.cache_info().misses == len(parts)  # the first read built them all
+        assert _all_fields(blocks._block(tuple(p.parts for p in tpl), system.classes)) == fields
+        assert [keys[v] for v in blk.variables] == fields[3]
+    blocks._block.cache_clear()
+
+
+def test_batch_builds_only_the_tuples_it_lacks(monkeypatch):
+    """A level read after some of its k = 1 tuples were built builds the others in one batch, and
+    keeps the blocks it held; every block equals the per-tuple oracle's."""
+    batches, batch = [], blocks._rank_one_witness
+    monkeypatch.setattr(blocks, "_rank_one_witness", lambda parts: batches.append(list(parts)) or batch(parts))
+    blocks._witness_block.cache_clear()
+    level = _rank_one_level((5, 2, 4))
+    held = {p: blocks._witness_block(p) for p in level[1::3]}
+    assert batches == [[p] for p in level[1::3]]
+    built = blocks.rank_one_witness_blocks(5, 2, 4)
+    assert batches[len(held) :] == [[p for p in level if p not in held]]
+    assert all(blk is held[p] for p, blk in zip(level, built) if p in held)
+    assert [_all_fields(blk) for blk in built] == [_all_fields(reference.rank_one_witness_block(p)) for p in level]
+    assert blocks._witness_block.cache_info().misses == len(level)
+    blocks.rank_one_witness_blocks(5, 2, 4)
+    assert len(batches) == len(held) + 1
+    blocks._witness_block.cache_clear()
+
+
+def test_batched_rank_one_blocks_in_python_ints_match_the_oracle(monkeypatch):
+    """Seminormal tables scaled by 2^40 (matrices and scale alike) put the batched sums in Python
+    ints; the batched blocks still equal the per-tuple builder on the same tables."""
+    tables = blocks._integer_tables
+    monkeypatch.setattr(blocks, "_integer_tables", lambda p: tables(p)._replace(scale=2**40 * tables(p).scale, matrices=2**40 * tables(p).matrices))
+    parts = _rank_one_level((5, 2, 4))
+    assert blocks._lines(parts)[2].dtype == object
+    assert [_all_fields(blk) for blk in blocks._rank_one_witness(parts)] == [_all_fields(reference.rank_one_witness_block(p)) for p in parts]
+    system = RANK_ONE_PRIMAL_SYSTEMS["extension-((4,1,2))_2-N3"]
+    parts = [tuple(p.parts for p in tpl) for tpl in blocks.block_tuples(system, cap=512) if sg.trivial_multiplicity(tpl) == 1]
+    expected = [_all_fields(reference.rank_one_primal_block(p, system.classes)) for p in parts]
+    assert [_all_fields(blk) for blk in blocks._rank_one_primal(parts, system.classes)] == expected
+
+
+INVENTORY_SYSTEMS = [blocks.ame_system(*level) for level in BATCHED_LEVELS] + list(BATCHED_PRIMAL_SYSTEMS.values())
+
+
+@pytest.mark.parametrize("system", INVENTORY_SYSTEMS, ids=str)
+def test_inventory_matches_the_per_tuple_character_formula(system):
+    """The batched inventory lists every tuple of nonzero trivial multiplicity, in the
+    order of `reference.partition_tuples`, with the multiplicity and dimension of the per-tuple formulas."""
+    expected = [(tpl, sg.trivial_multiplicity(tpl)) for tpl in reference.partition_tuples(system)]
+    inventory = blocks._inventory(system)
+    assert [(tpl, k) for tpl, k, _ in inventory.values()] == [(tpl, k) for tpl, k in expected if k]
+    assert all(parts == tuple(p.parts for p in tpl) and dim == prod(sg.irrep_dimension(p) for p in tpl) for parts, (tpl, _, dim) in inventory.items())
+
+
+def test_inventory_raises_on_a_non_integer_multiplicity(monkeypatch):
+    """A character of (2,1) off by one at the identity makes the class sum of ((2,1),(2,1)) 11,
+    which 3! does not divide: the per-tuple formula and the batched inventory both raise."""
+    character = sg._character
+    monkeypatch.setattr(sg, "_character", lambda parts, cycle: character(parts, cycle) + (parts == (2, 1) and cycle == (1, 1, 1)))
+    caches = (sg._character_row, sg._trivial_multiplicity, blocks._inventory)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        with pytest.raises(InternalConsistencyError, match="non-integer"):
+            sg.trivial_multiplicity([(2, 1), (2, 1)])
+        with pytest.raises(InternalConsistencyError, match="non-integer"):
+            blocks._inventory(blocks.ame_system(2, 2, 3))
+    finally:
+        monkeypatch.undo()
+        for cache in (sg._character, *caches):
+            cache.cache_clear()
 
 
 def test_witness_blocks_are_read_only():
@@ -1168,6 +1273,21 @@ def test_rref_mod_p_matches_the_row_major_pass(name, rows, p):
         assert len(pivots) > exactla.PANEL_PIVOTS
     if name != "one-panel-past-reduce-every":
         assert rows.shape[1] > exactla.PANEL_COLUMNS
+
+
+@pytest.mark.parametrize("columns, pivots", [(32, 16), (32, 32)], ids=["32-16", "32-32"])
+def test_rref_mod_p_small_panels_match_the_default(monkeypatch, columns, pivots):
+    """Panels of 32 columns closing at 16 or 32 pivots give the default pass's residues, pivots and
+    chosen rows on the ((4,1,2))_2 equality matrix; the inverse of a closed panel's B, (B | I) of up to
+    64 columns, is one panel however the constants are set."""
+    rows = hi.assemble_primal(codes.code_marginal_spec(codes.CodeParams(4, 1, 1, 2, pure=True)), 3).int_rows
+    assert rows.shape == (233, 127)
+    residues, pivot_columns, chosen = exactla._rref_mod_p(rows, exactla.P)
+    assert len(pivot_columns) > 2 * pivots
+    monkeypatch.setattr(exactla, "PANEL_COLUMNS", columns)
+    monkeypatch.setattr(exactla, "PANEL_PIVOTS", pivots)
+    small = exactla._rref_mod_p(rows, exactla.P)
+    assert (small[1], small[2]) == (pivot_columns, chosen) and np.array_equal(small[0], residues)
 
 
 def test_cap_skips_tuples_without_a_block():
