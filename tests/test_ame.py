@@ -194,6 +194,27 @@ def test_spectrum_matches_the_row_dot_oracle():
     assert widest > 355
 
 
+@pytest.mark.parametrize("ds", [[101, 2, 31, 2, 7, 64, 3, 10, 5, 101], [101], [2]], ids=["mixed", "one-large", "one-small"])
+def test_spectra_rows_match_the_row_dot_oracle(ds):
+    """Each row of a batch is the row-dot kernel's integers for its d:
+    unsorted and repeated d, a single d, odd and even n up to 120."""
+    for n in [*range(2, 12), 29, 30, 64, 99, 119, 120]:
+        p, x, q = ame._spectra(n, ds)
+        assert p.shape == x.shape == q.shape == (len(ds), n + 1)
+        for b, d in enumerate(ds):
+            assert (p[b].tolist(), x[b].tolist(), q[b].tolist()) == reference.spectrum_rows(n, d), (n, d)
+
+
+def test_spectra_reject_an_invalid_case_anywhere_in_the_batch():
+    for n, ds in ((5, [1, 3]), (5, [3, 2, 1]), (5, [4, 0, 4]), (1, [3]), (0, [2, 3])):
+        with pytest.raises(InvalidInputError):
+            ame._spectra(n, ds)
+    with pytest.raises(InvalidInputError):
+        ame._spectrum(4, 1)
+    with pytest.raises(InvalidInputError):
+        ame.scan([4, 5], [3, 1, 2])
+
+
 def test_marginal_pairing_identity():
     for n, d in [(3, 2), (4, 2), (4, 6), (5, 3)]:
         assert candidate_overlaps(n, d) == [Fraction(binom(n, i), min(d**i, d ** (n - i))) for i in range(n + 1)]
@@ -368,6 +389,105 @@ def test_scan_pool_is_bounded_by_cpus_and_tasks(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     ame.scan(range(2, 8), range(2, 5), jobs=100000)  # 18 cases, one task
     assert seen == [1]
+
+
+def test_scan_in_shuffled_orders_matches_per_case_checks(monkeypatch):
+    """Shuffled n and d orders, as bench seeds give them, and four threads
+    scanning at once with a short switch interval, so each replaces the
+    run another holds: every report equals a case checked on its own."""
+    import random
+    from concurrent.futures import ThreadPoolExecutor
+
+    monkeypatch.setattr(ame, "_held", None)
+    grids = []
+    for seed in (1, 2, 3, 4):
+        rng = random.Random(seed)
+        ns, ds = list(range(2, 31)), list(range(2, 21))
+        rng.shuffle(ns)
+        rng.shuffle(ds)
+        grids.append((ns, ds))
+    expected = {(n, d): ame.check_existence(n, d) for n in range(2, 31) for d in range(2, 21)}
+    for ns, ds in grids:
+        assert ame.scan(ns, ds) == [expected[n, d] for n in ns for d in ds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(grids)) as pool:
+            futures = [pool.submit(ame.scan, *grid) for grid in grids]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for (ns, ds), reports in zip(grids, results):
+        assert reports == [expected[n, d] for n in ns for d in ds]
+
+
+def test_scan_runs_one_batch_per_run_and_holds_one_run(monkeypatch):
+    batches, spectra = [], ame._spectra
+    monkeypatch.setattr(ame, "_spectra", lambda n, ds: batches.append((n, list(ds))) or spectra(n, ds))
+    monkeypatch.setattr(ame, "_held", None)
+    reports = ame.scan([6, 4, 4, 9], [3, 2, 5])
+    assert batches == [(6, [3, 2, 5]), (4, [3, 2, 5, 3, 2, 5]), (9, [3, 2, 5])]
+    assert [(r.n, r.d) for r in reports] == [(n, d) for n in (6, 4, 4, 9) for d in (3, 2, 5)]
+    held_n, rows = ame._held
+    assert (held_n, sorted(rows)) == (9, [2, 3, 5])
+    batches.clear()
+    assert ame._spectrum(9, 5) == reference.spectrum_rows(9, 5) and batches == []
+    assert ame._spectrum(9, 7) == reference.spectrum_rows(9, 7) and batches == [(9, [7])]
+    assert ame._spectrum(8, 5) == reference.spectrum_rows(8, 5) and batches[-1] == (8, [5])
+
+
+def test_scan_pool_tasks_split_rows_as_the_serial_scan(monkeypatch):
+    """Rows of 39 d cross the 32-case task boundaries; each task splits
+    into its own runs of n, and the reports equal the serial ones."""
+    import concurrent.futures
+
+    serial = ame.scan(range(2, 8), range(2, 41))
+    assert ame.scan(range(2, 8), range(2, 41), jobs=2) == serial
+    tasks = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            items = list(items)
+            tasks.extend(items)
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    assert ame.scan(range(2, 8), range(2, 41), jobs=2) == serial
+    assert [len(t) for t in tasks] == [32] * 7 + [10]
+    assert [case for t in tasks for case in t] == [(n, d) for n in range(2, 8) for d in range(2, 41)]
+
+
+def test_scan_memory_stays_bounded_over_a_range_of_n(monkeypatch):
+    """Only the latest n's half tables are kept and `krawtchouk`'s cache is
+    not read, so memory does not grow with the number of n scanned.
+    Caching every n's tables took this scan to a 3.7 MB peak (and n
+    2..240 to 334 MB of RSS); one n's tables and arrays take about 0.3 MB."""
+    import tracemalloc
+
+    monkeypatch.setattr(ame, "_held", None)
+    kraw = ame.krawtchouk.cache_info()
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        ame.scan(range(2, 61), [2])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert ame.krawtchouk.cache_info() == kraw
+    assert ame._half_tables.cache_info().currsize == 1 and ame._held[0] == 60
 
 
 def _pair_state_overlaps(psi, n, d):
