@@ -269,6 +269,22 @@ def test_export_level_report_roundtrip(tmp_path):
     assert again.read_bytes() == first
 
 
+# sha256 of the `export_dual_sdpa` file of each level, recorded before the
+# float block copies moved from block building to the first read
+SDPA_DIGESTS = {
+    (5, 2, 3): "17d8d2fda36267ce21959844554aca2538e28134dea4baeda5434c8a4c080c88",
+    (6, 2, 3): "4d5e36f73f9e57bb4068941fb1b7f9c0d5baeb823639947ab3cceaf7ab168940",
+    (4, 6, 4): "0b718647cf2095b9d419fbbd38051a1e453a0fdf744c60ca2b72651ee0afe848",
+}
+
+
+@pytest.mark.parametrize("level", sorted(SDPA_DIGESTS), ids=str)
+def test_exported_sdpa_matches_recorded_digest(tmp_path, level):
+    path = tmp_path / "dual.dat-s"
+    hi.export_dual_sdpa(*level, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SDPA_DIGESTS[level]
+
+
 def test_exported_problem_solves_to_same_optimum(tmp_path):
     path = tmp_path / "dual42.dat-s"
     hi.export_dual_sdpa(4, 2, 2, path)
