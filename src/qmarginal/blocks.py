@@ -20,8 +20,8 @@ This module provides
 * the positivity blocks of the primal, code-extension and dual-witness
   problems: per partition tuple, an exact basis U of the subspace
   fixed by the diagonal copy-permutation action (`_basis`), and
-  compressed operator sums U^T W E U with their orthonormalized float
-  versions, memoized per tuple (`_Memo`). `irrep_block` (`_block`) takes
+  compressed operator sums U^T W E U, memoized per tuple (`_Memo`).
+  `irrep_block` (`_block`) takes
   E = E_K for every coefficient key K over the whole copy group: U is
   moved slot by slot as one integer array over the multisets placed so
   far, one stacked mode product per group element placed through
@@ -30,8 +30,10 @@ This module provides
   swap-pattern sums E_l, which are diagonal in seminormal form, as
   Krawtchouk-weighted sums of Gram matrices. Every block holds one exact
   form, an integer stack over one denominator in lowest terms, and its
-  correctly rounded floats, both from the same integers (`_compressed`);
-  `irrep_block` selects rows of it.
+  metric U^T W U in the same form (`_compressed`); `irrep_block` selects
+  rows of it. No builder forms a float: the orthonormalized floats that
+  the float SDP and the SDPA export read are formed on read
+  (`IrrepBlock.y`).
 
 A block set is a witness level or a primal `SlotSystem`. Its inventory,
 the trivial multiplicity k of every partition tuple, is one integer
@@ -54,7 +56,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import comb, factorial, gcd, lcm, prod, sqrt
+from math import comb, factorial, gcd, lcm, prod
 
 import numpy as np
 
@@ -269,10 +271,11 @@ class IrrepBlock:
     operator z_i = U^T W E_i U = num[i] / den: `num` is one
     (len(variables), k, k) integer stack, int64 while its largest entry
     fits (`exactla.int_dtype`), else Python ints, and den > 0 is in lowest
-    terms with it. y[i] is z_i as floats in a gram-orthonormal basis.
-    Positivity of the underlying operator block is exactly
-    Z(x) = sum_i x_{variables[i]} num[i] >= 0. The arrays are read-only
-    and may be shared between blocks of one tuple.
+    terms with it. The metric U^T W U is gram / gden, a k x k integer
+    array in the same form. Positivity of the underlying operator block
+    is exactly Z(x) = sum_i x_{variables[i]} num[i] >= 0. The arrays are
+    read-only and may be shared between blocks of one tuple. No float is
+    stored: `y` forms the floats on each read.
     """
 
     partitions: tuple[Partition, ...]
@@ -281,7 +284,17 @@ class IrrepBlock:
     variables: list
     num: np.ndarray
     den: int
-    y: np.ndarray
+    gram: np.ndarray
+    gden: int
+
+    @property
+    def y(self) -> np.ndarray:
+        """z_i as floats in a gram-orthonormal basis, read-only: y_i = C^-1 z_i C^-T, C the Cholesky
+        factor of the float metric, from the correctly rounded quotients (`_floats`) in one batched product."""
+        linv = np.linalg.inv(np.linalg.cholesky(_floats(self.gram, self.gden)))
+        y = linv @ _floats(self.num, self.den) @ linv.T
+        y.flags.writeable = False
+        return y
 
 
 def _lowest_terms(num, den) -> tuple:
@@ -406,9 +419,7 @@ def irrep_block(system: SlotSystem, partitions, keys, cap: int = 512) -> IrrepBl
     picked = [(v, row[key]) for v, key in enumerate(keys) if key in row]
     rows = [i for _, i in picked]
     num, den = _lowest_terms(memo.num[rows], memo.den)
-    y = memo.y[rows]
-    y.flags.writeable = False
-    return IrrepBlock(memo.partitions, memo.k, memo.dim, [v for v, _ in picked], num, den, y)
+    return IrrepBlock(memo.partitions, memo.k, memo.dim, [v for v, _ in picked], num, den, memo.gram, memo.gden)
 
 
 def witness_tuples(n: int, d: int, copies: int, cap: int = 512) -> list[tuple[tuple[int, ...], ...]]:
@@ -455,67 +466,47 @@ def rank_one_witness_blocks(n: int, d: int, copies: int, cap: int = 512) -> list
 def _basis(parts: tuple[tuple[int, ...], ...]) -> tuple:
     """(u, wu, dens, wden, gram): a tuple's invariant basis U, W U and U^T W U, in integers.
 
-    Row b of the integer array u over dens[b] is basis vector u_b
-    (`invariant_basis_exact`), and row a of wu over dens[a] wden is W u_a,
-    the weights an integer diagonal over their lcm wden; so every entry
-    of U^T W M U, M an integer matrix, is one integer sum over
-    dens[a] dens[b] wden, and gram is the one product wu u^T over that.
-    u is int64 while its entries fit, and wu, one array product of u
-    and the weights, while the product of their largest entries does;
-    Python ints otherwise. Each product of them is one
-    `exactla.int_matmul`, which sizes its own output.
+    Row b of the integer array u over dens[b] is basis vector u_b, and
+    the diagonal of W is an integer array over wden, both as
+    `invariant_basis_exact` returns them; row a of wu over dens[a] wden
+    is W u_a. So every entry of U^T W M U, M an integer matrix, is one
+    integer sum over dens[a] dens[b] wden, and gram is the one product
+    wu u^T over that. u is int64 while its entries fit, and wu, one
+    array product of u and the weights, while the product of their
+    largest entries does; Python ints otherwise. Each product of them is
+    one `exactla.int_matmul`, which sizes its own output.
     """
-    vectors, weights = invariant_basis_exact(tuple(Partition(p) for p in parts), cap=prod(_rep(p).dim for p in parts))
-    wden = lcm(*(w.denominator for w in weights))
-    scaled = [w.numerator * (wden // w.denominator) for w in weights]
-    u = exactla.integer_rows([u for u, _ in vectors], len(scaled))
-    dtype = exactla.int_dtype(exactla.array_max_abs(u) * max(scaled))
-    wu = u.astype(dtype) * np.array(scaled, dtype=dtype)
-    return u, wu, [den for _, den in vectors], wden, exactla.int_matmul(wu, u.T)
+    basis, dens, weights, wden = invariant_basis_exact(tuple(Partition(p) for p in parts), cap=prod(_rep(p).dim for p in parts))
+    u = exactla.integer_rows(basis, len(weights))
+    dtype = exactla.int_dtype(exactla.array_max_abs(u) * exactla.array_max_abs(weights))
+    wu = u.astype(dtype) * weights.astype(dtype)
+    return u, wu, dens, wden, exactla.int_matmul(wu, u.T)
 
 
 def _compressed(parts, dens, wden, gram, scale, variables, z) -> IrrepBlock:
-    """The block of a tuple from integers: z over one denominator, and the gram-orthonormal float y.
+    """The block of a tuple from integers: z and the metric, each over one denominator in lowest terms.
 
     gram is an integer k x k array over dens[a] dens[b] wden, and z[i],
     the compressed operator of variables[i], one over dens[a] dens[b] wden
-    scale. With L = lcm(dens), entry (a, b) of z times (L / dens[a])
-    (L / dens[b]) puts every entry over L^2 wden scale, and the gcd is
-    divided out (`_lowest_terms`). The floats are the quotients correctly
-    rounded (`_floats`); y = C^-1 z C^-T, C the Cholesky factor of the
-    float gram, is one batched product over every variable. A 1 x 1
-    block (k = 1) takes the same arithmetic on Python ints, without LAPACK
-    (`_compressed_scalar`).
+    scale. With L = lcm(dens), entry (a, b) of either times (L / dens[a])
+    (L / dens[b]) puts it over L^2 wden, times scale for z, and the gcd is
+    divided out (`_lowest_terms`). Every k, 1 included, takes this
+    arithmetic; no float is formed (`IrrepBlock.y` forms them on read).
     """
-    if len(dens) == 1:
-        num, den, y = _compressed_scalar(dens[0] ** 2 * wden, gram, scale, z)
-    else:
-        common = lcm(*dens)
-        lift = [common // x for x in dens]
-        dtype = exactla.int_dtype(exactla.array_max_abs(z) * max(lift) ** 2)
-        num, den = _lowest_terms(z.astype(dtype) * np.array([[a * b for b in lift] for a in lift], dtype=dtype), common**2 * wden * scale)
-        linv = np.linalg.inv(np.linalg.cholesky(_floats(gram, [[da * db * wden for db in dens] for da in dens])))
-        y = linv @ _floats(num, den) @ linv.T
-    y.flags.writeable = False
-    return IrrepBlock(tuple(map(_partition, parts)), len(dens), prod(_rep(p).dim for p in parts), list(variables), num, den, y)
+    common = lcm(*dens)
+    lift = [common // x for x in dens]
+    num, den = _lifted(z, lift, common**2 * wden * scale)
+    gram, gden = _lifted(gram, lift, common**2 * wden)
+    return IrrepBlock(tuple(map(_partition, parts)), len(dens), prod(_rep(p).dim for p in parts), list(variables), num, den, gram, gden)
 
 
-def _compressed_scalar(gden: int, gram, scale: int, z) -> tuple:
-    """(num, den, y) of `_compressed` for a 1 x 1 block, gram over gden and z over gden scale.
-
-    num / den is z in lowest terms, num int64 when it fits; with
-    g = gram / gden and f = num / den each a correctly rounded Python
-    int / int, as `_floats` rounds them, y = (linv f) linv with
-    linv = 1 / sqrt(g): the arithmetic of the 1 x 1 Cholesky factor, its
-    inverse and the two products, so y's bytes are the general path's.
-    """
-    values = list(map(int, z.flat))
-    common = gcd(gden * scale, *values)
-    values, den = [v // common for v in values], gden * scale // common
-    num = np.array(values, dtype=exactla.int_dtype(max(map(abs, values), default=0))).reshape(z.shape)
-    num.flags.writeable = False
-    linv = 1.0 / sqrt(int(gram[0, 0]) / gden)
-    return num, den, np.array([linv * (v / den) * linv for v in values], dtype=float).reshape(z.shape)
+def _lifted(a, lift, den) -> tuple:
+    """`_lowest_terms` of the integer stack a over den, each entry (a, b) first multiplied by lift[a] lift[b]
+    (no product when every lift is 1, as always for k = 1)."""
+    if max(lift) > 1:
+        dtype = exactla.int_dtype(exactla.array_max_abs(a) * max(lift) ** 2)
+        a = a.astype(dtype) * np.array([[x * y for y in lift] for x in lift], dtype=dtype)
+    return _lowest_terms(a, den)
 
 
 def _floats(num, den) -> np.ndarray:
@@ -705,8 +696,7 @@ def _block(parts: tuple[tuple[int, ...], ...], classes: tuple[int, ...]) -> Irre
     while a bound on the next slot's sums (the number of elements times
     the largest entries of the sums and of d rho_s or the scale) fits,
     Python ints from then on; z is one `exactla.int_matmul`. z then goes
-    over one denominator, and y is its correctly rounded floats
-    (`_compressed`).
+    over one denominator (`_compressed`).
     A tuple of multiplicity k = 1 needs no basis: it is a batch of one
     of `_rank_one_primal`.
     """

@@ -145,12 +145,12 @@ def verify_code_state(state, params: CodeParams, tol: float = 1e-10) -> CodeStat
 
 
 def _sector(partitions, coeffs: dict) -> IrrepBlock:
-    """A 1 x 1 sector: variable v carries the integer coeffs[v], in the dict's order."""
+    """A 1 x 1 sector: variable v carries the integer coeffs[v], in the dict's order, over the metric [[1]]."""
     values = list(coeffs.values())
     num = np.array(values, dtype=exactla.int_dtype(max(map(abs, values), default=0))).reshape(len(values), 1, 1)
-    y = num.astype(float)
-    num.flags.writeable = y.flags.writeable = False
-    return IrrepBlock(partitions, 1, 1, list(coeffs), num, 1, y)
+    metric = np.ones((1, 1), dtype=np.int64)
+    num.flags.writeable = metric.flags.writeable = False
+    return IrrepBlock(partitions, 1, 1, list(coeffs), num, 1, metric, 1)
 
 
 def code_two_party_constraints(params: CodeParams, level: str = "ppt") -> BlockSdp:

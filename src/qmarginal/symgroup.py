@@ -524,14 +524,16 @@ def _reynolds_image(cols, idx) -> np.ndarray:
 def invariant_basis_exact(lams, cap: int = 512):
     """Exact rational basis of the diagonal-trivial subspace, seminormal picture.
 
-    Returns (vectors, weights). Each vector is a pair (numerators,
-    denominator): a primitive integer list and its positive entry at the
-    vector's pivot, so numerators / denominator is 1 there. The vectors
+    Returns (basis, dens, weights, wden). Row b of the integer (k, total)
+    array basis is a primitive integer vector and dens[b] its positive
+    entry at the vector's pivot, so row b / dens[b] is 1 there. The rows
     span the subspace fixed by S(sigma) x ... x S(sigma) for every sigma,
-    and weights (Fractions) is the diagonal of the tensor-product
-    orthogonalization metric, formed as an integer outer product of the
-    tables' weights over the product of their denominators. A vector v in
-    this picture corresponds to W^{1/2} v in the orthogonal picture.
+    and weights / wden is the diagonal of the tensor-product
+    orthogonalization metric: weights is one integer array, an outer
+    product of the tables' integer weights per slot (int64 when the
+    product of their largest entries fits, else Python ints), and wden the
+    product of the tables' denominators. A vector v in this picture
+    corresponds to W^{1/2} v in the orthogonal picture.
 
     Method: the Reynolds operator P = sum_sigma S(sigma) x ... x S(sigma)
     projects onto the subspace. S((0 1)) is diagonal +-1 in seminormal
@@ -571,11 +573,10 @@ def invariant_basis_exact(lams, cap: int = 512):
         raise ResourceCapError(f"block dimension {total} exceeds cap {cap}")
     k = trivial_multiplicity(parts)
     tables = [_integer_tables(p.parts) for p in parts]
-    weights = [1]
+    weights = np.ones(1, dtype=exactla.int_dtype(prod(max(t.weights) for t in tables)))
     for t in tables:
-        weights = [w * x for w in weights for x in t.weights]
+        weights = np.multiply.outer(weights, np.array(t.weights, dtype=weights.dtype)).ravel()
     wden = prod(t.wden for t in tables)
-    weights = [Fraction(w, wden) for w in weights]
 
     # the Reynolds trace (1/N!) sum_sigma prod_s tr S_s(sigma), from the integer
     # tables alone, is the dimension of the subspace: the scan below may then
@@ -613,4 +614,4 @@ def invariant_basis_exact(lams, cap: int = 512):
             w = exactla.mode_product(t.matrices[e], w, dims, s)
         if not np.array_equal(w, fixed):
             raise InternalConsistencyError(f"invariant vector of {parts} is not fixed by {g.images}")
-    return [(v, v[p]) for v, p in zip(basis.tolist(), pivots)], weights
+    return basis, basis[np.arange(k), pivots].tolist(), weights, wden

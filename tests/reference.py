@@ -23,8 +23,9 @@ the hook-content multiplicity from the partition's hook lengths.
 
 `block_z`, `z_at` and `block_gram` read a positivity block as Fractions:
 z from its exact form (num, den), Z(x) summed with `zeros`/`mat_add`,
-and U^T W U from `blocks._basis`, the forms the recorded block digests
-were taken in; `assert_exact_form` checks that form itself.
+and U^T W U from `blocks._basis` (not from the block's own metric), the
+forms the recorded block digests were taken in; `assert_exact_form`
+checks that form itself.
 
 The `terms_*` functions are the operator algebra over
 {ordered key: {var: Fraction}} dicts, merged term by term (`_merge`):
@@ -70,9 +71,11 @@ Fractions, from full products with K and T (`spectrum_fraction`), that
 the integer kernel `ame._spectrum` replaced: the same numerators, from
 dots with the even rows of K in full and with every row of T_d.
 
-`compressed_general` is the arithmetic of `blocks._compressed` for any
-k (lift onto lcm(dens), `_lowest_terms`, a Cholesky factor of the float
-gram and its inverse), which the 1 x 1 branch must reproduce exactly.
+`compressed_general` is the arithmetic of `blocks._compressed` and
+`IrrepBlock.y` for any k (lift onto lcm(dens), `_lowest_terms`, a
+Cholesky factor of the float gram and its inverse), which a 1 x 1 block
+must reproduce exactly. `basis_fractions` reads an invariant basis in
+the list form of Fractions that `BASIS_DIGESTS` was recorded in.
 
 `partition_tuples` lists every canonical partition tuple of a slot
 system, the tuples `blocks._inventory` weighs by characters.
@@ -171,6 +174,13 @@ def _gram(parts) -> tuple:
 def block_gram(blk) -> list:
     """U^T W U of a block's partition tuple as k x k Fractions, from `blocks._basis` (memoized)."""
     return [list(row) for row in _gram(tuple(p.parts for p in blk.partitions))]
+
+
+def basis_fractions(basis) -> tuple:
+    """`symgroup.invariant_basis_exact`'s (basis, dens, weights, wden) in its list form, the form the
+    recorded basis digests were taken in: ([(primitive integer list, pivot entry)], [weight as Fraction])."""
+    rows, dens, weights, wden = basis
+    return [(v, den) for v, den in zip(rows.tolist(), dens)], [Fraction(w, wden) for w in weights.tolist()]
 
 
 def assert_exact_form(blk) -> None:
@@ -974,11 +984,9 @@ def block_per_vector(parts, classes):
     which also fills z_{K^-1}[b][a] (rho(g)^T W = W rho(g^-1) in seminormal form).
     y_K = L^-1 z_K L^-T from the float gram's Cholesky factor L, key by key.
     """
-    vectors, weights = sg.invariant_basis_exact(tuple(sg.Partition(p) for p in parts), cap=prod(sg._rep(p).dim for p in parts))
-    wden = lcm(*(w.denominator for w in weights))
-    scaled = [w.numerator * (wden // w.denominator) for w in weights]
-    weighted = [[a * x for a, x in zip(scaled, u)] for u, _ in vectors]
-    vectors, dens = [u for u, _ in vectors], [den for _, den in vectors]
+    basis, dens, weights, wden = sg.invariant_basis_exact(tuple(sg.Partition(p) for p in parts), cap=prod(sg._rep(p).dim for p in parts))
+    vectors, scaled = basis.tolist(), weights.tolist()
+    weighted = [[a * x for a, x in zip(scaled, u)] for u in vectors]
     k = len(vectors)
     gram = [[Fraction(sum(a * x for a, x in zip(weighted[a_], vectors[b_])), dens[a_] * dens[b_] * wden) for b_ in range(k)] for a_ in range(k)]
     group = blocks._copy_group(sum(parts[0]))

@@ -229,7 +229,7 @@ def _cold_blocks(n, d, copies):
 
 @pytest.mark.parametrize("lams", [((2, 1), (2, 1)), ((3, 1),) * 4, ((2, 1, 1), (3, 1), (2, 2), (3, 1))])
 def test_invariant_basis_matches_dense_nullspace(lams):
-    vectors, weights = sg.invariant_basis_exact(lams)
+    vectors, weights = reference.basis_fractions(sg.invariant_basis_exact(lams))
     assert ([[Fraction(x, den) for x in v] for v, den in vectors], weights) == _dense_basis(lams)
     assert all(den == [x for x in v if x][-1] > 0 and math.gcd(*v) == 1 for v, den in vectors)  # 1 at the pivot, primitive
     assert len(vectors) == sg.trivial_multiplicity(lams)
@@ -333,8 +333,8 @@ def test_witness_blocks_past_int64_match(monkeypatch):
     original = blocks.invariant_basis_exact
 
     def scaled(lams, cap):
-        vectors, weights = original(lams, cap)
-        return [([2**40 * x for x in v], 2**40 * den) for v, den in vectors], weights
+        basis, dens, weights, wden = original(lams, cap)
+        return 2**40 * basis.astype(object), [2**40 * den for den in dens], weights, wden
 
     monkeypatch.setattr(blocks, "invariant_basis_exact", scaled)
     assert [_fields(blk) for blk in _cold_blocks(5, 2, 4)] == fast
@@ -396,8 +396,8 @@ def _one_by_one_case(case: str) -> tuple:
 
 @pytest.mark.parametrize("case", ["below-2^53", "above-2^53", "past-2^63", "past-2^63-reduced", "negative", "zero-row", "all-zero"])
 def test_one_by_one_compressed_matches_the_general_arithmetic(case):
-    """The k = 1 branch of `_compressed` (Python ints, no LAPACK) equals the general
-    arithmetic field for field: num, den, num's dtype and y's bytes."""
+    """A k = 1 block of `_compressed` equals the general arithmetic of
+    `reference.compressed_general` field for field: num, den, num's dtype and y's bytes."""
     dens, wden, gram, scale, z = _one_by_one_case(case)
     blk = blocks._compressed(((2,), (2,)), dens, wden, gram, scale, range(len(z)), z)
     num, den, y = reference.compressed_general(dens, wden, gram, scale, z)
@@ -671,6 +671,32 @@ def test_primal_blocks_are_in_lowest_terms(name):
             reference.assert_exact_form(blocks.irrep_block(system, tpl, keys))
 
 
+def _assert_exact_metric(blk):
+    """A block's own metric gram / gden is U^T W U as `reference.block_gram` reads it from `blocks._basis`:
+    a read-only k x k integer array, int64 exactly when it fits, over gden > 0 in lowest terms."""
+    entries = blk.gram.ravel().tolist()
+    assert blk.gram.shape == (blk.k, blk.k) and not blk.gram.flags.writeable
+    assert blk.gram.dtype == exactla.int_dtype(max(map(abs, entries)))
+    assert blk.gden > 0 and math.gcd(blk.gden, *entries) == 1
+    assert [[Fraction(x, blk.gden) for x in row] for row in blk.gram.tolist()] == reference.block_gram(blk)
+
+
+@pytest.mark.parametrize("level", sorted(WITNESS_BLOCK_DIGESTS), ids=str)
+def test_witness_block_metric_is_the_basis_gram(level):
+    for blk in _cold_blocks(*level):
+        _assert_exact_metric(blk)
+
+
+@pytest.mark.parametrize("name", sorted(PRIMAL_BLOCK_DIGESTS))
+def test_primal_block_metric_is_the_basis_gram(name):
+    """Every primal block's metric, shared by its row selections (`irrep_block`)."""
+    system = STACKED_SYSTEMS[name]
+    for parts, blk in _cold_primal_blocks(system):
+        _assert_exact_metric(blk)
+        picked = blocks.irrep_block(system, blk.partitions, system.keys()[::5])
+        assert picked.gram is blk.gram and picked.gden == blk.gden
+
+
 def _assert_matches_per_vector(system, built):
     for parts, blk in built:
         k, dim, gram, z, y = reference.block_per_vector(parts, system.classes)
@@ -697,8 +723,8 @@ def test_stacked_primal_blocks_past_int64_match(monkeypatch, narrow):
     scale = 2**50 if narrow else 2**64
 
     def scaled(lams, cap):
-        vectors, weights = original(lams, cap)
-        return [([scale * x for x in v], scale * den) for v, den in vectors], weights
+        basis, dens, weights, wden = original(lams, cap)
+        return scale * basis.astype(object), [scale * den for den in dens], weights, wden
 
     def narrowed(parts):
         u, wu, dens, wden, gram = basis(parts)

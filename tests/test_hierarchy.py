@@ -525,6 +525,32 @@ def test_solve_primal_matches_recorded_verdicts(system):
     assert (v.status, v.exact, v.nullity, x, margin) == PRIMAL_PINS[system]
 
 
+def test_exact_verdicts_form_no_float_block(monkeypatch):
+    """No block builder forms a float: with `np.linalg.cholesky` refusing and the block caches cold, a
+    `level_check` of every ladder level keeps its recorded cut loop and verdict, and every pinned primal
+    system that the barrier does not decide (r = 0, the scalar LP, inconsistent rows) keeps its pin."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Cholesky factor was formed")
+
+    results = []
+    optimize = hi.witness_optimize_exact
+    blocks._witness_block.cache_clear()
+    blocks._block.cache_clear()
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    monkeypatch.setattr(hi, "witness_optimize_exact", lambda *args, **kwargs: results.append(optimize(*args, **kwargs)) or results[-1])
+    for level in CUT_LOOP_DIGESTS:
+        rep = hi.level_check(*level)
+        assert hashlib.sha256(repr(results[-1]).encode()).hexdigest() == CUT_LOOP_DIGESTS[level]
+        assert rep.exact and rep.feasible == (level[:2] != (4, 2))
+    exact = [system for system, pin in PRIMAL_PINS.items() if pin[4] is None]
+    assert len(exact) == len(PRIMAL_PINS) - 1
+    for system in exact:
+        v = hi.solve_primal(_pinned_problem(system))
+        x = None if v.x is None else hashlib.sha256(" ".join(map(str, v.x)).encode()).hexdigest()
+        assert (v.status, v.exact, v.nullity, x, v.margin) == PRIMAL_PINS[system]
+
+
 # the exact `feasible` pins, ((3,1,2))_2 and ((4,2,2))_2 general: PSD test at x0, scalar LP, rounded barrier point
 CERTIFIED = sorted(
     [system for system, pin in PRIMAL_PINS.items() if pin[:2] == ("feasible", True)]
@@ -564,7 +590,7 @@ def test_inconsistent_equalities_build_no_block(monkeypatch):
 
 def _hand_block(num) -> blocks.IrrepBlock:
     num = np.array(num, dtype=np.int64)
-    return blocks.IrrepBlock(((1,),), num.shape[1], num.shape[1], list(range(len(num))), num, 1, num.astype(float))
+    return blocks.IrrepBlock(((1,),), num.shape[1], num.shape[1], list(range(len(num))), num, 1, np.eye(num.shape[1], dtype=np.int64), 1)
 
 
 def test_a_feasible_set_without_interior_stays_a_float_verdict(monkeypatch):
