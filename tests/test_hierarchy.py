@@ -572,6 +572,19 @@ def test_exact_feasible_points_check_in_fractions(system):
     assert all(reference.ldlt_psd_witness_fraction(reference.z_at(blk, v.x))[0] for blk in problem.blocks)
 
 
+# The second system the barrier decides, ((4,2,2))_2 general extension at N = 3 -> (status, exact,
+# nullity, sha256 of the x entries joined by spaces), recorded with the barrier that centred every
+# round to a decrement below 1e-12. Its margin bits are the barrier's float path and are not pinned.
+GENERAL_EXTENSION_PIN = ("feasible", True, 410, "f01f766da234d230fdad7815bed86a6b7549e4dece2fca8e0c1a62488e47dfdb")
+
+
+def test_general_extension_point_matches_recorded_digest():
+    v = hi.solve_primal(_pinned_problem(("code", 4, 2, 1, 2, False, "extension")))
+    x = hashlib.sha256(" ".join(map(str, v.x)).encode()).hexdigest()
+    assert (v.status, v.exact, v.nullity, x) == GENERAL_EXTENSION_PIN
+    assert abs(v.margin - 0.00011001808475530209) < 1e-8
+
+
 def test_inconsistent_equalities_build_no_block(monkeypatch):
     """((2,2,2))_2 general at N = 3: the equalities alone decide it, and none of its 4 blocks is built."""
 
