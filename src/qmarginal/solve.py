@@ -10,11 +10,12 @@ Three solvers, deliberately self-contained:
   makes depends on a tolerance;
 * an exact PSD test via fraction-free symmetric elimination, returning
   a rational witness vector when the matrix is not PSD;
-* a small dense log-barrier solver (`_barrier`) for linear matrix
-  inequalities in SDPA form, S_b(y) = sum_i y_i F_i - F_0 >= 0 per block.
-  Its one entry point, `sdp_solve`, maximizes the common eigenvalue
-  margin of the blocks: the point that `hierarchy.solve_primal` rounds
-  to an exactly checked one, or else its float feasibility verdict.
+* a small dense log-barrier solver (`_barrier`: approximate centring, steps
+  0.9 of the way to the boundary) for linear matrix inequalities in SDPA
+  form, S_b(y) = sum_i y_i F_i - F_0 >= 0 per block. Its entry point,
+  `sdp_solve`, maximizes the common eigenvalue margin of the blocks: the
+  point that `hierarchy.solve_primal` rounds to an exactly checked one, or
+  else its float feasibility verdict.
 
 Plus a writer/parser pair for the sparse SDPA ".dat-s" interchange
 format with deterministic, byte-stable output.
@@ -235,6 +236,7 @@ class SdpResult:
     value: float | None = None
     gap: float | None = None
     margin: float | None = None
+    steps: int = 0  # Newton steps of the barrier run
 
 
 def _stack(blocks, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -258,54 +260,51 @@ def _block_s(f0: np.ndarray, fs: np.ndarray, y: np.ndarray) -> np.ndarray:
     return 0.5 * (s + s.transpose(0, 2, 1))
 
 
-def _is_pd(s: np.ndarray) -> bool:
-    """Whether every matrix of the stack (or the one matrix) is positive definite: one Cholesky."""
+def _factor(f0: np.ndarray, fs: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+    """The Cholesky factors L_b of every S_b(y), one batched call, or None when a block is not positive definite."""
     try:
-        np.linalg.cholesky(s + 0.0)
-        return True
+        return np.linalg.cholesky(_block_s(f0, fs, y))
     except np.linalg.LinAlgError:
-        return False
+        return None
 
 
-def _newton_system(f0, fs, c, y, mu):
-    """Gradient and Hessian of c.y - mu sum_b logdet S_b(y) at y.
+def _newton_system(fs: np.ndarray, chol: np.ndarray, c: np.ndarray, mu: float) -> tuple:
+    """(G, gradient, Hessian) of c.y - mu sum_b logdet S_b(y), from the Cholesky factors L_b of S_b(y).
 
-    With T_bi = S_b^{-1} F_bi for the padded (m, b, k, k) stack F, block b
-    adds -mu tr T_bi to the gradient and mu tr(T_bi T_bj) to the Hessian:
-    one batched inverse, one batched product and one matrix product for
-    all blocks.
+    G_bi = L_b^{-1} F_bi L_b^{-T} for the padded (m, b, k, k) stack F, from one batched inverse: block
+    b adds -mu tr G_bi to the gradient and mu tr(G_bi G_bj) to the Hessian (one product for all
+    blocks), and S_b(y + a dy) = L_b (I + a sum_i dy_i G_bi) L_b^T.
     """
-    sinv = np.linalg.inv(_block_s(f0, fs, y))
-    sinv = 0.5 * (sinv + sinv.transpose(0, 2, 1))
-    ts = sinv @ fs
-    grad = c - mu * np.trace(ts, axis1=2, axis2=3).sum(axis=1)
-    hess = mu * ts.reshape(len(c), f0.size) @ ts.transpose(0, 1, 3, 2).reshape(len(c), f0.size).T
-    return grad, hess
+    linv = np.linalg.inv(chol)
+    g = linv @ fs @ linv.transpose(0, 2, 1)
+    return g, c - mu * np.trace(g, axis1=2, axis2=3).sum(axis=1), mu * g.reshape(len(c), -1) @ g.reshape(len(c), -1).T
 
 
 def _barrier(blocks, c, y, tol):
-    """Damped Newton on c.y - mu sum logdet S_b(y), mu -> 0.
+    """Newton's method on c.y - mu sum_b logdet S_b(y), mu -> 0, from a strictly feasible y.
 
-    Method: the blocks are stacked once per call, padded to one size
-    (`_stack`). Every Newton step then forms all S_b(y) with one product
-    (`_block_s`), the gradient and Hessian with one batched inverse and
-    product (`_newton_system`), and tests a trial step with one batched
-    Cholesky (`_is_pd`). The step is halved until every block stays
-    positive definite, and mu shrinks by a factor 5 after each centering
-    round.
+    Method: the barrier method (Vandenberghe & Boyd, SIAM Rev. 38, 1996) on the padded block stack of
+    `_stack`. mu starts at max(1, |c|) and shrinks by 5 per round until mu nu <= tol (`gap`), nu the total
+    block size. A round's Newton loop ends once the decrement grad^T H^-1 grad is below 0.1, the last
+    round's below 1e-12. A step goes a = min(1, 0.9 / -lam) along dy, 0.9 of the way to the boundary, lam
+    the least eigenvalue of L^-1 dS L^-T = sum_i dy_i G_bi (`_newton_system`). The trial point is factored
+    once (`_factor`), a halved only while that fails; its factor serves the next step.
     """
     mval = len(c)
     nu = sum(b.size for b in blocks)
     f0, fs = _stack(blocks, mval)
+    if (chol := _factor(f0, fs, y)) is None:
+        raise InvalidInputError("the barrier's start is not strictly feasible")
     mu = max(1.0, float(np.linalg.norm(c))) if nu else 1.0
-    iters = 0
+    steps = 0
     while mu * nu > tol:
         mu *= 0.2
+        centred = 1e-12 if mu * nu <= tol else 0.1
         for _ in range(80):
-            iters += 1
-            if iters > SDP_MAX_ITER:
-                return SdpResult("max-iter", y, float(c @ y), mu * nu)
-            grad, hess = _newton_system(f0, fs, c, y, mu)
+            steps += 1
+            if steps > SDP_MAX_ITER:
+                return SdpResult("max-iter", y, float(c @ y), mu * nu, steps=steps)
+            g, grad, hess = _newton_system(fs, chol, c, mu)
             ridge = 1e-12 * max(1.0, np.trace(hess) / mval)
             try:
                 dy = np.linalg.solve(hess + ridge * np.eye(mval), -grad)
@@ -314,17 +313,18 @@ def _barrier(blocks, c, y, tol):
             decrement = float(-grad @ dy)
             if decrement < 1e-16:
                 break
-            alpha = 1.0
+            ds = (dy @ g.reshape(mval, f0.size)).reshape(f0.shape)  # L^-1 dS L^-T per block
+            alpha = 0.9 / max(0.9, -float(np.linalg.eigvalsh(ds).min()))
             for _ in range(60):
-                if _is_pd(_block_s(f0, fs, y + alpha * dy)):
+                if (trial := _factor(f0, fs, y + alpha * dy)) is not None:
                     break
                 alpha *= 0.5
             else:
                 break
-            y = y + alpha * dy
-            if decrement < 1e-12:
+            y, chol = y + alpha * dy, trial
+            if decrement < centred:
                 break
-    return SdpResult("optimal", y, float(c @ y), mu * nu)
+    return SdpResult("optimal", y, float(c @ y), mu * nu, steps=steps)
 
 
 def sdp_solve(problem: SdpProblem) -> SdpResult:
@@ -349,7 +349,7 @@ def sdp_solve(problem: SdpProblem) -> SdpResult:
     res = _barrier(blocks, np.append(np.zeros(problem.m), -1.0), np.append(np.zeros(problem.m), low - 1.0), SDP_TOL)
     margin = float(res.y[-1])
     infeasible = res.status == "optimal" and margin < -max(SDP_TOL, res.gap or 0.0)
-    return SdpResult("infeasible" if infeasible else res.status, res.y[:-1], margin, res.gap, margin)
+    return SdpResult("infeasible" if infeasible else res.status, res.y[:-1], margin, res.gap, margin, res.steps)
 
 
 # ---------------------------------------------------------------------------

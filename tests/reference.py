@@ -71,6 +71,11 @@ Fractions, from full products with K and T (`spectrum_fraction`), that
 the integer kernel `ame._spectrum` replaced: the same numerators, from
 dots with the even rows of K in full and with every row of T_d.
 
+`is_pd` is the positive-definiteness test of one matrix (or stack) by
+one Cholesky, and `newton_system` the barrier's gradient and Hessian
+from the inverse of every S_b(y) (T_bi = S_b^{-1} F_bi), the form
+`solve._newton_system` replaced by the Cholesky factors of S.
+
 `compressed_general` is the arithmetic of `blocks._compressed` and
 `IrrepBlock.y` for any k (lift onto lcm(dens), `_lowest_terms`, a
 Cholesky factor of the float gram and its inverse), which a 1 x 1 block
@@ -101,7 +106,7 @@ from math import comb, gcd, lcm, prod
 
 import numpy as np
 
-from qmarginal import ame, blocks, errors, exactla, hierarchy, symgroup as sg
+from qmarginal import ame, blocks, errors, exactla, hierarchy, solve, symgroup as sg
 
 
 @lru_cache(maxsize=None)
@@ -954,6 +959,29 @@ def rank_one_primal_block(parts, classes) -> blocks.IrrepBlock:
     nonzero = np.flatnonzero((z != 0).any(axis=(1, 2))).tolist()
     keys = blocks.multiset_tuples([(len(slots), range(order)) for slots in spans])
     return blocks._compressed(parts, [1], b, gram, 1, [keys[i] for i in nonzero], z[nonzero])
+
+
+def is_pd(s: np.ndarray) -> bool:
+    """Whether every matrix of the stack (or the one matrix) is positive definite: one Cholesky."""
+    try:
+        np.linalg.cholesky(s + 0.0)
+        return True
+    except np.linalg.LinAlgError:
+        return False
+
+
+def newton_system(f0, fs, c, y, mu):
+    """Gradient and Hessian of c.y - mu sum_b logdet S_b(y) at y, for the padded stack of `solve._stack`.
+
+    Block b adds -mu tr T_bi to the gradient and mu tr(T_bi T_bj) to the
+    Hessian, T_bi = S_b^{-1} F_bi with S_b^{-1} from one batched inverse.
+    """
+    sinv = np.linalg.inv(solve._block_s(f0, fs, y))
+    sinv = 0.5 * (sinv + sinv.transpose(0, 2, 1))
+    ts = sinv @ fs
+    grad = c - mu * np.trace(ts, axis1=2, axis2=3).sum(axis=1)
+    hess = mu * ts.reshape(len(c), f0.size) @ ts.transpose(0, 1, 3, 2).reshape(len(c), f0.size).T
+    return grad, hess
 
 
 def quadratic_form(m, v):

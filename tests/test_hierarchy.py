@@ -489,6 +489,10 @@ def test_short_cut_is_checked_in_integers():
 # recorded before the modular RREF replaced the Fraction post-processing of the
 # equality solution. The ((4,1,2))_2 extension was re-recorded when the barrier came to
 # run over its 2 effective directions and its point to be rounded to an exact x (at 10^5).
+# Its margin bits are the barrier's float path alone: they were re-recorded again
+# (0x1.1110cab2b5b06p-10 -> 0x1.1110cab2cf61ep-10, +2.3e-14) when the barrier came to
+# centre each round only to a Newton decrement below 0.1 (the last to below 1e-12) and to
+# step a fraction 0.9 of the way to the boundary; status, nullity and x did not move.
 # Between them they take every branch of `solve_primal`: an inconsistent system, the
 # exact PSD test at x0 (feasible and infeasible), the scalar LP and the barrier with
 # its rounding; AME(3,3) is the one whose LP optimum is not 0 (79/1296000).
@@ -498,7 +502,7 @@ PRIMAL_PINS = {
         True,
         58,
         "8bccab27305e19b9a49e58172e5b9e67323dfd0deb9d6d9693eaceb3a3f81076",
-        "0x1.1110cab2b5b06p-10",
+        "0x1.1110cab2cf61ep-10",
     ),
     ("code", 2, 2, 1, 2, False, "extension"): ("infeasible", True, 0, None, None),
     ("code", 5, 2, 2, 2, True, "ppt"): ("feasible", True, 0, "bcb10fe189efc6230e57b35b2a2cc098fb4e79792d616ca522b4466da50f3725", None),
@@ -578,11 +582,15 @@ def test_exact_feasible_points_check_in_fractions(system):
 GENERAL_EXTENSION_PIN = ("feasible", True, 410, "f01f766da234d230fdad7815bed86a6b7549e4dece2fca8e0c1a62488e47dfdb")
 
 
-def test_general_extension_point_matches_recorded_digest():
+def test_general_extension_point_matches_recorded_digest(monkeypatch):
+    """The pin, and the barrier run behind it: at most 40 Newton steps, and the gap that the mu schedule fixes."""
+    results = []
+    monkeypatch.setattr(hi, "sdp_solve", lambda problem: results.append(solve.sdp_solve(problem)) or results[-1])
     v = hi.solve_primal(_pinned_problem(("code", 4, 2, 1, 2, False, "extension")))
     x = hashlib.sha256(" ".join(map(str, v.x)).encode()).hexdigest()
     assert (v.status, v.exact, v.nullity, x) == GENERAL_EXTENSION_PIN
     assert abs(v.margin - 0.00011001808475530209) < 1e-8
+    assert len(results) == 1 and 0 < results[0].steps <= 40 and results[0].gap.hex() == "0x1.7ece53f0b3e5ap-29"
 
 
 def test_inconsistent_equalities_build_no_block(monkeypatch):
@@ -624,6 +632,15 @@ def test_a_feasible_set_without_interior_stays_a_float_verdict(monkeypatch):
     assert (v.status, v.exact, v.x) == ("feasible", False, None)
     assert [scale for scale, _ in rungs] == [10**j for j in range(1, hi.ROUNDING_DIGITS + 1)]
     assert all(blk is not None for _, blk in rungs)
+
+
+def test_a_float_infeasible_verdict():
+    """x_0 = 1 and diag(x_1 - 1, 1), diag(-x_1 - 1, 1) >= 0: no x_1 meets both. The SDP branch's largest
+    margin is -1, at x_1 = 0, so the verdict is a float `infeasible` with no x."""
+    sdp = hi.BlockSdp(None, [0, 1], [[1, 0, 1]], lambda: [_hand_block([[[-1, 0], [0, 1]], [[1, 0], [0, 0]]]), _hand_block([[[-1, 0], [0, 1]], [[-1, 0], [0, 0]]])])
+    v = hi.solve_primal(sdp)
+    assert (v.status, v.exact, v.x, v.nullity) == ("infeasible", False, None, 1)
+    assert abs(v.margin + 1) < 1e-7
 
 
 def test_no_direction_and_no_block():

@@ -213,10 +213,14 @@ def test_block_s_matches_per_variable_loop():
 
 
 def test_newton_system_matches_pairwise_loop():
+    """The barrier's system from the Cholesky factors, and the inverse form of `reference.newton_system`,
+    both match the pairwise loop; G's combinations give S(y + a dy) = L (I + a sum_i dy_i G_i) L^T."""
     m, mu = 7, 0.37
     for sizes in SIZE_MIXES:
         blocks, c, y = _random_lmi_blocks(m, sizes)
-        grad, hess = sv._newton_system(*sv._stack(blocks, m), c, y, mu)
+        f0, fs = sv._stack(blocks, m)
+        chol = sv._factor(f0, fs, y)
+        g, grad, hess = sv._newton_system(fs, chol, c, mu)
 
         ref_grad, ref_hess = c.copy(), np.zeros((m, m))
         for b in blocks:
@@ -227,12 +231,18 @@ def test_newton_system_matches_pairwise_loop():
                 ref_grad[i] -= mu * np.trace(ts[i])
                 for j in range(m):
                     ref_hess[i, j] += mu * np.sum(ts[i] * ts[j].T)
-        assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad)), sizes
-        assert np.max(np.abs(hess - ref_hess)) <= 1e-12 * np.max(np.abs(ref_hess)), sizes
+        for got_grad, got_hess in ((grad, hess), reference.newton_system(f0, fs, c, y, mu)):
+            assert np.max(np.abs(got_grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad)), sizes
+            assert np.max(np.abs(got_hess - ref_hess)) <= 1e-12 * np.max(np.abs(ref_hess)), sizes
+
+        dy, a = 0.5 * c, 0.3
+        moved = chol @ (np.eye(max(sizes)) + a * np.tensordot(dy, g, 1)) @ chol.transpose(0, 2, 1)
+        target = sv._block_s(f0, fs, y + a * dy)
+        assert np.max(np.abs(moved - target)) <= 1e-12 * np.max(np.abs(target)), sizes
 
 
 def test_batched_pd_test_matches_every_block():
-    """Along a ray that leaves the cone, one Cholesky of the stack agrees with testing block by block."""
+    """Along a ray that leaves the cone, one Cholesky of the stack (`_factor`) agrees with testing block by block."""
     m = 7
     for sizes in SIZE_MIXES:
         blocks, direction, _ = _random_lmi_blocks(m, sizes)
@@ -240,25 +250,42 @@ def test_batched_pd_test_matches_every_block():
         seen = set()
         for alpha in np.linspace(0.0, 8.0, 33):
             y = alpha * direction
-            every = all(sv._is_pd(_loop_block_s(b, y)) for b in blocks)
-            assert sv._is_pd(sv._block_s(f0, fs, y)) == every, (sizes, alpha)
+            every = all(reference.is_pd(_loop_block_s(b, y)) for b in blocks)
+            assert (sv._factor(f0, fs, y) is not None) == every, (sizes, alpha)
             seen.add(every)
         assert seen == {True, False}, sizes
 
 
+def test_barrier_refuses_a_start_that_is_not_strictly_feasible():
+    """y >= 2 from y = 0, or from the boundary y = 2: the first Cholesky fails, and no verdict is made."""
+    block = sv.SdpBlock(1, np.array([[2.0]]), [np.array([[1.0]])])
+    for start in (0.0, 2.0):
+        with pytest.raises(InvalidInputError, match="strictly feasible"):
+            sv._barrier([block], np.array([1.0]), np.array([start]), sv.SDP_TOL)
+    res = sv._barrier([block], np.array([1.0]), np.array([3.0]), sv.SDP_TOL)
+    assert res.status == "optimal" and abs(res.value - 2) < 1e-6 and res.steps > 0
+
+
 def test_barrier_verdict_is_rounded_to_an_exact_point(monkeypatch):
     """The one barrier case of the benchmark, the ((4,1,2))_2 extension: the SDP runs over
-    its 2 effective directions of 58, and its point rounds to an exact x."""
-    sizes = []
+    its 2 effective directions of 58, and its point rounds to an exact x. The barrier takes at most
+    30 Newton steps and factors S once per step (and once at the start), and its gap is the last
+    mu nu of the mu schedule, bit for bit."""
+    results, factored = [], []
+    cholesky = np.linalg.cholesky
 
     def spy(problem):
-        sizes.append(problem.m)
-        return sv.sdp_solve(problem)
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "cholesky", lambda s: factored.append(1) or cholesky(s))
+            results.append((problem.m, sv.sdp_solve(problem)))
+        return results[-1][1]
 
     monkeypatch.setattr(hi, "sdp_solve", spy)
     rep = codes.code_check(codes.CodeParams(4, 1, 1, 2, pure=True), "extension", copies=3)
-    assert (rep.verdict, rep.exact, rep.nullity, sizes) == ("feasible", True, 58, [2])
+    assert (rep.verdict, rep.exact, rep.nullity, [m for m, _ in results]) == ("feasible", True, 58, [2])
     assert abs(rep.margin - 0.0010416625706761175) < 1e-9
+    res = results[0][1]
+    assert 0 < res.steps <= 30 and len(factored) <= res.steps + 1 and res.gap.hex() == "0x1.8a10a1b4047b6p-28"
 
 
 def test_sdp_feasibility_modes():
